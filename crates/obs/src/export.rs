@@ -3,6 +3,7 @@
 //! of the directory) so neither a crash mid-run nor a power loss right
 //! after the rename leaves a truncated or missing artifact behind.
 
+use crate::codec::encode_event;
 use crate::metrics::MetricsRegistry;
 use dbp_core::probe::ProbeEvent;
 use serde::{Deserialize, Serialize};
@@ -52,16 +53,17 @@ pub fn events_to_jsonl(events: &[ProbeEvent]) -> String {
 /// [`events_to_jsonl`] at any demand dimensionality. One-dimensional
 /// vector demands serialize as bare integers, so a `VSize<1>` stream is
 /// byte-identical to the scalar stream — the D=1 equivalence suite
-/// asserts exactly that.
+/// asserts exactly that. Each line is the event's canonical encoding
+/// ([`encode_event`]), the same bytes a journal frame carries.
 pub fn events_to_jsonl_dims<Sz: dbp_core::demand::Demand>(
     events: &[dbp_core::probe::GProbeEvent<Sz>],
 ) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     for event in events {
-        out.push_str(&serde_json::to_string(event).expect("ProbeEvent serializes infallibly"));
-        out.push('\n');
+        encode_event(event, &mut out);
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("the event codec writes UTF-8")
 }
 
 /// Parse a JSONL string back into events. Blank lines are skipped; the

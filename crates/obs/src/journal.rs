@@ -14,7 +14,35 @@
 //! Each frame's payload is one [`ProbeEvent`] in the same externally-tagged
 //! single-line JSON the JSONL exporter emits, so `dbp trace` and every JSONL
 //! consumer understand a decoded journal directly. `crc` is the CRC-32
-//! (IEEE 802.3, reflected, polynomial `0xEDB88320`) of the payload bytes.
+//! (IEEE 802.3, reflected, polynomial `0xEDB88320`) of the payload bytes,
+//! computed slicing-by-8. `len` is at most 2^24; the writer refuses an
+//! event whose payload would be longer ([`std::io::ErrorKind::InvalidInput`],
+//! nothing written), because the reader would take its frame for a torn
+//! tail.
+//!
+//! ## Canonical payloads and the strict decoder
+//!
+//! Payloads are written and read by [`crate::codec`], never through a
+//! `serde` value tree. The encoding is canonical — exactly the bytes
+//! `serde_json::to_string` produces for the event:
+//!
+//! * `{"Kind":{"at":N,...}}`, fields in declaration order, no whitespace;
+//! * integers as unsigned decimals without sign or leading zeros; ids and
+//!   counts typed `u32` must fit in `u32`;
+//! * demands as a bare integer at `D = 1`, as `[a,b,..]` of exactly `D`
+//!   components otherwise;
+//! * `Violation.message` with only the escapes `\"`, `\\`, `\n`, `\r`,
+//!   `\t` and lowercase `\u00xx` for other control characters, every other
+//!   character raw UTF-8;
+//! * a drop reason as its quoted variant name, e.g. `"QueueFull"`.
+//!
+//! The decoder accepts only that form: a payload decodes to an event `e`
+//! only if encoding `e` gives back the same bytes. A CRC-valid payload in
+//! any other spelling — valid JSON or not — is an "undecodable event
+//! despite valid CRC" error wherever it sits in the file, since no honest
+//! append writes it. [`repair_journal`], which works at any
+//! dimensionality, checks payloads with the tolerant `serde_json` reader
+//! instead, and so do user-supplied JSONL files (`dbp trace`).
 //!
 //! ## Format v2 — vector demands
 //!
@@ -40,9 +68,9 @@
 //! * damage at the very end of the file → a *torn tail*: the sound prefix
 //!   is returned together with a [`TornTail`] describing what was dropped
 //!   (truncate-and-warn; **never** a panic);
-//! * a bad CRC (or undecodable payload) with more bytes after it → real
-//!   mid-file corruption, which honest appends cannot produce → a hard
-//!   error.
+//! * a bad CRC with more bytes after it → real mid-file corruption, which
+//!   honest appends cannot produce → a hard error. So is a CRC-valid
+//!   payload that does not decode, even in the final frame.
 //!
 //! ## Durability policy
 //!
@@ -51,6 +79,7 @@
 //! buffer is flushed): `Always` fsyncs every record, `EveryN(n)` amortizes,
 //! `Never` leaves flushing to the OS.
 
+use crate::codec::{decode_event, encode_event};
 use crate::span::StageAggregator;
 use dbp_core::demand::Demand;
 use dbp_core::item::Size;
@@ -76,9 +105,14 @@ pub const JOURNAL_MAGIC_V2: &[u8; 8] = b"DBPWAL02";
 /// corruption, not a real record.
 const MAX_FRAME_LEN: u32 = 1 << 24;
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
+/// time: `table[0]` is the classic byte-at-a-time table, and `table[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the register with eight independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -91,17 +125,41 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
-};
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// CRC-32 (IEEE 802.3) of `bytes` — the checksum scheme of zip/PNG/ethernet.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -149,6 +207,8 @@ pub struct JournalWriter {
     /// `journal_fsync`. `None` (the default) keeps the write path free of
     /// clock reads.
     spans: Option<StageAggregator>,
+    /// Reused frame buffer: header plus encoded payload of one record.
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -193,6 +253,7 @@ impl JournalWriter {
             unsynced: 0,
             records: 0,
             spans: None,
+            frame: Vec::new(),
         })
     }
 
@@ -211,7 +272,13 @@ impl JournalWriter {
     /// Generic over the demand type — the caller is responsible for
     /// matching the dimensionality declared in the header (the engine's
     /// journal plumbing pins both to the same `Sz`).
-    pub fn append<Sz: Serialize>(&mut self, event: &GProbeEvent<Sz>) -> std::io::Result<()> {
+    ///
+    /// An event whose payload would exceed the reader's frame cap (only a
+    /// huge `Violation` message can) is refused with
+    /// [`std::io::ErrorKind::InvalidInput`] and nothing is written: the
+    /// reader would take such a frame for a torn tail, and a repair would
+    /// then truncate every record after it.
+    pub fn append<Sz: Demand>(&mut self, event: &GProbeEvent<Sz>) -> std::io::Result<()> {
         if let Some(sp) = &mut self.spans {
             sp.enter(stage::JOURNAL_APPEND);
         }
@@ -222,13 +289,25 @@ impl JournalWriter {
         result
     }
 
-    fn append_inner<Sz: Serialize>(&mut self, event: &GProbeEvent<Sz>) -> std::io::Result<()> {
-        let payload = serde_json::to_string(event).expect("ProbeEvent serializes infallibly");
-        let payload = payload.as_bytes();
-        debug_assert!(payload.len() < MAX_FRAME_LEN as usize);
-        self.file.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.file.write_all(&crc32(payload).to_le_bytes())?;
-        self.file.write_all(payload)?;
+    fn append_inner<Sz: Demand>(&mut self, event: &GProbeEvent<Sz>) -> std::io::Result<()> {
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 8]);
+        encode_event(event, frame);
+        let len = frame.len() - 8;
+        if len > MAX_FRAME_LEN as usize {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "{} event encodes to {len} bytes, over the {MAX_FRAME_LEN}-byte frame cap",
+                    event.kind()
+                ),
+            ));
+        }
+        let crc = crc32(&frame[8..]);
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all(frame)?;
         self.records += 1;
         self.unsynced += 1;
         let due = match self.policy {
@@ -455,7 +534,7 @@ pub fn peek_journal_dims(path: &Path) -> Result<usize, String> {
 fn parse_journal_with<T>(
     bytes: &[u8],
     header_len: usize,
-    mut decode: impl FnMut(&str, usize) -> Result<T, String>,
+    mut decode: impl FnMut(&[u8], usize) -> Result<T, String>,
 ) -> Result<GenericContents<T>, String> {
     let mut events = Vec::new();
     let mut pos = header_len;
@@ -506,10 +585,7 @@ fn parse_journal_with<T>(
                 bytes.len() - pos
             ));
         }
-        let text = std::str::from_utf8(payload).map_err(|_| {
-            format!("frame at byte {frame_start}: payload is not UTF-8 despite valid CRC")
-        })?;
-        events.push(decode(text, frame_start)?);
+        events.push(decode(payload, frame_start)?);
     }
 }
 
@@ -541,9 +617,9 @@ pub fn parse_journal_dims<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<S
             Sz::DIMS
         ));
     }
-    let parsed = parse_journal_with(bytes, header_len, |text, frame_start| {
-        serde_json::from_str::<GProbeEvent<Sz>>(text).map_err(|e| {
-            format!("frame at byte {frame_start}: undecodable event despite valid CRC: {e:?}")
+    let parsed = parse_journal_with(bytes, header_len, |payload, frame_start| {
+        decode_event::<Sz>(payload).map_err(|e| {
+            format!("frame at byte {frame_start}: undecodable event despite valid CRC: {e}")
         })
     })?;
     Ok(GJournalContents {
@@ -583,21 +659,25 @@ pub fn repair_journal(path: &Path) -> Result<Option<TornTail>, String> {
     fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let torn =
-        match parse_header(&bytes)? {
-            None => Some(TornTail {
-                sound_len: 0,
-                reason: "file shorter than the journal header".to_string(),
-            }),
-            Some((_, header_len)) => {
-                parse_journal_with(&bytes, header_len, |text, frame_start| {
-                    serde_json::from_str::<serde::Value>(text).map_err(|e| {
-                format!("frame at byte {frame_start}: undecodable event despite valid CRC: {e:?}")
-            })
-                })?
-                .torn
-            }
-        };
+    let torn = match parse_header(&bytes)? {
+        None => Some(TornTail {
+            sound_len: 0,
+            reason: "file shorter than the journal header".to_string(),
+        }),
+        Some((_, header_len)) => {
+            parse_journal_with(&bytes, header_len, |payload, frame_start| {
+                let text = std::str::from_utf8(payload).map_err(|_| {
+                    format!("frame at byte {frame_start}: payload is not UTF-8 despite valid CRC")
+                })?;
+                serde_json::from_str::<serde::Value>(text).map_err(|e| {
+                    format!(
+                        "frame at byte {frame_start}: undecodable event despite valid CRC: {e:?}"
+                    )
+                })
+            })?
+            .torn
+        }
+    };
     if let Some(torn) = &torn {
         let file = fs::OpenOptions::new()
             .write(true)
@@ -641,6 +721,65 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// Bit-at-a-time CRC-32, the definition the table-driven code must
+    /// reproduce.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    (c >> 1) ^ 0xEDB8_8320
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(0u8..=255, 0..300),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+    }
+
+    #[test]
+    fn oversized_record_is_refused_and_nothing_is_written() {
+        let path = tmpfile("oversized.wal");
+        let events = sample_events();
+        let violation = |len: usize| ProbeEvent::Violation {
+            at: Tick(0),
+            message: "x".repeat(len),
+        };
+        let mut empty = Vec::new();
+        encode_event(&violation(0), &mut empty);
+        // The longest message whose frame the reader still accepts.
+        let fits = MAX_FRAME_LEN as usize - empty.len();
+
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        w.append(&events[0]).unwrap();
+        let err = w.append(&violation(fits + 1)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(w.records(), 1);
+        w.append(&violation(fits)).unwrap();
+        for ev in &events[1..] {
+            w.append(ev).unwrap();
+        }
+        w.finish().unwrap();
+
+        let back = read_journal(&path).unwrap();
+        assert!(back.is_clean());
+        assert_eq!(back.events.len(), events.len() + 1);
+        assert_eq!(back.events[0], events[0]);
+        assert_eq!(back.events[1], violation(fits));
+        assert_eq!(back.events[2..], events[1..]);
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

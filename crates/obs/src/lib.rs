@@ -11,6 +11,8 @@
 //! * [`sampler`] — [`TimeSeriesSampler`](sampler::TimeSeriesSampler), the
 //!   exact step functions `n(t)` (the paper's `A(R,t)`), used capacity,
 //!   and waste;
+//! * [`codec`] — the canonical byte encoding of one event, shared by
+//!   journal frames and JSONL lines, with a strict decoder;
 //! * [`export`] — atomic JSONL / Prometheus / JSON writers and parsers;
 //! * [`journal`] — the crash-safe write-ahead event journal
 //!   (length-prefixed + CRC32-framed records, torn-tail-tolerant reader);
@@ -53,6 +55,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod codec;
 pub mod export;
 pub mod journal;
 pub mod manifest;
