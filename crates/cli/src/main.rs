@@ -407,7 +407,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// constraints; the per-dimension utilization table shows which
 /// dimension actually binds.
 fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
-    use dbp_core::demand::{Demand, VSize};
+    use dbp_core::demand::VSize;
     use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
     let inst = dbp_workloads::widen(scalar);
     let mut sel =
@@ -432,52 +432,59 @@ fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), Stri
     println!("total cost     : {busy} bin-ticks");
     println!("bins used      : {}", trace.bins_used());
     println!("max open bins  : {}", trace.max_open_bins());
-    let cap = inst.capacity();
     let peak = dbp_workloads::vector::peak_pressure(&inst);
-    let mut dim_reg = Vec::new();
-    for d in 0..HETERO_DIMS {
-        let demand: u128 = inst
-            .items()
-            .iter()
-            .map(|it| {
-                it.size.component(d) as u128 * (it.departure.raw() - it.arrival.raw()) as u128
-            })
-            .sum();
-        let rented = cap.component(d) as u128 * busy;
-        let waste = rented - demand;
-        let ppm = (demand * 1_000_000).checked_div(rented).unwrap_or(0);
+    let dims = dbp_cluster::vector::dim_reports(&inst, busy);
+    for d in &dims {
         // Peak concurrent demand is fleet-wide; divide by the per-server
         // capacity to express it in servers' worth of this resource.
         println!(
             "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted, peak {:.1} servers",
-            d,
-            DIM_NAMES[d],
-            ppm as f64 / 1e6,
-            demand,
-            waste,
-            peak[d].0 as f64 / peak[d].1 as f64,
+            d.dim,
+            DIM_NAMES[d.dim],
+            utilization_ppm(d) as f64 / 1e6,
+            d.demand_ticks,
+            d.waste_ticks,
+            peak[d.dim].0 as f64 / peak[d.dim].1 as f64,
         );
-        dim_reg.push((demand, rented, waste, ppm));
     }
     println!("wall time      : {:.3} ms", wall.as_secs_f64() * 1e3);
     if let Some(path) = args.str_flag("metrics") {
-        let clamp = |v: u128| v.min(i64::MAX as u128) as i64;
         let mut reg = dbp_obs::MetricsRegistry::new();
         reg.gauge_set("dbp_bins_used", trace.bins_used() as i64);
-        reg.gauge_set("dbp_cost_ticks", clamp(busy));
-        for (d, (demand, rented, waste, ppm)) in dim_reg.iter().enumerate() {
-            let mut dreg = dbp_obs::MetricsRegistry::new();
-            dreg.gauge_set("dbp_dim_demand_ticks", clamp(*demand));
-            dreg.gauge_set("dbp_dim_rented_ticks", clamp(*rented));
-            dreg.gauge_set("dbp_dim_waste_ticks", clamp(*waste));
-            dreg.gauge_set("dbp_dim_utilization_ppm", clamp(*ppm));
-            reg.absorb_labeled(&dreg, "dim", DIM_NAMES[d]);
-        }
+        reg.gauge_set("dbp_cost_ticks", clamp_i64(busy));
+        absorb_dim_metrics(&mut reg, &dims);
         dbp_obs::export::write_prometheus(std::path::Path::new(path), &reg)
             .map_err(|e| format!("{path}: {e}"))?;
         println!("metrics saved to {path}");
     }
     Ok(())
+}
+
+/// Saturate a `u128` ledger value into a Prometheus gauge.
+fn clamp_i64(v: u128) -> i64 {
+    v.min(i64::MAX as u128) as i64
+}
+
+/// A dimension's utilization in parts per million, rounded down (0 when
+/// nothing was rented).
+fn utilization_ppm(d: &dbp_cluster::vector::DimReport) -> u128 {
+    (d.demand_ticks * 1_000_000)
+        .checked_div(d.rented_ticks)
+        .unwrap_or(0)
+}
+
+/// The `dbp_dim_*{dim="gpu|cpu|mem"}` block of a vector run's
+/// per-dimension ledger, shared by `dbp run --hetero` and
+/// `dbp cluster --hetero`.
+fn absorb_dim_metrics(reg: &mut dbp_obs::MetricsRegistry, dims: &[dbp_cluster::vector::DimReport]) {
+    for d in dims {
+        let mut dreg = dbp_obs::MetricsRegistry::new();
+        dreg.gauge_set("dbp_dim_demand_ticks", clamp_i64(d.demand_ticks));
+        dreg.gauge_set("dbp_dim_rented_ticks", clamp_i64(d.rented_ticks));
+        dreg.gauge_set("dbp_dim_waste_ticks", clamp_i64(d.waste_ticks));
+        dreg.gauge_set("dbp_dim_utilization_ppm", clamp_i64(utilization_ppm(d)));
+        reg.absorb_labeled(&dreg, "dim", dbp_workloads::vector::DIM_NAMES[d.dim]);
+    }
 }
 
 /// `dbp cluster FILE --hetero`: route the widened vector instance across
@@ -533,21 +540,10 @@ fn cmd_cluster_hetero(
         );
     }
     if let Some(path) = args.str_flag("metrics") {
-        let clamp = |v: u128| v.min(i64::MAX as u128) as i64;
         let mut reg = dbp_obs::MetricsRegistry::new();
         reg.gauge_set("dbp_cluster_servers_rented", run.servers_rented as i64);
-        reg.gauge_set("dbp_cluster_busy_ticks", clamp(run.busy_ticks));
-        for d in &run.dims {
-            let mut dreg = dbp_obs::MetricsRegistry::new();
-            dreg.gauge_set("dbp_dim_demand_ticks", clamp(d.demand_ticks));
-            dreg.gauge_set("dbp_dim_rented_ticks", clamp(d.rented_ticks));
-            dreg.gauge_set("dbp_dim_waste_ticks", clamp(d.waste_ticks));
-            let ppm = (d.demand_ticks * 1_000_000)
-                .checked_div(d.rented_ticks)
-                .unwrap_or(0);
-            dreg.gauge_set("dbp_dim_utilization_ppm", clamp(ppm));
-            reg.absorb_labeled(&dreg, "dim", DIM_NAMES[d.dim]);
-        }
+        reg.gauge_set("dbp_cluster_busy_ticks", clamp_i64(run.busy_ticks));
+        absorb_dim_metrics(&mut reg, &run.dims);
         dbp_obs::export::write_prometheus(std::path::Path::new(path), &reg)
             .map_err(|e| format!("{path}: {e}"))?;
         println!("metrics saved to {path}");

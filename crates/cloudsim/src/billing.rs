@@ -80,6 +80,14 @@ impl ServerType {
             ..ServerType::default_gpu_vm()
         }
     }
+
+    /// Exact rental cost in cents of `servers` rentals billed `billed`
+    /// ticks in total: `billed · cents_per_hour / 3600 + servers ·
+    /// setup_cents`.
+    pub fn cost_cents(self, billed: u128, servers: u128) -> Ratio {
+        Ratio::new(billed * self.cents_per_hour as u128, TICKS_PER_HOUR as u128)
+            + Ratio::from_int(servers * self.setup_cents as u128)
+    }
 }
 
 /// Total billed ticks of a trace under a granularity: each bin's usage
@@ -99,12 +107,7 @@ pub fn rental_cost_cents(
     server: ServerType,
     granularity: Granularity,
 ) -> Ratio {
-    let duration = Ratio::new(
-        billed_ticks(trace, granularity) * server.cents_per_hour as u128,
-        TICKS_PER_HOUR as u128,
-    );
-    let setup = Ratio::from_int(trace.bins_used() as u128 * server.setup_cents as u128);
-    duration + setup
+    server.cost_cents(billed_ticks(trace, granularity), trace.bins_used() as u128)
 }
 
 #[cfg(test)]

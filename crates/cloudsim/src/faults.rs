@@ -381,12 +381,7 @@ impl ResilientSystem {
         probe: &mut P,
         spans: &mut R,
     ) -> Result<ResilientReport, DispatchError> {
-        if requests.capacity().raw() != self.system.server.gpu_capacity {
-            return Err(DispatchError::CapacityMismatch {
-                workload: requests.capacity().raw(),
-                server: self.system.server.gpu_capacity,
-            });
-        }
+        self.system.check_capacity(requests)?;
         let mut sim = Sim::new(requests, &self.plan, dispatcher, probe, spans);
         sim.run();
         Ok(sim.into_report(
@@ -1162,10 +1157,7 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
             .iter()
             .map(|&b| granularity.billed_ticks(b) as u128)
             .sum();
-        let cost = Ratio::new(
-            billed * server.cents_per_hour as u128,
-            TICKS_PER_HOUR as u128,
-        ) + Ratio::from_int(self.servers_rented as u128 * server.setup_cents as u128);
+        let cost = server.cost_cents(billed, self.servers_rented as u128);
         ResilientReport {
             algorithm: self.selector.name().to_string(),
             sessions_total: total,

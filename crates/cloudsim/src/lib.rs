@@ -48,4 +48,4 @@ pub use faults::{
     RetryPolicy,
 };
 pub use recover::{RecoveryOutcome, VerifyProbe};
-pub use system::{DispatchError, GamingSystem, SystemReport};
+pub use system::{utilization, DispatchError, GamingSystem, SystemReport};

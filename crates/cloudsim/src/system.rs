@@ -42,7 +42,7 @@ impl std::fmt::Display for DispatchError {
 impl std::error::Error for DispatchError {}
 
 /// One dispatch run's report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SystemReport {
     /// Dispatcher name.
     pub algorithm: String,
@@ -69,6 +69,19 @@ impl SystemReport {
     pub fn cost_dollars(&self) -> f64 {
         self.cost_cents.to_f64() / 100.0
     }
+}
+
+/// Mean GPU utilization of `busy_ticks` of rented time serving
+/// `requests`: total demand over `W · busy_ticks`, zero when nothing was
+/// rented.
+pub fn utilization(requests: &Instance, busy_ticks: u128) -> Ratio {
+    if busy_ticks == 0 {
+        return Ratio::ZERO;
+    }
+    Ratio::new(
+        requests.total_demand(),
+        requests.capacity().raw() as u128 * busy_ticks,
+    )
 }
 
 /// The simulated service: a server flavor, a billing granularity, and a
@@ -109,37 +122,48 @@ impl GamingSystem {
         requests: &Instance,
         dispatcher: &mut S,
     ) -> Result<(SystemReport, PackingTrace), DispatchError> {
+        self.check_capacity(requests)?;
+        let started = std::time::Instant::now();
+        let trace = simulate_validated(requests, dispatcher);
+        let report = self.report(requests, &trace, started.elapsed());
+        Ok((report, trace))
+    }
+
+    /// The workload must be generated against the server flavor's `W`.
+    ///
+    /// # Errors
+    /// [`DispatchError::CapacityMismatch`] when the capacities differ.
+    pub fn check_capacity(&self, requests: &Instance) -> Result<(), DispatchError> {
         if requests.capacity().raw() != self.server.gpu_capacity {
             return Err(DispatchError::CapacityMismatch {
                 workload: requests.capacity().raw(),
                 server: self.server.gpu_capacity,
             });
         }
-        let started = std::time::Instant::now();
-        let trace = simulate_validated(requests, dispatcher);
-        let wall = started.elapsed();
+        Ok(())
+    }
+
+    /// The bill of a finished dispatch: `trace` packed `requests` in
+    /// `wall` time. Busy and billed ticks, the exact cost and utilization,
+    /// and a manifest whose digest covers `requests`.
+    pub fn report(
+        &self,
+        requests: &Instance,
+        trace: &PackingTrace,
+        wall: std::time::Duration,
+    ) -> SystemReport {
         let busy = trace.total_cost_ticks();
-        let billed = billed_ticks(&trace, self.granularity);
-        let utilization = if busy == 0 {
-            Ratio::ZERO
-        } else {
-            Ratio::new(
-                requests.total_demand(),
-                requests.capacity().raw() as u128 * busy,
-            )
-        };
-        let report = SystemReport {
+        SystemReport {
             algorithm: trace.algorithm.clone(),
             sessions_served: requests.len(),
             servers_rented: trace.bins_used(),
             peak_servers: trace.max_open_bins(),
             busy_ticks: busy,
-            billed_ticks: billed,
-            cost_cents: rental_cost_cents(&trace, self.server, self.granularity),
-            utilization,
+            billed_ticks: billed_ticks(trace, self.granularity),
+            cost_cents: rental_cost_cents(trace, self.server, self.granularity),
+            utilization: utilization(requests, busy),
             manifest: Some(RunManifest::capture(&trace.algorithm, None, requests, wall)),
-        };
-        Ok((report, trace))
+        }
     }
 
     /// [`run`](GamingSystem::run), panicking on [`DispatchError`] — for

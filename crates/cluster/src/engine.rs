@@ -15,8 +15,7 @@ use crate::faults::{
 };
 use crate::router::Router;
 use dbp_cloudsim::{
-    billed_ticks, rental_cost_cents, DispatchError, FaultPlan, GamingSystem, ResilientReport,
-    ResilientSystem, SystemReport,
+    DispatchError, FaultPlan, GamingSystem, ResilientReport, ResilientSystem, SystemReport,
 };
 use dbp_core::engine::EngineRun;
 use dbp_core::instance::Instance;
@@ -24,6 +23,7 @@ use dbp_core::item::ItemId;
 use dbp_core::packer::SelectorFactory;
 use dbp_core::probe::{NoProbe, Probe, ProbeEvent};
 use dbp_core::ratio::Ratio;
+use dbp_core::snapshot::Snapshot;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
 use dbp_core::time::Tick;
 use dbp_core::trace::PackingTrace;
@@ -334,7 +334,7 @@ pub struct ClusterTrace<R> {
 }
 
 /// Aggregate SLA ledger of a fault-injected cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClusterResilientReport {
     /// Dispatcher name.
     pub algorithm: String,
@@ -399,7 +399,7 @@ pub struct ClusterResilientRun {
 /// One shard's outcome under self-healing supervision: final health, the
 /// four-way session ledger over its *original* assignment, restart
 /// statistics, and its exact bill (reroute work it hosted included).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardHealthReport {
     /// Shard index.
     pub shard: usize,
@@ -545,11 +545,9 @@ impl ClusterEngine {
     /// Restriction preserves arrival order and renumbers densely, so each
     /// shard is a well-formed instance in its own right.
     pub fn partition(&self, requests: &Instance) -> (Vec<(Instance, Vec<ItemId>)>, Vec<usize>) {
-        let assignment = self.config.router.assign(requests, self.config.shards);
-        let parts = (0..self.config.shards)
-            .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
-            .collect();
-        (parts, assignment)
+        self.config
+            .router
+            .partition(requests, self.config.shards, &mut NoSpans)
     }
 
     /// Run the cluster without instrumentation.
@@ -608,8 +606,8 @@ impl ClusterEngine {
         &self,
         requests: &Instance,
         factory: &SelectorFactory,
-        mut make_probe: FP,
-        mut make_spans: FR,
+        make_probe: FP,
+        make_spans: FR,
     ) -> Result<(ClusterRun, Vec<P>, ClusterTrace<R>), ClusterError>
     where
         P: Probe + Send,
@@ -617,133 +615,48 @@ impl ClusterEngine {
         FP: FnMut(usize) -> P,
         FR: FnMut(usize, Instant) -> R,
     {
-        self.config.validate()?;
-        self.check_capacity(requests)?;
-        let epoch = Instant::now();
-        let mut driver = SpanCollector::with_epoch(epoch, DRIVER_LANE);
-
-        driver.enter(stage::PARTITION);
-        driver.enter(stage::ROUTE);
-        let assignment = self.config.router.assign(requests, self.config.shards);
-        driver.exit();
-        let parts: Vec<(Instance, Vec<ItemId>)> = (0..self.config.shards)
-            .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
-            .collect();
-        driver.exit();
-
-        driver.enter(stage::BATCH_ENQUEUE);
-        let mut units: Vec<(Instance, Vec<ItemId>, P, R)> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(s, (inst, back))| (inst, back, make_probe(s), make_spans(s, epoch)))
-            .collect();
-        driver.exit();
-
-        // Open every shard's queue-wait span on the driver thread, before
-        // the pool exists: the gap until a worker claims the unit is real
-        // contention and must land in the shard's own lane.
-        let dispatch_start = elapsed_ns(epoch);
-        for unit in &mut units {
-            unit.3.enter(stage::QUEUE_WAIT);
-        }
-        driver.enter(stage::DISPATCH);
-        let system = self.system;
-        let batch = self.config.batch;
-        let outcomes = run_pool(
-            units,
-            self.config.workers(),
-            |shard, (inst, back, mut probe, mut spans)| {
-                let claim_ns = elapsed_ns(epoch);
-                spans.exit(); // queue_wait ends the moment the worker claims
-                spans.enter(stage::SHARD_BUSY);
-                let mut sel = factory.build();
-                let (report, trace) =
-                    run_shard_traced(&system, &inst, &mut *sel, &mut probe, &mut spans, batch);
-                spans.exit();
-                let done_ns = elapsed_ns(epoch);
-                (
-                    ShardRun {
-                        shard,
-                        report,
-                        trace,
-                        back,
-                    },
-                    probe,
-                    spans,
-                    claim_ns,
-                    done_ns,
-                )
-            },
-        );
-        driver.exit();
-
-        let n = outcomes.len();
-        let mut shards = Vec::with_capacity(n);
-        let mut probes = Vec::with_capacity(n);
-        let mut recorders = Vec::with_capacity(n);
-        let mut queue_wait_ns = Vec::with_capacity(n);
-        let mut busy_ns = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (shard, probe, spans, claim_ns, done_ns) =
-                outcome.map_err(|p| ClusterError::ShardPanicked {
-                    shard: i,
-                    message: panic_message(&*p),
-                })?;
-            queue_wait_ns.push(claim_ns.saturating_sub(dispatch_start));
-            busy_ns.push(done_ns.saturating_sub(claim_ns));
-            shards.push(shard);
-            probes.push(probe);
-            recorders.push(spans);
-        }
-
-        if crate::cancel::requested() {
-            // Shards returned sentinels, not real reports; aggregating
-            // them would fabricate a zero-cost run. Dropping the probes
-            // here flushes and fsyncs any journals (JournalWriter syncs
-            // on drop), so the on-disk prefix is recover-clean.
-            return Err(ClusterError::Interrupted);
-        }
-
-        driver.enter(stage::FAN_IN);
-        let report = self.aggregate(
+        self.fan_out(
             requests,
-            &shards,
-            epoch.elapsed(),
-            factory.name(),
-            &mut driver,
-        );
-        driver.exit();
-
-        let stage_ns = |name: &'static str| -> u64 {
-            driver
-                .spans()
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.dur_ns)
-                .sum()
-        };
-        let timing = ClusterTiming {
-            wall_ns: elapsed_ns(epoch),
-            partition_ns: stage_ns(stage::PARTITION),
-            batch_enqueue_ns: stage_ns(stage::BATCH_ENQUEUE),
-            dispatch_ns: stage_ns(stage::DISPATCH),
-            fan_in_ns: stage_ns(stage::FAN_IN),
-            queue_wait_ns,
-            busy_ns,
-        };
-        Ok((
-            ClusterRun {
-                report,
-                shards,
-                assignment,
+            make_probe,
+            make_spans,
+            |shard, inst, back, mut probe, spans| {
+                let mut sel = factory.build();
+                let (report, trace) = run_shard_traced(
+                    &self.system,
+                    &inst,
+                    &mut *sel,
+                    &mut probe,
+                    spans,
+                    self.config.batch,
+                );
+                let run = ShardRun {
+                    shard,
+                    report,
+                    trace,
+                    back,
+                };
+                (run, probe)
             },
-            probes,
-            ClusterTrace {
-                driver,
-                shards: recorders,
-                timing,
+            |outcomes, assignment, driver| {
+                if crate::cancel::requested() {
+                    // Shards returned sentinels, not real reports;
+                    // aggregating them would fabricate a zero-cost run.
+                    // Dropping the probes here flushes and fsyncs any
+                    // journals (JournalWriter syncs on drop), so the
+                    // on-disk prefix is recover-clean.
+                    return Err(ClusterError::Interrupted);
+                }
+                let (shards, probes): (Vec<ShardRun>, Vec<P>) = outcomes.into_iter().unzip();
+                let report = self.aggregate(requests, &shards, factory.name(), driver);
+                let run = ClusterRun {
+                    report,
+                    shards,
+                    assignment,
+                };
+                Ok((run, probes))
             },
-        ))
+        )
+        .map(|((run, probes), trace)| (run, probes, trace))
     }
 
     /// Run the cluster under per-shard fault plans through
@@ -784,35 +697,26 @@ impl ClusterEngine {
                 got: plans.len(),
             });
         }
-        self.config.validate()?;
-        self.check_capacity(requests)?;
-        let (parts, assignment) = self.partition(requests);
-        let units: Vec<(Instance, FaultPlan, P)> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(s, (inst, _back))| (inst, plans[s].clone(), make_probe(s)))
-            .collect();
-        let system = self.system;
-        let results = run_pool(
-            units,
-            self.config.workers(),
-            |_shard, (inst, plan, mut probe)| {
+        let ((shards, probes, assignment), _) = self.fan_out(
+            requests,
+            |s| (plans[s].clone(), make_probe(s)),
+            |_, _| NoSpans,
+            |_shard, inst, _back, (plan, mut probe), _spans| {
                 let mut sel = factory.build();
-                let resilient = ResilientSystem::new(system, plan);
+                let resilient = ResilientSystem::new(self.system, plan);
                 let report = resilient.run_probed(&inst, &mut *sel, &mut probe);
                 (report, probe)
             },
-        );
-        let mut shards = Vec::with_capacity(results.len());
-        let mut probes = Vec::with_capacity(results.len());
-        for (i, result) in results.into_iter().enumerate() {
-            let (report, probe) = result.map_err(|p| ClusterError::ShardPanicked {
-                shard: i,
-                message: panic_message(&*p),
-            })?;
-            shards.push(report.map_err(ClusterError::Dispatch)?);
-            probes.push(probe);
-        }
+            |outcomes, assignment, _driver| {
+                let mut shards = Vec::with_capacity(outcomes.len());
+                let mut probes = Vec::with_capacity(outcomes.len());
+                for (report, probe) in outcomes {
+                    shards.push(report?);
+                    probes.push(probe);
+                }
+                Ok((shards, probes, assignment))
+            },
+        )?;
         let algorithm = shards
             .first()
             .map(|r| r.algorithm.clone())
@@ -828,20 +732,14 @@ impl ClusterEngine {
             busy_ticks: shards.iter().map(|r| r.busy_ticks).sum(),
             billed_ticks: shards.iter().map(|r| r.billed_ticks).sum(),
             cost_cents: shards.iter().fold(Ratio::ZERO, |acc, r| acc + r.cost_cents),
-            sessions_rerouted: 0,
-            shard_kills: 0,
-            shard_restarts: 0,
-            shard_replayed_events: 0,
-            shards_lost: 0,
+            ..ClusterResilientReport::default()
         };
-        Ok((
-            ClusterResilientRun {
-                report,
-                shards,
-                assignment,
-            },
-            probes,
-        ))
+        let run = ClusterResilientRun {
+            report,
+            shards,
+            assignment,
+        };
+        Ok((run, probes))
     }
 
     /// Run the cluster under a [`ShardFaultPlan`] with self-healing
@@ -908,105 +806,62 @@ impl ClusterEngine {
         factory: &SelectorFactory,
         plan: &ShardFaultPlan,
         probe: &mut P,
-        mut make_spans: FR,
+        make_spans: FR,
     ) -> Result<(ClusterHealedRun, ClusterTrace<R>), ClusterError>
     where
         P: Probe,
         R: SpanRecorder + Send,
         FR: FnMut(usize, Instant) -> R,
     {
-        self.config.validate()?;
-        self.check_capacity(requests)?;
         let shards_n = self.config.shards;
         let mut sched: Vec<Vec<KillPoint>> = vec![Vec::new(); shards_n];
         for kill in &plan.kills {
-            let s = kill.shard as usize;
-            if s >= shards_n {
+            let Some(kills) = sched.get_mut(kill.shard as usize) else {
                 return Err(ClusterError::BadFaultPlan {
                     message: format!(
                         "kill targets shard {} but the cluster has {} shards",
                         kill.shard, shards_n
                     ),
                 });
-            }
-            sched[s].push(kill.at);
+            };
+            kills.push(kill.at);
         }
-        let epoch = Instant::now();
-        let mut driver = SpanCollector::with_epoch(epoch, DRIVER_LANE);
-
-        driver.enter(stage::PARTITION);
-        driver.enter(stage::ROUTE);
-        let assignment = self.config.router.assign(requests, shards_n);
-        driver.exit();
-        let parts: Vec<(Instance, Vec<ItemId>)> = (0..shards_n)
-            .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
-            .collect();
-        driver.exit();
-
-        driver.enter(stage::BATCH_ENQUEUE);
-        let mut units: Vec<(Instance, Vec<ItemId>, Vec<KillPoint>, R)> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(s, (inst, back))| {
-                (
-                    inst,
-                    back,
-                    std::mem::take(&mut sched[s]),
-                    make_spans(s, epoch),
-                )
-            })
-            .collect();
-        driver.exit();
-
-        let dispatch_start = elapsed_ns(epoch);
-        for unit in &mut units {
-            unit.3.enter(stage::QUEUE_WAIT);
-        }
-        driver.enter(stage::DISPATCH);
-        let system = self.system;
-        let batch = self.config.batch;
-        let restart = plan.restart;
-        let outcomes = run_pool(
-            units,
-            self.config.workers(),
-            |shard, (inst, back, kills, mut spans)| {
-                let claim_ns = elapsed_ns(epoch);
-                spans.exit(); // queue_wait
-                spans.enter(stage::SHARD_BUSY);
+        self.fan_out(
+            requests,
+            |s| std::mem::take(&mut sched[s]),
+            make_spans,
+            |shard, inst, back, kills, spans| {
                 let sup = supervise_shard(
-                    &system,
+                    &self.system,
                     &inst,
                     factory,
                     kills,
-                    restart,
-                    batch,
+                    plan.restart,
+                    self.config.batch,
                     shard as u32,
-                    &mut spans,
+                    spans,
                 );
-                spans.exit();
-                let done_ns = elapsed_ns(epoch);
-                (back, sup, spans, claim_ns, done_ns)
+                (back, sup)
             },
-        );
-        driver.exit();
+            |collected, assignment, driver| {
+                Ok(self.heal(requests, factory, collected, assignment, probe, driver))
+            },
+        )
+    }
 
-        let mut collected: Vec<(Vec<ItemId>, ShardSupervision)> = Vec::with_capacity(shards_n);
-        let mut recorders = Vec::with_capacity(shards_n);
-        let mut queue_wait_ns = Vec::with_capacity(shards_n);
-        let mut busy_ns = Vec::with_capacity(shards_n);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (back, sup, spans, claim_ns, done_ns) =
-                outcome.map_err(|p| ClusterError::ShardPanicked {
-                    shard: i,
-                    message: panic_message(&*p),
-                })?;
-            queue_wait_ns.push(claim_ns.saturating_sub(dispatch_start));
-            busy_ns.push(done_ns.saturating_sub(claim_ns));
-            recorders.push(spans);
-            collected.push((back, sup));
-        }
-
-        driver.enter(stage::FAN_IN);
+    /// The self-healing fan-in: per-shard ledgers, degraded-mode routing
+    /// of dead shards' future arrivals, the cluster stream delivered to
+    /// `probe`, and the extended ledger with its manifest.
+    fn heal<P: Probe>(
+        &self,
+        requests: &Instance,
+        factory: &SelectorFactory,
+        collected: Vec<(Vec<ItemId>, ShardSupervision)>,
+        assignment: Vec<usize>,
+        probe: &mut P,
+        driver: &mut SpanCollector,
+    ) -> ClusterHealedRun {
+        let shards_n = collected.len();
         let any_healthy = collected
             .iter()
             .any(|(_, sup)| matches!(sup.fate, ShardFate::Completed { .. }));
@@ -1017,60 +872,42 @@ impl ClusterEngine {
         let mut decision_streams: Vec<Vec<u64>> = Vec::with_capacity(shards_n);
         let mut algorithm: Option<String> = None;
         let mut reroute = vec![false; requests.len()];
-        let mut rerouted_total = 0u64;
         for (s, (back, sup)) in collected.into_iter().enumerate() {
-            let health = sup.health();
-            let ShardSupervision {
-                mut events,
-                decisions,
-                kills,
-                restarts,
-                replayed_events,
-                backoff_ticks,
-                fate,
-                ..
-            } = sup;
-            match fate {
-                ShardFate::Completed { report, .. } => {
-                    if algorithm.is_none() {
-                        algorithm = Some(report.algorithm.clone());
-                    }
+            let base = ShardHealthReport {
+                shard: s,
+                health: sup.health(),
+                sessions_total: back.len() as u64,
+                kills: sup.kills as u64,
+                restarts: sup.restarts as u64,
+                replayed_events: sup.replayed_events,
+                backoff_ticks: sup.backoff_ticks,
+                ..ShardHealthReport::default()
+            };
+            let mut events = sup.events;
+            match sup.fate {
+                ShardFate::Completed { report } => {
+                    algorithm.get_or_insert_with(|| report.algorithm.clone());
                     health_reports.push(ShardHealthReport {
-                        shard: s,
-                        health,
-                        sessions_total: back.len() as u64,
                         sessions_served: report.sessions_served as u64,
-                        sessions_dropped: 0,
-                        sessions_lost: 0,
-                        sessions_rerouted_out: 0,
-                        sessions_rerouted_in: 0,
-                        kills: kills as u64,
-                        restarts: restarts as u64,
-                        replayed_events,
-                        backoff_ticks,
                         servers_rented: report.servers_rented as u64,
                         busy_ticks: report.busy_ticks,
                         billed_ticks: report.billed_ticks,
                         cost_cents: report.cost_cents,
-                        down_reason: None,
+                        ..base
                     });
                 }
                 ShardFate::Dead(dead) => {
                     // Online-legal degradation: only sessions that had NOT
                     // yet arrived at the time of death move — in-flight
                     // sessions are lost with their servers, never migrated.
-                    let moved = if any_healthy {
-                        dead.unarrived.len() as u64
-                    } else {
-                        0
-                    };
-                    let dropped = dead.unarrived.len() as u64 - moved;
-                    if any_healthy {
+                    let (moved, dropped) = if any_healthy {
                         for &local in &dead.unarrived {
                             reroute[back[local].index()] = true;
                         }
-                    }
-                    rerouted_total += moved;
+                        (dead.unarrived.len() as u64, 0)
+                    } else {
+                        (0, dead.unarrived.len() as u64)
+                    };
                     events.push(ProbeEvent::ShardAbandoned {
                         at: Tick(dead.died_at),
                         shard: s as u32,
@@ -1078,28 +915,21 @@ impl ClusterEngine {
                         rerouted: moved as u32,
                     });
                     health_reports.push(ShardHealthReport {
-                        shard: s,
-                        health,
-                        sessions_total: back.len() as u64,
                         sessions_served: dead.served,
                         sessions_dropped: dropped,
                         sessions_lost: dead.lost,
                         sessions_rerouted_out: moved,
-                        sessions_rerouted_in: 0,
-                        kills: kills as u64,
-                        restarts: restarts as u64,
-                        replayed_events,
-                        backoff_ticks,
                         servers_rented: dead.servers_rented,
                         busy_ticks: dead.busy_ticks,
                         billed_ticks: dead.billed_ticks,
                         cost_cents: dead.cost_cents,
                         down_reason: Some(dead.reason),
+                        ..base
                     });
                 }
             }
             streams.push(events);
-            decision_streams.push(decisions);
+            decision_streams.push(sup.decisions);
         }
 
         // Degraded-mode routing: re-run the router over the displaced
@@ -1109,6 +939,7 @@ impl ClusterEngine {
         // (rerouted sessions arrive in the future; no migration happens).
         // Host-side reroute events are deliberately NOT journaled into any
         // shard stream: healthy journals stay single-engine-replayable.
+        let rerouted_total: u64 = health_reports.iter().map(|h| h.sessions_rerouted_out).sum();
         if rerouted_total > 0 {
             driver.enter(stage::REROUTE);
             let (sub, _sub_back) = requests.restrict(|it| reroute[it.id.index()]);
@@ -1117,15 +948,22 @@ impl ClusterEngine {
                 .filter(|h| matches!(h.health, ShardHealth::Up))
                 .map(|h| h.shard)
                 .collect();
-            let sub_assign = self.config.router.assign(&sub, hosts.len());
-            for (pos, &host) in hosts.iter().enumerate() {
-                let (hinst, _) = sub.restrict(|it| sub_assign[it.id.index()] == pos);
+            let (slices, _) = self
+                .config
+                .router
+                .partition(&sub, hosts.len(), &mut NoSpans);
+            for (&host, (hinst, _)) in hosts.iter().zip(slices) {
                 if hinst.is_empty() {
                     continue;
                 }
                 let mut sel = factory.build();
-                let (rep, _trace) =
-                    run_shard_probed(&system, &hinst, &mut *sel, &mut NoProbe, batch);
+                let (rep, _trace) = run_shard_probed(
+                    &self.system,
+                    &hinst,
+                    &mut *sel,
+                    &mut NoProbe,
+                    self.config.batch,
+                );
                 let hr = &mut health_reports[host];
                 hr.sessions_rerouted_in += hinst.len() as u64;
                 hr.servers_rented += rep.servers_rented as u64;
@@ -1178,12 +1016,111 @@ impl ClusterEngine {
                 .count() as u64,
         };
         driver.enter(stage::MANIFEST_MERGE);
-        let manifest = RunManifest::capture(&algorithm, None, requests, epoch.elapsed())
+        let manifest = RunManifest::capture(&algorithm, None, requests, driver.epoch().elapsed())
             .with_cost(busy)
             .with_shard_restarts(total_restarts)
             .with_ledger_conserved(report.conserved());
         driver.exit();
-        driver.exit(); // fan_in
+        ClusterHealedRun {
+            report,
+            shards: health_reports,
+            assignment,
+            manifest,
+        }
+    }
+
+    /// The one cluster fan-out every driver shares: validate the shape,
+    /// check capacity, partition (`partition`/`route` spans), build one
+    /// work unit per shard (`batch_enqueue`), open every shard lane's
+    /// `queue_wait` span, run the pool (`dispatch`), flip each lane to
+    /// `shard_busy` the moment a worker claims its unit, map a shard panic
+    /// to [`ClusterError::ShardPanicked`], run the caller's fan-in under a
+    /// `fan_in` span, and derive the [`ClusterTiming`].
+    ///
+    /// `make_unit(shard)` then `make_spans(shard, epoch)` run in shard
+    /// order on the driver thread; `work(shard, instance, back_map, unit,
+    /// spans)` runs on a pool worker inside the shard's `shard_busy` span;
+    /// `fan_in(outcomes, assignment, driver)` gets the outcomes in shard
+    /// order on the driver thread.
+    fn fan_out<U, T, R, X, FU, FR, W, FI>(
+        &self,
+        requests: &Instance,
+        mut make_unit: FU,
+        mut make_spans: FR,
+        work: W,
+        fan_in: FI,
+    ) -> Result<(X, ClusterTrace<R>), ClusterError>
+    where
+        U: Send,
+        T: Send,
+        R: SpanRecorder + Send,
+        FU: FnMut(usize) -> U,
+        FR: FnMut(usize, Instant) -> R,
+        W: Fn(usize, Instance, Vec<ItemId>, U, &mut R) -> T + Sync,
+        FI: FnOnce(Vec<T>, Vec<usize>, &mut SpanCollector) -> Result<X, ClusterError>,
+    {
+        self.config.validate()?;
+        self.system.check_capacity(requests)?;
+        let epoch = Instant::now();
+        let mut driver = SpanCollector::with_epoch(epoch, DRIVER_LANE);
+
+        driver.enter(stage::PARTITION);
+        let (parts, assignment) =
+            self.config
+                .router
+                .partition(requests, self.config.shards, &mut driver);
+        driver.exit();
+
+        driver.enter(stage::BATCH_ENQUEUE);
+        let mut units: Vec<(Instance, Vec<ItemId>, U, R)> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(s, (inst, back))| (inst, back, make_unit(s), make_spans(s, epoch)))
+            .collect();
+        driver.exit();
+
+        // Open every shard's queue-wait span on the driver thread, before
+        // the pool exists: the gap until a worker claims the unit is real
+        // contention and must land in the shard's own lane.
+        let dispatch_start = elapsed_ns(epoch);
+        for unit in &mut units {
+            unit.3.enter(stage::QUEUE_WAIT);
+        }
+        driver.enter(stage::DISPATCH);
+        let results = run_pool(
+            units,
+            self.config.workers(),
+            |shard, (inst, back, unit, mut spans)| {
+                let claim_ns = elapsed_ns(epoch);
+                spans.exit(); // queue_wait ends the moment the worker claims
+                spans.enter(stage::SHARD_BUSY);
+                let out = work(shard, inst, back, unit, &mut spans);
+                spans.exit();
+                (out, spans, claim_ns, elapsed_ns(epoch))
+            },
+        );
+        driver.exit();
+
+        let n = results.len();
+        let mut outcomes = Vec::with_capacity(n);
+        let mut recorders = Vec::with_capacity(n);
+        let mut queue_wait_ns = Vec::with_capacity(n);
+        let mut busy_ns = Vec::with_capacity(n);
+        for (shard, result) in results.into_iter().enumerate() {
+            let (out, spans, claim_ns, done_ns) =
+                result.map_err(|p| ClusterError::ShardPanicked {
+                    shard,
+                    message: panic_message(&*p),
+                })?;
+            queue_wait_ns.push(claim_ns.saturating_sub(dispatch_start));
+            busy_ns.push(done_ns.saturating_sub(claim_ns));
+            recorders.push(spans);
+            outcomes.push(out);
+        }
+
+        driver.enter(stage::FAN_IN);
+        let merged = fan_in(outcomes, assignment, &mut driver)?;
+        driver.exit();
 
         let stage_ns = |name: &'static str| -> u64 {
             driver
@@ -1202,57 +1139,32 @@ impl ClusterEngine {
             queue_wait_ns,
             busy_ns,
         };
-        Ok((
-            ClusterHealedRun {
-                report,
-                shards: health_reports,
-                assignment,
-                manifest,
-            },
-            ClusterTrace {
-                driver,
-                shards: recorders,
-                timing,
-            },
-        ))
-    }
-
-    fn check_capacity(&self, requests: &Instance) -> Result<(), DispatchError> {
-        if requests.capacity().raw() != self.system.server.gpu_capacity {
-            return Err(DispatchError::CapacityMismatch {
-                workload: requests.capacity().raw(),
-                server: self.system.server.gpu_capacity,
-            });
-        }
-        Ok(())
+        let trace = ClusterTrace {
+            driver,
+            shards: recorders,
+            timing,
+        };
+        Ok((merged, trace))
     }
 
     /// Merge shard reports into the exact aggregate. The manifest capture
     /// (full-stream digest) dominates fan-in cost, so it gets its own span.
-    fn aggregate<R: SpanRecorder>(
+    fn aggregate(
         &self,
         requests: &Instance,
         shards: &[ShardRun],
-        wall: std::time::Duration,
         fallback_algorithm: &str,
-        spans: &mut R,
+        driver: &mut SpanCollector,
     ) -> ClusterReport {
         let busy: u128 = shards.iter().map(|s| s.report.busy_ticks).sum();
         let algorithm = shards
             .first()
             .map(|s| s.report.algorithm.clone())
             .unwrap_or_else(|| fallback_algorithm.to_string());
-        let utilization = if busy == 0 {
-            Ratio::ZERO
-        } else {
-            Ratio::new(
-                requests.total_demand(),
-                requests.capacity().raw() as u128 * busy,
-            )
-        };
-        spans.enter(stage::MANIFEST_MERGE);
+        driver.enter(stage::MANIFEST_MERGE);
+        let wall = driver.epoch().elapsed();
         let manifest = RunManifest::capture(&algorithm, None, requests, wall).with_cost(busy);
-        spans.exit();
+        driver.exit();
         ClusterReport {
             algorithm: algorithm.clone(),
             router: self.config.router.name().to_string(),
@@ -1265,7 +1177,7 @@ impl ClusterEngine {
             cost_cents: shards
                 .iter()
                 .fold(Ratio::ZERO, |acc, s| acc + s.report.cost_cents),
-            utilization,
+            utilization: dbp_cloudsim::utilization(requests, busy),
             manifest,
         }
     }
@@ -1311,51 +1223,71 @@ where
     P: Probe,
     R: SpanRecorder,
 {
-    assert_eq!(
-        requests.capacity().raw(),
-        system.server.gpu_capacity,
-        "capacity is checked at the cluster boundary"
-    );
-    let started = std::time::Instant::now();
-    // Poll the cancellation latch at least every CANCEL_CHECK steps even
-    // under whole-stream batching; the clamp is semantically invisible
-    // (the outer loop re-enters until `is_done`).
-    const CANCEL_CHECK: usize = 4096;
-    let burst = batch.burst().min(CANCEL_CHECK);
-    let mut run = EngineRun::traced(requests, &mut *dispatcher, &mut *probe, &mut *spans);
-    while !run.is_done() {
-        if crate::cancel::requested() {
-            // Stop stepping now. The journaled prefix is already durable
-            // (probes flush + fsync on drop); the caller sees
-            // [`ClusterError::Interrupted`] and discards this sentinel.
-            return (
-                SystemReport {
-                    algorithm: dispatcher.name().to_string(),
-                    sessions_served: 0,
-                    servers_rented: 0,
-                    peak_servers: 0,
-                    busy_ticks: 0,
-                    billed_ticks: 0,
-                    cost_cents: Ratio::ZERO,
-                    utilization: Ratio::ZERO,
-                    manifest: None,
-                },
-                PackingTrace {
-                    algorithm: dispatcher.name().to_string(),
-                    capacity: requests.capacity(),
-                    bins: Vec::new(),
-                    assignment: Vec::new(),
-                    open_bins_steps: Vec::new(),
-                },
-            );
-        }
-        for _ in 0..burst {
-            if !run.step() {
-                break;
+    run_shard_from(system, requests, dispatcher, probe, spans, None, batch)
+        .expect("a fresh run has no snapshot to reject")
+}
+
+/// The one shard drive: start fresh, or resume from a journal-recovered
+/// `snapshot` (its replay timed as a `shard_replay` span; the resumed
+/// engine loop runs span-free — [`EngineRun::resume`] carries no
+/// recorder, and byte-identity is about events, not spans). Either way
+/// the engine steps to completion in `batch` bursts, the O(n + B)
+/// conservation check runs under a `validate` span, and
+/// [`GamingSystem::report`] builds the report under a `report_build` span.
+///
+/// # Errors
+/// The engine's refusal of `snapshot`, rendered.
+pub(crate) fn run_shard_from<S, P, R>(
+    system: &GamingSystem,
+    requests: &Instance,
+    dispatcher: &mut S,
+    probe: &mut P,
+    spans: &mut R,
+    snapshot: Option<&Snapshot>,
+    batch: BatchPolicy,
+) -> Result<(SystemReport, PackingTrace), String>
+where
+    S: dbp_core::packer::BinSelector + ?Sized,
+    P: Probe,
+    R: SpanRecorder,
+{
+    system
+        .check_capacity(requests)
+        .expect("capacity is checked at the cluster boundary");
+    let started = Instant::now();
+    let finished = match snapshot {
+        None => drive(
+            EngineRun::traced(requests, &mut *dispatcher, &mut *probe, &mut *spans),
+            batch,
+        ),
+        Some(snapshot) => {
+            if R::ENABLED {
+                spans.enter(stage::SHARD_REPLAY);
             }
+            let resumed = EngineRun::resume(requests, &mut *dispatcher, &mut *probe, snapshot);
+            if R::ENABLED {
+                spans.exit();
+            }
+            drive(resumed?, batch)
         }
-    }
-    let trace = run.finish();
+    };
+    let Some(trace) = finished else {
+        // Cancelled: the journaled prefix is already durable (probes flush
+        // + fsync on drop); the caller sees [`ClusterError::Interrupted`]
+        // and discards this sentinel.
+        let report = SystemReport {
+            algorithm: dispatcher.name().to_string(),
+            ..SystemReport::default()
+        };
+        let trace = PackingTrace {
+            algorithm: dispatcher.name().to_string(),
+            capacity: requests.capacity(),
+            bins: Vec::new(),
+            assignment: Vec::new(),
+            open_bins_steps: Vec::new(),
+        };
+        return Ok((report, trace));
+    };
     if R::ENABLED {
         spans.enter(stage::VALIDATE);
     }
@@ -1385,31 +1317,36 @@ where
     if R::ENABLED {
         spans.enter(stage::REPORT_BUILD);
     }
-    let wall = started.elapsed();
-    let busy = trace.total_cost_ticks();
-    let utilization = if busy == 0 {
-        Ratio::ZERO
-    } else {
-        Ratio::new(
-            requests.total_demand(),
-            requests.capacity().raw() as u128 * busy,
-        )
-    };
-    let report = SystemReport {
-        algorithm: trace.algorithm.clone(),
-        sessions_served: requests.len(),
-        servers_rented: trace.bins_used(),
-        peak_servers: trace.max_open_bins(),
-        busy_ticks: busy,
-        billed_ticks: billed_ticks(&trace, system.granularity),
-        cost_cents: rental_cost_cents(&trace, system.server, system.granularity),
-        utilization,
-        manifest: Some(RunManifest::capture(&trace.algorithm, None, requests, wall)),
-    };
+    let report = system.report(requests, &trace, started.elapsed());
     if R::ENABLED {
         spans.exit();
     }
-    (report, trace)
+    Ok((report, trace))
+}
+
+/// Step `run` to completion in bursts of `batch`, polling the
+/// [`cancel`](crate::cancel) latch at least every 4096 steps even under
+/// whole-stream batching; the clamp is semantically invisible (the outer
+/// loop re-enters until `is_done`). `None` when cancelled mid-run.
+fn drive<S, P, R>(mut run: EngineRun<'_, S, P, R>, batch: BatchPolicy) -> Option<PackingTrace>
+where
+    S: dbp_core::packer::BinSelector + ?Sized,
+    P: Probe,
+    R: SpanRecorder,
+{
+    const CANCEL_CHECK: usize = 4096;
+    let burst = batch.burst().min(CANCEL_CHECK);
+    while !run.is_done() {
+        if crate::cancel::requested() {
+            return None;
+        }
+        for _ in 0..burst {
+            if !run.step() {
+                break;
+            }
+        }
+    }
+    Some(run.finish())
 }
 
 /// One pool unit's outcome: the work's value, or the panic payload the

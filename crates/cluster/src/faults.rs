@@ -7,7 +7,8 @@
 //! `catch_unwind`, walks the shard through the
 //! Up → Failed → Recovering → Up health machine ([`ShardHealth`]), and
 //! resurrects it from its own write-ahead event stream via
-//! [`snapshot_from_events`] + [`EngineRun::resume`] — the same machinery
+//! [`snapshot_from_events`] +
+//! [`EngineRun::resume`](dbp_core::engine::EngineRun::resume) — the same machinery
 //! `dbp recover` uses for process crashes.
 //!
 //! ## The resurrection invariant
@@ -21,9 +22,8 @@
 //! kill markers aside, which are fault-vocabulary events interleaved at
 //! their stream position and filtered by `is_fault_event()`.
 
-use crate::engine::{run_shard_traced, BatchPolicy};
-use dbp_cloudsim::{GamingSystem, RetryPolicy, SystemReport, TICKS_PER_HOUR};
-use dbp_core::engine::EngineRun;
+use crate::engine::{run_shard_from, BatchPolicy};
+use dbp_cloudsim::{GamingSystem, RetryPolicy, SystemReport};
 use dbp_core::instance::Instance;
 use dbp_core::packer::SelectorFactory;
 use dbp_core::probe::{Probe, ProbeEvent};
@@ -31,7 +31,6 @@ use dbp_core::ratio::Ratio;
 use dbp_core::snapshot::Snapshot;
 use dbp_core::span::{stage, SpanRecorder};
 use dbp_core::time::Tick;
-use dbp_core::trace::PackingTrace;
 use dbp_obs::prelude::snapshot_from_events;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -161,9 +160,10 @@ impl ShardFaultPlan {
 /// supervisor drives each shard through
 /// `Up → Failed → Recovering → Up` per kill, ending `Down` only when the
 /// restart budget is exhausted or WAL recovery itself fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardHealth {
     /// Serving (possibly after one or more resurrections).
+    #[default]
     Up,
     /// Killed; a restart is pending.
     Failed,
@@ -379,59 +379,33 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
     let mut transitions = vec![ShardHealth::Up];
     let mut snapshot: Option<Snapshot> = None;
 
-    let fate = loop {
+    let outcome = loop {
         let mut sel = factory.build();
         let mut tracked = DepthTracked {
             inner: &mut *spans,
             depth: 0,
         };
-        let attempt = {
-            let wal_ref = &mut wal;
-            let dec_ref = &mut decisions;
-            let cur_ref = &mut cursor;
-            let snap_ref = snapshot.as_ref();
-            let sel_ref = &mut *sel;
-            let tracked_ref = &mut tracked;
-            catch_unwind(AssertUnwindSafe(move || {
-                let mut probe = WalProbe {
-                    wal: wal_ref,
-                    decisions: dec_ref,
-                    kills: cur_ref,
-                };
-                match snap_ref {
-                    None => Ok(run_shard_traced(
-                        system,
-                        requests,
-                        sel_ref,
-                        &mut probe,
-                        tracked_ref,
-                        batch,
-                    )),
-                    Some(snap) => run_shard_resumed(
-                        system,
-                        requests,
-                        sel_ref,
-                        &mut probe,
-                        tracked_ref,
-                        snap,
-                        batch,
-                    ),
-                }
-            }))
-        };
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut probe = WalProbe {
+                wal: &mut wal,
+                decisions: &mut decisions,
+                kills: &mut cursor,
+            };
+            run_shard_from(
+                system,
+                requests,
+                &mut *sel,
+                &mut probe,
+                &mut tracked,
+                snapshot.as_ref(),
+                batch,
+            )
+        }));
         match attempt {
-            Ok(Ok((report, _trace))) => break ShardFate::Completed { report },
-            Ok(Err(message)) => {
-                // WAL recovery produced a snapshot the engine refuses —
-                // deterministic, so retrying cannot help.
-                transitions.push(ShardHealth::Down);
-                break ShardFate::Dead(account_dead_shard(
-                    system,
-                    requests,
-                    &wal,
-                    format!("shard resume rejected: {message}"),
-                ));
-            }
+            Ok(Ok((report, _trace))) => break Ok(report),
+            // WAL recovery produced a snapshot the engine refuses —
+            // deterministic, so retrying cannot help.
+            Ok(Err(message)) => break Err(format!("shard resume rejected: {message}")),
             Err(payload) => {
                 for _ in 0..tracked.depth {
                     tracked.inner.exit();
@@ -450,13 +424,11 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                     },
                 ));
                 if restarts >= restart.max_restarts {
-                    transitions.push(ShardHealth::Down);
-                    let reason = if injected {
+                    break Err(if injected {
                         "restart budget exhausted".to_string()
                     } else {
                         format!("panic: {}", panic_message(&payload))
-                    };
-                    break ShardFate::Dead(account_dead_shard(system, requests, &wal, reason));
+                    });
                 }
                 restarts += 1;
                 backoff_ticks += restart.backoff.backoff_ticks(restarts);
@@ -486,17 +458,16 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                         transitions.push(ShardHealth::Up);
                         snapshot = Some(rec.snapshot);
                     }
-                    Err(e) => {
-                        transitions.push(ShardHealth::Down);
-                        break ShardFate::Dead(account_dead_shard(
-                            system,
-                            requests,
-                            &wal,
-                            format!("WAL snapshot recovery failed: {e}"),
-                        ));
-                    }
+                    Err(e) => break Err(format!("WAL snapshot recovery failed: {e}")),
                 }
             }
+        }
+    };
+    let fate = match outcome {
+        Ok(report) => ShardFate::Completed { report },
+        Err(reason) => {
+            transitions.push(ShardHealth::Down);
+            ShardFate::Dead(account_dead_shard(system, requests, &wal, reason))
         }
     };
 
@@ -510,101 +481,6 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
         transitions,
         fate,
     }
-}
-
-/// Resume a shard from a recovered snapshot and drive it to completion,
-/// mirroring [`run_shard_traced`]'s validation and report construction.
-/// The replay phase gets a `shard_replay` span; the resumed engine loop
-/// itself runs span-free ([`EngineRun::resume`] carries no recorder) —
-/// byte-identity is about events, not spans.
-fn run_shard_resumed<S, P, R>(
-    system: &GamingSystem,
-    requests: &Instance,
-    dispatcher: &mut S,
-    probe: &mut P,
-    spans: &mut R,
-    snapshot: &Snapshot,
-    batch: BatchPolicy,
-) -> Result<(SystemReport, PackingTrace), String>
-where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
-    R: SpanRecorder,
-{
-    let started = std::time::Instant::now();
-    if R::ENABLED {
-        spans.enter(stage::SHARD_REPLAY);
-    }
-    let resumed = EngineRun::resume(requests, dispatcher, probe, snapshot);
-    if R::ENABLED {
-        spans.exit();
-    }
-    let mut run = resumed?;
-    let burst = batch.burst();
-    while !run.is_done() {
-        for _ in 0..burst {
-            if !run.step() {
-                break;
-            }
-        }
-    }
-    let trace = run.finish();
-    if R::ENABLED {
-        spans.enter(stage::VALIDATE);
-    }
-    // Same cheap conservation check as the normal shard path — resumed
-    // shards must not pay more validation than healthy ones.
-    let errs = trace.check_conservation(requests);
-    if R::ENABLED {
-        spans.exit();
-    }
-    if P::ENABLED {
-        for err in &errs {
-            probe.record(ProbeEvent::Violation {
-                at: Tick(0),
-                message: err.clone(),
-            });
-        }
-    }
-    assert!(
-        errs.is_empty(),
-        "trace conservation check failed for resumed {}:\n{}",
-        trace.algorithm,
-        errs.join("\n")
-    );
-    if R::ENABLED {
-        spans.enter(stage::REPORT_BUILD);
-    }
-    let wall = started.elapsed();
-    let busy = trace.total_cost_ticks();
-    let utilization = if busy == 0 {
-        Ratio::ZERO
-    } else {
-        Ratio::new(
-            requests.total_demand(),
-            requests.capacity().raw() as u128 * busy,
-        )
-    };
-    let report = SystemReport {
-        algorithm: trace.algorithm.clone(),
-        sessions_served: requests.len(),
-        servers_rented: trace.bins_used(),
-        peak_servers: trace.max_open_bins(),
-        busy_ticks: busy,
-        billed_ticks: dbp_cloudsim::billed_ticks(&trace, system.granularity),
-        cost_cents: dbp_cloudsim::rental_cost_cents(&trace, system.server, system.granularity),
-        utilization,
-        manifest: Some(dbp_obs::RunManifest::capture(
-            &trace.algorithm,
-            None,
-            requests,
-            wall,
-        )),
-    };
-    if R::ENABLED {
-        spans.exit();
-    }
-    Ok((report, trace))
 }
 
 /// Interleave health markers into the WAL at their stream positions:
@@ -683,11 +559,7 @@ fn account_dead_shard(
         }
     }
     let servers_rented = opened_at.len() as u64;
-    let cost_cents =
-        Ratio::new(
-            billed * system.server.cents_per_hour as u128,
-            TICKS_PER_HOUR as u128,
-        ) + Ratio::from_int(servers_rented as u128 * system.server.setup_cents as u128);
+    let cost_cents = system.server.cost_cents(billed, servers_rented as u128);
     let mut served = 0u64;
     let mut lost = 0u64;
     let mut unarrived = Vec::new();

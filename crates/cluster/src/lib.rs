@@ -7,12 +7,18 @@
 //! * [`Router`] — deterministic routing policies (hash-by-item,
 //!   game-affinity against the `dbp-workloads` catalog, exact-integer
 //!   least-loaded) that partition one request stream into per-shard
-//!   instances via [`Instance::restrict`](dbp_core::instance::Instance::restrict);
+//!   instances via [`Instance::restrict`](dbp_core::instance::Instance::restrict).
+//!   One rule, [`route_one_dims`], decides each arrival — the serve
+//!   daemon's front door calls it, and [`Router::assign`] folds it over
+//!   scalar and vector instances alike;
 //! * [`ClusterEngine`] — runs every shard as an independent
 //!   [`GamingSystem`](dbp_cloudsim::GamingSystem)-equivalent dispatch on a
 //!   bounded thread pool, with batched time-ordered ingestion
 //!   ([`BatchPolicy`]) and a per-shard
-//!   [`Probe`](dbp_core::probe::Probe) fan-in;
+//!   [`Probe`](dbp_core::probe::Probe) fan-in. Every driver below shares
+//!   one fan-out (validate, partition, enqueue, pool, panic containment,
+//!   timing) and one shard drive, and differs only in its per-shard work
+//!   and its fan-in;
 //! * [`ClusterReport`] — the exact aggregate: `busy_ticks`, `billed_ticks`
 //!   and `cost_cents` are plain `u128`/`Ratio` sums over the shards
 //!   (shards share no servers, so costs are additive), plus a merged
@@ -59,4 +65,4 @@ pub use engine::{
 };
 pub use faults::{KillPoint, RestartPolicy, ShardFaultPlan, ShardHealth, ShardKill};
 pub use router::Router;
-pub use vector::{assign_vec, route_one_dims, route_one_vec, run_cluster_vec, VectorClusterRun};
+pub use vector::{route_one_dims, run_cluster_vec, VectorClusterRun};

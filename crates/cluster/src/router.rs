@@ -4,13 +4,26 @@
 //! so the same workload always lands on the same shards and every cluster
 //! run is exactly reproducible. Routing happens before dispatch and sees
 //! only what an online router could see at arrival time: the item's id,
-//! arrival tick and size (never the departure).
+//! arrival tick and demand (never the departure).
+//!
+//! There is one routing rule, [`route_one_dims`]: the per-arrival decision
+//! the serve daemon's front door makes. [`Router::assign`] is that rule
+//! folded over a whole instance, for every demand type — scalar [`Size`]
+//! and `D`-dimensional vectors alike.
+//!
+//! [`Size`]: dbp_core::item::Size
 
-use dbp_core::instance::Instance;
-use dbp_core::item::Item;
-use dbp_workloads::GameCatalog;
+use crate::vector::{route_one_dims, zero_loads, DimLoads};
+use dbp_core::demand::Demand;
+use dbp_core::instance::GInstance;
+use dbp_core::item::{GItem, ItemId};
+use dbp_core::span::{stage, SpanRecorder};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
+
+/// One shard's slice of a partitioned stream: the restricted instance and
+/// its back-map (shard-local item index → original [`ItemId`]).
+pub(crate) type ShardSlice<Sz> = (GInstance<Sz>, Vec<ItemId>);
 
 /// The routing policy catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,16 +31,17 @@ pub enum Router {
     /// SplitMix64 hash of the item id — stateless, uniform in expectation.
     HashByItem,
     /// Game affinity: requests for the same title (recovered from the
-    /// session's GPU footprint against the default
-    /// [`GameCatalog`]) go to the same shard, so
-    /// each pool holds few distinct game images. Sizes matching no
+    /// session's GPU footprint, `component(0)`, against the default
+    /// [`GameCatalog`](dbp_workloads::GameCatalog)) go to the same shard,
+    /// so each pool holds few distinct game images. Footprints matching no
     /// catalog title fall back to the hash route.
     GameAffinity,
     /// Exact-integer least-loaded: route each arrival to the shard whose
-    /// currently *active* routed load (sum of sizes of sessions routed
-    /// there and not yet departed) is smallest, lowest shard index winning
-    /// ties. The load view uses the router's own bookkeeping — integers
-    /// only, no floats.
+    /// currently *active* routed load (demand of sessions routed there and
+    /// not yet departed) is smallest, ordered by `(max-dimension load,
+    /// total load)` with the lowest shard index winning ties. At `D = 1`
+    /// both entries are the scalar load. The load view uses the router's
+    /// own bookkeeping — integers only, no floats.
     LeastLoaded,
 }
 
@@ -53,122 +67,95 @@ impl Router {
         Router::ALL.into_iter().find(|r| r.name() == name)
     }
 
-    /// Assign every item of `requests` to a shard in `0..shards`.
-    /// Deterministic: two calls on equal instances return equal vectors.
+    /// Assign every item of `requests` to a shard in `0..shards` by folding
+    /// [`route_one_dims`] over the stream. Hash and affinity routes are
+    /// per-item pure functions; least-loaded visits arrivals in
+    /// `(arrival, id)` order, expiring departed sessions first (the
+    /// engine's departures-before-arrivals rule), and keeps one exact
+    /// `u128` load per shard per dimension. Deterministic: two calls on
+    /// equal instances return equal vectors.
     ///
     /// # Panics
     /// Panics if `shards` is zero.
-    pub fn assign(self, requests: &Instance, shards: usize) -> Vec<usize> {
+    pub fn assign<Sz: Demand>(self, requests: &GInstance<Sz>, shards: usize) -> Vec<usize> {
         assert!(shards > 0, "a cluster needs at least one shard");
+        let mut loads = zero_loads(shards, Sz::DIMS);
+        let route = |router, it: &GItem<Sz>, loads: &DimLoads| {
+            route_one_dims(router, it.id.0 as u64, &[it.size.component(0)], loads)
+        };
+        // One loop per stateless policy, naming the policy as a constant so
+        // each loop compiles only its own arm of the rule.
+        let items = requests.items().iter();
         match self {
-            Router::HashByItem => requests
-                .items()
-                .iter()
-                .map(|it| (splitmix64(it.id.0 as u64) % shards as u64) as usize)
-                .collect(),
-            Router::GameAffinity => {
-                let by_size = title_by_gpu_units();
-                requests
-                    .items()
-                    .iter()
-                    .map(|it| match by_size.get(&it.size.raw()) {
-                        Some(&title) => title % shards,
-                        None => (splitmix64(it.id.0 as u64) % shards as u64) as usize,
-                    })
+            Router::HashByItem => {
+                return items
+                    .map(|it| route(Router::HashByItem, it, &loads))
                     .collect()
             }
-            Router::LeastLoaded => least_loaded(requests, shards),
-        }
-    }
-
-    /// Route **one** arrival online, without the whole stream: the shape a
-    /// live daemon needs, where the next request is unknown until it lands.
-    /// `loads` is the caller's live per-shard active-load view (sum of sizes
-    /// of routed, not-yet-departed sessions), consulted only by
-    /// [`Router::LeastLoaded`]; hash and affinity routes are stateless.
-    ///
-    /// Consistency with [`Router::assign`]: fed the same stream in event
-    /// order with `loads` maintained from its own answers (add the size on
-    /// route, subtract on departure), this returns the same shard for every
-    /// item — the batch router is just this function folded over the
-    /// instance.
-    ///
-    /// # Panics
-    /// Panics if `loads.len()` is zero (a cluster needs at least one shard).
-    pub fn route_one(self, id: u64, size: u64, loads: &[u128]) -> usize {
-        let shards = loads.len();
-        assert!(shards > 0, "a cluster needs at least one shard");
-        match self {
-            Router::HashByItem => (splitmix64(id) % shards as u64) as usize,
             Router::GameAffinity => {
-                // Built once: `route_one` is a daemon hot path.
-                static BY_SIZE: std::sync::OnceLock<HashMap<u64, usize>> =
-                    std::sync::OnceLock::new();
-                match BY_SIZE.get_or_init(title_by_gpu_units).get(&size) {
-                    Some(&title) => title % shards,
-                    None => (splitmix64(id) % shards as u64) as usize,
+                return items
+                    .map(|it| route(Router::GameAffinity, it, &loads))
+                    .collect()
+            }
+            Router::LeastLoaded => {}
+        }
+        let mut order: Vec<&GItem<Sz>> = items.collect();
+        order.sort_by_key(|it| (it.arrival.raw(), it.id.0));
+        // Min-heap of (departure, shard, item index).
+        let mut active: BinaryHeap<Reverse<(u64, usize, u32)>> = BinaryHeap::new();
+        let mut assignment = vec![0usize; requests.len()];
+        for it in order {
+            while let Some(&Reverse((dep, shard, idx))) = active.peek() {
+                if dep > it.arrival.raw() {
+                    break;
+                }
+                active.pop();
+                let gone = &requests.items()[idx as usize].size;
+                for (d, slot) in loads[shard].iter_mut().enumerate() {
+                    *slot -= gone.component(d) as u128;
                 }
             }
-            Router::LeastLoaded => (0..shards)
-                .min_by_key(|&s| loads[s])
-                .expect("shards is nonzero"),
-        }
-    }
-}
-
-/// First catalog index per GPU footprint. Two titles sharing a footprint
-/// (the default catalog has two such pairs) collapse onto the first — the
-/// router cannot tell them apart from the size alone, which is all an
-/// arrival carries.
-fn title_by_gpu_units() -> HashMap<u64, usize> {
-    let mut map = HashMap::new();
-    for (i, g) in GameCatalog::default_catalog().games.iter().enumerate() {
-        map.entry(g.gpu_units).or_insert(i);
-    }
-    map
-}
-
-/// SplitMix64 finalizer — the same avalanche the fault layer's hash
-/// streams use, applied to item ids.
-fn splitmix64(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Least-loaded routing: process arrivals in (tick, id) order, expiring
-/// departed sessions first (the engine's departures-before-arrivals rule),
-/// and keep per-shard active-load counters in exact integers.
-fn least_loaded(requests: &Instance, shards: usize) -> Vec<usize> {
-    let mut order: Vec<&Item> = requests.items().iter().collect();
-    order.sort_by_key(|it| (it.arrival.raw(), it.id.0));
-    let mut load = vec![0u128; shards];
-    // Min-heap of (departure, shard, size) via Reverse ordering.
-    let mut active: BinaryHeap<std::cmp::Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-    let mut assignment = vec![0usize; requests.len()];
-    for it in order {
-        while let Some(&std::cmp::Reverse((dep, shard, size))) = active.peek() {
-            if dep > it.arrival.raw() {
-                break;
+            let best = route(Router::LeastLoaded, it, &loads);
+            for (d, slot) in loads[best].iter_mut().enumerate() {
+                *slot += it.size.component(d) as u128;
             }
-            active.pop();
-            load[shard] -= size as u128;
+            active.push(Reverse((it.departure.raw(), best, it.id.0)));
+            assignment[it.id.index()] = best;
         }
-        let best = (0..shards)
-            .min_by_key(|&s| load[s])
-            .expect("shards is nonzero");
-        load[best] += it.size.raw() as u128;
-        active.push(std::cmp::Reverse((it.departure.raw(), best, it.size.raw())));
-        assignment[it.id.index()] = best;
+        assignment
     }
-    assignment
+
+    /// [`assign`](Self::assign), then restrict `requests` to each shard's
+    /// [`ShardSlice`], plus the item → shard assignment. Restriction
+    /// preserves arrival order and renumbers densely, so each shard is a
+    /// well-formed instance in its own right. The assignment is timed as a
+    /// `route` span on `spans`.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub(crate) fn partition<Sz: Demand, R: SpanRecorder>(
+        self,
+        requests: &GInstance<Sz>,
+        shards: usize,
+        spans: &mut R,
+    ) -> (Vec<ShardSlice<Sz>>, Vec<usize>) {
+        spans.enter(stage::ROUTE);
+        let assignment = self.assign(requests, shards);
+        spans.exit();
+        let parts = (0..shards)
+            .map(|s| requests.restrict(|it| assignment[it.id.index()] == s))
+            .collect();
+        (parts, assignment)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbp_core::instance::InstanceBuilder;
+    use crate::vector::apply_route_dims;
+    use dbp_core::instance::{Instance, InstanceBuilder};
+    use dbp_core::item::Item;
+    use dbp_workloads::GameCatalog;
 
     fn tiny() -> Instance {
         let mut b = InstanceBuilder::new(100);
@@ -262,7 +249,7 @@ mod tests {
                 let batch = r.assign(&inst, shards);
                 let mut order: Vec<&Item> = inst.items().iter().collect();
                 order.sort_by_key(|it| (it.arrival.raw(), it.id.0));
-                let mut loads = vec![0u128; shards];
+                let mut loads = zero_loads(shards, 1);
                 let mut active: BinaryHeap<std::cmp::Reverse<(u64, usize, u64)>> =
                     BinaryHeap::new();
                 for it in order {
@@ -271,11 +258,11 @@ mod tests {
                             break;
                         }
                         active.pop();
-                        loads[shard] -= size as u128;
+                        loads[shard][0] -= size as u128;
                     }
-                    let s = r.route_one(it.id.0 as u64, it.size.raw(), &loads);
+                    let s = route_one_dims(r, it.id.0 as u64, &[it.size.raw()], &loads);
                     assert_eq!(s, batch[it.id.index()], "{} item {}", r.name(), it.id);
-                    loads[s] += it.size.raw() as u128;
+                    apply_route_dims(&mut loads, s, &[it.size.raw()]);
                     active.push(std::cmp::Reverse((it.departure.raw(), s, it.size.raw())));
                 }
             }

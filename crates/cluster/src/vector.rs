@@ -1,35 +1,32 @@
-//! Vector (multi-resource) cluster routing and dispatch.
+//! Vector (multi-resource) routing and cluster dispatch.
 //!
-//! The scalar [`Router`] folds each shard's active load into a single
-//! `u128`. With `D`-dimensional demands there is no single load number:
-//! this module keeps one `u128` per dimension per shard and orders shards
-//! by `(max-dimension load, total load, index)`. At `D = 1` the max and
-//! the total are both the scalar load, so every comparison — and therefore
-//! every routing decision — degenerates to the scalar router's exactly.
+//! [`route_one_dims`] is the cluster's one routing rule: the per-arrival
+//! decision of every [`Router`], taking the demand as a runtime-length
+//! slice and the live load view as one `u128` per dimension per shard
+//! ([`DimLoads`]). The serve daemon's front door calls it directly;
+//! [`Router::assign`] folds it over a whole instance. Least-loaded orders
+//! shards by `(max-dimension load, total load, index)`, which at `D = 1`
+//! is the plain scalar load order; hash looks only at the item id and
+//! affinity only at the GPU dimension (`demand[0]`), so every `D = 1`
+//! decision is the scalar one by construction.
 //!
-//! The same degeneracy holds per policy:
-//!
-//! * **hash** looks only at the item id — identical by construction;
-//! * **affinity** keys on the GPU dimension (`component(0)`), which at
-//!   `D = 1` *is* the scalar size;
-//! * **least-loaded** compares `(max, total)` pairs that collapse to the
-//!   scalar load at `D = 1`.
-//!
-//! [`run_cluster_vec`] then dispatches each shard's restricted
-//! sub-instance through the generic engine and folds the results into a
-//! per-dimension utilization/waste report with a conservation ledger.
+//! [`run_cluster_vec`] dispatches each shard's restricted sub-instance
+//! through the generic engine and folds the results into a per-dimension
+//! utilization/waste report ([`dim_reports`]) with a conservation ledger.
 
 use crate::router::Router;
 use dbp_core::demand::Demand;
 use dbp_core::instance::GInstance;
-use dbp_core::item::{GItem, ItemId};
+use dbp_core::item::ItemId;
 use dbp_core::packer::BinSelector;
 use dbp_core::ratio::Ratio;
 use dbp_core::trace::GPackingTrace;
-use std::collections::BinaryHeap;
+use dbp_workloads::GameCatalog;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-/// SplitMix64 finalizer, identical to the scalar router's.
+/// SplitMix64 finalizer — the same avalanche the fault layer's hash
+/// streams use, applied to item ids.
 fn splitmix64(v: u64) -> u64 {
     let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -37,14 +34,13 @@ fn splitmix64(v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// First catalog index per GPU footprint (the scalar router's lookup).
+/// First catalog index per GPU footprint. Two titles sharing a footprint
+/// (the default catalog has two such pairs) collapse onto the first — the
+/// router cannot tell them apart from the footprint alone, which is all an
+/// arrival carries.
 fn title_by_gpu_units() -> HashMap<u64, usize> {
     let mut map = HashMap::new();
-    for (i, g) in dbp_workloads::GameCatalog::default_catalog()
-        .games
-        .iter()
-        .enumerate()
-    {
+    for (i, g) in GameCatalog::default_catalog().games.iter().enumerate() {
         map.entry(g.gpu_units).or_insert(i);
     }
     map
@@ -61,21 +57,26 @@ pub fn zero_loads(shards: usize, dims: usize) -> DimLoads {
 /// The least-loaded ordering key for one shard's per-dimension loads:
 /// `(max over dimensions, sum over dimensions)`. At `D = 1` both entries
 /// equal the scalar load, so the induced order (lowest index breaking
-/// ties, via `min_by_key` stability) matches the scalar router's.
+/// ties, via `min_by_key` stability) is the scalar load order.
 fn load_key(dims: &[u128]) -> (u128, u128) {
     let max = dims.iter().copied().max().unwrap_or(0);
     let total: u128 = dims.iter().sum();
     (max, total)
 }
 
-/// Route one arrival online with a runtime-dimensional demand slice — the
-/// shape the serve daemon's front door needs, where the dimensionality is
-/// a config value, not a type. `demand[0]` is the GPU footprint the
+/// Route one arrival online — the shape a live daemon needs, where the
+/// next request is unknown until it lands and the dimensionality is a
+/// config value, not a type. `demand[0]` is the GPU footprint the
 /// affinity router keys on; `loads` is consulted only by
-/// [`Router::LeastLoaded`].
+/// [`Router::LeastLoaded`]; hash and affinity routes are stateless.
+///
+/// Fed a stream in event order with `loads` maintained from its own
+/// answers ([`apply_route_dims`] on route, [`unapply_route_dims`] on
+/// departure), this returns [`Router::assign`]'s shard for every item.
 ///
 /// # Panics
 /// Panics if `loads` or `demand` is empty.
+#[inline]
 pub fn route_one_dims(router: Router, id: u64, demand: &[u64], loads: &DimLoads) -> usize {
     let shards = loads.len();
     assert!(shards > 0, "a cluster needs at least one shard");
@@ -83,7 +84,8 @@ pub fn route_one_dims(router: Router, id: u64, demand: &[u64], loads: &DimLoads)
     match router {
         Router::HashByItem => (splitmix64(id) % shards as u64) as usize,
         Router::GameAffinity => {
-            static BY_SIZE: std::sync::OnceLock<HashMap<u64, usize>> = std::sync::OnceLock::new();
+            // Built once: this is the daemon's hot path.
+            static BY_SIZE: OnceLock<HashMap<u64, usize>> = OnceLock::new();
             match BY_SIZE.get_or_init(title_by_gpu_units).get(&demand[0]) {
                 Some(&title) => title % shards,
                 None => (splitmix64(id) % shards as u64) as usize,
@@ -95,91 +97,19 @@ pub fn route_one_dims(router: Router, id: u64, demand: &[u64], loads: &DimLoads)
     }
 }
 
-/// Route one arrival online with vector demands. Mirrors
-/// [`Router::route_one`] exactly; `loads` is consulted only by
-/// [`Router::LeastLoaded`].
-///
-/// # Panics
-/// Panics if `loads` is empty.
-pub fn route_one_vec<Sz: Demand>(router: Router, id: u64, size: &Sz, loads: &DimLoads) -> usize {
-    route_one_dims(router, id, &size.components(), loads)
-}
-
 /// Add a routed arrival's demand to the load view (call on route).
-pub fn apply_route<Sz: Demand>(loads: &mut DimLoads, shard: usize, size: &Sz) {
-    for (d, slot) in loads[shard].iter_mut().enumerate() {
-        *slot += size.component(d) as u128;
-    }
-}
-
-/// Remove a departed (or refused) session's demand from the load view.
-pub fn unapply_route<Sz: Demand>(loads: &mut DimLoads, shard: usize, size: &Sz) {
-    for (d, slot) in loads[shard].iter_mut().enumerate() {
-        *slot -= size.component(d) as u128;
-    }
-}
-
-/// Slice variants of [`apply_route`]/[`unapply_route`] for runtime-dims
-/// callers. Components past the load view's dimensionality are ignored;
-/// removal saturates (a refused route can race a concurrent view rebuild).
+/// Components past the load view's dimensionality are ignored.
 pub fn apply_route_dims(loads: &mut DimLoads, shard: usize, demand: &[u64]) {
     for (slot, &d) in loads[shard].iter_mut().zip(demand) {
         *slot += d as u128;
     }
 }
 
-/// See [`apply_route_dims`].
+/// Remove a departed (or refused) session's demand from the load view.
+/// Removal saturates (a refused route can race a concurrent view rebuild).
 pub fn unapply_route_dims(loads: &mut DimLoads, shard: usize, demand: &[u64]) {
     for (slot, &d) in loads[shard].iter_mut().zip(demand) {
         *slot = slot.saturating_sub(d as u128);
-    }
-}
-
-/// Assign every item of `requests` to a shard, vector-aware. Mirrors
-/// [`Router::assign`]: hash and affinity are per-item pure functions;
-/// least-loaded folds [`route_one_vec`] over the stream in
-/// `(arrival, id)` order with departures expired first.
-///
-/// # Panics
-/// Panics if `shards` is zero.
-pub fn assign_vec<Sz: Demand>(
-    router: Router,
-    requests: &GInstance<Sz>,
-    shards: usize,
-) -> Vec<usize> {
-    assert!(shards > 0, "a cluster needs at least one shard");
-    match router {
-        Router::HashByItem | Router::GameAffinity => {
-            let loads = zero_loads(shards, Sz::DIMS);
-            requests
-                .items()
-                .iter()
-                .map(|it| route_one_vec(router, it.id.0 as u64, &it.size, &loads))
-                .collect()
-        }
-        Router::LeastLoaded => {
-            let mut order: Vec<&GItem<Sz>> = requests.items().iter().collect();
-            order.sort_by_key(|it| (it.arrival.raw(), it.id.0));
-            let mut loads = zero_loads(shards, Sz::DIMS);
-            // Min-heap of (departure, shard, item index) via Reverse.
-            let mut active: BinaryHeap<std::cmp::Reverse<(u64, usize, u32)>> = BinaryHeap::new();
-            let mut assignment = vec![0usize; requests.len()];
-            for it in order {
-                while let Some(&std::cmp::Reverse((dep, shard, idx))) = active.peek() {
-                    if dep > it.arrival.raw() {
-                        break;
-                    }
-                    active.pop();
-                    let size = requests.items()[idx as usize].size;
-                    unapply_route(&mut loads, shard, &size);
-                }
-                let best = route_one_vec(router, it.id.0 as u64, &it.size, &loads);
-                apply_route(&mut loads, best, &it.size);
-                active.push(std::cmp::Reverse((it.departure.raw(), best, it.id.0)));
-                assignment[it.id.index()] = best;
-            }
-            assignment
-        }
     }
 }
 
@@ -210,6 +140,35 @@ pub struct DimReport {
     pub utilization: Ratio,
     /// `rented_ticks − demand_ticks`, idle capacity-ticks.
     pub waste_ticks: u128,
+}
+
+/// The per-dimension ledger of a packing of `requests` that kept
+/// `busy_ticks` bin-ticks open: demand from
+/// [`GInstance::total_demand_per_dim`], rented volume `W_d · busy_ticks`,
+/// and the waste between them. Shared by single-engine and cluster runs.
+pub fn dim_reports<Sz: Demand>(requests: &GInstance<Sz>, busy_ticks: u128) -> Vec<DimReport> {
+    let cap = requests.capacity();
+    requests
+        .total_demand_per_dim()
+        .into_iter()
+        .enumerate()
+        .map(|(dim, demand_ticks)| {
+            let rented_ticks = cap.component(dim) as u128 * busy_ticks;
+            let utilization = if rented_ticks == 0 {
+                Ratio::from_int(0)
+            } else {
+                Ratio::new(demand_ticks, rented_ticks)
+            };
+            DimReport {
+                dim,
+                capacity: cap.component(dim),
+                demand_ticks,
+                rented_ticks,
+                utilization,
+                waste_ticks: rented_ticks - demand_ticks,
+            }
+        })
+        .collect()
 }
 
 /// Exact aggregate of a vector cluster run.
@@ -258,12 +217,11 @@ where
     S: BinSelector<Sz>,
     F: FnMut() -> S,
 {
-    let assignment = assign_vec(router, requests, shards);
+    let (parts, assignment) = router.partition(requests, shards, &mut dbp_core::span::NoSpans);
     let mut shard_runs = Vec::with_capacity(shards);
     let mut served = vec![false; requests.len()];
     let mut algorithm = String::new();
-    for k in 0..shards {
-        let (sub, back) = requests.restrict(|it| assignment[it.id.index()] == k);
+    for (k, (sub, back)) in parts.into_iter().enumerate() {
         let mut sel = mk_selector();
         algorithm = <S as BinSelector<Sz>>::name(&sel).to_string();
         let trace = dbp_core::engine::simulate_validated(&sub, &mut sel);
@@ -284,34 +242,6 @@ where
 
     let servers_rented: usize = shard_runs.iter().map(|s| s.trace.bins_used()).sum();
     let busy_ticks: u128 = shard_runs.iter().map(|s| s.trace.total_cost_ticks()).sum();
-
-    let cap = requests.capacity();
-    let dims = (0..Sz::DIMS)
-        .map(|d| {
-            let demand_ticks: u128 = requests
-                .items()
-                .iter()
-                .map(|it| {
-                    it.size.component(d) as u128 * (it.departure.raw() - it.arrival.raw()) as u128
-                })
-                .sum();
-            let rented_ticks = cap.component(d) as u128 * busy_ticks;
-            let utilization = if rented_ticks == 0 {
-                Ratio::from_int(0)
-            } else {
-                Ratio::new(demand_ticks, rented_ticks)
-            };
-            DimReport {
-                dim: d,
-                capacity: cap.component(d),
-                demand_ticks,
-                rented_ticks,
-                utilization,
-                waste_ticks: rented_ticks - demand_ticks,
-            }
-        })
-        .collect();
-
     VectorClusterRun {
         algorithm,
         router: router.name().to_string(),
@@ -319,7 +249,7 @@ where
         sessions_served: requests.len(),
         servers_rented,
         busy_ticks,
-        dims,
+        dims: dim_reports(requests, busy_ticks),
         shards: shard_runs,
         assignment,
     }
@@ -330,9 +260,98 @@ mod tests {
     use super::*;
     use dbp_core::algorithms::FirstFit;
     use dbp_core::demand::VSize;
-    use dbp_core::instance::{GInstanceBuilder, InstanceBuilder};
+    use dbp_core::instance::{GInstanceBuilder, Instance, InstanceBuilder};
 
-    fn tiny_scalar() -> dbp_core::instance::Instance {
+    /// An independent scalar reference for the routers — the per-item
+    /// hash, the catalog-title map and a heap-based least-loaded fold over
+    /// scalar loads — sharing no code with the routing under test.
+    mod reference {
+        use super::Router;
+        use dbp_core::instance::Instance;
+        use dbp_core::item::Item;
+        use dbp_workloads::GameCatalog;
+        use std::collections::BinaryHeap;
+        use std::collections::HashMap;
+
+        pub fn assign(router: Router, requests: &Instance, shards: usize) -> Vec<usize> {
+            assert!(shards > 0, "a cluster needs at least one shard");
+            match router {
+                Router::HashByItem => requests
+                    .items()
+                    .iter()
+                    .map(|it| (splitmix64(it.id.0 as u64) % shards as u64) as usize)
+                    .collect(),
+                Router::GameAffinity => {
+                    let by_size = title_by_gpu_units();
+                    requests
+                        .items()
+                        .iter()
+                        .map(|it| match by_size.get(&it.size.raw()) {
+                            Some(&title) => title % shards,
+                            None => (splitmix64(it.id.0 as u64) % shards as u64) as usize,
+                        })
+                        .collect()
+                }
+                Router::LeastLoaded => least_loaded(requests, shards),
+            }
+        }
+
+        pub fn route_one(router: Router, id: u64, size: u64, loads: &[u128]) -> usize {
+            let shards = loads.len();
+            match router {
+                Router::HashByItem => (splitmix64(id) % shards as u64) as usize,
+                Router::GameAffinity => match title_by_gpu_units().get(&size) {
+                    Some(&title) => title % shards,
+                    None => (splitmix64(id) % shards as u64) as usize,
+                },
+                Router::LeastLoaded => (0..shards)
+                    .min_by_key(|&s| loads[s])
+                    .expect("shards is nonzero"),
+            }
+        }
+
+        fn title_by_gpu_units() -> HashMap<u64, usize> {
+            let mut map = HashMap::new();
+            for (i, g) in GameCatalog::default_catalog().games.iter().enumerate() {
+                map.entry(g.gpu_units).or_insert(i);
+            }
+            map
+        }
+
+        fn splitmix64(v: u64) -> u64 {
+            let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn least_loaded(requests: &Instance, shards: usize) -> Vec<usize> {
+            let mut order: Vec<&Item> = requests.items().iter().collect();
+            order.sort_by_key(|it| (it.arrival.raw(), it.id.0));
+            let mut load = vec![0u128; shards];
+            // Min-heap of (departure, shard, size) via Reverse ordering.
+            let mut active: BinaryHeap<std::cmp::Reverse<(u64, usize, u64)>> = BinaryHeap::new();
+            let mut assignment = vec![0usize; requests.len()];
+            for it in order {
+                while let Some(&std::cmp::Reverse((dep, shard, size))) = active.peek() {
+                    if dep > it.arrival.raw() {
+                        break;
+                    }
+                    active.pop();
+                    load[shard] -= size as u128;
+                }
+                let best = (0..shards)
+                    .min_by_key(|&s| load[s])
+                    .expect("shards is nonzero");
+                load[best] += it.size.raw() as u128;
+                active.push(std::cmp::Reverse((it.departure.raw(), best, it.size.raw())));
+                assignment[it.id.index()] = best;
+            }
+            assignment
+        }
+    }
+
+    fn tiny_scalar() -> Instance {
         let mut b = InstanceBuilder::new(1000);
         b.add(0, 10, 5);
         b.add(0, 10, 5);
@@ -343,23 +362,98 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn lift1(inst: &dbp_core::instance::Instance) -> GInstance<VSize<1>> {
+    /// A churn instance long enough for least-loaded to expire sessions
+    /// and for affinity to see several catalog titles.
+    fn churn_scalar() -> Instance {
+        let footprints: Vec<u64> = dbp_workloads::GameCatalog::default_catalog()
+            .games
+            .iter()
+            .map(|g| g.gpu_units)
+            .collect();
+        let mut b = InstanceBuilder::new(1000);
+        for i in 0..120u64 {
+            let size = if i % 3 == 0 {
+                footprints[(i as usize / 3) % footprints.len()]
+            } else {
+                1 + (i * 37) % 200
+            };
+            b.add(i / 2, i / 2 + 1 + (i * 13) % 40, size);
+        }
+        b.build().unwrap()
+    }
+
+    fn lift1(inst: &Instance) -> GInstance<VSize<1>> {
         inst.map_demand(|s| VSize([s.raw()])).unwrap()
     }
 
     #[test]
-    fn d1_assignment_matches_scalar_for_every_router_and_shard_count() {
-        let inst = tiny_scalar();
-        let lifted = lift1(&inst);
-        for r in Router::ALL {
-            for shards in [1, 2, 3, 8] {
-                assert_eq!(
-                    assign_vec(r, &lifted, shards),
-                    r.assign(&inst, shards),
-                    "router {} × {shards} shards diverged",
-                    r.name()
-                );
+    fn assign_matches_the_scalar_reference_at_size_and_d1() {
+        for inst in [tiny_scalar(), churn_scalar()] {
+            let lifted = lift1(&inst);
+            for r in Router::ALL {
+                for shards in [1, 2, 3, 8] {
+                    let expected = reference::assign(r, &inst, shards);
+                    assert_eq!(
+                        r.assign(&inst, shards),
+                        expected,
+                        "{} × {shards} (Size)",
+                        r.name()
+                    );
+                    assert_eq!(
+                        r.assign(&lifted, shards),
+                        expected,
+                        "{} × {shards} (VSize<1>)",
+                        r.name()
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn d2_hash_and_affinity_match_the_scalar_reference_on_the_gpu_dimension() {
+        // Hash reads only the id and affinity only component 0, so a
+        // second dimension must not move any decision.
+        for inst in [tiny_scalar(), churn_scalar()] {
+            let wide: GInstance<VSize<2>> = inst
+                .map_demand(|s| VSize([s.raw(), 1 + s.raw() % 7]))
+                .unwrap();
+            for r in [Router::HashByItem, Router::GameAffinity] {
+                for shards in [1, 2, 3, 8] {
+                    assert_eq!(
+                        r.assign(&wide, shards),
+                        reference::assign(r, &inst, shards),
+                        "{} × {shards} (VSize<2>)",
+                        r.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn golden_assignments_are_pinned() {
+        // The four-item instance of the router tests and the six-item
+        // instance above, as literals: any change here moves sessions
+        // between shards.
+        let mut b = InstanceBuilder::new(100);
+        b.add(0, 10, 5);
+        b.add(0, 10, 5);
+        b.add(5, 20, 7);
+        b.add(12, 30, 9);
+        let tiny = b.build().unwrap();
+        let golden: [(Router, usize, &[usize], &[usize]); 6] = [
+            (Router::HashByItem, 2, &[1, 1, 0, 1], &[1, 1, 0, 1, 0, 0]),
+            (Router::HashByItem, 3, &[1, 2, 1, 0], &[1, 2, 1, 0, 1, 2]),
+            (Router::GameAffinity, 2, &[1, 1, 0, 1], &[1, 1, 0, 1, 0, 0]),
+            (Router::GameAffinity, 3, &[1, 2, 1, 0], &[1, 2, 1, 0, 2, 0]),
+            (Router::LeastLoaded, 2, &[0, 1, 0, 1], &[0, 1, 0, 1, 0, 1]),
+            (Router::LeastLoaded, 3, &[0, 1, 2, 0], &[0, 1, 2, 0, 1, 2]),
+        ];
+        for (r, k, four, six) in golden {
+            assert_eq!(r.assign(&tiny, k), four, "{} × {k}", r.name());
+            assert_eq!(r.assign(&lift1(&tiny), k), four, "{} × {k}", r.name());
+            assert_eq!(r.assign(&tiny_scalar(), k), six, "{} × {k}", r.name());
         }
     }
 
@@ -370,8 +464,8 @@ mod tests {
         for r in Router::ALL {
             for (id, size) in [(0u64, 125u64), (1, 17), (9, 200), (77, 1)] {
                 assert_eq!(
-                    route_one_vec(r, id, &VSize([size]), &loads_vec),
-                    r.route_one(id, size, &loads_scalar),
+                    route_one_dims(r, id, &[size], &loads_vec),
+                    reference::route_one(r, id, size, &loads_scalar),
                     "router {} diverged on id {id}",
                     r.name()
                 );
@@ -384,7 +478,7 @@ mod tests {
         // Shard 0 is GPU-hot, shard 1 is memory-hot with a higher max:
         // the max-dimension key must prefer shard 0.
         let loads: DimLoads = vec![vec![80, 10], vec![10, 90]];
-        let got = route_one_vec(Router::LeastLoaded, 0, &VSize([1u64, 1]), &loads);
+        let got = route_one_dims(Router::LeastLoaded, 0, &[1, 1], &loads);
         assert_eq!(got, 0);
     }
 

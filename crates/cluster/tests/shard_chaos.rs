@@ -318,13 +318,12 @@ proptest! {
         use dbp_core::demand::{Demand, VSize};
         use dbp_core::StreamingEngine;
         use dbp_core::algorithms::selector_for;
-        use dbp_cluster::vector::assign_vec;
         use dbp_obs::journal::{read_journal_dims, FsyncPolicy, JournalProbe};
 
         let shards = [2usize, 4][shards_ix];
         let vinst = dbp_workloads::widen(&workload(seed % 7));
         for router in Router::ALL {
-            let assignment = assign_vec(router, &vinst, shards);
+            let assignment = router.assign(&vinst, shards);
             let victim = (seed as usize) % shards;
             let (sub, _back) = vinst.restrict(|it| assignment[it.id.index()] == victim);
             if sub.len() < 2 {

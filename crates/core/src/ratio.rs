@@ -25,6 +25,12 @@ pub struct Ratio {
     den: u128,
 }
 
+impl Default for Ratio {
+    fn default() -> Ratio {
+        Ratio::ZERO
+    }
+}
+
 const fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;

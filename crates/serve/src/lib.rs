@@ -9,7 +9,7 @@
 //! map, event-time admission control (reused from
 //! [`dbp_cloudsim::faults::AdmissionPolicy`]) and a write-ahead journal.
 //! The daemon layer ([`server`]) adds NDJSON-over-TCP ingest, online
-//! routing through [`dbp_cluster::router::Router::route_one`], bounded
+//! routing through [`dbp_cluster::vector::route_one_dims`], bounded
 //! ingress queues with a [`server::BackpressurePolicy`], a Prometheus
 //! `/metrics` endpoint, and the graceful drain protocol that seals every
 //! journal and emits one conserved ledger.

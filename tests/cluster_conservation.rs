@@ -8,10 +8,11 @@
 
 use dbp::prelude::*;
 use dbp_cloudsim::{FaultPlan, GamingSystem, Granularity, ServerType};
-use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
+use dbp_cluster::{ClusterConfig, ClusterEngine, Router, ShardFaultPlan};
 use dbp_core::algorithms::{standard_factories, BestFit, FirstFit, ModifiedFirstFit};
 use dbp_core::engine::simulate_validated_probed;
 use dbp_core::packer::{BinSelector, SelectorFactory};
+use dbp_core::span::NoSpans;
 use dbp_obs::export::events_to_jsonl;
 use dbp_obs::EventLog;
 use dbp_workloads::{generate, CloudGamingConfig};
@@ -179,6 +180,34 @@ proptest! {
                 prop_assert_eq!(run.report.billed_ticks, billed);
                 prop_assert_eq!(&run.report.cost_cents, &cents);
                 prop_assert_eq!(run.report.sessions_served, inst.len());
+
+                // Every driver shares one fan-out, so its zero-fault and
+                // span-free forms must bill exactly the plain run.
+                let healed = engine
+                    .run_self_healing(&inst, &factory, &ShardFaultPlan::none())
+                    .unwrap();
+                prop_assert_eq!(healed.report.busy_ticks, run.report.busy_ticks);
+                prop_assert_eq!(healed.report.billed_ticks, run.report.billed_ticks);
+                prop_assert_eq!(&healed.report.cost_cents, &run.report.cost_cents);
+                prop_assert_eq!(healed.report.sessions_served, run.report.sessions_served as u64);
+
+                let resilient = engine
+                    .run_resilient(&inst, &factory, &vec![FaultPlan::none(); shards])
+                    .unwrap();
+                prop_assert_eq!(resilient.report.busy_ticks, run.report.busy_ticks);
+                prop_assert_eq!(resilient.report.billed_ticks, run.report.billed_ticks);
+                prop_assert_eq!(&resilient.report.cost_cents, &run.report.cost_cents);
+
+                let (_, probed) = engine
+                    .run_probed(&inst, &factory, |_| EventLog::new())
+                    .unwrap();
+                let (_, traced, _) = engine
+                    .run_traced(&inst, &factory, |_| EventLog::new(), |_, _| NoSpans)
+                    .unwrap();
+                prop_assert_eq!(probed.len(), shards);
+                for (p, t) in probed.iter().zip(&traced) {
+                    prop_assert_eq!(events_to_jsonl(p.events()), events_to_jsonl(t.events()));
+                }
             }
         }
     }

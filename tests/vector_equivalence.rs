@@ -215,7 +215,7 @@ proptest! {
         let vinst = lift_uniform::<1>(&inst);
         for router in ROUTERS {
             let scalar = router.assign(&inst, shards);
-            let vector = dbp_cluster::vector::assign_vec(router, &vinst, shards);
+            let vector = router.assign(&vinst, shards);
             prop_assert_eq!(&scalar, &vector, "router {} diverged at D=1", router.name());
         }
     }
