@@ -70,6 +70,18 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.flags.contains_key(key)
     }
+
+    /// The first of the space-separated `flags` that is present.
+    pub fn first_of<'a>(&self, flags: &'a str) -> Option<&'a str> {
+        flags.split(' ').find(|flag| self.has(flag))
+    }
+
+    /// Refuse the space-separated `flags`, which `mode` would silently drop.
+    pub fn refuse(&self, mode: &str, flags: &str) -> Result<(), String> {
+        self.first_of(flags).map_or(Ok(()), |flag| {
+            Err(format!("--{flag} is not supported with {mode}"))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +118,18 @@ mod tests {
     fn duplicate_flag_errors() {
         let err = Args::parse(["--k", "1", "--k", "2"].iter().map(|s| s.to_string()));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn refuse_names_the_first_listed_flag_present() {
+        let a = parse(&["run", "--svg", "x.svg", "--fleet"]);
+        assert_eq!(a.first_of("journal fleet svg"), Some("fleet"));
+        assert_eq!(a.first_of("journal gantt"), None);
+        assert!(a.refuse("--faults", "journal gantt").is_ok());
+        assert_eq!(
+            a.refuse("--faults", "gantt svg fleet"),
+            Err("--svg is not supported with --faults".to_string())
+        );
     }
 
     #[test]

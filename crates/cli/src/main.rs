@@ -20,6 +20,8 @@ mod args;
 
 use args::Args;
 use dbp_adversary::{AdaptiveMuAdversary, Theorem1, Theorem2};
+use dbp_cloudsim::FaultPlan;
+use dbp_cluster::ShardFaultPlan;
 use dbp_core::algorithms::standard_factories;
 use dbp_core::algorithms::{
     BestFit, ConstrainedFirstFit, FirstFit, HarmonicFit, LastFit, ModifiedFirstFit, MostItemsFit,
@@ -27,19 +29,25 @@ use dbp_core::algorithms::{
 };
 use dbp_core::analysis::analyze_first_fit;
 use dbp_core::bounds;
+use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{
     simulate, simulate_probed, simulate_resumed_probed, simulate_validated,
     simulate_validated_probed,
 };
 use dbp_core::instance::Instance;
+use dbp_core::item::Size;
 use dbp_core::metrics::summarize;
-use dbp_core::packer::BinSelector;
-use dbp_core::probe::{Probe, ProbeEvent};
+use dbp_core::packer::{BinSelector, SelectorFactory};
+use dbp_core::probe::{GProbeEvent, Probe, ProbeEvent};
 use dbp_core::ratio::Ratio;
+use dbp_obs::{FsyncPolicy, MetricsRegistry, RunManifest};
 use dbp_opt::{opt_total, SolveMode};
+use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
 use dbp_workloads::{
     generate, generate_mu_controlled, ArrivalKind, CloudGamingConfig, MuControlledConfig, Scenario,
 };
+use std::fmt::Display;
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -89,6 +97,14 @@ USAGE:
   dbp opt FILE [--bounds-only] [--timeline]
   dbp stats FILE
   dbp scenarios [--seed N]
+
+MODE RESTRICTIONS (a flag a mode cannot honour is an error, never ignored):
+  run --hetero            --algo ff|bf|mff|dom (+ -idx); run flags: only --validate --metrics
+  run --faults            no --timeseries --validate --fleet --gantt --svg --save-trace
+  cluster --hetero        --algo as run --hetero; cluster flags: only --shards --router --metrics
+  cluster --shard-faults  no --faults --journal
+  recover --serve-shards  no --repair --trace --manifest --resume-jsonl --faults --algo
+  recover (D>1 journal)   no --trace resume
 ";
 
 fn main() -> ExitCode {
@@ -143,24 +159,45 @@ fn save_instance(inst: &Instance, path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Builds a scalar selector from the instance's µ hint (only `mff-mu` uses it).
+type Build = fn(Option<u64>) -> Result<Box<dyn BinSelector>, String>;
+
+/// The scalar algorithm roster.
+const ALGOS: [(&str, Build); 11] = [
+    ("ff", |_| Ok(Box::new(FirstFit::new()))),
+    ("bf", |_| Ok(Box::new(BestFit::new()))),
+    ("wf", |_| Ok(Box::new(WorstFit::new()))),
+    ("nf", |_| Ok(Box::new(NextFit::new()))),
+    ("lf", |_| Ok(Box::new(LastFit::new()))),
+    ("mi", |_| Ok(Box::new(MostItemsFit::new()))),
+    ("rf", |_| Ok(Box::new(RandomFit::seeded(0)))),
+    ("hff", |_| Ok(Box::new(HarmonicFit::new(4)))),
+    ("mff", |_| Ok(Box::new(ModifiedFirstFit::new(8)))),
+    ("mff-mu", |mu| {
+        let mu = mu.ok_or("mff-mu needs a µ estimate from the instance")?;
+        Ok(Box::new(ModifiedFirstFit::for_known_mu(mu)))
+    }),
+    ("cff", |_| Ok(Box::new(ConstrainedFirstFit::new()))),
+];
+
+fn roster(name: &str) -> Result<(&'static str, Build), String> {
+    ALGOS
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| format!("unknown algorithm '{name}'"))
+}
+
 fn selector_by_name(name: &str, mu_hint: Option<u64>) -> Result<Box<dyn BinSelector>, String> {
-    Ok(match name {
-        "ff" => Box::new(FirstFit::new()),
-        "bf" => Box::new(BestFit::new()),
-        "wf" => Box::new(WorstFit::new()),
-        "nf" => Box::new(NextFit::new()),
-        "lf" => Box::new(LastFit::new()),
-        "mi" => Box::new(MostItemsFit::new()),
-        "rf" => Box::new(RandomFit::seeded(0)),
-        "hff" => Box::new(HarmonicFit::new(4)),
-        "mff" => Box::new(ModifiedFirstFit::new(8)),
-        "mff-mu" => {
-            let mu = mu_hint.ok_or("mff-mu needs a µ estimate from the instance")?;
-            Box::new(ModifiedFirstFit::for_known_mu(mu))
-        }
-        "cff" => Box::new(ConstrainedFirstFit::new()),
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
+    (roster(name)?.1)(mu_hint)
+}
+
+/// A per-shard selector factory, validated up front (incl. the µ hint).
+fn selector_factory(name: &str, mu_hint: Option<u64>) -> Result<SelectorFactory, String> {
+    let (name, build) = roster(name)?;
+    build(mu_hint)?;
+    Ok(SelectorFactory::new(name, move || {
+        build(mu_hint).expect("algorithm validated above")
+    }))
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
@@ -262,54 +299,210 @@ fn mu_hint(inst: &Instance) -> Option<u64> {
     inst.mu().map(|m| m.ceil() as u64)
 }
 
+/// Write the artifact `--{flag}` names (plus a shard's `suffix`), if given,
+/// and announce it as `{what} saved to PATH{detail}`; `write` returns the detail.
+fn save<E: Display>(
+    args: &Args,
+    flag: &str,
+    suffix: &str,
+    what: &str,
+    write: impl FnOnce(&Path) -> Result<String, E>,
+) -> Result<(), String> {
+    let Some(base) = args.str_flag(flag) else {
+        return Ok(());
+    };
+    let path = format!("{base}{suffix}");
+    let detail = write(Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
+    println!("{what} saved to {path}{detail}");
+    Ok(())
+}
+
+fn save_metrics(args: &Args, registry: &MetricsRegistry) -> Result<(), String> {
+    save(args, "metrics", "", "metrics", |path| {
+        dbp_obs::export::write_prometheus(path, registry).map(|()| String::new())
+    })
+}
+
+fn save_manifest(args: &Args, manifest: &RunManifest) -> Result<(), String> {
+    save(args, "run-manifest", "", "manifest", |path| {
+        dbp_obs::export::write_json(path, manifest).map(|()| String::new())
+    })
+}
+
+/// `--journal` and its `--fsync` policy (default `always`: a crash loses
+/// at most the frame being written).
+fn journal_flags<'a>(args: &'a Args, what: &str) -> Result<Option<(&'a str, FsyncPolicy)>, String> {
+    let Some(path) = args.str_flag("journal") else {
+        if args.has("fsync") {
+            return Err(format!("--fsync only makes sense with --journal {what}"));
+        }
+        return Ok(None);
+    };
+    let policy = match args.str_flag("fsync") {
+        None => FsyncPolicy::Always,
+        Some(spec) => FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
+    };
+    Ok(Some((path, policy)))
+}
+
+/// One dispatcher's recorders; `suffix` picks a cluster shard's files.
+struct RunProbe {
+    suffix: String,
+    events: dbp_obs::EventLog,
+    metrics: dbp_obs::MetricsProbe,
+    sampler: Option<dbp_obs::TimeSeriesSampler>,
+    journal: Option<dbp_obs::JournalProbe>,
+}
+
+impl RunProbe {
+    /// Creates the journal file, so its I/O errors surface before any work.
+    fn open(args: &Args, suffix: String) -> Result<RunProbe, String> {
+        let journal = journal_flags(args, "FILE")?
+            .map(|(base, fsync)| {
+                let path = format!("{base}{suffix}");
+                dbp_obs::JournalProbe::create(Path::new(&path), fsync)
+                    .map_err(|e| format!("{path}: {e}"))
+            })
+            .transpose()?;
+        Ok(RunProbe {
+            suffix,
+            events: dbp_obs::EventLog::new(),
+            metrics: dbp_obs::MetricsProbe::new(),
+            sampler: None,
+            journal,
+        })
+    }
+
+    /// Seal the journal, surfacing any write error latched during the run.
+    fn seal_journal(&mut self, args: &Args) -> Result<(), String> {
+        self.journal.take().map_or(Ok(()), |journal| {
+            save(args, "journal", &self.suffix, "journal", |_| {
+                journal.finish().map(|n| format!(" ({n} records)"))
+            })
+        })
+    }
+
+    /// Seal the journal, then write the `--trace-events` log.
+    fn seal(&mut self, args: &Args) -> Result<(), String> {
+        self.seal_journal(args)?;
+        let log = &self.events;
+        save(args, "trace-events", &self.suffix, "events", |path| {
+            dbp_obs::export::write_jsonl(path, log.events())
+                .map(|()| format!(" ({} events)", log.len()))
+        })
+    }
+}
+
+impl Probe for RunProbe {
+    fn record(&mut self, event: ProbeEvent) {
+        self.events.record(event.clone());
+        self.metrics.record(event.clone());
+        if let Some(sampler) = &mut self.sampler {
+            sampler.record(event.clone());
+        }
+        if let Some(journal) = &mut self.journal {
+            journal.record(event);
+        }
+    }
+
+    fn on_decision_ns(&mut self, ns: u64) {
+        self.metrics.on_decision_ns(ns);
+    }
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
     let algo = args.str_flag("algo").unwrap_or("ff");
     if args.has("hetero") {
+        args.refuse(
+            "--hetero",
+            "journal fsync trace-events timeseries faults run-manifest fleet gantt svg save-trace",
+        )?;
         return cmd_run_hetero(args, &inst, algo);
     }
     let mut sel = selector_by_name(algo, mu_hint(&inst))?;
-    if let Some(spec) = args.str_flag("faults") {
-        return cmd_run_faults(args, &inst, algo, &mut *sel, spec);
-    }
-    let observing = args.has("trace-events")
-        || args.has("metrics")
-        || args.has("timeseries")
-        || args.has("journal")
-        || args.has("run-manifest");
+    let plan = match args.str_flag("faults") {
+        Some(spec) => {
+            args.refuse("--faults", "timeseries validate fleet gantt svg save-trace")?;
+            Some(fault_plans(spec, &inst, 1)?.remove(0))
+        }
+        None => None,
+    };
+    let observing = args
+        .first_of("trace-events metrics timeseries journal run-manifest")
+        .is_some();
     let started = std::time::Instant::now();
-    let mut probe = (
-        (
-            (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new()),
-            dbp_obs::TimeSeriesSampler::new(inst.capacity().raw()),
-        ),
-        MaybeJournal::open(args)?,
-    );
+    let mut probe = RunProbe::open(args, String::new())?;
+    if let Some(plan) = plan {
+        // Resilient dispatch (crashes, flaky provisioning, retries, orphan
+        // re-dispatch): the SLA ledger prints next to the bill.
+        let resilient =
+            dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan.clone());
+        let report = if observing {
+            resilient.run_probed(&inst, &mut *sel, &mut probe)
+        } else {
+            resilient.run(&inst, &mut *sel)
+        }
+        .map_err(|e| e.to_string())?;
+        let wall = started.elapsed();
+        probe.seal_journal(args)?;
+        // No packing trace here, so no exact cost: `recover --faults`
+        // re-derives the report by verified re-execution instead.
+        save_manifest(args, &RunManifest::capture(sel.name(), None, &inst, wall))?;
+        probe.seal(args)?;
+        save_metrics(args, probe.metrics.registry())?;
+        println!("algorithm      : {algo}");
+        println!(
+            "fault plan     : seed {}, {} crashes, boot fail {:.2}, delay ≤{}, reject {:.2}",
+            plan.seed,
+            plan.crashes.len(),
+            plan.boot_fail_prob,
+            plan.boot_delay_max,
+            plan.reject_prob
+        );
+        println!("sessions       : {}", report.sessions_total);
+        println!(
+            "served         : {} ({:.1}%)",
+            report.sessions_served,
+            100.0 * report.service_rate()
+        );
+        println!("dropped        : {}", report.sessions_dropped);
+        println!("lost to crash  : {}", report.sessions_lost);
+        println!("re-dispatched  : {}", report.redispatches);
+        println!(
+            "faults         : {} crashes, {} boot failures, {} retries, {} rejections",
+            report.crashes,
+            report.provision_failures,
+            report.retries_scheduled,
+            report.dispatch_rejections
+        );
+        println!("queue peak     : {}", report.queue_peak);
+        println!(
+            "servers        : {} rented, peak {}",
+            report.servers_rented, report.peak_servers
+        );
+        print_bill(report.busy_ticks, report.billed_ticks, report.cost_cents);
+        return Ok(());
+    }
+    if args.has("timeseries") {
+        probe.sampler = Some(dbp_obs::TimeSeriesSampler::new(inst.capacity().raw()));
+    }
     // Journaled runs honor SIGINT/SIGTERM: the step loop polls the
     // shutdown latch between bursts and exits early, so the journal seals
     // a clean prefix that `dbp recover --trace` can resume. Validated
     // runs keep the one-shot path — validation needs the complete trace.
-    let interruptible = probe.1.probe.is_some() && !args.has("validate");
+    let interruptible = probe.journal.is_some() && !args.has("validate");
     let trace = if interruptible {
         dbp_serve::install_signal_handlers();
         let mut run = dbp_core::engine::EngineRun::new(&inst, &mut *sel, &mut probe);
-        let mut interrupted = false;
-        while !run.is_done() {
-            if dbp_serve::shutdown_requested() {
-                interrupted = true;
-                break;
-            }
+        while !run.is_done() && !dbp_serve::shutdown_requested() {
             for _ in 0..4096 {
                 if !run.step() {
                     break;
                 }
             }
         }
-        if interrupted {
-            None
-        } else {
-            Some(run.finish())
-        }
+        run.is_done().then(|| run.finish())
     } else {
         Some(match (observing, args.has("validate")) {
             (true, true) => simulate_validated_probed(&inst, &mut *sel, &mut probe),
@@ -319,33 +512,21 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         })
     };
     let wall = started.elapsed();
-    let (((event_log, metrics_probe), sampler), journal) = probe;
     let Some(trace) = trace else {
-        let wal = journal.path.clone();
+        probe.seal_journal(args)?;
+        let wal = args.str_flag("journal").unwrap_or_default();
         let trace_file = args.positional.get(1).cloned().unwrap_or_default();
-        journal.finish()?;
         println!("interrupted    : stopped by signal; the journal holds a clean prefix");
         println!("resume with    : dbp recover {wal} --trace {trace_file} --algo {algo}");
         return Ok(());
     };
-    journal.finish()?;
-    if let Some(path) = args.str_flag("trace-events") {
-        dbp_obs::export::write_jsonl(std::path::Path::new(path), event_log.events())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("events saved to {path} ({} events)", event_log.len());
-    }
-    if let Some(path) = args.str_flag("metrics") {
-        dbp_obs::export::write_prometheus(std::path::Path::new(path), metrics_probe.registry())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics saved to {path}");
-    }
-    if let Some(path) = args.str_flag("timeseries") {
-        dbp_obs::export::atomic_write(std::path::Path::new(path), sampler.to_csv().as_bytes())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "time series saved to {path} ({} samples)",
-            sampler.samples().len()
-        );
+    probe.seal(args)?;
+    save_metrics(args, probe.metrics.registry())?;
+    if let Some(sampler) = &probe.sampler {
+        save(args, "timeseries", "", "time series", |path| {
+            dbp_obs::export::atomic_write(path, sampler.to_csv().as_bytes())
+                .map(|()| format!(" ({} samples)", sampler.samples().len()))
+        })?;
     }
     let s = summarize(&inst, &trace);
     println!("algorithm      : {}", s.algorithm);
@@ -356,7 +537,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     println!("cost / LB      : {:.4}", s.ratio_vs_lower_bound.to_f64());
     println!("utilization    : {:.4}", s.mean_utilization.to_f64());
     if observing {
-        let manifest = dbp_obs::RunManifest::capture(&s.algorithm, None, &inst, wall)
+        let manifest = RunManifest::capture(&s.algorithm, None, &inst, wall)
             .with_cost(trace.total_cost_ticks());
         println!("instance digest: {}", manifest.instance_digest);
         println!(
@@ -366,11 +547,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         if let Some(rss) = manifest.peak_rss_bytes {
             println!("peak rss       : {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
         }
-        if let Some(path) = args.str_flag("run-manifest") {
-            dbp_obs::export::write_json(std::path::Path::new(path), &manifest)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("manifest saved to {path}");
-        }
+        save_manifest(args, &manifest)?;
     }
     if args.has("fleet") {
         if let Some(f) = dbp_core::metrics::fleet_stats(&trace) {
@@ -388,17 +565,24 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("\n{}", dbp_core::gantt::render_gantt(&inst, &trace, 72));
         println!("open bins: {}", dbp_core::gantt::sparkline(&trace));
     }
-    if let Some(path) = args.str_flag("svg") {
+    save(args, "svg", "", "svg", |path| {
         let svg = dbp_core::svg::render_svg(&inst, &trace, dbp_core::svg::SvgOptions::default());
-        std::fs::write(path, svg).map_err(|e| format!("{path}: {e}"))?;
-        println!("svg saved to {path}");
-    }
-    if let Some(path) = args.str_flag("save-trace") {
+        std::fs::write(path, svg).map(|()| String::new())
+    })?;
+    save(args, "save-trace", "", "trace", |path| {
         let body = serde_json::to_string(&trace).map_err(|e| e.to_string())?;
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("trace saved to {path}");
-    }
-    Ok(())
+        std::fs::write(path, body).map_err(|e| e.to_string())?;
+        Ok::<_, String>(String::new())
+    })
+}
+
+/// The `--hetero` selector over the `[gpu, cpu, mem]` catalog.
+fn hetero_selector(algo: &str) -> Result<Box<dyn BinSelector<VSize<HETERO_DIMS>>>, String> {
+    dbp_core::algorithms::selector_for(algo).ok_or_else(|| {
+        format!(
+            "--hetero packs with ff, bf, mff or dom (plus -idx variants); '{algo}' is scalar-only"
+        )
+    })
 }
 
 /// `dbp run FILE --hetero`: widen the scalar trace to the heterogeneous
@@ -407,15 +591,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// constraints; the per-dimension utilization table shows which
 /// dimension actually binds.
 fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
-    use dbp_core::demand::VSize;
-    use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
     let inst = dbp_workloads::widen(scalar);
-    let mut sel =
-        dbp_core::algorithms::selector_for::<VSize<HETERO_DIMS>>(algo).ok_or_else(|| {
-            format!(
-            "--hetero packs with ff, bf, mff or dom (plus -idx variants); '{algo}' is scalar-only"
-        )
-        })?;
+    let mut sel = hetero_selector(algo)?;
     let started = std::time::Instant::now();
     let trace = if args.has("validate") {
         dbp_core::engine::simulate_validated(&inst, &mut sel)
@@ -448,16 +625,11 @@ fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), Stri
         );
     }
     println!("wall time      : {:.3} ms", wall.as_secs_f64() * 1e3);
-    if let Some(path) = args.str_flag("metrics") {
-        let mut reg = dbp_obs::MetricsRegistry::new();
-        reg.gauge_set("dbp_bins_used", trace.bins_used() as i64);
-        reg.gauge_set("dbp_cost_ticks", clamp_i64(busy));
-        absorb_dim_metrics(&mut reg, &dims);
-        dbp_obs::export::write_prometheus(std::path::Path::new(path), &reg)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics saved to {path}");
-    }
-    Ok(())
+    let mut reg = MetricsRegistry::new();
+    reg.gauge_set("dbp_bins_used", trace.bins_used() as i64);
+    reg.gauge_set("dbp_cost_ticks", clamp_i64(busy));
+    absorb_dim_metrics(&mut reg, &dims);
+    save_metrics(args, &reg)
 }
 
 /// Saturate a `u128` ledger value into a Prometheus gauge.
@@ -476,14 +648,14 @@ fn utilization_ppm(d: &dbp_cluster::vector::DimReport) -> u128 {
 /// The `dbp_dim_*{dim="gpu|cpu|mem"}` block of a vector run's
 /// per-dimension ledger, shared by `dbp run --hetero` and
 /// `dbp cluster --hetero`.
-fn absorb_dim_metrics(reg: &mut dbp_obs::MetricsRegistry, dims: &[dbp_cluster::vector::DimReport]) {
+fn absorb_dim_metrics(reg: &mut MetricsRegistry, dims: &[dbp_cluster::vector::DimReport]) {
     for d in dims {
-        let mut dreg = dbp_obs::MetricsRegistry::new();
+        let mut dreg = MetricsRegistry::new();
         dreg.gauge_set("dbp_dim_demand_ticks", clamp_i64(d.demand_ticks));
         dreg.gauge_set("dbp_dim_rented_ticks", clamp_i64(d.rented_ticks));
         dreg.gauge_set("dbp_dim_waste_ticks", clamp_i64(d.waste_ticks));
         dreg.gauge_set("dbp_dim_utilization_ppm", clamp_i64(utilization_ppm(d)));
-        reg.absorb_labeled(&dreg, "dim", dbp_workloads::vector::DIM_NAMES[d.dim]);
+        reg.absorb_labeled(&dreg, "dim", DIM_NAMES[d.dim]);
     }
 }
 
@@ -491,32 +663,19 @@ fn absorb_dim_metrics(reg: &mut dbp_obs::MetricsRegistry, dims: &[dbp_cluster::v
 /// shards with per-dimension load folds and report the exact
 /// per-dimension ledger (conservation is asserted inside
 /// [`dbp_cluster::vector::run_cluster_vec`]).
-fn cmd_cluster_hetero(
-    args: &Args,
-    scalar: &Instance,
-    algo: &str,
-    shards: usize,
-    router: dbp_cluster::Router,
-) -> Result<(), String> {
-    use dbp_core::demand::VSize;
-    use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
+fn cmd_cluster_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
+    hetero_selector(algo)?;
+    let config = cluster_config(args, 2)?;
     let inst = dbp_workloads::widen(scalar);
-    dbp_core::algorithms::selector_for::<VSize<HETERO_DIMS>>(algo).ok_or_else(|| {
-        format!(
-            "--hetero packs with ff, bf, mff or dom (plus -idx variants); '{algo}' is scalar-only"
-        )
-    })?;
-    let run = dbp_cluster::vector::run_cluster_vec(&inst, router, shards, || {
-        dbp_core::algorithms::selector_for::<VSize<HETERO_DIMS>>(algo)
-            .expect("algorithm name validated above")
+    let run = dbp_cluster::vector::run_cluster_vec(&inst, config.router, config.shards, || {
+        hetero_selector(algo).expect("algorithm name validated above")
     });
-    println!(
-        "algorithm      : {} ({HETERO_DIMS}-dimensional)",
-        run.algorithm
+    print_cluster_header(
+        &format!("{} ({HETERO_DIMS}-dimensional)", run.algorithm),
+        &run.router,
+        run.shards_used,
+        run.sessions_served,
     );
-    println!("router         : {}", run.router);
-    println!("shards         : {}", run.shards_used);
-    println!("sessions       : {}", run.sessions_served);
     println!("servers rented : {}", run.servers_rented);
     println!("busy ticks     : {}", run.busy_ticks);
     println!("ledger         : conserved");
@@ -539,16 +698,11 @@ fn cmd_cluster_hetero(
             s.trace.total_cost_ticks(),
         );
     }
-    if let Some(path) = args.str_flag("metrics") {
-        let mut reg = dbp_obs::MetricsRegistry::new();
-        reg.gauge_set("dbp_cluster_servers_rented", run.servers_rented as i64);
-        reg.gauge_set("dbp_cluster_busy_ticks", clamp_i64(run.busy_ticks));
-        absorb_dim_metrics(&mut reg, &run.dims);
-        dbp_obs::export::write_prometheus(std::path::Path::new(path), &reg)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics saved to {path}");
-    }
-    Ok(())
+    let mut reg = MetricsRegistry::new();
+    reg.gauge_set("dbp_cluster_servers_rented", run.servers_rented as i64);
+    reg.gauge_set("dbp_cluster_busy_ticks", clamp_i64(run.busy_ticks));
+    absorb_dim_metrics(&mut reg, &run.dims);
+    save_metrics(args, &reg)
 }
 
 /// The paper's cost model over `inst`'s capacity: per-tick billing on
@@ -564,200 +718,95 @@ fn paper_gaming_system(inst: &Instance) -> dbp_cloudsim::GamingSystem {
     }
 }
 
-/// Optional write-ahead-journal leg of the run probe: a no-op when
-/// `--journal` is absent, so the probe tuple composes without a separate
-/// code path per flag combination.
-struct MaybeJournal {
-    probe: Option<dbp_obs::JournalProbe>,
-    path: String,
-}
-
-impl MaybeJournal {
-    /// Open the journal named by `--journal`, honoring `--fsync`
-    /// (default `always`: a crash loses at most the frame being written).
-    fn open(args: &Args) -> Result<MaybeJournal, String> {
-        let Some(path) = args.str_flag("journal") else {
-            if args.has("fsync") {
-                return Err("--fsync only makes sense with --journal FILE".into());
-            }
-            return Ok(MaybeJournal {
-                probe: None,
-                path: String::new(),
-            });
-        };
-        let policy = match args.str_flag("fsync") {
-            None => dbp_obs::FsyncPolicy::Always,
-            Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
-        };
-        let probe = dbp_obs::JournalProbe::create(std::path::Path::new(path), policy)
-            .map_err(|e| format!("{path}: {e}"))?;
-        Ok(MaybeJournal {
-            probe: Some(probe),
-            path: path.to_string(),
-        })
-    }
-
-    /// Seal the journal, surfacing any write error latched during the run.
-    fn finish(self) -> Result<(), String> {
-        if let Some(probe) = self.probe {
-            let records = probe.finish().map_err(|e| format!("{}: {e}", self.path))?;
-            println!("journal saved to {} ({records} records)", self.path);
-        }
-        Ok(())
-    }
-}
-
-impl Probe for MaybeJournal {
-    fn record(&mut self, event: ProbeEvent) {
-        if let Some(probe) = &mut self.probe {
-            probe.record(event);
-        }
-    }
-}
-
-/// Resolve a `--faults` spec: a `.json` file holding a serialized
-/// [`dbp_cloudsim::FaultPlan`], or a bare integer seed expanded with
-/// [`dbp_cloudsim::FaultPlan::from_seed`] over the trace's horizon.
-fn load_fault_plan(spec: &str, horizon: u64) -> Result<dbp_cloudsim::FaultPlan, String> {
-    if spec.ends_with(".json") || std::path::Path::new(spec).exists() {
-        let body = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
-        serde_json::from_str(&body).map_err(|e| format!("{spec}: {e}"))
-    } else {
-        let seed: u64 = spec
-            .parse()
-            .map_err(|_| format!("--faults expects a seed or a plan .json, got '{spec}'"))?;
-        Ok(dbp_cloudsim::FaultPlan::from_seed(seed, horizon))
-    }
-}
-
-/// `dbp run FILE --faults <spec|seed>`: dispatch through the resilient
-/// wrapper (crashes, flaky provisioning, retries, orphan re-dispatch) and
-/// print the SLA ledger next to the bill.
-fn cmd_run_faults(
-    args: &Args,
-    inst: &Instance,
-    algo: &str,
-    sel: &mut dyn BinSelector,
+/// Resolve `--{flag} SEED|PLAN.json`: a plan file for `parse`, or a seed.
+fn load_plan<T>(
+    flag: &str,
     spec: &str,
-) -> Result<(), String> {
+    parse: impl FnOnce(&str) -> Result<T, serde_json::Error>,
+    from_seed: impl FnOnce(u64) -> T,
+) -> Result<T, String> {
+    if spec.ends_with(".json") || Path::new(spec).exists() {
+        let body = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
+        parse(&body).map_err(|e| format!("{spec}: {e}"))
+    } else {
+        let seed = spec
+            .parse()
+            .map_err(|_| format!("--{flag} expects a seed or a plan .json, got '{spec}'"))?;
+        Ok(from_seed(seed))
+    }
+}
+
+/// One `--faults` plan per dispatcher: a plan file is shared verbatim;
+/// seed `S` gives dispatcher `k` the plan of seed `S + k`.
+fn fault_plans(spec: &str, inst: &Instance, dispatchers: usize) -> Result<Vec<FaultPlan>, String> {
     let horizon = dbp_core::events::event_ticks(inst)
         .last()
-        .map(|t| t.raw())
-        .unwrap_or(0);
-    let plan = load_fault_plan(spec, horizon)?;
-    let resilient = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(inst), plan.clone());
-    let observing = args.has("trace-events")
-        || args.has("metrics")
-        || args.has("journal")
-        || args.has("run-manifest");
-    let started = std::time::Instant::now();
-    let mut probe = (
-        (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new()),
-        MaybeJournal::open(args)?,
-    );
-    let report = if observing {
-        resilient.run_probed(inst, sel, &mut probe)
-    } else {
-        resilient.run(inst, sel)
+        .map_or(0, |t| t.raw());
+    load_plan(
+        "faults",
+        spec,
+        |body| serde_json::from_str(body).map(|plan| vec![plan; dispatchers]),
+        |seed| {
+            (0..dispatchers as u64)
+                .map(|k| FaultPlan::from_seed(seed.wrapping_add(k), horizon))
+                .collect()
+        },
+    )
+}
+
+/// A `--shard-faults` plan; a seed draws one sized to the instance.
+fn shard_fault_plan(spec: &str, shards: usize, inst: &Instance) -> Result<ShardFaultPlan, String> {
+    // Each shard sees ~2 events per item it serves; aim kill offsets
+    // inside the live part of the stream.
+    let events_hint = (2 * inst.len() as u64 / shards.max(1) as u64).max(4);
+    load_plan("shard-faults", spec, serde_json::from_str, |seed| {
+        ShardFaultPlan::from_seed(seed, shards, events_hint)
+    })
+}
+
+/// The cluster shape from `--shards`, `--router`, `--batch` and `--jobs`.
+fn cluster_config(args: &Args, default_shards: u64) -> Result<dbp_cluster::ClusterConfig, String> {
+    let shards = args.u64_flag_or("shards", default_shards)? as usize;
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
     }
-    .map_err(|e| e.to_string())?;
-    let wall = started.elapsed();
-    let ((event_log, metrics_probe), journal) = probe;
-    journal.finish()?;
-    if let Some(path) = args.str_flag("run-manifest") {
-        // No packing trace here, so no exact cost: `recover --faults`
-        // re-derives the report by verified re-execution instead.
-        let manifest = dbp_obs::RunManifest::capture(sel.name(), None, inst, wall);
-        dbp_obs::export::write_json(std::path::Path::new(path), &manifest)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("manifest saved to {path}");
-    }
-    if let Some(path) = args.str_flag("trace-events") {
-        dbp_obs::export::write_jsonl(std::path::Path::new(path), event_log.events())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("events saved to {path} ({} events)", event_log.len());
-    }
-    if let Some(path) = args.str_flag("metrics") {
-        dbp_obs::export::write_prometheus(std::path::Path::new(path), metrics_probe.registry())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics saved to {path}");
-    }
+    let mut config =
+        dbp_cluster::ClusterConfig::new(shards, parse_router(args)?).map_err(|e| e.to_string())?;
+    config.batch = match args.str_flag("batch") {
+        None | Some("whole") => dbp_cluster::BatchPolicy::WholeStream,
+        Some("event") => dbp_cluster::BatchPolicy::PerEvent,
+        Some(n) => dbp_cluster::BatchPolicy::Chunks(
+            n.parse()
+                .map_err(|_| format!("--batch expects event|whole|N, got '{n}'"))?,
+        ),
+    };
+    config.jobs = args.u64_flag_or("jobs", 0)? as usize;
+    Ok(config)
+}
+
+/// The lines every `dbp cluster` report opens with.
+fn print_cluster_header(algo: &str, router: &str, shards: impl Display, sessions: impl Display) {
     println!("algorithm      : {algo}");
-    println!(
-        "fault plan     : seed {}, {} crashes, boot fail {:.2}, delay ≤{}, reject {:.2}",
-        plan.seed,
-        plan.crashes.len(),
-        plan.boot_fail_prob,
-        plan.boot_delay_max,
-        plan.reject_prob
-    );
-    println!("sessions       : {}", report.sessions_total);
-    println!(
-        "served         : {} ({:.1}%)",
-        report.sessions_served,
-        100.0 * report.service_rate()
-    );
-    println!("dropped        : {}", report.sessions_dropped);
-    println!("lost to crash  : {}", report.sessions_lost);
-    println!("re-dispatched  : {}", report.redispatches);
-    println!(
-        "faults         : {} crashes, {} boot failures, {} retries, {} rejections",
-        report.crashes,
-        report.provision_failures,
-        report.retries_scheduled,
-        report.dispatch_rejections
-    );
-    println!("queue peak     : {}", report.queue_peak);
-    println!(
-        "servers        : {} rented, peak {}",
-        report.servers_rented, report.peak_servers
-    );
-    println!("busy ticks     : {}", report.busy_ticks);
-    println!("billed ticks   : {}", report.billed_ticks);
-    println!(
-        "bill           : {:.2} USD",
-        report.cost_cents.to_f64() / 100.0
-    );
-    Ok(())
+    println!("router         : {router}");
+    println!("shards         : {shards}");
+    println!("sessions       : {sessions}");
 }
 
-/// The CLI algorithm roster as `'static` names, for [`SelectorFactory`]
-/// (whose name field is `&'static str`).
-fn static_algo_name(name: &str) -> Option<&'static str> {
-    const NAMES: [&str; 11] = [
-        "ff", "bf", "wf", "nf", "lf", "mi", "rf", "hff", "mff", "mff-mu", "cff",
-    ];
-    NAMES.into_iter().find(|n| *n == name)
-}
-
-/// One shard's instrumentation leg: event log + metrics + optional journal.
-type ShardProbe = ((dbp_obs::EventLog, dbp_obs::MetricsProbe), MaybeJournal);
-
-/// Parse a `--shard-faults` spec: a bare integer seeds a deterministic
-/// [`ShardFaultPlan`] sized to the instance (about two kills' worth of
-/// events per shard); anything that looks like a file loads an explicit
-/// plan JSON.
-fn load_shard_fault_plan(
-    spec: &str,
-    shards: usize,
-    inst: &dbp_core::instance::Instance,
-) -> Result<dbp_cluster::ShardFaultPlan, String> {
-    if spec.ends_with(".json") || std::path::Path::new(spec).exists() {
-        let text = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("{spec}: {e}"))
+/// The verdict line of an SLA ledger (served + dropped + lost == total).
+fn print_ledger(conserved: bool) {
+    let verdict = if conserved {
+        "conserved"
     } else {
-        let seed: u64 = spec
-            .parse()
-            .map_err(|_| format!("--shard-faults expects a seed or a plan .json, got '{spec}'"))?;
-        // Each shard sees ~2 events per item it serves; aim kill offsets
-        // inside the live part of the stream.
-        let events_hint = (2 * inst.len() as u64 / shards.max(1) as u64).max(4);
-        Ok(dbp_cluster::ShardFaultPlan::from_seed(
-            seed,
-            shards,
-            events_hint,
-        ))
-    }
+        "NOT CONSERVED"
+    };
+    println!("ledger         : {verdict}");
+}
+
+/// The bill every scalar dispatch report closes its totals with.
+fn print_bill(busy: u128, billed: u128, cents: Ratio) {
+    println!("busy ticks     : {busy}");
+    println!("billed ticks   : {billed}");
+    println!("bill           : {:.2} USD", cents.to_f64() / 100.0);
 }
 
 /// `dbp cluster FILE --algo A --shards N --router R`: partition the request
@@ -771,84 +820,49 @@ fn load_shard_fault_plan(
 fn cmd_cluster(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
     let algo = args.str_flag("algo").unwrap_or("ff");
-    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
-    let shards = args.u64_flag_or("shards", 2)? as usize;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let router = parse_router(args)?;
     if args.has("hetero") {
-        return cmd_cluster_hetero(args, &inst, algo, shards, router);
+        args.refuse(
+            "--hetero",
+            "journal fsync trace-events faults shard-faults run-manifest batch jobs",
+        )?;
+        return cmd_cluster_hetero(args, &inst, algo);
     }
-    let batch = parse_batch(args)?;
-    let mut config = dbp_cluster::ClusterConfig::new(shards, router).map_err(|e| e.to_string())?;
-    config.batch = batch;
-    config.jobs = args.u64_flag_or("jobs", 0)? as usize;
+    let factory = selector_factory(algo, mu_hint(&inst))?;
+    let config = cluster_config(args, 2)?;
+    let shards = config.shards;
     let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
 
-    let hint = mu_hint(&inst);
-    selector_by_name(algo, hint)?; // validate (incl. the mff-mu µ hint) up front
-    let algo_name = algo.to_string();
-    let factory = dbp_core::packer::SelectorFactory::new(algo, move || {
-        selector_by_name(&algo_name, hint).expect("algorithm name validated above")
-    });
-
     if let Some(spec) = args.str_flag("shard-faults") {
-        if args.str_flag("faults").is_some() {
+        if args.has("faults") {
             return Err(
                 "--faults and --shard-faults are mutually exclusive; pick one fault model".into(),
             );
         }
-        if args.str_flag("journal").is_some() {
+        if args.has("journal") {
             return Err(
                 "--journal is not supported with --shard-faults: each shard keeps its own \
                  in-memory journal for resurrection; use --trace-events for the merged stream"
                     .into(),
             );
         }
-        let plan = load_shard_fault_plan(spec, shards, &inst)?;
-        let mut probe = (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new());
+        let plan = shard_fault_plan(spec, shards, &inst)?;
+        let mut probe = RunProbe::open(args, String::new())?;
         let run = engine
             .run_self_healing_probed(&inst, &factory, &plan, &mut probe)
             .map_err(|e| e.to_string())?;
-        let (event_log, metrics_probe) = probe;
-        if let Some(path) = args.str_flag("trace-events") {
-            dbp_obs::export::write_jsonl(std::path::Path::new(path), event_log.events())
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("events saved to {path} ({} events)", event_log.len());
-        }
-        if let Some(path) = args.str_flag("metrics") {
-            let mut merged = run.metrics();
-            merged.absorb_labeled(metrics_probe.registry(), "scope", "cluster");
-            dbp_obs::export::write_prometheus(std::path::Path::new(path), &merged)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("metrics saved to {path}");
-        }
-        if let Some(path) = args.str_flag("run-manifest") {
-            dbp_obs::export::write_json(std::path::Path::new(path), &run.manifest)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("manifest saved to {path}");
-        }
+        probe.seal(args)?;
+        let mut merged = run.metrics();
+        merged.absorb_labeled(probe.metrics.registry(), "scope", "cluster");
+        save_metrics(args, &merged)?;
+        save_manifest(args, &run.manifest)?;
         let r = &run.report;
-        println!("algorithm      : {}", r.algorithm);
-        println!("router         : {}", r.router);
-        println!("shards         : {}", r.shards);
-        println!("sessions       : {}", r.sessions_total);
+        print_cluster_header(&r.algorithm, &r.router, r.shards, r.sessions_total);
         println!("served         : {}", r.sessions_served);
         println!("dropped        : {}", r.sessions_dropped);
         println!("lost to kills  : {}", r.sessions_lost);
         println!("rerouted       : {}", r.sessions_rerouted);
-        println!(
-            "ledger         : {}",
-            if r.conserved() {
-                "conserved"
-            } else {
-                "NOT CONSERVED"
-            }
-        );
-        println!("busy ticks     : {}", r.busy_ticks);
-        println!("billed ticks   : {}", r.billed_ticks);
-        println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
+        print_ledger(r.conserved());
+        print_bill(r.busy_ticks, r.billed_ticks, r.cost_cents);
         for h in &run.shards {
             println!(
                 "  shard {:>2}     : {:<10} {}/{} served, {} lost, {} rerouted out, \
@@ -877,94 +891,40 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    // Pre-open every shard's instrumentation so journal I/O errors surface
+    let plans = args
+        .str_flag("faults")
+        .map(|spec| fault_plans(spec, &inst, shards))
+        .transpose()?;
+    // Pre-open every shard's recorders so journal I/O errors surface
     // before any work runs; the pool then takes them by shard index.
-    let journal_base = args.str_flag("journal");
-    if args.has("fsync") && journal_base.is_none() {
-        return Err("--fsync only makes sense with --journal FILE".into());
-    }
-    let fsync = match args.str_flag("fsync") {
-        None => dbp_obs::FsyncPolicy::Always,
-        Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
-    };
-    let mut shard_probes: Vec<Option<ShardProbe>> = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let journal = match journal_base {
-            Some(base) => {
-                let path = format!("{base}.shard{s}");
-                let probe = dbp_obs::JournalProbe::create(std::path::Path::new(&path), fsync)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                MaybeJournal {
-                    probe: Some(probe),
-                    path,
-                }
-            }
-            None => MaybeJournal {
-                probe: None,
-                path: String::new(),
-            },
-        };
-        shard_probes.push(Some((
-            (dbp_obs::EventLog::new(), dbp_obs::MetricsProbe::new()),
-            journal,
-        )));
-    }
-    let take_probe = |s: usize, probes: &mut Vec<Option<ShardProbe>>| {
-        probes[s].take().expect("each shard probe is taken once")
-    };
+    let mut probes = (0..shards)
+        .map(|s| RunProbe::open(args, format!(".shard{s}")).map(Some))
+        .collect::<Result<Vec<_>, String>>()?;
+    let take_probe = |s: usize| probes[s].take().expect("each shard probe is taken once");
 
     let started = std::time::Instant::now();
-    if let Some(spec) = args.str_flag("faults") {
-        let horizon = dbp_core::events::event_ticks(&inst)
-            .last()
-            .map(|t| t.raw())
-            .unwrap_or(0);
-        let plans: Vec<dbp_cloudsim::FaultPlan> =
-            if spec.ends_with(".json") || std::path::Path::new(spec).exists() {
-                let plan = load_fault_plan(spec, horizon)?;
-                vec![plan; shards]
-            } else {
-                let seed: u64 = spec.parse().map_err(|_| {
-                    format!("--faults expects a seed or a plan .json, got '{spec}'")
-                })?;
-                (0..shards as u64)
-                    .map(|s| dbp_cloudsim::FaultPlan::from_seed(seed + s, horizon))
-                    .collect()
-            };
+    if let Some(plans) = plans {
         let (run, probes) = engine
-            .run_resilient_probed(&inst, &factory, &plans, |s| {
-                take_probe(s, &mut shard_probes)
-            })
+            .run_resilient_probed(&inst, &factory, &plans, take_probe)
             .map_err(|e| e.to_string())?;
         let wall = started.elapsed();
-        drain_cluster_probes(args, probes, None)?;
-        if let Some(path) = args.str_flag("run-manifest") {
-            // No single packing trace under faults, so no exact cost —
-            // mirrors `run --faults`.
-            let manifest = dbp_obs::RunManifest::capture(algo, None, &inst, wall);
-            dbp_obs::export::write_json(std::path::Path::new(path), &manifest)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("manifest saved to {path}");
+        let mut merged = MetricsRegistry::new();
+        for (s, mut probe) in probes.into_iter().enumerate() {
+            probe.seal(args)?;
+            merged.absorb_labeled(probe.metrics.registry(), "shard", &s.to_string());
         }
+        save_metrics(args, &merged)?;
+        // No single packing trace under faults, so no exact cost —
+        // mirrors `run --faults`.
+        let manifest = RunManifest::capture(factory.name(), None, &inst, wall);
+        save_manifest(args, &manifest)?;
         let r = &run.report;
-        println!("algorithm      : {}", r.algorithm);
-        println!("router         : {}", r.router);
-        println!("shards         : {}", r.shards);
-        println!("sessions       : {}", r.sessions_total);
+        print_cluster_header(&r.algorithm, &r.router, r.shards, r.sessions_total);
         println!("served         : {}", r.sessions_served);
         println!("dropped        : {}", r.sessions_dropped);
         println!("lost to crash  : {}", r.sessions_lost);
-        println!(
-            "ledger         : {}",
-            if r.conserved() {
-                "conserved"
-            } else {
-                "NOT CONSERVED"
-            }
-        );
-        println!("busy ticks     : {}", r.busy_ticks);
-        println!("billed ticks   : {}", r.billed_ticks);
-        println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
+        print_ledger(r.conserved());
+        print_bill(r.busy_ticks, r.billed_ticks, r.cost_cents);
         for (s, shard) in run.shards.iter().enumerate() {
             println!(
                 "  shard {s:>2}     : {} sessions, {}/{} served, {} busy ticks",
@@ -977,42 +937,38 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     // Journaled cluster runs honor SIGINT/SIGTERM: the shard loops poll
     // the shutdown latch, the run surfaces as Interrupted, and dropping
     // the probes flushes + fsyncs every shard journal on the way out.
+    let journal_base = args.str_flag("journal");
     if journal_base.is_some() {
         dbp_serve::install_signal_handlers();
         dbp_cluster::cancel::set_flag(dbp_serve::global_flag());
     }
-    let (run, probes) =
-        match engine.run_probed(&inst, &factory, |s| take_probe(s, &mut shard_probes)) {
-            Ok(ok) => ok,
-            Err(dbp_cluster::ClusterError::Interrupted) => {
-                println!("interrupted    : stopped by signal; shard journals hold clean prefixes");
-                if let Some(base) = journal_base {
-                    for s in 0..shards {
-                        println!("  shard {s:>2}     : dbp recover {base}.shard{s}");
-                    }
+    let (run, probes) = match engine.run_probed(&inst, &factory, take_probe) {
+        Ok(ok) => ok,
+        Err(dbp_cluster::ClusterError::Interrupted) => {
+            println!("interrupted    : stopped by signal; shard journals hold clean prefixes");
+            if let Some(base) = journal_base {
+                for s in 0..shards {
+                    println!("  shard {s:>2}     : dbp recover {base}.shard{s}");
                 }
-                return Ok(());
             }
-            Err(e) => return Err(e.to_string()),
-        };
-    drain_cluster_probes(args, probes, Some(&run))?;
-    if let Some(path) = args.str_flag("run-manifest") {
-        dbp_obs::export::write_json(std::path::Path::new(path), &run.report.manifest)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("manifest saved to {path}");
+            return Ok(());
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    let mut registries = Vec::with_capacity(shards);
+    for mut probe in probes {
+        probe.seal(args)?;
+        registries.push(probe.metrics.registry().clone());
     }
+    save_metrics(args, &run.metrics(&registries))?;
+    save_manifest(args, &run.report.manifest)?;
     let r = &run.report;
-    println!("algorithm      : {}", r.algorithm);
-    println!("router         : {}", r.router);
-    println!("shards         : {}", r.shards);
-    println!("sessions       : {}", r.sessions_served);
+    print_cluster_header(&r.algorithm, &r.router, r.shards, r.sessions_served);
     println!(
         "servers        : {} rented, peak {} (sum of shard peaks)",
         r.servers_rented, r.peak_servers
     );
-    println!("busy ticks     : {}", r.busy_ticks);
-    println!("billed ticks   : {}", r.billed_ticks);
-    println!("bill           : {:.2} USD", r.cost_cents.to_f64() / 100.0);
+    print_bill(r.busy_ticks, r.billed_ticks, r.cost_cents);
     println!("utilization    : {:.4}", r.utilization.to_f64());
     println!("instance digest: {}", r.manifest.instance_digest);
     for shard in &run.shards {
@@ -1027,59 +983,10 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Seal every shard journal and write the cluster's `--trace-events` /
-/// `--metrics` artifacts: one JSONL stream per shard (`FILE.jsonl.shardK`)
-/// and a single Prometheus file with `{shard="K"}`-labelled series plus
-/// cluster totals (when the plain run's merged view is available).
-fn drain_cluster_probes(
-    args: &Args,
-    probes: Vec<ShardProbe>,
-    run: Option<&dbp_cluster::ClusterRun>,
-) -> Result<(), String> {
-    let mut registries = Vec::with_capacity(probes.len());
-    for (s, ((event_log, metrics_probe), journal)) in probes.into_iter().enumerate() {
-        journal.finish()?;
-        if let Some(base) = args.str_flag("trace-events") {
-            let path = format!("{base}.shard{s}");
-            dbp_obs::export::write_jsonl(std::path::Path::new(&path), event_log.events())
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("events saved to {path} ({} events)", event_log.len());
-        }
-        registries.push(metrics_probe.registry().clone());
-    }
-    if let Some(path) = args.str_flag("metrics") {
-        let merged = match run {
-            Some(run) => run.metrics(&registries),
-            None => {
-                let mut merged = dbp_obs::MetricsRegistry::new();
-                for (s, reg) in registries.iter().enumerate() {
-                    merged.absorb_labeled(reg, "shard", &s.to_string());
-                }
-                merged
-            }
-        };
-        dbp_obs::export::write_prometheus(std::path::Path::new(path), &merged)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics saved to {path}");
-    }
-    Ok(())
-}
-
 fn parse_router(args: &Args) -> Result<dbp_cluster::Router, String> {
     let name = args.str_flag("router").unwrap_or("hash");
     dbp_cluster::Router::from_name(name)
         .ok_or_else(|| format!("unknown router '{name}' (hash|affinity|least-loaded)"))
-}
-
-fn parse_batch(args: &Args) -> Result<dbp_cluster::BatchPolicy, String> {
-    Ok(match args.str_flag("batch") {
-        None | Some("whole") => dbp_cluster::BatchPolicy::WholeStream,
-        Some("event") => dbp_cluster::BatchPolicy::PerEvent,
-        Some(n) => dbp_cluster::BatchPolicy::Chunks(
-            n.parse()
-                .map_err(|_| format!("--batch expects event|whole|N, got '{n}'"))?,
-        ),
-    })
 }
 
 /// `dbp serve --shards N`: the live dispatcher daemon. NDJSON arrivals and
@@ -1096,13 +1003,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         return Err("--shards must be at least 1".into());
     }
     let algo = args.str_flag("algo").unwrap_or("ff");
-    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
     // No instance up front, so no µ hint: validate the name accepts that.
-    selector_by_name(algo, None)?;
-    let algo_name = algo.to_string();
-    let factory = dbp_core::packer::SelectorFactory::new(algo, move || {
-        selector_by_name(&algo_name, None).expect("algorithm name validated above")
-    });
+    let factory = selector_factory(algo, None)?;
 
     let capacity = args.u64_flag_or("capacity", 100)?;
     if capacity == 0 {
@@ -1152,14 +1054,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         None => dbp_serve::BackpressurePolicy::Block,
         Some(name) => dbp_serve::BackpressurePolicy::parse(name)?,
     };
-    let journal_base = args.str_flag("journal").map(std::path::PathBuf::from);
-    if args.has("fsync") && journal_base.is_none() {
-        return Err("--fsync only makes sense with --journal BASE".into());
-    }
-    let fsync = match args.str_flag("fsync") {
-        None => dbp_obs::FsyncPolicy::Always,
-        Some(spec) => dbp_obs::FsyncPolicy::parse(spec).map_err(|e| format!("--fsync: {e}"))?,
-    };
+    let journal = journal_flags(args, "BASE")?;
     let cfg = dbp_serve::ServeConfig {
         addr: args
             .str_flag("addr")
@@ -1175,8 +1070,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         backpressure,
         max_sessions: args.u64_flag_or("max-sessions", 65_536)? as usize,
         read_timeout_ms: args.u64_flag_or("read-timeout-ms", 25)?,
-        journal_base,
-        fsync,
+        journal_base: journal.map(|(base, _)| base.into()),
+        fsync: journal.map_or(FsyncPolicy::Always, |(_, fsync)| fsync),
     };
 
     dbp_serve::install_signal_handlers();
@@ -1203,14 +1098,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "drained        : {} served, {} dropped, {} lost of {} arrivals",
         summary.served, summary.dropped, summary.lost, summary.total
     );
-    println!(
-        "ledger         : {}",
-        if summary.conserved() {
-            "conserved"
-        } else {
-            "NOT CONSERVED"
-        }
-    );
+    print_ledger(summary.conserved());
     println!("{}", summary.to_json());
     if !summary.conserved() {
         return Err("drain ledger is not conserved (served + dropped + lost != total)".into());
@@ -1233,31 +1121,17 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
             dbp_workloads::churn(n, seed)
         }
     };
-    let algo = args.str_flag("algo").unwrap_or("ff");
-    let algo = static_algo_name(algo).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
-    let shards = args.u64_flag_or("shards", 8)? as usize;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let mut config =
-        dbp_cluster::ClusterConfig::new(shards, parse_router(args)?).map_err(|e| e.to_string())?;
-    config.batch = parse_batch(args)?;
-    config.jobs = args.u64_flag_or("jobs", 0)? as usize;
+    let factory = selector_factory(args.str_flag("algo").unwrap_or("ff"), mu_hint(&inst))?;
+    let config = cluster_config(args, 8)?;
+    let shards = config.shards;
     let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
-
-    let hint = mu_hint(&inst);
-    selector_by_name(algo, hint)?;
-    let algo_name = algo.to_string();
-    let factory = dbp_core::packer::SelectorFactory::new(algo, move || {
-        selector_by_name(&algo_name, hint).expect("algorithm name validated above")
-    });
 
     // With `--shard-faults` the profile runs the self-healing engine
     // instead, so `shard_restart` / `shard_replay` spans (and the driver's
     // `reroute` span) show up in the stage table and the Chrome trace.
     let (algorithm, router_name, shard_sessions, trace) =
         if let Some(spec) = args.str_flag("shard-faults") {
-            let plan = load_shard_fault_plan(spec, shards, &inst)?;
+            let plan = shard_fault_plan(spec, shards, &inst)?;
             let (run, trace) = engine
                 .run_self_healing_traced(
                     &inst,
@@ -1287,10 +1161,12 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         };
 
     let t = &trace.timing;
-    println!("algorithm      : {algorithm}");
-    println!("router         : {router_name}");
-    println!("shards         : {} ({} workers)", shards, config.workers());
-    println!("sessions       : {}", shard_sessions.iter().sum::<u64>());
+    print_cluster_header(
+        &algorithm,
+        &router_name,
+        format!("{shards} ({} workers)", config.workers()),
+        shard_sessions.iter().sum::<u64>(),
+    );
     println!("wall           : {:.3} ms", t.wall_ns as f64 / 1e6);
 
     // Ranked self-time table over every lane (driver + shards).
@@ -1335,36 +1211,30 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         pct(accounted),
     );
 
-    if let Some(path) = args.str_flag("trace-out") {
-        let mut names = vec!["driver".to_string()];
-        names.extend((0..shards).map(|s| format!("shard {s}")));
-        let mut lanes: Vec<(&str, &[dbp_core::span::SpanEvent])> =
-            vec![(names[0].as_str(), trace.driver.spans())];
-        for (s, lane) in trace.shards.iter().enumerate() {
-            lanes.push((names[s + 1].as_str(), lane.spans()));
-        }
-        let json = dbp_obs::chrome_trace_json(lanes);
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("chrome trace saved to {path} (open in chrome://tracing or Perfetto)");
+    save(args, "trace-out", "", "chrome trace", |path| {
+        let names: Vec<String> = (0..shards).map(|s| format!("shard {s}")).collect();
+        let shard_lanes = trace
+            .shards
+            .iter()
+            .zip(&names)
+            .map(|(l, n)| (n.as_str(), l.spans()));
+        let lanes = std::iter::once(("driver", trace.driver.spans())).chain(shard_lanes);
+        std::fs::write(path, dbp_obs::chrome_trace_json(lanes))
+            .map(|()| " (open in chrome://tracing or Perfetto)".to_string())
+    })?;
+    let mut reg = MetricsRegistry::new();
+    breakdown.export_metrics(&mut reg);
+    for s in 0..shards {
+        reg.gauge_set(
+            &format!("dbp_shard_busy_ns{{shard=\"{s}\"}}"),
+            t.busy_ns[s] as i64,
+        );
+        reg.gauge_set(
+            &format!("dbp_shard_queue_wait_ns{{shard=\"{s}\"}}"),
+            t.queue_wait_ns[s] as i64,
+        );
     }
-    if let Some(path) = args.str_flag("metrics") {
-        let mut reg = dbp_obs::MetricsRegistry::new();
-        breakdown.export_metrics(&mut reg);
-        for s in 0..shards {
-            reg.gauge_set(
-                &format!("dbp_shard_busy_ns{{shard=\"{s}\"}}"),
-                t.busy_ns[s] as i64,
-            );
-            reg.gauge_set(
-                &format!("dbp_shard_queue_wait_ns{{shard=\"{s}\"}}"),
-                t.queue_wait_ns[s] as i64,
-            );
-        }
-        dbp_obs::export::write_prometheus(std::path::Path::new(path), &reg)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics saved to {path}");
-    }
-    Ok(())
+    save_metrics(args, &reg)
 }
 
 /// `dbp recover JOURNAL`: audit a write-ahead journal from `run --journal`.
@@ -1372,13 +1242,16 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 /// Always: read the journal tolerating a torn tail frame (`--repair`
 /// truncates it on disk), replay the event stream checking every structural
 /// invariant, and recompute the exact integer cost from the events alone.
+/// A vector (format v2) journal also gets the exact per-dimension cost
+/// audit: served demand-ticks, one integer per resource dimension.
 ///
-/// With `--trace FILE` (the instance the run packed): rebuild an engine
-/// snapshot at the last complete-operation boundary and resume the
-/// interrupted run — `--resume-jsonl OUT` writes the journaled prefix plus
-/// the continuation, byte-identical to an uninterrupted run's stream. A
-/// journal carrying fault-injection events instead needs `--faults` (the
-/// original plan) and recovers by verified deterministic re-execution.
+/// Scalar journals only — with `--trace FILE` (the instance the run
+/// packed): rebuild an engine snapshot at the last complete-operation
+/// boundary and resume the interrupted run — `--resume-jsonl OUT` writes
+/// the journaled prefix plus the continuation, byte-identical to an
+/// uninterrupted run's stream. A journal carrying fault-injection events
+/// instead needs `--faults` (the original plan) and recovers by verified
+/// deterministic re-execution.
 ///
 /// With `--manifest FILE` (from `run --run-manifest`): diff the replayed
 /// run against the recorded provenance — algorithm, item count, instance
@@ -1389,49 +1262,51 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("missing journal argument (a .wal file from run --journal)")?;
     if args.has("serve-shards") {
+        args.refuse(
+            "--serve-shards",
+            "repair trace manifest resume-jsonl faults algo",
+        )?;
         return cmd_recover_serve(path, args.u64_flag("serve-shards")? as usize);
     }
-    // Vector journals (format v2) carry their dimensionality in the header;
-    // dispatch to the monomorphized per-dimension audit. Scalar (v1)
-    // journals keep the original path byte-for-byte.
-    let dims = dbp_obs::journal::peek_journal_dims(std::path::Path::new(path))
-        .map_err(|e| format!("{path}: {e}"))?;
-    if dims > 1 {
-        return match dims {
-            2 => cmd_recover_vector::<2>(args, path),
-            3 => cmd_recover_vector::<3>(args, path),
-            4 => cmd_recover_vector::<4>(args, path),
-            d => Err(format!(
-                "{path}: journal holds {d}-dimensional demands; this build audits up to 4"
-            )),
-        };
+    let dims =
+        dbp_obs::journal::peek_journal_dims(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    // Resume is scalar-only: refuse before reading anything.
+    if dims > 1 && args.has("trace") {
+        return Err(format!(
+            "--trace resume is scalar-only; this journal is {dims}-dimensional"
+        ));
     }
-    let contents = dbp_obs::journal::read_journal(std::path::Path::new(path))?;
-    match &contents.torn {
+    let audit = audit_journal(path)?;
+    match &audit.torn {
         Some(torn) => {
             println!(
                 "journal        : torn tail — {} (sound prefix {} bytes)",
                 torn.reason, torn.sound_len
             );
             if args.has("repair") {
-                dbp_obs::journal::repair_journal(std::path::Path::new(path))?;
+                dbp_obs::journal::repair_journal(Path::new(path))?;
                 println!("repaired       : truncated to {} bytes", torn.sound_len);
             }
         }
         None => println!("journal        : clean"),
     }
-    let fault_events = contents
-        .events
-        .iter()
-        .filter(|e| e.is_fault_event())
-        .count();
-    println!("events         : {}", contents.events.len());
-    // A fault-injection stream breaks the engine's structural invariants by
-    // design (crashed bins vanish, their sessions reopen elsewhere), so its
-    // audit is the verified re-execution below, not the replay walk.
-    let summary = if fault_events == 0 {
-        let s = dbp_obs::replay::replay_events(&contents.events)
-            .map_err(|e| format!("{path}: audit failed: {e}"))?;
+    if dims > 1 {
+        println!("dimensions     : {dims}");
+    }
+    println!("events         : {}", audit.events);
+    // A scalar fault-injection stream breaks the engine's structural
+    // invariants by design (crashed bins vanish, their sessions reopen
+    // elsewhere), so its audit is the verified re-execution below, not
+    // the replay walk.
+    let summary = if dims == 1 && audit.fault_events > 0 {
+        println!(
+            "audit          : {} fault events — a resilient-dispatch journal; \
+             pass --trace and --faults to audit by verified re-execution",
+            audit.fault_events
+        );
+        None
+    } else {
+        let s = audit.summary?;
         println!(
             "items          : {} arrived, {} placed, {} departed",
             s.arrivals, s.placements, s.departures
@@ -1453,17 +1328,26 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
             }
         );
         Some(s)
-    } else {
-        println!(
-            "audit          : {fault_events} fault events — a resilient-dispatch journal; \
-             pass --trace and --faults to audit by verified re-execution"
-        );
-        None
     };
-    let complete = summary.as_ref().is_some_and(|s| s.is_complete());
+    let Some(events) = audit.scalar else {
+        for (d, t) in audit.dim_ticks.iter().enumerate() {
+            println!("dim {d} served   : {t} demand-ticks");
+        }
+        if audit.resident > 0 {
+            println!(
+                "resident       : {} items still placed at stream end \
+                 (their demand-ticks are not yet accountable)",
+                audit.resident
+            );
+        }
+        return Ok(());
+    };
 
     // With the original instance in hand, finish what the journal started.
-    let mut final_cost = complete.then(|| summary.as_ref().unwrap().cost_ticks);
+    let mut final_cost = summary
+        .as_ref()
+        .filter(|s| s.is_complete())
+        .map(|s| s.cost_ticks);
     let mut algorithm_used: Option<String> = None;
     let mut trace_digest: Option<String> = None;
     if let Some(trace_path) = args.str_flag("trace") {
@@ -1474,20 +1358,16 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         let algo = args.str_flag("algo").unwrap_or("ff");
         let mut sel = selector_by_name(algo, mu_hint(&inst))?;
         algorithm_used = Some(sel.name().to_string());
-        if fault_events > 0 {
+        let mut log = dbp_obs::EventLog::new();
+        let prefix = if audit.fault_events > 0 {
             let spec = args.str_flag("faults").ok_or(
                 "journal carries fault-injection events; pass --faults SEED|PLAN.json \
                  matching the original run",
             )?;
-            let horizon = dbp_core::events::event_ticks(&inst)
-                .last()
-                .map(|t| t.raw())
-                .unwrap_or(0);
-            let plan = load_fault_plan(spec, horizon)?;
+            let plan = fault_plans(spec, &inst, 1)?.remove(0);
             let resilient = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan);
-            let mut log = dbp_obs::EventLog::new();
             let out = resilient
-                .recover_probed(&inst, &mut *sel, &mut log, &contents.events)
+                .recover_probed(&inst, &mut *sel, &mut log, &events)
                 .map_err(|e| format!("recovery failed: {e}"))?;
             println!(
                 "recovery       : {} journaled events verified, {} re-derived",
@@ -1500,25 +1380,18 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
                 out.report.crashes,
                 out.report.redispatches
             );
-            if let Some(out_path) = args.str_flag("resume-jsonl") {
-                let mut combined = dbp_obs::export::events_to_jsonl(&contents.events);
-                combined.push_str(&dbp_obs::export::events_to_jsonl(log.events()));
-                dbp_obs::export::atomic_write(std::path::Path::new(out_path), combined.as_bytes())
-                    .map_err(|e| format!("{out_path}: {e}"))?;
-                println!("combined stream saved to {out_path}");
-            }
+            &events[..]
         } else {
             if args.has("faults") {
                 return Err("--faults given but the journal carries no fault events".into());
             }
             let alg = sel.name().to_string();
-            let rec = dbp_obs::replay::snapshot_from_events(&inst, &alg, &contents.events)
+            let rec = dbp_obs::replay::snapshot_from_events(&inst, &alg, &events)
                 .map_err(|e| format!("recovery failed: {e}"))?;
             println!(
                 "snapshot       : at event {} ({} trailing partial events dropped)",
                 rec.events_used, rec.events_dropped
             );
-            let mut log = dbp_obs::EventLog::new();
             let trace = simulate_resumed_probed(&inst, &mut *sel, &mut log, &rec.snapshot)
                 .map_err(|e| format!("resume failed: {e}"))?;
             println!(
@@ -1527,15 +1400,13 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
                 log.len()
             );
             final_cost = Some(trace.total_cost_ticks());
-            if let Some(out_path) = args.str_flag("resume-jsonl") {
-                let mut combined =
-                    dbp_obs::export::events_to_jsonl(&contents.events[..rec.events_used]);
-                combined.push_str(&dbp_obs::export::events_to_jsonl(log.events()));
-                dbp_obs::export::atomic_write(std::path::Path::new(out_path), combined.as_bytes())
-                    .map_err(|e| format!("{out_path}: {e}"))?;
-                println!("combined stream saved to {out_path}");
-            }
-        }
+            &events[..rec.events_used]
+        };
+        save(args, "resume-jsonl", "", "combined stream", |path| {
+            let mut combined = dbp_obs::export::events_to_jsonl(prefix);
+            combined.push_str(&dbp_obs::export::events_to_jsonl(log.events()));
+            dbp_obs::export::atomic_write(path, combined.as_bytes()).map(|()| String::new())
+        })?;
     } else if args.has("resume-jsonl") {
         return Err("--resume-jsonl needs --trace FILE (the instance the run packed)".into());
     }
@@ -1545,7 +1416,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     if let Some(manifest_path) = args.str_flag("manifest") {
         let body =
             std::fs::read_to_string(manifest_path).map_err(|e| format!("{manifest_path}: {e}"))?;
-        let recorded: dbp_obs::RunManifest =
+        let recorded: RunManifest =
             serde_json::from_str(&body).map_err(|e| format!("{manifest_path}: {e}"))?;
         let mut mismatches: Vec<String> = Vec::new();
         match (recorded.total_cost_ticks, final_cost) {
@@ -1599,68 +1470,49 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `dbp recover FILE.wal` for a format-v2 (vector) journal: the
-/// structural audit plus the **exact per-dimension cost audit** — served
-/// demand-ticks recomputed from the events alone, one integer per
-/// resource dimension. Resume (`--trace`) stays scalar-only; a vector
-/// journal names its own dimensionality, so this path never guesses.
-fn cmd_recover_vector<const D: usize>(args: &Args, path: &str) -> Result<(), String> {
-    if args.has("trace") {
-        return Err(format!(
-            "--trace resume is scalar-only; this journal is {D}-dimensional"
-        ));
+/// A journal audited without the instance.
+struct JournalAudit {
+    events: usize,
+    torn: Option<dbp_obs::journal::TornTail>,
+    fault_events: usize,
+    /// The replay walk; its error is raised only where the walk is needed.
+    summary: Result<dbp_obs::ReplaySummary, String>,
+    /// Departed demand-ticks per dimension, and items still resident.
+    dim_ticks: Vec<u128>,
+    resident: u64,
+    /// A one-dimensional journal's events, for resume and re-execution.
+    scalar: Option<Vec<ProbeEvent>>,
+}
+
+/// Read and audit `path` at the dimensionality its header declares.
+fn audit_journal(path: &str) -> Result<JournalAudit, String> {
+    fn at<Sz: Demand>(path: &str) -> Result<(JournalAudit, Vec<GProbeEvent<Sz>>), String> {
+        let c = dbp_obs::journal::read_journal_dims::<Sz>(Path::new(path))?;
+        let (dim_ticks, resident) = dbp_obs::per_dim_demand_ticks(&c.events);
+        let audit = JournalAudit {
+            events: c.events.len(),
+            torn: c.torn,
+            fault_events: c.events.iter().filter(|e| e.is_fault_event()).count(),
+            summary: dbp_obs::replay::replay_events_dims(&c.events)
+                .map_err(|e| format!("{path}: audit failed: {e}")),
+            dim_ticks,
+            resident,
+            scalar: None,
+        };
+        Ok((audit, c.events))
     }
-    let contents = dbp_obs::journal::read_journal_dims::<dbp_core::demand::VSize<D>>(
-        std::path::Path::new(path),
-    )?;
-    match &contents.torn {
-        Some(torn) => {
-            println!(
-                "journal        : torn tail — {} (sound prefix {} bytes)",
-                torn.reason, torn.sound_len
-            );
-            if args.has("repair") {
-                dbp_obs::journal::repair_journal(std::path::Path::new(path))?;
-                println!("repaired       : truncated to {} bytes", torn.sound_len);
-            }
-        }
-        None => println!("journal        : clean"),
+    match dbp_obs::journal::peek_journal_dims(Path::new(path))? {
+        1 => at::<Size>(path).map(|(audit, events)| JournalAudit {
+            scalar: Some(events),
+            ..audit
+        }),
+        2 => at::<VSize<2>>(path).map(|(audit, _)| audit),
+        3 => at::<VSize<3>>(path).map(|(audit, _)| audit),
+        4 => at::<VSize<4>>(path).map(|(audit, _)| audit),
+        d => Err(format!(
+            "{path}: journal holds {d}-dimensional demands; this build audits up to 4"
+        )),
     }
-    println!("dimensions     : {D}");
-    println!("events         : {}", contents.events.len());
-    let s = dbp_obs::replay::replay_events_dims(&contents.events)
-        .map_err(|e| format!("{path}: audit failed: {e}"))?;
-    println!(
-        "items          : {} arrived, {} placed, {} departed",
-        s.arrivals, s.placements, s.departures
-    );
-    println!(
-        "bins           : {} opened, {} closed, {} still open (peak {})",
-        s.bins_opened, s.bins_closed, s.open_at_end, s.max_open
-    );
-    if s.violations > 0 {
-        println!("carried        : {} violations", s.violations);
-    }
-    println!(
-        "replayed cost  : {} bin-ticks ({})",
-        s.cost_ticks,
-        if s.is_complete() {
-            "complete run"
-        } else {
-            "closed bins only — run was interrupted"
-        }
-    );
-    let (ticks, resident) = dbp_obs::per_dim_demand_ticks(&contents.events);
-    for (d, t) in ticks.iter().enumerate() {
-        println!("dim {d} served   : {t} demand-ticks");
-    }
-    if resident > 0 {
-        println!(
-            "resident       : {resident} items still placed at stream end \
-             (their demand-ticks are not yet accountable)"
-        );
-    }
-    Ok(())
 }
 
 /// `dbp recover BASE --serve-shards N`: audit a daemon's journal set.
@@ -1682,20 +1534,18 @@ fn cmd_recover_serve(base: &str, shards: usize) -> Result<(), String> {
     let mut sheds = 0u64;
     let mut open_bins = 0u64;
     let mut cost_ticks = 0u128;
-    let mut journal_dims = 1usize;
     let mut dim_ticks: Vec<u128> = Vec::new();
     for k in 0..shards {
         let path = format!("{base}.shard{k}");
-        let a = audit_serve_journal(std::path::Path::new(&path))?;
-        journal_dims = journal_dims.max(a.dim_ticks.len());
-        let s = &a.summary;
+        let a = audit_journal(&path)?;
+        // Serve journals interleave drop records (admission sheds) with
+        // the engine stream; the replay walk counts them as fault events.
+        let s = a.summary?;
         let tail = match &a.torn {
-            Some(reason) => {
-                torn_shards += 1;
-                format!("torn tail ({reason})")
-            }
+            Some(torn) => format!("torn tail ({})", torn.reason),
             None => "clean".to_string(),
         };
+        torn_shards += u64::from(a.torn.is_some());
         println!(
             "shard {k:>2}       : {} events, {} placed, {} departed, {} shed, \
              {} bins open — {tail}",
@@ -1712,63 +1562,24 @@ fn cmd_recover_serve(base: &str, shards: usize) -> Result<(), String> {
             *slot += t;
         }
     }
-    if journal_dims > 1 {
+    let dims = dim_ticks.len();
+    let mut dims_json = String::new();
+    if dims > 1 {
         for (d, t) in dim_ticks.iter().enumerate() {
             println!("dim {d} served   : {t} demand-ticks");
         }
-    }
-    let dims_json = if journal_dims > 1 {
         let ticks: Vec<String> = dim_ticks.iter().map(|t| t.to_string()).collect();
-        format!(
-            ",\"dims\":{journal_dims},\"dim_demand_ticks\":[{}]",
+        dims_json = format!(
+            ",\"dims\":{dims},\"dim_demand_ticks\":[{}]",
             ticks.join(",")
-        )
-    } else {
-        String::new()
-    };
+        );
+    }
     println!(
         "{{\"shards\":{shards},\"torn_shards\":{torn_shards},\"events\":{events},\
          \"placements\":{placements},\"departures\":{departures},\"sheds\":{sheds},\
          \"open_bins\":{open_bins},\"closed_cost_ticks\":{cost_ticks}{dims_json}}}"
     );
     Ok(())
-}
-
-/// One serve-shard journal, read at whatever dimensionality its header
-/// declares, audited structurally plus per-dimension.
-struct ShardAudit {
-    events: usize,
-    torn: Option<String>,
-    summary: dbp_obs::ReplaySummary,
-    dim_ticks: Vec<u128>,
-}
-
-fn audit_serve_journal(path: &std::path::Path) -> Result<ShardAudit, String> {
-    fn at_dims<const D: usize>(path: &std::path::Path) -> Result<ShardAudit, String> {
-        let c = dbp_obs::journal::read_journal_dims::<dbp_core::demand::VSize<D>>(path)?;
-        // Serve journals interleave drop records (admission sheds) with
-        // the engine stream; the auditor counts them alongside the
-        // structural replay.
-        let summary = dbp_obs::replay::replay_events_dims(&c.events)
-            .map_err(|e| format!("{}: audit failed: {e}", path.display()))?;
-        let (dim_ticks, _) = dbp_obs::per_dim_demand_ticks(&c.events);
-        Ok(ShardAudit {
-            events: c.events.len(),
-            torn: c.torn.map(|t| t.reason),
-            summary,
-            dim_ticks,
-        })
-    }
-    match dbp_obs::journal::peek_journal_dims(path)? {
-        1 => at_dims::<1>(path),
-        2 => at_dims::<2>(path),
-        3 => at_dims::<3>(path),
-        4 => at_dims::<4>(path),
-        d => Err(format!(
-            "{}: journal holds {d}-dimensional demands; this build audits up to 4",
-            path.display()
-        )),
-    }
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {

@@ -204,3 +204,211 @@ fn missing_file_is_a_clean_error() {
     let out = dbp(&["run", "/nonexistent/trace.json"]);
     assert!(!out.status.success());
 }
+
+/// Run `dbp BASE.. --FLAG [VALUE]` for each `(flag, value)`; each must
+/// fail before doing any work, with an error naming the flag and `mode`,
+/// and leave no file behind at a path-valued flag's target.
+fn assert_refused(base: &[&str], mode: &str, flags: &[(&str, Option<&str>)]) {
+    for &(flag, value) in flags {
+        let flag_arg = format!("--{flag}");
+        let mut args = base.to_vec();
+        args.push(&flag_arg);
+        args.extend(value);
+        let _ = value.map(std::fs::remove_file);
+        let out = dbp(&args);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag_arg} is not supported with {mode}")),
+            "{args:?}: {err}"
+        );
+        if let Some(path) = value.filter(|v| v.contains(std::path::MAIN_SEPARATOR)) {
+            assert!(
+                !std::path::Path::new(path).exists(),
+                "{args:?} created {path}"
+            );
+        }
+    }
+}
+
+#[test]
+fn run_hetero_refuses_flags_it_would_drop() {
+    let (_, tr) = tmpfile("refuse_run_hetero.json");
+    let _ = dbp(&[
+        "generate",
+        "scenario",
+        "--name",
+        "launch-day",
+        "--seed",
+        "7",
+        "--out",
+        &tr,
+    ]);
+    let (_, wal) = tmpfile("refuse_run_hetero.wal");
+    let (_, jsonl) = tmpfile("refuse_run_hetero.jsonl");
+    let (_, csv) = tmpfile("refuse_run_hetero.csv");
+    let (_, man) = tmpfile("refuse_run_hetero.manifest.json");
+    let (_, svg) = tmpfile("refuse_run_hetero.svg");
+    let (_, saved) = tmpfile("refuse_run_hetero.trace.json");
+    assert_refused(
+        &["run", &tr, "--algo", "ff", "--hetero"],
+        "--hetero",
+        &[
+            ("journal", Some(&wal)),
+            ("fsync", Some("never")),
+            ("trace-events", Some(&jsonl)),
+            ("timeseries", Some(&csv)),
+            ("faults", Some("42")),
+            ("run-manifest", Some(&man)),
+            ("fleet", None),
+            ("gantt", None),
+            ("svg", Some(&svg)),
+            ("save-trace", Some(&saved)),
+        ],
+    );
+    // The combination that used to exit 0 without journaling anything.
+    let out = dbp(&[
+        "run",
+        &tr,
+        "--hetero",
+        "--journal",
+        &wal,
+        "--trace-events",
+        &jsonl,
+        "--faults",
+        "42",
+    ]);
+    assert!(!out.status.success());
+    assert!(!std::path::Path::new(&wal).exists());
+    assert!(!std::path::Path::new(&jsonl).exists());
+}
+
+#[test]
+fn run_faults_refuses_flags_it_would_drop() {
+    let (_, tr) = tmpfile("refuse_run_faults.json");
+    let _ = dbp(&["generate", "mu", "--mu", "4", "--n", "30", "--out", &tr]);
+    let (_, csv) = tmpfile("refuse_run_faults.csv");
+    let (_, svg) = tmpfile("refuse_run_faults.svg");
+    let (_, saved) = tmpfile("refuse_run_faults.trace.json");
+    assert_refused(
+        &["run", &tr, "--algo", "ff", "--faults", "42"],
+        "--faults",
+        &[
+            ("timeseries", Some(&csv)),
+            ("validate", None),
+            ("fleet", None),
+            ("gantt", None),
+            ("svg", Some(&svg)),
+            ("save-trace", Some(&saved)),
+        ],
+    );
+}
+
+#[test]
+fn cluster_hetero_refuses_flags_it_would_drop() {
+    let (_, tr) = tmpfile("refuse_cluster_hetero.json");
+    let _ = dbp(&[
+        "generate",
+        "scenario",
+        "--name",
+        "launch-day",
+        "--seed",
+        "7",
+        "--out",
+        &tr,
+    ]);
+    let (_, wal) = tmpfile("refuse_cluster_hetero.wal");
+    let (_, jsonl) = tmpfile("refuse_cluster_hetero.jsonl");
+    let (_, man) = tmpfile("refuse_cluster_hetero.manifest.json");
+    assert_refused(
+        &["cluster", &tr, "--algo", "ff", "--hetero", "--shards", "3"],
+        "--hetero",
+        &[
+            ("journal", Some(&wal)),
+            ("fsync", Some("never")),
+            ("trace-events", Some(&jsonl)),
+            ("faults", Some("42")),
+            ("shard-faults", Some("7")),
+            ("run-manifest", Some(&man)),
+            ("batch", Some("event")),
+            ("jobs", Some("2")),
+        ],
+    );
+    // No shard journal or shard event log was created either.
+    for s in 0..3 {
+        assert!(!std::path::Path::new(&format!("{wal}.shard{s}")).exists());
+        assert!(!std::path::Path::new(&format!("{jsonl}.shard{s}")).exists());
+    }
+}
+
+#[test]
+fn recover_serve_shards_refuses_flags_it_would_drop() {
+    let (_, tr) = tmpfile("refuse_serve.json");
+    let _ = dbp(&["generate", "mu", "--mu", "4", "--n", "30", "--out", &tr]);
+    let (_, base) = tmpfile("refuse_serve.wal");
+    let out = dbp(&[
+        "cluster",
+        &tr,
+        "--algo",
+        "ff",
+        "--shards",
+        "2",
+        "--journal",
+        &base,
+        "--fsync",
+        "never",
+    ]);
+    assert!(out.status.success());
+    let (_, man) = tmpfile("refuse_serve.manifest.json");
+    let (_, jsonl) = tmpfile("refuse_serve.resume.jsonl");
+    assert_refused(
+        &["recover", &base, "--serve-shards", "2"],
+        "--serve-shards",
+        &[
+            ("repair", None),
+            ("trace", Some(&tr)),
+            ("manifest", Some(&man)),
+            ("resume-jsonl", Some(&jsonl)),
+            ("faults", Some("42")),
+            ("algo", Some("ff")),
+        ],
+    );
+}
+
+#[test]
+fn cluster_hetero_takes_the_vector_roster() {
+    let (_, tr) = tmpfile("hetero_roster.json");
+    let _ = dbp(&[
+        "generate",
+        "scenario",
+        "--name",
+        "launch-day",
+        "--seed",
+        "7",
+        "--out",
+        &tr,
+    ]);
+    let text = stdout(&dbp(&[
+        "cluster", &tr, "--hetero", "--algo", "dom", "--shards", "3",
+    ]));
+    assert!(text.contains("DOM (3-dimensional)"), "{text}");
+    assert!(text.contains("ledger         : conserved"), "{text}");
+    for algo in ["FF-idx", "BF-idx", "MFF-idx"] {
+        let text = stdout(&dbp(&[
+            "cluster", &tr, "--hetero", "--algo", algo, "--shards", "3",
+        ]));
+        assert!(text.contains("(3-dimensional)"), "{algo}: {text}");
+        assert!(
+            text.contains("ledger         : conserved"),
+            "{algo}: {text}"
+        );
+    }
+    // `dom` is vector-only: the scalar cluster still rejects it.
+    let out = dbp(&["cluster", &tr, "--algo", "dom"]);
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown algorithm 'dom'"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
