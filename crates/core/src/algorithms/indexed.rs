@@ -14,10 +14,21 @@
 //!   O(log B) where B is the number of bins ever opened. Closed (and
 //!   never-opened) ids hold residual 0, which no item can fit since item
 //!   sizes are validated positive.
-//! * [`IndexedBestFit`] — a `BTreeMap<level, BTreeSet<BinId>>` keyed by the
-//!   L1 level total. "Fullest open bin with level ≤ W − s, ties to the
-//!   earliest-opened" is a range query for the greatest feasible level
-//!   followed by that bucket's minimum id, O(log m).
+//! * [`IndexedBestFit`] — open bins keyed by their L1 level total.
+//!   "Fullest open bin with level ≤ W − s, ties to the earliest-opened" is
+//!   a predecessor query for the greatest occupied level ≤ W − s followed
+//!   by the lowest id at that level. The layout is chosen once per run
+//!   from `W = capacity.total()`:
+//!   - **dense** (`W < 4096`, every capacity the repository's workloads
+//!     use): a binary min-heap of bin ids per level `0..=W` and a
+//!     two-level bitset of the occupied levels — one summary `u64` over at
+//!     most 64 words, which is where the 4096 = 64 × 64 limit comes from.
+//!     The predecessor is two `leading_zeros`, the lowest id the heap top;
+//!     a level change is an O(log k) heap removal and insertion for `k`
+//!     bins at the level. No hook allocates once the heaps have grown.
+//!   - **sparse** (every larger `W`, up to `u64::MAX`): one `BTreeSet` of
+//!     packed keys `(total << 32) | !id`, so descending key order is
+//!     fullest first and lowest id first within a total; O(log m).
 //! * [`IndexedMff`] — the paper's MFF (§4.4) on two class-segregated
 //!   residual trees, one per size class. Classification picks the tree;
 //!   within a tree the query is the same leftmost descent as indexed FF,
@@ -34,9 +45,12 @@
 //! backtracks when both children's subtrees turn out infeasible. At `D = 1`
 //! the join *is* the max and the subtree bound is exact, so the descent
 //! never backtracks and is byte-identical (decisions and complexity) to the
-//! scalar tree. Indexed BF buckets by the L1 total and re-checks
-//! componentwise fit against the stored per-bin level, which degenerates to
-//! the pure range query at `D = 1` where total-feasibility implies fit.
+//! scalar tree. Indexed BF keys by the L1 total and re-checks componentwise
+//! fit against the stored per-bin level, walking candidates in naive BF's
+//! order: levels descending, ids ascending within a level (the dense
+//! layout sorts a copy of the level's heap in a reused buffer when its top
+//! fails). At `D = 1` total-feasibility implies fit, so the first
+//! candidate is the answer and no per-bin level is stored.
 //!
 //! All three return `false` from [`BinSelector::needs_views`], so the
 //! engine skips open-bin view maintenance entirely and the whole arrival
@@ -52,7 +66,7 @@ use crate::demand::Demand;
 use crate::item::{GArrivingItem, Size};
 use crate::packer::{BinSelector, Decision};
 use crate::ratio::Ratio;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Max-residual segment tree keyed by bin id, generic over the demand type.
 /// Leaves hold the residual capacity of open bins and the all-zero demand
@@ -235,19 +249,305 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedFirstFit<Sz> {
     }
 }
 
-/// Best Fit answered from a level-keyed order: same decisions as
-/// [`BestFit`](super::BestFit), O(log m) per arrival. Scalar via the
-/// [`IndexedBestFit`] alias.
+/// Capacity totals below this get the dense layout: one id heap per level
+/// `0..=W` and a 64 × 64-bit two-level bitset over those levels, so every
+/// level has a bit and the predecessor query is two `leading_zeros`.
+const DENSE_LEVELS: u128 = 64 * 64;
+
+/// `pos` of a bin that sits in no dense heap; `key` of a bin that sits in
+/// no sparse set (a real key is below it, see [`Levels::seed`]).
+const ABSENT: u32 = u32::MAX;
+const ABSENT_KEY: u128 = u128::MAX;
+
+/// Where a bin sits in the dense layout.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Its level total, i.e. which heap holds it.
+    level: u32,
+    /// Its index in that heap, or [`ABSENT`] when the bin is not open.
+    pos: u32,
+}
+
+/// Dense Best Fit index for `W = capacity.total() < 4096`: per level a
+/// binary min-heap of open bin ids, plus a two-level bitset of the
+/// non-empty levels. Once the heaps and columns have grown to the run's
+/// working set, no hook allocates.
+#[derive(Debug, Clone)]
+struct DenseLevels {
+    /// `heaps[l]` holds the ids of the open bins at level total `l` as a
+    /// binary min-heap, so `heaps[l][0]` is the earliest-opened of them.
+    heaps: Vec<Vec<u32>>,
+    /// Per bin id, its heap and position there (O(log k) removal).
+    slots: Vec<Slot>,
+    /// Bit `l % 64` of `words[l / 64]` is set iff `heaps[l]` is non-empty
+    /// (at most 64 words).
+    words: Vec<u64>,
+    /// Bit `w` is set iff `words[w] != 0`.
+    summary: u64,
+    /// Reused buffer for the ascending-id walk of one level at `D > 1`.
+    scratch: Vec<u32>,
+}
+
+impl DenseLevels {
+    fn new(total: usize) -> DenseLevels {
+        DenseLevels {
+            heaps: vec![Vec::new(); total + 1],
+            slots: Vec::new(),
+            words: vec![0; total / 64 + 1],
+            summary: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Highest non-empty level `≤ bound` (`bound < 4096`).
+    fn highest_at_most(&self, bound: usize) -> Option<usize> {
+        let (w, b) = (bound >> 6, bound & 63);
+        let here = self.words[w] & (u64::MAX >> (63 - b));
+        if here != 0 {
+            return Some(w << 6 | (63 - here.leading_zeros() as usize));
+        }
+        let below = self.summary & ((1u64 << w) - 1);
+        if below == 0 {
+            return None;
+        }
+        let w = 63 - below.leading_zeros() as usize;
+        Some(w << 6 | (63 - self.words[w].leading_zeros() as usize))
+    }
+
+    /// First bin in (level descending, id ascending) order with level
+    /// `≤ bound` that passes `fits`.
+    fn first_fitting(&mut self, bound: u128, mut fits: impl FnMut(u32) -> bool) -> Option<u32> {
+        let bound = bound.min(self.heaps.len() as u128 - 1) as usize;
+        let mut next = self.highest_at_most(bound);
+        while let Some(level) = next {
+            let heap = &self.heaps[level];
+            if fits(heap[0]) {
+                return Some(heap[0]);
+            }
+            // Only reachable at D > 1: the heap is not sorted, so walk a
+            // sorted copy of the rest of the level.
+            if heap.len() > 1 {
+                self.scratch.clear();
+                self.scratch.extend_from_slice(&heap[1..]);
+                self.scratch.sort_unstable();
+                if let Some(&id) = self.scratch.iter().find(|&&id| fits(id)) {
+                    return Some(id);
+                }
+            }
+            next = level.checked_sub(1).and_then(|l| self.highest_at_most(l));
+        }
+        None
+    }
+
+    fn insert(&mut self, id: u32, total: u128) {
+        let level = total as usize;
+        let b = id as usize;
+        if b >= self.slots.len() {
+            self.slots.resize(
+                b + 1,
+                Slot {
+                    level: 0,
+                    pos: ABSENT,
+                },
+            );
+        }
+        self.remove(id);
+        let heap = &mut self.heaps[level];
+        if heap.is_empty() {
+            self.words[level >> 6] |= 1 << (level & 63);
+            self.summary |= 1 << (level >> 6);
+        }
+        heap.push(id);
+        let last = heap.len() - 1;
+        self.slots[b].level = level as u32;
+        sift_up(heap, &mut self.slots, last);
+    }
+
+    fn remove(&mut self, id: u32) {
+        let Some(slot) = self.slots.get(id as usize).copied() else {
+            return;
+        };
+        if slot.pos == ABSENT {
+            return;
+        }
+        self.slots[id as usize].pos = ABSENT;
+        let (level, pos) = (slot.level as usize, slot.pos as usize);
+        let heap = &mut self.heaps[level];
+        let last = heap.pop().expect("an open bin's heap is non-empty");
+        if pos < heap.len() {
+            heap[pos] = last;
+            if pos > 0 && heap[(pos - 1) / 2] > last {
+                sift_up(heap, &mut self.slots, pos);
+            } else {
+                sift_down(heap, &mut self.slots, pos);
+            }
+        } else if heap.is_empty() {
+            let w = level >> 6;
+            self.words[w] &= !(1 << (level & 63));
+            if self.words[w] == 0 {
+                self.summary &= !(1 << w);
+            }
+        }
+    }
+}
+
+/// Move `heap[i]` towards the root of the min-heap, recording positions.
+fn sift_up(heap: &mut [u32], slots: &mut [Slot], mut i: usize) {
+    let id = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        let up = heap[parent];
+        if up < id {
+            break;
+        }
+        heap[i] = up;
+        slots[up as usize].pos = i as u32;
+        i = parent;
+    }
+    heap[i] = id;
+    slots[id as usize].pos = i as u32;
+}
+
+/// Move `heap[i]` towards the leaves of the min-heap, recording positions.
+fn sift_down(heap: &mut [u32], slots: &mut [Slot], mut i: usize) {
+    let id = heap[i];
+    loop {
+        let mut child = 2 * i + 1;
+        if child >= heap.len() {
+            break;
+        }
+        if child + 1 < heap.len() && heap[child + 1] < heap[child] {
+            child += 1;
+        }
+        let down = heap[child];
+        if down > id {
+            break;
+        }
+        heap[i] = down;
+        slots[down as usize].pos = i as u32;
+        i = child;
+    }
+    heap[i] = id;
+    slots[id as usize].pos = i as u32;
+}
+
+/// Sparse Best Fit index for every capacity total `≥ 4096`: one ordered
+/// set of packed keys `(total << 32) | !id`. Descending key order is
+/// fullest first and, within a total, lowest id first. A total is at most
+/// `D · (2⁶⁴ − 1) < 2⁹⁶` for `D ≤ 2³²`, so the key fits a `u128`.
+#[derive(Debug, Clone, Default)]
+struct SparseLevels {
+    keys: BTreeSet<u128>,
+    /// Per bin id, its current key ([`ABSENT_KEY`] when not open).
+    key_of: Vec<u128>,
+}
+
+impl SparseLevels {
+    fn first_fitting(&self, bound: u128, mut fits: impl FnMut(u32) -> bool) -> Option<u32> {
+        self.keys
+            .range(..=(bound << 32 | u128::from(u32::MAX)))
+            .rev()
+            .map(|&key| !(key as u32))
+            .find(|&id| fits(id))
+    }
+
+    fn insert(&mut self, id: u32, total: u128) {
+        let b = id as usize;
+        if b >= self.key_of.len() {
+            self.key_of.resize(b + 1, ABSENT_KEY);
+        }
+        self.remove(id);
+        let key = total << 32 | u128::from(!id);
+        self.keys.insert(key);
+        self.key_of[b] = key;
+    }
+
+    fn remove(&mut self, id: u32) {
+        if let Some(key) = self.key_of.get_mut(id as usize) {
+            if *key != ABSENT_KEY {
+                self.keys.remove(key);
+                *key = ABSENT_KEY;
+            }
+        }
+    }
+}
+
+/// The Best Fit index in the layout its run's capacity calls for.
+#[derive(Debug, Clone, Default)]
+enum Levels {
+    /// No capacity seen yet: nothing can be open.
+    #[default]
+    Unseeded,
+    Dense(DenseLevels),
+    Sparse(SparseLevels),
+}
+
+impl Levels {
+    /// Pick the layout on the first capacity seen; later calls are no-ops
+    /// (the capacity of a run does not change).
+    fn seed(&mut self, total: u128) {
+        if let Levels::Unseeded = self {
+            // Keeps every packed key below ABSENT_KEY; D·(2⁶⁴ − 1) is
+            // below this bound for any D ≤ 2³².
+            assert!(total < (1 << 96) - 1, "level totals must fit in 96 bits");
+            *self = if total < DENSE_LEVELS {
+                Levels::Dense(DenseLevels::new(total as usize))
+            } else {
+                Levels::Sparse(SparseLevels::default())
+            };
+        }
+    }
+
+    fn first_fitting(&mut self, bound: u128, fits: impl FnMut(u32) -> bool) -> Option<u32> {
+        match self {
+            Levels::Unseeded => None,
+            Levels::Dense(d) => d.first_fitting(bound, fits),
+            Levels::Sparse(s) => s.first_fitting(bound, fits),
+        }
+    }
+
+    /// Put open bin `id` at level total `total`, wherever it was before.
+    fn insert(&mut self, id: u32, total: u128) {
+        match self {
+            Levels::Unseeded => panic!("hook before the first select call"),
+            Levels::Dense(d) => d.insert(id, total),
+            Levels::Sparse(s) => s.insert(id, total),
+        }
+    }
+
+    /// Drop bin `id`; a no-op for ids that are not open.
+    fn remove(&mut self, id: u32) {
+        match self {
+            Levels::Unseeded => {}
+            Levels::Dense(d) => d.remove(id),
+            Levels::Sparse(s) => s.remove(id),
+        }
+    }
+}
+
+/// Best Fit answered from a level index: same decisions as
+/// [`BestFit`](super::BestFit). Scalar via the [`IndexedBestFit`] alias.
+///
+/// The first `select` (or, on snapshot resume, `on_decision_replayed`)
+/// picks the layout from `capacity.total()`:
+///
+/// * **dense** for totals below 4096 — an id min-heap per level and a
+///   two-level bitset over the levels; a decision is an O(1) predecessor
+///   query plus the heap top, a level change O(log k) for `k` bins at the
+///   level. 4096 = 64 × 64 is what one summary word over 64 level words
+///   can cover.
+/// * **sparse** otherwise (up to `W = u64::MAX`) — one ordered set of
+///   packed `(total << 32) | !id` keys, O(log m).
+///
+/// Both walk candidates fullest first, lowest id first within a level —
+/// naive BF's order. At `D > 1` the first candidate whose componentwise
+/// level still fits wins; the dense walk visits a level's ids ascending
+/// from a sorted copy before it moves to the next lower level.
 #[derive(Debug, Clone, Default)]
 pub struct GIndexedBestFit<Sz> {
-    /// Open bins bucketed by current L1 level total; the BTreeSet gives the
-    /// earliest-opened (minimum id) bin within a total in O(log).
-    by_level: BTreeMap<u128, BTreeSet<BinId>>,
-    /// Current level total per bin id (`u128::MAX` = not open), for O(1)
-    /// lookup of the bucket a bin must leave on update.
-    level_of: Vec<u128>,
-    /// Current componentwise level per open bin, for the per-dimension fit
-    /// re-check at `D > 1` (redundant but harmless at `D = 1`).
+    levels: Levels,
+    /// Componentwise level per bin id for the fit re-check, kept only at
+    /// `D > 1`: at `D = 1` a level total that fits is a level that fits.
     vec_level_of: Vec<Sz>,
 }
 
@@ -258,40 +558,20 @@ impl<Sz: Demand> GIndexedBestFit<Sz> {
     /// Create an indexed Best Fit selector.
     pub fn new() -> GIndexedBestFit<Sz> {
         GIndexedBestFit {
-            by_level: BTreeMap::new(),
-            level_of: Vec::new(),
+            levels: Levels::Unseeded,
             vec_level_of: Vec::new(),
         }
     }
 
-    const CLOSED: u128 = u128::MAX;
-
-    fn move_bin(&mut self, bin: BinId, new_level: Option<Sz>) {
-        let b = bin.index();
-        if b >= self.level_of.len() {
-            self.level_of.resize(b + 1, Self::CLOSED);
-            self.vec_level_of.resize(b + 1, Sz::ZERO);
-        }
-        let old = self.level_of[b];
-        if old != Self::CLOSED {
-            if let Some(bucket) = self.by_level.get_mut(&old) {
-                bucket.remove(&bin);
-                if bucket.is_empty() {
-                    self.by_level.remove(&old);
-                }
+    fn set_level(&mut self, bin: BinId, level: Sz) {
+        if Sz::DIMS > 1 {
+            let b = bin.index();
+            if b >= self.vec_level_of.len() {
+                self.vec_level_of.resize(b + 1, Sz::ZERO);
             }
+            self.vec_level_of[b] = level;
         }
-        match new_level {
-            Some(level) => {
-                self.level_of[b] = level.total();
-                self.vec_level_of[b] = level;
-                self.by_level.entry(level.total()).or_default().insert(bin);
-            }
-            None => {
-                self.level_of[b] = Self::CLOSED;
-                self.vec_level_of[b] = Sz::ZERO;
-            }
-        }
+        self.levels.insert(bin.0, level.total());
     }
 }
 
@@ -307,50 +587,59 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedBestFit<Sz> {
         item: &GArrivingItem<Sz>,
         capacity: Sz,
     ) -> Decision {
+        self.levels.seed(capacity.total());
         // A fitting bin satisfies level_d ≤ W_d − s_d in every dimension,
-        // hence total(level) ≤ total(W) − total(s): the range query below is
-        // a sound upper bound, exact at D = 1. If s exceeds W in some
-        // dimension no bin can ever fit and BF opens (and the engine will
-        // reject the overflow, same as with the naive selector).
+        // hence total(level) ≤ total(W) − total(s): the bound below is
+        // sound, and exact at D = 1. If s exceeds W in some dimension no
+        // bin can ever fit and BF opens (and the engine will reject the
+        // overflow, same as with the naive selector).
         if !item.size.fits_within(capacity) {
             return Decision::OPEN;
         }
         let bound = capacity.total() - item.size.total();
-        // Fullest-first, earliest-id within a total — exactly the order
-        // naive generic BF (argmin by Reverse(total), ties to lowest id)
-        // inspects candidates. The componentwise re-check only rejects at
-        // D > 1; at D = 1 the first candidate always fits.
-        for (_, bucket) in self.by_level.range(..=bound).rev() {
-            for &id in bucket {
-                let fits = self.vec_level_of[id.index()]
+        let vec_level_of = &self.vec_level_of;
+        let fits = |id: u32| {
+            Sz::DIMS == 1
+                || vec_level_of[id as usize]
                     .checked_add(item.size)
-                    .is_some_and(|l| l.fits_within(capacity));
-                if fits {
-                    return Decision::Use(id);
-                }
-            }
+                    .is_some_and(|l| l.fits_within(capacity))
+        };
+        match self.levels.first_fitting(bound, fits) {
+            Some(id) => Decision::Use(BinId(id)),
+            None => Decision::OPEN,
         }
-        Decision::OPEN
     }
 
     fn needs_views(&self) -> bool {
         false
     }
 
+    fn on_decision_replayed(
+        &mut self,
+        _item: &GArrivingItem<Sz>,
+        _decision: Decision,
+        capacity: Sz,
+    ) {
+        // Seed the layout exactly as `select` would — see IndexedFirstFit.
+        self.levels.seed(capacity.total());
+    }
+
     fn on_bin_opened(&mut self, bin: BinId, _tag: BinTag, level: Sz) {
-        self.move_bin(bin, Some(level));
+        self.set_level(bin, level);
     }
 
     fn on_item_placed(&mut self, bin: BinId, level: Sz) {
-        self.move_bin(bin, Some(level));
+        self.set_level(bin, level);
     }
 
     fn on_item_departed(&mut self, bin: BinId, level: Sz) {
-        self.move_bin(bin, Some(level));
+        self.set_level(bin, level);
     }
 
     fn on_bin_closed(&mut self, bin: BinId) {
-        self.move_bin(bin, None);
+        // Burned ids (failed boots) may close without ever opening, even
+        // before any capacity is known; `remove` ignores them.
+        self.levels.remove(bin.0);
     }
 
     fn is_any_fit(&self) -> bool {
@@ -679,5 +968,112 @@ mod tests {
         let mut mff = IndexedMff::new(8);
         mff.capacity = Some(Size(10));
         mff.on_bin_closed(BinId(17));
+
+        // BF in both layouts: a close before any capacity is known, and
+        // one past the end of every per-bin column once the layout exists.
+        let item = GArrivingItem {
+            id: crate::item::ItemId(0),
+            arrival: crate::time::Tick::ZERO,
+            size: Size(1),
+            region: crate::item::RegionId::GLOBAL,
+        };
+        for w in [100, 1 << 40] {
+            let mut bf = IndexedBestFit::new();
+            bf.on_bin_closed(BinId(17));
+            assert_eq!(bf.select(&[], &item, Size(w)), Decision::OPEN);
+            bf.on_bin_opened(BinId(0), BinTag::DEFAULT, Size(1));
+            bf.on_bin_closed(BinId(17));
+            assert_eq!(bf.select(&[], &item, Size(w)), Decision::Use(BinId(0)));
+        }
+    }
+
+    #[test]
+    fn bf_layout_follows_the_capacity_total() {
+        let layout = |total: u128| {
+            let mut levels = Levels::default();
+            levels.seed(total);
+            levels
+        };
+        assert!(matches!(layout(100), Levels::Dense(_)));
+        assert!(matches!(layout(4095), Levels::Dense(_)));
+        assert!(matches!(layout(4096), Levels::Sparse(_)));
+        assert!(matches!(layout(u64::MAX as u128 * 3), Levels::Sparse(_)));
+    }
+
+    #[test]
+    fn dense_predecessor_crosses_words() {
+        let mut d = DenseLevels::new(4095);
+        assert_eq!(d.highest_at_most(4095), None);
+        for (id, level) in [(0, 0u128), (1, 63), (2, 64), (3, 4095)] {
+            d.insert(id, level);
+        }
+        assert_eq!(d.highest_at_most(4095), Some(4095));
+        assert_eq!(d.highest_at_most(4094), Some(64));
+        assert_eq!(d.highest_at_most(64), Some(64));
+        assert_eq!(d.highest_at_most(63), Some(63));
+        assert_eq!(d.highest_at_most(62), Some(0));
+        d.remove(0);
+        assert_eq!(d.highest_at_most(62), None);
+        // Moving a bin clears its old level's bit once the level empties.
+        d.insert(2, 63);
+        assert_eq!(d.highest_at_most(4094), Some(63));
+    }
+
+    /// A churn-heavy scalar instance with item sizes scaled to `capacity`.
+    fn churn_at(capacity: u64) -> crate::instance::Instance {
+        let mut b = InstanceBuilder::new(capacity);
+        let mut x = 7u64;
+        for i in 0..80u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let s = 1 + (x >> 33) % 60;
+            let len = 1 + (x >> 17) % 40;
+            let size = (s as u128 * capacity as u128 / 100) as u64;
+            b.add(i / 2, i / 2 + len, size);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bf_resume_continues_byte_identically_in_both_layouts() {
+        use crate::engine::EngineRun;
+        use crate::probe::FnProbe;
+        // W = 100 puts BF on the dense layout, W = 2^40 on the sparse one.
+        // Replay must seed the layout (`on_decision_replayed`): otherwise
+        // the first replayed open has no index to go into.
+        for w in [100, 1 << 40] {
+            let inst = churn_at(w);
+            let mut full = Vec::new();
+            let mut sel = IndexedBestFit::new();
+            let mut probe = FnProbe::new(|e| full.push(e));
+            let trace = EngineRun::new(&inst, &mut sel, &mut probe).finish();
+            assert_eq!(trace, simulate_validated(&inst, &mut BestFit::new()));
+            let full = serde_json::to_string(&full).unwrap();
+            for k in [1, inst.len() / 2, inst.len(), 3 * inst.len() / 2] {
+                let mut head = Vec::new();
+                let mut sel = IndexedBestFit::new();
+                let mut probe = FnProbe::new(|e| head.push(e));
+                let mut run = EngineRun::new(&inst, &mut sel, &mut probe);
+                for _ in 0..k {
+                    assert!(run.step());
+                }
+                let snap = run.snapshot();
+                drop(run);
+                let mut tail = Vec::new();
+                let mut sel = IndexedBestFit::new();
+                let mut probe = FnProbe::new(|e| tail.push(e));
+                let resumed = EngineRun::resume(&inst, &mut sel, &mut probe, &snap)
+                    .unwrap_or_else(|e| panic!("W = {w}, prefix {k}: {e}"))
+                    .finish();
+                assert_eq!(resumed, trace, "W = {w}, prefix {k}");
+                head.extend(tail);
+                assert_eq!(
+                    serde_json::to_string(&head).unwrap(),
+                    full,
+                    "W = {w}, prefix {k}"
+                );
+            }
+        }
     }
 }

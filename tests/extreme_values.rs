@@ -4,6 +4,7 @@
 //! and any genuine overflow must panic rather than wrap).
 
 use dbp::prelude::*;
+use dbp_core::algorithms::IndexedBestFit;
 use dbp_core::bounds;
 
 /// Ticks near the top of the u64 range: costs and spans stay exact.
@@ -105,4 +106,64 @@ fn mass_simultaneous_events() {
     assert_eq!(trace.max_open_bins(), 20);
     assert_eq!(trace.total_cost_ticks(), 20);
     assert_eq!(trace.open_bins_steps.len(), 2);
+}
+
+/// Indexed Best Fit at W = u64::MAX (its sparse layout) packs exactly as
+/// the naive scan: ties at a full-scale level, an exact fill to u64::MAX,
+/// and a bin reused after departures.
+#[test]
+fn indexed_bf_matches_naive_at_u64_max() {
+    let w = u64::MAX;
+    let half = w / 2 + 1; // 2^63
+    let mut b = InstanceBuilder::new(w);
+    b.add(0, 10, half); // b0
+    b.add(1, 12, half); // does not fit b0 -> b1
+    b.add(2, 9, half - 1); // tie at level 2^63 -> b0, filled to exactly w
+    b.add(3, 14, w / 4); // b0 full -> b1
+    b.add(10, 20, w / 4); // b0 closed at 10; b1 still fits it (w - 1)
+    b.add(11, 20, half); // fits no open bin -> b2
+    let inst = b.build().unwrap();
+    let naive = simulate_validated(&inst, &mut BestFit::new());
+    let indexed = simulate_validated(&inst, &mut IndexedBestFit::new());
+    assert_eq!(naive, indexed);
+    assert_eq!(indexed.bin_of(ItemId(2)), BinId(0));
+    assert_eq!(indexed.bin_of(ItemId(3)), BinId(1));
+}
+
+/// Level totals past u64: at D = 3 with components near u64::MAX the L1
+/// totals exceed 2^64, so the indexed BF keys use their high bits. In the
+/// first instance the fullest bin fails componentwise and the walk must
+/// fall through to a tie at the next total; in the second the fullest
+/// bin's total is 2^64 + 1, which a key truncated to 64 bits would rank
+/// below the other bin's 2^63 + 2.
+#[test]
+fn indexed_bf_matches_naive_on_u128_level_totals() {
+    use dbp_core::algorithms::indexed::GIndexedBestFit;
+    use dbp_core::demand::{Demand, VSize};
+    use dbp_core::engine::simulate_validated as sim;
+    use dbp_core::instance::GInstanceBuilder;
+    let m = u64::MAX;
+    let h = m / 2 + 1; // 2^63
+
+    let mut b = GInstanceBuilder::new(VSize([m; 3]));
+    b.add(0, 10, VSize([m, m - 5, 1])); // b0: total 2^65 - 6
+    b.add(1, 10, VSize([h, h, h])); // b1: total 1.5 · 2^64
+    b.add(2, 10, VSize([h, h, h])); // fits neither -> b2, tied with b1
+    b.add(3, 10, VSize([1, 1, 1])); // b0 full in dim 0; tie -> b1
+    b.add(4, 10, VSize([2, 2, 2])); // b0 still full; b1 now fullest
+    let walk = b.build().unwrap();
+
+    let mut b = GInstanceBuilder::new(VSize([m; 3]));
+    b.add(0, 10, VSize([h, h, 1])); // b0: total 2^64 + 1
+    b.add(1, 10, VSize([h, 1, 1])); // does not fit b0 -> b1: total 2^63 + 2
+    b.add(2, 10, VSize([1, 1, 1])); // fits both; b0 is fuller
+    let high_bits = b.build().unwrap();
+
+    for (inst, item, bin) in [(&walk, 3, 1), (&walk, 4, 1), (&high_bits, 2, 0)] {
+        assert!(inst.items()[0].size.total() > u64::MAX as u128);
+        let naive = sim(inst, &mut BestFit::new());
+        let indexed = sim(inst, &mut GIndexedBestFit::<VSize<3>>::new());
+        assert_eq!(naive, indexed);
+        assert_eq!(indexed.bin_of(ItemId(item)), BinId(bin));
+    }
 }

@@ -68,17 +68,38 @@ impl<S: BinSelector> BinSelector for Recording<S> {
     }
 }
 
-/// Strategy: arbitrary valid instances with heavy interval overlap (many
-/// bins open at once), plus ties in size so tie-breaking paths get hit.
-fn instances(max_items: usize) -> impl Strategy<Value = Instance> {
+/// Capacities that put indexed BF on each of its index layouts: W = 100
+/// (dense), the last dense capacity total 4095, the first sparse total
+/// 4096, W = 2^40 and W = u64::MAX (sparse).
+const BF_CAPACITIES: [u64; 5] = [100, 4095, 4096, 1 << 40, u64::MAX];
+
+/// Raw `(arrival, length, size-in-percent)` items with heavy interval
+/// overlap (many bins open at once), plus ties in size so tie-breaking
+/// paths get hit.
+fn raw_items(max_items: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     let item = (0u64..300, 1u64..150, 1u64..=100);
-    proptest::collection::vec(item, 1..max_items).prop_map(|raw| {
-        let mut b = InstanceBuilder::new(100);
-        for (a, len, s) in raw {
-            b.add(a, a + len, s);
-        }
-        b.build().expect("generated instance is valid")
-    })
+    proptest::collection::vec(item, 1..max_items)
+}
+
+/// Build the raw items against `capacity`, each size scaled from percent
+/// of the capacity (exact at W = 100; a 100% item still fills a bin).
+fn build(capacity: u64, raw: &[(u64, u64, u64)]) -> Instance {
+    let mut b = InstanceBuilder::new(capacity);
+    for &(a, len, s) in raw {
+        let size = (s as u128 * capacity as u128 / 100).max(1) as u64;
+        b.add(a, a + len, size);
+    }
+    b.build().expect("generated instance is valid")
+}
+
+/// Strategy: arbitrary valid instances at `capacity` (see [`raw_items`]).
+fn instances(capacity: u64, max_items: usize) -> impl Strategy<Value = Instance> {
+    raw_items(max_items).prop_map(move |raw| build(capacity, &raw))
+}
+
+/// Strategy: one raw stream built at every capacity of [`BF_CAPACITIES`].
+fn at_every_bf_layout(max_items: usize) -> impl Strategy<Value = Vec<Instance>> {
+    raw_items(max_items).prop_map(|raw| BF_CAPACITIES.iter().map(|&w| build(w, &raw)).collect())
 }
 
 /// Run `naive` and `indexed` over `inst`, asserting identical decision
@@ -126,13 +147,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn indexed_ff_equals_naive_ff(inst in instances(80)) {
+    fn indexed_ff_equals_naive_ff(inst in instances(100, 80)) {
         assert_equivalent(&inst, FirstFit::new(), IndexedFirstFit::new())?;
     }
 
     #[test]
-    fn indexed_bf_equals_naive_bf(inst in instances(80)) {
+    fn indexed_bf_equals_naive_bf(inst in instances(100, 80)) {
         assert_equivalent(&inst, BestFit::new(), IndexedBestFit::new())?;
+    }
+
+    /// The same check on both index layouts and across their boundary:
+    /// decisions, traces and JSONL at every capacity of [`BF_CAPACITIES`].
+    #[test]
+    fn indexed_bf_equals_naive_bf_at_every_layout(insts in at_every_bf_layout(80)) {
+        for inst in &insts {
+            assert_equivalent(inst, BestFit::new(), IndexedBestFit::new())?;
+        }
     }
 
     /// MFF is not Any Fit (it refuses cross-class placements), so it gets
@@ -141,14 +171,14 @@ proptest! {
     /// size range straddles the W/k = 12.5 threshold and both classes see
     /// real churn.
     #[test]
-    fn indexed_mff_equals_naive_mff(inst in instances(80)) {
+    fn indexed_mff_equals_naive_mff(inst in instances(100, 80)) {
         assert_same_behavior(&inst, ModifiedFirstFit::new(8), IndexedMff::new(8))?;
     }
 
     /// A rational threshold exercises the exact-arithmetic classification
     /// path on both sides.
     #[test]
-    fn indexed_mff_equals_naive_mff_rational_k(inst in instances(60)) {
+    fn indexed_mff_equals_naive_mff_rational_k(inst in instances(100, 60)) {
         assert_same_behavior(
             &inst,
             ModifiedFirstFit::with_rational_k(3, 2),
@@ -159,7 +189,7 @@ proptest! {
     /// The validated entry point (which cross-checks the trace against the
     /// instance) agrees too, without the recording wrapper in the way.
     #[test]
-    fn validated_traces_agree(inst in instances(50)) {
+    fn validated_traces_agree(inst in instances(100, 50)) {
         prop_assert_eq!(
             simulate_validated(&inst, &mut FirstFit::new()),
             simulate_validated(&inst, &mut IndexedFirstFit::new())
@@ -174,11 +204,23 @@ proptest! {
         );
     }
 
+    /// [`validated_traces_agree`] for BF at every capacity of
+    /// [`BF_CAPACITIES`].
+    #[test]
+    fn validated_bf_traces_agree_at_every_layout(insts in at_every_bf_layout(50)) {
+        for inst in &insts {
+            prop_assert_eq!(
+                simulate_validated(inst, &mut BestFit::new()),
+                simulate_validated(inst, &mut IndexedBestFit::new())
+            );
+        }
+    }
+
     /// Every indexed trace satisfies the cheap conservation check the
     /// cluster shard path now runs, and the check agrees with the full
     /// quadratic validation on these instances.
     #[test]
-    fn conservation_check_accepts_indexed_traces(inst in instances(60)) {
+    fn conservation_check_accepts_indexed_traces(inst in instances(100, 60)) {
         let traces = [
             simulate_validated(&inst, &mut IndexedFirstFit::new()),
             simulate_validated(&inst, &mut IndexedBestFit::new()),

@@ -54,6 +54,38 @@ fn instances() -> impl Strategy<Value = Instance> {
     })
 }
 
+/// Every indexed selector assigns exactly as its naive twin on `vinst`,
+/// at the same cost.
+fn assert_indexed_match_naive<const D: usize>(vinst: &GInstance<VSize<D>>) {
+    for (naive, indexed) in [("BF", "BF-idx"), ("FF", "FF-idx"), ("MFF(8)", "MFF-idx")] {
+        let want = sim_validated(vinst, &mut *selector::<VSize<D>>(naive));
+        let got = sim_validated(vinst, &mut *selector::<VSize<D>>(indexed));
+        let w = vinst.capacity();
+        assert_eq!(
+            want.assignment, got.assignment,
+            "{indexed} diverged from {naive} at W = {w:?}"
+        );
+        assert_eq!(
+            want.total_cost_ticks(),
+            got.total_cost_ticks(),
+            "{indexed} cost diverged from {naive} at W = {w:?}"
+        );
+    }
+}
+
+/// D=2 instances against W = [10, 10] whose two components are drawn
+/// independently.
+fn independent_d2() -> impl Strategy<Value = GInstance<VSize<2>>> {
+    let item = (0u64..200, 1u64..90, 1u64..=8, 1u64..=8);
+    proptest::collection::vec(item, 1..80).prop_map(|raw| {
+        let mut b = dbp_core::instance::GInstanceBuilder::new(VSize([10, 10]));
+        for (a, len, x, y) in raw {
+            b.add(a, a + len, VSize([x, y]));
+        }
+        b.build().unwrap()
+    })
+}
+
 /// Exact per-dimension demand volume of an instance: Σ size_d · duration.
 fn demand_ticks<Sz: Demand>(inst: &GInstance<Sz>) -> Vec<u128> {
     let mut ticks = vec![0u128; Sz::DIMS];
@@ -206,6 +238,30 @@ proptest! {
                 "{}: D=3 streaming JSONL diverged from batch", name
             );
         }
+    }
+
+    /// At D=3 on genuinely non-uniform demands every indexed selector
+    /// assigns exactly as its naive twin. The widened capacity totals 2800
+    /// (BF's dense layout); the same stream scaled by 2^32 totals past
+    /// 4096 (its sparse layout).
+    #[test]
+    fn indexed_selectors_match_naive_at_d3(inst in instances()) {
+        let dense = widen(&inst);
+        let sparse = dense.map_demand(|s| VSize(s.0.map(|c| c << 32))).unwrap();
+        assert_indexed_match_naive(&dense);
+        assert_indexed_match_naive(&sparse);
+    }
+
+    /// The same identity where BF's componentwise re-check does the most
+    /// work: independent, small components, so level totals tie often and
+    /// the lowest-id bin of the fullest feasible total often fails in one
+    /// dimension, sending BF on to the rest of the level and below. Dense
+    /// at W = [10, 10]; sparse scaled by 2^40.
+    #[test]
+    fn indexed_selectors_match_naive_on_independent_components(inst in independent_d2()) {
+        let sparse = inst.map_demand(|s| VSize(s.0.map(|c| c << 40))).unwrap();
+        assert_indexed_match_naive(&inst);
+        assert_indexed_match_naive(&sparse);
     }
 
     /// At D=1 the vector routers make the scalar routers' decisions:
