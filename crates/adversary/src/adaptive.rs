@@ -36,7 +36,7 @@ pub struct AdaptiveMuAdversary {
 
 /// The adversary's output: the instance it committed to *after* observing
 /// the algorithm, plus placement facts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveOutcome {
     /// The finalized instance (departures filled in adaptively).
     pub instance: Instance,
@@ -57,9 +57,11 @@ impl AdaptiveMuAdversary {
     ///
     /// The selector sees exactly what the engine would show it: all `k²`
     /// items arriving at tick 0, one at a time, with the open-bin views
-    /// updated after each placement. The adversary then selects one
-    /// survivor per opened bin (the first item placed there) to stay until
-    /// `µ∆`; everything else departs at ∆.
+    /// updated after each placement and the state hooks (`on_bin_opened`,
+    /// `on_item_placed`) fired as the engine fires them, so indexed
+    /// selectors see the same burst as the naive scanners. The adversary
+    /// then selects one survivor per opened bin (the first item placed
+    /// there) to stay until `µ∆`; everything else departs at ∆.
     ///
     /// # Panics
     /// Panics if the selector makes an illegal placement (bin that does not
@@ -110,16 +112,18 @@ impl AdaptiveMuAdversary {
                     assert!(bins[idx].level < self.k, "selector overfilled a bin");
                     bins[idx].level += 1;
                     bins[idx].n_items += 1;
+                    selector.on_item_placed(id, Size(bins[idx].level));
                 }
                 Decision::Open { tag } => {
-                    let idx = bins.len();
+                    let id = BinId(bins.len() as u32);
                     bins.push(BurstBin {
-                        view_id: BinId(idx as u32),
+                        view_id: id,
                         level: 1,
                         n_items: 1,
                         first_item: ItemId(i as u32),
                         tag,
                     });
+                    selector.on_bin_opened(id, tag, size);
                 }
             }
         }
@@ -226,6 +230,29 @@ mod tests {
         let mut hff = dbp_core::algorithms::HarmonicFit::new(4);
         let out = adv.play(&mut hff);
         assert_eq!(out.bins_opened, 5);
+    }
+
+    #[test]
+    fn indexed_selectors_face_the_same_game_as_the_naive_ones() {
+        // The burst drives the state hooks, so hook-maintained indexes see
+        // every bin; without them they would open one bin per item.
+        use dbp_core::algorithms::{IndexedBestFit, IndexedFirstFit, IndexedMff};
+        for (k, mu) in [(4, 6), (12, 10)] {
+            let adv = AdaptiveMuAdversary::new(k, mu);
+            let pairs: [(Box<dyn BinSelector>, Box<dyn BinSelector>); 3] = [
+                (Box::new(FirstFit::new()), Box::new(IndexedFirstFit::new())),
+                (Box::new(BestFit::new()), Box::new(IndexedBestFit::new())),
+                (
+                    Box::new(ModifiedFirstFit::new(8)),
+                    Box::new(IndexedMff::new(8)),
+                ),
+            ];
+            for (mut naive, mut indexed) in pairs {
+                let a = adv.play(&mut *naive);
+                assert_eq!(a.bins_opened, k as usize, "{} at k={k}", naive.name());
+                assert_eq!(a, adv.play(&mut *indexed), "{} at k={k}", naive.name());
+            }
+        }
     }
 
     #[test]

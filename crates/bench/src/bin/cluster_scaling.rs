@@ -22,10 +22,9 @@
 use dbp_bench::churn_workload;
 use dbp_cloudsim::{GamingSystem, Granularity, ServerType};
 use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
-use dbp_core::algorithms::IndexedFirstFit;
+use dbp_core::algorithms::standard_factories;
 use dbp_core::engine::simulate;
 use dbp_core::instance::Instance;
-use dbp_core::packer::SelectorFactory;
 use dbp_core::probe::NoProbe;
 use dbp_obs::span::{StageAggregator, StageRow};
 use serde::{Deserialize, Serialize};
@@ -112,7 +111,7 @@ struct ClusterBenchReport {
 /// cluster rows or the ratio mixes selector cost into dispatch cost.
 fn measure_plain_engine(inst: &Instance) -> u128 {
     let started = Instant::now();
-    let trace = simulate(inst, &mut IndexedFirstFit::new());
+    let trace = simulate(inst, &mut *standard_factories(0).remove(0).build());
     let ns = started.elapsed().as_nanos().max(1);
     assert!(trace.bins_used() > 0);
     ns
@@ -130,7 +129,7 @@ fn measure(inst: &Instance, shards: usize, plain_ns: u128) -> (u64, ScalingResul
         system,
         ClusterConfig::new(shards, Router::HashByItem).unwrap(),
     );
-    let factory = SelectorFactory::new("FF", || Box::new(IndexedFirstFit::new()));
+    let factory = standard_factories(0).remove(0); // the roster's First Fit
     let started = Instant::now();
     let run = engine
         .run(inst, &factory)

@@ -21,7 +21,7 @@
 //! `placed + shed + rejected == offered` or the bench fails.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
-use dbp_core::algorithms::IndexedFirstFit;
+use dbp_core::algorithms::standard_factories;
 use dbp_core::item::Size;
 use dbp_serve::protocol::Request;
 use dbp_serve::shard::{Outcome, ShardPipeline};
@@ -115,7 +115,7 @@ fn measure(n: u64, overload: u64) -> OverloadResult {
     let mut rng = Lcg(SEED.wrapping_mul(2654435761).wrapping_add(overload));
     let mut pipe = ShardPipeline::new(
         Size(CAPACITY),
-        Box::new(IndexedFirstFit::new()),
+        standard_factories(0).remove(0).build(), // the roster's First Fit
         AdmissionPolicy {
             queue_capacity: QUEUE_CAPACITY,
             queue_timeout: QUEUE_TIMEOUT,

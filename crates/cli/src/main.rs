@@ -22,11 +22,7 @@ use args::Args;
 use dbp_adversary::{AdaptiveMuAdversary, Theorem1, Theorem2};
 use dbp_cloudsim::FaultPlan;
 use dbp_cluster::ShardFaultPlan;
-use dbp_core::algorithms::standard_factories;
-use dbp_core::algorithms::{
-    BestFit, ConstrainedFirstFit, FirstFit, HarmonicFit, LastFit, ModifiedFirstFit, MostItemsFit,
-    NextFit, RandomFit, WorstFit,
-};
+use dbp_core::algorithms::{standard_factories, Rule};
 use dbp_core::analysis::analyze_first_fit;
 use dbp_core::bounds;
 use dbp_core::demand::{Demand, VSize};
@@ -99,7 +95,7 @@ USAGE:
   dbp scenarios [--seed N]
 
 MODE RESTRICTIONS (a flag a mode cannot honour is an error, never ignored):
-  run --hetero            --algo ff|bf|mff|dom (+ -idx); run flags: only --validate --metrics
+  run --hetero            --algo ff|bf|mff|mff-mu|dom; run flags: only --validate --metrics
   run --faults            no --timeseries --validate --fleet --gantt --svg --save-trace
   cluster --hetero        --algo as run --hetero; cluster flags: only --shards --router --metrics
   cluster --shard-faults  no --faults --journal
@@ -159,44 +155,16 @@ fn save_instance(inst: &Instance, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a scalar selector from the instance's µ hint (only `mff-mu` uses it).
-type Build = fn(Option<u64>) -> Result<Box<dyn BinSelector>, String>;
-
-/// The scalar algorithm roster.
-const ALGOS: [(&str, Build); 11] = [
-    ("ff", |_| Ok(Box::new(FirstFit::new()))),
-    ("bf", |_| Ok(Box::new(BestFit::new()))),
-    ("wf", |_| Ok(Box::new(WorstFit::new()))),
-    ("nf", |_| Ok(Box::new(NextFit::new()))),
-    ("lf", |_| Ok(Box::new(LastFit::new()))),
-    ("mi", |_| Ok(Box::new(MostItemsFit::new()))),
-    ("rf", |_| Ok(Box::new(RandomFit::seeded(0)))),
-    ("hff", |_| Ok(Box::new(HarmonicFit::new(4)))),
-    ("mff", |_| Ok(Box::new(ModifiedFirstFit::new(8)))),
-    ("mff-mu", |mu| {
-        let mu = mu.ok_or("mff-mu needs a µ estimate from the instance")?;
-        Ok(Box::new(ModifiedFirstFit::for_known_mu(mu)))
-    }),
-    ("cff", |_| Ok(Box::new(ConstrainedFirstFit::new()))),
-];
-
-fn roster(name: &str) -> Result<(&'static str, Build), String> {
-    ALGOS
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .ok_or_else(|| format!("unknown algorithm '{name}'"))
-}
-
-fn selector_by_name(name: &str, mu_hint: Option<u64>) -> Result<Box<dyn BinSelector>, String> {
-    (roster(name)?.1)(mu_hint)
-}
-
-/// A per-shard selector factory, validated up front (incl. the µ hint).
+/// The D = 1 selector factory for roster rule `name`, validated up front
+/// (incl. the µ hint only `mff-mu` uses), labelled with the rule's key.
 fn selector_factory(name: &str, mu_hint: Option<u64>) -> Result<SelectorFactory, String> {
-    let (name, build) = roster(name)?;
-    build(mu_hint)?;
-    Ok(SelectorFactory::new(name, move || {
-        build(mu_hint).expect("algorithm validated above")
+    let unknown = || format!("unknown algorithm '{name}'");
+    let rule = Rule::find(name).ok_or_else(unknown)?;
+    rule.build(mu_hint, 0).ok_or_else(unknown)??;
+    Ok(SelectorFactory::new(rule.key, move || {
+        rule.build(mu_hint, 0)
+            .and_then(Result::ok)
+            .expect("algorithm validated above")
     }))
 }
 
@@ -259,7 +227,7 @@ fn cmd_adversary(args: &Args) -> Result<(), String> {
         "adaptive" => {
             let adv = AdaptiveMuAdversary::new(args.u64_flag("k")?, args.u64_flag("mu")?);
             let algo = args.str_flag("algo").unwrap_or("ff");
-            let mut sel = selector_by_name(algo, Some(adv.mu))?;
+            let mut sel = selector_factory(algo, Some(adv.mu))?.build();
             let outcome = adv.play(&mut *sel);
             println!(
                 "adaptive adversary vs {}: {} bins opened, forced cost {} bin-ticks",
@@ -420,7 +388,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         )?;
         return cmd_run_hetero(args, &inst, algo);
     }
-    let mut sel = selector_by_name(algo, mu_hint(&inst))?;
+    let mut sel = selector_factory(algo, mu_hint(&inst))?.build();
     let plan = match args.str_flag("faults") {
         Some(spec) => {
             args.refuse("--faults", "timeseries validate fleet gantt svg save-trace")?;
@@ -577,12 +545,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 }
 
 /// The `--hetero` selector over the `[gpu, cpu, mem]` catalog.
-fn hetero_selector(algo: &str) -> Result<Box<dyn BinSelector<VSize<HETERO_DIMS>>>, String> {
-    dbp_core::algorithms::selector_for(algo).ok_or_else(|| {
-        format!(
-            "--hetero packs with ff, bf, mff or dom (plus -idx variants); '{algo}' is scalar-only"
-        )
-    })
+fn hetero_selector(
+    algo: &str,
+    mu_hint: Option<u64>,
+) -> Result<Box<dyn BinSelector<VSize<HETERO_DIMS>>>, String> {
+    Rule::find(algo)
+        .and_then(|r| r.build_any(mu_hint))
+        .ok_or_else(|| {
+            format!("--hetero packs with ff, bf, mff, mff-mu or dom; '{algo}' is scalar-only")
+        })?
 }
 
 /// `dbp run FILE --hetero`: widen the scalar trace to the heterogeneous
@@ -592,7 +563,7 @@ fn hetero_selector(algo: &str) -> Result<Box<dyn BinSelector<VSize<HETERO_DIMS>>
 /// dimension actually binds.
 fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
     let inst = dbp_workloads::widen(scalar);
-    let mut sel = hetero_selector(algo)?;
+    let mut sel = hetero_selector(algo, mu_hint(scalar))?;
     let started = std::time::Instant::now();
     let trace = if args.has("validate") {
         dbp_core::engine::simulate_validated(&inst, &mut sel)
@@ -664,11 +635,12 @@ fn absorb_dim_metrics(reg: &mut MetricsRegistry, dims: &[dbp_cluster::vector::Di
 /// per-dimension ledger (conservation is asserted inside
 /// [`dbp_cluster::vector::run_cluster_vec`]).
 fn cmd_cluster_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
-    hetero_selector(algo)?;
+    let mu = mu_hint(scalar);
+    hetero_selector(algo, mu)?;
     let config = cluster_config(args, 2)?;
     let inst = dbp_workloads::widen(scalar);
     let run = dbp_cluster::vector::run_cluster_vec(&inst, config.router, config.shards, || {
-        hetero_selector(algo).expect("algorithm name validated above")
+        hetero_selector(algo, mu).expect("algorithm name validated above")
     });
     print_cluster_header(
         &format!("{} ({HETERO_DIMS}-dimensional)", run.algorithm),
@@ -1356,7 +1328,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
             serde_json::from_str(&body).map_err(|e| format!("{trace_path}: {e}"))?;
         trace_digest = Some(dbp_obs::manifest::instance_digest(&inst));
         let algo = args.str_flag("algo").unwrap_or("ff");
-        let mut sel = selector_by_name(algo, mu_hint(&inst))?;
+        let mut sel = selector_factory(algo, mu_hint(&inst))?.build();
         algorithm_used = Some(sel.name().to_string());
         let mut log = dbp_obs::EventLog::new();
         let prefix = if audit.fault_events > 0 {
@@ -1630,7 +1602,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
-    let trace = simulate(&inst, &mut FirstFit::new());
+    let trace = simulate(&inst, &mut *selector_factory("ff", None)?.build());
     let a = analyze_first_fit(&inst, &trace);
     println!(
         "First Fit trace: {} bins, cost {} bin-ticks",
@@ -1763,7 +1735,7 @@ fn cmd_opt(args: &Args) -> Result<(), String> {
         );
         println!("{spark}");
         // Compare against First Fit's open-bin profile at the same ticks.
-        let trace = simulate(&inst, &mut FirstFit::new());
+        let trace = simulate(&inst, &mut *selector_factory("ff", None)?.build());
         let ff_spark: String = timeline
             .iter()
             .map(|&(t, _, _)| {
@@ -1775,4 +1747,20 @@ fn cmd_opt(args: &Args) -> Result<(), String> {
         println!("(top: OPT, bottom: FF open bins)");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn analysed_rules_build_view_free_selectors() {
+        for key in ["ff", "bf", "mff", "mff-mu"] {
+            let factory = selector_factory(key, Some(8)).unwrap();
+            assert_eq!(factory.name(), key);
+            assert!(!factory.build().needs_views(), "{key}");
+        }
+        assert!(selector_factory("dom", None).is_err());
+        assert!(selector_factory("mff-mu", None).is_err());
+    }
 }

@@ -41,7 +41,7 @@ use dbp_cluster::router::Router;
 use dbp_cluster::vector::{
     apply_route_dims, route_one_dims, unapply_route_dims, zero_loads, DimLoads,
 };
-use dbp_core::algorithms::selector_for;
+use dbp_core::algorithms::Rule;
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::item::Size;
 use dbp_core::packer::SelectorFactory;
@@ -547,7 +547,7 @@ impl<Sz: dbp_core::demand::Demand> DynPipeline for GShardPipeline<Sz> {
 /// Build the shard pipeline for the configured dimensionality. At
 /// `dims == 1` the factory's own builder runs, so the full scalar roster
 /// (WF/NF/LF/MI/RF/HFF included) keeps working byte-identically; vector
-/// daemons resolve the dimension-agnostic selectors by roster name.
+/// daemons build the factory's rule from the `dbp-core` roster at `D`.
 fn build_pipeline(
     cfg: &ServeConfig,
     factory: &SelectorFactory,
@@ -560,12 +560,14 @@ fn build_pipeline(
         probe: ServeProbe,
     ) -> Result<Box<dyn DynPipeline>, String> {
         let capacity = VSize::<D>::from_components(&caps[..D]).expect("validated capacities");
-        let selector = selector_for::<VSize<D>>(factory.name()).ok_or_else(|| {
-            format!(
-                "selector {} is scalar-only; vector daemons take FF, BF, MFF(8) or DOM",
-                factory.name()
-            )
-        })?;
+        let selector = Rule::find(factory.name())
+            .and_then(|r| r.build_any::<VSize<D>>(None))
+            .ok_or_else(|| {
+                format!(
+                    "selector {} is scalar-only; vector daemons take FF, BF, MFF(8) or DOM",
+                    factory.name()
+                )
+            })??;
         Ok(Box::new(GShardPipeline::<VSize<D>>::with_probe(
             capacity, selector, admission, probe,
         )))

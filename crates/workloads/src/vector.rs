@@ -175,27 +175,82 @@ pub fn widen(scalar: &Instance) -> GInstance<VSize<HETERO_DIMS>> {
 
 /// Peak concurrent demand per dimension, as `(used, capacity)` pairs —
 /// the scenario-calibration check that memory binds first.
+///
+/// One sweep over the sorted `(tick, ±demand)` events: every event at a
+/// tick applies before the sample, which matches the half-open active
+/// intervals of [`GItem::is_active_at`](dbp_core::item::GItem::is_active_at).
+/// Departures sort before arrivals within a tick, so no partial sum
+/// exceeds a sampled one.
 pub fn peak_pressure<const D: usize>(inst: &GInstance<VSize<D>>) -> Vec<(u64, u64)> {
-    let cap = inst.capacity();
+    let mut events = Vec::with_capacity(2 * inst.len());
+    for it in inst.items() {
+        events.push((it.arrival, true, it.size.0));
+        events.push((it.departure, false, it.size.0));
+    }
+    events.sort_unstable_by_key(|&(t, arrives, _)| (t, arrives));
+    let mut level = [0u64; D];
     let mut peak = [0u64; D];
-    for &t in &dbp_core::events::event_ticks(inst) {
-        let mut level = [0u64; D];
-        for id in inst.active_at(t) {
-            let it = inst.item(id);
-            for (l, &s) in level.iter_mut().zip(&it.size.0) {
-                *l += s;
+    for tick in events.chunk_by(|a, b| a.0 == b.0) {
+        for (_, arrives, size) in tick {
+            for (l, &s) in level.iter_mut().zip(size) {
+                if *arrives {
+                    *l += s;
+                } else {
+                    *l -= s;
+                }
             }
         }
         for (p, &l) in peak.iter_mut().zip(&level) {
             *p = (*p).max(l);
         }
     }
+    let cap = inst.capacity();
     (0..D).map(|d| (peak[d], cap.component(d))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition `peak_pressure` sweeps: sum the active items at every
+    /// event tick (quadratic).
+    fn peak_pressure_quadratic<const D: usize>(inst: &GInstance<VSize<D>>) -> Vec<(u64, u64)> {
+        let cap = inst.capacity();
+        let mut peak = [0u64; D];
+        for &t in &dbp_core::events::event_ticks(inst) {
+            let mut level = [0u64; D];
+            for id in inst.active_at(t) {
+                let it = inst.item(id);
+                for (l, &s) in level.iter_mut().zip(&it.size.0) {
+                    *l += s;
+                }
+            }
+            for (p, &l) in peak.iter_mut().zip(&level) {
+                *p = (*p).max(l);
+            }
+        }
+        (0..D).map(|d| (peak[d], cap.component(d))).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn peak_pressure_sweep_matches_the_definition(
+            items in proptest::collection::vec(
+                (0u64..20, 1u64..12, 1u64..50, 1u64..50, 1u64..50),
+                1..40,
+            )
+        ) {
+            let mut b = dbp_core::instance::GInstanceBuilder::new(VSize([200u64, 200, 200]));
+            for &(arrival, len, a, c, m) in &items {
+                b.add(arrival, arrival + len, VSize([a, c, m]));
+            }
+            let inst = b.build().unwrap();
+            prop_assert_eq!(peak_pressure(&inst), peak_pressure_quadratic(&inst));
+        }
+    }
 
     #[test]
     fn hetero_catalog_aligns_with_scalar_catalog() {

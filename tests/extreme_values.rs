@@ -135,10 +135,13 @@ fn indexed_bf_matches_naive_at_u64_max() {
 /// first instance the fullest bin fails componentwise and the walk must
 /// fall through to a tie at the next total; in the second the fullest
 /// bin's total is 2^64 + 1, which a key truncated to 64 bits would rank
-/// below the other bin's 2^63 + 2.
+/// below the other bin's 2^63 + 2. The same inputs audit the other
+/// engines the roster ships at D > 1: indexed FF and MFF(8) pack exactly
+/// like their naive specifications, and DOM's residual arithmetic stays
+/// legal.
 #[test]
 fn indexed_bf_matches_naive_on_u128_level_totals() {
-    use dbp_core::algorithms::indexed::GIndexedBestFit;
+    use dbp_core::algorithms::indexed::{GIndexedBestFit, GIndexedFirstFit, GIndexedMff};
     use dbp_core::demand::{Demand, VSize};
     use dbp_core::engine::simulate_validated as sim;
     use dbp_core::instance::GInstanceBuilder;
@@ -165,5 +168,12 @@ fn indexed_bf_matches_naive_on_u128_level_totals() {
         let indexed = sim(inst, &mut GIndexedBestFit::<VSize<3>>::new());
         assert_eq!(naive, indexed);
         assert_eq!(indexed.bin_of(ItemId(item)), BinId(bin));
+    }
+    for inst in [&walk, &high_bits] {
+        let ff = sim(inst, &mut GIndexedFirstFit::<VSize<3>>::new());
+        assert_eq!(sim(inst, &mut FirstFit::new()), ff);
+        let mff = sim(inst, &mut GIndexedMff::<VSize<3>>::new(8));
+        assert_eq!(sim(inst, &mut ModifiedFirstFit::new(8)), mff);
+        sim(inst, &mut DominanceFit::new());
     }
 }
