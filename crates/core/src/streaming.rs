@@ -10,8 +10,9 @@
 //!   replayed workload) or [`push_open_arrival`] + [`push_departure`] (the
 //!   live-daemon shape, where the departure is a separate future message);
 //! * pending departures wait in a binary heap keyed `(tick, item id)` — the
-//!   same order the batch scheduler's stable sort produces, so equal-tick
-//!   departures drain in item-id order and *before* equal-tick arrivals;
+//!   batch schedule's order (tick, then departures before arrivals, each in
+//!   instance order, which is item-id order), so equal-tick departures
+//!   drain in item-id order and *before* equal-tick arrivals;
 //! * event time only moves forward: a push behind the engine's horizon is a
 //!   typed [`StreamError::TimeTravel`], never silent reordering;
 //! * memory is bounded by the *live* state (open bins + in-flight items +
@@ -265,8 +266,8 @@ pub struct StreamingEngine<S: BinSelector<Sz>, P: Probe<Sz>, Sz: Demand = Size> 
     keep_views: bool,
     st: State<Sz>,
     /// Min-heap of scheduled departures keyed `(tick, item id)` — exactly
-    /// the order the batch scheduler's stable sort yields for equal-tick
-    /// departures.
+    /// the order [`schedule`](crate::events::schedule) gives equal-tick
+    /// departures: instance order, which is item-id order.
     departures: BinaryHeap<Reverse<(Tick, ItemId)>>,
     /// Per-item size (needed at departure) and lifecycle phase, indexed by
     /// item id like the arena's per-item columns.

@@ -4,7 +4,7 @@
 //! and any genuine overflow must panic rather than wrap).
 
 use dbp::prelude::*;
-use dbp_core::algorithms::IndexedBestFit;
+use dbp_core::algorithms::{IndexedBestFit, IndexedFirstFit, IndexedMff};
 use dbp_core::bounds;
 
 /// Ticks near the top of the u64 range: costs and spans stay exact.
@@ -23,6 +23,48 @@ fn huge_tick_values_stay_exact() {
     assert_eq!(inst.total_demand(), 2u128 * 999_999_999 * 5_000_000);
     let lb = bounds::combined_lower_bound(&inst);
     assert!(Ratio::from_int(trace.total_cost_ticks()) >= lb);
+}
+
+/// Arrivals at tick 0 and departures at u64::MAX: the schedule's radix
+/// sort spans the full key width (six 11-bit passes). An equal-tick
+/// departure/arrival pair sits at each end, and the bins the arrivals land
+/// in show that departures were processed first; an arrival at 2^63, which
+/// only the sixth pass orders after tick 1, shows that every pass ran.
+/// Indexed FF, BF and MFF(8) bill exactly what their naive specifications
+/// bill.
+#[test]
+fn full_width_ticks_keep_the_equal_tick_order() {
+    let top = u64::MAX;
+    let mut b = InstanceBuilder::new(10);
+    b.add(0, 1, 6); // r0 -> b0
+    b.add(1, top, 5); // arrives as r0 departs: fits b0 only if r0 left
+    b.add(0, top - 1, 5); // r2 -> b1
+    b.add(top - 1, top, 2); // arrives as r2 departs: b1 closed first
+    b.add(0, top, 3); // r4 -> b0
+    b.add(1 << 63, top, 2); // fills b0 after r1; 2^63 > 1 shows only in pass six
+    let inst = b.build().unwrap();
+
+    let ff = simulate_validated(&inst, &mut IndexedFirstFit::new());
+    assert_eq!(ff.bin_of(ItemId(1)), BinId(0));
+    assert_eq!(ff.bin_of(ItemId(3)), BinId(2));
+    assert_eq!(ff.bin_of(ItemId(5)), BinId(0));
+    assert_eq!(ff.bins_used(), 3);
+    assert_eq!(ff.total_cost_ticks(), 2 * top as u128);
+    let pairs: [(PackingTrace, PackingTrace); 3] = [
+        (ff, simulate_validated(&inst, &mut FirstFit::new())),
+        (
+            simulate_validated(&inst, &mut IndexedBestFit::new()),
+            simulate_validated(&inst, &mut BestFit::new()),
+        ),
+        (
+            simulate_validated(&inst, &mut IndexedMff::new(8)),
+            simulate_validated(&inst, &mut ModifiedFirstFit::new(8)),
+        ),
+    ];
+    for (indexed, naive) in pairs {
+        assert_eq!(indexed.total_cost_ticks(), naive.total_cost_ticks());
+        assert_eq!(indexed, naive);
+    }
 }
 
 /// Maximum-size items against a maximum capacity.
