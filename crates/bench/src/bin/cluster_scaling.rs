@@ -19,7 +19,9 @@
 //! `busy_ticks` per row makes the cost of any speedup visible in the same
 //! report.
 
-use dbp_bench::churn_workload;
+use dbp_bench::{
+    available_parallelism, churn_workload, ns_to_ms_rounded, write_report, ReportArgs,
+};
 use dbp_cloudsim::{GamingSystem, Granularity, ServerType};
 use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
 use dbp_core::algorithms::standard_factories;
@@ -28,7 +30,6 @@ use dbp_core::instance::Instance;
 use dbp_core::probe::NoProbe;
 use dbp_obs::span::{StageAggregator, StageRow};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -41,12 +42,6 @@ const SEED: u64 = 42;
 /// v4: `dimensions` alongside `selector_engine` (this bench drives the
 /// scalar cluster, so the value is 1).
 const SCHEMA_VERSION: u64 = 4;
-
-/// Round nanoseconds to milliseconds (half-up) — never the truncation that
-/// turned sub-millisecond quick-mode runs into `wall_ms: 0`.
-fn ns_to_ms_rounded(ns: u128) -> u64 {
-    ((ns + 500_000) / 1_000_000) as u64
-}
 
 /// One measured shard count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -131,8 +126,8 @@ fn measure(inst: &Instance, shards: usize, plain_ns: u128) -> (u64, ScalingResul
     );
     let factory = standard_factories(0).remove(0); // the roster's First Fit
     let started = Instant::now();
-    let run = engine
-        .run(inst, &factory)
+    let (run, _) = engine
+        .run_probed(inst, &factory, |_| NoProbe)
         .expect("workload and system share one capacity");
     let wall = started.elapsed();
     assert_eq!(run.report.sessions_served, inst.len(), "items lost");
@@ -180,23 +175,10 @@ fn measure(inst: &Instance, shards: usize, plain_ns: u128) -> (u64, ScalingResul
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut out = PathBuf::from("BENCH_CLUSTER.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--out" {
-            match it.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(p) = a.strip_prefix("--out=") {
-            out = PathBuf::from(p);
-        }
-    }
+    let Some(args) = ReportArgs::from_env("BENCH_CLUSTER.json") else {
+        return ExitCode::FAILURE;
+    };
+    let quick = args.quick;
 
     let n = if quick { 100_000 } else { 1_000_000 };
     eprintln!("[gen] churn_workload n={n}");
@@ -235,22 +217,11 @@ fn main() -> ExitCode {
         algorithm: "FF".to_string(),
         selector_engine: "indexed".to_string(),
         dimensions: 1,
-        available_parallelism: std::thread::available_parallelism()
-            .map(|p| p.get() as u64)
-            .unwrap_or(1),
+        available_parallelism: available_parallelism(),
         peak_rss_bytes: dbp_obs::manifest::peak_rss_bytes(),
         results,
     };
-    match dbp_obs::export::write_json(&out, &report) {
-        Ok(()) => {
-            println!("[report] {}", out.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("[error] cannot write {}: {e}", out.display());
-            ExitCode::FAILURE
-        }
-    }
+    write_report(&args.out, &report)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! nanoseconds and the peak open-bin count. All JSON fields are integers
 //! (or strings/bool), so the report diffs cleanly across runs.
 
-use dbp_bench::churn_workload;
+use dbp_bench::{churn_workload, ns_to_ms_rounded, write_report, ReportArgs};
 use dbp_cloudsim::{GamingSystem, Granularity, ServerType};
 use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
 use dbp_core::algorithms::{
@@ -28,9 +28,8 @@ use dbp_core::algorithms::{
 use dbp_core::engine::{simulate, simulate_probed};
 use dbp_core::instance::Instance;
 use dbp_core::packer::{BinSelector, SelectorFactory};
-use dbp_core::probe::{GProbeEvent, Probe};
+use dbp_core::probe::{GProbeEvent, NoProbe, Probe};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -43,12 +42,6 @@ const SEED: u64 = 42;
 /// plus a D=3 vector row measuring the const-generic engine on the
 /// heterogeneous widening of the same churn stream.
 const SCHEMA_VERSION: u64 = 4;
-
-/// Round nanoseconds to milliseconds (half-up) — never the truncation that
-/// turned sub-millisecond quick-mode runs into `wall_ms: 0`.
-fn ns_to_ms_rounded(ns: u128) -> u64 {
-    ((ns + 500_000) / 1_000_000) as u64
-}
 
 /// One measured (algorithm, engine, n) cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -234,8 +227,8 @@ fn measure_cluster_overhead(inst: &Instance) -> ClusterOverhead {
     let engine = ClusterEngine::new(system, ClusterConfig::new(1, Router::HashByItem).unwrap());
     let factory = SelectorFactory::new("FF", || Box::new(IndexedFirstFit::new()));
     let started = Instant::now();
-    let run = engine
-        .run(inst, &factory)
+    let (run, _) = engine
+        .run_probed(inst, &factory, |_| NoProbe)
         .expect("workload and system share one capacity");
     let cluster_ns = started.elapsed().as_nanos().max(1);
     assert_eq!(
@@ -259,26 +252,13 @@ fn measure_cluster_overhead(inst: &Instance) -> ClusterOverhead {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let Some(args) = ReportArgs::from_env("BENCH_ENGINE.json") else {
+        return ExitCode::FAILURE;
+    };
+    let quick = args.quick;
     // Undocumented: a 1k-item grid so the schema-validation test can run
     // the real binary end-to-end in seconds, debug build included.
-    let tiny = args.iter().any(|a| a == "--tiny");
-    let mut out = PathBuf::from("BENCH_ENGINE.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--out" {
-            match it.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(p) = a.strip_prefix("--out=") {
-            out = PathBuf::from(p);
-        }
-    }
+    let tiny = args.has("--tiny");
 
     let sizes: &[usize] = if tiny {
         &[1_000]
@@ -348,16 +328,7 @@ fn main() -> ExitCode {
         overhead_vs_plain_engine: overhead.expect("the first grid size always runs"),
         results,
     };
-    match dbp_obs::export::write_json(&out, &report) {
-        Ok(()) => {
-            println!("[report] {}", out.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("[error] cannot write {}: {e}", out.display());
-            ExitCode::FAILURE
-        }
-    }
+    write_report(&args.out, &report)
 }
 
 #[cfg(test)]

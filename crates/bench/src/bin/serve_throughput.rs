@@ -20,6 +20,7 @@
 //! `BENCH_SERVE.json`; every row's ledger must conserve
 //! `placed + shed + rejected == offered` or the bench fails.
 
+use dbp_bench::{available_parallelism, ns_to_ms_rounded, write_report, ReportArgs};
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_core::algorithms::standard_factories;
 use dbp_core::item::Size;
@@ -27,7 +28,6 @@ use dbp_serve::protocol::Request;
 use dbp_serve::shard::{Outcome, ShardPipeline};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -42,11 +42,6 @@ const QUEUE_TIMEOUT: u64 = 50;
 /// v4: `dimensions` alongside `selector_engine` (the drive is scalar, 1;
 /// vector daemons report their D here when benched).
 const SCHEMA_VERSION: u64 = 4;
-
-/// Round nanoseconds to milliseconds (half-up).
-fn ns_to_ms_rounded(ns: u128) -> u64 {
-    ((ns + 500_000) / 1_000_000) as u64
-}
 
 /// One measured overload factor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -204,23 +199,10 @@ fn measure(n: u64, overload: u64) -> OverloadResult {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut out = PathBuf::from("BENCH_SERVE.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--out" {
-            match it.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(p) = a.strip_prefix("--out=") {
-            out = PathBuf::from(p);
-        }
-    }
+    let Some(args) = ReportArgs::from_env("BENCH_SERVE.json") else {
+        return ExitCode::FAILURE;
+    };
+    let quick = args.quick;
 
     let n: u64 = if quick { 100_000 } else { 1_000_000 };
     let mut results = Vec::new();
@@ -250,22 +232,11 @@ fn main() -> ExitCode {
         algorithm: "FF".to_string(),
         selector_engine: "indexed".to_string(),
         dimensions: 1,
-        available_parallelism: std::thread::available_parallelism()
-            .map(|p| p.get() as u64)
-            .unwrap_or(1),
+        available_parallelism: available_parallelism(),
         peak_rss_bytes: dbp_obs::manifest::peak_rss_bytes(),
         results,
     };
-    match dbp_obs::export::write_json(&out, &report) {
-        Ok(()) => {
-            println!("[report] {}", out.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("[error] cannot write {}: {e}", out.display());
-            ExitCode::FAILURE
-        }
-    }
+    write_report(&args.out, &report)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use dbp_core::algorithms::{
 };
 use dbp_core::engine::simulate;
 use dbp_core::packer::{BinSelector, SelectorFactory};
+use dbp_core::probe::NoProbe;
 use std::time::{Duration, Instant};
 
 /// 10^5 churn-heavy items (thousands of simultaneously open bins) must pack
@@ -70,8 +71,9 @@ fn cluster_dispatch_stays_near_the_engine() {
         );
         let started = Instant::now();
         let run = engine
-            .run(&inst, &factory)
-            .expect("workload and system share one capacity");
+            .run_probed(&inst, &factory, |_| NoProbe)
+            .expect("workload and system share one capacity")
+            .0;
         cluster_walls.push((shards, started.elapsed()));
         if shards == 1 {
             assert_eq!(

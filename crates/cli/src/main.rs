@@ -36,6 +36,7 @@ use dbp_core::metrics::summarize;
 use dbp_core::packer::{BinSelector, SelectorFactory};
 use dbp_core::probe::{GProbeEvent, Probe, ProbeEvent};
 use dbp_core::ratio::Ratio;
+use dbp_core::span::NoSpans;
 use dbp_obs::{FsyncPolicy, MetricsRegistry, RunManifest};
 use dbp_opt::{opt_total, SolveMode};
 use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
@@ -392,7 +393,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let plan = match args.str_flag("faults") {
         Some(spec) => {
             args.refuse("--faults", "timeseries validate fleet gantt svg save-trace")?;
-            Some(fault_plans(spec, &inst, 1)?.remove(0))
+            Some((spec, fault_plans(spec, &inst, 1)?.remove(0)))
         }
         None => None,
     };
@@ -401,7 +402,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .is_some();
     let started = std::time::Instant::now();
     let mut probe = RunProbe::open(args, String::new())?;
-    if let Some(plan) = plan {
+    if let Some((spec, plan)) = plan {
         // Resilient dispatch (crashes, flaky provisioning, retries, orphan
         // re-dispatch): the SLA ledger prints next to the bill.
         let resilient =
@@ -411,7 +412,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         } else {
             resilient.run(&inst, &mut *sel)
         }
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("{spec}: {e}"))?;
         let wall = started.elapsed();
         probe.seal_journal(args)?;
         // No packing trace here, so no exact cost: `recover --faults`
@@ -633,15 +634,17 @@ fn absorb_dim_metrics(reg: &mut MetricsRegistry, dims: &[dbp_cluster::vector::Di
 /// `dbp cluster FILE --hetero`: route the widened vector instance across
 /// shards with per-dimension load folds and report the exact
 /// per-dimension ledger (conservation is asserted inside
-/// [`dbp_cluster::vector::run_cluster_vec`]).
+/// [`dbp_cluster::ClusterEngine::run_vector`]).
 fn cmd_cluster_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
     let mu = mu_hint(scalar);
     hetero_selector(algo, mu)?;
     let config = cluster_config(args, 2)?;
     let inst = dbp_workloads::widen(scalar);
-    let run = dbp_cluster::vector::run_cluster_vec(&inst, config.router, config.shards, || {
-        hetero_selector(algo, mu).expect("algorithm name validated above")
-    });
+    let run = dbp_cluster::ClusterEngine::new(paper_gaming_system(scalar), config)
+        .run_vector(&inst, || {
+            hetero_selector(algo, mu).expect("algorithm name validated above")
+        })
+        .map_err(|e| e.to_string())?;
     print_cluster_header(
         &format!("{} ({HETERO_DIMS}-dimensional)", run.algorithm),
         &run.router,
@@ -709,12 +712,14 @@ fn load_plan<T>(
 }
 
 /// One `--faults` plan per dispatcher: a plan file is shared verbatim;
-/// seed `S` gives dispatcher `k` the plan of seed `S + k`.
+/// seed `S` gives dispatcher `k` the plan of seed `S + k`. A plan that
+/// breaks [`FaultPlan::validate`] is refused here, before any file is
+/// created.
 fn fault_plans(spec: &str, inst: &Instance, dispatchers: usize) -> Result<Vec<FaultPlan>, String> {
     let horizon = dbp_core::events::event_ticks(inst)
         .last()
         .map_or(0, |t| t.raw());
-    load_plan(
+    let plans = load_plan(
         "faults",
         spec,
         |body| serde_json::from_str(body).map(|plan| vec![plan; dispatchers]),
@@ -723,7 +728,11 @@ fn fault_plans(spec: &str, inst: &Instance, dispatchers: usize) -> Result<Vec<Fa
                 .map(|k| FaultPlan::from_seed(seed.wrapping_add(k), horizon))
                 .collect()
         },
-    )
+    )?;
+    for plan in &plans {
+        plan.validate().map_err(|e| format!("{spec}: {e}"))?;
+    }
+    Ok(plans)
 }
 
 /// A `--shard-faults` plan; a seed draws one sized to the instance.
@@ -819,8 +828,8 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         }
         let plan = shard_fault_plan(spec, shards, &inst)?;
         let mut probe = RunProbe::open(args, String::new())?;
-        let run = engine
-            .run_self_healing_probed(&inst, &factory, &plan, &mut probe)
+        let (run, _) = engine
+            .run_self_healing(&inst, &factory, &plan, &mut probe, |_, _| NoSpans)
             .map_err(|e| e.to_string())?;
         probe.seal(args)?;
         let mut merged = run.metrics();
@@ -865,7 +874,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
 
     let plans = args
         .str_flag("faults")
-        .map(|spec| fault_plans(spec, &inst, shards))
+        .map(|spec| fault_plans(spec, &inst, shards).map(|plans| (spec, plans)))
         .transpose()?;
     // Pre-open every shard's recorders so journal I/O errors surface
     // before any work runs; the pool then takes them by shard index.
@@ -875,10 +884,10 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     let take_probe = |s: usize| probes[s].take().expect("each shard probe is taken once");
 
     let started = std::time::Instant::now();
-    if let Some(plans) = plans {
+    if let Some((spec, plans)) = plans {
         let (run, probes) = engine
-            .run_resilient_probed(&inst, &factory, &plans, take_probe)
-            .map_err(|e| e.to_string())?;
+            .run_resilient(&inst, &factory, &plans, take_probe)
+            .map_err(|e| format!("{spec}: {e}"))?;
         let wall = started.elapsed();
         let mut merged = MetricsRegistry::new();
         for (s, mut probe) in probes.into_iter().enumerate() {
@@ -1105,7 +1114,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         if let Some(spec) = args.str_flag("shard-faults") {
             let plan = shard_fault_plan(spec, shards, &inst)?;
             let (run, trace) = engine
-                .run_self_healing_traced(
+                .run_self_healing(
                     &inst,
                     &factory,
                     &plan,

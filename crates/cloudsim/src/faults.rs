@@ -189,7 +189,8 @@ pub struct FaultPlan {
     /// Seed of every per-attempt outcome stream (boot failures, boot
     /// delays, rejections, retry jitter).
     pub seed: u64,
-    /// Scheduled crashes, sorted by `(at, server)`.
+    /// Scheduled crashes in tick order (generated plans break ties by
+    /// `server`; ties fire in list order).
     pub crashes: Vec<CrashEvent>,
     /// Per-attempt provisioning failure probability in `[0, 1]`.
     pub boot_fail_prob: f64,
@@ -216,6 +217,45 @@ impl FaultPlan {
             retry: RetryPolicy::default(),
             admission: AdmissionPolicy::unbounded(),
         }
+    }
+
+    /// Check the plan's own contract: crashes in non-decreasing tick
+    /// order, both probabilities in `[0, 1]`, and `boot_delay_max` and
+    /// `retry.jitter` below `u64::MAX` (each draw is `hash % (max + 1)`).
+    /// Hand-written JSON can break any of these, and none may be repaired
+    /// silently — a reordered crash list would re-time the run.
+    ///
+    /// # Errors
+    /// [`DispatchError::BadFaultPlan`] naming the first violation.
+    pub fn validate(&self) -> Result<(), DispatchError> {
+        let bad = |message: String| Err(DispatchError::BadFaultPlan { message });
+        if let Some(k) = self.crashes.windows(2).position(|w| w[0].at > w[1].at) {
+            return bad(format!(
+                "crashes must be in tick order, but crash {} at tick {} follows one at tick {}",
+                k + 1,
+                self.crashes[k + 1].at,
+                self.crashes[k].at
+            ));
+        }
+        for (name, p) in [
+            ("boot_fail_prob", self.boot_fail_prob),
+            ("reject_prob", self.reject_prob),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return bad(format!("{name} must be a probability in [0, 1], got {p}"));
+            }
+        }
+        for (name, max) in [
+            ("boot_delay_max", self.boot_delay_max),
+            ("retry.jitter", self.retry.jitter),
+        ] {
+            if max == u64::MAX {
+                return bad(format!(
+                    "{name} must be below {max}: draws are hash % ({name} + 1)"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Whether the plan can never inject a fault.
@@ -341,8 +381,7 @@ impl ResilientSystem {
     /// Run without a probe.
     ///
     /// # Errors
-    /// [`DispatchError::CapacityMismatch`] when the workload was generated
-    /// against a different server capacity.
+    /// As for [`run_traced`](Self::run_traced).
     pub fn run<S: BinSelector + ?Sized>(
         &self,
         requests: &Instance,
@@ -354,8 +393,7 @@ impl ResilientSystem {
     /// Run, reporting every engine and fault event to `probe`.
     ///
     /// # Errors
-    /// [`DispatchError::CapacityMismatch`] when the workload was generated
-    /// against a different server capacity.
+    /// As for [`run_traced`](Self::run_traced).
     pub fn run_probed<S: BinSelector + ?Sized, P: Probe>(
         &self,
         requests: &Instance,
@@ -373,7 +411,11 @@ impl ResilientSystem {
     ///
     /// # Errors
     /// [`DispatchError::CapacityMismatch`] when the workload was generated
-    /// against a different server capacity.
+    /// against a different server capacity; [`DispatchError::BadFaultPlan`]
+    /// before any dispatch when [`FaultPlan::validate`] refuses the plan,
+    /// and mid-run when its boot delays or retry backoff push an event
+    /// past tick `u64::MAX` (the run stops there; `probe` holds the
+    /// prefix).
     pub fn run_traced<S: BinSelector + ?Sized, P: Probe, R: SpanRecorder>(
         &self,
         requests: &Instance,
@@ -382,8 +424,12 @@ impl ResilientSystem {
         spans: &mut R,
     ) -> Result<ResilientReport, DispatchError> {
         self.system.check_capacity(requests)?;
+        self.plan.validate()?;
         let mut sim = Sim::new(requests, &self.plan, dispatcher, probe, spans);
         sim.run();
+        if let Some(message) = sim.overflow.take() {
+            return Err(DispatchError::BadFaultPlan { message });
+        }
         Ok(sim.into_report(
             self.system.server,
             self.system.granularity,
@@ -528,6 +574,9 @@ struct Sim<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> {
     servers_rented: u64,
     peak_servers: u64,
     server_busy: Vec<u64>,
+    /// Set when plan delays pushed an event past tick `u64::MAX`; the
+    /// run loop stops and the run is refused with this message.
+    overflow: Option<String>,
 }
 
 impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
@@ -553,7 +602,6 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
         }
         // Same-tick arrivals in item order, matching the engine's schedule.
         arrivals.sort_by_key(|&(at, id)| (at, id));
-        debug_assert!(plan.crashes.windows(2).all(|w| w[0].at <= w[1].at));
         Sim {
             plan,
             selector,
@@ -599,11 +647,12 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
             servers_rented: 0,
             peak_servers: 0,
             server_busy: Vec::new(),
+            overflow: None,
         }
     }
 
     fn run(&mut self) {
-        loop {
+        while self.overflow.is_none() {
             if self.arrival_ptr >= self.arrivals.len()
                 && self.departures.is_empty()
                 && self.boots.is_empty()
@@ -1008,7 +1057,7 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
                     self.selector
                         .on_bin_opened(id, tag, self.size[item.index()]);
                 } else {
-                    let ready = t + delay;
+                    let ready = self.tick_after(t, Some(delay), "boot");
                     self.seq += 1;
                     self.boots
                         .push(Reverse((ready, self.seq, id.0, tag.0, item.0, t)));
@@ -1050,7 +1099,7 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
                 }
             }
         } else {
-            self.end[i] = t + self.duration[i];
+            self.end[i] = self.tick_after(t, Some(self.duration[i]), "session end");
             self.departures.push(Reverse((self.end[i], item.0)));
             if P::ENABLED {
                 self.probe.record(ProbeEvent::ItemPlaced {
@@ -1101,7 +1150,7 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
 
     fn finish_recovery(&mut self, t: u64, rec: usize) {
         let r = &self.recoveries[rec];
-        self.recovery_ticks += t - r.started;
+        self.recovery_ticks = self.recovery_ticks.saturating_add(t - r.started);
         if P::ENABLED {
             self.probe.record(ProbeEvent::RecoveryEnded {
                 at: Tick(t),
@@ -1130,8 +1179,13 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
         } else {
             0
         };
-        let delay = (self.plan.retry.backoff_ticks(self.attempts[i]) + jitter).max(1);
-        let next = t + delay;
+        let delay = self
+            .plan
+            .retry
+            .backoff_ticks(self.attempts[i])
+            .checked_add(jitter)
+            .map(|d| d.max(1));
+        let next = self.tick_after(t, delay, "retry");
         self.seq += 1;
         self.retries.push(Reverse((next, self.seq, item.0)));
         self.retries_scheduled += 1;
@@ -1143,6 +1197,21 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
                 next: Tick(next),
             });
         }
+    }
+
+    /// `t + delay`, the tick of an event `delay` ticks from now (`None`
+    /// when the delay itself overflowed). Past `u64::MAX` the overflow is
+    /// latched, the run loop stops, and `u64::MAX` stands in.
+    fn tick_after(&mut self, t: u64, delay: Option<u64>, what: &str) -> u64 {
+        delay.and_then(|d| t.checked_add(d)).unwrap_or_else(|| {
+            self.overflow.get_or_insert_with(|| {
+                format!(
+                    "{what} delay from tick {t} passes the last tick {}",
+                    u64::MAX
+                )
+            });
+            u64::MAX
+        })
     }
 
     fn into_report(
@@ -1479,5 +1548,56 @@ mod tests {
         };
         assert_eq!(huge.backoff_ticks(1), 100);
         assert_eq!(huge.backoff_ticks(u32::MAX), 100);
+    }
+
+    #[test]
+    fn contract_breaking_plans_are_refused_before_dispatch() {
+        let inst = workload(16, 2400);
+        let mut unsorted = FaultPlan::none();
+        unsorted.crashes = vec![
+            CrashEvent {
+                at: 2000,
+                server: 0,
+            },
+            CrashEvent { at: 500, server: 0 },
+        ];
+        let mut nan = FaultPlan::none();
+        nan.reject_prob = f64::NAN;
+        let mut jitter = FaultPlan::none();
+        jitter.retry.jitter = u64::MAX;
+        for plan in [unsorted, nan, jitter] {
+            let mut log = EventLog::new();
+            let got = ResilientSystem::new(GamingSystem::paper_model(), plan).run_probed(
+                &inst,
+                &mut FirstFit::new(),
+                &mut log,
+            );
+            assert!(
+                matches!(got, Err(DispatchError::BadFaultPlan { .. })),
+                "{got:?}"
+            );
+            assert!(log.events().is_empty(), "refused plans dispatch nothing");
+        }
+    }
+
+    #[test]
+    fn a_retry_past_the_last_tick_refuses_the_plan() {
+        let mut b = InstanceBuilder::new(1000);
+        b.add(0, 100, 600);
+        let inst = b.build().unwrap();
+        let mut plan = FaultPlan::none();
+        plan.boot_fail_prob = 1.0;
+        plan.retry = RetryPolicy {
+            base: u64::MAX / 2 + 1,
+            cap: u64::MAX,
+            jitter: 0,
+            max_attempts: 3,
+        };
+        // Retry 1 fires at tick 2^63; the second backoff saturates at
+        // u64::MAX ticks, which no tick after 0 can add.
+        let err = ResilientSystem::new(GamingSystem::paper_model(), plan)
+            .run(&inst, &mut FirstFit::new())
+            .unwrap_err();
+        assert!(err.to_string().contains("retry delay"), "{err}");
     }
 }

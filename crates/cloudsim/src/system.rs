@@ -26,6 +26,13 @@ pub enum DispatchError {
         /// Capacity the server flavor provides.
         server: u64,
     },
+    /// A [`FaultPlan`](crate::FaultPlan) broke its own contract: crashes
+    /// out of tick order, a probability that is NaN or outside `[0, 1]`,
+    /// or delays that push an event past the last representable tick.
+    BadFaultPlan {
+        /// What was wrong.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for DispatchError {
@@ -35,6 +42,7 @@ impl std::fmt::Display for DispatchError {
                 f,
                 "workload capacity {workload} != server capacity {server}"
             ),
+            DispatchError::BadFaultPlan { message } => write!(f, "bad fault plan: {message}"),
         }
     }
 }

@@ -17,8 +17,9 @@ use crate::router::Router;
 use dbp_cloudsim::{
     DispatchError, FaultPlan, GamingSystem, ResilientReport, ResilientSystem, SystemReport,
 };
+use dbp_core::demand::Demand;
 use dbp_core::engine::EngineRun;
-use dbp_core::instance::Instance;
+use dbp_core::instance::{GInstance, Instance};
 use dbp_core::item::ItemId;
 use dbp_core::packer::SelectorFactory;
 use dbp_core::probe::{NoProbe, Probe, ProbeEvent};
@@ -550,16 +551,6 @@ impl ClusterEngine {
             .partition(requests, self.config.shards, &mut NoSpans)
     }
 
-    /// Run the cluster without instrumentation.
-    pub fn run(
-        &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
-    ) -> Result<ClusterRun, ClusterError> {
-        self.run_probed(requests, factory, |_| NoProbe)
-            .map(|(run, _)| run)
-    }
-
     /// Run the cluster with one probe per shard. `make_probe(shard)` is
     /// called in shard order before the pool starts; the probes come back
     /// in the same order for draining (event logs, journal sealing).
@@ -615,13 +606,14 @@ impl ClusterEngine {
         FP: FnMut(usize) -> P,
         FR: FnMut(usize, Instant) -> R,
     {
+        self.system.check_capacity(requests)?;
         self.fan_out(
             requests,
             make_probe,
             make_spans,
             |shard, inst, back, mut probe, spans| {
                 let mut sel = factory.build();
-                let (report, trace) = run_shard_traced(
+                let (report, trace) = run_shard(
                     &self.system,
                     &inst,
                     &mut *sel,
@@ -660,27 +652,16 @@ impl ClusterEngine {
     }
 
     /// Run the cluster under per-shard fault plans through
-    /// [`ResilientSystem`]; `plans` must hold one plan per shard.
+    /// [`ResilientSystem`]; `plans` must hold one plan per shard, and
+    /// `make_probe(shard)` supplies one probe per shard exactly as in
+    /// [`run_probed`](Self::run_probed) (pass `|_| NoProbe` for none).
     ///
     /// # Errors
     /// As for [`run_probed`](Self::run_probed), plus
     /// [`ClusterError::FaultPlanCount`] when `plans.len()` differs from
-    /// the shard count.
-    pub fn run_resilient(
-        &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
-        plans: &[FaultPlan],
-    ) -> Result<ClusterResilientRun, ClusterError> {
-        self.run_resilient_probed(requests, factory, plans, |_| NoProbe)
-            .map(|(run, _)| run)
-    }
-
-    /// [`run_resilient`](Self::run_resilient) with one probe per shard.
-    ///
-    /// # Errors
-    /// As for [`run_resilient`](Self::run_resilient).
-    pub fn run_resilient_probed<P, F>(
+    /// the shard count, and [`ClusterError::Dispatch`] when a shard's
+    /// plan is refused ([`DispatchError::BadFaultPlan`]).
+    pub fn run_resilient<P, F>(
         &self,
         requests: &Instance,
         factory: &SelectorFactory,
@@ -697,6 +678,7 @@ impl ClusterEngine {
                 got: plans.len(),
             });
         }
+        self.system.check_capacity(requests)?;
         let ((shards, probes, assignment), _) = self.fan_out(
             requests,
             |s| (plans[s].clone(), make_probe(s)),
@@ -751,56 +733,29 @@ impl ClusterEngine {
     /// in-flight sessions billed lost, not-yet-arrived sessions rerouted
     /// to healthy shards.
     ///
+    /// Unlike [`run_probed`](Self::run_probed)'s per-shard probes, the
+    /// whole cluster's event stream is delivered to the one `probe` at
+    /// fan-in on the driver thread, shard by shard in shard order: each
+    /// shard's engine events with its `ShardKilled`/`ShardRestarted`
+    /// markers interleaved at the stream positions they occurred, and a
+    /// final `ShardAbandoned` marker for dead shards. Under a zero-kill
+    /// plan the delivered stream is byte-identical to the per-shard
+    /// streams of a plain run, concatenated.
+    ///
+    /// Spans mirror [`run_traced`](Self::run_traced): one recorder per
+    /// shard and a driver lane sharing one epoch (`|_, _| NoSpans` for
+    /// none). Shard lanes additionally carry `shard_restart` (journal
+    /// snapshot rebuild) and `shard_replay` (resume replay) spans for
+    /// every resurrection; the driver lane carries a `reroute` span
+    /// nested in `fan_in` when degraded-mode routing ran.
+    ///
     /// # Errors
     /// As for [`run_probed`](Self::run_probed), plus
     /// [`ClusterError::BadFaultPlan`] when a kill targets a shard outside
     /// the cluster. [`ClusterError::ShardPanicked`] here means the
     /// *supervisor itself* died — engine and selector panics are treated
     /// as kills and handled inside the run.
-    pub fn run_self_healing(
-        &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
-        plan: &ShardFaultPlan,
-    ) -> Result<ClusterHealedRun, ClusterError> {
-        self.run_self_healing_probed(requests, factory, plan, &mut NoProbe)
-    }
-
-    /// [`run_self_healing`](Self::run_self_healing) with a single probe.
-    ///
-    /// Unlike [`run_probed`](Self::run_probed)'s per-shard probes, the
-    /// whole cluster's event stream is delivered to `probe` at fan-in on
-    /// the driver thread, shard by shard in shard order: each shard's
-    /// engine events with its `ShardKilled`/`ShardRestarted` markers
-    /// interleaved at the stream positions they occurred, and a final
-    /// `ShardAbandoned` marker for dead shards. Under a zero-kill plan
-    /// the delivered stream is byte-identical to the per-shard streams of
-    /// a plain run, concatenated.
-    ///
-    /// # Errors
-    /// As for [`run_self_healing`](Self::run_self_healing).
-    pub fn run_self_healing_probed<P: Probe>(
-        &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
-        plan: &ShardFaultPlan,
-        probe: &mut P,
-    ) -> Result<ClusterHealedRun, ClusterError> {
-        self.run_self_healing_traced(requests, factory, plan, probe, |_, _| NoSpans)
-            .map(|(run, _)| run)
-    }
-
-    /// [`run_self_healing_probed`](Self::run_self_healing_probed) plus
-    /// span capture, mirroring [`run_traced`](Self::run_traced): one
-    /// recorder per shard and a driver lane sharing one epoch. Shard
-    /// lanes additionally carry `shard_restart` (journal snapshot
-    /// rebuild) and `shard_replay` (resume replay) spans for every
-    /// resurrection; the driver lane carries a `reroute` span nested in
-    /// `fan_in` when degraded-mode routing ran.
-    ///
-    /// # Errors
-    /// As for [`run_self_healing`](Self::run_self_healing).
-    pub fn run_self_healing_traced<P, R, FR>(
+    pub fn run_self_healing<P, R, FR>(
         &self,
         requests: &Instance,
         factory: &SelectorFactory,
@@ -826,6 +781,7 @@ impl ClusterEngine {
             };
             kills.push(kill.at);
         }
+        self.system.check_capacity(requests)?;
         self.fan_out(
             requests,
             |s| std::mem::take(&mut sched[s]),
@@ -957,11 +913,12 @@ impl ClusterEngine {
                     continue;
                 }
                 let mut sel = factory.build();
-                let (rep, _trace) = run_shard_probed(
+                let (rep, _trace) = run_shard(
                     &self.system,
                     &hinst,
                     &mut *sel,
                     &mut NoProbe,
+                    &mut NoSpans,
                     self.config.batch,
                 );
                 let hr = &mut health_reports[host];
@@ -1029,10 +986,10 @@ impl ClusterEngine {
         }
     }
 
-    /// The one cluster fan-out every driver shares: validate the shape,
-    /// check capacity, partition (`partition`/`route` spans), build one
-    /// work unit per shard (`batch_enqueue`), open every shard lane's
-    /// `queue_wait` span, run the pool (`dispatch`), flip each lane to
+    /// The one cluster fan-out every driver shares, scalar and vector
+    /// alike: validate the shape, partition (`partition`/`route` spans),
+    /// build one work unit per shard (`batch_enqueue`), open every shard
+    /// lane's `queue_wait` span, run the pool (`dispatch`), flip each lane to
     /// `shard_busy` the moment a worker claims its unit, map a shard panic
     /// to [`ClusterError::ShardPanicked`], run the caller's fan-in under a
     /// `fan_in` span, and derive the [`ClusterTiming`].
@@ -1042,25 +999,25 @@ impl ClusterEngine {
     /// spans)` runs on a pool worker inside the shard's `shard_busy` span;
     /// `fan_in(outcomes, assignment, driver)` gets the outcomes in shard
     /// order on the driver thread.
-    fn fan_out<U, T, R, X, FU, FR, W, FI>(
+    pub(crate) fn fan_out<Sz, U, T, R, X, FU, FR, W, FI>(
         &self,
-        requests: &Instance,
+        requests: &GInstance<Sz>,
         mut make_unit: FU,
         mut make_spans: FR,
         work: W,
         fan_in: FI,
     ) -> Result<(X, ClusterTrace<R>), ClusterError>
     where
+        Sz: Demand,
         U: Send,
         T: Send,
         R: SpanRecorder + Send,
         FU: FnMut(usize) -> U,
         FR: FnMut(usize, Instant) -> R,
-        W: Fn(usize, Instance, Vec<ItemId>, U, &mut R) -> T + Sync,
+        W: Fn(usize, GInstance<Sz>, Vec<ItemId>, U, &mut R) -> T + Sync,
         FI: FnOnce(Vec<T>, Vec<usize>, &mut SpanCollector) -> Result<X, ClusterError>,
     {
         self.config.validate()?;
-        self.system.check_capacity(requests)?;
         let epoch = Instant::now();
         let mut driver = SpanCollector::with_epoch(epoch, DRIVER_LANE);
 
@@ -1072,7 +1029,7 @@ impl ClusterEngine {
         driver.exit();
 
         driver.enter(stage::BATCH_ENQUEUE);
-        let mut units: Vec<(Instance, Vec<ItemId>, U, R)> = parts
+        let mut units: Vec<(GInstance<Sz>, Vec<ItemId>, U, R)> = parts
             .into_iter()
             .enumerate()
             .map(|(s, (inst, back))| (inst, back, make_unit(s), make_spans(s, epoch)))
@@ -1188,29 +1145,17 @@ fn elapsed_ns(epoch: Instant) -> u64 {
 }
 
 /// One shard's dispatch: the [`GamingSystem::run`] accounting, driven
-/// through [`EngineRun`] in time-ordered bursts so ingestion can batch.
-/// Validation and report construction mirror the plain system run exactly —
-/// a 1-shard cluster must be byte-identical to it.
-pub fn run_shard_probed<S, P>(
-    system: &GamingSystem,
-    requests: &Instance,
-    dispatcher: &mut S,
-    probe: &mut P,
-    batch: BatchPolicy,
-) -> (SystemReport, PackingTrace)
-where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
-{
-    run_shard_traced(system, requests, dispatcher, probe, &mut NoSpans, batch)
-}
-
-/// [`run_shard_probed`] plus a [`SpanRecorder`]: the engine loop runs
-/// through [`EngineRun::traced`] (per-event `arrival`/`decide`/`place`/
-/// `departure` spans), and the shard's own validation and report
-/// construction get `validate` / `report_build` spans. With [`NoSpans`]
-/// this compiles down to exactly the probed path.
-pub fn run_shard_traced<S, P, R>(
+/// through [`EngineRun::traced`] in time-ordered `batch` bursts so
+/// ingestion can batch (per-event `arrival`/`decide`/`place`/`departure`
+/// spans, plus the shard's own `validate` / `report_build` spans).
+/// Validation and report construction mirror the plain system run
+/// exactly — a 1-shard cluster must be byte-identical to it. With
+/// [`NoProbe`] and [`NoSpans`] this compiles down to the bare engine loop.
+///
+/// # Panics
+/// Panics if `requests` was generated against a different capacity than
+/// `system`'s server flavor (the cluster runs check it up front).
+pub fn run_shard<S, P, R>(
     system: &GamingSystem,
     requests: &Instance,
     dispatcher: &mut S,
@@ -1452,7 +1397,10 @@ mod tests {
                 GamingSystem::paper_model(),
                 ClusterConfig::new(4, router).unwrap(),
             );
-            let run = engine.run(&inst, &ff_factory()).unwrap();
+            let run = engine
+                .run_probed(&inst, &ff_factory(), |_| NoProbe)
+                .unwrap()
+                .0;
             let busy: u128 = run.shards.iter().map(|s| s.report.busy_ticks).sum();
             assert_eq!(run.report.busy_ticks, busy, "{}", router.name());
             let cents = run
@@ -1474,7 +1422,10 @@ mod tests {
                     GamingSystem::paper_model(),
                     ClusterConfig::new(shards, router).unwrap(),
                 );
-                let run = engine.run(&inst, &ff_factory()).unwrap();
+                let run = engine
+                    .run_probed(&inst, &ff_factory(), |_| NoProbe)
+                    .unwrap()
+                    .0;
                 digests.push(run.report.manifest.instance_digest.clone());
             }
         }
@@ -1493,7 +1444,7 @@ mod tests {
             ClusterConfig::new(2, Router::HashByItem).unwrap(),
         );
         assert!(matches!(
-            engine.run(&inst, &ff_factory()),
+            engine.run_probed(&inst, &ff_factory(), |_| NoProbe),
             Err(ClusterError::Dispatch(
                 DispatchError::CapacityMismatch { .. }
             ))
@@ -1511,7 +1462,9 @@ mod tests {
         config.batch = BatchPolicy::Chunks(0);
         let engine = ClusterEngine::new(GamingSystem::paper_model(), config);
         assert_eq!(
-            engine.run(&workload(31), &ff_factory()).unwrap_err(),
+            engine
+                .run_probed(&workload(31), &ff_factory(), |_| NoProbe)
+                .unwrap_err(),
             ClusterError::ZeroBatch
         );
     }
@@ -1557,7 +1510,7 @@ mod tests {
             SelectorFactory::new("PanicAfter", || Box::new(PanicAfter { calls: 0, at: 5 }));
         // The pool contains the unwind: a failure value, not an abort,
         // and the test process is alive to assert on it.
-        let err = engine.run(&inst, &factory).unwrap_err();
+        let err = engine.run_probed(&inst, &factory, |_| NoProbe).unwrap_err();
         assert!(
             matches!(err, ClusterError::ShardPanicked { .. }),
             "got {err:?}"
@@ -1574,17 +1527,22 @@ mod tests {
         );
         let mut healed_log = dbp_obs::EventLog::new();
         let healed = engine
-            .run_self_healing_probed(
+            .run_self_healing(
                 &inst,
                 &ff_factory(),
                 &ShardFaultPlan::none(),
                 &mut healed_log,
+                |_, _| NoSpans,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         // Same ledger as the zero-fault resilient run...
         let resilient = engine
-            .run_resilient(&inst, &ff_factory(), &vec![FaultPlan::none(); 4])
-            .unwrap();
+            .run_resilient(&inst, &ff_factory(), &vec![FaultPlan::none(); 4], |_| {
+                NoProbe
+            })
+            .unwrap()
+            .0;
         assert_eq!(healed.report, resilient.report);
         assert!(healed.report.conserved());
         assert_eq!(healed.report.shard_restarts, 0);
@@ -1627,8 +1585,9 @@ mod tests {
         };
         let mut log = dbp_obs::EventLog::new();
         let healed = engine
-            .run_self_healing_probed(&inst, &ff_factory(), &plan, &mut log)
-            .unwrap();
+            .run_self_healing(&inst, &ff_factory(), &plan, &mut log, |_, _| NoSpans)
+            .unwrap()
+            .0;
         assert!(healed.report.conserved(), "extended ledger must conserve");
         let dead = &healed.shards[2];
         assert_eq!(dead.health, ShardHealth::Down);
@@ -1666,10 +1625,15 @@ mod tests {
             restart: crate::faults::RestartPolicy::default(),
         };
         assert!(matches!(
-            engine.run_self_healing(&workload(35), &ff_factory(), &plan),
+            engine.run_self_healing(&workload(35), &ff_factory(), &plan, &mut NoProbe, |_, _| {
+                NoSpans
+            }),
             Err(ClusterError::BadFaultPlan { .. })
         ));
-        let wrong_count = engine.run_resilient(&workload(35), &ff_factory(), &[FaultPlan::none()]);
+        let wrong_count =
+            engine.run_resilient(&workload(35), &ff_factory(), &[FaultPlan::none()], |_| {
+                NoProbe
+            });
         assert!(matches!(
             wrong_count,
             Err(ClusterError::FaultPlanCount {
@@ -1689,7 +1653,10 @@ mod tests {
             GamingSystem::paper_model(),
             ClusterConfig::new(8, Router::HashByItem).unwrap(),
         );
-        let run = engine.run(&inst, &ff_factory()).unwrap();
+        let run = engine
+            .run_probed(&inst, &ff_factory(), |_| NoProbe)
+            .unwrap()
+            .0;
         assert_eq!(run.report.sessions_served, 2);
         let nonempty = run.shards.iter().filter(|s| !s.back.is_empty()).count();
         assert!(nonempty <= 2);
@@ -1814,7 +1781,10 @@ mod tests {
         let plans: Vec<FaultPlan> = (0..3)
             .map(|s| FaultPlan::from_seed(100 + s, 1800))
             .collect();
-        let run = engine.run_resilient(&inst, &ff_factory(), &plans).unwrap();
+        let run = engine
+            .run_resilient(&inst, &ff_factory(), &plans, |_| NoProbe)
+            .unwrap()
+            .0;
         assert!(run.report.conserved());
         assert_eq!(run.report.sessions_total, inst.len() as u64);
         for shard in &run.shards {
@@ -1829,9 +1799,15 @@ mod tests {
             GamingSystem::paper_model(),
             ClusterConfig::new(4, Router::HashByItem).unwrap(),
         );
-        let plain = engine.run(&inst, &ff_factory()).unwrap();
+        let plain = engine
+            .run_probed(&inst, &ff_factory(), |_| NoProbe)
+            .unwrap()
+            .0;
         let plans = vec![FaultPlan::none(); 4];
-        let faulted = engine.run_resilient(&inst, &ff_factory(), &plans).unwrap();
+        let faulted = engine
+            .run_resilient(&inst, &ff_factory(), &plans, |_| NoProbe)
+            .unwrap()
+            .0;
         assert_eq!(faulted.report.busy_ticks, plain.report.busy_ticks);
         assert_eq!(faulted.report.cost_cents, plain.report.cost_cents);
         assert_eq!(faulted.report.sessions_served, inst.len() as u64);

@@ -657,11 +657,12 @@ mod tests {
         );
         let mut log = dbp_obs::EventLog::new();
         let mut sel = ff_factory().build();
-        let (report, _) = crate::engine::run_shard_probed(
+        let (report, _) = crate::engine::run_shard(
             &system,
             &inst,
             &mut *sel,
             &mut log,
+            &mut NoSpans,
             BatchPolicy::WholeStream,
         );
         assert_eq!(sup.events, log.events());
@@ -685,11 +686,12 @@ mod tests {
         let system = GamingSystem::paper_model();
         let mut unkilled = dbp_obs::EventLog::new();
         let mut sel = ff_factory().build();
-        crate::engine::run_shard_probed(
+        crate::engine::run_shard(
             &system,
             &inst,
             &mut *sel,
             &mut unkilled,
+            &mut NoSpans,
             BatchPolicy::WholeStream,
         );
         let total = unkilled.len() as u64;
@@ -782,11 +784,12 @@ mod tests {
         let system = GamingSystem::paper_model();
         let mut unkilled = dbp_obs::EventLog::new();
         let mut sel = ff_factory().build();
-        crate::engine::run_shard_probed(
+        crate::engine::run_shard(
             &system,
             &inst,
             &mut *sel,
             &mut unkilled,
+            &mut NoSpans,
             BatchPolicy::WholeStream,
         );
         let mid_tick = unkilled.events()[unkilled.len() / 2].at().0;

@@ -14,35 +14,42 @@
 //! * [`ClusterEngine`] — runs every shard as an independent
 //!   [`GamingSystem`](dbp_cloudsim::GamingSystem)-equivalent dispatch on a
 //!   bounded thread pool, with batched time-ordered ingestion
-//!   ([`BatchPolicy`]) and a per-shard
-//!   [`Probe`](dbp_core::probe::Probe) fan-in. Every driver below shares
-//!   one fan-out (validate, partition, enqueue, pool, panic containment,
-//!   timing) and one shard drive, and differs only in its per-shard work
-//!   and its fan-in;
+//!   ([`BatchPolicy`]). Every run shares one fan-out (validate, partition,
+//!   enqueue, pool, panic containment, timing) and differs only in its
+//!   per-shard work and its fan-in. There is one entry point per fault
+//!   model, plus the vector run:
+//!   * [`ClusterEngine::run_traced`] — the plain run: one
+//!     [`Probe`](dbp_core::probe::Probe) and one
+//!     [`SpanRecorder`](dbp_core::span::SpanRecorder) per shard plus a
+//!     driver lane, returning a [`ClusterTrace`] with exact
+//!     [`ClusterTiming`] (partition / enqueue / dispatch / fan-in, and
+//!     per-shard queue-wait vs busy) for `dbp profile` and Chrome traces;
+//!     [`ClusterEngine::run_probed`] is it without spans;
+//!   * [`ClusterEngine::run_resilient`] — per-shard
+//!     [`FaultPlan`](dbp_cloudsim::FaultPlan)s through the resilient
+//!     dispatcher, with a cluster-wide conserved SLA ledger;
+//!   * [`ClusterEngine::run_self_healing`] — shard-level fault
+//!     containment: a deterministic [`ShardFaultPlan`] kills shards
+//!     mid-run, a per-shard supervisor catches the unwind, rebuilds the
+//!     engine from the shard's own event journal
+//!     ([`snapshot_from_events`](dbp_obs::prelude::snapshot_from_events) +
+//!     [`EngineRun::resume`](dbp_core::engine::EngineRun::resume)) under a
+//!     bounded restart budget, and reroutes only *future* arrivals off
+//!     shards that stay dead — returning a [`ClusterHealedRun`] whose
+//!     extended ledger conserves
+//!     `served + dropped + lost + rerouted == total`;
+//!   * [`ClusterEngine::run_vector`] — a multi-resource
+//!     [`GInstance`](dbp_core::instance::GInstance) across the shards,
+//!     every shard trace validated, folded into a per-dimension
+//!     [`VectorClusterRun`].
+//!
+//!   Pass `|_| NoProbe` / `|_, _| NoSpans` (zero-sized) for "none";
+//!   [`run_shard`] drives one shard on its own;
 //! * [`ClusterReport`] — the exact aggregate: `busy_ticks`, `billed_ticks`
 //!   and `cost_cents` are plain `u128`/`Ratio` sums over the shards
 //!   (shards share no servers, so costs are additive), plus a merged
 //!   [`RunManifest`](dbp_obs::RunManifest) whose digest covers the full
-//!   pre-partition stream;
-//! * [`ClusterEngine::run_resilient`] — per-shard
-//!   [`FaultPlan`](dbp_cloudsim::FaultPlan)s through the resilient
-//!   dispatcher, with a cluster-wide conserved SLA ledger;
-//! * [`ClusterEngine::run_traced`] — the probed run plus one
-//!   [`SpanRecorder`](dbp_core::span::SpanRecorder) per shard and a
-//!   driver lane, returning a [`ClusterTrace`] with exact
-//!   [`ClusterTiming`] (partition / enqueue / dispatch / fan-in, and
-//!   per-shard queue-wait vs busy) for `dbp profile` and Chrome traces.
-//!
-//! * [`ClusterEngine::run_self_healing`] — shard-level fault containment:
-//!   a deterministic [`ShardFaultPlan`] kills shards mid-run, a per-shard
-//!   supervisor catches the unwind, rebuilds the engine from the shard's
-//!   own event journal
-//!   ([`snapshot_from_events`](dbp_obs::prelude::snapshot_from_events) +
-//!   [`EngineRun::resume`](dbp_core::engine::EngineRun::resume)) under a
-//!   bounded restart budget, and reroutes only *future* arrivals off
-//!   shards that stay dead — returning a [`ClusterHealedRun`] whose
-//!   extended ledger conserves
-//!   `served + dropped + lost + rerouted == total`.
+//!   pre-partition stream.
 //!
 //! The differential guarantee the test suite pins down: a 1-shard cluster
 //! *is* the plain system run — same report, same JSONL event stream, same
@@ -59,10 +66,10 @@ pub mod router;
 pub mod vector;
 
 pub use engine::{
-    run_shard_probed, run_shard_traced, BatchPolicy, ClusterConfig, ClusterEngine, ClusterError,
-    ClusterHealedRun, ClusterReport, ClusterResilientReport, ClusterResilientRun, ClusterRun,
-    ClusterTiming, ClusterTrace, ShardHealthReport, ShardRun,
+    run_shard, BatchPolicy, ClusterConfig, ClusterEngine, ClusterError, ClusterHealedRun,
+    ClusterReport, ClusterResilientReport, ClusterResilientRun, ClusterRun, ClusterTiming,
+    ClusterTrace, ShardHealthReport, ShardRun,
 };
 pub use faults::{KillPoint, RestartPolicy, ShardFaultPlan, ShardHealth, ShardKill};
 pub use router::Router;
-pub use vector::{route_one_dims, run_cluster_vec, VectorClusterRun};
+pub use vector::{route_one_dims, VectorClusterRun};

@@ -10,16 +10,19 @@
 //! affinity only at the GPU dimension (`demand[0]`), so every `D = 1`
 //! decision is the scalar one by construction.
 //!
-//! [`run_cluster_vec`] dispatches each shard's restricted sub-instance
-//! through the generic engine and folds the results into a per-dimension
-//! utilization/waste report ([`dim_reports`]) with a conservation ledger.
+//! [`ClusterEngine::run_vector`] dispatches each shard's restricted
+//! sub-instance through the generic engine on the cluster's shared
+//! fan-out and folds the results into a per-dimension utilization/waste
+//! report ([`dim_reports`]) with a conservation ledger.
 
+use crate::engine::{ClusterEngine, ClusterError};
 use crate::router::Router;
 use dbp_core::demand::Demand;
 use dbp_core::instance::GInstance;
 use dbp_core::item::ItemId;
 use dbp_core::packer::BinSelector;
 use dbp_core::ratio::Ratio;
+use dbp_core::span::NoSpans;
 use dbp_core::trace::GPackingTrace;
 use dbp_workloads::GameCatalog;
 use std::collections::HashMap;
@@ -181,7 +184,7 @@ pub struct VectorClusterRun<Sz> {
     /// Shard count.
     pub shards_used: usize,
     /// Sessions served (= the instance size; conservation holds by
-    /// construction and is re-checked in [`run_cluster_vec`]).
+    /// construction and is re-checked in [`ClusterEngine::run_vector`]).
     pub sessions_served: usize,
     /// Distinct servers rented across shards.
     pub servers_rented: usize,
@@ -195,69 +198,78 @@ pub struct VectorClusterRun<Sz> {
     pub assignment: Vec<usize>,
 }
 
-/// Route, restrict, and dispatch a vector instance across `shards`
-/// independent shards, each running a fresh selector from `mk_selector`.
-/// Every shard trace is validated (per-dimension capacity, interval
-/// exactness), and the run's conservation ledger — each item served by
-/// exactly one shard — is asserted before returning.
-///
-/// With one shard the single trace is the plain engine's for the whole
-/// instance: byte-identical serialization at `D = 1` to the scalar run.
-///
-/// # Panics
-/// Panics if `shards` is zero or any shard trace fails validation.
-pub fn run_cluster_vec<Sz, S, F>(
-    requests: &GInstance<Sz>,
-    router: Router,
-    shards: usize,
-    mut mk_selector: F,
-) -> VectorClusterRun<Sz>
-where
-    Sz: Demand,
-    S: BinSelector<Sz>,
-    F: FnMut() -> S,
-{
-    let (parts, assignment) = router.partition(requests, shards, &mut dbp_core::span::NoSpans);
-    let mut shard_runs = Vec::with_capacity(shards);
-    let mut served = vec![false; requests.len()];
-    let mut algorithm = String::new();
-    for (k, (sub, back)) in parts.into_iter().enumerate() {
-        let mut sel = mk_selector();
-        algorithm = <S as BinSelector<Sz>>::name(&sel).to_string();
-        let trace = dbp_core::engine::simulate_validated(&sub, &mut sel);
-        for id in &back {
-            assert!(!served[id.index()], "item {id:?} routed to two shards");
-            served[id.index()] = true;
-        }
-        shard_runs.push(VectorShardRun {
-            shard: k,
-            trace,
-            back,
-        });
-    }
-    assert!(
-        served.iter().all(|&s| s),
-        "conservation violated: some item was never dispatched"
-    );
-
-    let servers_rented: usize = shard_runs.iter().map(|s| s.trace.bins_used()).sum();
-    let busy_ticks: u128 = shard_runs.iter().map(|s| s.trace.total_cost_ticks()).sum();
-    VectorClusterRun {
-        algorithm,
-        router: router.name().to_string(),
-        shards_used: shards,
-        sessions_served: requests.len(),
-        servers_rented,
-        busy_ticks,
-        dims: dim_reports(requests, busy_ticks),
-        shards: shard_runs,
-        assignment,
+impl ClusterEngine {
+    /// Route, restrict, and dispatch a vector instance across the
+    /// configured shards on the configured worker pool, each shard running
+    /// a fresh selector from `make_selector` through the shared fan-out.
+    /// Every shard trace is validated (per-dimension capacity, interval
+    /// exactness), and the run's conservation ledger — each item served by
+    /// exactly one shard — is asserted before returning. The scalar
+    /// [`system`](ClusterEngine::system) plays no part: the per-dimension
+    /// capacity is the instance's own.
+    ///
+    /// With one shard the single trace is the plain engine's for the whole
+    /// instance: byte-identical serialization at `D = 1` to the scalar run.
+    ///
+    /// # Errors
+    /// [`ClusterError::ZeroShards`] / [`ClusterError::ZeroBatch`] for a
+    /// malformed shape; [`ClusterError::ShardPanicked`] when a shard
+    /// worker dies, a failed trace validation included.
+    ///
+    /// # Panics
+    /// Panics if the routed shards do not serve every item exactly once.
+    pub fn run_vector<Sz, S, F>(
+        &self,
+        requests: &GInstance<Sz>,
+        make_selector: F,
+    ) -> Result<VectorClusterRun<Sz>, ClusterError>
+    where
+        Sz: Demand,
+        S: BinSelector<Sz>,
+        F: Fn() -> S + Sync,
+    {
+        let (run, _) = self.fan_out(
+            requests,
+            |_| (),
+            |_, _| NoSpans,
+            |shard, sub, back, (), _| {
+                let trace = dbp_core::engine::simulate_validated(&sub, &mut make_selector());
+                VectorShardRun { shard, trace, back }
+            },
+            |shards: Vec<VectorShardRun<Sz>>, assignment, _| {
+                let mut served = vec![false; requests.len()];
+                for id in shards.iter().flat_map(|s| &s.back) {
+                    let twice = std::mem::replace(&mut served[id.index()], true);
+                    assert!(!twice, "item {id:?} routed to two shards");
+                }
+                assert!(
+                    served.iter().all(|&s| s),
+                    "conservation violated: some item was never dispatched"
+                );
+                let busy_ticks: u128 = shards.iter().map(|s| s.trace.total_cost_ticks()).sum();
+                Ok(VectorClusterRun {
+                    // The fan-out refuses zero shards, so shard 0 exists.
+                    algorithm: shards[0].trace.algorithm.clone(),
+                    router: self.config.router.name().to_string(),
+                    shards_used: self.config.shards,
+                    sessions_served: requests.len(),
+                    servers_rented: shards.iter().map(|s| s.trace.bins_used()).sum(),
+                    busy_ticks,
+                    dims: dim_reports(requests, busy_ticks),
+                    shards,
+                    assignment,
+                })
+            },
+        )?;
+        Ok(run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ClusterConfig;
+    use dbp_cloudsim::GamingSystem;
     use dbp_core::algorithms::FirstFit;
     use dbp_core::demand::VSize;
     use dbp_core::instance::{GInstanceBuilder, Instance, InstanceBuilder};
@@ -386,6 +398,13 @@ mod tests {
         inst.map_demand(|s| VSize([s.raw()])).unwrap()
     }
 
+    fn cluster(router: Router, shards: usize) -> ClusterEngine {
+        ClusterEngine::new(
+            GamingSystem::paper_model(),
+            ClusterConfig::new(shards, router).unwrap(),
+        )
+    }
+
     #[test]
     fn assign_matches_the_scalar_reference_at_size_and_d1() {
         for inst in [tiny_scalar(), churn_scalar()] {
@@ -493,7 +512,7 @@ mod tests {
         let inst = b.build().unwrap();
         for r in Router::ALL {
             for shards in [1, 2, 3] {
-                let run = run_cluster_vec(&inst, r, shards, FirstFit::new);
+                let run = cluster(r, shards).run_vector(&inst, FirstFit::new).unwrap();
                 assert_eq!(run.sessions_served, inst.len());
                 assert_eq!(run.dims.len(), 2);
                 for d in &run.dims {
@@ -517,10 +536,47 @@ mod tests {
     fn one_shard_vector_trace_is_the_plain_engine_trace() {
         let inst = tiny_scalar();
         let lifted = lift1(&inst);
-        let run = run_cluster_vec(&lifted, Router::LeastLoaded, 1, FirstFit::new);
+        let run = cluster(Router::LeastLoaded, 1)
+            .run_vector(&lifted, FirstFit::new)
+            .unwrap();
         let scalar_trace = dbp_core::engine::simulate_validated(&inst, &mut FirstFit::new());
         let a = serde_json::to_string(&run.shards[0].trace).unwrap();
         let b = serde_json::to_string(&scalar_trace).unwrap();
         assert_eq!(a, b, "D=1 single-shard trace must be byte-identical");
+    }
+
+    #[test]
+    fn zero_shard_vector_run_is_a_typed_error() {
+        let mut engine = cluster(Router::HashByItem, 1);
+        engine.config.shards = 0;
+        let inst = lift1(&tiny_scalar());
+        assert!(matches!(
+            engine.run_vector(&inst, FirstFit::new),
+            Err(ClusterError::ZeroShards)
+        ));
+    }
+
+    #[test]
+    fn vector_run_is_independent_of_the_worker_pool_size() {
+        let inst: GInstance<VSize<2>> = churn_scalar()
+            .map_demand(|s| VSize([s.raw(), 1 + s.raw() % 7]))
+            .unwrap();
+        for r in Router::ALL {
+            let runs: Vec<VectorClusterRun<VSize<2>>> = [1, 4]
+                .into_iter()
+                .map(|jobs| {
+                    let mut engine = cluster(r, 4);
+                    engine.config.jobs = jobs;
+                    engine.run_vector(&inst, FirstFit::new).unwrap()
+                })
+                .collect();
+            let (one, four) = (&runs[0], &runs[1]);
+            assert_eq!(one.assignment, four.assignment, "{}", r.name());
+            assert_eq!(one.shards.len(), four.shards.len());
+            for (a, b) in one.shards.iter().zip(&four.shards) {
+                assert_eq!(a.back, b.back, "{} shard {}", r.name(), a.shard);
+                assert_eq!(a.trace, b.trace, "{} shard {}", r.name(), a.shard);
+            }
+        }
     }
 }

@@ -5,12 +5,14 @@
 //! whole-stream).
 
 use dbp_cloudsim::{GamingSystem, Granularity, ServerType};
-use dbp_cluster::{run_shard_probed, BatchPolicy, ClusterConfig, ClusterEngine, Router};
+use dbp_cluster::{run_shard, BatchPolicy, ClusterConfig, ClusterEngine, Router};
 use dbp_core::algorithms::{BestFit, FirstFit, IndexedBestFit, IndexedFirstFit, ModifiedFirstFit};
 use dbp_core::bin::{BinId, BinTag, OpenBinView};
 use dbp_core::instance::{Instance, InstanceBuilder};
 use dbp_core::item::{ArrivingItem, Size};
 use dbp_core::packer::{BinSelector, Decision, SelectorFactory};
+use dbp_core::probe::NoProbe;
+use dbp_core::span::NoSpans;
 use dbp_obs::export::events_to_jsonl;
 use dbp_obs::EventLog;
 use dbp_workloads::{generate, CloudGamingConfig};
@@ -95,11 +97,12 @@ where
     let system = small_system();
     let mut baseline = Recording::new(make());
     let mut baseline_log = EventLog::new();
-    let (base_report, base_trace) = run_shard_probed(
+    let (base_report, base_trace) = run_shard(
         &system,
         inst,
         &mut baseline,
         &mut baseline_log,
+        &mut NoSpans,
         BatchPolicy::PerEvent,
     );
     for policy in [
@@ -110,7 +113,8 @@ where
     ] {
         let mut batched = Recording::new(make());
         let mut log = EventLog::new();
-        let (report, trace) = run_shard_probed(&system, inst, &mut batched, &mut log, policy);
+        let (report, trace) =
+            run_shard(&system, inst, &mut batched, &mut log, &mut NoSpans, policy);
         prop_assert_eq!(&baseline.decisions, &batched.decisions, "{:?}", policy);
         prop_assert_eq!(&base_trace, &trace, "{:?}", policy);
         prop_assert_eq!(base_report.busy_ticks, report.busy_ticks, "{:?}", policy);
@@ -215,7 +219,7 @@ proptest! {
                 small_system(),
                 ClusterConfig::new(shards, router).unwrap(),
             );
-            let run = engine.run(&inst, &factory).unwrap();
+            let run = engine.run_probed(&inst, &factory, |_| NoProbe).unwrap().0;
             let busy: u128 = run.shards.iter().map(|s| s.trace.total_cost_ticks()).sum();
             prop_assert_eq!(run.report.busy_ticks, busy);
             let served: usize = run.shards.iter().map(|s| s.trace.assignment.len()).sum();

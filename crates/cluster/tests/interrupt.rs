@@ -13,6 +13,7 @@ use dbp_cluster::{ClusterConfig, ClusterEngine, ClusterError, Router};
 use dbp_core::algorithms::FirstFit;
 use dbp_core::instance::{Instance, InstanceBuilder};
 use dbp_core::packer::SelectorFactory;
+use dbp_core::probe::NoProbe;
 use dbp_obs::journal::{read_journal, FsyncPolicy, JournalProbe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,6 +78,9 @@ fn raised_latch_interrupts_and_seals_journal_prefixes() {
 
     // Lowering the latch restores normal service, same engine, same input.
     LATCH.store(false, Ordering::SeqCst);
-    let run = engine.run(&inst, &factory).expect("run completes");
+    let run = engine
+        .run_probed(&inst, &factory, |_| NoProbe)
+        .expect("run completes")
+        .0;
     assert_eq!(run.report.sessions_served, inst.len());
 }

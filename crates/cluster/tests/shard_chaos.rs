@@ -12,7 +12,8 @@ use dbp_cluster::{
 use dbp_core::algorithms::FirstFit;
 use dbp_core::instance::Instance;
 use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::ProbeEvent;
+use dbp_core::probe::{NoProbe, ProbeEvent};
+use dbp_core::span::NoSpans;
 use dbp_obs::export::events_to_jsonl;
 use dbp_obs::prelude::instance_digest;
 use dbp_obs::EventLog;
@@ -85,7 +86,10 @@ fn shard_death_at_every_phase_is_healed_and_conserved() {
         ],
         restart: RestartPolicy::default(),
     };
-    let healed = eng.run_self_healing(&inst, &factory, &plan).unwrap();
+    let healed = eng
+        .run_self_healing(&inst, &factory, &plan, &mut NoProbe, |_, _| NoSpans)
+        .unwrap()
+        .0;
     let r = &healed.report;
     assert!(r.conserved(), "extended ledger must conserve: {r:?}");
     assert_eq!(r.sessions_total, inst.len() as u64);
@@ -122,8 +126,15 @@ fn healed_run_stream_is_byte_identical_to_the_unkilled_run() {
 
     let mut clean_log = EventLog::new();
     let clean = eng
-        .run_self_healing_probed(&inst, &factory, &ShardFaultPlan::none(), &mut clean_log)
-        .unwrap();
+        .run_self_healing(
+            &inst,
+            &factory,
+            &ShardFaultPlan::none(),
+            &mut clean_log,
+            |_, _| NoSpans,
+        )
+        .unwrap()
+        .0;
 
     let plan = ShardFaultPlan {
         seed: 0,
@@ -137,8 +148,9 @@ fn healed_run_stream_is_byte_identical_to_the_unkilled_run() {
     };
     let mut killed_log = EventLog::new();
     let killed = eng
-        .run_self_healing_probed(&inst, &factory, &plan, &mut killed_log)
-        .unwrap();
+        .run_self_healing(&inst, &factory, &plan, &mut killed_log, |_, _| NoSpans)
+        .unwrap()
+        .0;
 
     let survivors: Vec<&ProbeEvent> = killed_log
         .events()
@@ -183,8 +195,9 @@ fn budget_exhaustion_reroutes_future_arrivals_and_conserves() {
     };
     let mut log = EventLog::new();
     let healed = eng
-        .run_self_healing_probed(&inst, &factory, &plan, &mut log)
-        .unwrap();
+        .run_self_healing(&inst, &factory, &plan, &mut log, |_, _| NoSpans)
+        .unwrap()
+        .0;
     let r = &healed.report;
     assert!(r.conserved(), "{r:?}");
     assert_eq!(r.shards_lost, 1);
@@ -228,7 +241,10 @@ fn total_cluster_death_drops_the_remainder_conserved() {
             backoff: RetryPolicy::default(),
         },
     };
-    let healed = eng.run_self_healing(&inst, &factory, &plan).unwrap();
+    let healed = eng
+        .run_self_healing(&inst, &factory, &plan, &mut NoProbe, |_, _| NoSpans)
+        .unwrap()
+        .0;
     let r = &healed.report;
     assert!(r.conserved(), "{r:?}");
     assert_eq!(r.shards_lost, 2);
@@ -263,9 +279,19 @@ fn tick_kills_are_healed_too() {
         restart: RestartPolicy::default(),
     };
     let clean = eng
-        .run_self_healing(&inst, &factory, &ShardFaultPlan::none())
-        .unwrap();
-    let healed = eng.run_self_healing(&inst, &factory, &plan).unwrap();
+        .run_self_healing(
+            &inst,
+            &factory,
+            &ShardFaultPlan::none(),
+            &mut NoProbe,
+            |_, _| NoSpans,
+        )
+        .unwrap()
+        .0;
+    let healed = eng
+        .run_self_healing(&inst, &factory, &plan, &mut NoProbe, |_, _| NoSpans)
+        .unwrap()
+        .0;
     assert!(healed.report.conserved());
     assert_eq!(healed.report.shard_kills, 2);
     assert_eq!(healed.report.shard_restarts, 2);
@@ -289,7 +315,9 @@ proptest! {
         for router in Router::ALL {
             let eng = engine(shards, router);
             let plan = ShardFaultPlan::from_seed(seed, shards, 40);
-            let healed = eng.run_self_healing(&inst, &factory, &plan).unwrap();
+            let (healed, _) = eng
+                .run_self_healing(&inst, &factory, &plan, &mut NoProbe, |_, _| NoSpans)
+                .unwrap();
             prop_assert!(healed.report.conserved(), "{}: {:?}", router.name(), healed.report);
             prop_assert_eq!(healed.report.sessions_total, inst.len() as u64);
             for h in &healed.shards {
@@ -437,14 +465,15 @@ proptest! {
             let eng = engine(shards, router);
 
             let mut healed_log = EventLog::new();
-            let healed = eng
-                .run_self_healing_probed(&inst, &factory, &ShardFaultPlan::none(), &mut healed_log)
+            let none = ShardFaultPlan::none();
+            let (healed, _) = eng
+                .run_self_healing(&inst, &factory, &none, &mut healed_log, |_, _| NoSpans)
                 .unwrap();
 
             let plans = vec![FaultPlan::none(); shards];
             let mut resilient_logs: Vec<EventLog> = Vec::new();
             let (resilient, probes) = eng
-                .run_resilient_probed(&inst, &factory, &plans, |_| EventLog::new())
+                .run_resilient(&inst, &factory, &plans, |_| EventLog::new())
                 .unwrap();
             resilient_logs.extend(probes);
 

@@ -15,6 +15,8 @@ use crate::harness::{cell, f3, Table};
 use dbp_cloudsim::GamingSystem;
 use dbp_cluster::{ClusterConfig, ClusterEngine, Router, ShardFaultPlan};
 use dbp_core::algorithms::standard_factories;
+use dbp_core::probe::NoProbe;
+use dbp_core::span::NoSpans;
 use dbp_workloads::{generate, CloudGamingConfig, Scenario};
 
 /// One (scenario, router, shards) outcome under seeded shard kills.
@@ -76,16 +78,17 @@ pub fn run(quick: bool) -> (Table, Vec<ResilienceRow>) {
                     GamingSystem::paper_model(),
                     ClusterConfig::new(shards, router).unwrap(),
                 );
-                let baseline = engine
-                    .run_self_healing(&inst, &factory, &ShardFaultPlan::none())
-                    .expect("scenario workloads match the paper system capacity");
+                let heal = |plan: &ShardFaultPlan| {
+                    let (run, _) = engine
+                        .run_self_healing(&inst, &factory, plan, &mut NoProbe, |_, _| NoSpans)
+                        .expect("paper-capacity workload, in-range kill targets");
+                    run
+                };
+                let baseline = heal(&ShardFaultPlan::none());
                 // ~2 events per item spread over the shards keeps kill
                 // offsets inside the live part of each stream.
                 let events_hint = (2 * inst.len() as u64 / shards as u64).max(4);
-                let plan = ShardFaultPlan::from_seed(17, shards, events_hint);
-                let healed = engine
-                    .run_self_healing(&inst, &factory, &plan)
-                    .expect("fault plans target in-range shards");
+                let healed = heal(&ShardFaultPlan::from_seed(17, shards, events_hint));
                 let r = &healed.report;
                 assert!(
                     r.conserved(),

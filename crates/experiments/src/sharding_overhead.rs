@@ -16,6 +16,7 @@ use crate::harness::{cell, f3, Table};
 use dbp_cloudsim::GamingSystem;
 use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
 use dbp_core::algorithms::standard_factories;
+use dbp_core::probe::NoProbe;
 use dbp_workloads::{generate, CloudGamingConfig, Scenario};
 
 /// One (scenario, router, algorithm, shards) outcome.
@@ -70,8 +71,9 @@ pub fn run(quick: bool) -> (Table, Vec<ShardRow>) {
                 ClusterConfig::new(1, Router::HashByItem).unwrap(),
             );
             let baseline = one
-                .run(&inst, &factory)
+                .run_probed(&inst, &factory, |_| NoProbe)
                 .expect("scenario workloads match the paper system capacity")
+                .0
                 .report
                 .busy_ticks;
             for router in Router::ALL {
@@ -81,8 +83,9 @@ pub fn run(quick: bool) -> (Table, Vec<ShardRow>) {
                         ClusterConfig::new(shards, router).unwrap(),
                     );
                     let run = engine
-                        .run(&inst, &factory)
-                        .expect("scenario workloads match the paper system capacity");
+                        .run_probed(&inst, &factory, |_| NoProbe)
+                        .expect("scenario workloads match the paper system capacity")
+                        .0;
                     rows.push(ShardRow {
                         scenario: scenario.name().to_string(),
                         router: router.name().to_string(),

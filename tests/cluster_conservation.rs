@@ -136,7 +136,7 @@ fn every_standard_policy_conserves_items_and_cost_on_the_gaming_workload() {
     for factory in standard_factories(0) {
         for router in Router::ALL {
             let engine = ClusterEngine::new(system, ClusterConfig::new(4, router).unwrap());
-            let run = engine.run(&inst, &factory).unwrap();
+            let run = engine.run_probed(&inst, &factory, |_| NoProbe).unwrap().0;
             let seen = service_counts(&run, inst.len());
             assert!(
                 seen.iter().all(|&c| c == 1),
@@ -162,7 +162,7 @@ proptest! {
             for router in Router::ALL {
                 let engine = ClusterEngine::new(small_system(), ClusterConfig::new(shards, router).unwrap());
                 let factory = SelectorFactory::new("FF", || Box::new(FirstFit::new()));
-                let run = engine.run(&inst, &factory).unwrap();
+                let run = engine.run_probed(&inst, &factory, |_| NoProbe).unwrap().0;
 
                 let seen = service_counts(&run, inst.len());
                 prop_assert!(
@@ -183,8 +183,9 @@ proptest! {
 
                 // Every driver shares one fan-out, so its zero-fault and
                 // span-free forms must bill exactly the plain run.
-                let healed = engine
-                    .run_self_healing(&inst, &factory, &ShardFaultPlan::none())
+                let none = ShardFaultPlan::none();
+                let (healed, _) = engine
+                    .run_self_healing(&inst, &factory, &none, &mut NoProbe, |_, _| NoSpans)
                     .unwrap();
                 prop_assert_eq!(healed.report.busy_ticks, run.report.busy_ticks);
                 prop_assert_eq!(healed.report.billed_ticks, run.report.billed_ticks);
@@ -192,8 +193,8 @@ proptest! {
                 prop_assert_eq!(healed.report.sessions_served, run.report.sessions_served as u64);
 
                 let resilient = engine
-                    .run_resilient(&inst, &factory, &vec![FaultPlan::none(); shards])
-                    .unwrap();
+                    .run_resilient(&inst, &factory, &vec![FaultPlan::none(); shards], |_| NoProbe)
+                    .unwrap().0;
                 prop_assert_eq!(resilient.report.busy_ticks, run.report.busy_ticks);
                 prop_assert_eq!(resilient.report.billed_ticks, run.report.billed_ticks);
                 prop_assert_eq!(&resilient.report.cost_cents, &run.report.cost_cents);
@@ -226,7 +227,7 @@ proptest! {
             let plans: Vec<FaultPlan> = (0..shards as u64)
                 .map(|s| FaultPlan::from_seed(fault_seed + s, 600))
                 .collect();
-            let run = engine.run_resilient(&inst, &factory, &plans).unwrap();
+            let run = engine.run_resilient(&inst, &factory, &plans, |_| NoProbe).unwrap().0;
             prop_assert!(run.report.conserved(), "{}", router.name());
             prop_assert_eq!(run.report.sessions_total, inst.len() as u64);
             for shard in &run.shards {

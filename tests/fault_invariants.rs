@@ -1,11 +1,14 @@
 //! Property-based invariants of the fault-injection layer: the SLA ledger
 //! conserves sessions, crashed servers never serve again, fault schedules
-//! are deterministic functions of their seed, and a fault-free plan is
-//! observationally identical to the plain engine.
+//! are deterministic functions of their seed, a fault-free plan is
+//! observationally identical to the plain engine, and a hand-written plan
+//! with extreme fields either runs conserved or is refused — never a
+//! panic.
 
 use dbp::prelude::*;
 use dbp_cloudsim::{
-    FaultConfig, FaultPlan, GamingSystem, Granularity, ResilientSystem, ServerType,
+    AdmissionPolicy, CrashEvent, DispatchError, FaultConfig, FaultPlan, GamingSystem, Granularity,
+    ResilientSystem, RetryPolicy, ServerType,
 };
 use dbp_core::algorithms::{BestFit, FirstFit, ModifiedFirstFit, NextFit};
 use dbp_core::bin::BinId;
@@ -72,6 +75,103 @@ fn hostile_plan(seed: u64, inst: &Instance) -> FaultPlan {
             reject_prob: 0.25,
         },
     )
+}
+
+/// Strategy: a `u64` plan field, biased to the edges of its range.
+fn extreme_u64() -> impl Strategy<Value = u64> {
+    (0usize..7, 0u64..=u64::MAX)
+        .prop_map(|(pick, any)| [0, 1, u64::MAX, u64::MAX - 1, u64::MAX / 2, any % 1000, any][pick])
+}
+
+/// Strategy: a probability field, in range or not (NaN and infinities
+/// included).
+fn extreme_prob() -> impl Strategy<Value = f64> {
+    (0usize..12, 0.0f64..1.0).prop_map(|(pick, p)| {
+        [
+            0.0,
+            1.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1e-9,
+            1.0 + f64::EPSILON,
+            p,
+            p,
+            p,
+            p,
+        ][pick]
+    })
+}
+
+/// Strategy: a hand-written plan with extreme fields. The crash list is
+/// sorted or left as drawn; `max_attempts` stays small, since a huge
+/// retry budget is slow by design rather than unsound.
+fn extreme_plans() -> impl Strategy<Value = FaultPlan> {
+    let crashes = (
+        proptest::collection::vec((extreme_u64(), 0u32..=u32::MAX), 0..4),
+        0u8..2,
+    )
+        .prop_map(|(mut crashes, sort)| {
+            if sort == 1 {
+                crashes.sort_unstable();
+            }
+            crashes
+        });
+    let retry = (extreme_u64(), extreme_u64(), extreme_u64(), 0u32..8);
+    let admission = (0u32..=u32::MAX, extreme_u64());
+    (
+        0u64..=u64::MAX,
+        crashes,
+        (extreme_prob(), extreme_u64(), extreme_prob()),
+        retry,
+        admission,
+    )
+        .prop_map(
+            |(seed, crashes, (boot_fail_prob, boot_delay_max, reject_prob), r, a)| FaultPlan {
+                seed,
+                crashes: crashes
+                    .into_iter()
+                    .map(|(at, server)| CrashEvent { at, server })
+                    .collect(),
+                boot_fail_prob,
+                boot_delay_max,
+                reject_prob,
+                retry: RetryPolicy {
+                    base: r.0,
+                    cap: r.1,
+                    jitter: r.2,
+                    max_attempts: r.3,
+                },
+                admission: AdmissionPolicy {
+                    queue_capacity: a.0,
+                    queue_timeout: a.1,
+                },
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A plan from outside the process either runs to a conserved ledger
+    /// or is refused with [`DispatchError::BadFaultPlan`] — a refusal the
+    /// static check predicts exactly when the plan breaks its contract.
+    #[test]
+    fn extreme_plans_conserve_or_refuse(inst in instances(20), plan in extreme_plans()) {
+        let statically_bad = plan.validate().is_err();
+        for f in roster() {
+            let mut sel = f.build();
+            match ResilientSystem::new(system(), plan.clone()).run(&inst, &mut *sel) {
+                Ok(report) => {
+                    prop_assert!(!statically_bad, "{}: invalid plan ran: {:?}", f.name(), plan);
+                    prop_assert!(report.conserved(), "{}: {:?}", f.name(), report);
+                }
+                Err(DispatchError::BadFaultPlan { .. }) => {}
+                Err(e) => prop_assert!(false, "{}: unexpected error {e}", f.name()),
+            }
+        }
+    }
 }
 
 proptest! {

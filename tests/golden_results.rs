@@ -103,7 +103,7 @@ fn golden_sharding_overhead_rows() {
                 dbp_cloudsim::GamingSystem::paper_model(),
                 ClusterConfig::new(shards, Router::HashByItem).unwrap(),
             );
-            let run = engine.run(&inst, &factory).unwrap();
+            let run = engine.run_probed(&inst, &factory, |_| NoProbe).unwrap().0;
             assert_eq!(run.report.busy_ticks, want, "{} x{shards}", scenario.name());
         }
     }

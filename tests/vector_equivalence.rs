@@ -13,9 +13,8 @@
 //! demand must serialize as a bare integer, not a one-element array).
 
 use dbp::prelude::*;
-use dbp_cloudsim::{billed_ticks, rental_cost_cents, Granularity, ServerType};
-use dbp_cluster::vector::run_cluster_vec;
-use dbp_cluster::Router;
+use dbp_cloudsim::{billed_ticks, rental_cost_cents, GamingSystem, Granularity, ServerType};
+use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{simulate_probed, simulate_validated as sim_validated};
 use dbp_core::instance::GInstance;
@@ -41,6 +40,14 @@ const ROUTERS: [Router; 3] = [
 fn selector<Sz: Demand>(name: &str) -> Box<dyn BinSelector<Sz>> {
     dbp_core::algorithms::selector_for::<Sz>(name)
         .unwrap_or_else(|| panic!("selector {name} missing from the vector roster"))
+}
+
+/// A vector cluster of `shards` shards under `router`.
+fn cluster(router: Router, shards: usize) -> ClusterEngine {
+    ClusterEngine::new(
+        GamingSystem::paper_model(),
+        ClusterConfig::new(shards, router).unwrap(),
+    )
 }
 
 fn instances() -> impl Strategy<Value = Instance> {
@@ -161,7 +168,9 @@ fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &str) {
 
     let expected = demand_ticks(&vinst);
     for router in ROUTERS {
-        let run = run_cluster_vec(&vinst, router, 3, || selector::<VSize<D>>(name));
+        let run = cluster(router, 3)
+            .run_vector(&vinst, || selector::<VSize<D>>(name))
+            .unwrap();
         assert_eq!(run.sessions_served, inst.len());
         assert_eq!(run.dims.len(), D);
         for d in &run.dims {
@@ -290,9 +299,9 @@ fn dominance_selector_conserves_at_high_dims() {
     let trace = sim_validated(&vinst, &mut *selector::<VSize<4>>("DOM"));
     assert!(trace.bins_used() > 0);
     let expected = demand_ticks(&vinst);
-    let run = run_cluster_vec(&vinst, Router::LeastLoaded, 4, || {
-        selector::<VSize<4>>("DOM")
-    });
+    let run = cluster(Router::LeastLoaded, 4)
+        .run_vector(&vinst, || selector::<VSize<4>>("DOM"))
+        .unwrap();
     for d in &run.dims {
         assert_eq!(d.demand_ticks, expected[d.dim]);
     }
@@ -322,7 +331,9 @@ fn heterogeneous_dims_conserve_under_all_routers() {
         let trace = sim_validated(&vinst, &mut *selector::<VSize<2>>(name));
         assert!(trace.bins_used() > 0, "{name}: nothing packed");
         for router in ROUTERS {
-            let run = run_cluster_vec(&vinst, router, 3, || selector::<VSize<2>>(name));
+            let run = cluster(router, 3)
+                .run_vector(&vinst, || selector::<VSize<2>>(name))
+                .unwrap();
             for d in &run.dims {
                 assert_eq!(
                     d.demand_ticks,
