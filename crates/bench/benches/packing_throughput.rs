@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbp_bench::standard_workload;
 use dbp_core::algorithms::standard_factories;
-use dbp_core::engine::{simulate, simulate_probed, simulate_traced};
+use dbp_core::engine::{simulate, simulate_probed, EngineRun};
 use dbp_core::probe::NoProbe;
 use dbp_core::span::NoSpans;
 use std::hint::black_box;
@@ -73,7 +73,7 @@ fn probe_overhead(c: &mut Criterion) {
 
 /// The zero-cost contract of the span seam, mirroring `probe_overhead`:
 /// `simulate` (implicit `NoSpans`), an explicit `NoSpans` through
-/// `simulate_traced`, and a live `SpanCollector`/`StageAggregator`. The
+/// `EngineRun::traced`, and a live `SpanCollector`/`StageAggregator`. The
 /// first two must be within noise — `ENABLED = false` compiles every
 /// emission site out.
 fn span_overhead(c: &mut Criterion) {
@@ -90,14 +90,18 @@ fn span_overhead(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("noop_spans", n), &inst, |b, inst| {
         b.iter(|| {
             let mut ff = dbp_core::algorithms::FirstFit::new();
-            black_box(simulate_traced(inst, &mut ff, &mut NoProbe, NoSpans).total_cost_ticks())
+            black_box(
+                EngineRun::traced(inst, &mut ff, &mut NoProbe, NoSpans)
+                    .finish()
+                    .total_cost_ticks(),
+            )
         })
     });
     group.bench_with_input(BenchmarkId::new("span_collector", n), &inst, |b, inst| {
         b.iter(|| {
             let mut ff = dbp_core::algorithms::FirstFit::new();
             let mut spans = dbp_obs::SpanCollector::new(0);
-            let trace = simulate_traced(inst, &mut ff, &mut NoProbe, &mut spans);
+            let trace = EngineRun::traced(inst, &mut ff, &mut NoProbe, &mut spans).finish();
             // One arrival span per item, nothing left open. Assertions run
             // under `cargo bench -- --test` so CI smoke-checks the seam.
             assert_eq!(
@@ -115,7 +119,7 @@ fn span_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut ff = dbp_core::algorithms::FirstFit::new();
             let mut spans = dbp_obs::StageAggregator::new(0);
-            let trace = simulate_traced(inst, &mut ff, &mut NoProbe, &mut spans);
+            let trace = EngineRun::traced(inst, &mut ff, &mut NoProbe, &mut spans).finish();
             assert!(!spans.breakdown().is_empty());
             black_box(trace.total_cost_ticks())
         })

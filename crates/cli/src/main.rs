@@ -27,8 +27,7 @@ use dbp_core::analysis::analyze_first_fit;
 use dbp_core::bounds;
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{
-    simulate, simulate_probed, simulate_resumed_probed, simulate_validated,
-    simulate_validated_probed,
+    simulate, simulate_probed, simulate_validated, simulate_validated_probed, EngineRun,
 };
 use dbp_core::instance::Instance;
 use dbp_core::item::Size;
@@ -463,7 +462,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let interruptible = probe.journal.is_some() && !args.has("validate");
     let trace = if interruptible {
         dbp_serve::install_signal_handlers();
-        let mut run = dbp_core::engine::EngineRun::new(&inst, &mut *sel, &mut probe);
+        let mut run = EngineRun::new(&inst, &mut *sel, &mut probe);
         while !run.is_done() && !dbp_serve::shutdown_requested() {
             for _ in 0..4096 {
                 if !run.step() {
@@ -1373,8 +1372,9 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
                 "snapshot       : at event {} ({} trailing partial events dropped)",
                 rec.events_used, rec.events_dropped
             );
-            let trace = simulate_resumed_probed(&inst, &mut *sel, &mut log, &rec.snapshot)
-                .map_err(|e| format!("resume failed: {e}"))?;
+            let trace = EngineRun::resume(&inst, &mut *sel, &mut log, &rec.snapshot)
+                .map_err(|e| format!("resume failed: {e}"))?
+                .finish();
             println!(
                 "resumed cost   : {} bin-ticks ({} continuation events)",
                 trace.total_cost_ticks(),

@@ -271,7 +271,8 @@ fn journal_flag_validation() {
 /// the departed items.
 fn vector_journal_killed_midstream(dir: &std::path::Path, stem: &str) -> (String, [u128; 3]) {
     use dbp_core::demand::VSize;
-    use dbp_core::item::{GItem, ItemId};
+    use dbp_core::item::{ItemId, RegionId};
+    use dbp_core::time::Tick;
     use dbp_core::StreamingEngine;
     use dbp_obs::journal::{FsyncPolicy, JournalProbe};
 
@@ -292,31 +293,16 @@ fn vector_journal_killed_midstream(dir: &std::path::Path, stem: &str) -> (String
         (10, 900, [65, 45, 120]),
     ];
     let mut ticks = [0u128; 3];
-    for (i, &(a, dep, size)) in items.iter().enumerate() {
-        eng.push_arrival(
-            GItem::<VSize<3>> {
-                id: ItemId(i as u32),
-                arrival: dbp_core::time::Tick(a),
-                departure: dbp_core::time::Tick(dep),
-                size: VSize(size),
-                region: dbp_core::item::RegionId::GLOBAL,
-            },
-            dbp_core::time::Tick(a),
-        )
-        .unwrap();
+    for (i, &(a, _, size)) in items.iter().enumerate() {
+        eng.push_open_arrival(ItemId(i as u32), VSize(size), RegionId::GLOBAL, Tick(a))
+            .unwrap();
     }
-    // Advance past the first two departures so they hit the journal.
-    eng.push_arrival(
-        GItem::<VSize<3>> {
-            id: ItemId(3),
-            arrival: dbp_core::time::Tick(50),
-            departure: dbp_core::time::Tick(60),
-            size: VSize([1, 1, 1]),
-            region: dbp_core::item::RegionId::GLOBAL,
-        },
-        dbp_core::time::Tick(50),
-    )
-    .unwrap();
+    // Depart the first two in schedule order (1 at 25, then 0 at 40) so
+    // they hit the journal, then admit one more session at tick 50.
+    eng.push_departure(ItemId(1), Tick(items[1].1)).unwrap();
+    eng.push_departure(ItemId(0), Tick(items[0].1)).unwrap();
+    eng.push_open_arrival(ItemId(3), VSize([1, 1, 1]), RegionId::GLOBAL, Tick(50))
+        .unwrap();
     for &(a, dep, size) in &items[..2] {
         let span = (dep - a) as u128;
         for d in 0..3 {

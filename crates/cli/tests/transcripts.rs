@@ -327,7 +327,7 @@ fn cluster_transcripts() {
 /// writer mid-stream, unsealed: two sessions departed, two still resident.
 fn vector_journal(path: &str) {
     use dbp_core::demand::VSize;
-    use dbp_core::item::{GItem, ItemId, RegionId};
+    use dbp_core::item::{ItemId, RegionId};
     use dbp_core::time::Tick;
     use dbp_obs::journal::{FsyncPolicy, JournalProbe};
 
@@ -337,22 +337,18 @@ fn vector_journal(path: &str) {
         dbp_core::algorithms::selector_for::<VSize<3>>("FF").unwrap(),
         probe,
     );
-    let items: [(u64, u64, [u64; 3]); 4] = [
-        (0, 40, [125, 90, 220]),
-        (5, 25, [240, 170, 680]),
-        (10, 900, [65, 45, 120]),
-        (50, 60, [1, 1, 1]),
-    ];
-    for (i, &(a, d, size)) in items.iter().enumerate() {
-        let item = GItem::<VSize<3>> {
-            id: ItemId(i as u32),
-            arrival: Tick(a),
-            departure: Tick(d),
-            size: VSize(size),
-            region: RegionId::GLOBAL,
-        };
-        eng.push_arrival(item, Tick(a)).unwrap();
-    }
+    let arrive = |eng: &mut dbp_core::StreamingEngine<_, _, VSize<3>>, id, at, size| {
+        eng.push_open_arrival(ItemId(id), VSize(size), RegionId::GLOBAL, Tick(at))
+            .unwrap();
+    };
+    // Schedule order up to tick 50: sessions 1 and 0 depart (at 25 and
+    // 40) before session 3 arrives; 2 and 3 are still resident.
+    arrive(&mut eng, 0, 0, [125, 90, 220]);
+    arrive(&mut eng, 1, 5, [240, 170, 680]);
+    arrive(&mut eng, 2, 10, [65, 45, 120]);
+    eng.push_departure(ItemId(1), Tick(25)).unwrap();
+    eng.push_departure(ItemId(0), Tick(40)).unwrap();
+    arrive(&mut eng, 3, 50, [1, 1, 1]);
     drop(eng);
 }
 

@@ -10,10 +10,13 @@ use dbp_cluster::{
     ShardKill,
 };
 use dbp_core::algorithms::FirstFit;
-use dbp_core::instance::Instance;
-use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::{NoProbe, ProbeEvent};
+use dbp_core::demand::Demand;
+use dbp_core::events::{Event, EventKind};
+use dbp_core::instance::{GInstance, Instance};
+use dbp_core::packer::{BinSelector, SelectorFactory};
+use dbp_core::probe::{NoProbe, Probe, ProbeEvent};
 use dbp_core::span::NoSpans;
+use dbp_core::StreamingEngine;
 use dbp_obs::export::events_to_jsonl;
 use dbp_obs::prelude::instance_digest;
 use dbp_obs::EventLog;
@@ -36,6 +39,25 @@ fn temp_journal(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("dbp-chaos-{tag}-{}", std::process::id()));
     p
+}
+
+/// Feed `events` (a prefix of `inst`'s schedule) to an open-mode engine,
+/// the way a live shard sees them: each arrival, and later its departure.
+fn feed<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>>(
+    eng: &mut StreamingEngine<S, P, Sz>,
+    inst: &GInstance<Sz>,
+    events: &[Event],
+) {
+    for ev in events {
+        let it = inst.item(ev.item);
+        match ev.kind {
+            EventKind::Arrival => {
+                eng.push_open_arrival(it.id, it.size, it.region, ev.at)
+                    .unwrap();
+            }
+            EventKind::Departure => eng.push_departure(it.id, ev.at).unwrap(),
+        }
+    }
 }
 
 fn engine(shards: usize, router: Router) -> ClusterEngine {
@@ -343,8 +365,7 @@ proptest! {
         shards_ix in 0usize..2,
         kill_frac in 1u32..100,
     ) {
-        use dbp_core::demand::{Demand, VSize};
-        use dbp_core::StreamingEngine;
+        use dbp_core::demand::VSize;
         use dbp_core::algorithms::selector_for;
         use dbp_obs::journal::{read_journal_dims, FsyncPolicy, JournalProbe};
 
@@ -357,8 +378,7 @@ proptest! {
             if sub.len() < 2 {
                 continue; // nothing to kill mid-stream
             }
-            let mut order: Vec<_> = sub.items().to_vec();
-            order.sort_by_key(|it| (it.arrival, it.id));
+            let events = dbp_core::events::schedule(&sub);
 
             let tag = format!("vchaos-{seed}-{shards}-{}", router.name());
             let full_path = temp_journal(&format!("{tag}-full"));
@@ -372,15 +392,13 @@ proptest! {
                 selector_for::<VSize<3>>("FF").unwrap(),
                 probe,
             );
-            for it in &order {
-                eng.push_arrival(*it, it.arrival).unwrap();
-            }
+            feed(&mut eng, &sub, &events);
             let full_trace = eng.finish().unwrap();
 
             // The killed run: stop after a prefix and drop the engine —
             // the shard dies with its journal mid-stream.
-            let kill_after = ((order.len() as u32 * kill_frac / 100).max(1) as usize)
-                .min(order.len() - 1);
+            let kill_after = ((events.len() as u32 * kill_frac / 100).max(1) as usize)
+                .min(events.len() - 1);
             let probe = JournalProbe::create_dims(&killed_path, FsyncPolicy::Never, 3)
                 .expect("journal opens");
             let mut eng = StreamingEngine::new(
@@ -388,9 +406,7 @@ proptest! {
                 selector_for::<VSize<3>>("FF").unwrap(),
                 probe,
             );
-            for it in &order[..kill_after] {
-                eng.push_arrival(*it, it.arrival).unwrap();
-            }
+            feed(&mut eng, &sub, &events[..kill_after]);
             drop(eng); // kill: no finish(), no drain — drop-path seal only
 
             let full = read_journal_dims::<VSize<3>>(&full_path).expect("full journal readable");
@@ -412,9 +428,7 @@ proptest! {
                 selector_for::<VSize<3>>("FF").unwrap(),
                 dbp_core::probe::NoProbe,
             );
-            for it in &order {
-                eng.push_arrival(*it, it.arrival).unwrap();
-            }
+            feed(&mut eng, &sub, &events);
             let healed_trace = eng.finish().unwrap();
             prop_assert_eq!(
                 serde_json::to_string(&healed_trace).unwrap(),

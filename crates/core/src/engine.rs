@@ -1,17 +1,22 @@
-//! The event-driven packing engine.
+//! The batch packing engine: an instance's event schedule, driven through
+//! the shared event core.
 //!
-//! The engine replays an instance's event schedule, consults a
-//! [`BinSelector`] on every arrival, maintains open-bin state, and records a
-//! [`PackingTrace`]. All accounting is exact integer arithmetic.
+//! [`EngineRun`] sorts an instance's events once ([`schedule`]: tick,
+//! then departures before arrivals, each in item-id order) and feeds them,
+//! one [`step`](EngineRun::step) at a time, to the same arrival and
+//! departure bodies the open-mode
+//! [`StreamingEngine`](crate::streaming::StreamingEngine) uses
+//! ([`crate::streaming`]). The selector is consulted on every arrival, and
+//! the run records a [`PackingTrace`]. All accounting is exact integer
+//! arithmetic.
 //!
-//! Two entry points exist: the one-shot [`simulate_probed`] (the hot path —
-//! identical codegen to the pre-stepping engine), and the stepping
-//! [`EngineRun`] used by crash-safe drivers that need to [`snapshot`] the
-//! engine mid-run and [`resume`] it later. Both process the same schedule
-//! event-by-event and produce identical traces and probe event streams.
+//! Between steps a run can be captured as a [`Snapshot`] and
+//! [`resume`]d later in a fresh process; [`simulate`] and
+//! [`simulate_probed`] are the one-shot `new(..).finish()`.
 //!
-//! [`snapshot`]: EngineRun::snapshot
 //! [`resume`]: EngineRun::resume
+//! [`Snapshot`]: crate::snapshot::Snapshot
+//! [`PackingTrace`]: crate::trace::PackingTrace
 
 use crate::bin::{BinId, BinTag, GOpenBinView};
 use crate::demand::Demand;
@@ -21,7 +26,8 @@ use crate::item::{GArrivingItem, ItemId, Size};
 use crate::packer::{BinSelector, Decision};
 use crate::probe::{GProbeEvent, NoProbe, Probe};
 use crate::snapshot::GSnapshot;
-use crate::span::{stage, NoSpans, SpanRecorder};
+use crate::span::{NoSpans, SpanRecorder};
+use crate::streaming::EventCore;
 use crate::time::Tick;
 use crate::trace::{BinRecord, GPackingTrace};
 
@@ -55,36 +61,6 @@ pub fn simulate_probed<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
     EngineRun::new(instance, selector, probe).finish()
 }
 
-/// [`simulate_probed`] with a [`SpanRecorder`] attached: every arrival is
-/// wrapped in an `arrival` span containing `decide` (the selector call) and
-/// `place` (the engine's bookkeeping), and every departure in a `departure`
-/// span. Pass `&mut recorder` to keep ownership of the recorded spans.
-/// With [`NoSpans`] this is byte-for-byte [`simulate_probed`].
-///
-/// # Panics
-/// Same contract as [`simulate`].
-pub fn simulate_traced<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>(
-    instance: &GInstance<Sz>,
-    selector: &mut S,
-    probe: &mut P,
-    spans: R,
-) -> GPackingTrace<Sz> {
-    EngineRun::traced(instance, selector, probe, spans).finish()
-}
-
-/// Resume a run from `snapshot` and drive it to completion. Convenience
-/// wrapper over [`EngineRun::resume`] + [`EngineRun::finish`]: the returned
-/// trace, and the probe events emitted from the snapshot point onward, are
-/// identical to the corresponding suffix of an uninterrupted run.
-pub fn simulate_resumed_probed<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
-    instance: &GInstance<Sz>,
-    selector: &mut S,
-    probe: &mut P,
-    snapshot: &GSnapshot<Sz>,
-) -> Result<GPackingTrace<Sz>, String> {
-    Ok(EngineRun::resume(instance, selector, probe, snapshot)?.finish())
-}
-
 /// Sentinel for "no item" in the intrusive membership lists.
 pub(crate) const NO_ITEM: u32 = u32::MAX;
 
@@ -101,12 +77,10 @@ pub(crate) const NO_ITEM: u32 = u32::MAX;
 /// (`Vec<Vec<ItemId>>` membership, `BinRecord` item lists) are materialized
 /// on demand from this arena — snapshots and `finish()` are cold paths.
 ///
-/// Shared (`pub(crate)`) with the [`crate::streaming`] engine, which drives
-/// the same arena from an unbounded push stream instead of a schedule; the
-/// per-item columns then grow on demand via [`State::ensure_item`].
+/// Owned by the shared [`EventCore`]. The open-mode
+/// [`StreamingEngine`](crate::streaming::StreamingEngine) starts it empty
+/// and grows the per-item columns on demand via [`State::ensure_item`].
 pub(crate) struct State<Sz> {
-    /// Index of the next schedule event to process.
-    cursor: usize,
     // ---- per-bin columns, indexed by bin id ----
     levels: Vec<Sz>,
     tags: Vec<BinTag>,
@@ -120,7 +94,7 @@ pub(crate) struct State<Sz> {
     /// Current member count of the bin.
     n_items: Vec<u32>,
     pub(crate) open_count: usize,
-    // ---- per-item columns, sized `instance.len()` at construction ----
+    // ---- per-item columns, sized `instance.len()` by the batch driver ----
     /// Intrusive membership links: `next_in_bin[i]` / `prev_in_bin[i]`
     /// chain item `i` into its bin's current member list, in placement
     /// order. Stale once the item departs (each item departs exactly once).
@@ -140,16 +114,11 @@ pub(crate) struct State<Sz> {
 }
 
 impl<Sz: Demand> State<Sz> {
-    fn new(instance: &GInstance<Sz>) -> State<Sz> {
-        State::with_items(instance.len())
-    }
-
     /// An empty arena with the per-item columns pre-sized for `n` items.
     /// Streaming callers may start at `n = 0` and grow via
     /// [`State::ensure_item`].
     pub(crate) fn with_items(n: usize) -> State<Sz> {
         State {
-            cursor: 0,
             levels: Vec::new(),
             tags: Vec::new(),
             opened_at: Vec::new(),
@@ -317,9 +286,9 @@ impl<Sz: Demand> State<Sz> {
     }
 
     /// Apply an already-made decision for an arriving item: validate it,
-    /// update bin state, emit probe events, and notify the selector. Takes
-    /// the item's `size` rather than an `Instance` (see
-    /// [`State::apply_departure`]).
+    /// update bin state, emit probe events, and notify the selector.
+    /// Returns the bin the item landed in. Takes the item's `size` rather
+    /// than an `Instance` (see [`State::apply_departure`]).
     #[allow(clippy::too_many_arguments)] // internal seam shared by run/resume
     pub(crate) fn apply_arrival<S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
         &mut self,
@@ -331,7 +300,7 @@ impl<Sz: Demand> State<Sz> {
         tick: Tick,
         item_id: ItemId,
         decision: Decision,
-    ) {
+    ) -> BinId {
         let bin_id = match decision {
             Decision::Use(id) => {
                 let b = id.index();
@@ -437,20 +406,12 @@ impl<Sz: Demand> State<Sz> {
             }
         };
         self.assignment[item_id.index()] = Some(bin_id);
-    }
-
-    /// Record the open-bin count after a tick's batch, if the event just
-    /// processed was the last one at `tick` and the count changed.
-    #[inline]
-    fn record_step_if_batch_end(&mut self, events: &[Event], tick: Tick) {
-        if self.cursor == events.len() || events[self.cursor].at != tick {
-            self.record_step(tick);
-        }
+        bin_id
     }
 
     /// Record the open-bin count at the end of `tick`'s batch, deduplicating
-    /// consecutive equal counts. The streaming engine calls this directly
-    /// (it learns a batch ended only when a later tick arrives).
+    /// consecutive equal counts. [`EngineRun`] calls this after a tick's
+    /// last schedule event; the streaming engine once a later tick arrives.
     #[inline]
     pub(crate) fn record_step(&mut self, tick: Tick) {
         let n = self.open_count as u32;
@@ -461,8 +422,8 @@ impl<Sz: Demand> State<Sz> {
     }
 }
 
-/// A stepping handle on one packing run: the crash-safe counterpart of
-/// [`simulate_probed`].
+/// A stepping handle on one packing run: the batch driver over the shared
+/// event core.
 ///
 /// Drive it with [`step`](EngineRun::step) (one schedule event at a time),
 /// capture a [`Snapshot`] between steps, and [`finish`](EngineRun::finish)
@@ -470,6 +431,8 @@ impl<Sz: Demand> State<Sz> {
 /// [`resume`](EngineRun::resume) continues *exactly* where the snapshot was
 /// taken: the remaining probe events and the final trace are identical to
 /// the corresponding parts of an uninterrupted run.
+///
+/// [`Snapshot`]: crate::snapshot::Snapshot
 pub struct EngineRun<
     'a,
     S: BinSelector<Sz> + ?Sized,
@@ -478,13 +441,11 @@ pub struct EngineRun<
     Sz: Demand = Size,
 > {
     instance: &'a GInstance<Sz>,
-    capacity: Sz,
     events: Vec<Event>,
-    selector: &'a mut S,
-    probe: &'a mut P,
+    /// Index of the next schedule event to process.
+    cursor: usize,
     spans: R,
-    keep_views: bool,
-    st: State<Sz>,
+    core: EventCore<&'a mut S, &'a mut P, Sz>,
 }
 
 impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>> EngineRun<'a, S, P, NoSpans, Sz> {
@@ -511,6 +472,8 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>> EngineRun<'a, S,
     /// `instance` and `selector`: wrong algorithm name, capacity or item
     /// count, an impossible assignment, or replayed state that does not
     /// reproduce the snapshot bit-for-bit.
+    ///
+    /// [`Snapshot`]: crate::snapshot::Snapshot
     pub fn resume(
         instance: &'a GInstance<Sz>,
         selector: &'a mut S,
@@ -518,17 +481,17 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>> EngineRun<'a, S,
         snapshot: &GSnapshot<Sz>,
     ) -> Result<Self, String> {
         let mut run = EngineRun::new(instance, selector, probe);
-        if snapshot.algorithm != run.selector.name() {
+        if snapshot.algorithm != run.core.selector.name() {
             return Err(format!(
                 "snapshot algorithm {:?} does not match selector {:?}",
                 snapshot.algorithm,
-                run.selector.name()
+                run.core.selector.name()
             ));
         }
-        if snapshot.capacity != run.capacity {
+        if snapshot.capacity != run.core.capacity {
             return Err(format!(
                 "snapshot capacity {} does not match instance capacity {}",
-                snapshot.capacity, run.capacity
+                snapshot.capacity, run.core.capacity
             ));
         }
         if snapshot.n_items as usize != instance.len() {
@@ -565,8 +528,10 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>> EngineRun<'a, S,
 impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
     EngineRun<'a, S, P, R, Sz>
 {
-    /// Start a fresh run with a [`SpanRecorder`] attached (see
-    /// [`simulate_traced`]). Pass `&mut recorder` to keep ownership of the
+    /// Start a fresh run with a [`SpanRecorder`] attached: every arrival is
+    /// wrapped in an `arrival` span containing `decide` (the selector call)
+    /// and `place` (the engine's bookkeeping), and every departure in a
+    /// `departure` span. Pass `&mut recorder` to keep ownership of the
     /// recorder across the run; pass [`NoSpans`] to get [`new`] exactly.
     ///
     /// [`new`]: EngineRun::new
@@ -576,16 +541,12 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         probe: &'a mut P,
         spans: R,
     ) -> Self {
-        let keep_views = P::ENABLED || selector.needs_views();
         EngineRun {
             instance,
-            capacity: instance.capacity(),
             events: schedule(instance),
-            selector,
-            probe,
+            cursor: 0,
             spans,
-            keep_views,
-            st: State::new(instance),
+            core: EventCore::new(instance.capacity(), selector, probe, instance.len()),
         }
     }
 
@@ -595,83 +556,28 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
     /// # Panics
     /// Same contract as [`simulate`]: an invalid selector decision panics.
     pub fn step(&mut self) -> bool {
-        let Some(&ev) = self.events.get(self.st.cursor) else {
+        let Some(&ev) = self.events.get(self.cursor) else {
             return false;
         };
-        let tick = ev.at;
+        let item = self.instance.item(ev.item);
         match ev.kind {
-            EventKind::Departure => {
-                if R::ENABLED {
-                    self.spans.enter(stage::DEPARTURE);
-                }
-                self.st.apply_departure(
-                    self.instance.item(ev.item).size,
-                    &mut *self.selector,
-                    &mut *self.probe,
-                    self.keep_views,
-                    tick,
-                    ev.item,
-                );
-                if R::ENABLED {
-                    self.spans.exit();
-                }
-            }
+            EventKind::Departure => self.core.depart(&mut self.spans, ev.item, item.size, ev.at),
             EventKind::Arrival => {
-                let item = self.instance.item(ev.item);
-                let arriving = GArrivingItem::of(item);
-                if R::ENABLED {
-                    self.spans.enter(stage::ARRIVAL);
-                }
-                if P::ENABLED {
-                    self.probe.record(GProbeEvent::ItemArrived {
-                        at: tick,
-                        item: ev.item,
-                        size: item.size,
-                    });
-                }
-                // Timed span: the *whole* arrival handling — selection plus
-                // placement bookkeeping — so `on_decision_ns` reflects the
-                // per-arrival cost users actually observe.
-                let started = if P::ENABLED {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                };
-                if R::ENABLED {
-                    self.spans.enter(stage::DECIDE);
-                }
-                let decision = self
-                    .selector
-                    .select(&self.st.views, &arriving, self.capacity);
-                if R::ENABLED {
-                    self.spans.exit();
-                    self.spans.enter(stage::PLACE);
-                }
-                self.st.apply_arrival(
-                    item.size,
-                    &mut *self.selector,
-                    &mut *self.probe,
-                    self.keep_views,
-                    self.capacity,
-                    tick,
-                    ev.item,
-                    decision,
-                );
-                if R::ENABLED {
-                    self.spans.exit();
-                }
-                if let Some(started) = started {
-                    self.probe
-                        .on_decision_ns(started.elapsed().as_nanos() as u64);
-                }
-                if R::ENABLED {
-                    self.spans.exit();
-                }
+                self.core.arrive(&mut self.spans, &GArrivingItem::of(item));
             }
         }
-        self.st.cursor += 1;
-        self.st.record_step_if_batch_end(&self.events, tick);
+        self.advance(ev.at);
         true
+    }
+
+    /// Move past the event just processed at `tick`, recording the open-bin
+    /// count if it was the last event of `tick`'s batch.
+    #[inline]
+    fn advance(&mut self, tick: Tick) {
+        self.cursor += 1;
+        if self.cursor == self.events.len() || self.events[self.cursor].at != tick {
+            self.core.st.record_step(tick);
+        }
     }
 
     /// Replay one already-decided event: departures run normally, arrivals
@@ -684,53 +590,55 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         assignment: &[Option<BinId>],
         tag_of: &dyn Fn(usize) -> Option<crate::bin::BinTag>,
     ) -> Result<(), String> {
-        let Some(&ev) = self.events.get(self.st.cursor) else {
+        let Some(&ev) = self.events.get(self.cursor) else {
             return Err("replay past end of schedule".to_string());
         };
         let tick = ev.at;
+        let item = self.instance.item(ev.item);
+        let core = &mut self.core;
+        let st = &mut core.st;
         match ev.kind {
             EventKind::Departure => {
-                let Some(bin) = self.st.assignment[ev.item.index()] else {
+                let Some(bin) = st.assignment[ev.item.index()] else {
                     return Err(format!("departure of unpacked item {}", ev.item));
                 };
-                if !self.st.is_open.get(bin.index()).copied().unwrap_or(false) {
+                if !st.is_open.get(bin.index()).copied().unwrap_or(false) {
                     return Err(format!(
                         "departure of item {} from closed bin {bin}",
                         ev.item
                     ));
                 }
-                self.st.apply_departure(
-                    self.instance.item(ev.item).size,
-                    &mut *self.selector,
+                st.apply_departure(
+                    item.size,
+                    &mut core.selector,
                     &mut NoProbe,
-                    self.keep_views,
+                    core.keep_views,
                     tick,
                     ev.item,
                 );
             }
             EventKind::Arrival => {
-                let item = self.instance.item(ev.item);
                 let arriving = GArrivingItem::of(item);
                 let Some(bin) = assignment.get(ev.item.index()).copied().flatten() else {
                     return Err(format!("no recorded assignment for item {}", ev.item));
                 };
                 let b = bin.index();
-                let decision = if b == self.st.bins() {
+                let decision = if b == st.bins() {
                     let Some(tag) = tag_of(b) else {
                         return Err(format!("no recorded tag for newly opened bin {bin}"));
                     };
                     Decision::Open { tag }
-                } else if b < self.st.bins() {
-                    if !self.st.is_open[b] {
+                } else if b < st.bins() {
+                    if !st.is_open[b] {
                         return Err(format!("item {} assigned to closed bin {bin}", ev.item));
                     }
-                    if self.st.levels[b]
+                    if st.levels[b]
                         .checked_add(item.size)
-                        .is_none_or(|l| !l.fits_within(self.capacity))
+                        .is_none_or(|l| !l.fits_within(core.capacity))
                     {
                         return Err(format!(
                             "item {} (size {}) does not fit bin {bin} (level {})",
-                            ev.item, item.size, self.st.levels[b]
+                            ev.item, item.size, st.levels[b]
                         ));
                     }
                     Decision::Use(bin)
@@ -738,31 +646,30 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
                     return Err(format!(
                         "item {} assigned to bin {bin} but only {} bins exist",
                         ev.item,
-                        self.st.bins()
+                        st.bins()
                     ));
                 };
-                self.selector
-                    .on_decision_replayed(&arriving, decision, self.capacity);
-                self.st.apply_arrival(
+                core.selector
+                    .on_decision_replayed(&arriving, decision, core.capacity);
+                st.apply_arrival(
                     item.size,
-                    &mut *self.selector,
+                    &mut core.selector,
                     &mut NoProbe,
-                    self.keep_views,
-                    self.capacity,
+                    core.keep_views,
+                    core.capacity,
                     tick,
                     ev.item,
                     decision,
                 );
             }
         }
-        self.st.cursor += 1;
-        self.st.record_step_if_batch_end(&self.events, tick);
+        self.advance(tick);
         Ok(())
     }
 
     /// Check that replayed state reproduces the snapshot exactly.
     fn verify_state(&self, snapshot: &GSnapshot<Sz>) -> Result<(), String> {
-        let st = &self.st;
+        let st = &self.core.st;
         let (bin_items, slot) = st.materialize_membership();
         let same = st.levels == snapshot.levels
             && bin_items == snapshot.bin_items
@@ -785,7 +692,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
 
     /// Number of schedule events processed so far.
     pub fn events_processed(&self) -> usize {
-        self.st.cursor
+        self.cursor
     }
 
     /// Total number of events in the schedule (2× the item count).
@@ -795,27 +702,28 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
 
     /// Whether the whole schedule has been processed.
     pub fn is_done(&self) -> bool {
-        self.st.cursor == self.events.len()
+        self.cursor == self.events.len()
     }
 
     /// Capture the complete engine state at the current position. The view
     /// mirror is intentionally excluded: it is a derived structure, rebuilt
     /// deterministically on [`resume`](EngineRun::resume).
     pub fn snapshot(&self) -> GSnapshot<Sz> {
-        let (bin_items, slot) = self.st.materialize_membership();
+        let st = &self.core.st;
+        let (bin_items, slot) = st.materialize_membership();
         GSnapshot {
-            algorithm: self.selector.name().to_string(),
-            capacity: self.capacity,
+            algorithm: self.core.selector.name().to_string(),
+            capacity: self.core.capacity,
             n_items: self.instance.len() as u64,
-            cursor: self.st.cursor as u64,
-            levels: self.st.levels.clone(),
+            cursor: self.cursor as u64,
+            levels: st.levels.clone(),
             bin_items,
-            is_open: self.st.is_open.clone(),
-            open_count: self.st.open_count as u64,
+            is_open: st.is_open.clone(),
+            open_count: st.open_count as u64,
             slot,
-            records: self.st.materialize_records(),
-            assignment: self.st.assignment.clone(),
-            steps: self.st.steps.clone(),
+            records: st.materialize_records(),
+            assignment: st.assignment.clone(),
+            steps: st.steps.clone(),
         }
     }
 
@@ -826,22 +734,13 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
     pub fn finish(mut self) -> GPackingTrace<Sz> {
         while self.step() {}
         assert!(
-            self.st.open_count == 0,
+            self.core.st.open_count == 0,
             "engine invariant: all bins must close by the last departure"
         );
-        debug_assert!(self.st.views.is_empty(), "view mirror leaked entries");
-        GPackingTrace {
-            algorithm: self.selector.name().to_string(),
-            capacity: self.capacity,
-            bins: self.st.materialize_records(),
-            assignment: self
-                .st
-                .assignment
-                .into_iter()
-                .map(|b| b.expect("unpacked item at end of simulation"))
-                .collect(),
-            open_bins_steps: self.st.steps,
-        }
+        debug_assert!(self.core.st.views.is_empty(), "view mirror leaked entries");
+        self.core
+            .into_trace()
+            .unwrap_or_else(|item| panic!("unpacked item {item} at end of simulation"))
     }
 }
 

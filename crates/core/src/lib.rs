@@ -88,8 +88,8 @@ pub mod trace;
 pub use bin::{BinId, BinTag, GOpenBinView, OpenBinView};
 pub use demand::{scalar_of, vec1_of, Demand, VSize};
 pub use engine::{
-    any_fit_violations, rebuild_snapshot, simulate, simulate_probed, simulate_resumed_probed,
-    simulate_traced, simulate_validated, simulate_validated_probed, EngineRun,
+    any_fit_violations, rebuild_snapshot, simulate, simulate_probed, simulate_validated,
+    simulate_validated_probed, EngineRun,
 };
 pub use instance::{
     GInstance, GInstanceBuilder, GInstanceError, GInstanceStats, Instance, InstanceBuilder,
@@ -101,7 +101,7 @@ pub use probe::{DropReason, GProbeEvent, NoProbe, Probe, ProbeEvent};
 pub use ratio::Ratio;
 pub use snapshot::{GSnapshot, Snapshot};
 pub use span::{NoSpans, SpanEvent, SpanRecorder};
-pub use streaming::{Clock, GStreamError, ManualClock, StreamError, StreamingEngine, WallClock};
+pub use streaming::{GStreamError, StreamError, StreamingEngine};
 pub use time::{Dur, Interval, Tick};
 pub use trace::{BinRecord, GPackingTrace, PackingTrace};
 
@@ -115,8 +115,8 @@ pub mod prelude {
     pub use crate::bounds;
     pub use crate::demand::{scalar_of, vec1_of, Demand, VSize};
     pub use crate::engine::{
-        any_fit_violations, rebuild_snapshot, simulate, simulate_probed, simulate_resumed_probed,
-        simulate_traced, simulate_validated, simulate_validated_probed, EngineRun,
+        any_fit_violations, rebuild_snapshot, simulate, simulate_probed, simulate_validated,
+        simulate_validated_probed, EngineRun,
     };
     pub use crate::instance::{GInstance, GInstanceBuilder, Instance, InstanceBuilder};
     pub use crate::item::{ArrivingItem, GArrivingItem, GItem, Item, ItemId, RegionId, Size};
@@ -126,7 +126,7 @@ pub mod prelude {
     pub use crate::ratio::Ratio;
     pub use crate::snapshot::Snapshot;
     pub use crate::span::{NoSpans, SpanEvent, SpanRecorder};
-    pub use crate::streaming::{Clock, ManualClock, StreamError, StreamingEngine, WallClock};
+    pub use crate::streaming::{StreamError, StreamingEngine};
     pub use crate::time::{Dur, Interval, Tick};
     pub use crate::trace::PackingTrace;
 }

@@ -7,8 +7,8 @@
 use crate::algorithms::indexed::{IndexedBestFit, IndexedFirstFit, IndexedMff};
 use crate::algorithms::{BestFit, FirstFit, ModifiedFirstFit, NextFit, RandomFit};
 use crate::engine::EngineRun;
+use crate::events::EventKind;
 use crate::instance::{Instance, InstanceBuilder};
-use crate::item::Item;
 use crate::packer::SelectorFactory;
 use crate::probe::{FnProbe, NoProbe};
 use crate::ratio::Ratio;
@@ -127,11 +127,9 @@ proptest! {
             b.add(a, a + len, size);
         }
         let inst: Instance = b.build().unwrap();
-        // The valid interleaving a streaming caller can feed: arrivals in
-        // event-time order (the batch schedule's arrival order at equal
-        // ticks is instance order = id order).
-        let mut stream: Vec<Item> = inst.items().to_vec();
-        stream.sort_by_key(|it| (it.arrival, it.id));
+        // The valid interleaving a streaming caller can feed: the batch
+        // schedule itself, arrivals and departures alike.
+        let stream = crate::events::schedule(&inst);
         let selectors = [
             SelectorFactory::new("FF", || Box::new(FirstFit::new())),
             SelectorFactory::new("BF", || Box::new(BestFit::new())),
@@ -156,8 +154,15 @@ proptest! {
                 factory.build(),
                 FnProbe::new(|ev| stream_events.push(ev)),
             );
-            for it in &stream {
-                eng.push_arrival(*it, it.arrival).map_err(|e| {
+            for ev in &stream {
+                let it = inst.item(ev.item);
+                let pushed = match ev.kind {
+                    EventKind::Arrival => eng
+                        .push_open_arrival(it.id, it.size, it.region, ev.at)
+                        .map(drop),
+                    EventKind::Departure => eng.push_departure(it.id, ev.at),
+                };
+                pushed.map_err(|e| {
                     TestCaseError::Fail(format!("{}: push {}: {e}", factory.name(), it.id))
                 })?;
             }

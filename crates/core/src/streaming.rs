@@ -1,118 +1,180 @@
-//! Bounded-memory event-time streaming core.
+//! The event core, and the open-mode streaming engine built on it.
 //!
-//! The batch entry points ([`simulate_probed`]) replay a pre-materialized,
-//! pre-sorted `Vec` of events — fine for experiments, impossible for a live
-//! dispatcher that sees arrivals one at a time and must never look ahead.
-//! [`StreamingEngine`] drives the exact same struct-of-arrays arena as the
-//! batch engine from an *incremental* push stream:
+//! The crate-private `EventCore` owns the selector, the probe, the bin
+//! capacity and the struct-of-arrays arena, and has exactly one arrival
+//! body (`EventCore::arrive`) and one departure body (`EventCore::depart`).
+//! Two drivers feed it:
 //!
-//! * arrivals enter via [`push_arrival`] (departure known up front, as in a
-//!   replayed workload) or [`push_open_arrival`] + [`push_departure`] (the
-//!   live-daemon shape, where the departure is a separate future message);
-//! * pending departures wait in a binary heap keyed `(tick, item id)` — the
-//!   batch schedule's order (tick, then departures before arrivals, each in
-//!   instance order, which is item-id order), so equal-tick departures
-//!   drain in item-id order and *before* equal-tick arrivals;
-//! * event time only moves forward: a push behind the engine's horizon is a
-//!   typed [`StreamError::TimeTravel`], never silent reordering;
-//! * memory is bounded by the *live* state (open bins + in-flight items +
-//!   closed-bin records), not by the stream length processed so far per
-//!   tick — there is no materialized schedule.
+//! * [`EngineRun`](crate::engine::EngineRun) walks an instance's presorted
+//!   [`schedule`](crate::events::schedule) (tick, then departures before
+//!   arrivals, each in item-id order);
+//! * [`StreamingEngine`] takes one arrival or departure at a time, as a
+//!   live dispatcher sees them: [`push_open_arrival`] places an item whose
+//!   departure is not yet known, and [`push_departure`] removes it later.
 //!
-//! Fed the same stream, the streaming engine is **byte-identical** to
-//! [`simulate_probed`]: same [`PackingTrace`], same probe event sequence
-//! (hence same JSONL export and digest). The equivalence proptests in
-//! `proptests.rs` keep this honest across every shipped selector.
+//! The streaming engine adds per-item validation: event time only moves
+//! forward (a push behind the engine's horizon is a typed
+//! [`StreamError::TimeTravel`], never silent reordering), and zero-size,
+//! oversized, duplicate and unknown items are typed errors too. Memory is
+//! bounded by the *live* state (open bins + in-flight items + closed-bin
+//! records); there is no materialized schedule.
 //!
-//! Wall time is injected, never read ambiently: a [`Clock`] maps whatever
-//! the caller's time source is onto monotonic ticks, with [`ManualClock`]
-//! for tests/replays and [`WallClock`] for daemons.
+//! Fed an instance's schedule in order, the streaming engine is
+//! **byte-identical** to [`simulate_probed`]: same [`PackingTrace`], same
+//! probe event sequence (hence same JSONL export and digest). The
+//! equivalence proptests in `proptests.rs` keep this honest across every
+//! shipped selector.
 //!
 //! [`simulate_probed`]: crate::engine::simulate_probed
-//! [`push_arrival`]: StreamingEngine::push_arrival
+//! [`PackingTrace`]: crate::trace::PackingTrace
 //! [`push_open_arrival`]: StreamingEngine::push_open_arrival
 //! [`push_departure`]: StreamingEngine::push_departure
 
 use crate::bin::BinId;
 use crate::demand::Demand;
 use crate::engine::State;
-use crate::item::{GArrivingItem, GItem, ItemId, RegionId, Size};
+use crate::item::{GArrivingItem, ItemId, RegionId, Size};
 use crate::packer::BinSelector;
 use crate::probe::{GProbeEvent, Probe};
+use crate::span::{stage, NoSpans, SpanRecorder};
 use crate::time::Tick;
 use crate::trace::GPackingTrace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
-/// A monotonic tick source injected into streaming drivers. Implementations
-/// must never go backwards; the engine still checks and returns
-/// [`StreamError::TimeTravel`] if one does.
-pub trait Clock {
-    /// The current tick.
-    fn now(&mut self) -> Tick;
+/// The one arrival/departure body both drivers share. It owns the
+/// selector, the probe, the capacity and the arena; the drivers own the
+/// event order and the open-bin step rule.
+pub(crate) struct EventCore<S, P, Sz> {
+    pub(crate) capacity: Sz,
+    pub(crate) selector: S,
+    pub(crate) probe: P,
+    pub(crate) keep_views: bool,
+    pub(crate) st: State<Sz>,
 }
 
-/// A hand-advanced clock for tests and event-time replays: [`now`] returns
-/// whatever the last [`advance_to`] set, and never moves on its own.
-///
-/// [`now`]: ManualClock::now
-/// [`advance_to`]: ManualClock::advance_to
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ManualClock {
-    now: Tick,
-}
-
-impl ManualClock {
-    /// A clock starting at `start`.
-    pub fn new(start: Tick) -> ManualClock {
-        ManualClock { now: start }
-    }
-
-    /// Move the clock forward to `t`. Saturating: a target behind the
-    /// current reading leaves the clock unchanged (clocks never rewind).
-    pub fn advance_to(&mut self, t: Tick) {
-        if t > self.now {
-            self.now = t;
+impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> EventCore<S, P, Sz> {
+    /// A core whose per-item columns are pre-sized for `n_items` items
+    /// (streaming callers start at 0 and grow via [`State::ensure_item`]).
+    pub(crate) fn new(capacity: Sz, selector: S, probe: P, n_items: usize) -> Self {
+        let keep_views = P::ENABLED || selector.needs_views();
+        EventCore {
+            capacity,
+            selector,
+            probe,
+            keep_views,
+            st: State::with_items(n_items),
         }
     }
-}
 
-impl Clock for ManualClock {
-    fn now(&mut self) -> Tick {
-        self.now
-    }
-}
-
-/// Wall-clock ticks for live daemons: tick 0 is the moment of construction,
-/// and the reading advances at `ticks_per_sec` against
-/// [`std::time::Instant`] (monotonic by construction).
-#[derive(Debug, Clone, Copy)]
-pub struct WallClock {
-    epoch: std::time::Instant,
-    ticks_per_sec: u64,
-}
-
-impl WallClock {
-    /// A clock whose tick 0 is now.
+    /// Place one arriving item: `ItemArrived` → `decide` span (the
+    /// selector call) → `place` span (the bookkeeping) → `on_decision_ns`,
+    /// all inside one `arrival` span. Returns the bin the item landed in.
     ///
     /// # Panics
-    /// Panics if `ticks_per_sec` is zero.
-    pub fn starting_now(ticks_per_sec: u64) -> WallClock {
-        assert!(ticks_per_sec > 0, "a clock needs a nonzero rate");
-        WallClock {
-            epoch: std::time::Instant::now(),
-            ticks_per_sec,
+    /// Panics if the selector returns an invalid decision — same contract
+    /// as [`simulate`](crate::engine::simulate).
+    #[inline]
+    pub(crate) fn arrive<R: SpanRecorder>(
+        &mut self,
+        spans: &mut R,
+        arriving: &GArrivingItem<Sz>,
+    ) -> BinId {
+        let tick = arriving.arrival;
+        if R::ENABLED {
+            spans.enter(stage::ARRIVAL);
+        }
+        if P::ENABLED {
+            self.probe.record(GProbeEvent::ItemArrived {
+                at: tick,
+                item: arriving.id,
+                size: arriving.size,
+            });
+        }
+        // Timed span: the *whole* arrival handling — selection plus
+        // placement bookkeeping — so `on_decision_ns` reflects the
+        // per-arrival cost users actually observe.
+        let started = if P::ENABLED {
+            Some(std::time::Instant::now())
+        } else {
+            None
+        };
+        if R::ENABLED {
+            spans.enter(stage::DECIDE);
+        }
+        let decision = self
+            .selector
+            .select(&self.st.views, arriving, self.capacity);
+        if R::ENABLED {
+            spans.exit();
+            spans.enter(stage::PLACE);
+        }
+        let bin = self.st.apply_arrival(
+            arriving.size,
+            &mut self.selector,
+            &mut self.probe,
+            self.keep_views,
+            self.capacity,
+            tick,
+            arriving.id,
+            decision,
+        );
+        if R::ENABLED {
+            spans.exit();
+        }
+        if let Some(started) = started {
+            self.probe
+                .on_decision_ns(started.elapsed().as_nanos() as u64);
+        }
+        if R::ENABLED {
+            spans.exit();
+        }
+        bin
+    }
+
+    /// Remove item `id` (of the given `size`) at `tick` inside one
+    /// `departure` span, closing its bin if it empties.
+    #[inline]
+    pub(crate) fn depart<R: SpanRecorder>(
+        &mut self,
+        spans: &mut R,
+        id: ItemId,
+        size: Sz,
+        tick: Tick,
+    ) {
+        if R::ENABLED {
+            spans.enter(stage::DEPARTURE);
+        }
+        self.st.apply_departure(
+            size,
+            &mut self.selector,
+            &mut self.probe,
+            self.keep_views,
+            tick,
+            id,
+        );
+        if R::ENABLED {
+            spans.exit();
         }
     }
-}
 
-impl Clock for WallClock {
-    fn now(&mut self) -> Tick {
-        let elapsed = self.epoch.elapsed();
-        let whole = elapsed.as_secs().saturating_mul(self.ticks_per_sec);
-        let frac = elapsed.subsec_nanos() as u64 * self.ticks_per_sec / 1_000_000_000;
-        Tick(whole.saturating_add(frac))
+    /// Build the trace from a finished run's arena, or name the first item
+    /// id that was never placed (the assignment table is indexed by id).
+    pub(crate) fn into_trace(self) -> Result<GPackingTrace<Sz>, ItemId> {
+        let bins = self.st.materialize_records();
+        let assignment = self
+            .st
+            .assignment
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| b.ok_or(ItemId(i as u32)))
+            .collect::<Result<_, _>>()?;
+        Ok(GPackingTrace {
+            algorithm: self.selector.name().to_string(),
+            capacity: self.capacity,
+            bins,
+            assignment,
+            open_bins_steps: self.st.steps,
+        })
     }
 }
 
@@ -128,25 +190,6 @@ pub enum GStreamError<Sz> {
         at: Tick,
         /// The horizon it would have to rewind past.
         horizon: Tick,
-    },
-    /// An arrival stamped after the clock reading it was pushed with — the
-    /// item claims to arrive in the caller's future.
-    ArrivalInFuture {
-        /// The item.
-        item: ItemId,
-        /// Its claimed arrival tick.
-        arrival: Tick,
-        /// The clock reading supplied with the push.
-        now: Tick,
-    },
-    /// A departure tick not strictly after the arrival tick.
-    DepartureNotAfterArrival {
-        /// The item.
-        item: ItemId,
-        /// Its arrival tick.
-        arrival: Tick,
-        /// The offending departure tick.
-        departure: Tick,
     },
     /// Zero-size items carry no demand and are rejected, matching
     /// `Instance` validation.
@@ -174,14 +217,13 @@ pub enum GStreamError<Sz> {
         /// The unknown id.
         item: ItemId,
     },
-    /// A departure for an item that already departed, or whose departure is
-    /// already scheduled on the heap.
+    /// A departure for an item that already departed.
     AlreadyDeparted {
         /// The item.
         item: ItemId,
     },
-    /// [`finish`](StreamingEngine::finish) was called while open-mode items
-    /// were still in flight (no departure pushed yet).
+    /// [`finish`](StreamingEngine::finish) was called while items were
+    /// still in flight (no departure pushed yet).
     ItemsStillOpen {
         /// How many items have not departed.
         open: usize,
@@ -203,20 +245,6 @@ impl<Sz: fmt::Display> fmt::Display for GStreamError<Sz> {
             GStreamError::TimeTravel { at, horizon } => {
                 write!(f, "time travel: tick {at} is behind the horizon {horizon}")
             }
-            GStreamError::ArrivalInFuture { item, arrival, now } => {
-                write!(
-                    f,
-                    "item {item} arrives at {arrival}, after the clock reading {now}"
-                )
-            }
-            GStreamError::DepartureNotAfterArrival {
-                item,
-                arrival,
-                departure,
-            } => write!(
-                f,
-                "item {item} departs at {departure}, not after its arrival {arrival}"
-            ),
             GStreamError::ZeroSize { item } => write!(f, "item {item} has size 0"),
             GStreamError::Oversized {
                 item,
@@ -247,28 +275,18 @@ impl<Sz: fmt::Debug + fmt::Display> std::error::Error for GStreamError<Sz> {}
 enum ItemPhase {
     /// Never seen.
     Absent,
-    /// Placed; departure scheduled on the heap.
-    Scheduled,
-    /// Placed via [`StreamingEngine::push_open_arrival`]; departure will
-    /// arrive as a future [`StreamingEngine::push_departure`].
+    /// Placed; its departure will arrive as a future
+    /// [`StreamingEngine::push_departure`].
     Open,
     /// Departed.
     Departed,
 }
 
-/// The bounded-memory event-time engine. See the module docs for the
+/// The bounded-memory open-mode engine. See the module docs for the
 /// contract; construction takes ownership of the selector and probe because
 /// a streaming run has no instance-scoped borrow to hang them on.
 pub struct StreamingEngine<S: BinSelector<Sz>, P: Probe<Sz>, Sz: Demand = Size> {
-    capacity: Sz,
-    selector: S,
-    probe: P,
-    keep_views: bool,
-    st: State<Sz>,
-    /// Min-heap of scheduled departures keyed `(tick, item id)` — exactly
-    /// the order [`schedule`](crate::events::schedule) gives equal-tick
-    /// departures: instance order, which is item-id order.
-    departures: BinaryHeap<Reverse<(Tick, ItemId)>>,
+    core: EventCore<S, P, Sz>,
     /// Per-item size (needed at departure) and lifecycle phase, indexed by
     /// item id like the arena's per-item columns.
     sizes: Vec<Sz>,
@@ -294,14 +312,8 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
             !capacity.has_zero_component(),
             "bin capacity must be positive in every dimension"
         );
-        let keep_views = P::ENABLED || selector.needs_views();
         StreamingEngine {
-            capacity,
-            selector,
-            probe,
-            keep_views,
-            st: State::with_items(0),
-            departures: BinaryHeap::new(),
+            core: EventCore::new(capacity, selector, probe, 0),
             sizes: Vec::new(),
             phase: Vec::new(),
             horizon: Tick(0),
@@ -318,12 +330,12 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
 
     /// Bins currently open.
     pub fn open_bins(&self) -> usize {
-        self.st.open_count
+        self.core.st.open_count
     }
 
     /// Bins ever opened.
     pub fn bins_opened(&self) -> usize {
-        self.st.bins()
+        self.core.st.bins()
     }
 
     /// Items currently placed and not yet departed.
@@ -336,19 +348,14 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
         self.arrived
     }
 
-    /// Departures scheduled on the heap but not yet fired.
-    pub fn pending_departures(&self) -> usize {
-        self.departures.len()
-    }
-
     /// Borrow the probe (for live scraping of metrics-bearing probes).
     pub fn probe(&self) -> &P {
-        &self.probe
+        &self.core.probe
     }
 
     /// Mutably borrow the probe (for flushing journal-bearing probes).
     pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
+        &mut self.core.probe
     }
 
     /// Grow the per-item columns to cover `idx` and report its phase.
@@ -356,158 +363,45 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
         if idx >= self.phase.len() {
             self.sizes.resize(idx + 1, Sz::ZERO);
             self.phase.resize(idx + 1, ItemPhase::Absent);
-            self.st.ensure_item(idx);
+            self.core.st.ensure_item(idx);
         }
         self.phase[idx]
     }
 
-    /// Lazy step recording: called with each event's tick, in order. When
-    /// the tick moves past the pending batch, the batch's open-bin count is
-    /// recorded — reproducing the batch engine's record-at-batch-end rule.
-    fn note_tick(&mut self, t: Tick) {
-        match self.pending_step {
-            Some(p) if p == t => {}
-            Some(p) => {
-                self.st.record_step(p);
-                self.pending_step = Some(t);
-            }
-            None => self.pending_step = Some(t),
-        }
-    }
-
-    /// Fire every scheduled departure with tick ≤ `up_to` (departures run
-    /// before arrivals at the same tick, per the engine's event order).
-    fn drain_departures(&mut self, up_to: Tick) {
-        while let Some(&Reverse((t, id))) = self.departures.peek() {
-            if t > up_to {
-                break;
-            }
-            self.departures.pop();
-            self.note_tick(t);
-            self.st.apply_departure(
-                self.sizes[id.index()],
-                &mut self.selector,
-                &mut self.probe,
-                self.keep_views,
-                t,
-                id,
-            );
-            self.phase[id.index()] = ItemPhase::Departed;
-            self.in_flight -= 1;
-            self.horizon = t;
-        }
-    }
-
-    /// Shared arrival path: mirrors the batch engine's probe emission order
-    /// exactly (`ItemArrived` → timed `select` → placement events →
-    /// `on_decision_ns`).
-    fn process_arrival(&mut self, arriving: GArrivingItem<Sz>) -> BinId {
-        let tick = arriving.arrival;
-        self.note_tick(tick);
-        if P::ENABLED {
-            self.probe.record(GProbeEvent::ItemArrived {
-                at: tick,
-                item: arriving.id,
-                size: arriving.size,
-            });
-        }
-        let started = if P::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let decision = self
-            .selector
-            .select(&self.st.views, &arriving, self.capacity);
-        self.st.apply_arrival(
-            arriving.size,
-            &mut self.selector,
-            &mut self.probe,
-            self.keep_views,
-            self.capacity,
-            tick,
-            arriving.id,
-            decision,
-        );
-        if let Some(started) = started {
-            self.probe
-                .on_decision_ns(started.elapsed().as_nanos() as u64);
-        }
-        self.horizon = tick;
-        self.in_flight += 1;
-        self.arrived += 1;
-        self.st.assignment[arriving.id.index()].expect("apply_arrival always assigns")
-    }
-
-    /// Validate the parts of an arrival shared by both push flavors.
-    fn check_arrival(
-        &mut self,
-        id: ItemId,
-        arrival: Tick,
-        size: Sz,
-        now: Tick,
-    ) -> Result<(), GStreamError<Sz>> {
-        if arrival < self.horizon {
+    /// Reject a push stamped behind the horizon.
+    fn check_horizon(&self, t: Tick) -> Result<(), GStreamError<Sz>> {
+        if t < self.horizon {
             return Err(GStreamError::TimeTravel {
-                at: arrival,
+                at: t,
                 horizon: self.horizon,
             });
-        }
-        if arrival > now {
-            return Err(GStreamError::ArrivalInFuture {
-                item: id,
-                arrival,
-                now,
-            });
-        }
-        if size.is_zero() {
-            return Err(GStreamError::ZeroSize { item: id });
-        }
-        if !size.fits_within(self.capacity) {
-            return Err(GStreamError::Oversized {
-                item: id,
-                size,
-                capacity: self.capacity,
-            });
-        }
-        if self.phase_of(id.index()) != ItemPhase::Absent {
-            return Err(GStreamError::DuplicateItem { item: id });
         }
         Ok(())
     }
 
-    /// Push one arrival whose departure is already known (the replayed-
-    /// workload shape), processing it at `item.arrival` and scheduling the
-    /// departure on the heap. `now` is the caller's clock reading; the
-    /// arrival may not lie in its future. Returns the bin the item landed
-    /// in.
-    ///
-    /// # Panics
-    /// Panics if the selector returns an invalid decision — same contract
-    /// as [`simulate`](crate::engine::simulate).
-    pub fn push_arrival(&mut self, item: GItem<Sz>, now: Tick) -> Result<BinId, GStreamError<Sz>> {
-        if item.departure <= item.arrival {
-            return Err(GStreamError::DepartureNotAfterArrival {
-                item: item.id,
-                arrival: item.arrival,
-                departure: item.departure,
-            });
+    /// Move the horizon to `t` under the lazy step rule: when `t` moves
+    /// past the pending batch, the batch's open-bin count is recorded —
+    /// reproducing the batch engine's record-at-batch-end rule.
+    fn note_tick(&mut self, t: Tick) {
+        match self.pending_step {
+            Some(p) if p == t => {}
+            Some(p) => {
+                self.core.st.record_step(p);
+                self.pending_step = Some(t);
+            }
+            None => self.pending_step = Some(t),
         }
-        self.check_arrival(item.id, item.arrival, item.size, now)?;
-        self.drain_departures(item.arrival);
-        self.sizes[item.id.index()] = item.size;
-        self.phase[item.id.index()] = ItemPhase::Scheduled;
-        self.departures.push(Reverse((item.departure, item.id)));
-        Ok(self.process_arrival(GArrivingItem::of(&item)))
+        self.horizon = t;
     }
 
-    /// Push one arrival whose departure is *not* known — the live-daemon
-    /// shape, where the departure arrives later via [`push_departure`].
+    /// Place an item at tick `now` whose departure is not yet known; it
+    /// leaves later via [`push_departure`]. Returns the bin it landed in.
     ///
     /// [`push_departure`]: StreamingEngine::push_departure
     ///
     /// # Panics
-    /// Same contract as [`push_arrival`](StreamingEngine::push_arrival).
+    /// Panics if the selector returns an invalid decision — same contract
+    /// as [`simulate`](crate::engine::simulate).
     pub fn push_open_arrival(
         &mut self,
         id: ItemId,
@@ -515,100 +409,71 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
         region: RegionId,
         now: Tick,
     ) -> Result<BinId, GStreamError<Sz>> {
-        self.check_arrival(id, now, size, now)?;
-        self.drain_departures(now);
+        self.check_horizon(now)?;
+        if size.is_zero() {
+            return Err(GStreamError::ZeroSize { item: id });
+        }
+        if !size.fits_within(self.core.capacity) {
+            return Err(GStreamError::Oversized {
+                item: id,
+                size,
+                capacity: self.core.capacity,
+            });
+        }
+        if self.phase_of(id.index()) != ItemPhase::Absent {
+            return Err(GStreamError::DuplicateItem { item: id });
+        }
+        self.note_tick(now);
         self.sizes[id.index()] = size;
         self.phase[id.index()] = ItemPhase::Open;
-        Ok(self.process_arrival(GArrivingItem {
-            id,
-            arrival: now,
-            size,
-            region,
-        }))
+        self.in_flight += 1;
+        self.arrived += 1;
+        Ok(self.core.arrive(
+            &mut NoSpans,
+            &GArrivingItem {
+                id,
+                arrival: now,
+                size,
+                region,
+            },
+        ))
     }
 
-    /// Depart an open-mode item at tick `now`. Scheduled departures with
-    /// ticks ≤ `now` fire first, preserving heap order.
+    /// Depart an open item at tick `now`.
     pub fn push_departure(&mut self, id: ItemId, now: Tick) -> Result<(), GStreamError<Sz>> {
-        if now < self.horizon {
-            return Err(GStreamError::TimeTravel {
-                at: now,
-                horizon: self.horizon,
-            });
-        }
+        self.check_horizon(now)?;
         match self.phase_of(id.index()) {
             ItemPhase::Absent => return Err(GStreamError::UnknownItem { item: id }),
-            ItemPhase::Scheduled | ItemPhase::Departed => {
-                return Err(GStreamError::AlreadyDeparted { item: id })
-            }
+            ItemPhase::Departed => return Err(GStreamError::AlreadyDeparted { item: id }),
             ItemPhase::Open => {}
         }
-        self.drain_departures(now);
         self.note_tick(now);
-        self.st.apply_departure(
-            self.sizes[id.index()],
-            &mut self.selector,
-            &mut self.probe,
-            self.keep_views,
-            now,
-            id,
-        );
+        self.core
+            .depart(&mut NoSpans, id, self.sizes[id.index()], now);
         self.phase[id.index()] = ItemPhase::Departed;
         self.in_flight -= 1;
-        self.horizon = now;
         Ok(())
     }
 
-    /// Advance event time to `now` without pushing anything: scheduled
-    /// departures up to `now` fire. A reading behind the horizon is a
-    /// [`StreamError::TimeTravel`].
-    pub fn advance_to(&mut self, now: Tick) -> Result<(), GStreamError<Sz>> {
-        if now < self.horizon {
-            return Err(GStreamError::TimeTravel {
-                at: now,
-                horizon: self.horizon,
-            });
-        }
-        self.drain_departures(now);
-        self.horizon = now;
-        Ok(())
-    }
-
-    /// Drain every scheduled departure, seal the step function, and build
-    /// the trace — the streaming counterpart of
-    /// [`EngineRun::finish`](crate::engine::EngineRun::finish). Requires a
-    /// dense id space `0..n` with every item departed.
+    /// Seal the step function and build the trace — the streaming
+    /// counterpart of [`EngineRun::finish`](crate::engine::EngineRun::finish).
+    /// Requires a dense id space `0..n` with every item departed.
     pub fn finish(mut self) -> Result<GPackingTrace<Sz>, GStreamError<Sz>> {
-        while let Some(&Reverse((t, _))) = self.departures.peek() {
-            self.drain_departures(t);
-        }
         if self.in_flight > 0 {
             return Err(GStreamError::ItemsStillOpen {
                 open: self.in_flight,
             });
         }
         if let Some(p) = self.pending_step.take() {
-            self.st.record_step(p);
+            self.core.st.record_step(p);
         }
-        debug_assert_eq!(self.st.open_count, 0, "no in-flight items but open bins");
-        let mut assignment = Vec::with_capacity(self.st.assignment.len());
-        for (i, b) in self.st.assignment.iter().enumerate() {
-            match b {
-                Some(b) => assignment.push(*b),
-                None => {
-                    return Err(GStreamError::MissingItem {
-                        item: ItemId(i as u32),
-                    })
-                }
-            }
-        }
-        Ok(GPackingTrace {
-            algorithm: self.selector.name().to_string(),
-            capacity: self.capacity,
-            bins: self.st.materialize_records(),
-            assignment,
-            open_bins_steps: self.st.steps,
-        })
+        debug_assert_eq!(
+            self.core.st.open_count, 0,
+            "no in-flight items but open bins"
+        );
+        self.core
+            .into_trace()
+            .map_err(|item| GStreamError::MissingItem { item })
     }
 
     /// Tear the engine down without requiring a complete stream, returning
@@ -616,7 +481,12 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> StreamingEngine<S, P, Sz> {
     /// counters `(arrivals, in_flight, open_bins)` — the daemon's drain
     /// path, where in-flight sessions are expected.
     pub fn into_probe(self) -> (P, u64, usize, usize) {
-        (self.probe, self.arrived, self.in_flight, self.st.open_count)
+        (
+            self.core.probe,
+            self.arrived,
+            self.in_flight,
+            self.core.st.open_count,
+        )
     }
 }
 
@@ -625,8 +495,8 @@ mod tests {
     use super::*;
     use crate::algorithms::FirstFit;
     use crate::engine::simulate_probed;
+    use crate::events::{schedule, EventKind};
     use crate::instance::InstanceBuilder;
-    use crate::item::Item;
     use crate::probe::FnProbe;
 
     fn demo() -> crate::instance::Instance {
@@ -636,12 +506,6 @@ mod tests {
         b.add(2, 8, 4);
         b.add(5, 9, 6);
         b.build().unwrap()
-    }
-
-    fn stream_order(inst: &crate::instance::Instance) -> Vec<Item> {
-        let mut items: Vec<Item> = inst.items().to_vec();
-        items.sort_by_key(|it| (it.arrival, it.id));
-        items
     }
 
     #[test]
@@ -660,8 +524,15 @@ mod tests {
             FirstFit::new(),
             FnProbe::new(|ev| stream_events.push(ev)),
         );
-        for it in stream_order(&inst) {
-            eng.push_arrival(it, it.arrival).unwrap();
+        for ev in schedule(&inst) {
+            let it = inst.item(ev.item);
+            match ev.kind {
+                EventKind::Arrival => {
+                    eng.push_open_arrival(it.id, it.size, it.region, ev.at)
+                        .unwrap();
+                }
+                EventKind::Departure => eng.push_departure(it.id, ev.at).unwrap(),
+            }
         }
         let trace = eng.finish().unwrap();
         assert_eq!(trace, batch);
@@ -670,37 +541,23 @@ mod tests {
 
     #[test]
     fn time_travel_and_validation_errors() {
+        let g = RegionId::GLOBAL;
         let mut eng = StreamingEngine::new(Size(10), FirstFit::new(), crate::probe::NoProbe);
-        eng.push_arrival(Item::new(0, 5, 9, 4), Tick(5)).unwrap();
+        eng.push_open_arrival(ItemId(0), Size(4), g, Tick(5))
+            .unwrap();
         assert_eq!(
-            eng.push_arrival(Item::new(1, 3, 7, 2), Tick(6)),
+            eng.push_open_arrival(ItemId(1), Size(2), g, Tick(3)),
             Err(StreamError::TimeTravel {
                 at: Tick(3),
                 horizon: Tick(5)
             })
         );
         assert_eq!(
-            eng.push_arrival(Item::new(1, 9, 12, 2), Tick(7)),
-            Err(StreamError::ArrivalInFuture {
-                item: ItemId(1),
-                arrival: Tick(9),
-                now: Tick(7)
-            })
-        );
-        assert_eq!(
-            eng.push_arrival(Item::new(1, 6, 6, 2), Tick(6)),
-            Err(StreamError::DepartureNotAfterArrival {
-                item: ItemId(1),
-                arrival: Tick(6),
-                departure: Tick(6)
-            })
-        );
-        assert_eq!(
-            eng.push_arrival(Item::new(1, 6, 9, 0), Tick(6)),
+            eng.push_open_arrival(ItemId(1), Size(0), g, Tick(6)),
             Err(StreamError::ZeroSize { item: ItemId(1) })
         );
         assert_eq!(
-            eng.push_arrival(Item::new(1, 6, 9, 11), Tick(6)),
+            eng.push_open_arrival(ItemId(1), Size(11), g, Tick(6)),
             Err(StreamError::Oversized {
                 item: ItemId(1),
                 size: Size(11),
@@ -708,11 +565,14 @@ mod tests {
             })
         );
         assert_eq!(
-            eng.push_arrival(Item::new(0, 6, 9, 2), Tick(6)),
+            eng.push_open_arrival(ItemId(0), Size(2), g, Tick(6)),
             Err(StreamError::DuplicateItem { item: ItemId(0) })
         );
         // The rejected pushes left the engine usable.
-        eng.push_arrival(Item::new(1, 6, 9, 2), Tick(6)).unwrap();
+        eng.push_open_arrival(ItemId(1), Size(2), g, Tick(6))
+            .unwrap();
+        eng.push_departure(ItemId(0), Tick(9)).unwrap();
+        eng.push_departure(ItemId(1), Tick(9)).unwrap();
         let trace = eng.finish().unwrap();
         assert_eq!(trace.bins_used(), 1);
     }
@@ -753,39 +613,11 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_fires_scheduled_departures() {
-        let mut eng = StreamingEngine::new(Size(10), FirstFit::new(), crate::probe::NoProbe);
-        eng.push_arrival(Item::new(0, 0, 4, 6), Tick(0)).unwrap();
-        assert_eq!(eng.open_bins(), 1);
-        eng.advance_to(Tick(4)).unwrap();
-        assert_eq!(eng.open_bins(), 0);
-        assert_eq!(eng.in_flight(), 0);
-        assert_eq!(
-            eng.advance_to(Tick(2)),
-            Err(StreamError::TimeTravel {
-                at: Tick(2),
-                horizon: Tick(4)
-            })
-        );
-    }
-
-    #[test]
-    fn clocks_are_monotonic() {
-        let mut m = ManualClock::new(Tick(3));
-        assert_eq!(m.now(), Tick(3));
-        m.advance_to(Tick(10));
-        m.advance_to(Tick(5)); // saturates, never rewinds
-        assert_eq!(m.now(), Tick(10));
-        let mut w = WallClock::starting_now(1_000_000);
-        let a = w.now();
-        let b = w.now();
-        assert!(b >= a);
-    }
-
-    #[test]
     fn missing_id_is_reported_at_finish() {
         let mut eng = StreamingEngine::new(Size(10), FirstFit::new(), crate::probe::NoProbe);
-        eng.push_arrival(Item::new(1, 0, 4, 6), Tick(0)).unwrap();
+        eng.push_open_arrival(ItemId(1), Size(6), RegionId::GLOBAL, Tick(0))
+            .unwrap();
+        eng.push_departure(ItemId(1), Tick(4)).unwrap();
         assert_eq!(
             eng.finish(),
             Err(StreamError::MissingItem { item: ItemId(0) })

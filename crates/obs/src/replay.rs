@@ -430,7 +430,9 @@ mod tests {
             // Resume with a fresh selector and capture the continuation.
             let mut log = EventLog::new();
             let mut ff = FirstFit::new();
-            let trace = simulate_resumed_probed(&inst, &mut ff, &mut log, &rec.snapshot).unwrap();
+            let trace = EngineRun::resume(&inst, &mut ff, &mut log, &rec.snapshot)
+                .unwrap()
+                .finish();
             assert_eq!(trace, simulate(&inst, &mut FirstFit::new()));
             // Journal prefix (complete ops only) + continuation == full
             // uninterrupted stream.

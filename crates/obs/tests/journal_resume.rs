@@ -57,10 +57,10 @@ proptest! {
                 prop_assert!(rec.events_used <= cut);
                 let mut sel2 = factory.build();
                 let mut log2 = EventLog::new();
-                let trace =
-                    simulate_resumed_probed(&inst, &mut *sel2, &mut log2, &rec.snapshot)
-                        .map_err(|e| TestCaseError::Fail(
-                            format!("{} cut {cut}: resume: {e}", factory.name())))?;
+                let trace = EngineRun::resume(&inst, &mut *sel2, &mut log2, &rec.snapshot)
+                    .map_err(|e| TestCaseError::Fail(
+                        format!("{} cut {cut}: resume: {e}", factory.name())))?
+                    .finish();
                 prop_assert_eq!(&trace, &full_trace, "{} trace diverged at {}", factory.name(), cut);
                 prop_assert_eq!(
                     trace.total_cost_ticks(),
@@ -107,9 +107,10 @@ proptest! {
             let rec = snapshot_from_events(&inst, "FF", &contents.events)
                 .map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: {e}")))?;
             let mut log2 = EventLog::new();
-            let trace = simulate_resumed_probed(
+            let trace = EngineRun::resume(
                 &inst, &mut FirstFit::new(), &mut log2, &rec.snapshot,
-            ).map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: resume: {e}")))?;
+            ).map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: resume: {e}")))?
+            .finish();
             prop_assert_eq!(&trace, &full_trace);
             let mut combined =
                 events_to_jsonl(&contents.events[..rec.events_used]);

@@ -4,7 +4,7 @@
 //! trace and JSONL event stream byte for byte).
 
 use dbp_core::algorithms::{BestFit, FirstFit, IndexedFirstFit};
-use dbp_core::engine::{simulate, simulate_probed, simulate_traced};
+use dbp_core::engine::{simulate, simulate_probed, EngineRun};
 use dbp_core::instance::{Instance, InstanceBuilder};
 use dbp_core::packer::BinSelector;
 use dbp_core::probe::NoProbe;
@@ -60,7 +60,7 @@ proptest! {
     ) {
         let mut spans = SpanCollector::new(0);
         let mut sel = selector(which);
-        simulate_traced(&inst, &mut *sel, &mut NoProbe, &mut spans);
+        EngineRun::traced(&inst, &mut *sel, &mut NoProbe, &mut spans).finish();
         let spans = spans.spans();
         prop_assert!(!spans.is_empty());
         assert_well_nested(spans);
@@ -81,7 +81,7 @@ proptest! {
         let run = || {
             let mut spans = SpanCollector::new(0);
             let mut sel = selector(which);
-            simulate_traced(&inst, &mut *sel, &mut NoProbe, &mut spans);
+            EngineRun::traced(&inst, &mut *sel, &mut NoProbe, &mut spans).finish();
             spans.shape()
         };
         // Timings differ between runs; the tree (names + parents) must not.
@@ -97,7 +97,7 @@ proptest! {
         let plain = simulate(&inst, &mut *sel);
 
         let mut sel = selector(which);
-        let noop = simulate_traced(&inst, &mut *sel, &mut NoProbe, NoSpans);
+        let noop = EngineRun::traced(&inst, &mut *sel, &mut NoProbe, NoSpans).finish();
         prop_assert_eq!(&plain, &noop);
 
         // The live recorder must not perturb the packing either, and the
@@ -110,7 +110,7 @@ proptest! {
         let mut log_traced = EventLog::new();
         let mut spans = SpanCollector::new(0);
         let mut sel = selector(which);
-        let traced = simulate_traced(&inst, &mut *sel, &mut log_traced, &mut spans);
+        let traced = EngineRun::traced(&inst, &mut *sel, &mut log_traced, &mut spans).finish();
         prop_assert_eq!(&plain, &traced);
         prop_assert_eq!(
             events_to_jsonl(log_plain.events()),
@@ -124,11 +124,11 @@ proptest! {
     ) {
         let mut collector = SpanCollector::new(3);
         let mut sel = FirstFit::new();
-        simulate_traced(&inst, &mut sel, &mut NoProbe, &mut collector);
+        EngineRun::traced(&inst, &mut sel, &mut NoProbe, &mut collector).finish();
 
         let mut agg = StageAggregator::new(3);
         let mut sel = FirstFit::new();
-        simulate_traced(&inst, &mut sel, &mut NoProbe, &mut agg);
+        EngineRun::traced(&inst, &mut sel, &mut NoProbe, &mut agg).finish();
 
         // Same structure ⇒ same counts per stage (durations differ — they
         // are separate wall-clock runs).

@@ -230,6 +230,7 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d1(size: u64) -> [u64; MAX_DIMS] {
         let mut d = [0u64; MAX_DIMS];
@@ -342,5 +343,72 @@ mod tests {
         assert!(!line.contains("bin"), "{line}");
         let back: Reply = serde_json::from_str(&line).unwrap();
         assert_eq!(back, d);
+    }
+
+    /// One hostile line for a `dims`-dimensional daemon: `kind` picks the
+    /// attack, `bytes`/`depth`/`k` parameterize it.
+    fn hostile_line(kind: u8, dims: usize, bytes: &[u8], depth: usize, k: u64) -> String {
+        let ones = |n: usize| vec!["1"; n].join(",");
+        match kind {
+            0 => String::from_utf8_lossy(bytes).into_owned(),
+            1 => format!(
+                r#"{{"op":"arrive","id":1,"demand":[{}{}]}}"#,
+                "1,".repeat(dims - 1),
+                u128::from(u64::MAX) + 1 + u128::from(k)
+            ),
+            // Any arity in 0..=8 except `dims`.
+            2 => format!(
+                r#"{{"op":"arrive","id":1,"demand":[{}]}}"#,
+                ones((dims + 1 + k as usize % 8) % 9)
+            ),
+            3 => format!(
+                r#"{{"op":"arrive","id":1,"size":5,"demand":[{}]}}"#,
+                ones(dims)
+            ),
+            _ => {
+                let close = if k.is_multiple_of(2) {
+                    "]".repeat(depth)
+                } else {
+                    String::new()
+                };
+                format!(
+                    r#"{{"op":"arrive","id":1,"demand":{}{close}}}"#,
+                    "[".repeat(depth)
+                )
+            }
+        }
+    }
+
+    proptest! {
+        /// Whatever arrives on the wire — random bytes, demands past
+        /// `u64::MAX`, wrong arity, `size` beside `demand`, or 1 to 10^5
+        /// levels of nesting — the parser answers `Ok` or `Err`; it never
+        /// panics and never overflows the stack.
+        #[test]
+        fn hostile_lines_never_panic(
+            kind in 0u8..5,
+            dims in 1usize..=MAX_DIMS,
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            exp in 0u32..=5,
+            mantissa in 1usize..10,
+            k in 0u64..1_000,
+        ) {
+            let depth = (mantissa * 10usize.pow(exp)).min(100_000);
+            let line = hostile_line(kind, dims, &bytes, depth, k);
+            let parsed = parse_line_dims(&line, dims);
+            match kind {
+                0 => {}
+                1 => prop_assert!(parsed.is_err(), "{line}"),
+                2 => prop_assert!(
+                    parsed.as_ref().is_err_and(|e| e.starts_with("demand_arity:")),
+                    "{line} -> {parsed:?}"
+                ),
+                3 => prop_assert!(
+                    parsed.as_ref().is_err_and(|e| e.contains("not both")),
+                    "{line} -> {parsed:?}"
+                ),
+                _ => prop_assert!(parsed.is_err(), "depth {depth} -> {parsed:?}"),
+            }
+        }
     }
 }

@@ -165,10 +165,16 @@ pub fn from_reader<R: std::io::Read, T: Deserialize>(mut reader: R) -> Result<T>
     from_str(&buf)
 }
 
+/// Deepest nesting of arrays and objects the parser accepts: the real
+/// `serde_json`'s default recursion limit. The parser recurses once per
+/// level, so without a cap one line of `[`s overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 fn parse_value_complete(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -185,6 +191,8 @@ fn parse_value_complete(s: &str) -> Result<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -246,8 +254,8 @@ impl<'a> Parser<'a> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(Error::new(format!(
                 "unexpected character `{}` at byte {}",
@@ -255,6 +263,21 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::new("unexpected end of JSON input")),
         }
+    }
+
+    /// Run `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -461,6 +484,19 @@ mod tests {
     fn unicode_escapes() {
         let s: String = from_str("\"\\u0041\\u00e9\\ud83d\\ude00\"").unwrap();
         assert_eq!(s, "Aé😀");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Far past the cap, unbalanced, and through objects too: an
+        // error, never a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(20_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(20_000)).is_err());
+        assert!(from_str::<Value>(&nest(100_000)).is_err());
     }
 
     #[test]

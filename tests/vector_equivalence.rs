@@ -17,6 +17,7 @@ use dbp_cloudsim::{billed_ticks, rental_cost_cents, GamingSystem, Granularity, S
 use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{simulate_probed, simulate_validated as sim_validated};
+use dbp_core::events::EventKind;
 use dbp_core::instance::GInstance;
 use dbp_core::packer::BinSelector;
 use dbp_core::trace::PackingTrace;
@@ -224,16 +225,22 @@ proptest! {
     #[test]
     fn streaming_engine_at_d3_is_byte_identical_to_batch(inst in instances()) {
         let vinst = widen(&inst);
-        let mut order: Vec<_> = vinst.items().to_vec();
-        order.sort_by_key(|it| (it.arrival, it.id));
+        let events = dbp_core::events::schedule(&vinst);
         for name in SELECTORS {
             let mut blog = GEventLog::<VSize<3>>::new();
             let batch = simulate_probed(&vinst, &mut *selector::<VSize<3>>(name), &mut blog);
 
             let mut slog = GEventLog::<VSize<3>>::new();
             let mut eng = StreamingEngine::new(vinst.capacity(), selector::<VSize<3>>(name), &mut slog);
-            for it in &order {
-                eng.push_arrival(*it, it.arrival).unwrap();
+            for ev in &events {
+                let it = vinst.item(ev.item);
+                match ev.kind {
+                    EventKind::Arrival => {
+                        eng.push_open_arrival(it.id, it.size, it.region, ev.at)
+                            .unwrap();
+                    }
+                    EventKind::Departure => eng.push_departure(it.id, ev.at).unwrap(),
+                }
             }
             let streamed = eng.finish().unwrap();
             prop_assert_eq!(
