@@ -33,7 +33,7 @@ use dbp_core::instance::Instance;
 use dbp_core::item::Size;
 use dbp_core::metrics::summarize;
 use dbp_core::packer::{BinSelector, SelectorFactory};
-use dbp_core::probe::{GProbeEvent, Probe, ProbeEvent};
+use dbp_core::probe::{GProbeEvent, Probe, ProbeEvent, VerifyProbe};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::NoSpans;
 use dbp_obs::{FsyncPolicy, MetricsRegistry, RunManifest};
@@ -1226,15 +1226,17 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 /// audit: served demand-ticks, one integer per resource dimension.
 ///
 /// Scalar journals only — with `--trace FILE` (the instance the run
-/// packed): rebuild an engine snapshot at the last complete-operation
-/// boundary and resume the interrupted run — `--resume-jsonl OUT` writes
-/// the journaled prefix plus the continuation, byte-identical to an
-/// uninterrupted run's stream. A journal carrying fault-injection events
-/// instead needs `--faults` (the original plan) and recovers by verified
-/// deterministic re-execution.
+/// packed): re-execute the interrupted run from scratch, verifying every
+/// event against the journal up to its last complete-operation boundary,
+/// and finish it — `--resume-jsonl OUT` writes the journaled prefix plus
+/// the continuation, byte-identical to an uninterrupted run's stream. A
+/// journal carrying fault-injection events recovers the same way but
+/// needs `--faults` (the original plan) and takes the whole journal as
+/// its prefix.
 ///
-/// With `--manifest FILE` (from `run --run-manifest`): diff the replayed
-/// run against the recorded provenance — algorithm, item count, instance
+/// With `--manifest FILE` (from `run --run-manifest`): refuse a selector
+/// other than the recorded algorithm before re-executing, then diff the
+/// replayed run against the recorded provenance — item count, instance
 /// digest, and exact cost — and fail on any disagreement.
 fn cmd_recover(args: &Args) -> Result<(), String> {
     let path = args
@@ -1328,8 +1330,25 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         .as_ref()
         .filter(|s| s.is_complete())
         .map(|s| s.cost_ticks);
-    let mut algorithm_used: Option<String> = None;
     let mut trace_digest: Option<String> = None;
+    // The recorded provenance every recomputed figure is diffed against;
+    // any disagreement is a hard failure.
+    let manifest = match args.str_flag("manifest") {
+        Some(manifest_path) => {
+            let body = std::fs::read_to_string(manifest_path)
+                .map_err(|e| format!("{manifest_path}: {e}"))?;
+            let recorded: RunManifest =
+                serde_json::from_str(&body).map_err(|e| format!("{manifest_path}: {e}"))?;
+            Some((manifest_path, recorded))
+        }
+        None => None,
+    };
+    let disagrees = |manifest_path: &str, mismatches: &[String]| {
+        format!(
+            "manifest {manifest_path} disagrees with the journal:\n  {}",
+            mismatches.join("\n  ")
+        )
+    };
     if let Some(trace_path) = args.str_flag("trace") {
         let body = std::fs::read_to_string(trace_path).map_err(|e| format!("{trace_path}: {e}"))?;
         let inst: Instance =
@@ -1337,7 +1356,20 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         trace_digest = Some(dbp_obs::manifest::instance_digest(&inst));
         let algo = args.str_flag("algo").unwrap_or("ff");
         let mut sel = selector_factory(algo, mu_hint(&inst))?.build();
-        algorithm_used = Some(sel.name().to_string());
+        // A selector other than the recorded one cannot re-execute the
+        // journal; say so before running it.
+        if let Some((manifest_path, recorded)) = &manifest {
+            if sel.name() != recorded.algorithm {
+                return Err(disagrees(
+                    manifest_path,
+                    &[format!(
+                        "algorithm: manifest records {}, recovery used {} (pass --algo)",
+                        recorded.algorithm,
+                        sel.name()
+                    )],
+                ));
+            }
+        }
         let mut log = dbp_obs::EventLog::new();
         let prefix = if audit.fault_events > 0 {
             let spec = args.str_flag("faults").ok_or(
@@ -1365,16 +1397,19 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
             if args.has("faults") {
                 return Err("--faults given but the journal carries no fault events".into());
             }
-            let alg = sel.name().to_string();
-            let rec = dbp_obs::replay::snapshot_from_events(&inst, &alg, &events)
+            let rec = dbp_obs::replay::recovery_point(&events)
                 .map_err(|e| format!("recovery failed: {e}"))?;
             println!(
                 "snapshot       : at event {} ({} trailing partial events dropped)",
                 rec.events_used, rec.events_dropped
             );
-            let trace = EngineRun::resume(&inst, &mut *sel, &mut log, &rec.snapshot)
-                .map_err(|e| format!("resume failed: {e}"))?
-                .finish();
+            // Run again from scratch, checking every event against the
+            // complete prefix; only the continuation reaches `log`.
+            let mut verify = VerifyProbe::new(&events[..rec.events_used], &mut log);
+            let trace = simulate_probed(&inst, &mut *sel, &mut verify);
+            verify
+                .finish()
+                .map_err(|e| format!("recovery failed: {e}"))?;
             println!(
                 "resumed cost   : {} bin-ticks ({} continuation events)",
                 trace.total_cost_ticks(),
@@ -1393,12 +1428,8 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     }
 
     // Diff everything the journal could recompute against the recorded
-    // provenance; any disagreement is a hard failure.
-    if let Some(manifest_path) = args.str_flag("manifest") {
-        let body =
-            std::fs::read_to_string(manifest_path).map_err(|e| format!("{manifest_path}: {e}"))?;
-        let recorded: RunManifest =
-            serde_json::from_str(&body).map_err(|e| format!("{manifest_path}: {e}"))?;
+    // provenance.
+    if let Some((manifest_path, recorded)) = manifest {
         let mut mismatches: Vec<String> = Vec::new();
         match (recorded.total_cost_ticks, final_cost) {
             (Some(want), Some(got)) if want != got => mismatches.push(format!(
@@ -1422,14 +1453,6 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
                 ));
             }
         }
-        if let Some(alg) = &algorithm_used {
-            if *alg != recorded.algorithm {
-                mismatches.push(format!(
-                    "algorithm: manifest records {}, recovery used {alg} (pass --algo)",
-                    recorded.algorithm
-                ));
-            }
-        }
         if let Some(digest) = &trace_digest {
             if *digest != recorded.instance_digest {
                 mismatches.push(format!(
@@ -1441,10 +1464,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
             }
         }
         if !mismatches.is_empty() {
-            return Err(format!(
-                "manifest {manifest_path} disagrees with the journal:\n  {}",
-                mismatches.join("\n  ")
-            ));
+            return Err(disagrees(manifest_path, &mismatches));
         }
         println!("manifest check : OK");
     }

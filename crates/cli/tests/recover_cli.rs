@@ -164,6 +164,29 @@ fn recover_fails_on_a_manifest_that_disagrees() {
     assert!(err.contains("incomplete prefix"), "{err}");
 }
 
+/// A journal re-executed under a selector that did not write it diverges:
+/// recovery refuses it with a typed error — no panic (MFF would meet
+/// another selector's bin tags) and no cost for a run no selector made.
+#[test]
+fn recover_refuses_a_foreign_selector_journal_without_panicking() {
+    let dir = tmpdir();
+    let (tr, wal, _) = journaled_run(&dir, "foreign");
+    let bytes = std::fs::read(&wal).unwrap();
+    let torn = path(&dir, "foreign-torn.wal");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+    for algo in ["mff", "bf"] {
+        let out = dbp(&["recover", &torn, "--trace", &tr, "--algo", algo]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--algo {algo}: {err}");
+        assert!(err.contains("diverges"), "--algo {algo}: {err}");
+        assert!(!err.contains("panicked"), "--algo {algo}: {err}");
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("resumed cost"),
+            "--algo {algo} printed a cost"
+        );
+    }
+}
+
 #[test]
 fn recover_reexecutes_fault_journals_and_rejects_foreign_plans() {
     let dir = tmpdir();

@@ -47,5 +47,5 @@ pub use faults::{
     AdmissionPolicy, CrashEvent, FaultConfig, FaultPlan, ResilientReport, ResilientSystem,
     RetryPolicy,
 };
-pub use recover::{RecoveryOutcome, VerifyProbe};
+pub use recover::RecoveryOutcome;
 pub use system::{utilization, DispatchError, GamingSystem, SystemReport};

@@ -6,10 +6,12 @@
 //! [`faults`](crate::faults)). That turns crash recovery into replayed
 //! re-execution: when the dispatcher process dies mid-run with a journaled
 //! event prefix on disk, [`ResilientSystem::recover_probed`] re-executes
-//! the run from scratch and *verifies* each emitted event against the
-//! journal — any divergence means the journal belongs to a different plan,
-//! workload, or dispatcher and recovery refuses to continue — while
-//! forwarding only the **post-prefix** events to the caller's probe. The
+//! the run from scratch under the one recovery verifier,
+//! [`VerifyProbe`] — the same one fault-free engine journals recover
+//! through — which checks each emitted event against the journal (any
+//! divergence means the journal belongs to a different plan, workload, or
+//! dispatcher and recovery refuses to continue) and forwards only the
+//! **post-prefix** events to the caller's probe. The
 //! journal prefix plus the forwarded continuation is byte-identical to an
 //! uninterrupted run's stream, and orphaned sessions are re-dispatched
 //! exactly as the original run would have (the re-execution takes the same
@@ -18,7 +20,7 @@
 use crate::faults::{ResilientReport, ResilientSystem};
 use dbp_core::instance::Instance;
 use dbp_core::packer::BinSelector;
-use dbp_core::probe::{Probe, ProbeEvent};
+use dbp_core::probe::{Probe, ProbeEvent, VerifyProbe};
 
 /// Result of a successful [`ResilientSystem::recover_probed`] call.
 #[derive(Debug)]
@@ -29,75 +31,6 @@ pub struct RecoveryOutcome {
     pub events_replayed: usize,
     /// Post-prefix events forwarded to the caller's probe.
     pub events_appended: u64,
-}
-
-/// A probe that checks a re-executed event stream against a journaled
-/// prefix and forwards only the continuation to an inner probe.
-///
-/// The first divergence is latched (the simulation cannot be aborted from
-/// inside a probe) and surfaced by [`finish`](VerifyProbe::finish); after
-/// it, nothing further is forwarded, so a corrupt recovery never emits a
-/// partially-wrong continuation.
-#[derive(Debug)]
-pub struct VerifyProbe<'a, P: Probe> {
-    prefix: &'a [ProbeEvent],
-    inner: &'a mut P,
-    pos: usize,
-    appended: u64,
-    error: Option<String>,
-}
-
-impl<'a, P: Probe> VerifyProbe<'a, P> {
-    /// Verify against `prefix`, forwarding post-prefix events to `inner`.
-    pub fn new(prefix: &'a [ProbeEvent], inner: &'a mut P) -> VerifyProbe<'a, P> {
-        VerifyProbe {
-            prefix,
-            inner,
-            pos: 0,
-            appended: 0,
-            error: None,
-        }
-    }
-
-    /// Finish verification: `(replayed, appended)` counts on success, the
-    /// first divergence otherwise. Errors if the journal is *longer* than
-    /// the re-execution — a journal from a different configuration.
-    pub fn finish(self) -> Result<(usize, u64), String> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if self.pos < self.prefix.len() {
-            return Err(format!(
-                "journal has {} events but re-execution produced only {}: \
-                 the journal belongs to a different plan, workload, or dispatcher",
-                self.prefix.len(),
-                self.pos
-            ));
-        }
-        Ok((self.pos, self.appended))
-    }
-}
-
-impl<P: Probe> Probe for VerifyProbe<'_, P> {
-    fn record(&mut self, event: ProbeEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        if self.pos < self.prefix.len() {
-            if self.prefix[self.pos] != event {
-                self.error = Some(format!(
-                    "journal diverges from re-execution at event {}: journal has {:?}, \
-                     re-execution produced {:?} — wrong plan, workload, or dispatcher",
-                    self.pos, self.prefix[self.pos], event
-                ));
-                return;
-            }
-            self.pos += 1;
-        } else {
-            self.appended += 1;
-            self.inner.record(event);
-        }
-    }
 }
 
 impl ResilientSystem {

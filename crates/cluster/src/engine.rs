@@ -22,9 +22,8 @@ use dbp_core::engine::EngineRun;
 use dbp_core::instance::{GInstance, Instance};
 use dbp_core::item::ItemId;
 use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::{NoProbe, Probe, ProbeEvent};
+use dbp_core::probe::{NoProbe, Probe, ProbeEvent, VerifyProbe};
 use dbp_core::ratio::Ratio;
-use dbp_core::snapshot::Snapshot;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
 use dbp_core::time::Tick;
 use dbp_core::trace::PackingTrace;
@@ -744,8 +743,9 @@ impl ClusterEngine {
     ///
     /// Spans mirror [`run_traced`](Self::run_traced): one recorder per
     /// shard and a driver lane sharing one epoch (`|_, _| NoSpans` for
-    /// none). Shard lanes additionally carry `shard_restart` (journal
-    /// snapshot rebuild) and `shard_replay` (resume replay) spans for
+    /// none). Shard lanes additionally carry `shard_restart` (finding the
+    /// WAL's recovery point) and `shard_replay` (verified re-execution of
+    /// the WAL prefix) spans for
     /// every resurrection; the driver lane carries a `reroute` span
     /// nested in `fan_in` when degraded-mode routing ran.
     ///
@@ -1169,26 +1169,29 @@ where
     R: SpanRecorder,
 {
     run_shard_from(system, requests, dispatcher, probe, spans, None, batch)
-        .expect("a fresh run has no snapshot to reject")
+        .expect("a fresh run has no journal to diverge from")
 }
 
-/// The one shard drive: start fresh, or resume from a journal-recovered
-/// `snapshot` (its replay timed as a `shard_replay` span; the resumed
-/// engine loop runs span-free — [`EngineRun::resume`] carries no
-/// recorder, and byte-identity is about events, not spans). Either way
-/// the engine steps to completion in `batch` bursts, the O(n + B)
-/// conservation check runs under a `validate` span, and
-/// [`GamingSystem::report`] builds the report under a `report_build` span.
+/// The one shard drive: start fresh, or resume a journaled shard by
+/// verified re-execution. With `resume = Some((prefix, cursor))` the run
+/// starts from scratch under a [`VerifyProbe`] that checks every event
+/// against the WAL `prefix` and forwards only the continuation to
+/// `probe`; re-executing the prefix's `cursor` schedule events is timed
+/// as a `shard_replay` span and the rest runs span-free (byte-identity is
+/// about events, not spans). Either way the engine steps to completion in
+/// `batch` bursts, the O(n + B) conservation check runs under a
+/// `validate` span, and [`GamingSystem::report`] builds the report under
+/// a `report_build` span.
 ///
 /// # Errors
-/// The engine's refusal of `snapshot`, rendered.
+/// The first divergence between the re-execution and `prefix`, rendered.
 pub(crate) fn run_shard_from<S, P, R>(
     system: &GamingSystem,
     requests: &Instance,
     dispatcher: &mut S,
     probe: &mut P,
     spans: &mut R,
-    snapshot: Option<&Snapshot>,
+    resume: Option<(&[ProbeEvent], usize)>,
     batch: BatchPolicy,
 ) -> Result<(SystemReport, PackingTrace), String>
 where
@@ -1200,20 +1203,28 @@ where
         .check_capacity(requests)
         .expect("capacity is checked at the cluster boundary");
     let started = Instant::now();
-    let finished = match snapshot {
+    let finished = match resume {
         None => drive(
             EngineRun::traced(requests, &mut *dispatcher, &mut *probe, &mut *spans),
             batch,
         ),
-        Some(snapshot) => {
+        Some((prefix, cursor)) => {
+            let mut verify = VerifyProbe::new(prefix, &mut *probe);
+            let mut run = EngineRun::new(requests, &mut *dispatcher, &mut verify);
             if R::ENABLED {
                 spans.enter(stage::SHARD_REPLAY);
             }
-            let resumed = EngineRun::resume(requests, &mut *dispatcher, &mut *probe, snapshot);
+            for _ in 0..cursor {
+                run.step();
+            }
             if R::ENABLED {
                 spans.exit();
             }
-            drive(resumed?, batch)
+            let finished = drive(run, batch);
+            if finished.is_some() {
+                verify.finish()?;
+            }
+            finished
         }
     };
     let Some(trace) = finished else {

@@ -6,19 +6,20 @@
 //! cluster layer. The supervisor in this module contains each kill with
 //! `catch_unwind`, walks the shard through the
 //! Up → Failed → Recovering → Up health machine ([`ShardHealth`]), and
-//! resurrects it from its own write-ahead event stream via
-//! [`snapshot_from_events`] +
-//! [`EngineRun::resume`](dbp_core::engine::EngineRun::resume) — the same machinery
+//! resurrects it from its own write-ahead event stream by verified
+//! re-execution ([`recovery_point`] +
+//! [`VerifyProbe`](dbp_core::probe::VerifyProbe)) — the same mechanism
 //! `dbp recover` uses for process crashes.
 //!
 //! ## The resurrection invariant
 //!
 //! Every event a shard emits is journaled *before* a kill can land after
 //! it, so the WAL prefix at death is exact. Recovery truncates the WAL to
-//! the last complete engine operation, rebuilds the snapshot there by
-//! deterministic replay, and resumes with a fresh selector; the resumed
-//! run re-emits exactly the dropped suffix first. The continued stream is
-//! therefore **byte-identical** to an unkilled run of the same shard —
+//! the last complete engine operation and re-runs the shard from scratch
+//! with a fresh selector, checking every re-emitted event against that
+//! prefix; past it, the run re-emits exactly the dropped suffix first.
+//! The continued stream is therefore **byte-identical** to an unkilled
+//! run of the same shard —
 //! kill markers aside, which are fault-vocabulary events interleaved at
 //! their stream position and filtered by `is_fault_event()`.
 
@@ -28,10 +29,9 @@ use dbp_core::instance::Instance;
 use dbp_core::packer::SelectorFactory;
 use dbp_core::probe::{Probe, ProbeEvent};
 use dbp_core::ratio::Ratio;
-use dbp_core::snapshot::Snapshot;
 use dbp_core::span::{stage, SpanRecorder};
 use dbp_core::time::Tick;
-use dbp_obs::prelude::snapshot_from_events;
+use dbp_obs::prelude::recovery_point;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -377,7 +377,8 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
     let mut replayed_events = 0u64;
     let mut backoff_ticks = 0u64;
     let mut transitions = vec![ShardHealth::Up];
-    let mut snapshot: Option<Snapshot> = None;
+    // The verified WAL prefix and its schedule cursor, once resurrected.
+    let mut resume: Option<(Vec<ProbeEvent>, usize)> = None;
 
     let outcome = loop {
         let mut sel = factory.build();
@@ -397,13 +398,15 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                 &mut *sel,
                 &mut probe,
                 &mut tracked,
-                snapshot.as_ref(),
+                resume
+                    .as_ref()
+                    .map(|(prefix, cursor)| (&prefix[..], *cursor)),
                 batch,
             )
         }));
         match attempt {
             Ok(Ok((report, _trace))) => break Ok(report),
-            // WAL recovery produced a snapshot the engine refuses —
+            // The re-execution diverged from the WAL prefix —
             // deterministic, so retrying cannot help.
             Ok(Err(message)) => break Err(format!("shard resume rejected: {message}")),
             Err(payload) => {
@@ -431,14 +434,13 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                     });
                 }
                 restarts += 1;
-                backoff_ticks += restart.backoff.backoff_ticks(restarts);
+                backoff_ticks =
+                    backoff_ticks.saturating_add(restart.backoff.backoff_ticks(restarts));
                 transitions.push(ShardHealth::Recovering);
                 if R::ENABLED {
                     spans.enter(stage::SHARD_RESTART);
                 }
-                // The snapshot's algorithm is checked against the *selector*'s
-                // name on resume, which may differ from the factory label.
-                let recovered = snapshot_from_events(requests, sel.name(), &wal);
+                let recovered = recovery_point(&wal);
                 if R::ENABLED {
                     spans.exit();
                 }
@@ -456,9 +458,9 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                             },
                         ));
                         transitions.push(ShardHealth::Up);
-                        snapshot = Some(rec.snapshot);
+                        resume = Some((wal.clone(), rec.cursor));
                     }
-                    Err(e) => break Err(format!("WAL snapshot recovery failed: {e}")),
+                    Err(e) => break Err(format!("WAL recovery failed: {e}")),
                 }
             }
         }

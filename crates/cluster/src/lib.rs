@@ -30,11 +30,11 @@
 //!     dispatcher, with a cluster-wide conserved SLA ledger;
 //!   * [`ClusterEngine::run_self_healing`] — shard-level fault
 //!     containment: a deterministic [`ShardFaultPlan`] kills shards
-//!     mid-run, a per-shard supervisor catches the unwind, rebuilds the
-//!     engine from the shard's own event journal
-//!     ([`snapshot_from_events`](dbp_obs::prelude::snapshot_from_events) +
-//!     [`EngineRun::resume`](dbp_core::engine::EngineRun::resume)) under a
-//!     bounded restart budget, and reroutes only *future* arrivals off
+//!     mid-run, a per-shard supervisor catches the unwind, re-runs the
+//!     shard verified against its own event journal
+//!     ([`recovery_point`](dbp_obs::prelude::recovery_point) +
+//!     [`VerifyProbe`](dbp_core::probe::VerifyProbe)) under a bounded
+//!     restart budget, and reroutes only *future* arrivals off
 //!     shards that stay dead — returning a [`ClusterHealedRun`] whose
 //!     extended ledger conserves
 //!     `served + dropped + lost + rerouted == total`;

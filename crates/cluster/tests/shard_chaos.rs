@@ -6,8 +6,8 @@
 
 use dbp_cloudsim::{FaultPlan, GamingSystem, RetryPolicy};
 use dbp_cluster::{
-    ClusterConfig, ClusterEngine, KillPoint, RestartPolicy, Router, ShardFaultPlan, ShardHealth,
-    ShardKill,
+    ClusterConfig, ClusterEngine, ClusterError, KillPoint, RestartPolicy, Router, ShardFaultPlan,
+    ShardHealth, ShardKill,
 };
 use dbp_core::algorithms::FirstFit;
 use dbp_core::demand::Demand;
@@ -321,6 +321,36 @@ fn tick_kills_are_healed_too() {
     assert_eq!(healed.report.busy_ticks, clean.report.busy_ticks);
 }
 
+/// Restart backoff saturates: two kills on one shard under a
+/// `u64::MAX` base and cap charge `u64::MAX` ticks, not an overflow.
+#[test]
+fn restart_backoff_saturates_instead_of_overflowing() {
+    let inst = workload(15);
+    let eng = engine(2, Router::HashByItem);
+    let kill = |k| ShardKill {
+        shard: 0,
+        at: KillPoint::Event(k),
+    };
+    let plan = ShardFaultPlan {
+        seed: 0,
+        kills: vec![kill(10), kill(30)],
+        restart: RestartPolicy {
+            max_restarts: 3,
+            backoff: RetryPolicy {
+                base: u64::MAX,
+                cap: u64::MAX,
+                ..RetryPolicy::default()
+            },
+        },
+    };
+    let (healed, _) = eng
+        .run_self_healing(&inst, &ff_factory(), &plan, &mut NoProbe, |_, _| NoSpans)
+        .unwrap();
+    assert!(healed.report.conserved());
+    assert_eq!(healed.shards[0].restarts, 2);
+    assert_eq!(healed.shards[0].backoff_ticks, u64::MAX);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -507,6 +537,66 @@ proptest! {
                 &instance_digest(&inst)
             );
             prop_assert_eq!(healed.manifest.shard_restarts, Some(0));
+        }
+    }
+
+    /// Hostile shard-fault plans — kills at event/tick 0 and `u64::MAX`,
+    /// kills aimed past the cluster, and extreme restart budgets and
+    /// backoffs — are either refused as `BadFaultPlan` or heal with every
+    /// ledger conserved. The supervisor itself never dies
+    /// (`ShardPanicked`).
+    #[test]
+    fn hostile_shard_fault_plans_never_panic_the_supervisor(
+        kills in proptest::collection::vec((0usize..6, 0usize..2, 0usize..4), 0..6),
+        max_restarts_ix in 0usize..3,
+        base_ix in 0usize..3,
+        cap_ix in 0usize..3,
+        seed in 0u64..7,
+    ) {
+        const SHARDS: usize = 4;
+        let shard_of = [0, 1, 2, 3, SHARDS as u32, u32::MAX];
+        let points = [0, 1, 40, u64::MAX];
+        let extremes = [0, 1, u64::MAX];
+        let plan = ShardFaultPlan {
+            seed: 0,
+            kills: kills
+                .iter()
+                .map(|&(shard, kind, point)| ShardKill {
+                    shard: shard_of[shard],
+                    at: if kind == 0 {
+                        KillPoint::Event(points[point])
+                    } else {
+                        KillPoint::Tick(points[point])
+                    },
+                })
+                .collect(),
+            restart: RestartPolicy {
+                max_restarts: [0, 3, u32::MAX][max_restarts_ix],
+                backoff: RetryPolicy {
+                    base: extremes[base_ix],
+                    cap: extremes[cap_ix],
+                    ..RetryPolicy::default()
+                },
+            },
+        };
+        let out_of_range = plan.kills.iter().any(|k| k.shard as usize >= SHARDS);
+        let inst = workload(seed);
+        match engine(SHARDS, Router::HashByItem).run_self_healing(
+            &inst,
+            &ff_factory(),
+            &plan,
+            &mut NoProbe,
+            |_, _| NoSpans,
+        ) {
+            Ok((healed, _)) => {
+                prop_assert!(!out_of_range, "accepted {:?}", plan);
+                prop_assert!(healed.report.conserved(), "{:?}", healed.report);
+                for h in &healed.shards {
+                    prop_assert!(h.conserved(), "shard {}", h.shard);
+                }
+            }
+            Err(ClusterError::BadFaultPlan { .. }) => prop_assert!(out_of_range),
+            Err(e) => prop_assert!(false, "{:?}: {}", plan, e),
         }
     }
 }

@@ -215,17 +215,6 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedFirstFit<Sz> {
         false
     }
 
-    fn on_decision_replayed(
-        &mut self,
-        _item: &GArrivingItem<Sz>,
-        _decision: Decision,
-        capacity: Sz,
-    ) {
-        // `select` learns the capacity on its first call; replay must seed
-        // it the same way or the hooks below cannot compute residuals.
-        self.capacity = Some(capacity);
-    }
-
     fn on_bin_opened(&mut self, bin: BinId, _tag: BinTag, level: Sz) {
         self.tree.set(bin.0, self.residual(level));
     }
@@ -528,8 +517,7 @@ impl Levels {
 /// Best Fit answered from a level index: same decisions as
 /// [`BestFit`](super::BestFit). Scalar via the [`IndexedBestFit`] alias.
 ///
-/// The first `select` (or, on snapshot resume, `on_decision_replayed`)
-/// picks the layout from `capacity.total()`:
+/// The first `select` picks the layout from `capacity.total()`:
 ///
 /// * **dense** for totals below 4096 — an id min-heap per level and a
 ///   two-level bitset over the levels; a decision is an O(1) predecessor
@@ -612,16 +600,6 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedBestFit<Sz> {
 
     fn needs_views(&self) -> bool {
         false
-    }
-
-    fn on_decision_replayed(
-        &mut self,
-        _item: &GArrivingItem<Sz>,
-        _decision: Decision,
-        capacity: Sz,
-    ) {
-        // Seed the layout exactly as `select` would — see IndexedFirstFit.
-        self.levels.seed(capacity.total());
     }
 
     fn on_bin_opened(&mut self, bin: BinId, _tag: BinTag, level: Sz) {
@@ -759,16 +737,6 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedMff<Sz> {
 
     fn needs_views(&self) -> bool {
         false
-    }
-
-    fn on_decision_replayed(
-        &mut self,
-        _item: &GArrivingItem<Sz>,
-        _decision: Decision,
-        capacity: Sz,
-    ) {
-        // Seed the capacity exactly as `select` would — see IndexedFirstFit.
-        self.capacity = Some(capacity);
     }
 
     fn on_bin_opened(&mut self, bin: BinId, tag: BinTag, level: Sz) {
@@ -1036,12 +1004,10 @@ mod tests {
     }
 
     #[test]
-    fn bf_resume_continues_byte_identically_in_both_layouts() {
+    fn bf_recovery_continues_byte_identically_in_both_layouts() {
         use crate::engine::EngineRun;
-        use crate::probe::FnProbe;
+        use crate::probe::{FnProbe, VerifyProbe};
         // W = 100 puts BF on the dense layout, W = 2^40 on the sparse one.
-        // Replay must seed the layout (`on_decision_replayed`): otherwise
-        // the first replayed open has no index to go into.
         for w in [100, 1 << 40] {
             let inst = churn_at(w);
             let mut full = Vec::new();
@@ -1049,28 +1015,21 @@ mod tests {
             let mut probe = FnProbe::new(|e| full.push(e));
             let trace = EngineRun::new(&inst, &mut sel, &mut probe).finish();
             assert_eq!(trace, simulate_validated(&inst, &mut BestFit::new()));
-            let full = serde_json::to_string(&full).unwrap();
-            for k in [1, inst.len() / 2, inst.len(), 3 * inst.len() / 2] {
-                let mut head = Vec::new();
-                let mut sel = IndexedBestFit::new();
-                let mut probe = FnProbe::new(|e| head.push(e));
-                let mut run = EngineRun::new(&inst, &mut sel, &mut probe);
-                for _ in 0..k {
-                    assert!(run.step());
-                }
-                let snap = run.snapshot();
-                drop(run);
+            let full_json = serde_json::to_string(&full).unwrap();
+            for k in [1, full.len() / 3, full.len() / 2, full.len() - 1] {
+                // Re-execute under a verifier of the first `k` events; only
+                // the continuation reaches `tail`.
                 let mut tail = Vec::new();
-                let mut sel = IndexedBestFit::new();
-                let mut probe = FnProbe::new(|e| tail.push(e));
-                let resumed = EngineRun::resume(&inst, &mut sel, &mut probe, &snap)
-                    .unwrap_or_else(|e| panic!("W = {w}, prefix {k}: {e}"))
-                    .finish();
-                assert_eq!(resumed, trace, "W = {w}, prefix {k}");
+                let mut inner = FnProbe::new(|e| tail.push(e));
+                let mut verify = VerifyProbe::new(&full[..k], &mut inner);
+                let rerun = EngineRun::new(&inst, &mut IndexedBestFit::new(), &mut verify).finish();
+                assert_eq!(verify.finish(), Ok((k, (full.len() - k) as u64)));
+                assert_eq!(rerun, trace, "W = {w}, prefix {k}");
+                let mut head = full[..k].to_vec();
                 head.extend(tail);
                 assert_eq!(
                     serde_json::to_string(&head).unwrap(),
-                    full,
+                    full_json,
                     "W = {w}, prefix {k}"
                 );
             }

@@ -56,15 +56,6 @@ impl BinSelector for NextFit {
             self.current = None;
         }
     }
-
-    fn on_decision_replayed(&mut self, _item: &ArrivingItem, decision: Decision, _capacity: Size) {
-        // Mirror `select`: an `Open` decision made the new bin current and
-        // advanced the next-id counter; a `Use` left both untouched.
-        if let Decision::Open { .. } = decision {
-            self.current = Some(BinId(self.opened));
-            self.opened += 1;
-        }
-    }
 }
 
 #[cfg(test)]

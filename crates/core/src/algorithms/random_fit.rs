@@ -42,16 +42,6 @@ impl BinSelector for RandomFit {
     fn is_any_fit(&self) -> bool {
         true
     }
-
-    fn on_decision_replayed(&mut self, _item: &ArrivingItem, decision: Decision, _capacity: Size) {
-        // Mirror `select`: a `Use` decision consumed exactly one
-        // `random_range` draw (the fitting list was non-empty); an `Open`
-        // consumed none. The bound does not matter — the shim's uniform
-        // sampler always advances the RNG by the same amount per draw.
-        if let Decision::Use(_) = decision {
-            let _ = self.rng.random_range(0..usize::MAX);
-        }
-    }
 }
 
 #[cfg(test)]

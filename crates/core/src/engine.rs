@@ -10,12 +10,13 @@
 //! the run records a [`PackingTrace`]. All accounting is exact integer
 //! arithmetic.
 //!
-//! Between steps a run can be captured as a [`Snapshot`] and
-//! [`resume`]d later in a fresh process; [`simulate`] and
+//! A run is a deterministic function of the instance and the selector, so
+//! a journaled run is recovered by running it again under a
+//! [`VerifyProbe`] that checks every re-emitted event against the journal
+//! and forwards only the continuation; [`simulate`] and
 //! [`simulate_probed`] are the one-shot `new(..).finish()`.
 //!
-//! [`resume`]: EngineRun::resume
-//! [`Snapshot`]: crate::snapshot::Snapshot
+//! [`VerifyProbe`]: crate::probe::VerifyProbe
 //! [`PackingTrace`]: crate::trace::PackingTrace
 
 use crate::bin::{BinId, BinTag, GOpenBinView};
@@ -25,7 +26,6 @@ use crate::instance::GInstance;
 use crate::item::{GArrivingItem, ItemId, Size};
 use crate::packer::{BinSelector, Decision};
 use crate::probe::{GProbeEvent, NoProbe, Probe};
-use crate::snapshot::GSnapshot;
 use crate::span::{NoSpans, SpanRecorder};
 use crate::streaming::EventCore;
 use crate::time::Tick;
@@ -73,9 +73,8 @@ pub(crate) const NO_ITEM: u32 = u32::MAX;
 /// handful of array writes (opening a bin appends one element to each bin
 /// column, which is amortized O(1) with no per-bin `Vec` to allocate).
 ///
-/// The nested representations a [`Snapshot`] / [`PackingTrace`] expose
-/// (`Vec<Vec<ItemId>>` membership, `BinRecord` item lists) are materialized
-/// on demand from this arena — snapshots and `finish()` are cold paths.
+/// The nested `BinRecord` item lists a [`PackingTrace`] exposes are
+/// materialized on demand from this arena — `finish()` is a cold path.
 ///
 /// Owned by the shared [`EventCore`]. The open-mode
 /// [`StreamingEngine`](crate::streaming::StreamingEngine) starts it empty
@@ -107,8 +106,7 @@ pub(crate) struct State<Sz> {
     /// Selector-facing mirror of the open set, ascending id, updated
     /// incrementally (one entry per state change instead of a full rebuild
     /// per arrival). Skipped entirely when the selector answers from its own
-    /// hook-maintained index and no probe needs scan ranks. Not part of a
-    /// snapshot: it is rebuilt deterministically during replay.
+    /// hook-maintained index and no probe needs scan ranks.
     pub(crate) views: Vec<GOpenBinView<Sz>>,
     pub(crate) steps: Vec<(Tick, u32)>,
 }
@@ -184,25 +182,6 @@ impl<Sz: Demand> State<Sz> {
             self.prev_in_bin[nx as usize] = p;
         }
         self.n_items[b] -= 1;
-    }
-
-    /// Materialize the nested current-membership representation a
-    /// [`Snapshot`] carries: per-bin member lists in placement order, plus
-    /// each present item's index in its list (0 for absent items).
-    fn materialize_membership(&self) -> (Vec<Vec<ItemId>>, Vec<u32>) {
-        let mut bin_items = Vec::with_capacity(self.bins());
-        let mut slot = vec![0u32; self.assignment.len()];
-        for b in 0..self.bins() {
-            let mut members = Vec::with_capacity(self.n_items[b] as usize);
-            let mut cur = self.head[b];
-            while cur != NO_ITEM {
-                slot[cur as usize] = members.len() as u32;
-                members.push(ItemId(cur));
-                cur = self.next_in_bin[cur as usize];
-            }
-            bin_items.push(members);
-        }
-        (bin_items, slot)
     }
 
     /// Materialize the full per-bin lifetime records from the columns and
@@ -289,7 +268,7 @@ impl<Sz: Demand> State<Sz> {
     /// update bin state, emit probe events, and notify the selector.
     /// Returns the bin the item landed in. Takes the item's `size` rather
     /// than an `Instance` (see [`State::apply_departure`]).
-    #[allow(clippy::too_many_arguments)] // internal seam shared by run/resume
+    #[allow(clippy::too_many_arguments)] // internal seam of the event core
     pub(crate) fn apply_arrival<S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
         &mut self,
         size: Sz,
@@ -425,14 +404,8 @@ impl<Sz: Demand> State<Sz> {
 /// A stepping handle on one packing run: the batch driver over the shared
 /// event core.
 ///
-/// Drive it with [`step`](EngineRun::step) (one schedule event at a time),
-/// capture a [`Snapshot`] between steps, and [`finish`](EngineRun::finish)
-/// to obtain the trace. A run resumed from a snapshot via
-/// [`resume`](EngineRun::resume) continues *exactly* where the snapshot was
-/// taken: the remaining probe events and the final trace are identical to
-/// the corresponding parts of an uninterrupted run.
-///
-/// [`Snapshot`]: crate::snapshot::Snapshot
+/// Drive it with [`step`](EngineRun::step) (one schedule event at a time)
+/// and [`finish`](EngineRun::finish) to obtain the trace.
 pub struct EngineRun<
     'a,
     S: BinSelector<Sz> + ?Sized,
@@ -452,76 +425,6 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>> EngineRun<'a, S,
     /// Start a fresh run at the beginning of the schedule.
     pub fn new(instance: &'a GInstance<Sz>, selector: &'a mut S, probe: &'a mut P) -> Self {
         EngineRun::traced(instance, selector, probe, NoSpans)
-    }
-
-    /// Rebuild a run from a [`Snapshot`], positioned exactly where the
-    /// snapshot was taken.
-    ///
-    /// `selector` must be a **fresh** instance of the same algorithm
-    /// (same construction — including the seed, for randomized selectors)
-    /// that produced the snapshot. Its internal state is restored by
-    /// replaying the already-decided event prefix against it: every state
-    /// hook fires as in the original run, and
-    /// [`BinSelector::on_decision_replayed`] stands in for each `select`
-    /// call so select-time state (NF's current bin, RF's RNG cursor) is
-    /// advanced identically. The probe sees nothing during replay; events
-    /// emitted after this call are exactly the suffix an uninterrupted run
-    /// would have produced.
-    ///
-    /// Errors (never panics) if the snapshot is inconsistent with
-    /// `instance` and `selector`: wrong algorithm name, capacity or item
-    /// count, an impossible assignment, or replayed state that does not
-    /// reproduce the snapshot bit-for-bit.
-    ///
-    /// [`Snapshot`]: crate::snapshot::Snapshot
-    pub fn resume(
-        instance: &'a GInstance<Sz>,
-        selector: &'a mut S,
-        probe: &'a mut P,
-        snapshot: &GSnapshot<Sz>,
-    ) -> Result<Self, String> {
-        let mut run = EngineRun::new(instance, selector, probe);
-        if snapshot.algorithm != run.core.selector.name() {
-            return Err(format!(
-                "snapshot algorithm {:?} does not match selector {:?}",
-                snapshot.algorithm,
-                run.core.selector.name()
-            ));
-        }
-        if snapshot.capacity != run.core.capacity {
-            return Err(format!(
-                "snapshot capacity {} does not match instance capacity {}",
-                snapshot.capacity, run.core.capacity
-            ));
-        }
-        if snapshot.n_items as usize != instance.len() {
-            return Err(format!(
-                "snapshot has {} items, instance has {}",
-                snapshot.n_items,
-                instance.len()
-            ));
-        }
-        if snapshot.cursor as usize > run.events.len() {
-            return Err(format!(
-                "snapshot cursor {} beyond schedule length {}",
-                snapshot.cursor,
-                run.events.len()
-            ));
-        }
-        if snapshot.assignment.len() != instance.len() {
-            return Err(format!(
-                "snapshot assignment covers {} items, instance has {}",
-                snapshot.assignment.len(),
-                instance.len()
-            ));
-        }
-        let tag_of = |b: usize| snapshot.records.get(b).map(|r| r.tag);
-        for k in 0..snapshot.cursor as usize {
-            run.replay_step(&snapshot.assignment, &tag_of)
-                .map_err(|e| format!("snapshot replay failed at event {k}: {e}"))?;
-        }
-        run.verify_state(snapshot)?;
-        Ok(run)
     }
 }
 
@@ -580,116 +483,6 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         }
     }
 
-    /// Replay one already-decided event: departures run normally, arrivals
-    /// take their recorded decision instead of calling `select`. The probe
-    /// is bypassed (replayed events were already observed in the original
-    /// run) and every invalid condition is an `Err`, never a panic — a
-    /// corrupt snapshot must not take the recovering process down.
-    fn replay_step(
-        &mut self,
-        assignment: &[Option<BinId>],
-        tag_of: &dyn Fn(usize) -> Option<crate::bin::BinTag>,
-    ) -> Result<(), String> {
-        let Some(&ev) = self.events.get(self.cursor) else {
-            return Err("replay past end of schedule".to_string());
-        };
-        let tick = ev.at;
-        let item = self.instance.item(ev.item);
-        let core = &mut self.core;
-        let st = &mut core.st;
-        match ev.kind {
-            EventKind::Departure => {
-                let Some(bin) = st.assignment[ev.item.index()] else {
-                    return Err(format!("departure of unpacked item {}", ev.item));
-                };
-                if !st.is_open.get(bin.index()).copied().unwrap_or(false) {
-                    return Err(format!(
-                        "departure of item {} from closed bin {bin}",
-                        ev.item
-                    ));
-                }
-                st.apply_departure(
-                    item.size,
-                    &mut core.selector,
-                    &mut NoProbe,
-                    core.keep_views,
-                    tick,
-                    ev.item,
-                );
-            }
-            EventKind::Arrival => {
-                let arriving = GArrivingItem::of(item);
-                let Some(bin) = assignment.get(ev.item.index()).copied().flatten() else {
-                    return Err(format!("no recorded assignment for item {}", ev.item));
-                };
-                let b = bin.index();
-                let decision = if b == st.bins() {
-                    let Some(tag) = tag_of(b) else {
-                        return Err(format!("no recorded tag for newly opened bin {bin}"));
-                    };
-                    Decision::Open { tag }
-                } else if b < st.bins() {
-                    if !st.is_open[b] {
-                        return Err(format!("item {} assigned to closed bin {bin}", ev.item));
-                    }
-                    if st.levels[b]
-                        .checked_add(item.size)
-                        .is_none_or(|l| !l.fits_within(core.capacity))
-                    {
-                        return Err(format!(
-                            "item {} (size {}) does not fit bin {bin} (level {})",
-                            ev.item, item.size, st.levels[b]
-                        ));
-                    }
-                    Decision::Use(bin)
-                } else {
-                    return Err(format!(
-                        "item {} assigned to bin {bin} but only {} bins exist",
-                        ev.item,
-                        st.bins()
-                    ));
-                };
-                core.selector
-                    .on_decision_replayed(&arriving, decision, core.capacity);
-                st.apply_arrival(
-                    item.size,
-                    &mut core.selector,
-                    &mut NoProbe,
-                    core.keep_views,
-                    core.capacity,
-                    tick,
-                    ev.item,
-                    decision,
-                );
-            }
-        }
-        self.advance(tick);
-        Ok(())
-    }
-
-    /// Check that replayed state reproduces the snapshot exactly.
-    fn verify_state(&self, snapshot: &GSnapshot<Sz>) -> Result<(), String> {
-        let st = &self.core.st;
-        let (bin_items, slot) = st.materialize_membership();
-        let same = st.levels == snapshot.levels
-            && bin_items == snapshot.bin_items
-            && st.is_open == snapshot.is_open
-            && st.open_count as u64 == snapshot.open_count
-            && slot == snapshot.slot
-            && st.materialize_records() == snapshot.records
-            && st.assignment == snapshot.assignment
-            && st.steps == snapshot.steps;
-        if same {
-            Ok(())
-        } else {
-            Err(
-                "snapshot does not match deterministic replay of the event prefix \
-                 (wrong instance, wrong selector construction, or corrupted snapshot)"
-                    .to_string(),
-            )
-        }
-    }
-
     /// Number of schedule events processed so far.
     pub fn events_processed(&self) -> usize {
         self.cursor
@@ -703,28 +496,6 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
     /// Whether the whole schedule has been processed.
     pub fn is_done(&self) -> bool {
         self.cursor == self.events.len()
-    }
-
-    /// Capture the complete engine state at the current position. The view
-    /// mirror is intentionally excluded: it is a derived structure, rebuilt
-    /// deterministically on [`resume`](EngineRun::resume).
-    pub fn snapshot(&self) -> GSnapshot<Sz> {
-        let st = &self.core.st;
-        let (bin_items, slot) = st.materialize_membership();
-        GSnapshot {
-            algorithm: self.core.selector.name().to_string(),
-            capacity: self.core.capacity,
-            n_items: self.instance.len() as u64,
-            cursor: self.cursor as u64,
-            levels: st.levels.clone(),
-            bin_items,
-            is_open: st.is_open.clone(),
-            open_count: st.open_count as u64,
-            slot,
-            records: st.materialize_records(),
-            assignment: st.assignment.clone(),
-            steps: st.steps.clone(),
-        }
     }
 
     /// Run the schedule to completion and produce the trace.
@@ -742,64 +513,6 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
             .into_trace()
             .unwrap_or_else(|item| panic!("unpacked item {item} at end of simulation"))
     }
-}
-
-/// Selector stand-in for assignment-driven replay: [`rebuild_snapshot`]
-/// never calls `select`, so this selector has no decisions to make.
-struct ReplaySelector;
-
-impl<Sz: Demand> BinSelector<Sz> for ReplaySelector {
-    fn name(&self) -> &'static str {
-        "REPLAY"
-    }
-    fn select(&mut self, _: &[GOpenBinView<Sz>], _: &GArrivingItem<Sz>, _: Sz) -> Decision {
-        unreachable!("ReplaySelector only replays recorded decisions")
-    }
-    fn needs_views(&self) -> bool {
-        false
-    }
-}
-
-/// Rebuild the [`Snapshot`] an engine would have after processing the first
-/// `cursor` schedule events of `instance`, given the recorded placement of
-/// every item in that prefix (`assignment[item] = bin`) and the tag each
-/// opened bin carries (`tags[bin id]`). This is how a write-ahead journal —
-/// which records placements, not engine internals — is turned back into
-/// resumable state.
-///
-/// `algorithm` is stamped into the snapshot; [`EngineRun::resume`] will
-/// check it against the fresh selector.
-pub fn rebuild_snapshot<Sz: Demand>(
-    instance: &GInstance<Sz>,
-    algorithm: &str,
-    cursor: usize,
-    assignment: &[Option<BinId>],
-    tags: &[crate::bin::BinTag],
-) -> Result<GSnapshot<Sz>, String> {
-    if assignment.len() != instance.len() {
-        return Err(format!(
-            "assignment covers {} items, instance has {}",
-            assignment.len(),
-            instance.len()
-        ));
-    }
-    let mut selector = ReplaySelector;
-    let mut probe = NoProbe;
-    let mut run = EngineRun::new(instance, &mut selector, &mut probe);
-    if cursor > run.events.len() {
-        return Err(format!(
-            "cursor {cursor} beyond schedule length {}",
-            run.events.len()
-        ));
-    }
-    let tag_of = |b: usize| tags.get(b).copied();
-    for k in 0..cursor {
-        run.replay_step(assignment, &tag_of)
-            .map_err(|e| format!("journal replay failed at event {k}: {e}"))?;
-    }
-    let mut snap = run.snapshot();
-    snap.algorithm = algorithm.to_string();
-    Ok(snap)
 }
 
 /// Convenience: simulate and panic (with the violation list) if the trace
@@ -1084,69 +797,36 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_resume_mid_run_reproduces_trace() {
+    fn verified_reexecution_continues_every_prefix_and_refuses_foreign_journals() {
+        use crate::probe::{FnProbe, VerifyProbe};
         let inst = demo_instance();
-        let full = simulate(&inst, &mut NaiveFirstFit);
-        for k in 0..=2 * inst.len() {
-            let mut sel = NaiveFirstFit;
-            let mut probe = NoProbe;
-            let mut run = EngineRun::new(&inst, &mut sel, &mut probe);
-            for _ in 0..k {
-                assert!(run.step());
-            }
-            let snap = run.snapshot();
-            let mut sel2 = NaiveFirstFit;
-            let mut probe2 = NoProbe;
-            let resumed = EngineRun::resume(&inst, &mut sel2, &mut probe2, &snap)
-                .unwrap_or_else(|e| panic!("resume at prefix {k}: {e}"))
-                .finish();
-            assert_eq!(resumed, full, "prefix {k}");
+        let mut full = Vec::new();
+        let trace = simulate_probed(
+            &inst,
+            &mut NaiveFirstFit,
+            &mut FnProbe::new(|e| full.push(e)),
+        );
+        for k in 0..=full.len() {
+            let mut tail = Vec::new();
+            let mut inner = FnProbe::new(|e| tail.push(e));
+            let mut verify = VerifyProbe::new(&full[..k], &mut inner);
+            assert_eq!(
+                simulate_probed(&inst, &mut NaiveFirstFit, &mut verify),
+                trace
+            );
+            assert_eq!(verify.finish(), Ok((k, (full.len() - k) as u64)));
+            let mut combined = full[..k].to_vec();
+            combined.extend(tail);
+            assert_eq!(combined, full, "prefix {k}");
         }
-    }
-
-    #[test]
-    fn resume_rejects_wrong_algorithm_and_corrupt_snapshot() {
-        let inst = demo_instance();
-        let mut sel = NaiveFirstFit;
-        let mut probe = NoProbe;
-        let mut run = EngineRun::new(&inst, &mut sel, &mut probe);
-        for _ in 0..3 {
-            run.step();
-        }
-        let snap = run.snapshot();
-
-        let mut wrong = AlwaysOpen;
-        let mut p = NoProbe;
-        let err = EngineRun::resume(&inst, &mut wrong, &mut p, &snap)
-            .err()
-            .unwrap();
-        assert!(err.contains("algorithm"), "{err}");
-
-        let mut corrupt = snap.clone();
-        if let Some(l) = corrupt.levels.first_mut() {
-            *l = Size(l.raw() + 1);
-        }
-        let mut sel2 = NaiveFirstFit;
-        let err = EngineRun::resume(&inst, &mut sel2, &mut p, &corrupt)
-            .err()
-            .unwrap();
-        assert!(err.contains("replay") || err.contains("snapshot"), "{err}");
-    }
-
-    #[test]
-    fn rebuild_snapshot_from_assignment_matches_live_snapshot() {
-        let inst = demo_instance();
-        for k in 0..=2 * inst.len() {
-            let mut sel = NaiveFirstFit;
-            let mut probe = NoProbe;
-            let mut run = EngineRun::new(&inst, &mut sel, &mut probe);
-            for _ in 0..k {
-                run.step();
-            }
-            let live = run.snapshot();
-            let tags: Vec<BinTag> = live.records.iter().map(|r| r.tag).collect();
-            let rebuilt = rebuild_snapshot(&inst, "NAIVE-FF", k, &live.assignment, &tags).unwrap();
-            assert_eq!(rebuilt, live, "prefix {k}");
-        }
+        // Another selector's run of the same instance diverges (never
+        // panics) and forwards nothing past the divergence.
+        let mut tail: Vec<crate::probe::ProbeEvent> = Vec::new();
+        let mut inner = FnProbe::new(|e| tail.push(e));
+        let mut verify = VerifyProbe::new(&full, &mut inner);
+        simulate_probed(&inst, &mut AlwaysOpen, &mut verify);
+        let err = verify.finish().unwrap_err();
+        assert!(err.contains("diverges"), "{err}");
+        assert!(tail.is_empty());
     }
 }

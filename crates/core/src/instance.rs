@@ -73,10 +73,33 @@ impl<Sz: fmt::Debug + fmt::Display> std::error::Error for GInstanceError<Sz> {}
 /// An immutable, validated MinTotal DBP instance, generic over the demand
 /// type (scalar via the [`Instance`] alias, vector via
 /// [`VSize<D>`](crate::demand::VSize)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Deserialization goes through [`GInstance::new`], so an instance file
+/// that breaks the model (zero capacity or size, `d(r) <= a(r)`, an item
+/// larger than a bin, ids out of order) is a typed error, not an instance.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GInstance<Sz> {
     capacity: Sz,
     items: Vec<GItem<Sz>>,
+}
+
+impl<Sz: Demand> Deserialize for GInstance<Sz> {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        if !v.is_object() {
+            return Err(serde::Error::custom(format!(
+                "expected object for GInstance, got {}",
+                v.kind()
+            )));
+        }
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| serde::Error::custom(format!("missing field `{name}` in GInstance")))
+        };
+        let capacity = Sz::from_value(field("capacity")?)?;
+        let items = Vec::<GItem<Sz>>::from_value(field("items")?)?;
+        GInstance::new(capacity, items)
+            .map_err(|e| serde::Error::custom(format!("invalid instance: {e}")))
+    }
 }
 
 /// The scalar instance of the source paper.

@@ -78,7 +78,6 @@ pub mod probe;
 #[cfg(test)]
 mod proptests;
 pub mod ratio;
-pub mod snapshot;
 pub mod span;
 pub mod streaming;
 pub mod svg;
@@ -88,8 +87,8 @@ pub mod trace;
 pub use bin::{BinId, BinTag, GOpenBinView, OpenBinView};
 pub use demand::{scalar_of, vec1_of, Demand, VSize};
 pub use engine::{
-    any_fit_violations, rebuild_snapshot, simulate, simulate_probed, simulate_validated,
-    simulate_validated_probed, EngineRun,
+    any_fit_violations, simulate, simulate_probed, simulate_validated, simulate_validated_probed,
+    EngineRun,
 };
 pub use instance::{
     GInstance, GInstanceBuilder, GInstanceError, GInstanceStats, Instance, InstanceBuilder,
@@ -97,9 +96,8 @@ pub use instance::{
 };
 pub use item::{ArrivingItem, GArrivingItem, GItem, Item, ItemId, RegionId, Size};
 pub use packer::{BinSelector, Decision, SelectorFactory};
-pub use probe::{DropReason, GProbeEvent, NoProbe, Probe, ProbeEvent};
+pub use probe::{DropReason, GProbeEvent, NoProbe, Probe, ProbeEvent, VerifyProbe};
 pub use ratio::Ratio;
-pub use snapshot::{GSnapshot, Snapshot};
 pub use span::{NoSpans, SpanEvent, SpanRecorder};
 pub use streaming::{GStreamError, StreamError, StreamingEngine};
 pub use time::{Dur, Interval, Tick};
@@ -115,7 +113,7 @@ pub mod prelude {
     pub use crate::bounds;
     pub use crate::demand::{scalar_of, vec1_of, Demand, VSize};
     pub use crate::engine::{
-        any_fit_violations, rebuild_snapshot, simulate, simulate_probed, simulate_validated,
+        any_fit_violations, simulate, simulate_probed, simulate_validated,
         simulate_validated_probed, EngineRun,
     };
     pub use crate::instance::{GInstance, GInstanceBuilder, Instance, InstanceBuilder};
@@ -124,7 +122,6 @@ pub mod prelude {
     pub use crate::packer::{BinSelector, Decision, SelectorFactory};
     pub use crate::probe::{DropReason, NoProbe, Probe, ProbeEvent};
     pub use crate::ratio::Ratio;
-    pub use crate::snapshot::Snapshot;
     pub use crate::span::{NoSpans, SpanEvent, SpanRecorder};
     pub use crate::streaming::{StreamError, StreamingEngine};
     pub use crate::time::{Dur, Interval, Tick};

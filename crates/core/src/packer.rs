@@ -105,24 +105,6 @@ pub trait BinSelector<Sz: Demand = Size> {
     /// failed boot without ever opening. Ids are never reused.
     fn on_bin_closed(&mut self, _bin: BinId) {}
 
-    /// Snapshot-resume replay is re-applying a decision this selector (an
-    /// identically constructed instance of it) made in a previous process,
-    /// *instead of* calling [`select`](BinSelector::select). Selectors whose
-    /// select-time state is a function of their own decisions must advance
-    /// it here exactly as `select` would have: Next Fit updates its current
-    /// bin on `Open`, Random Fit consumes the RNG draw a `Use` implies.
-    /// Stateless selectors and purely hook-maintained (indexed) selectors
-    /// keep the default no-op. The usual state hooks (`on_bin_opened` etc.)
-    /// still fire during replay, after this call. `capacity` is the same
-    /// value `select` would have received.
-    fn on_decision_replayed(
-        &mut self,
-        _item: &GArrivingItem<Sz>,
-        _decision: Decision,
-        _capacity: Sz,
-    ) {
-    }
-
     /// Whether the strategy belongs to the Any Fit family: it never opens a
     /// new bin while some open bin can accommodate the item. This is a
     /// *claim* checked by property tests, not an enforcement.
@@ -159,9 +141,6 @@ impl<Sz: Demand, S: BinSelector<Sz> + ?Sized> BinSelector<Sz> for &mut S {
     fn on_bin_closed(&mut self, bin: BinId) {
         (**self).on_bin_closed(bin)
     }
-    fn on_decision_replayed(&mut self, item: &GArrivingItem<Sz>, decision: Decision, capacity: Sz) {
-        (**self).on_decision_replayed(item, decision, capacity)
-    }
     fn is_any_fit(&self) -> bool {
         (**self).is_any_fit()
     }
@@ -196,9 +175,6 @@ impl<Sz: Demand, S: BinSelector<Sz> + ?Sized> BinSelector<Sz> for Box<S> {
     }
     fn on_bin_closed(&mut self, bin: BinId) {
         (**self).on_bin_closed(bin)
-    }
-    fn on_decision_replayed(&mut self, item: &GArrivingItem<Sz>, decision: Decision, capacity: Sz) {
-        (**self).on_decision_replayed(item, decision, capacity)
     }
     fn is_any_fit(&self) -> bool {
         (**self).is_any_fit()

@@ -546,6 +546,89 @@ impl<Sz: Demand, F: FnMut(GProbeEvent<Sz>)> Probe<Sz> for FnProbe<F> {
     }
 }
 
+/// A probe that checks a re-executed event stream against a journaled
+/// prefix and forwards only the continuation to an inner probe — the one
+/// recovery verifier: fault-free engine journals and fault-injection
+/// journals both resume by running again under it.
+///
+/// The first divergence is latched (the run cannot be aborted from inside
+/// a probe) and surfaced by [`finish`](VerifyProbe::finish); after it,
+/// nothing further is forwarded, so a corrupt recovery never emits a
+/// partially-wrong continuation. Decision timings are forwarded only when
+/// the arrival's events were, so verified prefix arrivals are not timed
+/// and continuation arrivals are timed once.
+#[derive(Debug)]
+pub struct VerifyProbe<'a, P, Sz = Size> {
+    prefix: &'a [GProbeEvent<Sz>],
+    inner: &'a mut P,
+    pos: usize,
+    appended: u64,
+    forwarding: bool,
+    error: Option<String>,
+}
+
+impl<'a, Sz: Demand, P: Probe<Sz>> VerifyProbe<'a, P, Sz> {
+    /// Verify against `prefix`, forwarding post-prefix events to `inner`.
+    pub fn new(prefix: &'a [GProbeEvent<Sz>], inner: &'a mut P) -> VerifyProbe<'a, P, Sz> {
+        VerifyProbe {
+            prefix,
+            inner,
+            pos: 0,
+            appended: 0,
+            forwarding: false,
+            error: None,
+        }
+    }
+
+    /// Finish verification: `(replayed, appended)` counts on success, the
+    /// first divergence otherwise. Errors if the journal is *longer* than
+    /// the re-execution — a journal from a different configuration.
+    pub fn finish(self) -> Result<(usize, u64), String> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        if self.pos < self.prefix.len() {
+            return Err(format!(
+                "journal has {} events but re-execution produced only {}: \
+                 the journal belongs to a different plan, workload, or dispatcher",
+                self.prefix.len(),
+                self.pos
+            ));
+        }
+        Ok((self.pos, self.appended))
+    }
+}
+
+impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for VerifyProbe<'_, P, Sz> {
+    fn record(&mut self, event: GProbeEvent<Sz>) {
+        self.forwarding = false;
+        if self.error.is_some() {
+            return;
+        }
+        if self.pos < self.prefix.len() {
+            if self.prefix[self.pos] != event {
+                self.error = Some(format!(
+                    "journal diverges from re-execution at event {}: journal has {:?}, \
+                     re-execution produced {:?} — wrong plan, workload, or dispatcher",
+                    self.pos, self.prefix[self.pos], event
+                ));
+                return;
+            }
+            self.pos += 1;
+        } else {
+            self.appended += 1;
+            self.forwarding = true;
+            self.inner.record(event);
+        }
+    }
+
+    fn on_decision_ns(&mut self, ns: u64) {
+        if self.forwarding {
+            self.inner.on_decision_ns(ns);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,12 +5,11 @@
 #![cfg(test)]
 
 use crate::algorithms::indexed::{IndexedBestFit, IndexedFirstFit, IndexedMff};
-use crate::algorithms::{BestFit, FirstFit, ModifiedFirstFit, NextFit, RandomFit};
-use crate::engine::EngineRun;
+use crate::algorithms::{BestFit, FirstFit, ModifiedFirstFit, RandomFit};
 use crate::events::EventKind;
 use crate::instance::{Instance, InstanceBuilder};
 use crate::packer::SelectorFactory;
-use crate::probe::{FnProbe, NoProbe};
+use crate::probe::FnProbe;
 use crate::ratio::Ratio;
 use crate::streaming::StreamingEngine;
 use crate::time::{union_intervals, union_length, Interval, Tick};
@@ -70,50 +69,6 @@ proptest! {
         prop_assert!(a.ceil() - a.floor() <= 1);
         if a.is_integer() {
             prop_assert_eq!(a.floor(), a.ceil());
-        }
-    }
-
-    #[test]
-    fn snapshot_resume_at_every_prefix_is_exact(
-        raw in proptest::collection::vec((0u64..40, 1u64..25, 1u64..10), 1..12),
-        seed in 0u64..1_000,
-    ) {
-        let mut b = InstanceBuilder::new(10);
-        for &(a, len, size) in &raw {
-            b.add(a, a + len, size);
-        }
-        let inst: Instance = b.build().unwrap();
-        let selectors = [
-            SelectorFactory::new("FF", || Box::new(FirstFit::new())),
-            SelectorFactory::new("BF", || Box::new(BestFit::new())),
-            SelectorFactory::new("NF", || Box::new(NextFit::new())),
-            SelectorFactory::new("MFF", || Box::new(ModifiedFirstFit::new(4))),
-            SelectorFactory::new("IFF", || Box::new(IndexedFirstFit::new())),
-            SelectorFactory::new("IBF", || Box::new(IndexedBestFit::new())),
-            SelectorFactory::new("RF", move || Box::new(RandomFit::seeded(seed))),
-        ];
-        for factory in &selectors {
-            let mut full_sel = factory.build();
-            let full = crate::engine::simulate(&inst, &mut *full_sel);
-            // Resume from a snapshot taken after *every* event prefix; the
-            // final trace (hence cost) must be identical each time.
-            for k in 0..=2 * inst.len() {
-                let mut sel = factory.build();
-                let mut probe = NoProbe;
-                let mut run = EngineRun::new(&inst, &mut *sel, &mut probe);
-                for _ in 0..k {
-                    prop_assert!(run.step());
-                }
-                let snap = run.snapshot();
-                let mut sel2 = factory.build();
-                let mut probe2 = NoProbe;
-                let resumed = EngineRun::resume(&inst, &mut *sel2, &mut probe2, &snap)
-                    .map_err(|e| {
-                        TestCaseError::Fail(format!("{}: resume at {k}: {e}", factory.name()))
-                    })?
-                    .finish();
-                prop_assert_eq!(&resumed, &full, "{} diverged at prefix {}", factory.name(), k);
-            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Journal replay: audit an event stream and rebuild engine state from it.
+//! Journal replay: audit an event stream and find where recovery resumes.
 //!
 //! Two consumers sit on top of a decoded journal
 //! ([`JournalContents`](crate::journal::JournalContents)):
@@ -7,23 +7,21 @@
 //!   invariants (placements go to open bins, closes match opens, levels
 //!   are consistent) and recomputes the exact integer total cost from the
 //!   `BinClosed` events, independently of any recorded manifest;
-//! * [`snapshot_from_events`] — a *recovery*: finds the longest prefix of
-//!   the stream that corresponds to complete engine operations, rebuilds a
-//!   [`Snapshot`](dbp_core::snapshot::Snapshot) at that boundary via
-//!   deterministic re-execution ([`dbp_core::rebuild_snapshot`]), and
-//!   reports how many trailing partial events were dropped. Resuming the
-//!   engine from that snapshot re-emits exactly the dropped events first,
-//!   so `journal prefix + resumed stream` is byte-identical to an
-//!   uninterrupted run.
+//! * [`recovery_point`] — the *boundary* of a recovery: the longest prefix
+//!   of the stream that corresponds to complete engine operations, and how
+//!   many trailing partial events a crash left behind. Recovery re-executes
+//!   the run from scratch under a
+//!   [`VerifyProbe`](dbp_core::probe::VerifyProbe) over that prefix; the
+//!   re-execution re-emits exactly the dropped events first, so
+//!   `journal prefix + continuation` is byte-identical to an uninterrupted
+//!   run.
 //!
 //! Both functions return `Err` (never panic) on streams that no fault-free
 //! engine run could have produced.
 
-use dbp_core::bin::{BinId, BinTag};
+use dbp_core::bin::BinId;
 use dbp_core::demand::Demand;
-use dbp_core::instance::Instance;
 use dbp_core::probe::{GProbeEvent, ProbeEvent};
-use dbp_core::snapshot::Snapshot;
 use dbp_core::time::Tick;
 
 /// Aggregate results of auditing a journal stream. All quantities are
@@ -210,38 +208,36 @@ pub fn per_dim_demand_ticks<Sz: Demand>(events: &[GProbeEvent<Sz>]) -> (Vec<u128
     (ticks, placed_at.len() as u64)
 }
 
-/// A snapshot recovered from a journal prefix.
-#[derive(Debug)]
-pub struct RecoveredSnapshot {
-    /// Engine state at the boundary, rebuilt by deterministic replay.
-    pub snapshot: Snapshot,
-    /// Number of leading journal events the snapshot accounts for.
+/// Where a journaled run resumes: the end of its last complete engine
+/// operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryPoint {
+    /// Number of leading journal events that form complete operations —
+    /// the prefix a re-execution is verified against.
     pub events_used: usize,
     /// Trailing events dropped because they belong to an engine operation
-    /// the crash cut in half. Resuming from the snapshot re-emits exactly
-    /// these first.
+    /// the crash cut in half. The re-execution re-emits exactly these
+    /// first.
     pub events_dropped: usize,
+    /// Schedule events (arrivals and departures) the complete prefix
+    /// accounts for.
+    pub cursor: usize,
 }
 
-/// Rebuild engine state from a journaled event stream.
+/// Find the recovery point of a journaled event stream.
 ///
 /// The journal is a flat event stream, but the engine advances in
 /// *operations* — an arrival emits `ItemArrived`, `FitAttempt`,
 /// (`BinOpened`,) `ItemPlaced`; a departure emits `ItemDeparted` and, when
 /// it empties the bin, `BinClosed`. A crash can leave the final operation
-/// half-journaled, so this scans for the last operation boundary, derives
-/// the assignment prefix and bin tags up to it, and rebuilds the exact
-/// [`Snapshot`] there via [`dbp_core::rebuild_snapshot`].
+/// half-journaled, so this scans for the last operation boundary and
+/// counts the completed operations before it.
 ///
 /// Errors on fault-injection events (crash-recovery journals describe a
 /// different state machine) and on streams no engine run could emit.
-pub fn snapshot_from_events(
-    instance: &Instance,
-    algorithm: &str,
-    events: &[ProbeEvent],
-) -> Result<RecoveredSnapshot, String> {
-    // Pass 1: find the boundary — the end of the last complete operation —
-    // and count completed operations (the engine-event cursor).
+pub fn recovery_point(events: &[ProbeEvent]) -> Result<RecoveryPoint, String> {
+    // Find the boundary — the end of the last complete operation — and
+    // count completed operations (the engine-event cursor).
     let mut boundary = 0usize;
     let mut cursor = 0usize;
     // Member count per opened bin; a departure that empties its bin is only
@@ -251,8 +247,8 @@ pub fn snapshot_from_events(
     for (i, ev) in events.iter().enumerate() {
         if ev.is_fault_event() {
             return Err(format!(
-                "event {i} is a fault-injection event ({}); snapshot recovery \
-                 handles fault-free engine journals only",
+                "event {i} is a fault-injection event ({}); the recovery point \
+                 covers fault-free engine journals only",
                 ev.kind()
             ));
         }
@@ -316,33 +312,10 @@ pub fn snapshot_from_events(
         }
     }
 
-    // Pass 2: derive the assignment prefix and bin tags from the complete
-    // prefix only (a half-journaled arrival may have opened a bin or placed
-    // nothing — neither belongs in the snapshot).
-    let mut assignment: Vec<Option<BinId>> = vec![None; instance.len()];
-    let mut tags: Vec<BinTag> = Vec::new();
-    for (i, ev) in events[..boundary].iter().enumerate() {
-        match ev {
-            ProbeEvent::BinOpened { tag, .. } => tags.push(*tag),
-            ProbeEvent::ItemPlaced { item, bin, .. } => match assignment.get_mut(item.index()) {
-                Some(slot @ None) => *slot = Some(*bin),
-                Some(Some(_)) => return Err(format!("event {i}: item {item} placed twice")),
-                None => {
-                    return Err(format!(
-                        "event {i}: item {item} is outside the instance ({} items)",
-                        instance.len()
-                    ))
-                }
-            },
-            _ => {}
-        }
-    }
-
-    let snapshot = dbp_core::rebuild_snapshot(instance, algorithm, cursor, &assignment, &tags)?;
-    Ok(RecoveredSnapshot {
-        snapshot,
+    Ok(RecoveryPoint {
         events_used: boundary,
         events_dropped: events.len() - boundary,
+        cursor,
     })
 }
 
@@ -351,6 +324,7 @@ mod tests {
     use super::*;
     use crate::recorder::EventLog;
     use dbp_core::prelude::*;
+    use dbp_core::probe::VerifyProbe;
 
     fn sample() -> (Instance, Vec<ProbeEvent>) {
         let mut b = InstanceBuilder::new(10);
@@ -409,50 +383,63 @@ mod tests {
         assert!(replay_events(&bad).unwrap_err().contains("span"));
     }
 
-    #[test]
-    fn snapshot_from_full_stream_is_complete() {
-        let (inst, events) = sample();
-        let rec = snapshot_from_events(&inst, "FF", &events).unwrap();
-        assert_eq!(rec.events_used, events.len());
-        assert_eq!(rec.events_dropped, 0);
-        assert!(rec.snapshot.is_complete());
-        let trace = simulate(&inst, &mut FirstFit::new());
-        assert_eq!(rec.snapshot.closed_cost_ticks(), trace.total_cost_ticks());
+    /// Re-execute `inst` under FF, verified against `prefix`;
+    /// returns the forwarded continuation and the final trace.
+    fn reexecute(
+        inst: &Instance,
+        prefix: &[ProbeEvent],
+    ) -> Result<(Vec<ProbeEvent>, PackingTrace), String> {
+        let mut log = EventLog::new();
+        let mut verify = VerifyProbe::new(prefix, &mut log);
+        let trace = simulate_probed(inst, &mut FirstFit::new(), &mut verify);
+        verify.finish()?;
+        Ok((log.into_events(), trace))
     }
 
     #[test]
-    fn snapshot_from_every_prefix_resumes_to_identical_stream() {
+    fn recovery_point_of_full_stream_is_the_whole_schedule() {
+        let (inst, events) = sample();
+        let rec = recovery_point(&events).unwrap();
+        assert_eq!(rec.events_used, events.len());
+        assert_eq!(rec.events_dropped, 0);
+        assert_eq!(rec.cursor, 2 * inst.len());
+        let (tail, trace) = reexecute(&inst, &events).unwrap();
+        assert!(tail.is_empty());
+        assert_eq!(
+            trace.total_cost_ticks(),
+            replay_events(&events).unwrap().cost_ticks
+        );
+    }
+
+    #[test]
+    fn reexecution_from_every_recovery_point_is_identical_stream() {
         let (inst, events) = sample();
         for cut in 0..=events.len() {
-            let rec = snapshot_from_events(&inst, "FF", &events[..cut])
-                .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            let rec = recovery_point(&events[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
             assert!(rec.events_used <= cut);
-            // Resume with a fresh selector and capture the continuation.
-            let mut log = EventLog::new();
-            let mut ff = FirstFit::new();
-            let trace = EngineRun::resume(&inst, &mut ff, &mut log, &rec.snapshot)
-                .unwrap()
-                .finish();
+            assert_eq!(rec.events_used + rec.events_dropped, cut);
+            let (tail, trace) = reexecute(&inst, &events[..rec.events_used])
+                .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
             assert_eq!(trace, simulate(&inst, &mut FirstFit::new()));
             // Journal prefix (complete ops only) + continuation == full
             // uninterrupted stream.
             let mut combined = events[..rec.events_used].to_vec();
-            combined.extend(log.into_events());
+            combined.extend(tail);
             assert_eq!(combined, events, "cut at {cut}");
         }
     }
 
     #[test]
-    fn snapshot_rejects_fault_journals() {
+    fn recovery_point_rejects_fault_journals() {
         use dbp_core::bin::BinId;
         use dbp_core::time::Tick;
-        let (inst, mut events) = sample();
+        let (_, mut events) = sample();
         events.push(ProbeEvent::BinCrashed {
             at: Tick(99),
             bin: BinId(0),
             orphans: 1,
         });
-        let err = snapshot_from_events(&inst, "FF", &events).unwrap_err();
+        let err = recovery_point(&events).unwrap_err();
         assert!(err.contains("fault"), "{err}");
     }
 }

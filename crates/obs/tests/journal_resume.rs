@@ -1,11 +1,12 @@
 //! End-to-end crash-recovery properties: a journal cut anywhere — at any
-//! event prefix or any *byte* offset — recovers to a snapshot whose resumed
-//! run reproduces the uninterrupted trace, cost, and JSONL stream
-//! byte-for-byte.
+//! event prefix or any *byte* offset — recovers by verified re-execution
+//! to a run that reproduces the uninterrupted trace, cost, and JSONL
+//! stream byte-for-byte.
 
 use dbp_core::algorithms::indexed::{IndexedBestFit, IndexedFirstFit};
 use dbp_core::algorithms::{BestFit, FirstFit, ModifiedFirstFit, NextFit, RandomFit};
 use dbp_core::prelude::*;
+use dbp_core::probe::VerifyProbe;
 use dbp_obs::journal::{parse_journal, FsyncPolicy, JournalProbe};
 use dbp_obs::prelude::*;
 use proptest::prelude::*;
@@ -32,9 +33,9 @@ fn build_instance(raw: &[(u64, u64, u64)]) -> Instance {
 }
 
 proptest! {
-    /// The satellite property from the issue: resuming from a snapshot
-    /// taken at *every* event prefix yields an identical final trace,
-    /// cost, and JSONL stream (journal prefix + continuation, byte-wise).
+    /// Recovering from the journal cut at *every* event prefix yields an
+    /// identical final trace, cost, and JSONL stream (journal prefix +
+    /// continuation, byte-wise).
     #[test]
     fn resume_at_every_event_prefix_is_jsonl_byte_identical(
         raw in proptest::collection::vec((0u64..40, 1u64..25, 1u64..10), 1..10),
@@ -43,24 +44,21 @@ proptest! {
         let inst = build_instance(&raw);
         for factory in &selectors(seed) {
             let mut sel = factory.build();
-            // The name recovery must match is the selector's own (the
-            // indexed variants report their naive twin's name by design).
-            let alg = sel.name();
             let mut log = EventLog::new();
             let full_trace = simulate_probed(&inst, &mut *sel, &mut log);
             let events = log.into_events();
             let full_jsonl = events_to_jsonl(&events);
             for cut in 0..=events.len() {
-                let rec = snapshot_from_events(&inst, alg, &events[..cut])
+                let rec = recovery_point(&events[..cut])
                     .map_err(|e| TestCaseError::Fail(
                         format!("{} cut {cut}: {e}", factory.name())))?;
                 prop_assert!(rec.events_used <= cut);
                 let mut sel2 = factory.build();
                 let mut log2 = EventLog::new();
-                let trace = EngineRun::resume(&inst, &mut *sel2, &mut log2, &rec.snapshot)
-                    .map_err(|e| TestCaseError::Fail(
-                        format!("{} cut {cut}: resume: {e}", factory.name())))?
-                    .finish();
+                let mut verify = VerifyProbe::new(&events[..rec.events_used], &mut log2);
+                let trace = simulate_probed(&inst, &mut *sel2, &mut verify);
+                verify.finish().map_err(|e| TestCaseError::Fail(
+                    format!("{} cut {cut}: resume: {e}", factory.name())))?;
                 prop_assert_eq!(&trace, &full_trace, "{} trace diverged at {}", factory.name(), cut);
                 prop_assert_eq!(
                     trace.total_cost_ticks(),
@@ -104,13 +102,12 @@ proptest! {
             let contents = parse_journal(&bytes[..cut])
                 .map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: {e}")))?;
             // ...and the decoded prefix must recover and resume exactly.
-            let rec = snapshot_from_events(&inst, "FF", &contents.events)
+            let rec = recovery_point(&contents.events)
                 .map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: {e}")))?;
             let mut log2 = EventLog::new();
-            let trace = EngineRun::resume(
-                &inst, &mut FirstFit::new(), &mut log2, &rec.snapshot,
-            ).map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: resume: {e}")))?
-            .finish();
+            let mut verify = VerifyProbe::new(&contents.events[..rec.events_used], &mut log2);
+            let trace = simulate_probed(&inst, &mut FirstFit::new(), &mut verify);
+            verify.finish().map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: resume: {e}")))?;
             prop_assert_eq!(&trace, &full_trace);
             let mut combined =
                 events_to_jsonl(&contents.events[..rec.events_used]);
