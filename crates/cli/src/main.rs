@@ -20,7 +20,7 @@ mod args;
 
 use args::Args;
 use dbp_adversary::{AdaptiveMuAdversary, Theorem1, Theorem2};
-use dbp_cloudsim::FaultPlan;
+use dbp_cloudsim::{FaultPlan, ResilientReport};
 use dbp_cluster::ShardFaultPlan;
 use dbp_core::algorithms::{standard_factories, Rule};
 use dbp_core::analysis::analyze_first_fit;
@@ -29,7 +29,7 @@ use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{
     simulate, simulate_probed, simulate_validated, simulate_validated_probed, EngineRun,
 };
-use dbp_core::instance::Instance;
+use dbp_core::instance::{GInstance, Instance};
 use dbp_core::item::Size;
 use dbp_core::metrics::summarize;
 use dbp_core::packer::{BinSelector, SelectorFactory};
@@ -95,8 +95,9 @@ USAGE:
   dbp scenarios [--seed N]
 
 MODE RESTRICTIONS (a flag a mode cannot honour is an error, never ignored):
-  run --hetero            --algo ff|bf|mff|mff-mu|dom; run flags: only --validate --metrics
+  run --hetero            --algo ff|bf|mff|mff-mu|dom; run flags: only --validate --metrics --faults
   run --faults            no --timeseries --validate --fleet --gantt --svg --save-trace
+                          (and no --metrics with --hetero)
   cluster --hetero        --algo as run --hetero; cluster flags: only --shards --router --metrics
   cluster --shard-faults  no --faults --journal
   recover --serve-shards  no --repair --trace --manifest --resume-jsonl --faults --algo
@@ -381,21 +382,27 @@ impl Probe for RunProbe {
 fn cmd_run(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
     let algo = args.str_flag("algo").unwrap_or("ff");
-    if args.has("hetero") {
+    let hetero = args.has("hetero");
+    if hetero {
         args.refuse(
             "--hetero",
-            "journal fsync trace-events timeseries faults run-manifest fleet gantt svg save-trace",
+            "journal fsync trace-events timeseries run-manifest fleet gantt svg save-trace",
         )?;
-        return cmd_run_hetero(args, &inst, algo);
     }
-    let mut sel = selector_factory(algo, mu_hint(&inst))?.build();
     let plan = match args.str_flag("faults") {
         Some(spec) => {
             args.refuse("--faults", "timeseries validate fleet gantt svg save-trace")?;
+            if hetero {
+                args.refuse("--faults", "metrics")?;
+            }
             Some((spec, fault_plans(spec, &inst, 1)?.remove(0)))
         }
         None => None,
     };
+    if hetero {
+        return cmd_run_hetero(args, &inst, algo, plan);
+    }
+    let mut sel = selector_factory(algo, mu_hint(&inst))?.build();
     let observing = args
         .first_of("trace-events metrics timeseries journal run-manifest")
         .is_some();
@@ -419,37 +426,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         save_manifest(args, &RunManifest::capture(sel.name(), None, &inst, wall))?;
         probe.seal(args)?;
         save_metrics(args, probe.metrics.registry())?;
-        println!("algorithm      : {algo}");
-        println!(
-            "fault plan     : seed {}, {} crashes, boot fail {:.2}, delay ≤{}, reject {:.2}",
-            plan.seed,
-            plan.crashes.len(),
-            plan.boot_fail_prob,
-            plan.boot_delay_max,
-            plan.reject_prob
-        );
-        println!("sessions       : {}", report.sessions_total);
-        println!(
-            "served         : {} ({:.1}%)",
-            report.sessions_served,
-            100.0 * report.service_rate()
-        );
-        println!("dropped        : {}", report.sessions_dropped);
-        println!("lost to crash  : {}", report.sessions_lost);
-        println!("re-dispatched  : {}", report.redispatches);
-        println!(
-            "faults         : {} crashes, {} boot failures, {} retries, {} rejections",
-            report.crashes,
-            report.provision_failures,
-            report.retries_scheduled,
-            report.dispatch_rejections
-        );
-        println!("queue peak     : {}", report.queue_peak);
-        println!(
-            "servers        : {} rented, peak {}",
-            report.servers_rented, report.peak_servers
-        );
-        print_bill(report.busy_ticks, report.billed_ticks, report.cost_cents);
+        print_fault_report(algo, &plan, &report);
         return Ok(());
     }
     if args.has("timeseries") {
@@ -556,14 +533,64 @@ fn hetero_selector(
         })?
 }
 
+/// The SLA ledger and bill of one `run --faults` dispatch, scalar or
+/// `--hetero`.
+fn print_fault_report(algorithm: &str, plan: &FaultPlan, report: &ResilientReport) {
+    println!("algorithm      : {algorithm}");
+    println!(
+        "fault plan     : seed {}, {} crashes, boot fail {:.2}, delay ≤{}, reject {:.2}",
+        plan.seed,
+        plan.crashes.len(),
+        plan.boot_fail_prob,
+        plan.boot_delay_max,
+        plan.reject_prob
+    );
+    println!("sessions       : {}", report.sessions_total);
+    println!(
+        "served         : {} ({:.1}%)",
+        report.sessions_served,
+        100.0 * report.service_rate()
+    );
+    println!("dropped        : {}", report.sessions_dropped);
+    println!("lost to crash  : {}", report.sessions_lost);
+    println!("re-dispatched  : {}", report.redispatches);
+    println!(
+        "faults         : {} crashes, {} boot failures, {} retries, {} rejections",
+        report.crashes,
+        report.provision_failures,
+        report.retries_scheduled,
+        report.dispatch_rejections
+    );
+    println!("queue peak     : {}", report.queue_peak);
+    println!(
+        "servers        : {} rented, peak {}",
+        report.servers_rented, report.peak_servers
+    );
+    print_bill(report.busy_ticks, report.billed_ticks, report.cost_cents);
+}
+
 /// `dbp run FILE --hetero`: widen the scalar trace to the heterogeneous
 /// `[gpu, cpu, mem]` catalog and pack it as one 3-dimensional vector
 /// instance. Feasibility is the intersection of the per-dimension
 /// constraints; the per-dimension utilization table shows which
-/// dimension actually binds.
-fn cmd_run_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
+/// dimension actually binds. With a fault `plan` the widened trace runs
+/// through the same resilient dispatcher as scalar `run --faults`.
+fn cmd_run_hetero(
+    args: &Args,
+    scalar: &Instance,
+    algo: &str,
+    plan: Option<(&str, FaultPlan)>,
+) -> Result<(), String> {
     let inst = dbp_workloads::widen(scalar);
     let mut sel = hetero_selector(algo, mu_hint(scalar))?;
+    if let Some((spec, plan)) = plan {
+        let report = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan.clone())
+            .run(&inst, &mut sel)
+            .map_err(|e| format!("{spec}: {e}"))?;
+        let label = format!("{} ({HETERO_DIMS}-dimensional)", report.algorithm);
+        print_fault_report(&label, &plan, &report);
+        return Ok(());
+    }
     let started = std::time::Instant::now();
     let trace = if args.has("validate") {
         dbp_core::engine::simulate_validated(&inst, &mut sel)
@@ -680,12 +707,13 @@ fn cmd_cluster_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), 
 }
 
 /// The paper's cost model over `inst`'s capacity: per-tick billing on
-/// GPU VMs. Shared by `run --faults` and `recover --faults`, which must
-/// reconstruct the *same* system for deterministic re-execution.
-fn paper_gaming_system(inst: &Instance) -> dbp_cloudsim::GamingSystem {
+/// GPU VMs (a vector capacity's GPU component). Shared by `run --faults`
+/// and `recover --faults`, which must reconstruct the *same* system for
+/// deterministic re-execution.
+fn paper_gaming_system<Sz: Demand>(inst: &GInstance<Sz>) -> dbp_cloudsim::GamingSystem {
     dbp_cloudsim::GamingSystem {
         server: dbp_cloudsim::ServerType {
-            gpu_capacity: inst.capacity().raw(),
+            gpu_capacity: inst.capacity().component(0),
             ..dbp_cloudsim::ServerType::default_gpu_vm()
         },
         granularity: dbp_cloudsim::Granularity::PerTick,

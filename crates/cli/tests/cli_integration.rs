@@ -258,7 +258,6 @@ fn run_hetero_refuses_flags_it_would_drop() {
             ("fsync", Some("never")),
             ("trace-events", Some(&jsonl)),
             ("timeseries", Some(&csv)),
-            ("faults", Some("42")),
             ("run-manifest", Some(&man)),
             ("fleet", None),
             ("gantt", None),
@@ -373,6 +372,86 @@ fn recover_serve_shards_refuses_flags_it_would_drop() {
             ("algo", Some("ff")),
         ],
     );
+}
+
+/// The value of a `name : value` report line.
+fn field<'a>(text: &'a str, name: &str) -> &'a str {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.trim_start().strip_prefix(':'))
+        .unwrap_or_else(|| panic!("no '{name}' line in:\n{text}"))
+        .trim()
+}
+
+/// The leading integer of a report field.
+fn count(text: &str, name: &str) -> u64 {
+    let value = field(text, name);
+    value
+        .split_whitespace()
+        .next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("'{name}' is not a count: {value}"))
+}
+
+#[test]
+fn run_hetero_faults_conserves_and_a_zero_plan_bills_the_plain_run() {
+    let (_, tr) = tmpfile("hetero_faults.json");
+    let _ = dbp(&[
+        "generate",
+        "scenario",
+        "--name",
+        "launch-day",
+        "--seed",
+        "7",
+        "--out",
+        &tr,
+    ]);
+    for algo in ["ff", "bf", "mff"] {
+        let text = stdout(&dbp(&[
+            "run", &tr, "--algo", algo, "--hetero", "--faults", "42",
+        ]));
+        assert!(text.contains("(3-dimensional)"), "{algo}: {text}");
+        assert_eq!(
+            count(&text, "served") + count(&text, "dropped") + count(&text, "lost to crash"),
+            count(&text, "sessions"),
+            "{algo}: {text}"
+        );
+        assert!(
+            count(&text, "faults") > 0,
+            "{algo}: the plan must crash: {text}"
+        );
+    }
+    let (_, zero) = tmpfile("hetero_zero_plan.json");
+    let plan = dbp_cloudsim::FaultPlan::none();
+    std::fs::write(&zero, serde_json::to_string(&plan).unwrap()).unwrap();
+    let plain = stdout(&dbp(&["run", &tr, "--algo", "ff", "--hetero"]));
+    let faulted = stdout(&dbp(&[
+        "run", &tr, "--algo", "ff", "--hetero", "--faults", &zero,
+    ]));
+    assert_eq!(
+        count(&faulted, "busy ticks"),
+        count(&plain, "total cost"),
+        "{plain}\n{faulted}"
+    );
+    // Artifact flags the vector fault run cannot write stay refused.
+    let (_, prom) = tmpfile("hetero_faults.prom");
+    let out = dbp(&[
+        "run",
+        &tr,
+        "--algo",
+        "ff",
+        "--hetero",
+        "--faults",
+        "42",
+        "--metrics",
+        &prom,
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--metrics is not supported with --faults"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!std::path::Path::new(&prom).exists());
 }
 
 #[test]

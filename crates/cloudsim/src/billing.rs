@@ -41,10 +41,12 @@ impl Granularity {
         }
     }
 
-    /// Round one server's busy duration up to the billing unit.
-    pub fn billed_ticks(self, busy_ticks: u64) -> u64 {
-        let unit = self.unit_ticks();
-        busy_ticks.div_ceil(unit) * unit
+    /// Round one server's busy duration up to the billing unit. Widened
+    /// to `u128`: rounding a span near `u64::MAX` up to a whole unit can
+    /// pass `u64::MAX`.
+    pub fn billed_ticks(self, busy_ticks: u64) -> u128 {
+        let unit = self.unit_ticks() as u128;
+        (busy_ticks as u128).div_ceil(unit) * unit
     }
 }
 
@@ -96,7 +98,7 @@ pub fn billed_ticks(trace: &PackingTrace, granularity: Granularity) -> u128 {
     trace
         .bins
         .iter()
-        .map(|b| granularity.billed_ticks(b.usage_len().raw()) as u128)
+        .map(|b| granularity.billed_ticks(b.usage_len().raw()))
         .sum()
 }
 
@@ -126,6 +128,20 @@ mod tests {
     fn per_tick_is_exact() {
         let t = one_bin_trace(5000);
         assert_eq!(billed_ticks(&t, Granularity::PerTick), 5000);
+    }
+
+    #[test]
+    fn hourly_rounding_of_the_longest_span_passes_u64_max() {
+        // u64::MAX = 5_124_095_576_030_431 h + 15 s, so it rounds up to
+        // 5_124_095_576_030_432 whole hours: past u64::MAX.
+        assert_eq!(
+            Granularity::PerHour.billed_ticks(u64::MAX),
+            18_446_744_073_709_555_200
+        );
+        assert_eq!(
+            Granularity::PerTick.billed_ticks(u64::MAX),
+            u64::MAX as u128
+        );
     }
 
     #[test]
@@ -199,15 +215,25 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Rounding invariants for every granularity: billed ≥ busy, billed
+        /// Rounding invariants for every granularity over the whole `u64`
+        /// range (and within two hours of its top): billed ≥ busy, billed
         /// is a unit multiple, and overhead is strictly under one unit.
         #[test]
-        fn billed_ticks_rounding_invariants(busy in 0u64..100_000, unit in 1u64..10_000) {
-            let g = Granularity::PerUnit(unit);
-            let billed = g.billed_ticks(busy);
-            prop_assert!(billed >= busy);
-            prop_assert_eq!(billed % unit, 0);
-            prop_assert!(billed - busy < unit);
+        fn billed_ticks_rounding_invariants(busy in 0u64..=u64::MAX, unit in 1u64..=u64::MAX) {
+            for busy in [busy, u64::MAX - busy % 7200] {
+                for g in [
+                    Granularity::PerUnit(unit),
+                    Granularity::PerTick,
+                    Granularity::PerMinute,
+                    Granularity::PerHour,
+                ] {
+                    let billed = g.billed_ticks(busy);
+                    let (busy, unit) = (busy as u128, g.unit_ticks() as u128);
+                    prop_assert!(billed >= busy, "{g:?} {busy}");
+                    prop_assert_eq!(billed % unit, 0);
+                    prop_assert!(billed - busy < unit, "{g:?} {busy}");
+                }
+            }
         }
 
         /// Coarser units never bill less.

@@ -15,9 +15,20 @@
 //!   failed provisioning with capped exponential backoff plus deterministic
 //!   jitter, re-dispatches sessions orphaned by a crash through the same
 //!   [`BinSelector`] (the one event where the no-migration rule is forcibly
-//!   broken — re-placements are tagged [`ProbeEvent::ItemRedispatched`] and
-//!   counted separately), and bounds admission with a queue + timeout so
-//!   overload degrades to *accounted* session drops, never a panic.
+//!   broken — re-placements are tagged [`GProbeEvent::ItemRedispatched`]
+//!   and counted separately), and bounds admission with a queue + timeout
+//!   so overload degrades to *accounted* session drops, never a panic.
+//!
+//! The run is a driver of the one event core, [`EventCore`], generic over
+//! the demand type (scalar or vector, any D). The core owns the fleet, the
+//! selector hooks and every engine event; the driver owns the plan's hash
+//! streams, the admission queue and the SLA ledger, and pulls its timed
+//! inputs from one queue ordered by tick, then departure < crash <
+//! boot-ready < retry < arrival. It calls the core's arrival halves
+//! ([`EventCore::decide`], then [`EventCore::place`]) so a rejection or a
+//! failed boot falls between them, holds a delayed boot as a pending bin
+//! ([`EventCore::reserve`]), and crashes a server with
+//! [`EventCore::force_close`].
 //!
 //! Determinism does not come from sharing one RNG across the run (that
 //! would entangle outcome streams); every per-attempt outcome is a pure
@@ -35,18 +46,22 @@
 //!   (boot start) to the tick it closed or crashed — you pay for booting
 //!   VMs, not for failed provision attempts;
 //! * crashes in the plan name a fleet slot, resolved at crash time against
-//!   the open fleet in id order (`open[slot % n]`); a crash against an
-//!   empty fleet is a deterministic no-op.
+//!   the open fleet in id order (`open[slot % n]`; booting servers are not
+//!   open); a crash against an empty fleet is a deterministic no-op. The
+//!   crash's orphans are re-dispatched at once, in the order they were
+//!   placed on the crashed server.
 
-use crate::billing::{Granularity, ServerType, TICKS_PER_HOUR};
+use crate::billing::TICKS_PER_HOUR;
 use crate::system::{DispatchError, GamingSystem};
-use dbp_core::bin::{BinId, BinTag, OpenBinView};
-use dbp_core::instance::Instance;
-use dbp_core::item::{ArrivingItem, ItemId, RegionId, Size};
+use dbp_core::bin::BinId;
+use dbp_core::demand::Demand;
+use dbp_core::instance::GInstance;
+use dbp_core::item::{GArrivingItem, ItemId};
 use dbp_core::packer::{BinSelector, Decision};
-use dbp_core::probe::{DropReason, NoProbe, Probe, ProbeEvent};
+use dbp_core::probe::{DropReason, GProbeEvent, NoProbe, Probe};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
+use dbp_core::streaming::EventCore;
 use dbp_core::time::Tick;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -307,7 +322,7 @@ impl FaultPlan {
 
 /// Outcome report of one [`ResilientSystem`] run. All counts are exact;
 /// `sessions_served + sessions_dropped + sessions_lost == sessions_total`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResilientReport {
     /// Dispatcher name.
     pub algorithm: String,
@@ -382,9 +397,9 @@ impl ResilientSystem {
     ///
     /// # Errors
     /// As for [`run_traced`](Self::run_traced).
-    pub fn run<S: BinSelector + ?Sized>(
+    pub fn run<Sz: Demand, S: BinSelector<Sz> + ?Sized>(
         &self,
-        requests: &Instance,
+        requests: &GInstance<Sz>,
         dispatcher: &mut S,
     ) -> Result<ResilientReport, DispatchError> {
         self.run_probed(requests, dispatcher, &mut NoProbe)
@@ -394,9 +409,9 @@ impl ResilientSystem {
     ///
     /// # Errors
     /// As for [`run_traced`](Self::run_traced).
-    pub fn run_probed<S: BinSelector + ?Sized, P: Probe>(
+    pub fn run_probed<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
         &self,
-        requests: &Instance,
+        requests: &GInstance<Sz>,
         dispatcher: &mut S,
         probe: &mut P,
     ) -> Result<ResilientReport, DispatchError> {
@@ -416,9 +431,9 @@ impl ResilientSystem {
     /// and mid-run when its boot delays or retry backoff push an event
     /// past tick `u64::MAX` (the run stops there; `probe` holds the
     /// prefix).
-    pub fn run_traced<S: BinSelector + ?Sized, P: Probe, R: SpanRecorder>(
+    pub fn run_traced<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>(
         &self,
-        requests: &Instance,
+        requests: &GInstance<Sz>,
         dispatcher: &mut S,
         probe: &mut P,
         spans: &mut R,
@@ -430,11 +445,7 @@ impl ResilientSystem {
         if let Some(message) = sim.overflow.take() {
             return Err(DispatchError::BadFaultPlan { message });
         }
-        Ok(sim.into_report(
-            self.system.server,
-            self.system.granularity,
-            requests.len() as u64,
-        ))
+        Ok(sim.into_report(self.system))
     }
 }
 
@@ -460,6 +471,13 @@ fn hash_prob(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / 9007199254740992.0)
 }
 
+/// The next draw of hash stream `stream`, advancing its counter.
+fn draw(seed: u64, stream: u64, counter: &mut u64) -> u64 {
+    let h = mix(seed, stream, *counter);
+    *counter += 1;
+    h
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ItemState {
     /// Not yet arrived.
@@ -480,36 +498,6 @@ enum ItemState {
     Lost,
 }
 
-enum AttemptOutcome {
-    Committed,
-    Failed,
-}
-
-#[derive(Debug)]
-struct Server {
-    id: BinId,
-    tag: BinTag,
-    /// Boot decision tick — rental is billed from here.
-    rental_start: u64,
-    /// Tick the server became usable (== rental_start unless boot-delayed).
-    opened_at: u64,
-    level: Size,
-    items: Vec<ItemId>,
-}
-
-impl Server {
-    fn view(&self, capacity: Size) -> OpenBinView {
-        OpenBinView {
-            id: self.id,
-            opened_at: Tick(self.opened_at),
-            level: self.level,
-            capacity,
-            n_items: self.items.len(),
-            tag: self.tag,
-        }
-    }
-}
-
 struct Recovery {
     bin: BinId,
     started: u64,
@@ -518,597 +506,383 @@ struct Recovery {
     lost: u32,
 }
 
-/// Pending boot, min-ordered by `(ready, seq)`: bin id, tag and the item
-/// committed to it, plus the rental-start tick the bill runs from.
-type PendingBoot = Reverse<(u64, u64, u32, u32, u32, u64)>;
+/// A timed input's kind, in its within-tick order: departures free
+/// capacity before anything is placed (as in the engine's schedule), and
+/// the fault inputs fall between them and the tick's arrivals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    Departure,
+    Crash,
+    Boot,
+    Retry,
+    Arrival,
+}
 
-struct Sim<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> {
+/// One timed input, min-ordered by `(at, phase, key)`. `key` is the item
+/// id for departures and arrivals, the plan index for crashes, the pending
+/// bin's id for boots (ids are reserved in scheduling order) and the
+/// number of retries scheduled before it for retries. `item` is the
+/// session the input concerns (unused by crashes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Timed {
+    at: u64,
+    phase: Phase,
+    key: u64,
+    item: ItemId,
+}
+
+/// One resilient run: a driver of the shared [`EventCore`], which owns the
+/// fleet (the arena), the selector hooks and every engine event. The
+/// driver keeps the timed-input queue, the plan's hash streams, the
+/// admission queue and the SLA ledger.
+struct Sim<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder> {
     plan: &'a FaultPlan,
-    selector: &'a mut S,
-    probe: &'a mut P,
+    requests: &'a GInstance<Sz>,
+    core: EventCore<&'a mut S, &'a mut P, Sz>,
     spans: &'a mut R,
-    capacity: Size,
-    // Per-item workload data, indexed by ItemId.
-    arrival: Vec<u64>,
-    duration: Vec<u64>,
-    size: Vec<Size>,
-    region: Vec<RegionId>,
-    // Per-item mutable state.
+    /// Every timed input not yet handled.
+    queue: BinaryHeap<Reverse<Timed>>,
+    // The SLA ledger, indexed by ItemId.
     state: Vec<ItemState>,
     /// Whether the item currently occupies an admission-queue slot.
     queued: Vec<bool>,
     attempts: Vec<u32>,
+    /// Scheduled session end, set at first placement (0 before).
     end: Vec<u64>,
-    current_bin: Vec<Option<BinId>>,
     orphaned_from: Vec<Option<BinId>>,
     recovery_of: Vec<Option<usize>>,
-    // Event sources.
-    arrivals: Vec<(u64, ItemId)>,
-    arrival_ptr: usize,
-    departures: BinaryHeap<Reverse<(u64, u32)>>,
-    boots: BinaryHeap<PendingBoot>,
-    retries: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    seq: u64,
-    crash_ptr: usize,
-    // Fleet.
-    open: Vec<Server>,
-    next_bin_id: u32,
     recoveries: Vec<Recovery>,
+    /// Ticks each booted server spent booting: billed on top of its open
+    /// span, since rental runs from the boot decision.
+    boot_ticks: Vec<(BinId, u64)>,
     // Hash-stream counters.
     boot_ctr: u64,
     delay_ctr: u64,
     reject_ctr: u64,
     jitter_ctr: u64,
-    // Accounting.
-    served: u64,
-    dropped: u64,
-    lost: u64,
-    redispatches: u64,
-    crashes: u64,
-    provision_failures: u64,
-    retries_scheduled: u64,
-    dispatch_rejections: u64,
-    recovery_ticks: u64,
     waiting_now: u64,
-    queue_peak: u64,
-    servers_rented: u64,
-    peak_servers: u64,
-    server_busy: Vec<u64>,
+    /// The report's counters, filled in as the run goes.
+    report: ResilientReport,
     /// Set when plan delays pushed an event past tick `u64::MAX`; the
-    /// run loop stops and the run is refused with this message.
+    /// run stops after that tick and is refused with this message.
     overflow: Option<String>,
 }
 
-impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
+impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
+    Sim<'a, Sz, S, P, R>
+{
     fn new(
-        instance: &Instance,
+        requests: &'a GInstance<Sz>,
         plan: &'a FaultPlan,
         selector: &'a mut S,
         probe: &'a mut P,
         spans: &'a mut R,
-    ) -> Sim<'a, S, P, R> {
-        let n = instance.len();
-        let mut arrival = Vec::with_capacity(n);
-        let mut duration = Vec::with_capacity(n);
-        let mut size = Vec::with_capacity(n);
-        let mut region = Vec::with_capacity(n);
-        let mut arrivals: Vec<(u64, ItemId)> = Vec::with_capacity(n);
-        for item in instance.items() {
-            arrival.push(item.arrival.0);
-            duration.push(item.departure.0 - item.arrival.0);
-            size.push(item.size);
-            region.push(item.region);
-            arrivals.push((item.arrival.0, item.id));
-        }
-        // Same-tick arrivals in item order, matching the engine's schedule.
-        arrivals.sort_by_key(|&(at, id)| (at, id));
+    ) -> Sim<'a, Sz, S, P, R> {
+        let n = requests.len();
+        let arrivals = requests.items().iter().map(|it| Timed {
+            at: it.arrival.0,
+            phase: Phase::Arrival,
+            key: it.id.0 as u64,
+            item: it.id,
+        });
+        // A crash at tick 0 fires at tick 1, once something can be open.
+        let crashes = plan.crashes.iter().enumerate().map(|(k, c)| Timed {
+            at: c.at.max(1),
+            phase: Phase::Crash,
+            key: k as u64,
+            item: ItemId(0),
+        });
+        let report = ResilientReport {
+            algorithm: selector.name().to_string(),
+            sessions_total: n as u64,
+            ..ResilientReport::default()
+        };
         Sim {
             plan,
-            selector,
-            probe,
+            requests,
+            core: EventCore::new(requests.capacity(), selector, probe, n),
             spans,
-            capacity: instance.capacity(),
-            arrival,
-            duration,
-            size,
-            region,
+            queue: arrivals.chain(crashes).map(Reverse).collect(),
             state: vec![ItemState::Pending; n],
             queued: vec![false; n],
             attempts: vec![0; n],
             end: vec![0; n],
-            current_bin: vec![None; n],
             orphaned_from: vec![None; n],
             recovery_of: vec![None; n],
-            arrivals,
-            arrival_ptr: 0,
-            departures: BinaryHeap::new(),
-            boots: BinaryHeap::new(),
-            retries: BinaryHeap::new(),
-            seq: 0,
-            crash_ptr: 0,
-            open: Vec::new(),
-            next_bin_id: 0,
             recoveries: Vec::new(),
+            boot_ticks: Vec::new(),
             boot_ctr: 0,
             delay_ctr: 0,
             reject_ctr: 0,
             jitter_ctr: 0,
-            served: 0,
-            dropped: 0,
-            lost: 0,
-            redispatches: 0,
-            crashes: 0,
-            provision_failures: 0,
-            retries_scheduled: 0,
-            dispatch_rejections: 0,
-            recovery_ticks: 0,
             waiting_now: 0,
-            queue_peak: 0,
-            servers_rented: 0,
-            peak_servers: 0,
-            server_busy: Vec::new(),
+            report,
             overflow: None,
         }
     }
 
     fn run(&mut self) {
-        while self.overflow.is_none() {
-            if self.arrival_ptr >= self.arrivals.len()
-                && self.departures.is_empty()
-                && self.boots.is_empty()
-                && self.retries.is_empty()
-            {
-                // Nothing in flight: the fleet is empty and any remaining
-                // scheduled crashes are no-ops.
-                debug_assert!(self.open.is_empty(), "open servers with nothing in flight");
+        let mut now = 0;
+        while let Some(Reverse(input)) = self.queue.pop() {
+            if self.overflow.is_some() && input.at != now {
                 break;
             }
-            let mut t = u64::MAX;
-            if let Some(&(at, _)) = self.arrivals.get(self.arrival_ptr) {
-                t = t.min(at);
-            }
-            if let Some(&Reverse((at, _))) = self.departures.peek() {
-                t = t.min(at);
-            }
-            if let Some(&Reverse((at, ..))) = self.boots.peek() {
-                t = t.min(at);
-            }
-            if let Some(&Reverse((at, _, _))) = self.retries.peek() {
-                t = t.min(at);
-            }
-            if let Some(c) = self.plan.crashes.get(self.crash_ptr) {
-                t = t.min(c.at.max(1));
-            }
-            // Phase order at one tick mirrors the engine (departures before
-            // arrivals) with the fault phases slotted in between.
-            self.run_departures(t);
-            self.run_crashes(t);
-            self.run_boots(t);
-            self.run_retries(t);
-            self.run_arrivals(t);
-        }
-    }
-
-    fn run_departures(&mut self, t: u64) {
-        while let Some(&Reverse((at, raw))) = self.departures.peek() {
-            if at != t {
-                break;
-            }
-            self.departures.pop();
-            let item = ItemId(raw);
-            if self.state[item.index()] != ItemState::Placed {
-                // The session was lost to a crash after this departure was
-                // scheduled; its terminal state already happened.
-                continue;
-            }
-            let bin = self.current_bin[item.index()].expect("placed item without a bin");
-            let pos = self
-                .open
-                .binary_search_by_key(&bin, |s| s.id)
-                .expect("departure from a closed server");
-            let server = &mut self.open[pos];
-            server.level -= self.size[item.index()];
-            let ipos = server
-                .items
-                .iter()
-                .position(|&id| id == item)
-                .expect("item not present in its server");
-            server.items.swap_remove(ipos);
-            self.state[item.index()] = ItemState::Served;
-            self.current_bin[item.index()] = None;
-            self.served += 1;
-            if P::ENABLED {
-                self.probe.record(ProbeEvent::ItemDeparted {
-                    at: Tick(t),
-                    item,
-                    bin,
-                    level: self.open[pos].level,
-                });
-            }
-            let level_after = self.open[pos].level;
-            self.selector.on_item_departed(bin, level_after);
-            if self.open[pos].items.is_empty() {
-                self.close_server(t, pos);
+            now = input.at;
+            match input.phase {
+                Phase::Departure => self.depart(now, input.item),
+                Phase::Crash => self.crash(now, self.plan.crashes[input.key as usize].server),
+                Phase::Boot => self.boot(now, input.item, BinId(input.key as u32)),
+                Phase::Retry => self.retry(now, input.item),
+                Phase::Arrival => self.arrive(now, input.item),
             }
         }
+        debug_assert!(
+            self.overflow.is_some() || self.core.open_bins() == 0,
+            "open servers with nothing in flight"
+        );
     }
 
-    fn close_server(&mut self, t: u64, pos: usize) {
-        let server = self.open.remove(pos);
-        debug_assert_eq!(server.level.raw(), 0, "closing a non-empty server");
-        self.server_busy.push(t - server.rental_start);
-        if P::ENABLED {
-            self.probe.record(ProbeEvent::BinClosed {
-                at: Tick(t),
-                bin: server.id,
-                open_ticks: t - server.opened_at,
-            });
-        }
-        self.selector.on_bin_closed(server.id);
-    }
-
-    fn run_crashes(&mut self, t: u64) {
-        while let Some(&crash) = self.plan.crashes.get(self.crash_ptr) {
-            if crash.at.max(1) != t {
-                break;
-            }
-            self.crash_ptr += 1;
-            if self.open.is_empty() {
-                continue; // deterministic no-op
-            }
-            let pos = crash.server as usize % self.open.len();
-            let server = self.open.remove(pos);
-            self.crashes += 1;
-            self.server_busy.push(t - server.rental_start);
-            if P::ENABLED {
-                self.probe.record(ProbeEvent::BinCrashed {
-                    at: Tick(t),
-                    bin: server.id,
-                    orphans: server.items.len() as u32,
-                });
-            }
-            self.selector.on_bin_closed(server.id);
-            let rec_idx = self.recoveries.len();
-            self.recoveries.push(Recovery {
-                bin: server.id,
-                started: t,
-                outstanding: server.items.len() as u32,
-                redispatched: 0,
-                lost: 0,
-            });
-            if server.items.is_empty() {
-                // No orphans: recovery is instantly complete.
-                self.finish_recovery(t, rec_idx);
-                continue;
-            }
-            for &item in &server.items {
-                debug_assert_eq!(self.state[item.index()], ItemState::Placed);
-                self.state[item.index()] = ItemState::Orphaned;
-                self.current_bin[item.index()] = None;
-                self.orphaned_from[item.index()] = Some(server.id);
-                self.recovery_of[item.index()] = Some(rec_idx);
-            }
-            // Re-dispatch orphans immediately, in the server's item order.
-            if R::ENABLED {
-                self.spans.enter(stage::REDISPATCH);
-            }
-            for item in server.items {
-                if let AttemptOutcome::Failed = self.dispatch_attempt(t, item) {
-                    self.schedule_retry_or_drop(t, item);
-                }
-            }
-            if R::ENABLED {
-                self.spans.exit();
-            }
-        }
-    }
-
-    fn run_boots(&mut self, t: u64) {
-        while let Some(&Reverse((at, ..))) = self.boots.peek() {
-            if at != t {
-                break;
-            }
-            let Reverse((_, _, bin_raw, tag_raw, item_raw, rental_start)) =
-                self.boots.pop().expect("peeked boot");
-            let item = ItemId(item_raw);
-            let id = BinId(bin_raw);
-            let tag = BinTag(tag_raw);
-            let dead = self.end[item.index()] > 0 && self.end[item.index()] <= t;
-            if P::ENABLED {
-                self.probe.record(ProbeEvent::BinOpened {
-                    at: Tick(t),
-                    bin: id,
-                    tag,
-                    item,
-                });
-            }
-            self.servers_rented += 1;
-            if dead {
-                // An orphan committed to this boot, but its session ended
-                // before the server came up: the server opens empty and
-                // closes at once; the session is lost.
-                self.server_busy.push(t - rental_start);
-                if P::ENABLED {
-                    self.probe.record(ProbeEvent::BinClosed {
-                        at: Tick(t),
-                        bin: id,
-                        open_ticks: 0,
-                    });
-                }
-                self.selector.on_bin_closed(id);
-                self.terminal_drop(t, item, DropReason::CrashLost);
-                continue;
-            }
-            let server = Server {
-                id,
-                tag,
-                rental_start,
-                opened_at: t,
-                level: self.size[item.index()],
-                items: vec![item],
-            };
-            let pos = self
-                .open
-                .binary_search_by_key(&id, |s| s.id)
-                .expect_err("duplicate server id");
-            self.open.insert(pos, server);
-            self.peak_servers = self.peak_servers.max(self.open.len() as u64);
-            self.commit_placement(t, item, id, self.size[item.index()]);
-            self.selector
-                .on_bin_opened(id, tag, self.size[item.index()]);
-        }
-    }
-
-    fn run_retries(&mut self, t: u64) {
-        while let Some(&Reverse((at, _, _))) = self.retries.peek() {
-            if at != t {
-                break;
-            }
-            let Reverse((_, _, raw)) = self.retries.pop().expect("peeked retry");
-            let item = ItemId(raw);
-            match self.state[item.index()] {
-                ItemState::Waiting => {
-                    // Event-time wait, boundary inclusive: a session whose
-                    // wait *equals* the timeout is already out of budget.
-                    if t - self.arrival[item.index()] >= self.plan.admission.queue_timeout {
-                        self.terminal_drop(t, item, DropReason::QueueTimeout);
-                        continue;
-                    }
-                }
-                ItemState::Orphaned => {
-                    if self.end[item.index()] <= t {
-                        // The interrupted session's scheduled end passed
-                        // while it waited: nothing left to serve.
-                        self.terminal_drop(t, item, DropReason::CrashLost);
-                        continue;
-                    }
-                }
-                // Terminal while the retry was in flight (e.g. timed out).
-                _ => continue,
-            }
-            if R::ENABLED {
-                self.spans.enter(stage::RETRY);
-            }
-            let outcome = self.dispatch_attempt(t, item);
-            if R::ENABLED {
-                self.spans.exit();
-            }
-            if let AttemptOutcome::Failed = outcome {
-                self.schedule_retry_or_drop(t, item);
-            }
-        }
-    }
-
-    fn run_arrivals(&mut self, t: u64) {
-        while let Some(&(at, item)) = self.arrivals.get(self.arrival_ptr) {
-            if at != t {
-                break;
-            }
-            self.arrival_ptr += 1;
-            if P::ENABLED {
-                self.probe.record(ProbeEvent::ItemArrived {
-                    at: Tick(t),
-                    item,
-                    size: self.size[item.index()],
-                });
-            }
-            if self.waiting_now >= self.plan.admission.queue_capacity as u64 {
-                self.state[item.index()] = ItemState::Waiting;
-                self.terminal_drop(t, item, DropReason::QueueFull);
-                continue;
-            }
-            self.state[item.index()] = ItemState::Waiting;
-            match self.dispatch_attempt(t, item) {
-                AttemptOutcome::Committed => {}
-                AttemptOutcome::Failed => {
-                    self.queued[item.index()] = true;
-                    self.waiting_now += 1;
-                    self.queue_peak = self.queue_peak.max(self.waiting_now);
-                    self.schedule_retry_or_drop(t, item);
-                }
-            }
-        }
-    }
-
-    /// One dispatch attempt for `item` at tick `t`: consult the selector,
-    /// apply rejection/boot faults, and either commit (placement or boot)
-    /// or fail (caller schedules the retry).
-    fn dispatch_attempt(&mut self, t: u64, item: ItemId) -> AttemptOutcome {
-        self.attempts[item.index()] += 1;
-        let attempt = self.attempts[item.index()];
-        let arriving = ArrivingItem {
+    /// `item` as the selector sees it on an attempt at tick `t`.
+    fn arriving(&self, item: ItemId, t: u64) -> GArrivingItem<Sz> {
+        let it = self.requests.item(item);
+        GArrivingItem {
             id: item,
             arrival: Tick(t),
-            size: self.size[item.index()],
-            region: self.region[item.index()],
-        };
-        let views: Vec<OpenBinView> = self.open.iter().map(|s| s.view(self.capacity)).collect();
-        let decision = self.selector.select(&views, &arriving, self.capacity);
+            size: it.size,
+            region: it.region,
+        }
+    }
+
+    fn depart(&mut self, t: u64, item: ItemId) {
+        if self.state[item.index()] != ItemState::Placed {
+            // The session was lost to a crash after this departure was
+            // scheduled; its terminal state already happened.
+            return;
+        }
+        self.state[item.index()] = ItemState::Served;
+        self.report.sessions_served += 1;
+        let size = self.requests.item(item).size;
+        self.core.depart(&mut NoSpans, item, size, Tick(t));
+    }
+
+    fn crash(&mut self, t: u64, slot: u32) {
+        let open = self.core.open_bins();
+        if open == 0 {
+            return; // deterministic no-op
+        }
+        let bin = self
+            .core
+            .nth_open_bin(slot as usize % open)
+            .expect("slot below the open count");
+        let orphans = self.core.force_close(bin, Tick(t));
+        self.report.crashes += 1;
+        let rec = self.recoveries.len();
+        self.recoveries.push(Recovery {
+            bin,
+            started: t,
+            outstanding: orphans.len() as u32,
+            redispatched: 0,
+            lost: 0,
+        });
+        if orphans.is_empty() {
+            // No orphans: recovery is instantly complete.
+            self.finish_recovery(t, rec);
+            return;
+        }
+        for &item in &orphans {
+            debug_assert_eq!(self.state[item.index()], ItemState::Placed);
+            self.state[item.index()] = ItemState::Orphaned;
+            self.orphaned_from[item.index()] = Some(bin);
+            self.recovery_of[item.index()] = Some(rec);
+        }
+        // Re-dispatch orphans immediately, in placement order.
+        if R::ENABLED {
+            self.spans.enter(stage::REDISPATCH);
+        }
+        for item in orphans {
+            if !self.dispatch(t, item) {
+                self.retry_or_drop(t, item);
+            }
+        }
+        if R::ENABLED {
+            self.spans.exit();
+        }
+    }
+
+    fn boot(&mut self, t: u64, item: ItemId, bin: BinId) {
+        let i = item.index();
+        self.report.servers_rented += 1;
+        if self.end[i] > 0 && self.end[i] <= t {
+            // An orphan committed to this boot, but its session ended
+            // before the server came up: the server opens empty and
+            // closes at once; the session is lost.
+            let booted = self.core.open_dead(bin, item, Tick(t));
+            self.boot_ticks.push((bin, booted));
+            self.terminal_drop(t, item, DropReason::CrashLost);
+            return;
+        }
+        let arriving = self.arriving(item, t);
+        let booted = self
+            .core
+            .open_reserved(bin, &arriving, self.orphaned_from[i]);
+        self.boot_ticks.push((bin, booted));
+        self.committed(t, item);
+    }
+
+    fn retry(&mut self, t: u64, item: ItemId) {
+        let i = item.index();
+        match self.state[i] {
+            ItemState::Waiting => {
+                // Event-time wait, boundary inclusive: a session whose
+                // wait *equals* the timeout is already out of budget.
+                if t - self.requests.item(item).arrival.0 >= self.plan.admission.queue_timeout {
+                    self.terminal_drop(t, item, DropReason::QueueTimeout);
+                    return;
+                }
+            }
+            ItemState::Orphaned => {
+                if self.end[i] <= t {
+                    // The interrupted session's scheduled end passed
+                    // while it waited: nothing left to serve.
+                    self.terminal_drop(t, item, DropReason::CrashLost);
+                    return;
+                }
+            }
+            // Terminal while the retry was in flight (e.g. timed out).
+            _ => return,
+        }
+        if R::ENABLED {
+            self.spans.enter(stage::RETRY);
+        }
+        let committed = self.dispatch(t, item);
+        if R::ENABLED {
+            self.spans.exit();
+        }
+        if !committed {
+            self.retry_or_drop(t, item);
+        }
+    }
+
+    fn arrive(&mut self, t: u64, item: ItemId) {
+        if P::ENABLED {
+            let size = self.requests.item(item).size;
+            self.core.probe_mut().record(GProbeEvent::ItemArrived {
+                at: Tick(t),
+                item,
+                size,
+            });
+        }
+        self.state[item.index()] = ItemState::Waiting;
+        if self.waiting_now >= self.plan.admission.queue_capacity as u64 {
+            self.terminal_drop(t, item, DropReason::QueueFull);
+            return;
+        }
+        if !self.dispatch(t, item) {
+            self.queued[item.index()] = true;
+            self.waiting_now += 1;
+            self.report.queue_peak = self.report.queue_peak.max(self.waiting_now);
+            self.retry_or_drop(t, item);
+        }
+    }
+
+    /// One dispatch attempt for `item` at tick `t`: the selector decides,
+    /// the plan may reject a placement or fail a boot, and otherwise the
+    /// item is placed or committed to a booting server. `false` when the
+    /// attempt failed (the caller retries or drops).
+    fn dispatch(&mut self, t: u64, item: ItemId) -> bool {
+        let i = item.index();
+        self.attempts[i] += 1;
+        let arriving = self.arriving(item, t);
+        let decision = self.core.decide(&mut NoSpans, &arriving);
+        let seed = self.plan.seed;
         match decision {
-            Decision::Use(id) => {
-                let pos = self
-                    .open
-                    .binary_search_by_key(&id, |s| s.id)
-                    .unwrap_or_else(|_| {
-                        panic!("{}: selected server {id} is not open", self.selector.name())
-                    });
-                assert!(
-                    self.open[pos]
-                        .view(self.capacity)
-                        .fits(self.size[item.index()]),
-                    "{}: item {} does not fit server {}",
-                    self.selector.name(),
-                    item,
-                    id
-                );
-                if self.plan.reject_prob > 0.0 {
-                    let h = mix(self.plan.seed, STREAM_REJECT, self.reject_ctr);
-                    self.reject_ctr += 1;
-                    if hash_prob(h) < self.plan.reject_prob {
-                        self.dispatch_rejections += 1;
-                        if P::ENABLED {
-                            self.probe.record(ProbeEvent::DispatchRejected {
-                                at: Tick(t),
-                                item,
-                                bin: id,
-                            });
-                        }
-                        return AttemptOutcome::Failed;
+            Decision::Use(bin) => {
+                if self.plan.reject_prob > 0.0
+                    && hash_prob(draw(seed, STREAM_REJECT, &mut self.reject_ctr))
+                        < self.plan.reject_prob
+                {
+                    self.report.dispatch_rejections += 1;
+                    if P::ENABLED {
+                        self.core.probe_mut().record(GProbeEvent::DispatchRejected {
+                            at: Tick(t),
+                            item,
+                            bin,
+                        });
                     }
+                    return false;
                 }
-                if P::ENABLED {
-                    self.probe.record(ProbeEvent::FitAttempt {
-                        at: Tick(t),
-                        item,
-                        bins_scanned: pos as u32 + 1,
-                        open_bins: views.len() as u32,
-                    });
-                }
-                let server = &mut self.open[pos];
-                server.level += self.size[item.index()];
-                server.items.push(item);
-                let level_after = self.open[pos].level;
-                self.commit_placement(t, item, id, level_after);
-                self.selector.on_item_placed(id, level_after);
-                AttemptOutcome::Committed
             }
             Decision::Open { tag } => {
-                // The id is burned even if the boot fails: stateful
-                // selectors (Next Fit) predict engine id assignment by
-                // counting their own Open decisions.
-                let id = BinId(self.next_bin_id);
-                self.next_bin_id += 1;
-                if self.plan.boot_fail_prob > 0.0 {
-                    let h = mix(self.plan.seed, STREAM_BOOT, self.boot_ctr);
-                    self.boot_ctr += 1;
-                    if hash_prob(h) < self.plan.boot_fail_prob {
-                        self.provision_failures += 1;
-                        if P::ENABLED {
-                            self.probe.record(ProbeEvent::ProvisionFailed {
-                                at: Tick(t),
-                                item,
-                                attempt,
-                            });
-                        }
-                        self.selector.on_bin_closed(id);
-                        return AttemptOutcome::Failed;
+                if self.plan.boot_fail_prob > 0.0
+                    && hash_prob(draw(seed, STREAM_BOOT, &mut self.boot_ctr))
+                        < self.plan.boot_fail_prob
+                {
+                    self.report.provision_failures += 1;
+                    if P::ENABLED {
+                        self.core.probe_mut().record(GProbeEvent::ProvisionFailed {
+                            at: Tick(t),
+                            item,
+                            attempt: self.attempts[i],
+                        });
                     }
+                    self.core.burn(Tick(t));
+                    return false;
                 }
                 let delay = if self.plan.boot_delay_max > 0 {
-                    let h = mix(self.plan.seed, STREAM_DELAY, self.delay_ctr);
-                    self.delay_ctr += 1;
-                    h % (self.plan.boot_delay_max + 1)
+                    draw(seed, STREAM_DELAY, &mut self.delay_ctr) % (self.plan.boot_delay_max + 1)
                 } else {
                     0
                 };
-                if P::ENABLED {
-                    self.probe.record(ProbeEvent::FitAttempt {
-                        at: Tick(t),
-                        item,
-                        bins_scanned: views.len() as u32,
-                        open_bins: views.len() as u32,
-                    });
-                }
-                if delay == 0 {
-                    if P::ENABLED {
-                        self.probe.record(ProbeEvent::BinOpened {
-                            at: Tick(t),
-                            bin: id,
-                            tag,
-                            item,
-                        });
-                    }
-                    self.servers_rented += 1;
-                    let server = Server {
-                        id,
-                        tag,
-                        rental_start: t,
-                        opened_at: t,
-                        level: self.size[item.index()],
-                        items: vec![item],
-                    };
-                    let pos = self
-                        .open
-                        .binary_search_by_key(&id, |s| s.id)
-                        .expect_err("duplicate server id");
-                    self.open.insert(pos, server);
-                    self.peak_servers = self.peak_servers.max(self.open.len() as u64);
-                    self.commit_placement(t, item, id, self.size[item.index()]);
-                    self.selector
-                        .on_bin_opened(id, tag, self.size[item.index()]);
-                } else {
+                if delay > 0 {
+                    let bin = self.core.reserve(&arriving, tag);
                     let ready = self.tick_after(t, Some(delay), "boot");
-                    self.seq += 1;
-                    self.boots
-                        .push(Reverse((ready, self.seq, id.0, tag.0, item.0, t)));
+                    self.queue.push(Reverse(Timed {
+                        at: ready,
+                        phase: Phase::Boot,
+                        key: bin.0 as u64,
+                        item,
+                    }));
                     // Committing to a boot admits the session: it no longer
                     // holds a queue slot while the server comes up.
                     self.leave_queue(item);
-                    if self.state[item.index()] == ItemState::Waiting {
-                        self.state[item.index()] = ItemState::Booting;
+                    if self.state[i] == ItemState::Waiting {
+                        self.state[i] = ItemState::Booting;
                     }
+                    return true;
                 }
-                AttemptOutcome::Committed
+                self.report.servers_rented += 1;
             }
         }
+        self.core
+            .place(&mut NoSpans, &arriving, decision, self.orphaned_from[i]);
+        self.committed(t, item);
+        true
     }
 
-    /// Record a successful placement: set the session end on first service,
-    /// emit the placement (or re-dispatch) event, leave the queue.
-    fn commit_placement(&mut self, t: u64, item: ItemId, bin: BinId, level: Size) {
+    /// The ledger side of a placement at `t`: the session leaves the
+    /// queue and runs; a re-dispatched orphan advances its recovery, and a
+    /// first placement fixes the session's end and queues its departure.
+    fn committed(&mut self, t: u64, item: ItemId) {
         let i = item.index();
         self.leave_queue(item);
         self.state[i] = ItemState::Placed;
-        self.current_bin[i] = Some(bin);
-        if let Some(from) = self.orphaned_from[i].take() {
-            self.redispatches += 1;
-            if P::ENABLED {
-                self.probe.record(ProbeEvent::ItemRedispatched {
-                    at: Tick(t),
-                    item,
-                    from,
-                    to: bin,
-                    level,
-                });
-            }
+        self.report.peak_servers = self.report.peak_servers.max(self.core.open_bins() as u64);
+        if self.orphaned_from[i].take().is_some() {
+            self.report.redispatches += 1;
             if let Some(rec) = self.recovery_of[i].take() {
                 self.recoveries[rec].redispatched += 1;
-                self.recoveries[rec].outstanding -= 1;
-                if self.recoveries[rec].outstanding == 0 {
-                    self.finish_recovery(t, rec);
-                }
+                self.settle(t, rec);
             }
         } else {
-            self.end[i] = self.tick_after(t, Some(self.duration[i]), "session end");
-            self.departures.push(Reverse((self.end[i], item.0)));
-            if P::ENABLED {
-                self.probe.record(ProbeEvent::ItemPlaced {
-                    at: Tick(t),
-                    item,
-                    bin,
-                    level,
-                });
-            }
+            let it = self.requests.item(item);
+            let duration = it.departure.0 - it.arrival.0;
+            self.end[i] = self.tick_after(t, Some(duration), "session end");
+            self.queue.push(Reverse(Timed {
+                at: self.end[i],
+                phase: Phase::Departure,
+                key: item.0 as u64,
+                item,
+            }));
         }
     }
 
@@ -1116,18 +890,16 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
     /// lost if a crash interrupted it.
     fn terminal_drop(&mut self, t: u64, item: ItemId, reason: DropReason) {
         let i = item.index();
-        let had_service = self.orphaned_from[i].is_some();
         self.leave_queue(item);
-        self.state[i] = if had_service {
-            self.lost += 1;
+        self.state[i] = if self.orphaned_from[i].take().is_some() {
+            self.report.sessions_lost += 1;
             ItemState::Lost
         } else {
-            self.dropped += 1;
+            self.report.sessions_dropped += 1;
             ItemState::Dropped
         };
-        self.orphaned_from[i] = None;
         if P::ENABLED {
-            self.probe.record(ProbeEvent::ItemDropped {
+            self.core.probe_mut().record(GProbeEvent::ItemDropped {
                 at: Tick(t),
                 item,
                 reason,
@@ -1135,10 +907,7 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
         }
         if let Some(rec) = self.recovery_of[i].take() {
             self.recoveries[rec].lost += 1;
-            self.recoveries[rec].outstanding -= 1;
-            if self.recoveries[rec].outstanding == 0 {
-                self.finish_recovery(t, rec);
-            }
+            self.settle(t, rec);
         }
     }
 
@@ -1148,20 +917,29 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
         }
     }
 
+    /// One of recovery `rec`'s orphans met its fate at `t`.
+    fn settle(&mut self, t: u64, rec: usize) {
+        self.recoveries[rec].outstanding -= 1;
+        if self.recoveries[rec].outstanding == 0 {
+            self.finish_recovery(t, rec);
+        }
+    }
+
     fn finish_recovery(&mut self, t: u64, rec: usize) {
         let r = &self.recoveries[rec];
-        self.recovery_ticks = self.recovery_ticks.saturating_add(t - r.started);
+        self.report.recovery_ticks = self.report.recovery_ticks.saturating_add(t - r.started);
         if P::ENABLED {
-            self.probe.record(ProbeEvent::RecoveryEnded {
+            let event = GProbeEvent::RecoveryEnded {
                 at: Tick(t),
                 bin: r.bin,
                 redispatched: r.redispatched,
                 lost: r.lost,
-            });
+            };
+            self.core.probe_mut().record(event);
         }
     }
 
-    fn schedule_retry_or_drop(&mut self, t: u64, item: ItemId) {
+    fn retry_or_drop(&mut self, t: u64, item: ItemId) {
         let i = item.index();
         if self.attempts[i] >= self.plan.retry.max_attempts {
             let reason = if self.orphaned_from[i].is_some() {
@@ -1173,9 +951,7 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
             return;
         }
         let jitter = if self.plan.retry.jitter > 0 {
-            let h = mix(self.plan.seed, STREAM_JITTER, self.jitter_ctr);
-            self.jitter_ctr += 1;
-            h % (self.plan.retry.jitter + 1)
+            draw(self.plan.seed, STREAM_JITTER, &mut self.jitter_ctr) % (self.plan.retry.jitter + 1)
         } else {
             0
         };
@@ -1186,11 +962,15 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
             .checked_add(jitter)
             .map(|d| d.max(1));
         let next = self.tick_after(t, delay, "retry");
-        self.seq += 1;
-        self.retries.push(Reverse((next, self.seq, item.0)));
-        self.retries_scheduled += 1;
+        self.queue.push(Reverse(Timed {
+            at: next,
+            phase: Phase::Retry,
+            key: self.report.retries_scheduled,
+            item,
+        }));
+        self.report.retries_scheduled += 1;
         if P::ENABLED {
-            self.probe.record(ProbeEvent::RetryScheduled {
+            self.core.probe_mut().record(GProbeEvent::RetryScheduled {
                 at: Tick(t),
                 item,
                 attempt: self.attempts[i] + 1,
@@ -1201,7 +981,7 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
 
     /// `t + delay`, the tick of an event `delay` ticks from now (`None`
     /// when the delay itself overflowed). Past `u64::MAX` the overflow is
-    /// latched, the run loop stops, and `u64::MAX` stands in.
+    /// latched, the run stops after this tick, and `u64::MAX` stands in.
     fn tick_after(&mut self, t: u64, delay: Option<u64>, what: &str) -> u64 {
         delay.and_then(|d| t.checked_add(d)).unwrap_or_else(|| {
             self.overflow.get_or_insert_with(|| {
@@ -1214,37 +994,25 @@ impl<'a, S: BinSelector + ?Sized, P: Probe, R: SpanRecorder> Sim<'a, S, P, R> {
         })
     }
 
-    fn into_report(
-        self,
-        server: ServerType,
-        granularity: Granularity,
-        total: u64,
-    ) -> ResilientReport {
-        let busy: u128 = self.server_busy.iter().map(|&b| b as u128).sum();
-        let billed: u128 = self
-            .server_busy
+    /// The finished report: each server is billed from its boot decision
+    /// to its close or crash, rounded per server.
+    fn into_report(self, system: GamingSystem) -> ResilientReport {
+        let mut rented: Vec<u64> = self.core.bin_spans().collect();
+        for (bin, booted) in self.boot_ticks {
+            rented[bin.index()] += booted;
+        }
+        let busy_ticks = rented.iter().map(|&b| b as u128).sum();
+        let billed_ticks = rented
             .iter()
-            .map(|&b| granularity.billed_ticks(b) as u128)
+            .map(|&b| system.granularity.billed_ticks(b))
             .sum();
-        let cost = server.cost_cents(billed, self.servers_rented as u128);
         ResilientReport {
-            algorithm: self.selector.name().to_string(),
-            sessions_total: total,
-            sessions_served: self.served,
-            sessions_dropped: self.dropped,
-            sessions_lost: self.lost,
-            redispatches: self.redispatches,
-            crashes: self.crashes,
-            provision_failures: self.provision_failures,
-            retries_scheduled: self.retries_scheduled,
-            dispatch_rejections: self.dispatch_rejections,
-            recovery_ticks: self.recovery_ticks,
-            queue_peak: self.queue_peak,
-            servers_rented: self.servers_rented,
-            peak_servers: self.peak_servers,
-            busy_ticks: busy,
-            billed_ticks: billed,
-            cost_cents: cost,
+            busy_ticks,
+            billed_ticks,
+            cost_cents: system
+                .server
+                .cost_cents(billed_ticks, self.report.servers_rented as u128),
+            ..self.report
         }
     }
 }

@@ -15,12 +15,15 @@
 //! journal prefix plus the forwarded continuation is byte-identical to an
 //! uninterrupted run's stream, and orphaned sessions are re-dispatched
 //! exactly as the original run would have (the re-execution takes the same
-//! decisions, so no orphan's fate can change).
+//! decisions, so no orphan's fate can change). Like the run itself,
+//! recovery is generic over the demand type: a vector run's journal
+//! recovers the same way.
 
 use crate::faults::{ResilientReport, ResilientSystem};
-use dbp_core::instance::Instance;
+use dbp_core::demand::Demand;
+use dbp_core::instance::GInstance;
 use dbp_core::packer::BinSelector;
-use dbp_core::probe::{Probe, ProbeEvent, VerifyProbe};
+use dbp_core::probe::{GProbeEvent, Probe, VerifyProbe};
 
 /// Result of a successful [`ResilientSystem::recover_probed`] call.
 #[derive(Debug)]
@@ -47,12 +50,12 @@ impl ResilientSystem {
     /// A capacity mismatch, or any divergence between the journal and the
     /// re-execution (a journal from a different plan, workload, or
     /// dispatcher). Never panics on foreign journals.
-    pub fn recover_probed<S: BinSelector + ?Sized, P: Probe>(
+    pub fn recover_probed<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
         &self,
-        requests: &Instance,
+        requests: &GInstance<Sz>,
         dispatcher: &mut S,
         probe: &mut P,
-        journaled: &[ProbeEvent],
+        journaled: &[GProbeEvent<Sz>],
     ) -> Result<RecoveryOutcome, String> {
         let mut verify = VerifyProbe::new(journaled, probe);
         let report = self

@@ -7,8 +7,9 @@
 //! under a [`Granularity`].
 
 use crate::billing::{billed_ticks, rental_cost_cents, Granularity, ServerType};
+use dbp_core::demand::Demand;
 use dbp_core::engine::simulate_validated;
-use dbp_core::instance::Instance;
+use dbp_core::instance::{GInstance, Instance};
 use dbp_core::packer::BinSelector;
 use dbp_core::ratio::Ratio;
 use dbp_core::trace::PackingTrace;
@@ -137,14 +138,19 @@ impl GamingSystem {
         Ok((report, trace))
     }
 
-    /// The workload must be generated against the server flavor's `W`.
+    /// The workload must be generated against the server flavor's `W`:
+    /// its GPU capacity, component 0 of a vector demand.
     ///
     /// # Errors
     /// [`DispatchError::CapacityMismatch`] when the capacities differ.
-    pub fn check_capacity(&self, requests: &Instance) -> Result<(), DispatchError> {
-        if requests.capacity().raw() != self.server.gpu_capacity {
+    pub fn check_capacity<Sz: Demand>(
+        &self,
+        requests: &GInstance<Sz>,
+    ) -> Result<(), DispatchError> {
+        let workload = requests.capacity().component(0);
+        if workload != self.server.gpu_capacity {
             return Err(DispatchError::CapacityMismatch {
-                workload: requests.capacity().raw(),
+                workload,
                 server: self.server.gpu_capacity,
             });
         }

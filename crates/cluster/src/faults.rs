@@ -426,12 +426,14 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                         events_done: k as u64,
                     },
                 ));
+                // An organic panic is deterministic: verified
+                // re-execution would reach it again at the same WAL point,
+                // so only an injected kill is worth a restart.
+                if !injected {
+                    break Err(format!("panic: {}", panic_message(&*payload)));
+                }
                 if restarts >= restart.max_restarts {
-                    break Err(if injected {
-                        "restart budget exhausted".to_string()
-                    } else {
-                        format!("panic: {}", panic_message(&payload))
-                    });
+                    break Err("restart budget exhausted".to_string());
                 }
                 restarts += 1;
                 backoff_ticks =
@@ -548,7 +550,7 @@ fn account_dead_shard(
                     *slot = false;
                 }
                 busy += *open_ticks as u128;
-                billed += system.granularity.billed_ticks(*open_ticks) as u128;
+                billed += system.granularity.billed_ticks(*open_ticks);
             }
             _ => {}
         }
@@ -557,7 +559,7 @@ fn account_dead_shard(
         if open[b] {
             let span = died_at.saturating_sub(opened_at[b]);
             busy += span as u128;
-            billed += system.granularity.billed_ticks(span) as u128;
+            billed += system.granularity.billed_ticks(span);
         }
     }
     let servers_rented = opened_at.len() as u64;

@@ -10,10 +10,12 @@ use dbp_cluster::{
     ShardHealth, ShardKill,
 };
 use dbp_core::algorithms::FirstFit;
+use dbp_core::bin::OpenBinView;
 use dbp_core::demand::Demand;
 use dbp_core::events::{Event, EventKind};
 use dbp_core::instance::{GInstance, Instance};
-use dbp_core::packer::{BinSelector, SelectorFactory};
+use dbp_core::item::{ArrivingItem, Size};
+use dbp_core::packer::{BinSelector, Decision, SelectorFactory};
 use dbp_core::probe::{NoProbe, Probe, ProbeEvent};
 use dbp_core::span::NoSpans;
 use dbp_core::StreamingEngine;
@@ -349,6 +351,76 @@ fn restart_backoff_saturates_instead_of_overflowing() {
     assert!(healed.report.conserved());
     assert_eq!(healed.shards[0].restarts, 2);
     assert_eq!(healed.shards[0].backoff_ticks, u64::MAX);
+}
+
+/// First Fit that panics on its `k`-th `select`: an organic fault (a
+/// selector bug, not an injected kill) that recurs at the same point on
+/// every re-execution.
+struct PanicsAt {
+    inner: FirstFit,
+    left: u32,
+}
+
+impl BinSelector for PanicsAt {
+    fn name(&self) -> &'static str {
+        "FF"
+    }
+
+    fn select(&mut self, bins: &[OpenBinView], item: &ArrivingItem, capacity: Size) -> Decision {
+        self.left -= 1;
+        if self.left == 0 {
+            panic!("selector bug");
+        }
+        self.inner.select(bins, item, capacity)
+    }
+}
+
+/// An organic panic is not retried: verified re-execution would only
+/// reach it again, so the shard goes Down at once with the panic as its
+/// reason, the restart budget untouched, and the ledger conserved.
+#[test]
+fn organic_panics_end_supervision_without_restarts() {
+    let inst = workload(16);
+    let eng = engine(2, Router::HashByItem);
+    let factory = SelectorFactory::new("FF", || {
+        Box::new(PanicsAt {
+            inner: FirstFit::new(),
+            left: 5,
+        })
+    });
+    let plan = ShardFaultPlan {
+        seed: 0,
+        kills: Vec::new(),
+        restart: RestartPolicy {
+            max_restarts: 3,
+            backoff: RetryPolicy::default(),
+        },
+    };
+    let mut log = EventLog::new();
+    let (healed, _) = eng
+        .run_self_healing(&inst, &factory, &plan, &mut log, |_, _| NoSpans)
+        .unwrap();
+    let r = &healed.report;
+    assert!(r.conserved(), "{r:?}");
+    assert_eq!(r.shard_restarts, 0, "{r:?}");
+    assert_eq!(r.shards_lost, 2, "{r:?}");
+    for h in &healed.shards {
+        assert_eq!(h.restarts, 0, "shard {}", h.shard);
+        assert_eq!(h.health, ShardHealth::Down, "shard {}", h.shard);
+        let reason = h.down_reason.as_deref().unwrap_or_default();
+        assert!(
+            reason.contains("panic: selector bug"),
+            "shard {}: {reason}",
+            h.shard
+        );
+        assert!(h.conserved(), "shard {}", h.shard);
+    }
+    let killed = log
+        .events()
+        .iter()
+        .filter(|e| matches!(e, ProbeEvent::ShardKilled { .. }))
+        .count();
+    assert_eq!(killed, 2, "each shard's death keeps its ShardKilled marker");
 }
 
 proptest! {

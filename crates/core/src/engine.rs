@@ -24,7 +24,7 @@ use crate::demand::Demand;
 use crate::events::{schedule, Event, EventKind};
 use crate::instance::GInstance;
 use crate::item::{GArrivingItem, ItemId, Size};
-use crate::packer::{BinSelector, Decision};
+use crate::packer::BinSelector;
 use crate::probe::{GProbeEvent, NoProbe, Probe};
 use crate::span::{NoSpans, SpanRecorder};
 use crate::streaming::EventCore;
@@ -66,37 +66,45 @@ pub(crate) const NO_ITEM: u32 = u32::MAX;
 
 /// Dense per-bin engine state as a struct-of-arrays flat arena: every
 /// per-bin attribute is its own `Vec` indexed directly by bin id (ids are
-/// assigned 0, 1, 2, … in opening order and never reused), and bin
+/// assigned 0, 1, 2, … in reservation order and never reused), and bin
 /// membership is an intrusive doubly-linked list threaded through two
 /// per-item arrays sized once at construction. The arrival path therefore
 /// performs **no per-arrival heap allocation**: placing an item is a
 /// handful of array writes (opening a bin appends one element to each bin
 /// column, which is amortized O(1) with no per-bin `Vec` to allocate).
 ///
+/// A bin id is [`reserve`](State::reserve)d before the bin
+/// [`open`](State::open)s. The batch and streaming drivers do both at the
+/// same arrival; the fault layer may leave a reserved bin *pending* while
+/// it boots (not open, not in the view mirror, not counted in
+/// `open_count`), or never open it at all.
+///
 /// The nested `BinRecord` item lists a [`PackingTrace`] exposes are
 /// materialized on demand from this arena — `finish()` is a cold path.
 ///
-/// Owned by the shared [`EventCore`]. The open-mode
+/// Owned by the shared [`EventCore`], which wraps these primitives in the
+/// probe events and selector hooks. The open-mode
 /// [`StreamingEngine`](crate::streaming::StreamingEngine) starts it empty
 /// and grows the per-item columns on demand via [`State::ensure_item`].
 pub(crate) struct State<Sz> {
     // ---- per-bin columns, indexed by bin id ----
-    levels: Vec<Sz>,
-    tags: Vec<BinTag>,
-    opened_at: Vec<Tick>,
+    pub(crate) levels: Vec<Sz>,
+    pub(crate) tags: Vec<BinTag>,
+    /// The tick the bin opened (its reservation tick while pending).
+    pub(crate) opened_at: Vec<Tick>,
     /// Placeholder (== `opened_at`) until the bin closes.
-    closed_at: Vec<Tick>,
-    is_open: Vec<bool>,
+    pub(crate) closed_at: Vec<Tick>,
+    pub(crate) is_open: Vec<bool>,
     /// First / last current member of the bin (`NO_ITEM` when empty).
     head: Vec<u32>,
     tail: Vec<u32>,
     /// Current member count of the bin.
-    n_items: Vec<u32>,
+    pub(crate) n_items: Vec<u32>,
     pub(crate) open_count: usize,
     // ---- per-item columns, sized `instance.len()` by the batch driver ----
     /// Intrusive membership links: `next_in_bin[i]` / `prev_in_bin[i]`
     /// chain item `i` into its bin's current member list, in placement
-    /// order. Stale once the item departs (each item departs exactly once).
+    /// order. Stale once the item leaves the bin.
     next_in_bin: Vec<u32>,
     prev_in_bin: Vec<u32>,
     pub(crate) assignment: Vec<Option<BinId>>,
@@ -145,7 +153,8 @@ impl<Sz: Demand> State<Sz> {
         }
     }
 
-    /// Number of bins ever opened.
+    /// Number of bin ids ever reserved (every bin ever opened, plus any
+    /// the fault layer reserved and never opened).
     #[inline]
     pub(crate) fn bins(&self) -> usize {
         self.levels.len()
@@ -168,7 +177,7 @@ impl<Sz: Demand> State<Sz> {
 
     /// Remove item `i` from bin `b`'s member list in O(1).
     #[inline]
-    fn unlink(&mut self, b: usize, i: usize) {
+    pub(crate) fn unlink(&mut self, b: usize, i: usize) {
         let p = self.prev_in_bin[i];
         let nx = self.next_in_bin[i];
         if p == NO_ITEM {
@@ -182,6 +191,105 @@ impl<Sz: Demand> State<Sz> {
             self.prev_in_bin[nx as usize] = p;
         }
         self.n_items[b] -= 1;
+    }
+
+    /// Record `item` as a member of bin `b`: link it, log the placement and
+    /// point its assignment at `b`.
+    #[inline]
+    pub(crate) fn add(&mut self, b: usize, item: ItemId) {
+        self.link(b, item.index());
+        self.placed.push(item);
+        self.assignment[item.index()] = Some(BinId(b as u32));
+    }
+
+    /// Reserve the next bin id, carrying `tag`, at `tick`: the bin is
+    /// pending until [`open`](State::open)ed.
+    #[inline]
+    pub(crate) fn reserve(&mut self, tag: BinTag, tick: Tick) -> BinId {
+        let id = BinId(self.bins() as u32);
+        self.levels.push(Sz::ZERO);
+        self.tags.push(tag);
+        self.opened_at.push(tick);
+        // Placeholder; overwritten when the bin closes.
+        self.closed_at.push(tick);
+        self.is_open.push(false);
+        self.head.push(NO_ITEM);
+        self.tail.push(NO_ITEM);
+        self.n_items.push(0);
+        id
+    }
+
+    /// Open the reserved bin `bin` at `tick` holding `item` (of `size`)
+    /// as its first member. `capacity` is `Some` when the view mirror is
+    /// kept.
+    #[inline]
+    pub(crate) fn open(
+        &mut self,
+        bin: BinId,
+        item: ItemId,
+        size: Sz,
+        tick: Tick,
+        capacity: Option<Sz>,
+    ) {
+        let b = bin.index();
+        self.levels[b] = size;
+        self.opened_at[b] = tick;
+        self.closed_at[b] = tick;
+        self.is_open[b] = true;
+        self.open_count += 1;
+        self.add(b, item);
+        if let Some(capacity) = capacity {
+            let view = GOpenBinView {
+                id: bin,
+                opened_at: tick,
+                level: size,
+                capacity,
+                n_items: 1,
+                tag: self.tags[b],
+            };
+            // A bin opening at its reservation holds the largest id so
+            // far; one that finished a boot may sit below later ids.
+            match self.views.last() {
+                Some(last) if last.id > bin => {
+                    let pos = self.views.partition_point(|v| v.id < bin);
+                    self.views.insert(pos, view);
+                }
+                _ => self.views.push(view),
+            }
+        }
+    }
+
+    /// Mark open bin `b` closed at `tick`, dropping it from the view
+    /// mirror when one is kept.
+    #[inline]
+    pub(crate) fn shut(&mut self, bin: BinId, tick: Tick, keep_views: bool) {
+        let b = bin.index();
+        self.closed_at[b] = tick;
+        self.is_open[b] = false;
+        self.open_count -= 1;
+        if keep_views {
+            let vpos = self
+                .views
+                .binary_search_by_key(&bin, |v| v.id)
+                .expect("open bin missing from view mirror");
+            self.views.remove(vpos);
+        }
+    }
+
+    /// Empty bin `b` at once, returning its current members in placement
+    /// order (walking the intrusive member list).
+    pub(crate) fn evict(&mut self, b: usize) -> Vec<ItemId> {
+        let mut members = Vec::with_capacity(self.n_items[b] as usize);
+        let mut i = self.head[b];
+        while i != NO_ITEM {
+            members.push(ItemId(i));
+            i = self.next_in_bin[i as usize];
+        }
+        self.head[b] = NO_ITEM;
+        self.tail[b] = NO_ITEM;
+        self.n_items[b] = 0;
+        self.levels[b] = Sz::ZERO;
+        members
     }
 
     /// Materialize the full per-bin lifetime records from the columns and
@@ -204,188 +312,6 @@ impl<Sz: Demand> State<Sz> {
                 items,
             })
             .collect()
-    }
-
-    /// Process one departure: remove the item (of the given `size`) from its
-    /// bin, closing the bin if it empties. Takes the size rather than an
-    /// `Instance` so the streaming engine — which has no instance — can
-    /// drive the same arena.
-    pub(crate) fn apply_departure<S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
-        &mut self,
-        size: Sz,
-        selector: &mut S,
-        probe: &mut P,
-        keep_views: bool,
-        tick: Tick,
-        item_id: ItemId,
-    ) {
-        let bin_id =
-            self.assignment[item_id.index()].expect("departure for an item that was never packed");
-        let b = bin_id.index();
-        assert!(self.is_open[b], "departure from a closed bin");
-        self.levels[b] = self.levels[b].sub(size);
-        debug_assert!(self.n_items[b] > 0, "membership list out of sync");
-        self.unlink(b, item_id.index());
-        let emptied = self.n_items[b] == 0;
-        if keep_views {
-            let vpos = self
-                .views
-                .binary_search_by_key(&bin_id, |v| v.id)
-                .expect("open bin missing from view mirror");
-            if emptied {
-                self.views.remove(vpos);
-            } else {
-                self.views[vpos].level = self.levels[b];
-                self.views[vpos].n_items -= 1;
-            }
-        }
-        if P::ENABLED {
-            probe.record(GProbeEvent::ItemDeparted {
-                at: tick,
-                item: item_id,
-                bin: bin_id,
-                level: self.levels[b],
-            });
-        }
-        selector.on_item_departed(bin_id, self.levels[b]);
-        if emptied {
-            debug_assert!(self.levels[b].is_zero(), "empty bin with nonzero level");
-            self.closed_at[b] = tick;
-            if P::ENABLED {
-                probe.record(GProbeEvent::BinClosed {
-                    at: tick,
-                    bin: bin_id,
-                    open_ticks: tick.0 - self.opened_at[b].0,
-                });
-            }
-            self.is_open[b] = false;
-            self.open_count -= 1;
-            selector.on_bin_closed(bin_id);
-        }
-    }
-
-    /// Apply an already-made decision for an arriving item: validate it,
-    /// update bin state, emit probe events, and notify the selector.
-    /// Returns the bin the item landed in. Takes the item's `size` rather
-    /// than an `Instance` (see [`State::apply_departure`]).
-    #[allow(clippy::too_many_arguments)] // internal seam of the event core
-    pub(crate) fn apply_arrival<S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
-        &mut self,
-        size: Sz,
-        selector: &mut S,
-        probe: &mut P,
-        keep_views: bool,
-        capacity: Sz,
-        tick: Tick,
-        item_id: ItemId,
-        decision: Decision,
-    ) -> BinId {
-        let bin_id = match decision {
-            Decision::Use(id) => {
-                let b = id.index();
-                assert!(
-                    b < self.is_open.len() && self.is_open[b],
-                    "{}: selected bin {id} is not open",
-                    selector.name()
-                );
-                assert!(
-                    self.levels[b]
-                        .checked_add(size)
-                        .is_some_and(|l| l.fits_within(capacity)),
-                    "{}: item {} (size {}) does not fit bin {} (level {})",
-                    selector.name(),
-                    item_id,
-                    size,
-                    id,
-                    self.levels[b]
-                );
-                self.levels[b] = self.levels[b]
-                    .checked_add(size)
-                    .expect("level overflow past the fit assertion");
-                self.link(b, item_id.index());
-                self.placed.push(item_id);
-                if keep_views {
-                    let vpos = self
-                        .views
-                        .binary_search_by_key(&id, |v| v.id)
-                        .expect("open bin missing from view mirror");
-                    self.views[vpos].level = self.levels[b];
-                    self.views[vpos].n_items += 1;
-                    if P::ENABLED {
-                        // Scan depth of a reuse: the chosen bin's 1-based
-                        // position in opening order.
-                        probe.record(GProbeEvent::FitAttempt {
-                            at: tick,
-                            item: item_id,
-                            bins_scanned: vpos as u32 + 1,
-                            open_bins: self.open_count as u32,
-                        });
-                        probe.record(GProbeEvent::ItemPlaced {
-                            at: tick,
-                            item: item_id,
-                            bin: id,
-                            level: self.levels[b],
-                        });
-                    }
-                }
-                selector.on_item_placed(id, self.levels[b]);
-                id
-            }
-            Decision::Open { tag } => {
-                let id = BinId(self.bins() as u32);
-                if P::ENABLED {
-                    // Scan depth of an open: every open bin was
-                    // (conceptually) scanned and rejected.
-                    probe.record(GProbeEvent::FitAttempt {
-                        at: tick,
-                        item: item_id,
-                        bins_scanned: self.open_count as u32,
-                        open_bins: self.open_count as u32,
-                    });
-                    probe.record(GProbeEvent::BinOpened {
-                        at: tick,
-                        bin: id,
-                        tag,
-                        item: item_id,
-                    });
-                    probe.record(GProbeEvent::ItemPlaced {
-                        at: tick,
-                        item: item_id,
-                        bin: id,
-                        level: size,
-                    });
-                }
-                let b = self.bins();
-                self.levels.push(size);
-                self.tags.push(tag);
-                self.opened_at.push(tick);
-                // Placeholder; overwritten when the bin closes.
-                self.closed_at.push(tick);
-                self.is_open.push(true);
-                self.head.push(NO_ITEM);
-                self.tail.push(NO_ITEM);
-                self.n_items.push(0);
-                self.open_count += 1;
-                self.link(b, item_id.index());
-                self.placed.push(item_id);
-                if keep_views {
-                    // Ids are assigned in increasing order, so pushing
-                    // preserves the mirror's sortedness.
-                    self.views.push(GOpenBinView {
-                        id,
-                        opened_at: tick,
-                        level: size,
-                        capacity,
-                        n_items: 1,
-                        tag,
-                    });
-                }
-                selector.on_bin_opened(id, tag, size);
-                id
-            }
-        };
-        self.assignment[item_id.index()] = Some(bin_id);
-        bin_id
     }
 
     /// Record the open-bin count at the end of `tick`'s batch, deduplicating

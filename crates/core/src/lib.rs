@@ -99,7 +99,7 @@ pub use packer::{BinSelector, Decision, SelectorFactory};
 pub use probe::{DropReason, GProbeEvent, NoProbe, Probe, ProbeEvent, VerifyProbe};
 pub use ratio::Ratio;
 pub use span::{NoSpans, SpanEvent, SpanRecorder};
-pub use streaming::{GStreamError, StreamError, StreamingEngine};
+pub use streaming::{EventCore, GStreamError, StreamError, StreamingEngine};
 pub use time::{Dur, Interval, Tick};
 pub use trace::{BinRecord, GPackingTrace, PackingTrace};
 

@@ -46,10 +46,10 @@ impl Decision {
 /// structures and return `false` from [`needs_views`], which lets the
 /// engine skip open-bin view maintenance entirely on the hot path.
 ///
-/// Every driver of a selector (the engine, `dbp-cloudsim`'s resilient
-/// dispatcher) must invoke the hooks faithfully; a hook referring to a bin
-/// id the selector has never seen opened must be tolerated (the fault
-/// injection layer burns ids on failed boots).
+/// Every hook is invoked by the one event core
+/// ([`EventCore`](crate::streaming::EventCore)), whichever driver feeds
+/// it; a hook referring to a bin id the selector has never seen opened
+/// must be tolerated (the fault layer burns ids on failed boots).
 ///
 /// [`on_bin_opened`]: BinSelector::on_bin_opened
 /// [`on_item_placed`]: BinSelector::on_item_placed

@@ -3,7 +3,7 @@
 //! are deterministic functions of their seed, a fault-free plan is
 //! observationally identical to the plain engine, and a hand-written plan
 //! with extreme fields either runs conserved or is refused — never a
-//! panic.
+//! panic, at D = 1 and at D = 3.
 
 use dbp::prelude::*;
 use dbp_cloudsim::{
@@ -12,7 +12,9 @@ use dbp_cloudsim::{
 };
 use dbp_core::algorithms::{BestFit, FirstFit, ModifiedFirstFit, NextFit};
 use dbp_core::bin::BinId;
+use dbp_core::demand::VSize;
 use dbp_core::engine::simulate_probed;
+use dbp_core::instance::{GInstance, GInstanceBuilder};
 use dbp_core::packer::SelectorFactory;
 use dbp_core::probe::ProbeEvent;
 use dbp_obs::export::events_to_jsonl;
@@ -169,6 +171,63 @@ proptest! {
                 }
                 Err(DispatchError::BadFaultPlan { .. }) => {}
                 Err(e) => prop_assert!(false, "{}: unexpected error {e}", f.name()),
+            }
+        }
+    }
+}
+
+/// Capacity of the generated D = 3 instances: `[gpu, cpu, mem]`, with
+/// the GPU component matching the server flavor.
+const CAP3: VSize<3> = VSize([CAP, 60, 80]);
+
+/// Strategy: arbitrary valid D = 3 instances, each dimension binding for
+/// some items (the memory component is never zero, so no item is empty).
+fn instances_d3(max_items: usize) -> impl Strategy<Value = GInstance<VSize<3>>> {
+    let item = (0u64..500, 1u64..120, (0u64..=CAP, 0u64..=60, 1u64..=80));
+    proptest::collection::vec(item, 1..max_items).prop_map(|raw| {
+        let mut b = GInstanceBuilder::new(CAP3);
+        for (a, len, (g, c, m)) in raw {
+            b.add(a, a + len, VSize([g, c, m]));
+        }
+        b.build().expect("generated instance is valid")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fault layer at D = 3, where each dimension can bind: a hostile
+    /// seeded plan runs to a conserved ledger, and a hand-written plan with
+    /// extreme fields runs conserved or is refused with
+    /// [`DispatchError::BadFaultPlan`] — never a panic.
+    #[test]
+    fn d3_plans_conserve_or_refuse(
+        inst in instances_d3(30),
+        seed in 0u64..1000,
+        extreme in extreme_plans(),
+    ) {
+        let last = inst.items().iter().map(|it| it.departure.raw()).max().unwrap_or(0);
+        let hostile = FaultPlan::generate(
+            seed,
+            last.max(2),
+            8,
+            &FaultConfig {
+                crash_rate_per_hour: 3600.0,
+                boot_fail_prob: 0.35,
+                boot_delay_max: 20,
+                reject_prob: 0.25,
+            },
+        );
+        for name in ["FF", "BF", "MFF(8)", "FF-idx", "BF-idx", "MFF-idx", "DOM"] {
+            let build = || dbp_core::algorithms::selector_for::<VSize<3>>(name).expect("vector roster");
+            let report = ResilientSystem::new(system(), hostile.clone())
+                .run(&inst, &mut *build())
+                .expect("a generated plan is valid");
+            prop_assert!(report.conserved(), "{name}: {report:?}");
+            match ResilientSystem::new(system(), extreme.clone()).run(&inst, &mut *build()) {
+                Ok(report) => prop_assert!(report.conserved(), "{name}: {report:?}"),
+                Err(DispatchError::BadFaultPlan { .. }) => {}
+                Err(e) => prop_assert!(false, "{name}: unexpected error {e}"),
             }
         }
     }

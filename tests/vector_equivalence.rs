@@ -5,7 +5,8 @@
 //! instances. At D>1 the same sweep checks the invariants that replace
 //! byte identity: per-dimension capacity respect (via the validating
 //! engine), per-dimension demand conservation, and router conservation
-//! across cluster dispatch.
+//! across cluster dispatch. The fault layer is held to the same D=1
+//! byte identity under crashes, boot delays and retries.
 //!
 //! Byte identity is the strongest equivalence there is: it subsumes
 //! cost equality, assignment equality, and event-order equality in one
@@ -13,7 +14,10 @@
 //! demand must serialize as a bare integer, not a one-element array).
 
 use dbp::prelude::*;
-use dbp_cloudsim::{billed_ticks, rental_cost_cents, GamingSystem, Granularity, ServerType};
+use dbp_cloudsim::{
+    billed_ticks, rental_cost_cents, FaultConfig, FaultPlan, GamingSystem, Granularity,
+    ResilientSystem, ServerType,
+};
 use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{simulate_probed, simulate_validated as sim_validated};
@@ -295,6 +299,66 @@ proptest! {
 
 /// The dominance selector is vector-only (it orders by max component);
 /// it still must satisfy the D>1 invariants, just not scalar equality.
+/// The fault layer at D = 1: a `VSize<1>` run under a fault plan is
+/// byte-identical to the scalar run — the same report, and the same
+/// event stream through crashes, boot delays, rejections, retries and
+/// re-dispatches — for seeded and hand-written plans.
+#[test]
+fn d1_fault_runs_are_byte_identical() {
+    let inst = dbp_workloads::generate(&dbp_workloads::CloudGamingConfig {
+        horizon: 2400,
+        seed: 21,
+        ..dbp_workloads::CloudGamingConfig::default()
+    });
+    let vinst = lift_uniform::<1>(&inst);
+    let heavy = FaultConfig {
+        crash_rate_per_hour: 30.0,
+        boot_fail_prob: 0.3,
+        boot_delay_max: 45,
+        reject_prob: 0.2,
+    };
+    let written: FaultPlan = serde_json::from_str(
+        r#"{"seed":9,"crashes":[{"at":0,"server":3},{"at":400,"server":1},
+            {"at":400,"server":7},{"at":1500,"server":2}],
+            "boot_fail_prob":0.2,"boot_delay_max":40,"reject_prob":0.1,
+            "retry":{"base":2,"cap":32,"jitter":5,"max_attempts":4},
+            "admission":{"queue_capacity":3,"queue_timeout":60}}"#,
+    )
+    .unwrap();
+    let plans = [
+        FaultPlan::generate(42, 2400, 8, &FaultConfig::moderate()),
+        FaultPlan::generate(7, 2400, 8, &heavy),
+        written,
+    ];
+    for plan in plans {
+        let sys = ResilientSystem::new(GamingSystem::paper_model(), plan);
+        for name in SELECTORS {
+            let mut slog = EventLog::new();
+            let scalar = sys
+                .run_probed(&inst, &mut *selector::<Size>(name), &mut slog)
+                .unwrap();
+            let mut vlog = GEventLog::<VSize<1>>::new();
+            let vector = sys
+                .run_probed(&vinst, &mut *selector::<VSize<1>>(name), &mut vlog)
+                .unwrap();
+            assert!(
+                scalar.crashes > 0 && scalar.redispatches > 0,
+                "{name}: {scalar:?}"
+            );
+            assert_eq!(
+                serde_json::to_string(&scalar).unwrap(),
+                serde_json::to_string(&vector).unwrap(),
+                "{name}: D=1 fault report diverged"
+            );
+            assert_eq!(
+                events_to_jsonl(slog.events()),
+                events_to_jsonl_dims(vlog.events()),
+                "{name}: D=1 fault event stream diverged"
+            );
+        }
+    }
+}
+
 #[test]
 fn dominance_selector_conserves_at_high_dims() {
     let inst = dbp_workloads::generate(&dbp_workloads::CloudGamingConfig {
