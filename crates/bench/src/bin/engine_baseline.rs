@@ -117,6 +117,8 @@ struct EngineStats {
 }
 
 impl<Sz: dbp_core::demand::Demand> Probe<Sz> for EngineStats {
+    const TIMED: bool = true;
+
     fn record(&mut self, event: GProbeEvent<Sz>) {
         match event {
             GProbeEvent::BinOpened { .. } => {

@@ -18,6 +18,24 @@
 
 mod args;
 
+// Every `println!`/`print!` in this binary is one of these two, not std's:
+// report output goes through [`report`], so a reader that hangs up early
+// ends the output instead of panicking the process.
+macro_rules! println {
+    () => {
+        report(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        report(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+macro_rules! print {
+    ($($arg:tt)*) => {
+        report(format_args!($($arg)*))
+    };
+}
+
 use args::Args;
 use dbp_adversary::{AdaptiveMuAdversary, Theorem1, Theorem2};
 use dbp_cloudsim::{FaultPlan, ResilientReport};
@@ -43,8 +61,10 @@ use dbp_workloads::{
     generate, generate_mu_controlled, ArrivalKind, CloudGamingConfig, MuControlledConfig, Scenario,
 };
 use std::fmt::Display;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::OnceLock;
 
 const USAGE: &str = "\
 dbp — MinTotal Dynamic Bin Packing (SPAA'14 reproduction)
@@ -104,10 +124,36 @@ MODE RESTRICTIONS (a flag a mode cannot honour is an error, never ignored):
   recover (D>1 journal)   no --trace resume
 ";
 
+/// The first error writing report output to stdout, if any.
+static STDOUT_ERROR: OnceLock<std::io::Error> = OnceLock::new();
+
+/// The one writer of report output. The first failed write closes it:
+/// later output is dropped while the command runs to completion, so
+/// journals and artifacts are still sealed. A reader that hung up
+/// (`dbp run … | head`) is not an error — `main` exits 0 without a word —
+/// and any other write error fails the command once it is done.
+fn report(args: std::fmt::Arguments) {
+    if STDOUT_ERROR.get().is_none() {
+        if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+            let _ = STDOUT_ERROR.set(e);
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(argv) {
-        Ok(()) => ExitCode::SUCCESS,
+    let result = run(argv);
+    if let Err(e) = std::io::stdout().flush() {
+        let _ = STDOUT_ERROR.set(e);
+    }
+    match result {
+        Ok(()) => match STDOUT_ERROR.get() {
+            Some(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                eprintln!("error: writing to stdout: {e}");
+                ExitCode::FAILURE
+            }
+            _ => ExitCode::SUCCESS,
+        },
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE
@@ -363,6 +409,8 @@ impl RunProbe {
 }
 
 impl Probe for RunProbe {
+    const TIMED: bool = true;
+
     fn record(&mut self, event: ProbeEvent) {
         self.events.record(event.clone());
         self.metrics.record(event.clone());

@@ -491,3 +491,109 @@ fn cluster_hetero_takes_the_vector_roster() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// A reader that hangs up early (`dbp … | head -2`) ends the report
+/// quietly: exit 0, no panic on stderr. `dbp trace` of a 2,000-item run
+/// prints far more than a pipe buffers, so its writes do hit the closed
+/// pipe.
+#[test]
+fn closed_stdout_is_a_quiet_exit_0() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let (_, inst) = tmpfile("pipe.json");
+    let (_, events) = tmpfile("pipe.jsonl");
+    stdout(&dbp(&[
+        "generate", "mu", "--mu", "20", "--n", "2000", "--seed", "7", "--out", &inst,
+    ]));
+    stdout(&dbp(&[
+        "run",
+        &inst,
+        "--algo",
+        "ff",
+        "--trace-events",
+        &events,
+    ]));
+    assert!(stdout(&dbp(&["trace", &events])).len() > 4 * 65536);
+    for args in [
+        vec!["trace", events.as_str()],
+        vec!["run", inst.as_str(), "--algo", "ff", "--gantt"],
+    ] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dbp"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn dbp");
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        for _ in 0..2 {
+            lines.next().unwrap().unwrap();
+        }
+        drop(lines);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// Sum of every `dbp_decision_ns…_count` sample in a Prometheus file.
+fn decision_counts(prom: &str) -> u64 {
+    std::fs::read_to_string(prom)
+        .unwrap()
+        .lines()
+        .filter(|l| {
+            l.starts_with("dbp_decision_ns") && l.split(' ').next().unwrap().ends_with("_count")
+        })
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
+}
+
+/// Each driver's metrics probe hears one decision timing per arrival: the
+/// plain run (`RunProbe`), the sharded run, and the self-healing cluster,
+/// whose shards time arrivals into their in-memory WAL (`WalProbe`) and
+/// replay them to the user probe, a killed and restarted shard included.
+#[test]
+fn metrics_time_every_arrival_once() {
+    let (_, inst) = tmpfile("timed.json");
+    stdout(&dbp(&[
+        "generate", "scenario", "--name", "steady", "--seed", "5", "--out", &inst,
+    ]));
+    let (_, prom) = tmpfile("timed.prom");
+    let (_, wal) = tmpfile("timed.wal");
+    let text = stdout(&dbp(&[
+        "run",
+        &inst,
+        "--algo",
+        "ff",
+        "--metrics",
+        &prom,
+        "--journal",
+        &wal,
+        "--fsync",
+        "never",
+    ]));
+    let n = count(&text, "items");
+    assert!(n > 0);
+    assert_eq!(decision_counts(&prom), n, "run");
+    for extra in [&[][..], &["--shard-faults", "7"][..]] {
+        let mut args = vec![
+            "cluster",
+            &inst,
+            "--algo",
+            "ff",
+            "--shards",
+            "3",
+            "--metrics",
+            &prom,
+        ];
+        args.extend_from_slice(extra);
+        let text = stdout(&dbp(&args));
+        if !extra.is_empty() {
+            assert!(
+                text.contains("1 restarts"),
+                "the plan restarts a shard:\n{text}"
+            );
+        }
+        assert_eq!(decision_counts(&prom), n, "cluster {extra:?}");
+    }
+}

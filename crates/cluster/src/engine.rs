@@ -69,7 +69,7 @@ impl BatchPolicy {
 pub enum ClusterError {
     /// The cluster was configured with zero shards.
     ZeroShards,
-    /// The ingestion batch size was zero ([`BatchPolicy::Chunks(0)`]).
+    /// The ingestion batch size was zero ([`BatchPolicy::Chunks`]`(0)`).
     ZeroBatch,
     /// The per-shard system rejected the workload.
     Dispatch(DispatchError),
@@ -940,6 +940,8 @@ impl ClusterEngine {
                     probe.record(ev.clone());
                 }
             }
+        }
+        if P::TIMED {
             for decisions in &decision_streams {
                 for &ns in decisions {
                     probe.on_decision_ns(ns);

@@ -251,6 +251,8 @@ struct WalProbe<'a> {
 }
 
 impl Probe for WalProbe<'_> {
+    const TIMED: bool = true;
+
     fn record(&mut self, event: ProbeEvent) {
         if self.kills.fire_before_tick(event.at()) {
             std::panic::panic_any(ShardKillSignal);

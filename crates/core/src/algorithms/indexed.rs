@@ -631,7 +631,7 @@ impl<Sz: Demand> BinSelector<Sz> for GIndexedBestFit<Sz> {
 ///
 /// Classification is delegated to an inner naive [`ModifiedFirstFit`] so
 /// the exact-rational threshold arithmetic has a single home. Each class
-/// keeps its own [`ResidualTree`]; bins of the other class (and closed
+/// keeps its own `ResidualTree`; bins of the other class (and closed
 /// bins) hold residual 0 there, so the leftmost-fitting query within a
 /// tree is exactly naive MFF's "first same-tag bin that fits" scan.
 #[derive(Debug, Clone)]

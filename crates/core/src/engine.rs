@@ -113,9 +113,12 @@ pub(crate) struct State<Sz> {
     placed: Vec<ItemId>,
     /// Selector-facing mirror of the open set, ascending id, updated
     /// incrementally (one entry per state change instead of a full rebuild
-    /// per arrival). Skipped entirely when the selector answers from its own
-    /// hook-maintained index and no probe needs scan ranks.
+    /// per arrival). Kept only for selectors that read it
+    /// ([`BinSelector::needs_views`]); empty otherwise.
     pub(crate) views: Vec<GOpenBinView<Sz>>,
+    /// Open bins counted over bin ids, for the scan rank a probed run
+    /// reports; maintained only when a probe is attached.
+    pub(crate) open_rank: OpenRank,
     pub(crate) steps: Vec<(Tick, u32)>,
 }
 
@@ -139,6 +142,7 @@ impl<Sz: Demand> State<Sz> {
             assignment: vec![None; n],
             placed: Vec::with_capacity(n),
             views: Vec::new(),
+            open_rank: OpenRank::default(),
             steps: Vec::new(),
         }
     }
@@ -327,6 +331,58 @@ impl<Sz: Demand> State<Sz> {
     }
 }
 
+/// Open-bin counts over bin ids as a Fenwick (binary indexed) tree. The
+/// scan rank of a placement, the chosen bin's position among the open bins
+/// in id order, is a prefix sum: O(log B) for `B` bins ever reserved,
+/// against the O(open bins) upkeep of a sorted mirror. Pending bins are not
+/// counted until they open.
+#[derive(Debug, Default)]
+pub(crate) struct OpenRank {
+    /// `tree[i - 1]` sums the counts of ids `i - lowbit(i) .. i` (0-based,
+    /// half-open), the classic 1-based layout stored from index 0.
+    tree: Vec<u32>,
+}
+
+impl OpenRank {
+    /// Count bin `b` as open, growing the tree to cover it.
+    #[inline]
+    pub(crate) fn open(&mut self, b: usize) {
+        while self.tree.len() <= b {
+            // A new zero entry at 1-based `i` covers ids `i - lowbit(i) ..
+            // i - 1` already in the tree.
+            let i = self.tree.len() + 1;
+            let covered = self.below(i - 1) - self.below(i - (i & i.wrapping_neg()));
+            self.tree.push(covered);
+        }
+        let mut i = b + 1;
+        while i <= self.tree.len() {
+            self.tree[i - 1] += 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Stop counting open bin `b`.
+    #[inline]
+    pub(crate) fn close(&mut self, b: usize) {
+        let mut i = b + 1;
+        while i <= self.tree.len() {
+            self.tree[i - 1] -= 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Open bins with an id below `b` (`b` at most the tree's length).
+    #[inline]
+    pub(crate) fn below(&self, b: usize) -> u32 {
+        let (mut i, mut sum) = (b, 0);
+        while i > 0 {
+            sum += self.tree[i - 1];
+            i &= i - 1;
+        }
+        sum
+    }
+}
+
 /// A stepping handle on one packing run: the batch driver over the shared
 /// event core.
 ///
@@ -452,7 +508,7 @@ pub fn simulate_validated<Sz: Demand, S: BinSelector<Sz> + ?Sized>(
 }
 
 /// [`simulate_validated`] with a probe attached. Validation failures are
-/// reported to the probe as [`ProbeEvent::Violation`] events (so event logs
+/// reported to the probe as [`GProbeEvent::Violation`] events (so event logs
 /// capture *why* a run died) before the panic fires.
 pub fn simulate_validated_probed<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
     instance: &GInstance<Sz>,
@@ -704,6 +760,31 @@ mod tests {
         b.add(0, 5, 8);
         let inst = b.build().unwrap();
         let _ = simulate(&inst, &mut Buggy);
+    }
+
+    #[test]
+    fn open_rank_counts_open_bins_below_every_id() {
+        // Opens out of id order (a boot that finishes late), closes, and
+        // reopened gaps, checked against a plain count after every step.
+        let mut rank = OpenRank::default();
+        let mut open = [false; 40];
+        let mut state = 7u64;
+        for _ in 0..2000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let b = (state >> 33) as usize % open.len();
+            if open[b] {
+                rank.close(b);
+            } else {
+                rank.open(b);
+            }
+            open[b] = !open[b];
+            for probe in 0..=rank.tree.len() {
+                let naive = open[..probe].iter().filter(|&&o| o).count() as u32;
+                assert_eq!(rank.below(probe), naive, "below({probe})");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The engine owns the bins and the accounting; an algorithm is a
 //! [`BinSelector`] — a strategy that, given the current open bins and an
 //! arriving item, either picks an open bin or asks for a new one. The
-//! selector never sees departure times ([`ArrivingItem`] has none), which
-//! enforces the online model of the paper by construction.
+//! selector never sees departure times
+//! ([`ArrivingItem`](crate::item::ArrivingItem) has none), which enforces
+//! the online model of the paper by construction.
 
 use crate::bin::{BinId, BinTag, GOpenBinView};
 use crate::demand::Demand;
@@ -62,9 +63,10 @@ pub trait BinSelector<Sz: Demand = Size> {
 
     /// Choose where the arriving `item` goes. `bins` holds *all* currently
     /// open bins in opening order (ascending id); the selector is
-    /// responsible for checking fit via [`OpenBinView::fits`]. `capacity` is
-    /// the public bin capacity `W` (needed e.g. by MFF's size
-    /// classification even when no bin is open yet).
+    /// responsible for checking fit via
+    /// [`OpenBinView::fits`](GOpenBinView::fits). `capacity` is the public
+    /// bin capacity `W` (needed e.g. by MFF's size classification even when
+    /// no bin is open yet).
     ///
     /// When [`needs_views`](BinSelector::needs_views) is `false`, `bins`
     /// may be empty regardless of the true open set — the selector answers

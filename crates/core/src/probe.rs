@@ -12,11 +12,15 @@
 //!
 //! The seam is monomorphized: every emission site is guarded by
 //! `if P::ENABLED`, an associated `const` that is `false` for [`NoProbe`].
-//! The optimizer deletes the guarded blocks — including the `Instant::now()`
-//! calls used for decision timing — so `simulate` (which forwards to
-//! `simulate_probed` with [`NoProbe`]) compiles to the same code as the
+//! The optimizer deletes the guarded blocks, so `simulate` (which forwards
+//! to `simulate_probed` with [`NoProbe`]) compiles to the same code as the
 //! uninstrumented engine. The `packing_throughput` benchmark keeps this
 //! honest.
+//!
+//! Decision timing has its own switch, [`Probe::TIMED`], `false` unless a
+//! probe overrides [`Probe::on_decision_ns`]: the engine reads the clock
+//! twice per arrival only for a probe that consumes the reading, so an
+//! event-only probe (a journal) pays for events and nothing else.
 
 use crate::bin::{BinId, BinTag};
 use crate::demand::Demand;
@@ -456,8 +460,15 @@ impl<Sz> GProbeEvent<Sz> {
 /// its default of `true`.
 pub trait Probe<Sz: Demand = Size> {
     /// Compile-time switch: when `false`, the engine skips event
-    /// construction and decision timing entirely.
+    /// construction entirely.
     const ENABLED: bool = true;
+
+    /// Compile-time switch for decision timing: when `false` (the
+    /// default), the engine reads no clock and never calls
+    /// [`on_decision_ns`](Probe::on_decision_ns). Every probe that
+    /// overrides `on_decision_ns` sets it to `true`; combinators forward
+    /// it.
+    const TIMED: bool = false;
 
     /// Receive one event. Called in simulation order.
     fn record(&mut self, event: GProbeEvent<Sz>);
@@ -467,8 +478,8 @@ pub trait Probe<Sz: Demand = Size> {
     /// (view updates, record pushes, selector notifications) — in
     /// nanoseconds. This is the per-arrival cost a caller of `simulate`
     /// actually observes, not just the selector's share. Only called when
-    /// `ENABLED`; separate from [`record`](Probe::record) so the hot path
-    /// never allocates for it.
+    /// [`TIMED`](Probe::TIMED); separate from [`record`](Probe::record) so
+    /// the hot path never allocates for it.
     fn on_decision_ns(&mut self, ns: u64) {
         let _ = ns;
     }
@@ -490,6 +501,7 @@ impl<Sz: Demand> Probe<Sz> for NoProbe {
 
 impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for &mut P {
     const ENABLED: bool = P::ENABLED;
+    const TIMED: bool = P::TIMED;
 
     fn record(&mut self, event: GProbeEvent<Sz>) {
         (**self).record(event);
@@ -504,6 +516,7 @@ impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for &mut P {
 /// run can, say, write a JSONL log *and* aggregate metrics in one pass.
 impl<Sz: Demand, A: Probe<Sz>, B: Probe<Sz>> Probe<Sz> for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
+    const TIMED: bool = A::TIMED || B::TIMED;
 
     fn record(&mut self, event: GProbeEvent<Sz>) {
         if A::ENABLED && B::ENABLED {
@@ -517,10 +530,10 @@ impl<Sz: Demand, A: Probe<Sz>, B: Probe<Sz>> Probe<Sz> for (A, B) {
     }
 
     fn on_decision_ns(&mut self, ns: u64) {
-        if A::ENABLED {
+        if A::TIMED {
             self.0.on_decision_ns(ns);
         }
-        if B::ENABLED {
+        if B::TIMED {
             self.1.on_decision_ns(ns);
         }
     }
@@ -600,6 +613,8 @@ impl<'a, Sz: Demand, P: Probe<Sz>> VerifyProbe<'a, P, Sz> {
 }
 
 impl<Sz: Demand, P: Probe<Sz>> Probe<Sz> for VerifyProbe<'_, P, Sz> {
+    const TIMED: bool = P::TIMED;
+
     fn record(&mut self, event: GProbeEvent<Sz>) {
         self.forwarding = false;
         if self.error.is_some() {

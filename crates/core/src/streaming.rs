@@ -80,7 +80,7 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> EventCore<S, P, Sz> {
     /// A core for bins of `capacity` whose per-item columns are pre-sized
     /// for item ids `0..n_items` (streaming callers start at 0 and grow).
     pub fn new(capacity: Sz, selector: S, probe: P, n_items: usize) -> Self {
-        let keep_views = P::ENABLED || selector.needs_views();
+        let keep_views = selector.needs_views();
         EventCore {
             capacity,
             selector,
@@ -116,8 +116,9 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> EventCore<S, P, Sz> {
         }
         // Timed span: the *whole* arrival handling — selection plus
         // placement bookkeeping — so `on_decision_ns` reflects the
-        // per-arrival cost users actually observe.
-        let started = if P::ENABLED {
+        // per-arrival cost users actually observe. Only a probe that
+        // consumes the reading pays for the clock.
+        let started = if P::TIMED {
             Some(std::time::Instant::now())
         } else {
             None
@@ -225,17 +226,17 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> EventCore<S, P, Sz> {
                 .expect("open bin missing from view mirror");
             self.st.views[vpos].level = level;
             self.st.views[vpos].n_items += 1;
-            if P::ENABLED {
-                // Scan depth of a reuse: the chosen bin's 1-based
-                // position in opening order.
-                self.probe.record(GProbeEvent::FitAttempt {
-                    at: tick,
-                    item,
-                    bins_scanned: vpos as u32 + 1,
-                    open_bins: self.st.open_count as u32,
-                });
-                self.record_placed(tick, item, from, id, level);
-            }
+        }
+        if P::ENABLED {
+            // Scan depth of a reuse: the chosen bin's 1-based position
+            // among the open bins in id (opening) order.
+            self.probe.record(GProbeEvent::FitAttempt {
+                at: tick,
+                item,
+                bins_scanned: self.st.open_rank.below(b) + 1,
+                open_bins: self.st.open_count as u32,
+            });
+            self.record_placed(tick, item, from, id, level);
         }
         self.selector.on_item_placed(id, level);
     }
@@ -304,6 +305,9 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> EventCore<S, P, Sz> {
         }
         let capacity = self.keep_views.then_some(self.capacity);
         self.st.open(bin, item, size, tick, capacity);
+        if P::ENABLED {
+            self.st.open_rank.open(b);
+        }
         self.selector.on_bin_opened(bin, tag, size);
         pending
     }
@@ -362,8 +366,7 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> EventCore<S, P, Sz> {
                 orphans: orphans.len() as u32,
             });
         }
-        self.st.shut(bin, tick, self.keep_views);
-        self.selector.on_bin_closed(bin);
+        self.shut(bin, tick);
         orphans
     }
 
@@ -410,12 +413,22 @@ impl<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>> EventCore<S, P, Sz> {
                     open_ticks: tick.0 - self.st.opened_at[b].0,
                 });
             }
-            self.st.shut(bin, tick, self.keep_views);
-            self.selector.on_bin_closed(bin);
+            self.shut(bin, tick);
         }
         if R::ENABLED {
             spans.exit();
         }
+    }
+
+    /// Close open bin `bin` at `tick` in the arena, the view mirror and the
+    /// scan rank, and tell the selector.
+    #[inline]
+    fn shut(&mut self, bin: BinId, tick: Tick) {
+        self.st.shut(bin, tick, self.keep_views);
+        if P::ENABLED {
+            self.st.open_rank.close(bin.index());
+        }
+        self.selector.on_bin_closed(bin);
     }
 
     /// Bins currently open (pending bins excluded).

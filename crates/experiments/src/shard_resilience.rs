@@ -2,7 +2,7 @@
 //!
 //! The sharding_overhead sweep prices partitioning; this one prices
 //! *dying*. For each scenario × router × shard count, a seeded
-//! [`ShardFaultPlan`](dbp_cluster::ShardFaultPlan) kills shards mid-run
+//! [`ShardFaultPlan`] kills shards mid-run
 //! and the self-healing engine contains each death, resurrects shards
 //! from their journals inside the restart budget, and reroutes future
 //! arrivals off shards that stay down. Reported per cell: the extended

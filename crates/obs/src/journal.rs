@@ -51,9 +51,8 @@
 //! are unchanged except that demand fields serialize as JSON arrays.
 //! One-dimensional journals keep the v1 header and bare-number demands —
 //! [`VSize<1>`](dbp_core::demand::VSize) serializes exactly like the
-//! scalar [`Size`](dbp_core::item::Size) — so every byte a scalar run
-//! journals is identical to the same run at `D = 1`, and v1 journals
-//! replay unchanged. Readers check the file's dimensionality against the
+//! scalar [`Size`] — so every byte a scalar run journals is identical to
+//! the same run at `D = 1`, and v1 journals replay unchanged. Readers check the file's dimensionality against the
 //! requested demand type and reject mismatches with a typed arity error
 //! instead of truncating or panicking.
 //!
@@ -74,10 +73,25 @@
 //!
 //! ## Durability policy
 //!
-//! [`FsyncPolicy`] trades write latency for the number of trailing events
-//! an OS crash may lose (a process crash alone loses nothing once the
-//! buffer is flushed): `Always` fsyncs every record, `EveryN(n)` amortizes,
-//! `Never` leaves flushing to the OS.
+//! The writer encodes each frame in place into one 64 KiB buffer and
+//! hands the buffer to the file in one `write` once it fills, so a
+//! journaled run pays about one syscall per thousand records.
+//! [`FsyncPolicy`] decides when the buffer is also written out early and
+//! forced to stable storage:
+//!
+//! * `Always` writes out and fsyncs each record before `append` returns,
+//!   so neither a SIGKILL nor an OS crash loses a record whose append
+//!   returned.
+//! * `EveryN(n)` writes out and fsyncs every `n` records; `Never` never
+//!   fsyncs and leaves flushing to the OS. A SIGKILL loses at most the
+//!   unwritten buffer, under 64 KiB of trailing records; an OS crash may
+//!   also lose what the OS had not flushed since the last fsync. Either
+//!   way only a tail is lost: the file stays a sound prefix, possibly
+//!   ending in a torn frame.
+//!
+//! [`JournalWriter::sync`], [`JournalWriter::finish`] and dropping the
+//! writer (a panic unwinding through a shard, an interrupted run) write the
+//! buffer out first.
 
 use crate::codec::{decode_event, encode_event};
 use crate::span::StageAggregator;
@@ -90,7 +104,7 @@ use dbp_core::probe::ProbeEvent;
 use dbp_core::span::{stage, SpanRecorder};
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every scalar (one-dimensional) journal file
@@ -104,6 +118,10 @@ pub const JOURNAL_MAGIC_V2: &[u8; 8] = b"DBPWAL02";
 /// Upper bound on a sane frame payload; a length field beyond this is
 /// corruption, not a real record.
 const MAX_FRAME_LEN: u32 = 1 << 24;
+
+/// Bytes of encoded frames [`JournalWriter`] gathers before one `write`
+/// hands them to the file (see "Durability policy" in the module docs).
+const WRITE_BUFFER_LEN: usize = 64 * 1024;
 
 /// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
 /// time: `table[0]` is the classic byte-at-a-time table, and `table[k][b]`
@@ -194,10 +212,14 @@ impl FsyncPolicy {
 }
 
 /// Appends length-prefixed, CRC-framed [`ProbeEvent`] records to a journal
-/// file. See the module docs for the format.
+/// file. See the module docs for the format and the durability policy.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: BufWriter<fs::File>,
+    file: fs::File,
+    /// Frames not yet written to `file`, each encoded in place: header
+    /// placeholder, payload, then the header patched over the placeholder.
+    /// Written out once it holds `WRITE_BUFFER_LEN` bytes.
+    buf: Vec<u8>,
     path: PathBuf,
     policy: FsyncPolicy,
     unsynced: u32,
@@ -207,8 +229,6 @@ pub struct JournalWriter {
     /// `journal_fsync`. `None` (the default) keeps the write path free of
     /// clock reads.
     spans: Option<StageAggregator>,
-    /// Reused frame buffer: header plus encoded payload of one record.
-    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -221,7 +241,8 @@ impl JournalWriter {
 
     /// Create a journal for `dims`-dimensional demands: the v1 header when
     /// `dims == 1` (byte-identical to a scalar journal), the v2 header
-    /// plus dims byte otherwise.
+    /// plus dims byte otherwise. The header reaches the file before this
+    /// returns.
     ///
     /// # Panics
     /// Panics unless `1 ≤ dims ≤ 255`.
@@ -239,21 +260,20 @@ impl JournalWriter {
                 fs::create_dir_all(parent)?;
             }
         }
-        let mut file = BufWriter::new(fs::File::create(path)?);
+        let mut file = fs::File::create(path)?;
         if dims == 1 {
             file.write_all(JOURNAL_MAGIC)?;
         } else {
-            file.write_all(JOURNAL_MAGIC_V2)?;
-            file.write_all(&[dims as u8])?;
+            file.write_all(&[&JOURNAL_MAGIC_V2[..], &[dims as u8]].concat())?;
         }
         Ok(JournalWriter {
             file,
+            buf: Vec::with_capacity(WRITE_BUFFER_LEN),
             path: path.to_path_buf(),
             policy,
             unsynced: 0,
             records: 0,
             spans: None,
-            frame: Vec::new(),
         })
     }
 
@@ -290,12 +310,12 @@ impl JournalWriter {
     }
 
     fn append_inner<Sz: Demand>(&mut self, event: &GProbeEvent<Sz>) -> std::io::Result<()> {
-        let frame = &mut self.frame;
-        frame.clear();
-        frame.extend_from_slice(&[0; 8]);
-        encode_event(event, frame);
-        let len = frame.len() - 8;
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        encode_event(event, &mut self.buf);
+        let len = self.buf.len() - start - 8;
         if len > MAX_FRAME_LEN as usize {
+            self.buf.truncate(start);
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!(
@@ -304,10 +324,9 @@ impl JournalWriter {
                 ),
             ));
         }
-        let crc = crc32(&frame[8..]);
-        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_all(frame)?;
+        let crc = crc32(&self.buf[start + 8..]);
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         self.records += 1;
         self.unsynced += 1;
         let due = match self.policy {
@@ -316,20 +335,31 @@ impl JournalWriter {
             FsyncPolicy::EveryN(n) => self.unsynced >= n,
         };
         if due {
-            self.sync()?;
+            self.sync()
+        } else if self.buf.len() >= WRITE_BUFFER_LEN {
+            self.write_out()
+        } else {
+            Ok(())
         }
-        Ok(())
     }
 
-    /// Flush buffered frames and fsync the file.
+    /// Hand the buffered frames to the file in one `write_all`. The buffer
+    /// is emptied even on error: a partial write cannot be retried without
+    /// duplicating bytes.
+    fn write_out(&mut self) -> std::io::Result<()> {
+        let result = self.file.write_all(&self.buf);
+        self.buf.clear();
+        // Give back what one oversized frame grew; a no-op in steady state.
+        self.buf.shrink_to(2 * WRITE_BUFFER_LEN);
+        result
+    }
+
+    /// Write the buffered frames out and fsync the file.
     pub fn sync(&mut self) -> std::io::Result<()> {
         if let Some(sp) = &mut self.spans {
             sp.enter(stage::JOURNAL_FSYNC);
         }
-        let result = (|| {
-            self.file.flush()?;
-            self.file.get_ref().sync_all()
-        })();
+        let result = self.write_out().and_then(|()| self.file.sync_all());
         if let Some(sp) = &mut self.spans {
             sp.exit();
         }
@@ -348,7 +378,7 @@ impl JournalWriter {
         &self.path
     }
 
-    /// Flush, fsync, and close; returns the total record count.
+    /// Write out, fsync, and close; returns the total record count.
     pub fn finish(mut self) -> std::io::Result<u64> {
         self.sync()?;
         Ok(self.records)
@@ -358,10 +388,10 @@ impl JournalWriter {
 impl Drop for JournalWriter {
     /// Crash-path safety net: a writer dropped without [`finish`]
     /// (a panic unwinding through a shard worker, an interrupted run)
-    /// still pushes buffered frames to disk, so the on-disk prefix is
-    /// always `dbp recover`-clean. Errors are swallowed — there is no
-    /// caller left to report them to, and [`finish`] remains the path
-    /// that surfaces them.
+    /// still writes its buffered frames out and fsyncs them, so the
+    /// on-disk prefix is always `dbp recover`-clean. Errors are swallowed
+    /// — there is no caller left to report them to, and [`finish`] remains
+    /// the path that surfaces them.
     ///
     /// [`finish`]: JournalWriter::finish
     fn drop(&mut self) {
@@ -779,6 +809,102 @@ mod tests {
         assert_eq!(back.events[0], events[0]);
         assert_eq!(back.events[1], violation(fits));
         assert_eq!(back.events[2..], events[1..]);
+
+        // The refusal left no partial frame in the buffer: the file is
+        // byte-identical to one whose writer never tried the oversized
+        // event.
+        let refused = fs::read(&path).unwrap();
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        w.append(&events[0]).unwrap();
+        w.append(&violation(fits)).unwrap();
+        for ev in &events[1..] {
+            w.append(ev).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(fs::read(&path).unwrap(), refused);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Appends `n` copies of the sample stream's events, cycling.
+    fn append_cycled(w: &mut JournalWriter, n: usize) -> Vec<ProbeEvent> {
+        let events: Vec<ProbeEvent> = sample_events().into_iter().cycle().take(n).collect();
+        for ev in &events {
+            w.append(ev).unwrap();
+        }
+        events
+    }
+
+    #[test]
+    fn dropped_writer_leaves_every_appended_record() {
+        let path = tmpfile("dropped.wal");
+        // Enough records to fill the write buffer a few times over and
+        // leave a partly filled one behind at the drop.
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let events = append_cycled(&mut w, 3 * WRITE_BUFFER_LEN / 40 + 7);
+        assert!(fs::metadata(&path).unwrap().len() as usize > WRITE_BUFFER_LEN);
+        drop(w);
+        let back = read_journal(&path).unwrap();
+        assert!(back.is_clean());
+        assert_eq!(back.events, events);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn writer_without_appends_leaves_a_valid_header() {
+        for dims in [1, 3] {
+            let path = tmpfile(&format!("empty_d{dims}.wal"));
+            let w = JournalWriter::create_dims(&path, FsyncPolicy::Never, dims).unwrap();
+            // The header is on disk before any append, finish or drop.
+            assert_eq!(journal_dims(&fs::read(&path).unwrap()), Ok(dims));
+            drop(w);
+            let bytes = fs::read(&path).unwrap();
+            let magic = if dims == 1 {
+                &JOURNAL_MAGIC[..]
+            } else {
+                &JOURNAL_MAGIC_V2[..]
+            };
+            assert_eq!(&bytes[..8], magic);
+            assert_eq!(bytes.len(), if dims == 1 { 8 } else { 9 });
+            let w = JournalWriter::create_dims(&path, FsyncPolicy::Always, dims).unwrap();
+            assert_eq!(w.finish().unwrap(), 0);
+            assert_eq!(fs::read(&path).unwrap(), bytes);
+            if dims == 1 {
+                let back = read_journal(&path).unwrap();
+                assert!(back.is_clean() && back.events.is_empty());
+            } else {
+                use dbp_core::demand::VSize;
+                let back = read_journal_dims::<VSize<3>>(&path).unwrap();
+                assert!(back.is_clean() && back.events.is_empty());
+            }
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn frames_larger_than_the_write_buffer_round_trip() {
+        let path = tmpfile("big_frame.wal");
+        let events = sample_events();
+        let big = |len: usize| ProbeEvent::Violation {
+            at: Tick(7),
+            message: "y".repeat(len),
+        };
+        for policy in [FsyncPolicy::Never, FsyncPolicy::EveryN(2)] {
+            let mut w = JournalWriter::create(&path, policy).unwrap();
+            let mut expected = Vec::new();
+            for (k, ev) in events.iter().enumerate() {
+                w.append(ev).unwrap();
+                expected.push(ev.clone());
+                if k % 3 == 0 {
+                    let ev = big(WRITE_BUFFER_LEN + 1000 * k);
+                    w.append(&ev).unwrap();
+                    expected.push(ev);
+                }
+            }
+            assert_eq!(w.finish().unwrap(), expected.len() as u64);
+            let back = read_journal(&path).unwrap();
+            assert!(back.is_clean());
+            assert_eq!(back.events, expected);
+        }
         fs::remove_file(&path).unwrap();
     }
 

@@ -2,13 +2,13 @@
 //!
 //! Consumers of the [`Probe`](dbp_core::probe::Probe) seam in `dbp-core`:
 //!
-//! * [`recorder`] — [`EventLog`](recorder::EventLog) (full event capture),
-//!   [`CountingProbe`](recorder::CountingProbe) (per-kind counters for
-//!   invariant tests), [`MetricsProbe`](recorder::MetricsProbe) (streaming
+//! * [`recorder`] — [`EventLog`] (full event capture),
+//!   [`CountingProbe`] (per-kind counters for
+//!   invariant tests), [`MetricsProbe`] (streaming
 //!   aggregation into a registry);
 //! * [`metrics`] — counters, gauges, and exact integer histograms with
 //!   Prometheus text rendering;
-//! * [`sampler`] — [`TimeSeriesSampler`](sampler::TimeSeriesSampler), the
+//! * [`sampler`] — [`TimeSeriesSampler`], the
 //!   exact step functions `n(t)` (the paper's `A(R,t)`), used capacity,
 //!   and waste;
 //! * [`codec`] — the canonical byte encoding of one event, shared by
@@ -19,14 +19,14 @@
 //! * [`replay`] — journal audit ([`replay_events`](replay::replay_events))
 //!   and the boundary a recovery re-executes to
 //!   ([`recovery_point`](replay::recovery_point));
-//! * [`manifest`] — [`RunManifest`](manifest::RunManifest) provenance
+//! * [`manifest`] — [`RunManifest`] provenance
 //!   records, the `run_all` sweep manifest, and the sweep resume
 //!   checkpoint;
 //! * [`span`] — consumers of the `SpanRecorder` seam:
-//!   [`SpanCollector`](span::SpanCollector) (full capture, Chrome-trace
-//!   export), [`StageAggregator`](span::StageAggregator) (streaming
+//!   [`SpanCollector`] (full capture, Chrome-trace
+//!   export), [`StageAggregator`] (streaming
 //!   per-stage histograms), and the ranked
-//!   [`StageBreakdown`](span::StageBreakdown) self-time table;
+//!   [`StageBreakdown`] self-time table;
 //! * [`timeline`] — the `dbp trace` timeline renderer.
 //!
 //! Probes compose with the tuple combinator from `dbp-core`, so one

@@ -1,6 +1,6 @@
 //! Event-recording probes: the in-memory [`EventLog`], the cheap
 //! [`CountingProbe`] used by invariant tests, and [`MetricsProbe`] which
-//! aggregates events into a [`MetricsRegistry`](crate::metrics::MetricsRegistry).
+//! aggregates events into a [`MetricsRegistry`].
 
 use crate::metrics::MetricsRegistry;
 use dbp_core::demand::Demand;
@@ -57,6 +57,8 @@ impl<Sz> GEventLog<Sz> {
 }
 
 impl<Sz: Demand> Probe<Sz> for GEventLog<Sz> {
+    const TIMED: bool = true;
+
     fn record(&mut self, event: GProbeEvent<Sz>) {
         self.events.push(event);
     }
@@ -148,6 +150,8 @@ impl CountingProbe {
 }
 
 impl Probe for CountingProbe {
+    const TIMED: bool = true;
+
     fn record(&mut self, event: ProbeEvent) {
         match event {
             ProbeEvent::ItemArrived { .. } => self.items_arrived += 1,
@@ -215,6 +219,8 @@ impl MetricsProbe {
 }
 
 impl Probe for MetricsProbe {
+    const TIMED: bool = true;
+
     fn record(&mut self, event: ProbeEvent) {
         let reg = &mut self.registry;
         match event {
@@ -308,6 +314,100 @@ mod tests {
         assert_eq!(probe.fit_attempts, probe.items_placed);
         assert_eq!(probe.decisions_timed, inst.len() as u64);
         assert_eq!(probe.violations, 0);
+    }
+
+    /// Every probe that consumes decision timings declares `TIMED`, so it
+    /// hears exactly one `on_decision_ns` per placed arrival: alone, behind
+    /// `&mut`, beside an untimed journal in a tuple, and through
+    /// `VerifyProbe`'s continuation. A probe that forgot the flag would
+    /// read zero here instead of silently emptying `dbp_decision_ns`.
+    #[test]
+    fn timed_probes_hear_one_decision_per_arrival() {
+        use crate::journal::{FsyncPolicy, JournalProbe};
+        use dbp_core::algorithms::IndexedFirstFit;
+        use dbp_core::probe::VerifyProbe;
+        let mut b = InstanceBuilder::new(10);
+        for i in 0..60u64 {
+            b.add(i, i + 1 + (i * 7) % 23, 1 + (i * 5) % 9);
+        }
+        let inst = b.build().unwrap();
+        let n = inst.len() as u64;
+        let decisions = |reg: &MetricsRegistry| reg.histogram("dbp_decision_ns").unwrap().count();
+        let wal = std::env::temp_dir().join(format!("dbp_timed_probe_{}.wal", std::process::id()));
+
+        let mut counting = CountingProbe::new();
+        simulate_probed(&inst, &mut IndexedFirstFit::new(), &mut counting);
+        assert_eq!(counting.decisions_timed, n);
+
+        let mut log = EventLog::new();
+        simulate_probed(&inst, &mut FirstFit::new(), &mut log);
+        assert_eq!(log.decision_ns().len() as u64, n);
+
+        let mut metrics = MetricsProbe::new();
+        simulate_probed(&inst, &mut IndexedFirstFit::new(), &mut metrics);
+        assert_eq!(decisions(metrics.registry()), n);
+
+        let journal = JournalProbe::create(&wal, FsyncPolicy::Never).unwrap();
+        let mut pair = (journal, MetricsProbe::new());
+        simulate_probed(&inst, &mut IndexedFirstFit::new(), &mut pair);
+        assert_eq!(decisions(pair.1.registry()), n);
+        assert!(pair.0.finish().unwrap() > 0);
+
+        let mut counting = CountingProbe::new();
+        let journal = JournalProbe::create(&wal, FsyncPolicy::Never).unwrap();
+        let mut pair = (journal, &mut counting);
+        simulate_probed(&inst, &mut IndexedFirstFit::new(), &mut pair);
+        pair.0.finish().unwrap();
+        assert_eq!(counting.decisions_timed, n);
+
+        // A verified prefix is not timed again; the continuation is.
+        let events = log.into_events();
+        let prefix = events
+            .iter()
+            .position(|e| matches!(e, ProbeEvent::ItemDeparted { .. }));
+        let prefix = &events[..prefix.unwrap()];
+        let replayed = prefix
+            .iter()
+            .filter(|e| matches!(e, ProbeEvent::ItemArrived { .. }))
+            .count() as u64;
+        let mut counting = CountingProbe::new();
+        let mut verify = VerifyProbe::new(prefix, &mut counting);
+        simulate_probed(&inst, &mut FirstFit::new(), &mut verify);
+        verify.finish().unwrap();
+        assert!(replayed > 0);
+        assert_eq!(counting.decisions_timed, n - replayed);
+
+        // The streaming engine times the same arrivals.
+        let mut engine = dbp_core::streaming::StreamingEngine::new(
+            inst.capacity(),
+            IndexedFirstFit::new(),
+            (MetricsProbe::new(), CountingProbe::new()),
+        );
+        for ev in dbp_core::events::schedule(&inst) {
+            let it = inst.item(ev.item);
+            match ev.kind {
+                dbp_core::events::EventKind::Arrival => {
+                    engine
+                        .push_open_arrival(it.id, it.size, it.region, ev.at)
+                        .unwrap();
+                }
+                dbp_core::events::EventKind::Departure => {
+                    engine.push_departure(it.id, ev.at).unwrap()
+                }
+            }
+        }
+        let (probes, ..) = engine.into_probe();
+        assert_eq!(decisions(probes.0.registry()), n);
+        assert_eq!(probes.1.decisions_timed, n);
+
+        // Event-only probes take no clock readings.
+        let untimed = [
+            <JournalProbe as Probe>::TIMED,
+            <crate::sampler::TimeSeriesSampler as Probe>::TIMED,
+            <(JournalProbe, JournalProbe) as Probe>::TIMED,
+        ];
+        assert_eq!(untimed, [false; 3]);
+        std::fs::remove_file(&wal).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`StreamingEngine`](dbp_core::streaming::StreamingEngine) — the
 //! bounded-memory, event-time core proven byte-identical to
 //! `simulate_probed` — wrapped in a deterministic
-//! [`ShardPipeline`](shard::ShardPipeline) that adds the external session
+//! [`ShardPipeline`] that adds the external session
 //! map, event-time admission control (reused from
 //! [`dbp_cloudsim::faults::AdmissionPolicy`]) and a write-ahead journal.
 //! The daemon layer ([`server`]) adds NDJSON-over-TCP ingest, online

@@ -16,7 +16,7 @@ use dbp_obs::export::events_to_jsonl_dims;
 use dbp_obs::journal::{read_journal, FsyncPolicy, JournalProbe};
 use dbp_obs::replay::replay_events;
 use dbp_obs::{EventLog, GEventLog};
-use dbp_workloads::{generate, lift_uniform, widen, CloudGamingConfig};
+use dbp_workloads::{generate, lift_uniform, widen, ArrivalKind, CloudGamingConfig};
 use std::path::PathBuf;
 
 const SHARDS: usize = 4;
@@ -110,4 +110,59 @@ fn encoder_writes_the_serde_bytes_for_every_selector_and_dimensionality() {
             assert_codec_matches_serde::<VSize<3>>(&widened, name, seed);
         }
     }
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The WAL format is a contract, not an implementation detail: a fixed
+/// journaled cluster run (seed 7, four shards, hash router, the indexed
+/// engines `dbp cluster --journal` runs) must write exactly the bytes it
+/// wrote when these digests were taken. Each digest covers every shard's
+/// WAL in shard order; `(records, bytes)` name the scale of the run.
+#[test]
+fn journaled_cluster_wal_bytes_match_the_pinned_digests() {
+    let dir = std::env::temp_dir().join(format!("dbp_wal_digest_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let engine = ClusterEngine::new(
+        GamingSystem::paper_model(),
+        ClusterConfig::new(SHARDS, Router::HashByItem).unwrap(),
+    );
+    let inst = generate(&CloudGamingConfig {
+        horizon: 7200,
+        arrivals: ArrivalKind::Poisson { rate: 0.5 },
+        seed: 7,
+        ..CloudGamingConfig::default()
+    });
+    let pinned: [(&str, u64, u64, u64); 3] = [
+        ("FF-idx", 0xad5e_9e6a_4cd0_e5e6, 15_332, 1_018_951),
+        ("BF-idx", 0xb5f0_305d_2449_e2fc, 15_322, 1_019_974),
+        ("MFF-idx", 0xdde8_6c31_ccdd_518f, 15_348, 1_020_123),
+    ];
+    for (name, digest, records, bytes) in pinned {
+        let factory = SelectorFactory::new(name, move || selector_for::<Size>(name).unwrap());
+        let paths: Vec<PathBuf> = (0..SHARDS)
+            .map(|s| dir.join(format!("{name}.wal.shard{s}")))
+            .collect();
+        let (_, probes) = engine
+            .run_probed(&inst, &factory, |s| {
+                JournalProbe::create(&paths[s], FsyncPolicy::Never).unwrap()
+            })
+            .unwrap();
+        let written: u64 = probes.into_iter().map(|p| p.finish().unwrap()).sum();
+        let mut wal = Vec::new();
+        for path in &paths {
+            wal.extend(std::fs::read(path).unwrap());
+        }
+        assert_eq!(
+            (fnv1a(&wal), written, wal.len() as u64),
+            (digest, records, bytes),
+            "{name}: the WAL bytes moved"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
