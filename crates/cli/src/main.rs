@@ -50,7 +50,7 @@ use dbp_core::engine::{
 use dbp_core::instance::{GInstance, Instance};
 use dbp_core::item::Size;
 use dbp_core::metrics::summarize;
-use dbp_core::packer::{BinSelector, SelectorFactory};
+use dbp_core::packer::{BinSelector, GSelectorFactory, SelectorFactory};
 use dbp_core::probe::{GProbeEvent, Probe, ProbeEvent, VerifyProbe};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::NoSpans;
@@ -85,7 +85,7 @@ USAGE:
           [--journal FILE.wal] [--fsync always|never|N]   # crash-safe event journal
           [--run-manifest FILE.json]  # provenance + exact cost, for `recover`
   dbp cluster FILE --algo NAME --shards N [--router hash|affinity|least-loaded]
-          [--hetero]                  # vector dispatch with per-dimension ledger
+          [--hetero]                  # D=3 vector dispatch: per-dimension ledger, v2 journals
           [--batch event|whole|N] [--jobs N]
           [--trace-events FILE.jsonl] [--metrics FILE.prom]
           [--faults SEED|PLAN.json]   # per-shard fault plans (seed+shard / shared plan)
@@ -118,7 +118,7 @@ MODE RESTRICTIONS (a flag a mode cannot honour is an error, never ignored):
   run --hetero            --algo ff|bf|mff|mff-mu|dom; run flags: only --validate --metrics --faults
   run --faults            no --timeseries --validate --fleet --gantt --svg --save-trace
                           (and no --metrics with --hetero)
-  cluster --hetero        --algo as run --hetero; cluster flags: only --shards --router --metrics
+  cluster --hetero        --algo as run --hetero
   cluster --shard-faults  no --faults --journal
   recover --serve-shards  no --repair --trace --manifest --resume-jsonl --faults --algo
   recover (D>1 journal)   no --trace resume
@@ -361,27 +361,28 @@ fn journal_flags<'a>(args: &'a Args, what: &str) -> Result<Option<(&'a str, Fsyn
 }
 
 /// One dispatcher's recorders; `suffix` picks a cluster shard's files.
-struct RunProbe {
+struct RunProbe<Sz = Size> {
     suffix: String,
-    events: dbp_obs::EventLog,
+    events: dbp_obs::GEventLog<Sz>,
     metrics: dbp_obs::MetricsProbe,
     sampler: Option<dbp_obs::TimeSeriesSampler>,
     journal: Option<dbp_obs::JournalProbe>,
 }
 
-impl RunProbe {
-    /// Creates the journal file, so its I/O errors surface before any work.
-    fn open(args: &Args, suffix: String) -> Result<RunProbe, String> {
+impl<Sz: Demand> RunProbe<Sz> {
+    /// Creates the journal file (a `D > 1` journal is format v2), so its
+    /// I/O errors surface before any work.
+    fn open(args: &Args, suffix: String) -> Result<RunProbe<Sz>, String> {
         let journal = journal_flags(args, "FILE")?
             .map(|(base, fsync)| {
                 let path = format!("{base}{suffix}");
-                dbp_obs::JournalProbe::create(Path::new(&path), fsync)
+                dbp_obs::JournalProbe::create_dims(Path::new(&path), fsync, Sz::DIMS)
                     .map_err(|e| format!("{path}: {e}"))
             })
             .transpose()?;
         Ok(RunProbe {
             suffix,
-            events: dbp_obs::EventLog::new(),
+            events: dbp_obs::GEventLog::new(),
             metrics: dbp_obs::MetricsProbe::new(),
             sampler: None,
             journal,
@@ -408,10 +409,10 @@ impl RunProbe {
     }
 }
 
-impl Probe for RunProbe {
+impl<Sz: Demand> Probe<Sz> for RunProbe<Sz> {
     const TIMED: bool = true;
 
-    fn record(&mut self, event: ProbeEvent) {
+    fn record(&mut self, event: GProbeEvent<Sz>) {
         self.events.record(event.clone());
         self.metrics.record(event.clone());
         if let Some(sampler) = &mut self.sampler {
@@ -423,7 +424,7 @@ impl Probe for RunProbe {
     }
 
     fn on_decision_ns(&mut self, ns: u64) {
-        self.metrics.on_decision_ns(ns);
+        Probe::<Sz>::on_decision_ns(&mut self.metrics, ns);
     }
 }
 
@@ -569,16 +570,22 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     })
 }
 
-/// The `--hetero` selector over the `[gpu, cpu, mem]` catalog.
-fn hetero_selector(
+/// The `--hetero` selector factory over the `[gpu, cpu, mem]` catalog,
+/// validated up front like [`selector_factory`].
+fn hetero_factory(
     algo: &str,
     mu_hint: Option<u64>,
-) -> Result<Box<dyn BinSelector<VSize<HETERO_DIMS>>>, String> {
-    Rule::find(algo)
-        .and_then(|r| r.build_any(mu_hint))
-        .ok_or_else(|| {
-            format!("--hetero packs with ff, bf, mff, mff-mu or dom; '{algo}' is scalar-only")
-        })?
+) -> Result<GSelectorFactory<VSize<HETERO_DIMS>>, String> {
+    let scalar_only =
+        || format!("--hetero packs with ff, bf, mff, mff-mu or dom; '{algo}' is scalar-only");
+    let rule = Rule::find(algo).ok_or_else(scalar_only)?;
+    rule.build_any::<VSize<HETERO_DIMS>>(mu_hint)
+        .ok_or_else(scalar_only)??;
+    Ok(GSelectorFactory::new(rule.key, move || {
+        rule.build_any(mu_hint)
+            .and_then(Result::ok)
+            .expect("algorithm validated above")
+    }))
 }
 
 /// The SLA ledger and bill of one `run --faults` dispatch, scalar or
@@ -630,7 +637,7 @@ fn cmd_run_hetero(
     plan: Option<(&str, FaultPlan)>,
 ) -> Result<(), String> {
     let inst = dbp_workloads::widen(scalar);
-    let mut sel = hetero_selector(algo, mu_hint(scalar))?;
+    let mut sel = hetero_factory(algo, mu_hint(scalar))?.build();
     if let Some((spec, plan)) = plan {
         let report = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan.clone())
             .run(&inst, &mut sel)
@@ -705,55 +712,6 @@ fn absorb_dim_metrics(reg: &mut MetricsRegistry, dims: &[dbp_cluster::vector::Di
     }
 }
 
-/// `dbp cluster FILE --hetero`: route the widened vector instance across
-/// shards with per-dimension load folds and report the exact
-/// per-dimension ledger (conservation is asserted inside
-/// [`dbp_cluster::ClusterEngine::run_vector`]).
-fn cmd_cluster_hetero(args: &Args, scalar: &Instance, algo: &str) -> Result<(), String> {
-    let mu = mu_hint(scalar);
-    hetero_selector(algo, mu)?;
-    let config = cluster_config(args, 2)?;
-    let inst = dbp_workloads::widen(scalar);
-    let run = dbp_cluster::ClusterEngine::new(paper_gaming_system(scalar), config)
-        .run_vector(&inst, || {
-            hetero_selector(algo, mu).expect("algorithm name validated above")
-        })
-        .map_err(|e| e.to_string())?;
-    print_cluster_header(
-        &format!("{} ({HETERO_DIMS}-dimensional)", run.algorithm),
-        &run.router,
-        run.shards_used,
-        run.sessions_served,
-    );
-    println!("servers rented : {}", run.servers_rented);
-    println!("busy ticks     : {}", run.busy_ticks);
-    println!("ledger         : conserved");
-    for d in &run.dims {
-        println!(
-            "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted",
-            d.dim,
-            DIM_NAMES[d.dim],
-            d.utilization.to_f64(),
-            d.demand_ticks,
-            d.waste_ticks,
-        );
-    }
-    for s in &run.shards {
-        println!(
-            "  shard {:>2}     : {} sessions, {} bins, {} bin-ticks",
-            s.shard,
-            s.back.len(),
-            s.trace.bins_used(),
-            s.trace.total_cost_ticks(),
-        );
-    }
-    let mut reg = MetricsRegistry::new();
-    reg.gauge_set("dbp_cluster_servers_rented", run.servers_rented as i64);
-    reg.gauge_set("dbp_cluster_busy_ticks", clamp_i64(run.busy_ticks));
-    absorb_dim_metrics(&mut reg, &run.dims);
-    save_metrics(args, &reg)
-}
-
 /// The paper's cost model over `inst`'s capacity: per-tick billing on
 /// GPU VMs (a vector capacity's GPU component). Shared by `run --faults`
 /// and `recover --faults`, which must reconstruct the *same* system for
@@ -790,7 +748,11 @@ fn load_plan<T>(
 /// seed `S` gives dispatcher `k` the plan of seed `S + k`. A plan that
 /// breaks [`FaultPlan::validate`] is refused here, before any file is
 /// created.
-fn fault_plans(spec: &str, inst: &Instance, dispatchers: usize) -> Result<Vec<FaultPlan>, String> {
+fn fault_plans<Sz: Demand>(
+    spec: &str,
+    inst: &GInstance<Sz>,
+    dispatchers: usize,
+) -> Result<Vec<FaultPlan>, String> {
     let horizon = dbp_core::events::event_ticks(inst)
         .last()
         .map_or(0, |t| t.raw());
@@ -811,7 +773,11 @@ fn fault_plans(spec: &str, inst: &Instance, dispatchers: usize) -> Result<Vec<Fa
 }
 
 /// A `--shard-faults` plan; a seed draws one sized to the instance.
-fn shard_fault_plan(spec: &str, shards: usize, inst: &Instance) -> Result<ShardFaultPlan, String> {
+fn shard_fault_plan<Sz: Demand>(
+    spec: &str,
+    shards: usize,
+    inst: &GInstance<Sz>,
+) -> Result<ShardFaultPlan, String> {
     // Each shard sees ~2 events per item it serves; aim kill offsets
     // inside the live part of the stream.
     let events_hint = (2 * inst.len() as u64 / shards.max(1) as u64).max(4);
@@ -872,21 +838,33 @@ fn print_bill(busy: u128, billed: u128, cents: Ratio) {
 /// with `dbp recover`); `--faults` derives one fault plan per shard (seed
 /// plans get `seed + shard`, explicit `.json` plans are shared verbatim);
 /// `--shard-faults` kills whole shards mid-run instead and self-heals them
-/// from their journals (seed or a `ShardFaultPlan` `.json`).
+/// from their journals (seed or a `ShardFaultPlan` `.json`). `--hetero`
+/// widens the trace to the `[gpu, cpu, mem]` catalog and runs the same
+/// way, with every flag, a per-dimension ledger under the bill and D=3
+/// (format v2) journals.
 fn cmd_cluster(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
     let algo = args.str_flag("algo").unwrap_or("ff");
     if args.has("hetero") {
-        args.refuse(
-            "--hetero",
-            "journal fsync trace-events faults shard-faults run-manifest batch jobs",
-        )?;
-        return cmd_cluster_hetero(args, &inst, algo);
+        let factory = hetero_factory(algo, mu_hint(&inst))?;
+        return cluster_at(args, &dbp_workloads::widen(&inst), &factory);
     }
-    let factory = selector_factory(algo, mu_hint(&inst))?;
+    cluster_at(args, &inst, &selector_factory(algo, mu_hint(&inst))?)
+}
+
+/// The body of `dbp cluster` at any demand dimensionality.
+fn cluster_at<Sz: Demand>(
+    args: &Args,
+    inst: &GInstance<Sz>,
+    factory: &GSelectorFactory<Sz>,
+) -> Result<(), String> {
     let config = cluster_config(args, 2)?;
     let shards = config.shards;
-    let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
+    let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(inst), config);
+    let label = |algorithm: &str| match Sz::DIMS {
+        1 => algorithm.to_string(),
+        d => format!("{algorithm} ({d}-dimensional)"),
+    };
 
     if let Some(spec) = args.str_flag("shard-faults") {
         if args.has("faults") {
@@ -901,10 +879,10 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
                     .into(),
             );
         }
-        let plan = shard_fault_plan(spec, shards, &inst)?;
+        let plan = shard_fault_plan(spec, shards, inst)?;
         let mut probe = RunProbe::open(args, String::new())?;
         let (run, _) = engine
-            .run_self_healing(&inst, &factory, &plan, &mut probe, |_, _| NoSpans)
+            .run_self_healing(inst, factory, &plan, &mut probe, |_, _| NoSpans)
             .map_err(|e| e.to_string())?;
         probe.seal(args)?;
         let mut merged = run.metrics();
@@ -912,7 +890,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         save_metrics(args, &merged)?;
         save_manifest(args, &run.manifest)?;
         let r = &run.report;
-        print_cluster_header(&r.algorithm, &r.router, r.shards, r.sessions_total);
+        print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.sessions_total);
         println!("served         : {}", r.sessions_served);
         println!("dropped        : {}", r.sessions_dropped);
         println!("lost to kills  : {}", r.sessions_lost);
@@ -949,7 +927,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
 
     let plans = args
         .str_flag("faults")
-        .map(|spec| fault_plans(spec, &inst, shards).map(|plans| (spec, plans)))
+        .map(|spec| fault_plans(spec, inst, shards).map(|plans| (spec, plans)))
         .transpose()?;
     // Pre-open every shard's recorders so journal I/O errors surface
     // before any work runs; the pool then takes them by shard index.
@@ -961,7 +939,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     let started = std::time::Instant::now();
     if let Some((spec, plans)) = plans {
         let (run, probes) = engine
-            .run_resilient(&inst, &factory, &plans, take_probe)
+            .run_resilient(inst, factory, &plans, take_probe)
             .map_err(|e| format!("{spec}: {e}"))?;
         let wall = started.elapsed();
         let mut merged = MetricsRegistry::new();
@@ -972,10 +950,10 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         save_metrics(args, &merged)?;
         // No single packing trace under faults, so no exact cost —
         // mirrors `run --faults`.
-        let manifest = RunManifest::capture(factory.name(), None, &inst, wall);
+        let manifest = RunManifest::capture(factory.name(), None, inst, wall);
         save_manifest(args, &manifest)?;
         let r = &run.report;
-        print_cluster_header(&r.algorithm, &r.router, r.shards, r.sessions_total);
+        print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.sessions_total);
         println!("served         : {}", r.sessions_served);
         println!("dropped        : {}", r.sessions_dropped);
         println!("lost to crash  : {}", r.sessions_lost);
@@ -998,7 +976,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         dbp_serve::install_signal_handlers();
         dbp_cluster::cancel::set_flag(dbp_serve::global_flag());
     }
-    let (run, probes) = match engine.run_probed(&inst, &factory, take_probe) {
+    let (run, probes) = match engine.run_probed(inst, factory, take_probe) {
         Ok(ok) => ok,
         Err(dbp_cluster::ClusterError::Interrupted) => {
             println!("interrupted    : stopped by signal; shard journals hold clean prefixes");
@@ -1016,10 +994,18 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         probe.seal(args)?;
         registries.push(probe.metrics.registry().clone());
     }
-    save_metrics(args, &run.metrics(&registries))?;
-    save_manifest(args, &run.report.manifest)?;
     let r = &run.report;
-    print_cluster_header(&r.algorithm, &r.router, r.shards, r.sessions_served);
+    // Every session is served here, so the instance's demand is the
+    // packing's: the per-dimension ledger is exact.
+    let dims = match Sz::DIMS {
+        1 => Vec::new(),
+        _ => dbp_cluster::vector::dim_reports(inst, r.busy_ticks),
+    };
+    let mut metrics = run.metrics(&registries);
+    absorb_dim_metrics(&mut metrics, &dims);
+    save_metrics(args, &metrics)?;
+    save_manifest(args, &r.manifest)?;
+    print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.sessions_served);
     println!(
         "servers        : {} rented, peak {} (sum of shard peaks)",
         r.servers_rented, r.peak_servers
@@ -1027,6 +1013,16 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     print_bill(r.busy_ticks, r.billed_ticks, r.cost_cents);
     println!("utilization    : {:.4}", r.utilization.to_f64());
     println!("instance digest: {}", r.manifest.instance_digest);
+    for d in &dims {
+        println!(
+            "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted",
+            d.dim,
+            DIM_NAMES[d.dim],
+            d.utilization.to_f64(),
+            d.demand_ticks,
+            d.waste_ticks,
+        );
+    }
     for shard in &run.shards {
         println!(
             "  shard {:>2}     : {} sessions, {} busy ticks, {} servers",

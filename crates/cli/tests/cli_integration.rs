@@ -303,10 +303,12 @@ fn run_faults_refuses_flags_it_would_drop() {
     );
 }
 
+/// Every flag `cluster` takes works with `--hetero`: the vector cluster
+/// runs through the one generic cluster path, so none is refused.
 #[test]
-fn cluster_hetero_refuses_flags_it_would_drop() {
-    let (_, tr) = tmpfile("refuse_cluster_hetero.json");
-    let _ = dbp(&[
+fn cluster_hetero_honours_every_flag() {
+    let (_, tr) = tmpfile("hetero_flags.json");
+    stdout(&dbp(&[
         "generate",
         "scenario",
         "--name",
@@ -315,28 +317,62 @@ fn cluster_hetero_refuses_flags_it_would_drop() {
         "7",
         "--out",
         &tr,
+    ]));
+    let base = ["cluster", &tr, "--algo", "ff", "--hetero", "--shards", "3"];
+    let with = |extra: &[&str]| {
+        let mut args = base.to_vec();
+        args.extend_from_slice(extra);
+        stdout(&dbp(&args))
+    };
+    let plain = with(&[]);
+    assert!(plain.contains("FF (3-dimensional)"), "{plain}");
+
+    // One D=3 (format v2) journal per shard, and JSONL event logs.
+    let (_, wal) = tmpfile("hetero_flags.wal");
+    let (_, jsonl) = tmpfile("hetero_flags.jsonl");
+    with(&[
+        "--journal",
+        &wal,
+        "--fsync",
+        "never",
+        "--trace-events",
+        &jsonl,
     ]);
-    let (_, wal) = tmpfile("refuse_cluster_hetero.wal");
-    let (_, jsonl) = tmpfile("refuse_cluster_hetero.jsonl");
-    let (_, man) = tmpfile("refuse_cluster_hetero.manifest.json");
-    assert_refused(
-        &["cluster", &tr, "--algo", "ff", "--hetero", "--shards", "3"],
-        "--hetero",
-        &[
-            ("journal", Some(&wal)),
-            ("fsync", Some("never")),
-            ("trace-events", Some(&jsonl)),
-            ("faults", Some("42")),
-            ("shard-faults", Some("7")),
-            ("run-manifest", Some(&man)),
-            ("batch", Some("event")),
-            ("jobs", Some("2")),
-        ],
-    );
-    // No shard journal or shard event log was created either.
     for s in 0..3 {
-        assert!(!std::path::Path::new(&format!("{wal}.shard{s}")).exists());
-        assert!(!std::path::Path::new(&format!("{jsonl}.shard{s}")).exists());
+        let bytes = std::fs::read(format!("{wal}.shard{s}")).unwrap();
+        assert_eq!(&bytes[..9], b"DBPWAL02\x03", "shard {s} journal header");
+        let log = std::fs::read_to_string(format!("{jsonl}.shard{s}")).unwrap();
+        assert!(!log.is_empty());
+        for line in log.lines() {
+            serde_json::from_str::<dbp_core::probe::GProbeEvent<dbp_core::demand::VSize<3>>>(line)
+                .unwrap_or_else(|e| panic!("shard {s}: {line}: {e:?}"));
+        }
+    }
+
+    // Both fault models conserve their SLA ledger.
+    for faults in [&["--faults", "42"][..], &["--shard-faults", "7"][..]] {
+        let text = with(faults);
+        assert!(
+            text.contains("ledger         : conserved"),
+            "{faults:?}: {text}"
+        );
+    }
+
+    // The manifest digests the widened instance.
+    let (_, man) = tmpfile("hetero_flags.manifest.json");
+    with(&["--run-manifest", &man]);
+    let manifest: dbp_obs::RunManifest =
+        serde_json::from_str(&std::fs::read_to_string(&man).unwrap()).unwrap();
+    let scalar: dbp_core::instance::Instance =
+        serde_json::from_str(&std::fs::read_to_string(&tr).unwrap()).unwrap();
+    assert_eq!(
+        manifest.instance_digest,
+        dbp_obs::manifest::instance_digest_dims(&dbp_workloads::widen(&scalar))
+    );
+
+    // Ingestion batching and the worker pool never change the report.
+    for extra in [&["--batch", "event"][..], &["--jobs", "1"][..]] {
+        assert_eq!(with(extra), plain, "{extra:?}");
     }
 }
 
@@ -471,16 +507,13 @@ fn cluster_hetero_takes_the_vector_roster() {
         "cluster", &tr, "--hetero", "--algo", "dom", "--shards", "3",
     ]));
     assert!(text.contains("DOM (3-dimensional)"), "{text}");
-    assert!(text.contains("ledger         : conserved"), "{text}");
+    assert!(text.contains("dim 2 (mem)"), "{text}");
     for algo in ["FF-idx", "BF-idx", "MFF-idx"] {
         let text = stdout(&dbp(&[
             "cluster", &tr, "--hetero", "--algo", algo, "--shards", "3",
         ]));
         assert!(text.contains("(3-dimensional)"), "{algo}: {text}");
-        assert!(
-            text.contains("ledger         : conserved"),
-            "{algo}: {text}"
-        );
+        assert!(text.contains("dim 2 (mem)"), "{algo}: {text}");
     }
     // `dom` is vector-only: the scalar cluster still rejects it.
     let out = dbp(&["cluster", &tr, "--algo", "dom"]);
@@ -596,4 +629,41 @@ fn metrics_time_every_arrival_once() {
         }
         assert_eq!(decision_counts(&prom), n, "cluster {extra:?}");
     }
+    // Fault runs time each dispatch attempt that commits a placement or a
+    // boot, so one timing per `FitAttempt`; with no fault that is one per
+    // arrival.
+    let (_, zero) = tmpfile("timed_zero_plan.json");
+    let plan = dbp_cloudsim::FaultPlan::none();
+    std::fs::write(&zero, serde_json::to_string(&plan).unwrap()).unwrap();
+    for (spec, want) in [("42", None), (zero.as_str(), Some(n))] {
+        for mode in [&["run"][..], &["cluster", "--shards", "3"][..]] {
+            let mut args = vec![mode[0], &inst, "--algo", "ff", "--faults", spec];
+            args.extend_from_slice(&mode[1..]);
+            args.extend_from_slice(&["--metrics", &prom]);
+            stdout(&dbp(&args));
+            let timed = decision_counts(&prom);
+            assert!(timed > 0, "{args:?}");
+            assert_eq!(
+                timed,
+                counter_sum(&prom, "dbp_fit_attempts_total"),
+                "{args:?}"
+            );
+            if let Some(n) = want {
+                assert_eq!(timed, n, "{args:?}");
+            }
+        }
+    }
+}
+
+/// Sum of every sample of counter `name`, labelled or not.
+fn counter_sum(prom: &str, name: &str) -> u64 {
+    std::fs::read_to_string(prom)
+        .unwrap()
+        .lines()
+        .filter(|l| {
+            let key = l.split(' ').next().unwrap();
+            key == name || key.starts_with(&format!("{name}{{"))
+        })
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
 }

@@ -6,8 +6,9 @@
 //! the `billing_granularity` experiment test whether the algorithm ranking
 //! is stable under realistic rounding.
 
+use dbp_core::demand::Demand;
 use dbp_core::ratio::Ratio;
-use dbp_core::trace::PackingTrace;
+use dbp_core::trace::GPackingTrace;
 use serde::{Deserialize, Serialize};
 
 /// Ticks are seconds in the cloudsim layer.
@@ -94,7 +95,7 @@ impl ServerType {
 
 /// Total billed ticks of a trace under a granularity: each bin's usage
 /// period is rounded up independently (servers are rented per-instance).
-pub fn billed_ticks(trace: &PackingTrace, granularity: Granularity) -> u128 {
+pub fn billed_ticks<Sz: Demand>(trace: &GPackingTrace<Sz>, granularity: Granularity) -> u128 {
     trace
         .bins
         .iter()
@@ -104,8 +105,8 @@ pub fn billed_ticks(trace: &PackingTrace, granularity: Granularity) -> u128 {
 
 /// Exact rental cost in cents:
 /// `billed_ticks · cents_per_hour / 3600 + servers · setup_cents`.
-pub fn rental_cost_cents(
-    trace: &PackingTrace,
+pub fn rental_cost_cents<Sz: Demand>(
+    trace: &GPackingTrace<Sz>,
     server: ServerType,
     granularity: Granularity,
 ) -> Ratio {

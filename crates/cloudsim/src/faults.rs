@@ -788,11 +788,14 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
     /// One dispatch attempt for `item` at tick `t`: the selector decides,
     /// the plan may reject a placement or fail a boot, and otherwise the
     /// item is placed or committed to a booting server. `false` when the
-    /// attempt failed (the caller retries or drops).
+    /// attempt failed (the caller retries or drops). An attempt that
+    /// commits is timed like `EventCore::arrive` times an arrival, from
+    /// the decision through the placement (or the boot reservation).
     fn dispatch(&mut self, t: u64, item: ItemId) -> bool {
         let i = item.index();
         self.attempts[i] += 1;
         let arriving = self.arriving(item, t);
+        let started = P::TIMED.then(std::time::Instant::now);
         let decision = self.core.decide(&mut NoSpans, &arriving);
         let seed = self.plan.seed;
         match decision {
@@ -835,6 +838,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
                 };
                 if delay > 0 {
                     let bin = self.core.reserve(&arriving, tag);
+                    self.decision_timed(started);
                     let ready = self.tick_after(t, Some(delay), "boot");
                     self.queue.push(Reverse(Timed {
                         at: ready,
@@ -855,8 +859,18 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         }
         self.core
             .place(&mut NoSpans, &arriving, decision, self.orphaned_from[i]);
+        self.decision_timed(started);
         self.committed(t, item);
         true
+    }
+
+    /// Report a committed attempt's decision time to the probe.
+    fn decision_timed(&mut self, started: Option<std::time::Instant>) {
+        if let Some(started) = started {
+            self.core
+                .probe_mut()
+                .on_decision_ns(started.elapsed().as_nanos() as u64);
+        }
     }
 
     /// The ledger side of a placement at `t`: the session leaves the

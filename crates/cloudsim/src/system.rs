@@ -12,7 +12,7 @@ use dbp_core::engine::simulate_validated;
 use dbp_core::instance::{GInstance, Instance};
 use dbp_core::packer::BinSelector;
 use dbp_core::ratio::Ratio;
-use dbp_core::trace::PackingTrace;
+use dbp_core::trace::{GPackingTrace, PackingTrace};
 use dbp_obs::RunManifest;
 use serde::{Deserialize, Serialize};
 
@@ -81,15 +81,20 @@ impl SystemReport {
 }
 
 /// Mean GPU utilization of `busy_ticks` of rented time serving
-/// `requests`: total demand over `W · busy_ticks`, zero when nothing was
-/// rented.
-pub fn utilization(requests: &Instance, busy_ticks: u128) -> Ratio {
+/// `requests`: total GPU demand (component 0 of a vector demand) over
+/// `W · busy_ticks`, zero when nothing was rented.
+pub fn utilization<Sz: Demand>(requests: &GInstance<Sz>, busy_ticks: u128) -> Ratio {
     if busy_ticks == 0 {
         return Ratio::ZERO;
     }
+    let gpu_demand: u128 = requests
+        .items()
+        .iter()
+        .map(|r| r.size.component(0) as u128 * r.interval_len().0 as u128)
+        .sum();
     Ratio::new(
-        requests.total_demand(),
-        requests.capacity().raw() as u128 * busy_ticks,
+        gpu_demand,
+        requests.capacity().component(0) as u128 * busy_ticks,
     )
 }
 
@@ -160,10 +165,10 @@ impl GamingSystem {
     /// The bill of a finished dispatch: `trace` packed `requests` in
     /// `wall` time. Busy and billed ticks, the exact cost and utilization,
     /// and a manifest whose digest covers `requests`.
-    pub fn report(
+    pub fn report<Sz: Demand>(
         &self,
-        requests: &Instance,
-        trace: &PackingTrace,
+        requests: &GInstance<Sz>,
+        trace: &GPackingTrace<Sz>,
         wall: std::time::Duration,
     ) -> SystemReport {
         let busy = trace.total_cost_ticks();

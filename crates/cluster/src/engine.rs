@@ -13,20 +13,20 @@ use crate::faults::{
     panic_message, supervise_shard, KillPoint, ShardFate, ShardFaultPlan, ShardHealth,
     ShardSupervision,
 };
-use crate::router::Router;
+use crate::router::{Router, ShardSlice};
 use dbp_cloudsim::{
     DispatchError, FaultPlan, GamingSystem, ResilientReport, ResilientSystem, SystemReport,
 };
 use dbp_core::demand::Demand;
 use dbp_core::engine::EngineRun;
-use dbp_core::instance::{GInstance, Instance};
-use dbp_core::item::ItemId;
-use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::{NoProbe, Probe, ProbeEvent, VerifyProbe};
+use dbp_core::instance::GInstance;
+use dbp_core::item::{ItemId, Size};
+use dbp_core::packer::{BinSelector, GSelectorFactory};
+use dbp_core::probe::{GProbeEvent, NoProbe, Probe, VerifyProbe};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
 use dbp_core::time::Tick;
-use dbp_core::trace::PackingTrace;
+use dbp_core::trace::GPackingTrace;
 use dbp_obs::span::{SpanCollector, DRIVER_LANE};
 use dbp_obs::{MetricsRegistry, RunManifest};
 use serde::{Deserialize, Serialize};
@@ -201,14 +201,14 @@ impl ClusterConfig {
 
 /// One shard's complete outcome.
 #[derive(Debug, Clone)]
-pub struct ShardRun {
+pub struct ShardRun<Sz = Size> {
     /// Shard index in `0..shards`.
     pub shard: usize,
     /// The shard's dispatch report (per-shard manifest attached, its
     /// digest taken over the shard's restricted instance).
     pub report: SystemReport,
     /// The shard's packing trace (item ids are shard-local).
-    pub trace: PackingTrace,
+    pub trace: GPackingTrace<Sz>,
     /// Back-map: shard-local item id index → original [`ItemId`].
     pub back: Vec<ItemId>,
 }
@@ -247,16 +247,16 @@ pub struct ClusterReport {
 /// A finished cluster run: the aggregate report, every shard's outcome,
 /// and the router's item → shard assignment.
 #[derive(Debug, Clone)]
-pub struct ClusterRun {
+pub struct ClusterRun<Sz = Size> {
     /// Exact aggregate accounting.
     pub report: ClusterReport,
     /// Per-shard outcomes, indexed by shard.
-    pub shards: Vec<ShardRun>,
+    pub shards: Vec<ShardRun<Sz>>,
     /// `assignment[item.index()]` is the shard that served the item.
     pub assignment: Vec<usize>,
 }
 
-impl ClusterRun {
+impl<Sz> ClusterRun<Sz> {
     /// Per-shard metrics with `{shard="N"}`-labelled names plus unlabelled
     /// cluster totals, ready for Prometheus text export. The per-shard
     /// registries fan in via [`MetricsRegistry::absorb_labeled`].
@@ -332,6 +332,10 @@ pub struct ClusterTrace<R> {
     /// Exact stage/utilization attribution.
     pub timing: ClusterTiming,
 }
+
+/// A finished [`ClusterEngine::run_traced`]: the run, the shard probes
+/// in shard order, and the span capture.
+pub type TracedRun<Sz, P, R> = (ClusterRun<Sz>, Vec<P>, ClusterTrace<R>);
 
 /// Aggregate SLA ledger of a fault-injected cluster run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -544,7 +548,10 @@ impl ClusterEngine {
     /// instance + back-map per shard, plus the item → shard assignment.
     /// Restriction preserves arrival order and renumbers densely, so each
     /// shard is a well-formed instance in its own right.
-    pub fn partition(&self, requests: &Instance) -> (Vec<(Instance, Vec<ItemId>)>, Vec<usize>) {
+    pub fn partition<Sz: Demand>(
+        &self,
+        requests: &GInstance<Sz>,
+    ) -> (Vec<ShardSlice<Sz>>, Vec<usize>) {
         self.config
             .router
             .partition(requests, self.config.shards, &mut NoSpans)
@@ -560,14 +567,15 @@ impl ClusterEngine {
     /// [`ClusterError::ZeroShards`] / [`ClusterError::ZeroBatch`] for a
     /// malformed shape; [`ClusterError::ShardPanicked`] when a shard
     /// worker dies (the pool contains the unwind).
-    pub fn run_probed<P, F>(
+    pub fn run_probed<Sz, P, F>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         make_probe: F,
-    ) -> Result<(ClusterRun, Vec<P>), ClusterError>
+    ) -> Result<(ClusterRun<Sz>, Vec<P>), ClusterError>
     where
-        P: Probe + Send,
+        Sz: Demand,
+        P: Probe<Sz> + Send,
         F: FnMut(usize) -> P,
     {
         self.run_traced(requests, factory, make_probe, |_, _| NoSpans)
@@ -592,15 +600,16 @@ impl ClusterEngine {
     ///
     /// # Errors
     /// As for [`run_probed`](Self::run_probed).
-    pub fn run_traced<P, R, FP, FR>(
+    pub fn run_traced<Sz, P, R, FP, FR>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         make_probe: FP,
         make_spans: FR,
-    ) -> Result<(ClusterRun, Vec<P>, ClusterTrace<R>), ClusterError>
+    ) -> Result<TracedRun<Sz, P, R>, ClusterError>
     where
-        P: Probe + Send,
+        Sz: Demand,
+        P: Probe<Sz> + Send,
         R: SpanRecorder + Send,
         FP: FnMut(usize) -> P,
         FR: FnMut(usize, Instant) -> R,
@@ -637,7 +646,7 @@ impl ClusterEngine {
                     // on-disk prefix is recover-clean.
                     return Err(ClusterError::Interrupted);
                 }
-                let (shards, probes): (Vec<ShardRun>, Vec<P>) = outcomes.into_iter().unzip();
+                let (shards, probes): (Vec<ShardRun<Sz>>, Vec<P>) = outcomes.into_iter().unzip();
                 let report = self.aggregate(requests, &shards, factory.name(), driver);
                 let run = ClusterRun {
                     report,
@@ -660,15 +669,16 @@ impl ClusterEngine {
     /// [`ClusterError::FaultPlanCount`] when `plans.len()` differs from
     /// the shard count, and [`ClusterError::Dispatch`] when a shard's
     /// plan is refused ([`DispatchError::BadFaultPlan`]).
-    pub fn run_resilient<P, F>(
+    pub fn run_resilient<Sz, P, F>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         plans: &[FaultPlan],
         mut make_probe: F,
     ) -> Result<(ClusterResilientRun, Vec<P>), ClusterError>
     where
-        P: Probe + Send,
+        Sz: Demand,
+        P: Probe<Sz> + Send,
         F: FnMut(usize) -> P,
     {
         if plans.len() != self.config.shards {
@@ -755,16 +765,17 @@ impl ClusterEngine {
     /// the cluster. [`ClusterError::ShardPanicked`] here means the
     /// *supervisor itself* died — engine and selector panics are treated
     /// as kills and handled inside the run.
-    pub fn run_self_healing<P, R, FR>(
+    pub fn run_self_healing<Sz, P, R, FR>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
         plan: &ShardFaultPlan,
         probe: &mut P,
         make_spans: FR,
     ) -> Result<(ClusterHealedRun, ClusterTrace<R>), ClusterError>
     where
-        P: Probe,
+        Sz: Demand,
+        P: Probe<Sz>,
         R: SpanRecorder + Send,
         FR: FnMut(usize, Instant) -> R,
     {
@@ -808,11 +819,11 @@ impl ClusterEngine {
     /// The self-healing fan-in: per-shard ledgers, degraded-mode routing
     /// of dead shards' future arrivals, the cluster stream delivered to
     /// `probe`, and the extended ledger with its manifest.
-    fn heal<P: Probe>(
+    fn heal<Sz: Demand, P: Probe<Sz>>(
         &self,
-        requests: &Instance,
-        factory: &SelectorFactory,
-        collected: Vec<(Vec<ItemId>, ShardSupervision)>,
+        requests: &GInstance<Sz>,
+        factory: &GSelectorFactory<Sz>,
+        collected: Vec<(Vec<ItemId>, ShardSupervision<Sz>)>,
         assignment: Vec<usize>,
         probe: &mut P,
         driver: &mut SpanCollector,
@@ -824,7 +835,7 @@ impl ClusterEngine {
 
         // First pass: per-shard ledgers, abandon markers, the reroute set.
         let mut health_reports: Vec<ShardHealthReport> = Vec::with_capacity(shards_n);
-        let mut streams: Vec<Vec<ProbeEvent>> = Vec::with_capacity(shards_n);
+        let mut streams: Vec<Vec<GProbeEvent<Sz>>> = Vec::with_capacity(shards_n);
         let mut decision_streams: Vec<Vec<u64>> = Vec::with_capacity(shards_n);
         let mut algorithm: Option<String> = None;
         let mut reroute = vec![false; requests.len()];
@@ -864,7 +875,7 @@ impl ClusterEngine {
                     } else {
                         (0, dead.unarrived.len() as u64)
                     };
-                    events.push(ProbeEvent::ShardAbandoned {
+                    events.push(GProbeEvent::ShardAbandoned {
                         at: Tick(dead.died_at),
                         shard: s as u32,
                         lost: dead.lost as u32,
@@ -1108,10 +1119,10 @@ impl ClusterEngine {
 
     /// Merge shard reports into the exact aggregate. The manifest capture
     /// (full-stream digest) dominates fan-in cost, so it gets its own span.
-    fn aggregate(
+    fn aggregate<Sz: Demand>(
         &self,
-        requests: &Instance,
-        shards: &[ShardRun],
+        requests: &GInstance<Sz>,
+        shards: &[ShardRun<Sz>],
         fallback_algorithm: &str,
         driver: &mut SpanCollector,
     ) -> ClusterReport {
@@ -1157,17 +1168,18 @@ fn elapsed_ns(epoch: Instant) -> u64 {
 /// # Panics
 /// Panics if `requests` was generated against a different capacity than
 /// `system`'s server flavor (the cluster runs check it up front).
-pub fn run_shard<S, P, R>(
+pub fn run_shard<Sz, S, P, R>(
     system: &GamingSystem,
-    requests: &Instance,
+    requests: &GInstance<Sz>,
     dispatcher: &mut S,
     probe: &mut P,
     spans: &mut R,
     batch: BatchPolicy,
-) -> (SystemReport, PackingTrace)
+) -> (SystemReport, GPackingTrace<Sz>)
 where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
+    Sz: Demand,
+    S: BinSelector<Sz> + ?Sized,
+    P: Probe<Sz>,
     R: SpanRecorder,
 {
     run_shard_from(system, requests, dispatcher, probe, spans, None, batch)
@@ -1187,18 +1199,19 @@ where
 ///
 /// # Errors
 /// The first divergence between the re-execution and `prefix`, rendered.
-pub(crate) fn run_shard_from<S, P, R>(
+pub(crate) fn run_shard_from<Sz, S, P, R>(
     system: &GamingSystem,
-    requests: &Instance,
+    requests: &GInstance<Sz>,
     dispatcher: &mut S,
     probe: &mut P,
     spans: &mut R,
-    resume: Option<(&[ProbeEvent], usize)>,
+    resume: Option<(&[GProbeEvent<Sz>], usize)>,
     batch: BatchPolicy,
-) -> Result<(SystemReport, PackingTrace), String>
+) -> Result<(SystemReport, GPackingTrace<Sz>), String>
 where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
+    Sz: Demand,
+    S: BinSelector<Sz> + ?Sized,
+    P: Probe<Sz>,
     R: SpanRecorder,
 {
     system
@@ -1237,7 +1250,7 @@ where
             algorithm: dispatcher.name().to_string(),
             ..SystemReport::default()
         };
-        let trace = PackingTrace {
+        let trace = GPackingTrace {
             algorithm: dispatcher.name().to_string(),
             capacity: requests.capacity(),
             bins: Vec::new(),
@@ -1260,7 +1273,7 @@ where
     }
     if P::ENABLED {
         for err in &errs {
-            probe.record(ProbeEvent::Violation {
+            probe.record(GProbeEvent::Violation {
                 at: Tick(0),
                 message: err.clone(),
             });
@@ -1286,10 +1299,14 @@ where
 /// [`cancel`](crate::cancel) latch at least every 4096 steps even under
 /// whole-stream batching; the clamp is semantically invisible (the outer
 /// loop re-enters until `is_done`). `None` when cancelled mid-run.
-fn drive<S, P, R>(mut run: EngineRun<'_, S, P, R>, batch: BatchPolicy) -> Option<PackingTrace>
+fn drive<Sz, S, P, R>(
+    mut run: EngineRun<'_, S, P, R, Sz>,
+    batch: BatchPolicy,
+) -> Option<GPackingTrace<Sz>>
 where
-    S: dbp_core::packer::BinSelector + ?Sized,
-    P: Probe,
+    Sz: Demand,
+    S: BinSelector<Sz> + ?Sized,
+    P: Probe<Sz>,
     R: SpanRecorder,
 {
     const CANCEL_CHECK: usize = 4096;
@@ -1387,7 +1404,9 @@ where
 mod tests {
     use super::*;
     use dbp_core::algorithms::FirstFit;
-    use dbp_core::instance::InstanceBuilder;
+    use dbp_core::instance::{Instance, InstanceBuilder};
+    use dbp_core::packer::SelectorFactory;
+    use dbp_core::probe::ProbeEvent;
     use dbp_workloads::{generate, CloudGamingConfig};
 
     fn workload(seed: u64) -> Instance {

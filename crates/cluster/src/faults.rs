@@ -25,9 +25,10 @@
 
 use crate::engine::{run_shard_from, BatchPolicy};
 use dbp_cloudsim::{GamingSystem, RetryPolicy, SystemReport};
-use dbp_core::instance::Instance;
-use dbp_core::packer::SelectorFactory;
-use dbp_core::probe::{Probe, ProbeEvent};
+use dbp_core::demand::Demand;
+use dbp_core::instance::GInstance;
+use dbp_core::packer::GSelectorFactory;
+use dbp_core::probe::{GProbeEvent, Probe};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::{stage, SpanRecorder};
 use dbp_core::time::Tick;
@@ -244,16 +245,16 @@ impl KillCursor {
 /// The supervised shard's write-ahead probe: every engine event is pushed
 /// to the in-memory WAL *before* a post-event kill can fire, so the WAL at
 /// death is exactly what a durable journal would hold.
-struct WalProbe<'a> {
-    wal: &'a mut Vec<ProbeEvent>,
+struct WalProbe<'a, Sz> {
+    wal: &'a mut Vec<GProbeEvent<Sz>>,
     decisions: &'a mut Vec<u64>,
     kills: &'a mut KillCursor,
 }
 
-impl Probe for WalProbe<'_> {
+impl<Sz: Demand> Probe<Sz> for WalProbe<'_, Sz> {
     const TIMED: bool = true;
 
-    fn record(&mut self, event: ProbeEvent) {
+    fn record(&mut self, event: GProbeEvent<Sz>) {
         if self.kills.fire_before_tick(event.at()) {
             std::panic::panic_any(ShardKillSignal);
         }
@@ -324,11 +325,11 @@ pub(crate) struct DeadShard {
 }
 
 /// The full outcome of supervising one shard.
-pub(crate) struct ShardSupervision {
+pub(crate) struct ShardSupervision<Sz> {
     /// The shard's user-visible event stream: the engine WAL with
     /// `ShardKilled`/`ShardRestarted` markers interleaved at the stream
     /// positions they occurred.
-    pub events: Vec<ProbeEvent>,
+    pub events: Vec<GProbeEvent<Sz>>,
     /// Per-arrival decision timings (each arrival timed exactly once,
     /// replay is silent).
     pub decisions: Vec<u64>,
@@ -346,7 +347,7 @@ pub(crate) struct ShardSupervision {
     pub fate: ShardFate,
 }
 
-impl ShardSupervision {
+impl<Sz> ShardSupervision<Sz> {
     /// Final health: the last transition.
     pub fn health(&self) -> ShardHealth {
         *self.transitions.last().unwrap_or(&ShardHealth::Up)
@@ -357,30 +358,30 @@ impl ShardSupervision {
 /// `catch_unwind`, resurrect from the WAL within the restart budget, and
 /// account the corpse exactly when the budget runs out.
 #[allow(clippy::too_many_arguments)] // internal seam: the engine passes the full shard context
-pub(crate) fn supervise_shard<R: SpanRecorder>(
+pub(crate) fn supervise_shard<Sz: Demand, R: SpanRecorder>(
     system: &GamingSystem,
-    requests: &Instance,
-    factory: &SelectorFactory,
+    requests: &GInstance<Sz>,
+    factory: &GSelectorFactory<Sz>,
     kills: Vec<KillPoint>,
     restart: RestartPolicy,
     batch: BatchPolicy,
     shard: u32,
     spans: &mut R,
-) -> ShardSupervision {
+) -> ShardSupervision<Sz> {
     if !kills.is_empty() {
         silence_kill_panics();
     }
-    let mut wal: Vec<ProbeEvent> = Vec::new();
+    let mut wal: Vec<GProbeEvent<Sz>> = Vec::new();
     let mut decisions: Vec<u64> = Vec::new();
     let mut cursor = KillCursor::new(kills);
-    let mut markers: Vec<(usize, ProbeEvent)> = Vec::new();
+    let mut markers: Vec<(usize, GProbeEvent<Sz>)> = Vec::new();
     let mut kills_fired = 0u32;
     let mut restarts = 0u32;
     let mut replayed_events = 0u64;
     let mut backoff_ticks = 0u64;
     let mut transitions = vec![ShardHealth::Up];
     // The verified WAL prefix and its schedule cursor, once resurrected.
-    let mut resume: Option<(Vec<ProbeEvent>, usize)> = None;
+    let mut resume: Option<(Vec<GProbeEvent<Sz>>, usize)> = None;
 
     let outcome = loop {
         let mut sel = factory.build();
@@ -422,7 +423,7 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                 let at = wal.last().map(|e| e.at()).unwrap_or(Tick(0));
                 markers.push((
                     k,
-                    ProbeEvent::ShardKilled {
+                    GProbeEvent::ShardKilled {
                         at,
                         shard,
                         events_done: k as u64,
@@ -454,7 +455,7 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
                         replayed_events += rec.events_used as u64;
                         markers.push((
                             k,
-                            ProbeEvent::ShardRestarted {
+                            GProbeEvent::ShardRestarted {
                                 at,
                                 shard,
                                 attempt: restarts,
@@ -491,7 +492,10 @@ pub(crate) fn supervise_shard<R: SpanRecorder>(
 
 /// Interleave health markers into the WAL at their stream positions:
 /// a marker at position `k` lands after the `k`-th engine event.
-fn assemble_stream(wal: Vec<ProbeEvent>, mut markers: Vec<(usize, ProbeEvent)>) -> Vec<ProbeEvent> {
+fn assemble_stream<Sz: Demand>(
+    wal: Vec<GProbeEvent<Sz>>,
+    mut markers: Vec<(usize, GProbeEvent<Sz>)>,
+) -> Vec<GProbeEvent<Sz>> {
     if markers.is_empty() {
         return wal;
     }
@@ -514,10 +518,10 @@ fn assemble_stream(wal: Vec<ProbeEvent>, mut markers: Vec<(usize, ProbeEvent)>) 
 /// Bill an abandoned shard from its WAL alone: closed servers at their
 /// journaled spans, still-open servers from boot to the time of death,
 /// sessions split into served (departed) / lost (in flight) / unarrived.
-fn account_dead_shard(
+fn account_dead_shard<Sz: Demand>(
     system: &GamingSystem,
-    requests: &Instance,
-    wal: &[ProbeEvent],
+    requests: &GInstance<Sz>,
+    wal: &[GProbeEvent<Sz>],
     reason: String,
 ) -> DeadShard {
     let died_at = wal.last().map(|e| e.at().0).unwrap_or(0);
@@ -531,21 +535,21 @@ fn account_dead_shard(
     let mut billed: u128 = 0;
     for ev in wal {
         match ev {
-            ProbeEvent::ItemArrived { item, .. } => {
+            GProbeEvent::ItemArrived { item, .. } => {
                 if let Some(slot) = arrived.get_mut(item.index()) {
                     *slot = true;
                 }
             }
-            ProbeEvent::ItemDeparted { item, .. } => {
+            GProbeEvent::ItemDeparted { item, .. } => {
                 if let Some(slot) = departed.get_mut(item.index()) {
                     *slot = true;
                 }
             }
-            ProbeEvent::BinOpened { at, .. } => {
+            GProbeEvent::BinOpened { at, .. } => {
                 opened_at.push(at.0);
                 open.push(true);
             }
-            ProbeEvent::BinClosed {
+            GProbeEvent::BinClosed {
                 bin, open_ticks, ..
             } => {
                 if let Some(slot) = open.get_mut(bin.index()) {
@@ -609,6 +613,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use dbp_core::algorithms::FirstFit;
+    use dbp_core::instance::Instance;
+    use dbp_core::packer::SelectorFactory;
+    use dbp_core::probe::ProbeEvent;
     use dbp_core::span::NoSpans;
     use dbp_workloads::{generate, CloudGamingConfig};
 

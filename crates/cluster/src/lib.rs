@@ -17,7 +17,11 @@
 //!   ([`BatchPolicy`]). Every run shares one fan-out (validate, partition,
 //!   enqueue, pool, panic containment, timing) and differs only in its
 //!   per-shard work and its fan-in. There is one entry point per fault
-//!   model, plus the vector run:
+//!   model, and each is generic over the demand type
+//!   ([`Demand`](dbp_core::demand::Demand)): a scalar
+//!   [`Instance`](dbp_core::instance::Instance) and a multi-resource
+//!   [`GInstance`](dbp_core::instance::GInstance) take the same path,
+//!   bill and ledger alike:
 //!   * [`ClusterEngine::run_traced`] — the plain run: one
 //!     [`Probe`](dbp_core::probe::Probe) and one
 //!     [`SpanRecorder`](dbp_core::span::SpanRecorder) per shard plus a
@@ -37,11 +41,7 @@
 //!     restart budget, and reroutes only *future* arrivals off
 //!     shards that stay dead — returning a [`ClusterHealedRun`] whose
 //!     extended ledger conserves
-//!     `served + dropped + lost + rerouted == total`;
-//!   * [`ClusterEngine::run_vector`] — a multi-resource
-//!     [`GInstance`](dbp_core::instance::GInstance) across the shards,
-//!     every shard trace validated, folded into a per-dimension
-//!     [`VectorClusterRun`].
+//!     `served + dropped + lost + rerouted == total`.
 //!
 //!   Pass `|_| NoProbe` / `|_, _| NoSpans` (zero-sized) for "none";
 //!   [`run_shard`] drives one shard on its own;
@@ -49,7 +49,8 @@
 //!   and `cost_cents` are plain `u128`/`Ratio` sums over the shards
 //!   (shards share no servers, so costs are additive), plus a merged
 //!   [`RunManifest`](dbp_obs::RunManifest) whose digest covers the full
-//!   pre-partition stream.
+//!   pre-partition stream. At `D > 1`, [`vector::dim_reports`] adds the
+//!   per-dimension utilization/waste ledger.
 //!
 //! The differential guarantee the test suite pins down: a 1-shard cluster
 //! *is* the plain system run — same report, same JSONL event stream, same
@@ -68,8 +69,8 @@ pub mod vector;
 pub use engine::{
     run_shard, BatchPolicy, ClusterConfig, ClusterEngine, ClusterError, ClusterHealedRun,
     ClusterReport, ClusterResilientReport, ClusterResilientRun, ClusterRun, ClusterTiming,
-    ClusterTrace, ShardHealthReport, ShardRun,
+    ClusterTrace, ShardHealthReport, ShardRun, TracedRun,
 };
 pub use faults::{KillPoint, RestartPolicy, ShardFaultPlan, ShardHealth, ShardKill};
 pub use router::Router;
-pub use vector::{route_one_dims, VectorClusterRun};
+pub use vector::route_one_dims;

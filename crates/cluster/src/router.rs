@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 
 /// One shard's slice of a partitioned stream: the restricted instance and
 /// its back-map (shard-local item index → original [`ItemId`]).
-pub(crate) type ShardSlice<Sz> = (GInstance<Sz>, Vec<ItemId>);
+pub type ShardSlice<Sz> = (GInstance<Sz>, Vec<ItemId>);
 
 /// The routing policy catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,20 +10,14 @@
 //! affinity only at the GPU dimension (`demand[0]`), so every `D = 1`
 //! decision is the scalar one by construction.
 //!
-//! [`ClusterEngine::run_vector`] dispatches each shard's restricted
-//! sub-instance through the generic engine on the cluster's shared
-//! fan-out and folds the results into a per-dimension utilization/waste
-//! report ([`dim_reports`]) with a conservation ledger.
+//! A vector instance runs through the same [`ClusterEngine`](crate::ClusterEngine)
+//! entry points as a scalar one; [`dim_reports`] folds a run's busy time
+//! into the per-dimension utilization/waste ledger.
 
-use crate::engine::{ClusterEngine, ClusterError};
 use crate::router::Router;
 use dbp_core::demand::Demand;
 use dbp_core::instance::GInstance;
-use dbp_core::item::ItemId;
-use dbp_core::packer::BinSelector;
 use dbp_core::ratio::Ratio;
-use dbp_core::span::NoSpans;
-use dbp_core::trace::GPackingTrace;
 use dbp_workloads::GameCatalog;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -116,17 +110,6 @@ pub fn unapply_route_dims(loads: &mut DimLoads, shard: usize, demand: &[u64]) {
     }
 }
 
-/// One shard's vector outcome.
-#[derive(Debug, Clone)]
-pub struct VectorShardRun<Sz> {
-    /// Shard index.
-    pub shard: usize,
-    /// The shard's packing trace (item ids are shard-local).
-    pub trace: GPackingTrace<Sz>,
-    /// Shard-local item index → original [`ItemId`].
-    pub back: Vec<ItemId>,
-}
-
 /// Per-dimension accounting of one cluster run. All sums are exact
 /// integers; ratios are exact rationals.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,105 +157,18 @@ pub fn dim_reports<Sz: Demand>(requests: &GInstance<Sz>, busy_ticks: u128) -> Ve
         .collect()
 }
 
-/// Exact aggregate of a vector cluster run.
-#[derive(Debug, Clone)]
-pub struct VectorClusterRun<Sz> {
-    /// Dispatcher name.
-    pub algorithm: String,
-    /// Router name.
-    pub router: String,
-    /// Shard count.
-    pub shards_used: usize,
-    /// Sessions served (= the instance size; conservation holds by
-    /// construction and is re-checked in [`ClusterEngine::run_vector`]).
-    pub sessions_served: usize,
-    /// Distinct servers rented across shards.
-    pub servers_rented: usize,
-    /// Σ of per-shard total costs, in server-ticks.
-    pub busy_ticks: u128,
-    /// Per-dimension utilization/waste, indexed by dimension.
-    pub dims: Vec<DimReport>,
-    /// Per-shard outcomes.
-    pub shards: Vec<VectorShardRun<Sz>>,
-    /// `assignment[item.index()]` is the shard that served the item.
-    pub assignment: Vec<usize>,
-}
-
-impl ClusterEngine {
-    /// Route, restrict, and dispatch a vector instance across the
-    /// configured shards on the configured worker pool, each shard running
-    /// a fresh selector from `make_selector` through the shared fan-out.
-    /// Every shard trace is validated (per-dimension capacity, interval
-    /// exactness), and the run's conservation ledger — each item served by
-    /// exactly one shard — is asserted before returning. The scalar
-    /// [`system`](ClusterEngine::system) plays no part: the per-dimension
-    /// capacity is the instance's own.
-    ///
-    /// With one shard the single trace is the plain engine's for the whole
-    /// instance: byte-identical serialization at `D = 1` to the scalar run.
-    ///
-    /// # Errors
-    /// [`ClusterError::ZeroShards`] / [`ClusterError::ZeroBatch`] for a
-    /// malformed shape; [`ClusterError::ShardPanicked`] when a shard
-    /// worker dies, a failed trace validation included.
-    ///
-    /// # Panics
-    /// Panics if the routed shards do not serve every item exactly once.
-    pub fn run_vector<Sz, S, F>(
-        &self,
-        requests: &GInstance<Sz>,
-        make_selector: F,
-    ) -> Result<VectorClusterRun<Sz>, ClusterError>
-    where
-        Sz: Demand,
-        S: BinSelector<Sz>,
-        F: Fn() -> S + Sync,
-    {
-        let (run, _) = self.fan_out(
-            requests,
-            |_| (),
-            |_, _| NoSpans,
-            |shard, sub, back, (), _| {
-                let trace = dbp_core::engine::simulate_validated(&sub, &mut make_selector());
-                VectorShardRun { shard, trace, back }
-            },
-            |shards: Vec<VectorShardRun<Sz>>, assignment, _| {
-                let mut served = vec![false; requests.len()];
-                for id in shards.iter().flat_map(|s| &s.back) {
-                    let twice = std::mem::replace(&mut served[id.index()], true);
-                    assert!(!twice, "item {id:?} routed to two shards");
-                }
-                assert!(
-                    served.iter().all(|&s| s),
-                    "conservation violated: some item was never dispatched"
-                );
-                let busy_ticks: u128 = shards.iter().map(|s| s.trace.total_cost_ticks()).sum();
-                Ok(VectorClusterRun {
-                    // The fan-out refuses zero shards, so shard 0 exists.
-                    algorithm: shards[0].trace.algorithm.clone(),
-                    router: self.config.router.name().to_string(),
-                    shards_used: self.config.shards,
-                    sessions_served: requests.len(),
-                    servers_rented: shards.iter().map(|s| s.trace.bins_used()).sum(),
-                    busy_ticks,
-                    dims: dim_reports(requests, busy_ticks),
-                    shards,
-                    assignment,
-                })
-            },
-        )?;
-        Ok(run)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ClusterConfig;
-    use dbp_cloudsim::GamingSystem;
+    use crate::engine::{ClusterConfig, ClusterEngine, ClusterError, ClusterRun};
+    use dbp_cloudsim::{GamingSystem, Granularity, ServerType};
     use dbp_core::algorithms::FirstFit;
+    use dbp_core::bin::GOpenBinView;
     use dbp_core::demand::VSize;
     use dbp_core::instance::{GInstanceBuilder, Instance, InstanceBuilder};
+    use dbp_core::item::{GArrivingItem, ItemId};
+    use dbp_core::packer::{BinSelector, Decision, GSelectorFactory};
+    use dbp_core::probe::NoProbe;
 
     /// An independent scalar reference for the routers — the per-item
     /// hash, the catalog-title map and a heap-based least-loaded fold over
@@ -398,11 +294,34 @@ mod tests {
         inst.map_demand(|s| VSize([s.raw()])).unwrap()
     }
 
-    fn cluster(router: Router, shards: usize) -> ClusterEngine {
-        ClusterEngine::new(
-            GamingSystem::paper_model(),
-            ClusterConfig::new(shards, router).unwrap(),
-        )
+    /// A cluster whose servers' GPU capacity is `inst`'s.
+    fn cluster<Sz: Demand>(inst: &GInstance<Sz>, router: Router, shards: usize) -> ClusterEngine {
+        let system = GamingSystem {
+            server: ServerType {
+                gpu_capacity: inst.capacity().component(0),
+                ..ServerType::default_gpu_vm()
+            },
+            granularity: Granularity::PerTick,
+        };
+        ClusterEngine::new(system, ClusterConfig::new(shards, router).unwrap())
+    }
+
+    fn ff<Sz: Demand>() -> GSelectorFactory<Sz> {
+        GSelectorFactory::new("FF", || Box::new(FirstFit::new()))
+    }
+
+    /// `engine`'s First Fit run of `inst`, every shard trace validated
+    /// (per-dimension capacity, interval exactness) against its own
+    /// sub-instance.
+    fn validated_run<Sz: Demand>(engine: &ClusterEngine, inst: &GInstance<Sz>) -> ClusterRun<Sz> {
+        let (run, _) = engine.run_probed(inst, &ff(), |_| NoProbe).unwrap();
+        let (parts, _) = engine.partition(inst);
+        for (shard, (sub, back)) in run.shards.iter().zip(&parts) {
+            assert_eq!(&shard.back, back);
+            let errs = shard.trace.validate(sub);
+            assert!(errs.is_empty(), "shard {}: {errs:?}", shard.shard);
+        }
+        run
     }
 
     #[test]
@@ -512,21 +431,22 @@ mod tests {
         let inst = b.build().unwrap();
         for r in Router::ALL {
             for shards in [1, 2, 3] {
-                let run = cluster(r, shards).run_vector(&inst, FirstFit::new).unwrap();
-                assert_eq!(run.sessions_served, inst.len());
-                assert_eq!(run.dims.len(), 2);
-                for d in &run.dims {
+                let run = validated_run(&cluster(&inst, r, shards), &inst);
+                assert_eq!(run.report.sessions_served, inst.len());
+                let dims = dim_reports(&inst, run.report.busy_ticks);
+                assert_eq!(dims.len(), 2);
+                for d in &dims {
                     assert_eq!(
                         d.rented_ticks,
                         d.demand_ticks + d.waste_ticks,
                         "dimension ledger must balance"
                     );
                 }
-                // Each shard trace validated inside simulate_validated;
-                // check the back-maps partition the id space.
+                // The back-maps partition the id space.
                 let mut seen: Vec<ItemId> =
                     run.shards.iter().flat_map(|s| s.back.clone()).collect();
                 seen.sort();
+                seen.dedup();
                 assert_eq!(seen.len(), inst.len());
             }
         }
@@ -536,9 +456,7 @@ mod tests {
     fn one_shard_vector_trace_is_the_plain_engine_trace() {
         let inst = tiny_scalar();
         let lifted = lift1(&inst);
-        let run = cluster(Router::LeastLoaded, 1)
-            .run_vector(&lifted, FirstFit::new)
-            .unwrap();
+        let run = validated_run(&cluster(&lifted, Router::LeastLoaded, 1), &lifted);
         let scalar_trace = dbp_core::engine::simulate_validated(&inst, &mut FirstFit::new());
         let a = serde_json::to_string(&run.shards[0].trace).unwrap();
         let b = serde_json::to_string(&scalar_trace).unwrap();
@@ -547,11 +465,11 @@ mod tests {
 
     #[test]
     fn zero_shard_vector_run_is_a_typed_error() {
-        let mut engine = cluster(Router::HashByItem, 1);
-        engine.config.shards = 0;
         let inst = lift1(&tiny_scalar());
+        let mut engine = cluster(&inst, Router::HashByItem, 1);
+        engine.config.shards = 0;
         assert!(matches!(
-            engine.run_vector(&inst, FirstFit::new),
+            engine.run_probed(&inst, &ff(), |_| NoProbe),
             Err(ClusterError::ZeroShards)
         ));
     }
@@ -562,12 +480,12 @@ mod tests {
             .map_demand(|s| VSize([s.raw(), 1 + s.raw() % 7]))
             .unwrap();
         for r in Router::ALL {
-            let runs: Vec<VectorClusterRun<VSize<2>>> = [1, 4]
+            let runs: Vec<ClusterRun<VSize<2>>> = [1, 4]
                 .into_iter()
                 .map(|jobs| {
-                    let mut engine = cluster(r, 4);
+                    let mut engine = cluster(&inst, r, 4);
                     engine.config.jobs = jobs;
-                    engine.run_vector(&inst, FirstFit::new).unwrap()
+                    validated_run(&engine, &inst)
                 })
                 .collect();
             let (one, four) = (&runs[0], &runs[1]);
@@ -578,5 +496,45 @@ mod tests {
                 assert_eq!(a.trace, b.trace, "{} shard {}", r.name(), a.shard);
             }
         }
+    }
+
+    /// Always packs into bin 0, fit or not.
+    struct FirstBinBlindly;
+
+    impl BinSelector<VSize<2>> for FirstBinBlindly {
+        fn name(&self) -> &'static str {
+            "FirstBinBlindly"
+        }
+        fn select(
+            &mut self,
+            bins: &[GOpenBinView<VSize<2>>],
+            _item: &GArrivingItem<VSize<2>>,
+            _capacity: VSize<2>,
+        ) -> Decision {
+            match bins.first() {
+                Some(b) => Decision::Use(b.id),
+                None => Decision::OPEN,
+            }
+        }
+    }
+
+    #[test]
+    fn a_placement_over_capacity_in_any_dimension_is_a_shard_panic() {
+        // The two sessions fit together on the GPU (60 ≤ 100) but not in
+        // memory (40 > 30): only the engine's per-dimension fit check can
+        // catch the selector.
+        let mut b = GInstanceBuilder::new(VSize([100u64, 30]));
+        b.add(0, 10, VSize([30, 20]));
+        b.add(1, 12, VSize([30, 20]));
+        let inst = b.build().unwrap();
+        let factory = GSelectorFactory::new("FirstBinBlindly", || Box::new(FirstBinBlindly));
+        let err = cluster(&inst, Router::HashByItem, 1)
+            .run_probed(&inst, &factory, |_| NoProbe)
+            .unwrap_err();
+        assert!(
+            matches!(err, ClusterError::ShardPanicked { shard: 0, .. }),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("does not fit"), "{err}");
     }
 }

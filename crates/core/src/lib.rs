@@ -95,7 +95,7 @@ pub use instance::{
     InstanceError, InstanceStats,
 };
 pub use item::{ArrivingItem, GArrivingItem, GItem, Item, ItemId, RegionId, Size};
-pub use packer::{BinSelector, Decision, SelectorFactory};
+pub use packer::{BinSelector, Decision, GSelectorFactory, SelectorFactory};
 pub use probe::{DropReason, GProbeEvent, NoProbe, Probe, ProbeEvent, VerifyProbe};
 pub use ratio::Ratio;
 pub use span::{NoSpans, SpanEvent, SpanRecorder};

@@ -185,18 +185,21 @@ impl<Sz: Demand, S: BinSelector<Sz> + ?Sized> BinSelector<Sz> for Box<S> {
 
 /// A boxed factory for selectors, letting experiment harnesses iterate over
 /// algorithm families generically.
-pub struct SelectorFactory {
+pub struct GSelectorFactory<Sz: Demand> {
     name: &'static str,
-    make: Box<dyn Fn() -> Box<dyn BinSelector> + Send + Sync>,
+    make: Box<dyn Fn() -> Box<dyn BinSelector<Sz>> + Send + Sync>,
 }
 
-impl SelectorFactory {
+/// The scalar selector factory.
+pub type SelectorFactory = GSelectorFactory<Size>;
+
+impl<Sz: Demand> GSelectorFactory<Sz> {
     /// Wrap a constructor closure under a roster name.
     pub fn new(
         name: &'static str,
-        make: impl Fn() -> Box<dyn BinSelector> + Send + Sync + 'static,
-    ) -> SelectorFactory {
-        SelectorFactory {
+        make: impl Fn() -> Box<dyn BinSelector<Sz>> + Send + Sync + 'static,
+    ) -> GSelectorFactory<Sz> {
+        GSelectorFactory {
             name,
             make: Box::new(make),
         }
@@ -208,12 +211,12 @@ impl SelectorFactory {
     }
 
     /// Construct a fresh selector.
-    pub fn build(&self) -> Box<dyn BinSelector> {
+    pub fn build(&self) -> Box<dyn BinSelector<Sz>> {
         (self.make)()
     }
 }
 
-impl core::fmt::Debug for SelectorFactory {
+impl<Sz: Demand> core::fmt::Debug for GSelectorFactory<Sz> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("SelectorFactory")
             .field("name", &self.name)

@@ -81,9 +81,13 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<ProbeEvent>, String> {
     Ok(events)
 }
 
-/// Write events to `path` as JSONL, atomically.
-pub fn write_jsonl(path: &Path, events: &[ProbeEvent]) -> std::io::Result<()> {
-    atomic_write(path, events_to_jsonl(events).as_bytes())
+/// Write events to `path` as JSONL, atomically, at any demand
+/// dimensionality.
+pub fn write_jsonl<Sz: dbp_core::demand::Demand>(
+    path: &Path,
+    events: &[dbp_core::probe::GProbeEvent<Sz>],
+) -> std::io::Result<()> {
+    atomic_write(path, events_to_jsonl_dims(events).as_bytes())
 }
 
 /// Read and parse a JSONL event log from disk.

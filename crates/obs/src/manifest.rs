@@ -2,7 +2,8 @@
 //! seed, instance digest) and *how it went* (wall time, peak RSS), so every
 //! table in `results/` can be traced back to an exact, reproducible run.
 
-use dbp_core::instance::Instance;
+use dbp_core::demand::Demand;
+use dbp_core::instance::{GInstance, Instance};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -18,7 +19,7 @@ pub struct RunManifest {
     pub instance_digest: String,
     /// Number of items in the instance.
     pub n_items: u64,
-    /// Bin capacity `W`.
+    /// Bin capacity `W` (the GPU component, 0, of a vector capacity).
     pub capacity: u64,
     /// Wall-clock time of the run, nanoseconds.
     pub wall_time_ns: u64,
@@ -40,19 +41,20 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// Build a manifest for a finished run over `instance`.
-    pub fn capture(
+    /// Build a manifest for a finished run over `instance`, at any demand
+    /// dimensionality (the digest is [`instance_digest_dims`]).
+    pub fn capture<Sz: Demand>(
         algorithm: &str,
         seed: Option<u64>,
-        instance: &Instance,
+        instance: &GInstance<Sz>,
         wall_time: Duration,
     ) -> RunManifest {
         RunManifest {
             algorithm: algorithm.to_string(),
             seed,
-            instance_digest: instance_digest(instance),
+            instance_digest: instance_digest_dims(instance),
             n_items: instance.len() as u64,
-            capacity: instance.capacity().raw(),
+            capacity: instance.capacity().component(0),
             wall_time_ns: wall_time.as_nanos() as u64,
             peak_rss_bytes: peak_rss_bytes(),
             total_cost_ticks: None,

@@ -194,7 +194,8 @@ impl Probe for CountingProbe {
 /// A probe that folds the event stream into a [`MetricsRegistry`] as it
 /// arrives: counters for every event kind, an open-bin gauge with peak
 /// tracking, and exact histograms for scan depth, occupancy after
-/// placement, bin lifetime, and decision wall time.
+/// placement (the GPU component, 0, of a vector level), bin lifetime, and
+/// decision wall time.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsProbe {
     registry: MetricsRegistry,
@@ -218,65 +219,65 @@ impl MetricsProbe {
     }
 }
 
-impl Probe for MetricsProbe {
+impl<Sz: Demand> Probe<Sz> for MetricsProbe {
     const TIMED: bool = true;
 
-    fn record(&mut self, event: ProbeEvent) {
+    fn record(&mut self, event: GProbeEvent<Sz>) {
         let reg = &mut self.registry;
         match event {
-            ProbeEvent::ItemArrived { .. } => reg.counter_add("dbp_items_arrived_total", 1),
-            ProbeEvent::FitAttempt { bins_scanned, .. } => {
+            GProbeEvent::ItemArrived { .. } => reg.counter_add("dbp_items_arrived_total", 1),
+            GProbeEvent::FitAttempt { bins_scanned, .. } => {
                 reg.counter_add("dbp_fit_attempts_total", 1);
                 reg.observe("dbp_fit_scan_depth", bins_scanned as u64);
             }
-            ProbeEvent::BinOpened { .. } => {
+            GProbeEvent::BinOpened { .. } => {
                 reg.counter_add("dbp_bins_opened_total", 1);
                 self.open_bins += 1;
                 reg.gauge_set("dbp_open_bins", self.open_bins);
                 reg.gauge_max("dbp_open_bins_peak", self.open_bins);
             }
-            ProbeEvent::ItemPlaced { level, .. } => {
+            GProbeEvent::ItemPlaced { level, .. } => {
                 reg.counter_add("dbp_items_placed_total", 1);
-                reg.observe("dbp_open_bin_occupancy", level.raw());
+                reg.observe("dbp_open_bin_occupancy", level.component(0));
             }
-            ProbeEvent::ItemDeparted { .. } => reg.counter_add("dbp_items_departed_total", 1),
-            ProbeEvent::BinClosed { open_ticks, .. } => {
+            GProbeEvent::ItemDeparted { .. } => reg.counter_add("dbp_items_departed_total", 1),
+            GProbeEvent::BinClosed { open_ticks, .. } => {
                 reg.counter_add("dbp_bins_closed_total", 1);
                 self.open_bins -= 1;
                 reg.gauge_set("dbp_open_bins", self.open_bins);
                 reg.observe("dbp_bin_lifetime_ticks", open_ticks);
             }
-            ProbeEvent::Violation { .. } => reg.counter_add("dbp_violations_total", 1),
-            ProbeEvent::BinCrashed { orphans, .. } => {
+            GProbeEvent::Violation { .. } => reg.counter_add("dbp_violations_total", 1),
+            GProbeEvent::BinCrashed { orphans, .. } => {
                 reg.counter_add("dbp_bins_crashed_total", 1);
                 reg.counter_add("dbp_orphaned_sessions_total", orphans as u64);
                 self.open_bins -= 1;
                 reg.gauge_set("dbp_open_bins", self.open_bins);
             }
-            ProbeEvent::ProvisionFailed { .. } => {
+            GProbeEvent::ProvisionFailed { .. } => {
                 reg.counter_add("dbp_provision_failures_total", 1)
             }
-            ProbeEvent::RetryScheduled { .. } => reg.counter_add("dbp_retries_scheduled_total", 1),
-            ProbeEvent::DispatchRejected { .. } => {
+            GProbeEvent::RetryScheduled { .. } => reg.counter_add("dbp_retries_scheduled_total", 1),
+            GProbeEvent::DispatchRejected { .. } => {
                 reg.counter_add("dbp_dispatch_rejections_total", 1)
             }
-            ProbeEvent::ItemDropped { .. } => reg.counter_add("dbp_items_dropped_total", 1),
-            ProbeEvent::ItemRedispatched { .. } => {
+            GProbeEvent::ItemDropped { .. } => reg.counter_add("dbp_items_dropped_total", 1),
+            GProbeEvent::ItemRedispatched { .. } => {
                 reg.counter_add("dbp_items_redispatched_total", 1)
             }
-            ProbeEvent::RecoveryEnded {
+            GProbeEvent::RecoveryEnded {
                 redispatched, lost, ..
             } => {
                 reg.counter_add("dbp_recoveries_total", 1);
                 reg.counter_add("dbp_recovery_redispatched_total", redispatched as u64);
                 reg.counter_add("dbp_recovery_lost_total", lost as u64);
             }
-            ProbeEvent::ShardKilled { .. } => reg.counter_add("dbp_shard_kills_total", 1),
-            ProbeEvent::ShardRestarted { replayed, .. } => {
+            GProbeEvent::ShardKilled { .. } => reg.counter_add("dbp_shard_kills_total", 1),
+            GProbeEvent::ShardRestarted { replayed, .. } => {
                 reg.counter_add("dbp_shard_restarts_total", 1);
                 reg.counter_add("dbp_shard_replayed_events_total", replayed);
             }
-            ProbeEvent::ShardAbandoned { lost, rerouted, .. } => {
+            GProbeEvent::ShardAbandoned { lost, rerouted, .. } => {
                 reg.counter_add("dbp_shards_abandoned_total", 1);
                 reg.counter_add("dbp_shard_sessions_lost_total", lost as u64);
                 reg.counter_add("dbp_shard_sessions_rerouted_total", rerouted as u64);

@@ -235,7 +235,7 @@ pub struct RecoveryPoint {
 ///
 /// Errors on fault-injection events (crash-recovery journals describe a
 /// different state machine) and on streams no engine run could emit.
-pub fn recovery_point(events: &[ProbeEvent]) -> Result<RecoveryPoint, String> {
+pub fn recovery_point<Sz: Demand>(events: &[GProbeEvent<Sz>]) -> Result<RecoveryPoint, String> {
     // Find the boundary — the end of the last complete operation — and
     // count completed operations (the engine-event cursor).
     let mut boundary = 0usize;
@@ -254,7 +254,7 @@ pub fn recovery_point(events: &[ProbeEvent]) -> Result<RecoveryPoint, String> {
         }
         if let Some(bin) = pending_close {
             match ev {
-                ProbeEvent::BinClosed { bin: b, .. } if *b == bin => {
+                GProbeEvent::BinClosed { bin: b, .. } if *b == bin => {
                     pending_close = None;
                     boundary = i + 1;
                     cursor += 1;
@@ -269,8 +269,8 @@ pub fn recovery_point(events: &[ProbeEvent]) -> Result<RecoveryPoint, String> {
             }
         }
         match ev {
-            ProbeEvent::ItemArrived { .. } | ProbeEvent::FitAttempt { .. } => {}
-            ProbeEvent::BinOpened { bin, .. } => {
+            GProbeEvent::ItemArrived { .. } | GProbeEvent::FitAttempt { .. } => {}
+            GProbeEvent::BinOpened { bin, .. } => {
                 if bin.index() != members.len() {
                     return Err(format!(
                         "event {i}: bin {bin} opened out of order (expected b{})",
@@ -279,7 +279,7 @@ pub fn recovery_point(events: &[ProbeEvent]) -> Result<RecoveryPoint, String> {
                 }
                 members.push(0);
             }
-            ProbeEvent::ItemPlaced { bin, .. } => {
+            GProbeEvent::ItemPlaced { bin, .. } => {
                 match members.get_mut(bin.index()) {
                     Some(count) => *count += 1,
                     None => {
@@ -289,7 +289,7 @@ pub fn recovery_point(events: &[ProbeEvent]) -> Result<RecoveryPoint, String> {
                 boundary = i + 1;
                 cursor += 1;
             }
-            ProbeEvent::ItemDeparted { bin, .. } => match members.get_mut(bin.index()) {
+            GProbeEvent::ItemDeparted { bin, .. } => match members.get_mut(bin.index()) {
                 Some(count @ 1..) => {
                     *count -= 1;
                     if *count == 0 {
@@ -302,10 +302,10 @@ pub fn recovery_point(events: &[ProbeEvent]) -> Result<RecoveryPoint, String> {
                 Some(0) => return Err(format!("event {i}: departure from empty bin {bin}")),
                 None => return Err(format!("event {i}: departure from never-opened bin {bin}")),
             },
-            ProbeEvent::BinClosed { bin, .. } => {
+            GProbeEvent::BinClosed { bin, .. } => {
                 return Err(format!("event {i}: unexpected BinClosed for bin {bin}"))
             }
-            ProbeEvent::Violation { message, .. } => {
+            GProbeEvent::Violation { message, .. } => {
                 return Err(format!("event {i}: journal records a violation: {message}"))
             }
             _ => unreachable!("fault events rejected above"),

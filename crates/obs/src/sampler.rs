@@ -7,7 +7,8 @@
 //! is kept per tick at which the state changed — an exact step-function
 //! encoding, not a fixed-interval approximation.
 
-use dbp_core::probe::{Probe, ProbeEvent};
+use dbp_core::demand::Demand;
+use dbp_core::probe::{GProbeEvent, Probe};
 use dbp_core::time::Tick;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -38,7 +39,8 @@ impl Sample {
 }
 
 /// Probe that accumulates [`Sample`]s. Needs the bin capacity `W` up front
-/// (events carry levels, not capacities).
+/// (events carry levels, not capacities). A vector run is sampled on its
+/// GPU component (demand component 0).
 #[derive(Debug, Clone)]
 pub struct TimeSeriesSampler {
     capacity: u64,
@@ -126,54 +128,54 @@ impl TimeSeriesSampler {
     }
 }
 
-impl Probe for TimeSeriesSampler {
-    fn record(&mut self, event: ProbeEvent) {
+impl<Sz: Demand> Probe<Sz> for TimeSeriesSampler {
+    fn record(&mut self, event: GProbeEvent<Sz>) {
         match event {
-            ProbeEvent::BinOpened { at, bin, .. } => {
+            GProbeEvent::BinOpened { at, bin, .. } => {
                 self.levels.insert(bin.0, 0);
                 self.touch(at);
             }
-            ProbeEvent::ItemPlaced { at, bin, level, .. } => {
+            GProbeEvent::ItemPlaced { at, bin, level, .. } => {
                 let slot = self.levels.entry(bin.0).or_insert(0);
-                self.used = self.used + level.raw() - *slot;
-                *slot = level.raw();
+                self.used = self.used + level.component(0) - *slot;
+                *slot = level.component(0);
                 self.touch(at);
             }
-            ProbeEvent::ItemDeparted { at, bin, level, .. } => {
+            GProbeEvent::ItemDeparted { at, bin, level, .. } => {
                 let slot = self.levels.entry(bin.0).or_insert(0);
-                self.used = self.used + level.raw() - *slot;
-                *slot = level.raw();
+                self.used = self.used + level.component(0) - *slot;
+                *slot = level.component(0);
                 self.touch(at);
             }
-            ProbeEvent::BinClosed { at, bin, .. } => {
+            GProbeEvent::BinClosed { at, bin, .. } => {
                 if let Some(level) = self.levels.remove(&bin.0) {
                     self.used -= level;
                 }
                 self.touch(at);
             }
-            ProbeEvent::BinCrashed { at, bin, .. } => {
+            GProbeEvent::BinCrashed { at, bin, .. } => {
                 if let Some(level) = self.levels.remove(&bin.0) {
                     self.used -= level;
                 }
                 self.touch(at);
             }
-            ProbeEvent::ItemRedispatched { at, to, level, .. } => {
+            GProbeEvent::ItemRedispatched { at, to, level, .. } => {
                 let slot = self.levels.entry(to.0).or_insert(0);
-                self.used = self.used + level.raw() - *slot;
-                *slot = level.raw();
+                self.used = self.used + level.component(0) - *slot;
+                *slot = level.component(0);
                 self.touch(at);
             }
-            ProbeEvent::ItemArrived { .. }
-            | ProbeEvent::FitAttempt { .. }
-            | ProbeEvent::Violation { .. }
-            | ProbeEvent::ProvisionFailed { .. }
-            | ProbeEvent::RetryScheduled { .. }
-            | ProbeEvent::DispatchRejected { .. }
-            | ProbeEvent::ItemDropped { .. }
-            | ProbeEvent::RecoveryEnded { .. }
-            | ProbeEvent::ShardKilled { .. }
-            | ProbeEvent::ShardRestarted { .. }
-            | ProbeEvent::ShardAbandoned { .. } => {}
+            GProbeEvent::ItemArrived { .. }
+            | GProbeEvent::FitAttempt { .. }
+            | GProbeEvent::Violation { .. }
+            | GProbeEvent::ProvisionFailed { .. }
+            | GProbeEvent::RetryScheduled { .. }
+            | GProbeEvent::DispatchRejected { .. }
+            | GProbeEvent::ItemDropped { .. }
+            | GProbeEvent::RecoveryEnded { .. }
+            | GProbeEvent::ShardKilled { .. }
+            | GProbeEvent::ShardRestarted { .. }
+            | GProbeEvent::ShardAbandoned { .. } => {}
         }
     }
 }

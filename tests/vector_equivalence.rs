@@ -6,7 +6,8 @@
 //! byte identity: per-dimension capacity respect (via the validating
 //! engine), per-dimension demand conservation, and router conservation
 //! across cluster dispatch. The fault layer is held to the same D=1
-//! byte identity under crashes, boot delays and retries.
+//! byte identity under crashes, boot delays and retries, and so is the
+//! cluster under each of its fault models.
 //!
 //! Byte identity is the strongest equivalence there is: it subsumes
 //! cost equality, assignment equality, and event-order equality in one
@@ -18,12 +19,17 @@ use dbp_cloudsim::{
     billed_ticks, rental_cost_cents, FaultConfig, FaultPlan, GamingSystem, Granularity,
     ResilientSystem, ServerType,
 };
-use dbp_cluster::{ClusterConfig, ClusterEngine, Router};
+use dbp_cluster::vector::dim_reports;
+use dbp_cluster::{
+    ClusterConfig, ClusterEngine, ClusterReport, ClusterRun, KillPoint, RestartPolicy, Router,
+    ShardFaultPlan, ShardKill,
+};
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{simulate_probed, simulate_validated as sim_validated};
 use dbp_core::events::EventKind;
 use dbp_core::instance::GInstance;
-use dbp_core::packer::BinSelector;
+use dbp_core::packer::{BinSelector, GSelectorFactory};
+use dbp_core::span::NoSpans;
 use dbp_core::trace::PackingTrace;
 use dbp_core::StreamingEngine;
 use dbp_obs::export::{events_to_jsonl, events_to_jsonl_dims};
@@ -47,12 +53,47 @@ fn selector<Sz: Demand>(name: &str) -> Box<dyn BinSelector<Sz>> {
         .unwrap_or_else(|| panic!("selector {name} missing from the vector roster"))
 }
 
-/// A vector cluster of `shards` shards under `router`.
-fn cluster(router: Router, shards: usize) -> ClusterEngine {
-    ClusterEngine::new(
-        GamingSystem::paper_model(),
-        ClusterConfig::new(shards, router).unwrap(),
-    )
+fn factory<Sz: Demand>(name: &'static str) -> GSelectorFactory<Sz> {
+    GSelectorFactory::new(name, move || selector::<Sz>(name))
+}
+
+/// A cluster of `shards` shards under `router` whose servers' GPU
+/// capacity is `inst`'s.
+fn cluster<Sz: Demand>(inst: &GInstance<Sz>, router: Router, shards: usize) -> ClusterEngine {
+    let system = GamingSystem {
+        server: ServerType {
+            gpu_capacity: inst.capacity().component(0),
+            ..ServerType::default_gpu_vm()
+        },
+        granularity: Granularity::PerTick,
+    };
+    ClusterEngine::new(system, ClusterConfig::new(shards, router).unwrap())
+}
+
+/// `vinst` packed by selector `name` across `shards` shards under
+/// `router`, every shard trace validated (per-dimension capacity,
+/// interval exactness) against its own sub-instance.
+fn validated_cluster_run<Sz: Demand>(
+    vinst: &GInstance<Sz>,
+    router: Router,
+    shards: usize,
+    name: &'static str,
+) -> ClusterRun<Sz> {
+    let engine = cluster(vinst, router, shards);
+    let (run, _) = engine
+        .run_probed(vinst, &factory(name), |_| NoProbe)
+        .unwrap();
+    let (parts, _) = engine.partition(vinst);
+    for (shard, (sub, _)) in run.shards.iter().zip(&parts) {
+        let errs = shard.trace.validate(sub);
+        assert!(
+            errs.is_empty(),
+            "{name}/{}: shard {}: {errs:?}",
+            router.name(),
+            shard.shard
+        );
+    }
+    run
 }
 
 fn instances() -> impl Strategy<Value = Instance> {
@@ -157,7 +198,7 @@ fn assert_d1_byte_identical(inst: &Instance, name: &str) {
 /// the scalar engine's cost (a uniform lift changes no decision — every
 /// dimension sees the same fit question), and conservation holds under
 /// every cluster router.
-fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &str) {
+fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &'static str) {
     let vinst = lift_uniform::<D>(inst);
     let vtrace = sim_validated(&vinst, &mut *selector::<VSize<D>>(name));
     let strace = sim_validated(inst, &mut *selector::<Size>(name));
@@ -173,12 +214,11 @@ fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &str) {
 
     let expected = demand_ticks(&vinst);
     for router in ROUTERS {
-        let run = cluster(router, 3)
-            .run_vector(&vinst, || selector::<VSize<D>>(name))
-            .unwrap();
-        assert_eq!(run.sessions_served, inst.len());
-        assert_eq!(run.dims.len(), D);
-        for d in &run.dims {
+        let run = validated_cluster_run(&vinst, router, 3, name);
+        assert_eq!(run.report.sessions_served, inst.len());
+        let dims = dim_reports(&vinst, run.report.busy_ticks);
+        assert_eq!(dims.len(), D);
+        for d in &dims {
             assert_eq!(
                 d.demand_ticks,
                 expected[d.dim],
@@ -370,10 +410,8 @@ fn dominance_selector_conserves_at_high_dims() {
     let trace = sim_validated(&vinst, &mut *selector::<VSize<4>>("DOM"));
     assert!(trace.bins_used() > 0);
     let expected = demand_ticks(&vinst);
-    let run = cluster(Router::LeastLoaded, 4)
-        .run_vector(&vinst, || selector::<VSize<4>>("DOM"))
-        .unwrap();
-    for d in &run.dims {
+    let run = validated_cluster_run(&vinst, Router::LeastLoaded, 4, "DOM");
+    for d in &dim_reports(&vinst, run.report.busy_ticks) {
         assert_eq!(d.demand_ticks, expected[d.dim]);
     }
 }
@@ -402,10 +440,8 @@ fn heterogeneous_dims_conserve_under_all_routers() {
         let trace = sim_validated(&vinst, &mut *selector::<VSize<2>>(name));
         assert!(trace.bins_used() > 0, "{name}: nothing packed");
         for router in ROUTERS {
-            let run = cluster(router, 3)
-                .run_vector(&vinst, || selector::<VSize<2>>(name))
-                .unwrap();
-            for d in &run.dims {
+            let run = validated_cluster_run(&vinst, router, 3, name);
+            for d in &dim_reports(&vinst, run.report.busy_ticks) {
                 assert_eq!(
                     d.demand_ticks,
                     expected[d.dim],
@@ -413,6 +449,172 @@ fn heterogeneous_dims_conserve_under_all_routers() {
                     router.name(),
                     d.dim
                 );
+            }
+        }
+    }
+}
+
+/// A cluster report with its wall-clock provenance blanked, as JSON.
+fn steady_json(mut report: ClusterReport) -> String {
+    report.manifest.wall_time_ns = 0;
+    report.manifest.peak_rss_bytes = None;
+    serde_json::to_string(&report).unwrap()
+}
+
+/// The three cluster fault models on `inst` and on its `VSize<1>` lift:
+/// the same report and the same event streams, byte for byte.
+fn assert_d1_cluster_byte_identical(
+    inst: &Instance,
+    router: Router,
+    shards: usize,
+    seed: u64,
+    name: &'static str,
+) {
+    let vinst = lift_uniform::<1>(inst);
+    let (engine, vengine) = (
+        cluster(inst, router, shards),
+        cluster(&vinst, router, shards),
+    );
+    let (sf, vf) = (factory::<Size>(name), factory::<VSize<1>>(name));
+    let ctx = format!("{name}/{} × {shards}, seed {seed}", router.name());
+
+    let (run, logs) = engine.run_probed(inst, &sf, |_| EventLog::new()).unwrap();
+    let (vrun, vlogs) = vengine
+        .run_probed(&vinst, &vf, |_| GEventLog::<VSize<1>>::new())
+        .unwrap();
+    assert_eq!(
+        steady_json(run.report),
+        steady_json(vrun.report),
+        "{ctx}: run_probed report"
+    );
+    for (s, (log, vlog)) in logs.iter().zip(&vlogs).enumerate() {
+        assert_eq!(
+            events_to_jsonl(log.events()),
+            events_to_jsonl_dims(vlog.events()),
+            "{ctx}: run_probed shard {s} events"
+        );
+    }
+
+    let horizon = inst.last_departure().map_or(1, |t| t.raw());
+    let plans: Vec<FaultPlan> = (0..shards as u64)
+        .map(|k| FaultPlan::generate(seed + k, horizon, 4, &FaultConfig::moderate()))
+        .collect();
+    let (rrun, logs) = engine
+        .run_resilient(inst, &sf, &plans, |_| EventLog::new())
+        .unwrap();
+    let (vrrun, vlogs) = vengine
+        .run_resilient(&vinst, &vf, &plans, |_| GEventLog::<VSize<1>>::new())
+        .unwrap();
+    assert_eq!(
+        serde_json::to_string(&rrun.report).unwrap(),
+        serde_json::to_string(&vrrun.report).unwrap(),
+        "{ctx}: run_resilient report"
+    );
+    for (s, (log, vlog)) in logs.iter().zip(&vlogs).enumerate() {
+        assert_eq!(
+            events_to_jsonl(log.events()),
+            events_to_jsonl_dims(vlog.events()),
+            "{ctx}: run_resilient shard {s} events"
+        );
+    }
+
+    let plan = ShardFaultPlan::from_seed(seed, shards, 2 * inst.len() as u64);
+    let mut log = EventLog::new();
+    let (hrun, _) = engine
+        .run_self_healing(inst, &sf, &plan, &mut log, |_, _| NoSpans)
+        .unwrap();
+    let mut vlog = GEventLog::<VSize<1>>::new();
+    let (vhrun, _) = vengine
+        .run_self_healing(&vinst, &vf, &plan, &mut vlog, |_, _| NoSpans)
+        .unwrap();
+    assert_eq!(
+        serde_json::to_string(&hrun.report).unwrap(),
+        serde_json::to_string(&vhrun.report).unwrap(),
+        "{ctx}: run_self_healing report"
+    );
+    assert_eq!(
+        serde_json::to_string(&hrun.shards).unwrap(),
+        serde_json::to_string(&vhrun.shards).unwrap(),
+        "{ctx}: run_self_healing shard health"
+    );
+    assert_eq!(
+        hrun.manifest.instance_digest, vhrun.manifest.instance_digest,
+        "{ctx}: run_self_healing digest"
+    );
+    assert_eq!(
+        events_to_jsonl(log.events()),
+        events_to_jsonl_dims(vlog.events()),
+        "{ctx}: run_self_healing events"
+    );
+}
+
+/// Random shard-kill schedules for a three-shard cluster: event and tick
+/// kill points, unsorted, with a random restart budget.
+fn kill_plans() -> impl Strategy<Value = ShardFaultPlan> {
+    let kill = (0u32..3, 0u8..2, 1u64..240).prop_map(|(shard, by_event, at)| ShardKill {
+        shard,
+        at: if by_event == 1 {
+            KillPoint::Event(at)
+        } else {
+            KillPoint::Tick(at)
+        },
+    });
+    (proptest::collection::vec(kill, 0..6), 0u32..3).prop_map(|(kills, max_restarts)| {
+        ShardFaultPlan {
+            seed: 0,
+            kills,
+            restart: RestartPolicy {
+                max_restarts,
+                ..RestartPolicy::default()
+            },
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every cluster fault model at D=1 is the scalar one: `run_probed`,
+    /// `run_resilient` under the same per-shard fault plans and
+    /// `run_self_healing` under the same shard-kill plan report the same
+    /// ledger and emit the same event streams, for every selector.
+    #[test]
+    fn d1_cluster_runs_are_byte_identical(
+        inst in instances(),
+        router in 0usize..3,
+        shards in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        for name in SELECTORS {
+            assert_d1_cluster_byte_identical(&inst, ROUTERS[router], shards, seed, name);
+        }
+    }
+
+    /// The self-healing cluster at D=3 conserves its extended ledger,
+    /// cluster-wide and per shard, whatever the kill schedule: kills that
+    /// land, restarts that succeed, and shards abandoned when the budget
+    /// runs out.
+    #[test]
+    fn d3_self_healing_conserves_under_random_kills(
+        inst in instances(),
+        router in 0usize..3,
+        plan in kill_plans(),
+    ) {
+        let vinst = widen(&inst);
+        for name in ["FF-idx", "BF-idx", "MFF-idx"] {
+            let (run, _) = cluster(&vinst, ROUTERS[router], 3)
+                .run_self_healing(
+                    &vinst,
+                    &factory::<VSize<3>>(name),
+                    &plan,
+                    &mut NoProbe,
+                    |_, _| NoSpans,
+                )
+                .unwrap();
+            prop_assert!(run.report.conserved(), "{}: {:?}", name, run.report);
+            prop_assert_eq!(run.report.sessions_total, inst.len() as u64);
+            for h in &run.shards {
+                prop_assert!(h.conserved(), "{}: shard {:?}", name, h);
             }
         }
     }
