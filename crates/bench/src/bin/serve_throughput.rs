@@ -52,7 +52,7 @@ struct OverloadResult {
     offered: u64,
     /// Arrivals placed by the engine.
     placed: u64,
-    /// Front-door sheds (bounded ingress queue full).
+    /// Front-door sheds (bounded front-door queue full).
     shed_queue_full: u64,
     /// Event-time admission sheds (`wait >= queue_timeout`).
     shed_timeout: u64,

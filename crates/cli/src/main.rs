@@ -100,7 +100,7 @@ USAGE:
   dbp serve --shards N [--algo NAME] [--capacity W] [--router hash|least-loaded]
           [--dims D] [--capacities A,B,..]  # D-dimensional demands (demand:[..] on the wire)
           [--addr HOST:PORT] [--metrics-addr HOST:PORT]   # NDJSON ingest + Prometheus
-          [--queue-capacity N] [--queue-timeout TICKS]    # bounded ingress + event-time shed
+          [--queue-capacity N] [--queue-timeout TICKS]    # bounded shard queue + event-time shed
           [--backpressure block|shed] [--max-sessions N]
           [--journal BASE] [--fsync always|never|N]       # per-shard WAL: BASE.shardK
   dbp recover FILE.wal [--repair] [--manifest FILE.json]
@@ -1043,7 +1043,7 @@ fn parse_router(args: &Args) -> Result<dbp_cluster::Router, String> {
 
 /// `dbp serve --shards N`: the live dispatcher daemon. NDJSON arrivals and
 /// departures over TCP, online routing across N shard pipelines (each a
-/// bounded-memory streaming engine), bounded ingress queues with
+/// bounded-memory streaming engine), bounded shard queues with
 /// block/shed backpressure, event-time admission control, optional
 /// per-shard write-ahead journals (`BASE.shardK`, each auditable with
 /// `dbp recover`), and a Prometheus `/metrics` endpoint. SIGINT/SIGTERM

@@ -57,7 +57,10 @@ impl Decision {
 /// [`on_item_departed`]: BinSelector::on_item_departed
 /// [`on_bin_closed`]: BinSelector::on_bin_closed
 /// [`needs_views`]: BinSelector::needs_views
-pub trait BinSelector<Sz: Demand = Size> {
+///
+/// Selectors are `Send`: a live daemon's shard pipeline, selector
+/// included, is served from whichever connection thread holds its lock.
+pub trait BinSelector<Sz: Demand = Size>: Send {
     /// Short stable name used in reports ("FF", "BF", ...).
     fn name(&self) -> &'static str;
 

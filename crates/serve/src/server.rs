@@ -1,40 +1,48 @@
 //! The live dispatcher daemon: TCP accept loop, thread-per-connection
-//! readers, per-shard worker threads over [`ShardPipeline`], a Prometheus
-//! `/metrics` endpoint, and the graceful drain protocol.
+//! serving over shared [`ShardPipeline`]s, a Prometheus `/metrics`
+//! endpoint, and the graceful drain protocol.
 //!
 //! ## Threading model
 //!
 //! ```text
-//! accept loop ──spawns──▶ connection threads (parse, route, enqueue, reply)
-//!                              │ bounded sync_channel per shard
+//! accept loop ──spawns──▶ connection threads (read, parse, route, serve, reply)
+//!                              │ lock the routed shard
 //!                              ▼
-//!                         shard workers (own a ShardPipeline + journal)
+//!                         shards (a mutex'd ShardPipeline + journal each)
 //! metrics loop ──────────  serves GET /metrics from shared atomics
 //! ```
 //!
-//! Every queue is bounded: the per-shard ingress channel holds at most
-//! `admission.queue_capacity` messages, the session table at most
-//! `max_sessions` live sessions, and each shard engine's memory is O(live
-//! sessions + open bins) — nothing in the hot path grows with total stream
-//! length except the append-only journal on disk.
+//! A request is served start to finish on the thread that read it: the
+//! connection routes it at the front door, locks the routed shard, runs
+//! the pipeline and writes the reply. No request crosses a thread.
+//!
+//! Everything is bounded: a request line holds at most 64 KiB, a shard
+//! admits at most `admission.queue_capacity` connections waiting on or
+//! holding it (under [`BackpressurePolicy::Shed`]), the session table at
+//! most `max_sessions` live sessions, and each shard engine's memory is
+//! O(live sessions + open bins) — nothing in the hot path grows with total
+//! stream length except the append-only journal on disk.
 //!
 //! ## Backpressure
 //!
-//! With [`BackpressurePolicy::Block`], a full shard queue blocks the
-//! connection that is pushing (TCP backpressure propagates to the client).
-//! With [`BackpressurePolicy::Shed`], a full queue sheds the arrival with a
-//! `queue_full` refusal, accounted in the ledger. Departures are **never**
-//! shed — dropping a release would leak capacity — so they always use the
-//! blocking path.
+//! Each shard counts the connections waiting on or holding its lock; with
+//! one request in flight per connection, that count is the shard's queue.
+//! A [`BackpressurePolicy::Block`] arrival waits its turn (TCP
+//! backpressure reaches the client); under [`BackpressurePolicy::Shed`]
+//! an arrival that finds `queue_capacity` there is refused `queue_full`,
+//! accounted in the ledger. Departures are **never** shed — dropping a
+//! release would leak capacity — so they always wait.
 //!
 //! ## Drain protocol
 //!
 //! On SIGINT/SIGTERM (or [`crate::shutdown::request_shutdown`]): stop
-//! accepting connections → connection readers exit at their next timeout →
-//! shard queues disconnect and drain → pipelines seal their journals
-//! (flush + fsync + length frame) → the daemon emits one final
-//! [`ServeSummary`] whose ledger conserves `served + dropped + lost ==
-//! total`.
+//! accepting connections → connections finish the request in hand and
+//! exit at their next read-timeout poll → the shards, in index order, seal
+//! their journals (flush + fsync + length frame) → the daemon emits one
+//! final [`ServeSummary`] whose ledger conserves `served + dropped + lost
+//! == total`. Every shard, journal included, is built before the daemon
+//! reports ready, so an unopenable journal fails [`run_server`] before it
+//! listens.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_cluster::router::Router;
@@ -54,17 +62,17 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::protocol::{parse_line_dims, Reply, Request, MAX_DIMS};
 use crate::shard::{GShardPipeline, Outcome, ServeProbe, ShardLedger, ShardPipeline};
 
-/// What to do when a shard's bounded ingress queue is full.
+/// What an arrival does when its shard's queue is full, that is when
+/// `queue_capacity` connections are already waiting on or holding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackpressurePolicy {
-    /// Block the pushing connection until the queue has room.
+    /// Wait for the shard, however many connections are ahead.
     Block,
     /// Refuse the arrival with a ledgered `queue_full` drop.
     Shed,
@@ -110,8 +118,9 @@ pub struct ServeConfig {
     /// Per-dimension bin capacities (length must equal `dims`); `None`
     /// splats `capacity` across every dimension.
     pub capacities: Option<Vec<u64>>,
-    /// Bounded-queue admission: `queue_capacity` sizes each shard's ingress
-    /// channel, `queue_timeout` is the event-time shed threshold.
+    /// Bounded-queue admission: `queue_capacity` is how many connections
+    /// may wait on or hold one shard before [`BackpressurePolicy::Shed`]
+    /// refuses an arrival, `queue_timeout` is the event-time shed threshold.
     pub admission: AdmissionPolicy,
     /// Full-queue behavior for arrivals.
     pub backpressure: BackpressurePolicy,
@@ -190,7 +199,8 @@ pub struct ShardReport {
     pub rejected: u64,
     /// Departures applied.
     pub departed: u64,
-    /// Arrivals enqueued but never processed (teardown leftovers).
+    /// Arrivals admitted but never processed: always 0, since every
+    /// admitted request is served before drain seals the shard.
     pub lost: u64,
     /// Sessions still in flight at drain (served, not lost).
     pub in_flight: u64,
@@ -212,11 +222,12 @@ pub struct ServeSummary {
     pub served: u64,
     /// Arrivals refused anywhere: front door or pipeline.
     pub dropped: u64,
-    /// Arrivals accepted into a queue but never processed.
+    /// Arrivals admitted to a shard but never processed: always 0, since
+    /// every admitted request is served before drain seals the shards.
     pub lost: u64,
     /// Departures applied.
     pub departed: u64,
-    /// Front-door sheds: bounded ingress queue full ([`BackpressurePolicy::Shed`]).
+    /// Front-door sheds: shard queue full ([`BackpressurePolicy::Shed`]).
     pub dropped_queue_full: u64,
     /// Front-door sheds: session table full.
     pub dropped_table_full: u64,
@@ -250,37 +261,20 @@ impl ServeSummary {
 }
 
 /// Shared atomic counters backing `/metrics` and the final summary.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ShardCounters {
     offered: AtomicU64,
     placed: AtomicU64,
     departed: AtomicU64,
     dropped_timeout: AtomicU64,
     rejected: AtomicU64,
-    accepted: AtomicU64,
     open_bins: AtomicU64,
     in_flight: AtomicU64,
     bins_opened: AtomicU64,
 }
 
-impl ShardCounters {
-    fn new() -> ShardCounters {
-        ShardCounters {
-            offered: AtomicU64::new(0),
-            placed: AtomicU64::new(0),
-            departed: AtomicU64::new(0),
-            dropped_timeout: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            open_bins: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            bins_opened: AtomicU64::new(0),
-        }
-    }
-}
-
 /// All live-scrape state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ServeMetrics {
     shards: Vec<ShardCounters>,
     queue_full: AtomicU64,
@@ -295,14 +289,8 @@ struct ServeMetrics {
 impl ServeMetrics {
     fn new(shards: usize) -> ServeMetrics {
         ServeMetrics {
-            shards: (0..shards).map(|_| ShardCounters::new()).collect(),
-            queue_full: AtomicU64::new(0),
-            table_full: AtomicU64::new(0),
-            duplicate: AtomicU64::new(0),
-            bad_lines: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            connections_open: AtomicU64::new(0),
-            sessions_live: AtomicU64::new(0),
+            shards: (0..shards).map(|_| ShardCounters::default()).collect(),
+            ..ServeMetrics::default()
         }
     }
 
@@ -339,12 +327,6 @@ impl ServeMetrics {
     }
 }
 
-/// One message on a shard's bounded ingress queue.
-struct ShardMsg {
-    req: Request,
-    reply: Sender<Reply>,
-}
-
 /// Front-door shared state: the bounded session table and the live
 /// per-shard load view the least-loaded router consults.
 struct FrontDoor {
@@ -354,15 +336,72 @@ struct FrontDoor {
     /// add-on-route / subtract-on-depart — the fold the batch router proves
     /// consistent. At `dims == 1` this is the scalar load view.
     loads: DimLoads,
-    /// Ingress senders; `None` once drain has begun.
-    txs: Option<Vec<SyncSender<ShardMsg>>>,
+}
+
+/// A shard's admission gate: how many connections are waiting on or
+/// holding the shard's lock. An arrival under [`BackpressurePolicy::Shed`]
+/// that finds `capacity` or more there is refused; every other request
+/// passes. The count guards no data (the shard's mutex does), so its
+/// updates are `Relaxed`.
+struct Gate {
+    there: AtomicU64,
+    capacity: u64,
+}
+
+impl Gate {
+    /// Take a place at the shard, or `None` when `shed` is set and the
+    /// shard is full.
+    fn enter(&self, shed: bool) -> Option<Pass<'_>> {
+        let before = self.there.fetch_add(1, Ordering::Relaxed);
+        let pass = Pass(&self.there);
+        (!shed || before < self.capacity).then_some(pass)
+    }
+}
+
+/// A connection's place at a [`Gate`], given up on drop.
+struct Pass<'a>(&'a AtomicU64);
+
+impl Drop for Pass<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// One shard: its pipeline, served under the lock by whichever connection
+/// holds it, and the gate bounding how many connections queue for it.
+struct Shard {
+    pipe: Mutex<Box<dyn DynPipeline>>,
+    gate: Gate,
 }
 
 struct Shared {
     cfg: ServeConfig,
     front: Mutex<FrontDoor>,
+    shards: Vec<Shard>,
     metrics: ServeMetrics,
     stop: &'static AtomicBool,
+}
+
+impl Shared {
+    /// Build every shard (journals opened) and an empty front door.
+    fn new(
+        cfg: ServeConfig,
+        factory: &SelectorFactory,
+        stop: &'static AtomicBool,
+    ) -> Result<Shared, String> {
+        Ok(Shared {
+            shards: (0..cfg.shards)
+                .map(|k| build_shard(&cfg, factory, k))
+                .collect::<Result<_, String>>()?,
+            metrics: ServeMetrics::new(cfg.shards),
+            front: Mutex::new(FrontDoor {
+                sessions: HashMap::new(),
+                loads: zero_loads(cfg.shards, cfg.dims),
+            }),
+            cfg,
+            stop,
+        })
+    }
 }
 
 /// Addresses the daemon actually bound (resolves `:0` requests).
@@ -375,8 +414,10 @@ pub struct ServeHandle {
 }
 
 /// Run the daemon until `stop` is raised, then drain and return the final
-/// conserved summary. `on_ready` fires once with the bound addresses
-/// (tests connect through it; the CLI prints them).
+/// conserved summary. Every shard pipeline is built (journals opened)
+/// before `on_ready` fires once with the bound addresses (tests connect
+/// through it; the CLI prints them); a shard that cannot be built is an
+/// `Err` and `on_ready` never fires.
 pub fn run_server(
     cfg: ServeConfig,
     factory: &SelectorFactory,
@@ -384,6 +425,7 @@ pub fn run_server(
     on_ready: impl FnOnce(&ServeHandle),
 ) -> Result<ServeSummary, String> {
     cfg.validate()?;
+    assert!(cfg.shards > 0, "a daemon needs at least one shard");
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     listener
         .set_nonblocking(true)
@@ -405,41 +447,10 @@ pub fn run_server(
         },
     };
 
-    assert!(cfg.shards > 0, "a daemon needs at least one shard");
-    let queue_cap = (cfg.admission.queue_capacity as usize).max(1);
-    let mut txs = Vec::with_capacity(cfg.shards);
-    let mut rxs = Vec::with_capacity(cfg.shards);
-    for _ in 0..cfg.shards {
-        let (tx, rx) = mpsc::sync_channel::<ShardMsg>(queue_cap);
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let shards = cfg.shards;
-    let shared = Shared {
-        metrics: ServeMetrics::new(shards),
-        front: Mutex::new(FrontDoor {
-            sessions: HashMap::new(),
-            loads: zero_loads(shards, cfg.dims),
-            txs: Some(txs),
-        }),
-        cfg,
-        stop,
-    };
-
+    let shared = Shared::new(cfg, factory, stop)?;
     on_ready(&handle);
 
-    let mut reports: Vec<ShardReport> = Vec::new();
     std::thread::scope(|s| -> Result<(), String> {
-        // Shard workers.
-        let workers: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(k, rx)| {
-                let shared = &shared;
-                s.spawn(move || shard_worker(k, rx, shared, factory))
-            })
-            .collect();
-
         // Metrics endpoint.
         if let Some(l) = metrics_listener {
             let shared = &shared;
@@ -472,33 +483,39 @@ pub fn run_server(
             }
         }
 
-        // Drain: connections exit at their next read-timeout poll.
+        // Drain: connections finish the request in hand and exit at their
+        // next read-timeout poll.
         for c in conns {
             let _ = c.join();
-        }
-        // Disconnect the shard queues; workers drain what is left and seal.
-        shared.front.lock().unwrap().txs = None;
-        for w in workers {
-            reports.push(w.join().map_err(|_| "shard worker panicked".to_string())?);
         }
         Ok(())
     })?;
 
-    reports.sort_by_key(|r| r.shard);
+    // Every connection has joined: seal the shards in index order.
+    let reports = shared
+        .shards
+        .into_iter()
+        .enumerate()
+        .map(|(k, shard)| {
+            let pipe = shard
+                .pipe
+                .into_inner()
+                .map_err(|_| format!("shard {k} panicked"))?;
+            Ok(seal_shard(k, pipe))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let m = &shared.metrics;
     let ld = Ordering::Relaxed;
     let front_drops = m.queue_full.load(ld) + m.table_full.load(ld) + m.duplicate.load(ld);
-    let offered: u64 = reports.iter().map(|r| r.offered).sum();
-    let lost: u64 = reports.iter().map(|r| r.lost).sum();
     let summary = ServeSummary {
-        total: offered + lost + front_drops,
+        total: reports.iter().map(|r| r.offered).sum::<u64>() + front_drops,
         served: reports.iter().map(|r| r.placed).sum(),
         dropped: front_drops
             + reports
                 .iter()
                 .map(|r| r.dropped_timeout + r.rejected)
                 .sum::<u64>(),
-        lost,
+        lost: 0,
         departed: reports.iter().map(|r| r.departed).sum(),
         dropped_queue_full: m.queue_full.load(ld),
         dropped_table_full: m.table_full.load(ld),
@@ -514,21 +531,25 @@ pub fn run_server(
     Ok(summary)
 }
 
-/// The dimension-erased face of [`GShardPipeline`]: exactly what the shard
-/// worker's hot loop needs. One monomorphization per supported `D` exists
-/// behind [`build_pipeline`]'s `match`, chosen once at daemon start — the
-/// per-request path pays one vtable hop, never a dims branch.
-trait DynPipeline {
+/// The dimension-erased face of [`GShardPipeline`]: exactly what serving a
+/// request and draining a shard need. One monomorphization per supported
+/// `D` exists behind [`build_pipeline`]'s `match`, chosen once at daemon
+/// start — the per-request path pays one vtable hop, never a dims branch.
+trait DynPipeline: Send {
     fn handle(&mut self, req: &Request) -> Outcome;
+    fn ledger(&self) -> ShardLedger;
     fn open_bins(&self) -> usize;
     fn in_flight(&self) -> usize;
     fn bins_opened(&self) -> usize;
-    fn seal(self: Box<Self>) -> Result<(ShardLedger, usize, usize), String>;
+    fn seal(self: Box<Self>) -> Result<(), String>;
 }
 
 impl<Sz: dbp_core::demand::Demand> DynPipeline for GShardPipeline<Sz> {
     fn handle(&mut self, req: &Request) -> Outcome {
         GShardPipeline::handle(self, req)
+    }
+    fn ledger(&self) -> ShardLedger {
+        self.ledger
     }
     fn open_bins(&self) -> usize {
         GShardPipeline::open_bins(self)
@@ -539,9 +560,30 @@ impl<Sz: dbp_core::demand::Demand> DynPipeline for GShardPipeline<Sz> {
     fn bins_opened(&self) -> usize {
         GShardPipeline::bins_opened(self)
     }
-    fn seal(self: Box<Self>) -> Result<(ShardLedger, usize, usize), String> {
-        GShardPipeline::seal(*self)
+    fn seal(self: Box<Self>) -> Result<(), String> {
+        GShardPipeline::seal(*self).map(drop)
     }
+}
+
+/// Build shard `k`: its journal (`{base}.shard{k}`) opened and its
+/// pipeline built for the configured dimensionality.
+fn build_shard(cfg: &ServeConfig, factory: &SelectorFactory, k: usize) -> Result<Shard, String> {
+    let journal = match &cfg.journal_base {
+        Some(base) => {
+            let path = journal_shard_path(base, k);
+            let j = JournalProbe::create_dims(&path, cfg.fsync, cfg.dims)
+                .map_err(|e| format!("open journal {}: {e}", path.display()))?;
+            Some(j)
+        }
+        None => None,
+    };
+    Ok(Shard {
+        pipe: Mutex::new(build_pipeline(cfg, factory, ServeProbe { journal })?),
+        gate: Gate {
+            there: AtomicU64::new(0),
+            capacity: cfg.admission.queue_capacity.max(1) as u64,
+        },
+    })
 }
 
 /// Build the shard pipeline for the configured dimensionality. At
@@ -587,72 +629,22 @@ fn build_pipeline(
     }
 }
 
-/// A shard report carrying only an error (journal open / seal failures).
-fn error_report(k: usize, bins_opened: u64, error: String) -> ShardReport {
+/// Seal a drained shard's journal and report its ledger; a seal failure
+/// rides along in `error`.
+fn seal_shard(k: usize, pipe: Box<dyn DynPipeline>) -> ShardReport {
+    let ledger = pipe.ledger();
     ShardReport {
         shard: k as u64,
-        offered: 0,
-        placed: 0,
-        dropped_timeout: 0,
-        rejected: 0,
-        departed: 0,
+        offered: ledger.offered,
+        placed: ledger.placed,
+        dropped_timeout: ledger.dropped_timeout,
+        rejected: ledger.rejected,
+        departed: ledger.departed,
         lost: 0,
-        in_flight: 0,
-        open_bins: 0,
-        bins_opened,
-        error: Some(error),
-    }
-}
-
-/// One shard worker: drains its ingress queue into a [`GShardPipeline`]
-/// monomorphized for the configured dims, publishes counters, and seals
-/// the journal on disconnect.
-fn shard_worker(
-    k: usize,
-    rx: Receiver<ShardMsg>,
-    shared: &Shared,
-    factory: &SelectorFactory,
-) -> ShardReport {
-    let probe = match &shared.cfg.journal_base {
-        Some(base) => {
-            let path = journal_shard_path(base, k);
-            match JournalProbe::create_dims(&path, shared.cfg.fsync, shared.cfg.dims) {
-                Ok(j) => ServeProbe { journal: Some(j) },
-                Err(e) => {
-                    return error_report(k, 0, format!("open journal {}: {e}", path.display()))
-                }
-            }
-        }
-        None => ServeProbe::default(),
-    };
-    let mut pipe = match build_pipeline(&shared.cfg, factory, probe) {
-        Ok(p) => p,
-        Err(e) => return error_report(k, 0, e),
-    };
-    let counters = &shared.metrics.shards[k];
-    while let Ok(msg) = rx.recv() {
-        let outcome = pipe.handle(&msg.req);
-        publish(counters, &*pipe, &msg.req, &outcome);
-        let reply = reply_for(k, &msg.req, &outcome);
-        let _ = msg.reply.send(reply);
-    }
-    let bins_opened = pipe.bins_opened() as u64;
-    let accepted = counters.accepted.load(Ordering::Relaxed);
-    match pipe.seal() {
-        Ok((ledger, in_flight, open_bins)) => ShardReport {
-            shard: k as u64,
-            offered: ledger.offered,
-            placed: ledger.placed,
-            dropped_timeout: ledger.dropped_timeout,
-            rejected: ledger.rejected,
-            departed: ledger.departed,
-            lost: accepted.saturating_sub(ledger.offered),
-            in_flight: in_flight as u64,
-            open_bins: open_bins as u64,
-            bins_opened,
-            error: None,
-        },
-        Err(e) => error_report(k, bins_opened, e),
+        in_flight: pipe.in_flight() as u64,
+        open_bins: pipe.open_bins() as u64,
+        bins_opened: pipe.bins_opened() as u64,
+        error: pipe.seal().err(),
     }
 }
 
@@ -666,28 +658,17 @@ pub fn journal_shard_path(base: &std::path::Path, shard: usize) -> PathBuf {
 
 fn publish(counters: &ShardCounters, pipe: &dyn DynPipeline, req: &Request, outcome: &Outcome) {
     let ld = Ordering::Relaxed;
-    match req {
-        Request::Arrive { .. } => {
-            counters.offered.fetch_add(1, ld);
-        }
-        Request::Depart { .. } => {}
-        Request::Ping { .. } => {}
+    if let Request::Arrive { .. } = req {
+        counters.offered.fetch_add(1, ld);
     }
-    match outcome {
-        Outcome::Placed { .. } => {
-            counters.placed.fetch_add(1, ld);
-        }
-        Outcome::Departed => {
-            counters.departed.fetch_add(1, ld);
-        }
-        Outcome::Dropped { .. } => {
-            counters.dropped_timeout.fetch_add(1, ld);
-        }
-        Outcome::Rejected { .. } => {
-            counters.rejected.fetch_add(1, ld);
-        }
-        Outcome::Pong => {}
-    }
+    let tally = match outcome {
+        Outcome::Placed { .. } => &counters.placed,
+        Outcome::Departed => &counters.departed,
+        Outcome::Dropped { .. } => &counters.dropped_timeout,
+        Outcome::Rejected { .. } => &counters.rejected,
+        Outcome::Pong => return,
+    };
+    tally.fetch_add(1, ld);
     counters.open_bins.store(pipe.open_bins() as u64, ld);
     counters.in_flight.store(pipe.in_flight() as u64, ld);
     counters.bins_opened.store(pipe.bins_opened() as u64, ld);
@@ -697,66 +678,98 @@ fn reply_for(shard: usize, req: &Request, outcome: &Outcome) -> Reply {
     let id = req.id();
     match outcome {
         Outcome::Placed { bin } => Reply::placed(id, shard, bin.0 as u64),
-        Outcome::Departed => Reply::ok(id, Some(shard)),
-        Outcome::Pong => Reply::ok(id, Some(shard)),
+        Outcome::Departed | Outcome::Pong => Reply::ok(id, Some(shard)),
         Outcome::Dropped { reason } => Reply::refused(id, reason.name()),
         Outcome::Rejected { reason } => Reply::refused(id, reason.clone()),
     }
 }
 
-/// One connection: read NDJSON lines, route, enqueue, reply in order.
+/// The longest request line a connection may send, newline excluded. A
+/// longer line is refused as a bad line once the cap is passed, and the
+/// rest of it is discarded through the next newline.
+const MAX_LINE: usize = 64 * 1024;
+
+/// One connection: read NDJSON lines, serve each in turn, reply in order.
+/// Each byte read is scanned for a newline once, and the line and reply
+/// buffers are reused from request to request.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         shared.cfg.read_timeout_ms.max(1),
     )));
     let _ = stream.set_nodelay(true);
-    let mut reader = stream.try_clone().expect("clone stream");
-    let mut writer = stream;
-    // Per-connection sender clones; dropped when the connection exits.
-    let txs: Option<Vec<SyncSender<ShardMsg>>> = shared.front.lock().unwrap().txs.clone();
-    let Some(txs) = txs else { return }; // already draining
-    let (rtx, rrx) = mpsc::channel::<Reply>();
-
+    // `buf` holds the unserved bytes read so far; `buf[..scanned]` has no
+    // newline. `skipping` discards the tail of a refused overlong line.
     let mut buf: Vec<u8> = Vec::new();
+    let mut scanned = 0;
+    let mut skipping = false;
+    let mut out: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    'conn: loop {
+    let mut send = |reply: &Reply| {
+        out.clear();
+        serde_json::to_writer(&mut out, reply).expect("reply serializes");
+        out.push(b'\n');
+        (&stream).write_all(&out).is_ok()
+    };
+    loop {
         // Serve every complete line already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]);
-            let line = line.trim();
-            if line.is_empty() {
+        let mut start = 0;
+        while let Some(n) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let line = &buf[start..scanned + n];
+            start = scanned + n + 1;
+            scanned = start;
+            if std::mem::take(&mut skipping) {
                 continue;
             }
-            let reply = serve_line(line, shared, &txs, &rtx, &rrx);
-            let mut out = reply.to_line();
-            out.push('\n');
-            if writer.write_all(out.as_bytes()).is_err() {
-                break 'conn;
+            if let Some(reply) = line_reply(line, shared) {
+                if !send(&reply) {
+                    return;
+                }
             }
         }
+        buf.drain(..start);
+        if !skipping && buf.len() > MAX_LINE {
+            let reply = line_reply(&buf, shared).expect("an overlong line is refused");
+            if !send(&reply) {
+                return;
+            }
+            skipping = true;
+        }
+        if skipping {
+            buf.clear();
+        }
+        scanned = buf.len();
         if shared.stop.load(Ordering::SeqCst) {
-            break;
+            return;
         }
-        match reader.read(&mut chunk) {
-            Ok(0) => break,
+        match (&stream).read(&mut chunk) {
+            Ok(0) => return,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(_) => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// The reply to one wire line (newline stripped), or `None` for a blank
+/// line. Lines over [`MAX_LINE`] bytes or not UTF-8 are bad lines.
+fn line_reply(line: &[u8], shared: &Shared) -> Option<Reply> {
+    let line = if line.len() > MAX_LINE {
+        Err(format!("line longer than {MAX_LINE} bytes"))
+    } else {
+        std::str::from_utf8(line).map_err(|e| format!("bad json: {e}"))
+    };
+    match line.map(str::trim) {
+        Ok("") => None,
+        Ok(line) => Some(serve_line(line, shared)),
+        Err(e) => {
+            shared.metrics.bad_lines.fetch_add(1, Ordering::Relaxed);
+            Some(Reply::refused(0, e))
         }
     }
 }
 
 /// Parse, route and serve one request line, returning the reply to write.
-fn serve_line(
-    line: &str,
-    shared: &Shared,
-    txs: &[SyncSender<ShardMsg>],
-    rtx: &Sender<Reply>,
-    rrx: &Receiver<Reply>,
-) -> Reply {
+fn serve_line(line: &str, shared: &Shared) -> Reply {
     let req = match parse_line_dims(line, shared.cfg.dims) {
         Ok(r) => r,
         Err(e) => {
@@ -782,82 +795,52 @@ fn serve_line(
                 let shard = route_one_dims(shared.cfg.router, id, &demand[..dims], &front.loads);
                 apply_route_dims(&mut front.loads, shard, &demand[..dims]);
                 front.sessions.insert(id, (shard, demand));
-                shared
-                    .metrics
-                    .sessions_live
-                    .store(front.sessions.len() as u64, Ordering::Relaxed);
+                let live = front.sessions.len() as u64;
+                shared.metrics.sessions_live.store(live, Ordering::Relaxed);
                 shard
             };
-            let msg = ShardMsg {
-                req,
-                reply: rtx.clone(),
+            let shed = shared.cfg.backpressure == BackpressurePolicy::Shed;
+            let Some(reply) = serve_on(shared, shard, &req, shed) else {
+                shared.metrics.queue_full.fetch_add(1, Ordering::Relaxed);
+                release(shared, id);
+                return Reply::refused(id, DropReason::QueueFull.name());
             };
-            let enqueued = match shared.cfg.backpressure {
-                BackpressurePolicy::Block => txs[shard].send(msg).is_ok(),
-                BackpressurePolicy::Shed => match txs[shard].try_send(msg) {
-                    Ok(()) => true,
-                    Err(TrySendError::Full(_)) => {
-                        shared.metrics.queue_full.fetch_add(1, Ordering::Relaxed);
-                        undo_route(shared, id);
-                        return Reply::refused(id, DropReason::QueueFull.name());
-                    }
-                    Err(TrySendError::Disconnected(_)) => false,
-                },
-            };
-            if !enqueued {
-                undo_route(shared, id);
-                return Reply::refused(id, "draining");
-            }
-            shared.metrics.shards[shard]
-                .accepted
-                .fetch_add(1, Ordering::Relaxed);
-            let reply = rrx
-                .recv()
-                .unwrap_or_else(|_| Reply::refused(id, "draining"));
             if !reply.ok {
-                // The pipeline refused it (timeout shed, oversized, …);
-                // release the session-table slot and the routed load.
-                undo_route(shared, id);
+                // The pipeline refused it (timeout shed, oversized, …).
+                release(shared, id);
             }
             reply
         }
         Request::Depart { id, .. } => {
-            let shard = {
-                let mut front = shared.front.lock().unwrap();
-                let Some((shard, demand)) = front.sessions.remove(&id) else {
-                    return Reply::refused(id, format!("unknown session id {id}"));
-                };
-                unapply_route_dims(&mut front.loads, shard, &demand[..shared.cfg.dims]);
-                shared
-                    .metrics
-                    .sessions_live
-                    .store(front.sessions.len() as u64, Ordering::Relaxed);
-                shard
+            let Some(shard) = release(shared, id) else {
+                return Reply::refused(id, format!("unknown session id {id}"));
             };
-            // Departures free capacity: never shed, always block.
-            let msg = ShardMsg {
-                req,
-                reply: rtx.clone(),
-            };
-            if txs[shard].send(msg).is_err() {
-                return Reply::refused(id, "draining");
-            }
-            rrx.recv()
-                .unwrap_or_else(|_| Reply::refused(id, "draining"))
+            // Departures free capacity: never shed, always wait.
+            serve_on(shared, shard, &req, false).expect("a departure is never shed")
         }
     }
 }
 
-/// Roll a routed-but-refused arrival back out of the front door.
-fn undo_route(shared: &Shared, id: u64) {
-    let mut front = shared.front.lock().unwrap();
-    if let Some((shard, demand)) = front.sessions.remove(&id) {
-        unapply_route_dims(&mut front.loads, shard, &demand[..shared.cfg.dims]);
-        shared
-            .metrics
-            .sessions_live
-            .store(front.sessions.len() as u64, Ordering::Relaxed);
-    }
+/// Serve `req` on `shard` under its lock, on the calling connection's
+/// thread; `None` when `shed` is set and the shard's gate is full.
+fn serve_on(shared: &Shared, shard: usize, req: &Request, shed: bool) -> Option<Reply> {
+    let Shard { pipe, gate } = &shared.shards[shard];
+    let _pass = gate.enter(shed)?;
+    let mut pipe = pipe.lock().expect("a shard pipeline panicked");
+    let outcome = pipe.handle(req);
+    publish(&shared.metrics.shards[shard], &**pipe, req, &outcome);
+    Some(reply_for(shard, req, &outcome))
+}
+
+/// Take session `id` out of the front door, its table slot and routed
+/// load, on departure or refusal; returns the shard it was routed to.
+fn release(shared: &Shared, id: u64) -> Option<usize> {
+    let mut front = shared.front.lock().expect("the front door panicked");
+    let (shard, demand) = front.sessions.remove(&id)?;
+    unapply_route_dims(&mut front.loads, shard, &demand[..shared.cfg.dims]);
+    let live = front.sessions.len() as u64;
+    shared.metrics.sessions_live.store(live, Ordering::Relaxed);
+    Some(shard)
 }
 
 /// The full `/metrics` exposition: the atomic counters plus the live
@@ -922,5 +905,124 @@ fn metrics_loop(listener: TcpListener, shared: &Shared) {
             }
             Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbp_core::algorithms::FirstFit;
+
+    static STOP: AtomicBool = AtomicBool::new(false);
+
+    /// A one-shard daemon state (no sockets) whose gate admits two.
+    fn daemon(backpressure: BackpressurePolicy) -> Shared {
+        let mut cfg = ServeConfig::local(1, 100);
+        cfg.admission.queue_capacity = 2;
+        cfg.backpressure = backpressure;
+        let factory = SelectorFactory::new("FF", || Box::new(FirstFit::new()));
+        Shared::new(cfg, &factory, &STOP).expect("shard builds")
+    }
+
+    fn there(shared: &Shared) -> u64 {
+        shared.shards[0].gate.there.load(Ordering::SeqCst)
+    }
+
+    /// Hold `n` places at shard 0's gate, as `n` connections queued on it.
+    fn hold(shared: &Shared, n: usize) -> Vec<Pass<'_>> {
+        (0..n)
+            .map(|_| shared.shards[0].gate.enter(false).expect("never shed"))
+            .collect()
+    }
+
+    #[test]
+    fn shed_refuses_an_arrival_at_a_full_shard() {
+        let shared = daemon(BackpressurePolicy::Shed);
+        let held = hold(&shared, 2);
+        let r = serve_line(r#"{"op":"arrive","id":1,"at":0,"size":5}"#, &shared);
+        assert_eq!(r, Reply::refused(1, "queue_full"));
+        assert_eq!(shared.metrics.queue_full.load(Ordering::SeqCst), 1);
+        assert!(
+            shared.front.lock().unwrap().sessions.is_empty(),
+            "route undone"
+        );
+        assert_eq!(there(&shared), 2, "a refusal gives its place back");
+        // One place short of full, the arrival is served.
+        drop(held);
+        let _held = hold(&shared, 1);
+        let r = serve_line(r#"{"op":"arrive","id":1,"at":0,"size":5}"#, &shared);
+        assert!(r.ok, "{r:?}");
+        assert_eq!(there(&shared), 1);
+    }
+
+    #[test]
+    fn block_never_refuses() {
+        let shared = daemon(BackpressurePolicy::Block);
+        let held = hold(&shared, 5);
+        for id in 1..=4 {
+            let r = serve_line(
+                &format!(r#"{{"op":"arrive","id":{id},"at":0,"size":5}}"#),
+                &shared,
+            );
+            assert!(r.ok, "{r:?}");
+            assert_eq!(there(&shared), 5);
+        }
+        drop(held);
+        assert_eq!(there(&shared), 0);
+        assert_eq!(shared.metrics.queue_full.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_departure_is_never_refused() {
+        let shared = daemon(BackpressurePolicy::Shed);
+        let r = serve_line(r#"{"op":"arrive","id":1,"at":0,"size":5}"#, &shared);
+        assert!(r.ok, "{r:?}");
+        let held = hold(&shared, 3);
+        let r = serve_line(r#"{"op":"depart","id":1,"at":4}"#, &shared);
+        assert_eq!(r, Reply::ok(1, Some(0)));
+        assert_eq!(there(&shared), 3);
+        drop(held);
+        assert_eq!(there(&shared), 0);
+    }
+
+    #[test]
+    fn overlong_and_non_utf8_lines_are_bad_lines() {
+        let shared = daemon(BackpressurePolicy::Block);
+        let mut long = br#"{"op":"ping","id":1}"#.to_vec();
+        long.resize(MAX_LINE + 1, b' ');
+        let refused = |r: Option<Reply>| r.is_some_and(|r| !r.ok && r.id == 0);
+        assert!(refused(line_reply(&long, &shared)));
+        assert!(refused(line_reply(
+            b"{\"op\":\"ping\",\"id\":\xff}",
+            &shared
+        )));
+        assert_eq!(shared.metrics.bad_lines.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            line_reply(b"  \r", &shared),
+            None,
+            "blank lines get no reply"
+        );
+        long.truncate(MAX_LINE);
+        assert_eq!(line_reply(&long, &shared), Some(Reply::ok(1, None)));
+    }
+
+    #[test]
+    fn every_outcome_gives_its_place_back() {
+        let shared = daemon(BackpressurePolicy::Shed);
+        for line in [
+            r#"{"op":"arrive","id":1,"at":9,"size":5}"#,   // placed
+            r#"{"op":"arrive","id":2,"at":0,"size":500}"#, // oversized: rejected
+            r#"{"op":"depart","id":1,"at":10}"#,           // departed
+            r#"{"op":"depart","id":1,"at":11}"#,           // unknown: front door
+            r#"{"op":"ping","id":3}"#,                     // pong
+            "not json",                                    // bad line
+        ] {
+            serve_line(line, &shared);
+            assert_eq!(there(&shared), 0, "{line}");
+        }
+        let held = hold(&shared, 2);
+        serve_line(r#"{"op":"arrive","id":4,"at":12,"size":5}"#, &shared);
+        drop(held);
+        assert_eq!(there(&shared), 0, "after a queue_full refusal");
     }
 }

@@ -6,7 +6,8 @@
 //! event-time admission check reused from
 //! [`dbp_cloudsim::faults::AdmissionPolicy`], and an optional write-ahead
 //! journal. Everything here is synchronous and deterministic: the daemon
-//! wraps one pipeline per worker thread, tests and the shed-determinism
+//! keeps one pipeline per shard behind a lock and serves it from whichever
+//! connection thread holds that lock; tests and the shed-determinism
 //! proptest drive it directly.
 //!
 //! ## Admission semantics
@@ -16,9 +17,9 @@
 //! rewinds), the queueing delay is `wait = now − at`, and
 //! `wait >= queue_timeout` is a [`DropReason::QueueTimeout`] drop — the
 //! boundary `wait == timeout` drops, exactly as in the batch simulator.
-//! Queue-*capacity* sheds happen at the daemon's front door (the bounded
-//! ingress channel) before a message reaches the pipeline, so they are
-//! ledgered by the server, not here.
+//! Queue-*capacity* sheds happen at the daemon's front door (each shard's
+//! bound on the connections waiting for it) before a request reaches the
+//! pipeline, so they are ledgered by the server, not here.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_core::bin::BinId;

@@ -366,3 +366,61 @@ fn shed_policy_refuses_queue_overflow_and_ledgers_it() {
         summary.shards[0].in_flight as usize
     );
 }
+
+#[test]
+fn a_journal_that_cannot_open_fails_before_listening() {
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    // The journal base's parent is a regular file, so no shard WAL can be
+    // created under it.
+    let file = temp_base("not-a-dir");
+    std::fs::write(&file, b"a regular file").unwrap();
+    let mut cfg = ServeConfig::local(2, 100);
+    cfg.journal_base = Some(file.join("x.wal"));
+    let factory = SelectorFactory::new("FF", || Box::new(FirstFit::new()));
+    let mut ready = false;
+    let got = run_server(cfg, &factory, stop, |_| ready = true);
+    std::fs::remove_file(&file).ok();
+    let err = got.expect_err("an unopenable journal is an error");
+    assert!(err.starts_with("open journal "), "{err}");
+    assert!(!ready, "on_ready must not fire");
+}
+
+#[test]
+fn an_overlong_line_is_refused_and_the_connection_keeps_serving() {
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let mut cfg = ServeConfig::local(1, 100);
+    cfg.metrics_addr = None;
+    cfg.read_timeout_ms = 5;
+    let (addr_tx, addr_rx) = mpsc::channel::<SocketAddr>();
+    let server = std::thread::spawn(move || {
+        let factory = SelectorFactory::new("FF", || Box::new(FirstFit::new()));
+        run_server(cfg, &factory, stop, |h| addr_tx.send(h.addr).unwrap())
+    });
+    let addr = addr_rx.recv().unwrap();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut r = BufReader::new(stream.try_clone().unwrap());
+    let mut w = stream;
+
+    // 1 MiB without a newline, then its newline and a ping: one refusal
+    // for the long line, then the pong.
+    let long = send(&mut w, &mut r, &"x".repeat(1 << 20));
+    assert_eq!(get(&long, "ok"), serde_json::Value::Bool(false), "{long:?}");
+    assert_eq!(
+        get(&long, "reason"),
+        serde_json::Value::Str("line longer than 65536 bytes".to_string())
+    );
+    let pong = send(&mut w, &mut r, r#"{"op":"ping","id":5}"#);
+    assert_eq!(get(&pong, "ok"), serde_json::Value::Bool(true), "{pong:?}");
+    assert_eq!(get(&pong, "id"), serde_json::Value::UInt(5), "{pong:?}");
+    let a = send(&mut w, &mut r, r#"{"op":"arrive","id":1,"at":0,"size":5}"#);
+    assert_eq!(get(&a, "ok"), serde_json::Value::Bool(true), "{a:?}");
+
+    drop(w);
+    drop(r);
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    let summary = server.join().unwrap().expect("server ran");
+    assert!(summary.conserved(), "{summary:?}");
+    assert_eq!(summary.bad_lines, 1);
+    assert_eq!(summary.total, 1);
+    assert_eq!(summary.served, 1);
+}

@@ -2,12 +2,14 @@
 //! and the same overload produce the **same dropped set** and a conserved
 //! ledger, every time.
 //!
-//! The daemon's shed decisions live in two places: the bounded ingress
-//! queue (front door, `queue_full`) and the event-time admission check
-//! inside [`ShardPipeline`] (`queue_timeout`). This harness replays both
-//! through a single-threaded driver — a seeded interleaving of offers and
-//! processing steps over a bounded queue — so the whole decision chain is
-//! exercised without scheduler nondeterminism.
+//! The daemon's shed decisions live in two places: each shard's bound on
+//! the connections waiting on or holding it (front door, `queue_full`)
+//! and the event-time admission check inside [`ShardPipeline`]
+//! (`queue_timeout`). This harness replays both through a
+//! single-threaded driver — a seeded interleaving of offers and
+//! processing steps over a bounded queue standing in for those waiting
+//! connections — so the whole decision chain is exercised without
+//! scheduler nondeterminism.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_core::algorithms::FirstFit;

@@ -15,7 +15,7 @@ use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Barrier};
 
 /// One client connection speaking the NDJSON protocol.
 struct Client {
@@ -143,4 +143,99 @@ fn serve_ledger_survives_hostile_lines_and_journals_replay_to_it() {
     let open_bins: u64 = summary.shards.iter().map(|s| s.open_bins).sum();
     assert!(open_bins > 0);
     assert_eq!(open_at_end, open_bins);
+}
+
+/// Four connections interleave arrivals and departures over two shards at
+/// once, with `--fsync always` journals. Every request is served on its
+/// connection's thread under the routed shard's lock, so the shards
+/// serialise them: every reply is `ok`, nothing is lost, and the WALs
+/// replay to exactly what the daemon reports.
+#[test]
+fn concurrent_connections_serialise_on_shared_shards() {
+    const CONNS: u64 = 4;
+    const PER_CONN: u64 = 40;
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let mut base = std::env::temp_dir();
+    base.push(format!("dbp-serve-concurrent-{}", std::process::id()));
+    let shards = 2usize;
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        metrics_addr: None,
+        shards,
+        router: Router::LeastLoaded,
+        capacity: 100,
+        dims: 1,
+        capacities: None,
+        // Shed, with room for every connection: the gate must never shed
+        // when no more connections than its capacity share a shard.
+        admission: AdmissionPolicy {
+            queue_capacity: CONNS as u32,
+            queue_timeout: u64::MAX,
+        },
+        backpressure: BackpressurePolicy::Shed,
+        max_sessions: 1_024,
+        read_timeout_ms: 5,
+        journal_base: Some(base.clone()),
+        fsync: FsyncPolicy::Always,
+    };
+    let (addr_tx, addr_rx) = mpsc::channel::<SocketAddr>();
+    let server = std::thread::spawn(move || -> Result<ServeSummary, String> {
+        let factory = SelectorFactory::new("FF", || Box::new(FirstFit::new()));
+        run_server(cfg, &factory, stop, |h| addr_tx.send(h.addr).unwrap())
+    });
+    let addr = addr_rx.recv().unwrap();
+
+    // Connection c owns ids c*1000 + 1..=PER_CONN and departs every even
+    // one right after the next arrival. All four start sending together.
+    let start = Barrier::new(CONNS as usize);
+    std::thread::scope(|s| {
+        for c in 0..CONNS {
+            let start = &start;
+            s.spawn(move || {
+                let mut client = Client::connect(addr);
+                start.wait();
+                for i in 1..=PER_CONN {
+                    let id = c * 1_000 + i;
+                    let line = format!(
+                        r#"{{"op":"arrive","id":{id},"at":{i},"size":{}}}"#,
+                        5 + (id * 7) % 40
+                    );
+                    let (ok, v) = client.send(&line);
+                    assert!(ok, "conn {c} arrive {id}: {v:?}");
+                    if i % 2 == 1 && i > 1 {
+                        let gone = id - 1;
+                        let (ok, v) =
+                            client.send(&format!(r#"{{"op":"depart","id":{gone},"at":{i}}}"#));
+                        assert!(ok, "conn {c} depart {gone}: {v:?}");
+                    }
+                }
+            });
+        }
+    });
+
+    stop.store(true, Ordering::SeqCst);
+    let summary = server.join().unwrap().expect("server ran");
+    assert!(summary.conserved(), "{summary:?}");
+    assert_eq!(summary.lost, 0);
+    assert_eq!(summary.total, CONNS * PER_CONN);
+    assert_eq!(summary.served, CONNS * PER_CONN);
+    assert_eq!(summary.dropped, 0);
+    assert_eq!(summary.departed, CONNS * (PER_CONN / 2 - 1));
+    assert!(
+        summary.shards.iter().all(|s| s.placed > 0),
+        "both shards served: {summary:?}"
+    );
+
+    let (mut placements, mut departures) = (0, 0);
+    for k in 0..shards {
+        let path = journal_shard_path(&base, k);
+        let contents = read_journal(&path).expect("journal reads");
+        assert!(contents.torn.is_none(), "graceful drain seals shard {k}");
+        let s = replay_events(&contents.events).expect("journal replays");
+        placements += s.placements;
+        departures += s.departures;
+        std::fs::remove_file(&path).ok();
+    }
+    assert_eq!(placements, summary.served);
+    assert_eq!(departures, summary.departed);
 }
