@@ -39,7 +39,7 @@ macro_rules! print {
 use args::Args;
 use dbp_adversary::{AdaptiveMuAdversary, Theorem1, Theorem2};
 use dbp_cloudsim::{FaultPlan, ResilientReport};
-use dbp_cluster::ShardFaultPlan;
+use dbp_cluster::{vector::DimReport, ShardFaultPlan};
 use dbp_core::algorithms::{standard_factories, Rule};
 use dbp_core::analysis::analyze_first_fit;
 use dbp_core::bounds;
@@ -51,14 +51,15 @@ use dbp_core::instance::{GInstance, Instance};
 use dbp_core::item::Size;
 use dbp_core::metrics::summarize;
 use dbp_core::packer::{BinSelector, GSelectorFactory, SelectorFactory};
-use dbp_core::probe::{GProbeEvent, Probe, ProbeEvent, VerifyProbe};
+use dbp_core::probe::{GProbeEvent, Probe, VerifyProbe};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::NoSpans;
-use dbp_obs::{FsyncPolicy, MetricsRegistry, RunManifest};
+use dbp_obs::{FsyncPolicy, MetricsRegistry, RunManifest, TimeSeriesSampler};
 use dbp_opt::{opt_total, SolveMode};
 use dbp_workloads::vector::{DIM_NAMES, HETERO_DIMS};
 use dbp_workloads::{
-    generate, generate_mu_controlled, ArrivalKind, CloudGamingConfig, MuControlledConfig, Scenario,
+    generate, generate_mu_controlled, widen, ArrivalKind, CloudGamingConfig, MuControlledConfig,
+    Scenario,
 };
 use std::fmt::Display;
 use std::io::Write;
@@ -78,7 +79,7 @@ USAGE:
   dbp adversary thm2 --k N --mu N --n N [--out FILE]
   dbp adversary adaptive --k N --mu N --algo NAME [--out FILE]
   dbp run FILE --algo ff|bf|wf|nf|lf|mi|rf|hff|mff|mff-mu|cff
-          [--hetero]                  # widen to the [gpu,cpu,mem] vector catalog
+          [--hetero]                  # D=3 vector run: per-dimension ledger, v2 journals
           [--validate] [--gantt] [--fleet] [--save-trace FILE] [--svg FILE]
           [--trace-events FILE.jsonl] [--metrics FILE.prom] [--timeseries FILE.csv]
           [--faults SEED|PLAN.json]   # resilient dispatch under injected faults
@@ -115,13 +116,12 @@ USAGE:
   dbp scenarios [--seed N]
 
 MODE RESTRICTIONS (a flag a mode cannot honour is an error, never ignored):
-  run --hetero            --algo ff|bf|mff|mff-mu|dom; run flags: only --validate --metrics --faults
+  run --hetero            --algo ff|bf|mff|mff-mu|dom
   run --faults            no --timeseries --validate --fleet --gantt --svg --save-trace
-                          (and no --metrics with --hetero)
   cluster --hetero        --algo as run --hetero
   cluster --shard-faults  no --faults --journal
   recover --serve-shards  no --repair --trace --manifest --resume-jsonl --faults --algo
-  recover (D>1 journal)   no --trace resume
+  recover (D=2|4 journal) no --trace resume
 ";
 
 /// The first error writing report output to stdout, if any.
@@ -187,10 +187,15 @@ fn run(argv: Vec<String>) -> Result<(), String> {
 }
 
 fn load_instance(args: &Args, pos: usize) -> Result<Instance, String> {
-    let path = args
-        .positional
-        .get(pos)
-        .ok_or("missing trace file argument")?;
+    read_json(
+        args.positional
+            .get(pos)
+            .ok_or("missing trace file argument")?,
+    )
+}
+
+/// Parse the JSON file at `path`; errors name the file.
+fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     serde_json::from_str(&body).map_err(|e| format!("{path}: {e}"))
 }
@@ -365,7 +370,7 @@ struct RunProbe<Sz = Size> {
     suffix: String,
     events: dbp_obs::GEventLog<Sz>,
     metrics: dbp_obs::MetricsProbe,
-    sampler: Option<dbp_obs::TimeSeriesSampler>,
+    sampler: Option<TimeSeriesSampler>,
     journal: Option<dbp_obs::JournalProbe>,
 }
 
@@ -428,30 +433,33 @@ impl<Sz: Demand> Probe<Sz> for RunProbe<Sz> {
     }
 }
 
+/// `dbp run FILE --algo A`: one online dispatcher packs the trace. `--hetero`
+/// widens it to the `[gpu, cpu, mem]` catalog and runs the same way at D=3.
 fn cmd_run(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
     let algo = args.str_flag("algo").unwrap_or("ff");
-    let hetero = args.has("hetero");
-    if hetero {
-        args.refuse(
-            "--hetero",
-            "journal fsync trace-events timeseries run-manifest fleet gantt svg save-trace",
-        )?;
+    if args.has("hetero") {
+        let factory = hetero_factory(algo, mu_hint(&inst))?;
+        return run_at(args, &widen(&inst), &factory);
     }
+    run_at(args, &inst, &selector_factory(algo, mu_hint(&inst))?)
+}
+
+/// The body of `dbp run` at any demand dimensionality.
+fn run_at<Sz: Demand>(
+    args: &Args,
+    inst: &GInstance<Sz>,
+    factory: &GSelectorFactory<Sz>,
+) -> Result<(), String> {
+    let algo = args.str_flag("algo").unwrap_or("ff");
     let plan = match args.str_flag("faults") {
         Some(spec) => {
             args.refuse("--faults", "timeseries validate fleet gantt svg save-trace")?;
-            if hetero {
-                args.refuse("--faults", "metrics")?;
-            }
-            Some((spec, fault_plans(spec, &inst, 1)?.remove(0)))
+            Some((spec, fault_plans(spec, inst, 1)?.remove(0)))
         }
         None => None,
     };
-    if hetero {
-        return cmd_run_hetero(args, &inst, algo, plan);
-    }
-    let mut sel = selector_factory(algo, mu_hint(&inst))?.build();
+    let mut sel = factory.build();
     let observing = args
         .first_of("trace-events metrics timeseries journal run-manifest")
         .is_some();
@@ -460,26 +468,28 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if let Some((spec, plan)) = plan {
         // Resilient dispatch (crashes, flaky provisioning, retries, orphan
         // re-dispatch): the SLA ledger prints next to the bill.
-        let resilient =
-            dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan.clone());
+        let resilient = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(inst), plan.clone());
         let report = if observing {
-            resilient.run_probed(&inst, &mut *sel, &mut probe)
+            resilient.run_probed(inst, &mut *sel, &mut probe)
         } else {
-            resilient.run(&inst, &mut *sel)
+            resilient.run(inst, &mut *sel)
         }
         .map_err(|e| format!("{spec}: {e}"))?;
         let wall = started.elapsed();
         probe.seal_journal(args)?;
         // No packing trace here, so no exact cost: `recover --faults`
         // re-derives the report by verified re-execution instead.
-        save_manifest(args, &RunManifest::capture(sel.name(), None, &inst, wall))?;
+        save_manifest(args, &RunManifest::capture(sel.name(), None, inst, wall))?;
         probe.seal(args)?;
         save_metrics(args, probe.metrics.registry())?;
-        print_fault_report(algo, &plan, &report);
+        // A scalar report echoes `--algo`; a vector one names the selector
+        // and D, as every vector report does.
+        let name = if Sz::DIMS == 1 { algo } else { sel.name() };
+        print_fault_report(&dims_label::<Sz>(name), &plan, &report);
         return Ok(());
     }
     if args.has("timeseries") {
-        probe.sampler = Some(dbp_obs::TimeSeriesSampler::new(inst.capacity().raw()));
+        probe.sampler = Some(TimeSeriesSampler::new(inst.capacity().component(0)));
     }
     // Journaled runs honor SIGINT/SIGTERM: the step loop polls the
     // shutdown latch between bursts and exits early, so the journal seals
@@ -488,7 +498,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let interruptible = probe.journal.is_some() && !args.has("validate");
     let trace = if interruptible {
         dbp_serve::install_signal_handlers();
-        let mut run = EngineRun::new(&inst, &mut *sel, &mut probe);
+        let mut run = EngineRun::new(inst, &mut *sel, &mut probe);
         while !run.is_done() && !dbp_serve::shutdown_requested() {
             for _ in 0..4096 {
                 if !run.step() {
@@ -499,10 +509,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         run.is_done().then(|| run.finish())
     } else {
         Some(match (observing, args.has("validate")) {
-            (true, true) => simulate_validated_probed(&inst, &mut *sel, &mut probe),
-            (true, false) => simulate_probed(&inst, &mut *sel, &mut probe),
-            (false, true) => simulate_validated(&inst, &mut *sel),
-            (false, false) => simulate(&inst, &mut *sel),
+            (true, true) => simulate_validated_probed(inst, &mut *sel, &mut probe),
+            (true, false) => simulate_probed(inst, &mut *sel, &mut probe),
+            (false, true) => simulate_validated(inst, &mut *sel),
+            (false, false) => simulate(inst, &mut *sel),
         })
     };
     let wall = started.elapsed();
@@ -515,23 +525,43 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Ok(());
     };
     probe.seal(args)?;
-    save_metrics(args, probe.metrics.registry())?;
+    let s = summarize(inst, &trace);
+    let dims = dim_ledger(inst, s.total_cost_ticks);
+    save_metrics(
+        args,
+        &with_dim_metrics(probe.metrics.registry().clone(), &dims),
+    )?;
     if let Some(sampler) = &probe.sampler {
         save(args, "timeseries", "", "time series", |path| {
             dbp_obs::export::atomic_write(path, sampler.to_csv().as_bytes())
                 .map(|()| format!(" ({} samples)", sampler.samples().len()))
         })?;
     }
-    let s = summarize(&inst, &trace);
-    println!("algorithm      : {}", s.algorithm);
+    println!("algorithm      : {}", dims_label::<Sz>(&s.algorithm));
     println!("items          : {}", s.n_items);
     println!("total cost     : {} bin-ticks", s.total_cost_ticks);
     println!("bins used      : {}", s.bins_used);
     println!("max open bins  : {}", s.max_open_bins);
     println!("cost / LB      : {:.4}", s.ratio_vs_lower_bound.to_f64());
     println!("utilization    : {:.4}", s.mean_utilization.to_f64());
+    if !dims.is_empty() {
+        let peak = dbp_workloads::vector::peak_pressure(inst);
+        for d in &dims {
+            // Peak concurrent demand is fleet-wide; in servers' worth here.
+            println!(
+                "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted, \
+                 peak {:.1} servers",
+                d.dim,
+                DIM_NAMES[d.dim],
+                utilization_ppm(d) as f64 / 1e6,
+                d.demand_ticks,
+                d.waste_ticks,
+                peak[d.dim].0 as f64 / peak[d.dim].1 as f64,
+            );
+        }
+    }
     if observing {
-        let manifest = RunManifest::capture(&s.algorithm, None, &inst, wall)
+        let manifest = RunManifest::capture(&s.algorithm, None, inst, wall)
             .with_cost(trace.total_cost_ticks());
         println!("instance digest: {}", manifest.instance_digest);
         println!(
@@ -556,11 +586,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
     }
     if args.has("gantt") {
-        println!("\n{}", dbp_core::gantt::render_gantt(&inst, &trace, 72));
+        println!("\n{}", dbp_core::gantt::render_gantt(inst, &trace, 72));
         println!("open bins: {}", dbp_core::gantt::sparkline(&trace));
     }
     save(args, "svg", "", "svg", |path| {
-        let svg = dbp_core::svg::render_svg(&inst, &trace, dbp_core::svg::SvgOptions::default());
+        let svg = dbp_core::svg::render_svg(inst, &trace, dbp_core::svg::SvgOptions::default());
         std::fs::write(path, svg).map(|()| String::new())
     })?;
     save(args, "save-trace", "", "trace", |path| {
@@ -588,8 +618,7 @@ fn hetero_factory(
     }))
 }
 
-/// The SLA ledger and bill of one `run --faults` dispatch, scalar or
-/// `--hetero`.
+/// The SLA ledger and bill of one `run --faults` dispatch.
 fn print_fault_report(algorithm: &str, plan: &FaultPlan, report: &ResilientReport) {
     println!("algorithm      : {algorithm}");
     println!(
@@ -624,84 +653,38 @@ fn print_fault_report(algorithm: &str, plan: &FaultPlan, report: &ResilientRepor
     print_bill(report.busy_ticks, report.billed_ticks, report.cost_cents);
 }
 
-/// `dbp run FILE --hetero`: widen the scalar trace to the heterogeneous
-/// `[gpu, cpu, mem]` catalog and pack it as one 3-dimensional vector
-/// instance. Feasibility is the intersection of the per-dimension
-/// constraints; the per-dimension utilization table shows which
-/// dimension actually binds. With a fault `plan` the widened trace runs
-/// through the same resilient dispatcher as scalar `run --faults`.
-fn cmd_run_hetero(
-    args: &Args,
-    scalar: &Instance,
-    algo: &str,
-    plan: Option<(&str, FaultPlan)>,
-) -> Result<(), String> {
-    let inst = dbp_workloads::widen(scalar);
-    let mut sel = hetero_factory(algo, mu_hint(scalar))?.build();
-    if let Some((spec, plan)) = plan {
-        let report = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan.clone())
-            .run(&inst, &mut sel)
-            .map_err(|e| format!("{spec}: {e}"))?;
-        let label = format!("{} ({HETERO_DIMS}-dimensional)", report.algorithm);
-        print_fault_report(&label, &plan, &report);
-        return Ok(());
+/// A report's algorithm line: a vector run names its dimensionality.
+fn dims_label<Sz: Demand>(algorithm: &str) -> String {
+    match Sz::DIMS {
+        1 => algorithm.to_string(),
+        d => format!("{algorithm} ({d}-dimensional)"),
     }
-    let started = std::time::Instant::now();
-    let trace = if args.has("validate") {
-        dbp_core::engine::simulate_validated(&inst, &mut sel)
-    } else {
-        dbp_core::engine::simulate(&inst, &mut sel)
-    };
-    let wall = started.elapsed();
-    let busy = trace.total_cost_ticks();
-    println!(
-        "algorithm      : {} ({HETERO_DIMS}-dimensional)",
-        trace.algorithm
-    );
-    println!("items          : {}", inst.len());
-    println!("total cost     : {busy} bin-ticks");
-    println!("bins used      : {}", trace.bins_used());
-    println!("max open bins  : {}", trace.max_open_bins());
-    let peak = dbp_workloads::vector::peak_pressure(&inst);
-    let dims = dbp_cluster::vector::dim_reports(&inst, busy);
-    for d in &dims {
-        // Peak concurrent demand is fleet-wide; divide by the per-server
-        // capacity to express it in servers' worth of this resource.
-        println!(
-            "dim {} ({:<3})    : {:.4} utilized, {} demand-ticks, {} wasted, peak {:.1} servers",
-            d.dim,
-            DIM_NAMES[d.dim],
-            utilization_ppm(d) as f64 / 1e6,
-            d.demand_ticks,
-            d.waste_ticks,
-            peak[d.dim].0 as f64 / peak[d.dim].1 as f64,
-        );
-    }
-    println!("wall time      : {:.3} ms", wall.as_secs_f64() * 1e3);
-    let mut reg = MetricsRegistry::new();
-    reg.gauge_set("dbp_bins_used", trace.bins_used() as i64);
-    reg.gauge_set("dbp_cost_ticks", clamp_i64(busy));
-    absorb_dim_metrics(&mut reg, &dims);
-    save_metrics(args, &reg)
 }
 
-/// Saturate a `u128` ledger value into a Prometheus gauge.
-fn clamp_i64(v: u128) -> i64 {
-    v.min(i64::MAX as u128) as i64
+/// The per-dimension ledger of a vector run that served every session, so
+/// the instance's demand is the packing's and the ledger is exact; empty
+/// at D = 1.
+fn dim_ledger<Sz: Demand>(inst: &GInstance<Sz>, busy: u128) -> Vec<DimReport> {
+    match Sz::DIMS {
+        1 => Vec::new(),
+        _ => dbp_cluster::vector::dim_reports(inst, busy),
+    }
 }
 
 /// A dimension's utilization in parts per million, rounded down (0 when
 /// nothing was rented).
-fn utilization_ppm(d: &dbp_cluster::vector::DimReport) -> u128 {
+fn utilization_ppm(d: &DimReport) -> u128 {
     (d.demand_ticks * 1_000_000)
         .checked_div(d.rented_ticks)
         .unwrap_or(0)
 }
 
-/// The `dbp_dim_*{dim="gpu|cpu|mem"}` block of a vector run's
+/// `reg` with the `dbp_dim_*{dim="gpu|cpu|mem"}` block of a vector run's
 /// per-dimension ledger, shared by `dbp run --hetero` and
 /// `dbp cluster --hetero`.
-fn absorb_dim_metrics(reg: &mut MetricsRegistry, dims: &[dbp_cluster::vector::DimReport]) {
+fn with_dim_metrics(mut reg: MetricsRegistry, dims: &[DimReport]) -> MetricsRegistry {
+    // Saturate each `u128` ledger value into a Prometheus gauge.
+    let clamp_i64 = |v: u128| v.min(i64::MAX as u128) as i64;
     for d in dims {
         let mut dreg = MetricsRegistry::new();
         dreg.gauge_set("dbp_dim_demand_ticks", clamp_i64(d.demand_ticks));
@@ -710,6 +693,7 @@ fn absorb_dim_metrics(reg: &mut MetricsRegistry, dims: &[dbp_cluster::vector::Di
         dreg.gauge_set("dbp_dim_utilization_ppm", clamp_i64(utilization_ppm(d)));
         reg.absorb_labeled(&dreg, "dim", DIM_NAMES[d.dim]);
     }
+    reg
 }
 
 /// The paper's cost model over `inst`'s capacity: per-tick billing on
@@ -824,7 +808,7 @@ fn print_ledger(conserved: bool) {
     println!("ledger         : {verdict}");
 }
 
-/// The bill every scalar dispatch report closes its totals with.
+/// The bill every fault and cluster report closes its totals with.
 fn print_bill(busy: u128, billed: u128, cents: Ratio) {
     println!("busy ticks     : {busy}");
     println!("billed ticks   : {billed}");
@@ -847,7 +831,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     let algo = args.str_flag("algo").unwrap_or("ff");
     if args.has("hetero") {
         let factory = hetero_factory(algo, mu_hint(&inst))?;
-        return cluster_at(args, &dbp_workloads::widen(&inst), &factory);
+        return cluster_at(args, &widen(&inst), &factory);
     }
     cluster_at(args, &inst, &selector_factory(algo, mu_hint(&inst))?)
 }
@@ -861,10 +845,7 @@ fn cluster_at<Sz: Demand>(
     let config = cluster_config(args, 2)?;
     let shards = config.shards;
     let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(inst), config);
-    let label = |algorithm: &str| match Sz::DIMS {
-        1 => algorithm.to_string(),
-        d => format!("{algorithm} ({d}-dimensional)"),
-    };
+    let label = dims_label::<Sz>;
 
     if let Some(spec) = args.str_flag("shard-faults") {
         if args.has("faults") {
@@ -995,15 +976,8 @@ fn cluster_at<Sz: Demand>(
         registries.push(probe.metrics.registry().clone());
     }
     let r = &run.report;
-    // Every session is served here, so the instance's demand is the
-    // packing's: the per-dimension ledger is exact.
-    let dims = match Sz::DIMS {
-        1 => Vec::new(),
-        _ => dbp_cluster::vector::dim_reports(inst, r.busy_ticks),
-    };
-    let mut metrics = run.metrics(&registries);
-    absorb_dim_metrics(&mut metrics, &dims);
-    save_metrics(args, &metrics)?;
+    let dims = dim_ledger(inst, r.busy_ticks);
+    save_metrics(args, &with_dim_metrics(run.metrics(&registries), &dims))?;
     save_manifest(args, &r.manifest)?;
     print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.sessions_served);
     println!(
@@ -1297,8 +1271,9 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 /// A vector (format v2) journal also gets the exact per-dimension cost
 /// audit: served demand-ticks, one integer per resource dimension.
 ///
-/// Scalar journals only — with `--trace FILE` (the instance the run
-/// packed): re-execute the interrupted run from scratch, verifying every
+/// With `--trace FILE` (the instance the run packed; a 3-dimensional
+/// journal widens it as `run --hetero` did): re-execute the interrupted
+/// run from scratch, verifying every
 /// event against the journal up to its last complete-operation boundary,
 /// and finish it — `--resume-jsonl OUT` writes the journaled prefix plus
 /// the continuation, byte-identical to an uninterrupted run's stream. A
@@ -1324,13 +1299,43 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     }
     let dims =
         dbp_obs::journal::peek_journal_dims(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    // Resume is scalar-only: refuse before reading anything.
-    if dims > 1 && args.has("trace") {
+    match dims {
+        1 => recover_at::<Size>(
+            args,
+            path,
+            Some(|inst, algo| Ok((selector_factory(algo, mu_hint(&inst))?, inst))),
+        ),
+        // `run --hetero` journals: the trace widens the same way again.
+        3 => recover_at::<VSize<3>>(
+            args,
+            path,
+            Some(|inst, algo| Ok((hetero_factory(algo, mu_hint(&inst))?, widen(&inst)))),
+        ),
+        2 => recover_at::<VSize<2>>(args, path, None),
+        4 => recover_at::<VSize<4>>(args, path, None),
+        d => Err(too_many_dims(path, d)),
+    }
+}
+
+/// How `recover --trace FILE` rebuilds the run a journal recorded: the
+/// instance at the journal's dimensionality and the `--algo` factory.
+type Rebuild<Sz> = fn(Instance, &str) -> Result<(GSelectorFactory<Sz>, GInstance<Sz>), String>;
+
+/// The body of `dbp recover` at the journal's dimensionality; without a
+/// `rebuild`, the journal is audited only.
+fn recover_at<Sz: Demand>(
+    args: &Args,
+    path: &str,
+    rebuild: Option<Rebuild<Sz>>,
+) -> Result<(), String> {
+    // Refuse before reading anything.
+    if rebuild.is_none() && args.has("trace") {
         return Err(format!(
-            "--trace resume is scalar-only; this journal is {dims}-dimensional"
+            "--trace resumes `run` and `run --hetero` journals; this journal is {}-dimensional",
+            Sz::DIMS
         ));
     }
-    let audit = audit_journal(path)?;
+    let (audit, events) = audit_at::<Sz>(path)?;
     match &audit.torn {
         Some(torn) => {
             println!(
@@ -1344,15 +1349,14 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         }
         None => println!("journal        : clean"),
     }
-    if dims > 1 {
-        println!("dimensions     : {dims}");
+    if Sz::DIMS > 1 {
+        println!("dimensions     : {}", Sz::DIMS);
     }
     println!("events         : {}", audit.events);
-    // A scalar fault-injection stream breaks the engine's structural
-    // invariants by design (crashed bins vanish, their sessions reopen
-    // elsewhere), so its audit is the verified re-execution below, not
-    // the replay walk.
-    let summary = if dims == 1 && audit.fault_events > 0 {
+    // A fault-injection stream breaks the engine's structural invariants
+    // by design (crashed bins vanish, their sessions reopen elsewhere), so
+    // its audit is the verified re-execution below, not the replay walk.
+    let summary = if audit.fault_events > 0 {
         println!(
             "audit          : {} fault events — a resilient-dispatch journal; \
              pass --trace and --faults to audit by verified re-execution",
@@ -1383,7 +1387,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         );
         Some(s)
     };
-    let Some(events) = audit.scalar else {
+    if Sz::DIMS > 1 {
         for (d, t) in audit.dim_ticks.iter().enumerate() {
             println!("dim {d} served   : {t} demand-ticks");
         }
@@ -1394,8 +1398,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
                 audit.resident
             );
         }
-        return Ok(());
-    };
+    }
 
     // With the original instance in hand, finish what the journal started.
     let mut final_cost = summary
@@ -1406,13 +1409,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     // The recorded provenance every recomputed figure is diffed against;
     // any disagreement is a hard failure.
     let manifest = match args.str_flag("manifest") {
-        Some(manifest_path) => {
-            let body = std::fs::read_to_string(manifest_path)
-                .map_err(|e| format!("{manifest_path}: {e}"))?;
-            let recorded: RunManifest =
-                serde_json::from_str(&body).map_err(|e| format!("{manifest_path}: {e}"))?;
-            Some((manifest_path, recorded))
-        }
+        Some(manifest_path) => Some((manifest_path, read_json::<RunManifest>(manifest_path)?)),
         None => None,
     };
     let disagrees = |manifest_path: &str, mismatches: &[String]| {
@@ -1421,13 +1418,11 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
             mismatches.join("\n  ")
         )
     };
-    if let Some(trace_path) = args.str_flag("trace") {
-        let body = std::fs::read_to_string(trace_path).map_err(|e| format!("{trace_path}: {e}"))?;
-        let inst: Instance =
-            serde_json::from_str(&body).map_err(|e| format!("{trace_path}: {e}"))?;
-        trace_digest = Some(dbp_obs::manifest::instance_digest(&inst));
+    if let (Some(trace_path), Some(rebuild)) = (args.str_flag("trace"), rebuild) {
         let algo = args.str_flag("algo").unwrap_or("ff");
-        let mut sel = selector_factory(algo, mu_hint(&inst))?.build();
+        let (factory, inst) = rebuild(read_json(trace_path)?, algo)?;
+        trace_digest = Some(dbp_obs::manifest::instance_digest(&inst));
+        let mut sel = factory.build();
         // A selector other than the recorded one cannot re-execute the
         // journal; say so before running it.
         if let Some((manifest_path, recorded)) = &manifest {
@@ -1442,7 +1437,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
                 ));
             }
         }
-        let mut log = dbp_obs::EventLog::new();
+        let mut log = dbp_obs::GEventLog::<Sz>::new();
         let prefix = if audit.fault_events > 0 {
             let spec = args.str_flag("faults").ok_or(
                 "journal carries fault-injection events; pass --faults SEED|PLAN.json \
@@ -1553,39 +1548,40 @@ struct JournalAudit {
     /// Departed demand-ticks per dimension, and items still resident.
     dim_ticks: Vec<u128>,
     resident: u64,
-    /// A one-dimensional journal's events, for resume and re-execution.
-    scalar: Option<Vec<ProbeEvent>>,
+}
+
+/// Read and audit `path` as a journal of `Sz` demands; its events are
+/// returned for resume and re-execution.
+fn audit_at<Sz: Demand>(path: &str) -> Result<(JournalAudit, Vec<GProbeEvent<Sz>>), String> {
+    let c = dbp_obs::journal::read_journal_dims::<Sz>(Path::new(path))?;
+    let (dim_ticks, resident) = dbp_obs::per_dim_demand_ticks(&c.events);
+    let audit = JournalAudit {
+        events: c.events.len(),
+        torn: c.torn,
+        fault_events: c.events.iter().filter(|e| e.is_fault_event()).count(),
+        summary: dbp_obs::replay::replay_events_dims(&c.events)
+            .map_err(|e| format!("{path}: audit failed: {e}")),
+        dim_ticks,
+        resident,
+    };
+    Ok((audit, c.events))
 }
 
 /// Read and audit `path` at the dimensionality its header declares.
 fn audit_journal(path: &str) -> Result<JournalAudit, String> {
-    fn at<Sz: Demand>(path: &str) -> Result<(JournalAudit, Vec<GProbeEvent<Sz>>), String> {
-        let c = dbp_obs::journal::read_journal_dims::<Sz>(Path::new(path))?;
-        let (dim_ticks, resident) = dbp_obs::per_dim_demand_ticks(&c.events);
-        let audit = JournalAudit {
-            events: c.events.len(),
-            torn: c.torn,
-            fault_events: c.events.iter().filter(|e| e.is_fault_event()).count(),
-            summary: dbp_obs::replay::replay_events_dims(&c.events)
-                .map_err(|e| format!("{path}: audit failed: {e}")),
-            dim_ticks,
-            resident,
-            scalar: None,
-        };
-        Ok((audit, c.events))
-    }
-    match dbp_obs::journal::peek_journal_dims(Path::new(path))? {
-        1 => at::<Size>(path).map(|(audit, events)| JournalAudit {
-            scalar: Some(events),
-            ..audit
-        }),
-        2 => at::<VSize<2>>(path).map(|(audit, _)| audit),
-        3 => at::<VSize<3>>(path).map(|(audit, _)| audit),
-        4 => at::<VSize<4>>(path).map(|(audit, _)| audit),
-        d => Err(format!(
-            "{path}: journal holds {d}-dimensional demands; this build audits up to 4"
-        )),
-    }
+    Ok(
+        match dbp_obs::journal::peek_journal_dims(Path::new(path))? {
+            1 => audit_at::<Size>(path)?.0,
+            2 => audit_at::<VSize<2>>(path)?.0,
+            3 => audit_at::<VSize<3>>(path)?.0,
+            4 => audit_at::<VSize<4>>(path)?.0,
+            d => return Err(too_many_dims(path, d)),
+        },
+    )
+}
+
+fn too_many_dims(path: &str, dims: usize) -> String {
+    format!("{path}: journal holds {dims}-dimensional demands; this build audits up to 4")
 }
 
 /// `dbp recover BASE --serve-shards N`: audit a daemon's journal set.
@@ -1686,16 +1682,14 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         "algo", "cost", "cost/LB", "bins", "peak"
     );
     for f in standard_factories(0) {
-        let mut sel = f.build();
-        let trace = simulate(&inst, &mut *sel);
-        let cost = trace.total_cost_ticks();
+        let s = summarize(&inst, &simulate(&inst, &mut *f.build()));
         println!(
             "{:>8}  {:>14}  {:>9.4}  {:>8}  {:>8}",
             f.name(),
-            cost,
-            (Ratio::from_int(cost) / lb).to_f64(),
-            trace.bins_used(),
-            trace.max_open_bins()
+            s.total_cost_ticks,
+            s.ratio_vs_lower_bound.to_f64(),
+            s.bins_used,
+            s.max_open_bins
         );
     }
     Ok(())
@@ -1769,14 +1763,12 @@ fn cmd_scenarios(args: &Args) -> Result<(), String> {
             ..scenario.config()
         };
         let inst = generate(&cfg);
-        let lb = bounds::combined_lower_bound(&inst);
         let mut best: Option<(String, Ratio, u32)> = None;
         for f in standard_factories(seed) {
-            let mut sel = f.build();
-            let trace = simulate(&inst, &mut *sel);
-            let ratio = Ratio::from_int(trace.total_cost_ticks()) / lb;
+            let s = summarize(&inst, &simulate(&inst, &mut *f.build()));
+            let ratio = s.ratio_vs_lower_bound;
             if best.as_ref().is_none_or(|(_, r, _)| ratio < *r) {
-                best = Some((f.name().to_string(), ratio, trace.max_open_bins()));
+                best = Some((f.name().to_string(), ratio, s.max_open_bins));
             }
         }
         let (name, ratio, peak) = best.expect("roster is nonempty");

@@ -231,10 +231,14 @@ fn assert_refused(base: &[&str], mode: &str, flags: &[(&str, Option<&str>)]) {
     }
 }
 
+/// Every flag `run` takes works with `--hetero`: the vector run goes
+/// through the one generic run path, so none is refused, and `--faults`
+/// keeps only the refusals it has at every D.
 #[test]
-fn run_hetero_refuses_flags_it_would_drop() {
-    let (_, tr) = tmpfile("refuse_run_hetero.json");
-    let _ = dbp(&[
+fn run_hetero_honours_every_flag() {
+    use dbp_core::demand::VSize;
+    let (_, tr) = tmpfile("hetero_run_flags.json");
+    stdout(&dbp(&[
         "generate",
         "scenario",
         "--name",
@@ -243,43 +247,95 @@ fn run_hetero_refuses_flags_it_would_drop() {
         "7",
         "--out",
         &tr,
-    ]);
-    let (_, wal) = tmpfile("refuse_run_hetero.wal");
-    let (_, jsonl) = tmpfile("refuse_run_hetero.jsonl");
-    let (_, csv) = tmpfile("refuse_run_hetero.csv");
-    let (_, man) = tmpfile("refuse_run_hetero.manifest.json");
-    let (_, svg) = tmpfile("refuse_run_hetero.svg");
-    let (_, saved) = tmpfile("refuse_run_hetero.trace.json");
-    assert_refused(
-        &["run", &tr, "--algo", "ff", "--hetero"],
-        "--hetero",
-        &[
-            ("journal", Some(&wal)),
-            ("fsync", Some("never")),
-            ("trace-events", Some(&jsonl)),
-            ("timeseries", Some(&csv)),
-            ("run-manifest", Some(&man)),
-            ("fleet", None),
-            ("gantt", None),
-            ("svg", Some(&svg)),
-            ("save-trace", Some(&saved)),
-        ],
-    );
-    // The combination that used to exit 0 without journaling anything.
-    let out = dbp(&[
+    ]));
+    let (_, wal) = tmpfile("hetero_run_flags.wal");
+    let (_, jsonl) = tmpfile("hetero_run_flags.jsonl");
+    let (_, csv) = tmpfile("hetero_run_flags.csv");
+    let (_, man) = tmpfile("hetero_run_flags.manifest.json");
+    let (_, svg) = tmpfile("hetero_run_flags.svg");
+    let (_, saved) = tmpfile("hetero_run_flags.trace.json");
+    let text = stdout(&dbp(&[
         "run",
         &tr,
+        "--algo",
+        "ff",
         "--hetero",
         "--journal",
         &wal,
+        "--fsync",
+        "never",
         "--trace-events",
         &jsonl,
+        "--timeseries",
+        &csv,
+        "--run-manifest",
+        &man,
+        "--fleet",
+        "--gantt",
+        "--svg",
+        &svg,
+        "--save-trace",
+        &saved,
+    ]));
+    assert!(text.contains("FF (3-dimensional)"), "{text}");
+    assert!(text.contains("dim 2 (mem)"), "{text}");
+    assert!(text.contains("fleet          : mean"), "{text}");
+    assert!(text.contains("open bins: "), "{text}");
+    let cost = count(&text, "total cost");
+
+    // A D=3 (format v2) journal and a JSONL log of D=3 events.
+    let bytes = std::fs::read(&wal).unwrap();
+    assert_eq!(&bytes[..9], b"DBPWAL02\x03", "journal header");
+    let log = std::fs::read_to_string(&jsonl).unwrap();
+    assert!(!log.is_empty());
+    for line in log.lines() {
+        serde_json::from_str::<dbp_core::probe::GProbeEvent<VSize<3>>>(line)
+            .unwrap_or_else(|e| panic!("{line}: {e:?}"));
+    }
+    assert!(std::fs::read_to_string(&csv).unwrap().lines().count() > 1);
+    assert!(std::fs::read_to_string(&svg).unwrap().starts_with("<svg"));
+
+    // The manifest digests the widened instance and records the exact
+    // cost; the saved trace is the D=3 packing that cost it.
+    let manifest: dbp_obs::RunManifest =
+        serde_json::from_str(&std::fs::read_to_string(&man).unwrap()).unwrap();
+    let scalar: dbp_core::instance::Instance =
+        serde_json::from_str(&std::fs::read_to_string(&tr).unwrap()).unwrap();
+    let widened = dbp_workloads::widen(&scalar);
+    assert_eq!(
+        manifest.instance_digest,
+        dbp_obs::manifest::instance_digest(&widened)
+    );
+    assert_eq!(manifest.total_cost_ticks, Some(u128::from(cost)));
+    let trace: dbp_core::trace::GPackingTrace<VSize<3>> =
+        serde_json::from_str(&std::fs::read_to_string(&saved).unwrap()).unwrap();
+    assert_eq!(trace.total_cost_ticks(), u128::from(cost));
+
+    // The vector fault run writes its metrics, like the scalar one...
+    let (_, prom) = tmpfile("hetero_run_flags.prom");
+    let _ = std::fs::remove_file(&prom);
+    let text = stdout(&dbp(&[
+        "run",
+        &tr,
+        "--algo",
+        "ff",
+        "--hetero",
         "--faults",
         "42",
-    ]);
-    assert!(!out.status.success());
-    assert!(!std::path::Path::new(&wal).exists());
-    assert!(!std::path::Path::new(&jsonl).exists());
+        "--metrics",
+        &prom,
+    ]));
+    assert!(text.contains("metrics saved to"), "{text}");
+    assert_eq!(
+        counter_sum(&prom, "dbp_items_arrived_total"),
+        count(&text, "sessions")
+    );
+    // ...and refuses what a run without a packing trace cannot write.
+    assert_refused(
+        &["run", &tr, "--algo", "ff", "--hetero", "--faults", "42"],
+        "--faults",
+        &[("svg", Some(&svg)), ("gantt", None)],
+    );
 }
 
 #[test]
@@ -367,7 +423,7 @@ fn cluster_hetero_honours_every_flag() {
         serde_json::from_str(&std::fs::read_to_string(&tr).unwrap()).unwrap();
     assert_eq!(
         manifest.instance_digest,
-        dbp_obs::manifest::instance_digest_dims(&dbp_workloads::widen(&scalar))
+        dbp_obs::manifest::instance_digest(&dbp_workloads::widen(&scalar))
     );
 
     // Ingestion batching and the worker pool never change the report.
@@ -468,26 +524,6 @@ fn run_hetero_faults_conserves_and_a_zero_plan_bills_the_plain_run() {
         count(&plain, "total cost"),
         "{plain}\n{faulted}"
     );
-    // Artifact flags the vector fault run cannot write stay refused.
-    let (_, prom) = tmpfile("hetero_faults.prom");
-    let out = dbp(&[
-        "run",
-        &tr,
-        "--algo",
-        "ff",
-        "--hetero",
-        "--faults",
-        "42",
-        "--metrics",
-        &prom,
-    ]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--metrics is not supported with --faults"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(!std::path::Path::new(&prom).exists());
 }
 
 #[test]

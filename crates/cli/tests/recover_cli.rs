@@ -356,8 +356,13 @@ fn recover_audits_a_killed_vector_journal_per_dimension() {
     assert!(out.contains("resident       : 2 items"), "{out}");
 }
 
+/// `--trace` re-executes a 3-dimensional journal with the widened trace:
+/// a journal that trace cannot have produced diverges (exit 1, never a
+/// panic). No `dbp run` writes a 2-dimensional journal, so `--trace` on
+/// one is refused up front, naming its dims; its audit still runs.
 #[test]
-fn vector_journals_reject_scalar_only_resume() {
+fn vector_resume_verifies_d3_and_refuses_other_dims() {
+    use dbp_obs::journal::{FsyncPolicy, JournalProbe};
     let dir = tmpdir();
     let (wal, _) = vector_journal_killed_midstream(&dir, "vec-resume");
     let tr = path(&dir, "vec-resume.json");
@@ -365,8 +370,93 @@ fn vector_journals_reject_scalar_only_resume() {
         "generate", "mu", "--mu", "10", "--n", "20", "--seed", "3", "--out", &tr,
     ]));
     let err = stderr_of_failure(&dbp(&["recover", &wal, "--trace", &tr]));
-    assert!(err.contains("scalar-only"), "{err}");
-    assert!(err.contains("3-dimensional"), "{err}");
+    assert!(err.contains("journal diverges from re-execution"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
+    let d2 = path(&dir, "vec-resume-d2.wal");
+    drop(JournalProbe::create_dims(std::path::Path::new(&d2), FsyncPolicy::Never, 2).unwrap());
+    let err = stderr_of_failure(&dbp(&["recover", &d2, "--trace", &tr]));
+    assert!(err.contains("this journal is 2-dimensional"), "{err}");
+    let out = stdout(&dbp(&["recover", &d2]));
+    assert!(out.contains("dimensions     : 2"), "{out}");
+}
+
+/// A `run --hetero --journal` WAL cut to a prefix resumes at D=3: the
+/// resumed cost is the uninterrupted run's, prefix + continuation is its
+/// event stream byte for byte, and the run's manifest (the widened
+/// instance's digest) checks out.
+#[test]
+fn hetero_journal_resumes_to_the_uninterrupted_run() {
+    let dir = tmpdir();
+    let tr = path(&dir, "hetero-resume.json");
+    let wal = path(&dir, "hetero-resume.wal");
+    let man = path(&dir, "hetero-resume.manifest.json");
+    let reference = path(&dir, "hetero-resume.ref.jsonl");
+    stdout(&dbp(&[
+        "generate",
+        "scenario",
+        "--name",
+        "launch-day",
+        "--seed",
+        "7",
+        "--out",
+        &tr,
+    ]));
+    let run = stdout(&dbp(&[
+        "run",
+        &tr,
+        "--algo",
+        "dom",
+        "--hetero",
+        "--journal",
+        &wal,
+        "--fsync",
+        "never",
+        "--run-manifest",
+        &man,
+    ]));
+    let total = run
+        .lines()
+        .find_map(|l| l.strip_prefix("total cost     : "))
+        .unwrap_or_else(|| panic!("no total cost in:\n{run}"));
+    stdout(&dbp(&[
+        "run",
+        &tr,
+        "--algo",
+        "dom",
+        "--hetero",
+        "--trace-events",
+        &reference,
+    ]));
+    let bytes = std::fs::read(&wal).unwrap();
+    let torn = path(&dir, "hetero-resume.torn.wal");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2 - 3]).unwrap();
+    let combined = path(&dir, "hetero-resume.comb.jsonl");
+    let out = stdout(&dbp(&[
+        "recover",
+        &torn,
+        "--trace",
+        &tr,
+        "--algo",
+        "dom",
+        "--resume-jsonl",
+        &combined,
+        "--manifest",
+        &man,
+    ]));
+    assert!(out.contains("dimensions     : 3"), "{out}");
+    assert!(
+        out.contains(&format!("resumed cost   : {total} (")),
+        "{out}"
+    );
+    assert!(out.contains("cost check     : OK"), "{out}");
+    assert!(out.contains("digest check   : OK"), "{out}");
+    assert!(out.contains("manifest check : OK"), "{out}");
+    assert_eq!(
+        std::fs::read(&combined).unwrap(),
+        std::fs::read(&reference).unwrap(),
+        "combined stream differs from the uninterrupted run"
+    );
 }
 
 #[test]

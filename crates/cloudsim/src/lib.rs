@@ -48,4 +48,4 @@ pub use faults::{
     RetryPolicy,
 };
 pub use recover::RecoveryOutcome;
-pub use system::{utilization, DispatchError, GamingSystem, SystemReport};
+pub use system::{DispatchError, GamingSystem, SystemReport};

@@ -80,24 +80,6 @@ impl SystemReport {
     }
 }
 
-/// Mean GPU utilization of `busy_ticks` of rented time serving
-/// `requests`: total GPU demand (component 0 of a vector demand) over
-/// `W · busy_ticks`, zero when nothing was rented.
-pub fn utilization<Sz: Demand>(requests: &GInstance<Sz>, busy_ticks: u128) -> Ratio {
-    if busy_ticks == 0 {
-        return Ratio::ZERO;
-    }
-    let gpu_demand: u128 = requests
-        .items()
-        .iter()
-        .map(|r| r.size.component(0) as u128 * r.interval_len().0 as u128)
-        .sum();
-    Ratio::new(
-        gpu_demand,
-        requests.capacity().component(0) as u128 * busy_ticks,
-    )
-}
-
 /// The simulated service: a server flavor, a billing granularity, and a
 /// dispatch policy applied to a request trace.
 #[derive(Debug, Clone, Copy)]
@@ -180,7 +162,7 @@ impl GamingSystem {
             busy_ticks: busy,
             billed_ticks: billed_ticks(trace, self.granularity),
             cost_cents: rental_cost_cents(trace, self.server, self.granularity),
-            utilization: utilization(requests, busy),
+            utilization: dbp_core::metrics::utilization(requests, busy),
             manifest: Some(RunManifest::capture(&trace.algorithm, None, requests, wall)),
         }
     }

@@ -1147,7 +1147,7 @@ impl ClusterEngine {
             cost_cents: shards
                 .iter()
                 .fold(Ratio::ZERO, |acc, s| acc + s.report.cost_cents),
-            utilization: dbp_cloudsim::utilization(requests, busy),
+            utilization: dbp_core::metrics::utilization(requests, busy),
             manifest,
         }
     }

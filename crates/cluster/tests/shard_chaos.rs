@@ -518,8 +518,8 @@ proptest! {
             prop_assert!(killed.torn.is_none(), "{}: drop-path seal tore", router.name());
             prop_assert!(!killed.events.is_empty());
             prop_assert_eq!(
-                dbp_obs::export::events_to_jsonl_dims(&killed.events),
-                dbp_obs::export::events_to_jsonl_dims(&full.events[..killed.events.len()]),
+                dbp_obs::export::events_to_jsonl(&killed.events),
+                dbp_obs::export::events_to_jsonl(&full.events[..killed.events.len()]),
                 "{}: killed journal is not a byte prefix of the clean stream", router.name()
             );
 

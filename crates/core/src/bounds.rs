@@ -6,23 +6,29 @@
 //!
 //! All costs are in bin-ticks (the cost rate `C` cancels from every ratio).
 
-use crate::instance::Instance;
+use crate::demand::Demand;
+use crate::instance::{GInstance, Instance};
 use crate::ratio::Ratio;
 
 /// Bound (b.1): `A_total(R) ≥ u(R)/W` — no bin capacity is ever wasted.
-pub fn demand_lower_bound(instance: &Instance) -> Ratio {
-    Ratio::new(instance.total_demand(), instance.capacity().raw() as u128)
+/// With vector demands, `max_d u_d(R)/W_d`: a bin holds at most `W_d` of
+/// dimension d at any instant, so each dimension alone bounds the cost.
+pub fn demand_lower_bound<Sz: Demand>(instance: &GInstance<Sz>) -> Ratio {
+    let w = instance.capacity();
+    let u = instance.total_demand_per_dim();
+    let per_dim = (0..Sz::DIMS).map(|d| Ratio::new(u[d], w.component(d) as u128));
+    per_dim.max().expect("a demand has at least one dimension")
 }
 
 /// Bound (b.2): `A_total(R) ≥ span(R)` — at least one bin is open whenever
 /// an item is active.
-pub fn span_lower_bound(instance: &Instance) -> Ratio {
+pub fn span_lower_bound<Sz: Demand>(instance: &GInstance<Sz>) -> Ratio {
     Ratio::from_int(instance.span().raw() as u128)
 }
 
 /// The combined lower bound `max{u(R)/W, span(R)}` used throughout §4; it
-/// lower-bounds `OPT_total(R)` as well.
-pub fn combined_lower_bound(instance: &Instance) -> Ratio {
+/// lower-bounds `OPT_total(R)` as well, at every dimensionality.
+pub fn combined_lower_bound<Sz: Demand>(instance: &GInstance<Sz>) -> Ratio {
     demand_lower_bound(instance).max(span_lower_bound(instance))
 }
 

@@ -1,10 +1,12 @@
 //! Text Gantt rendering of packing traces — one row per bin, a compressed
 //! time axis, and per-cell fill levels. Used by `dbp run --gantt` and handy
-//! when staring at adversarial constructions.
+//! when staring at adversarial constructions. Vector demands draw their
+//! first (GPU) dimension.
 
-use crate::instance::Instance;
+use crate::demand::Demand;
+use crate::instance::GInstance;
 use crate::time::Tick;
-use crate::trace::PackingTrace;
+use crate::trace::GPackingTrace;
 
 /// Render `trace` as a text Gantt chart with `width` columns.
 ///
@@ -14,7 +16,11 @@ use crate::trace::PackingTrace;
 ///
 /// # Panics
 /// Panics if `width == 0`.
-pub fn render_gantt(instance: &Instance, trace: &PackingTrace, width: usize) -> String {
+pub fn render_gantt<Sz: Demand>(
+    instance: &GInstance<Sz>,
+    trace: &GPackingTrace<Sz>,
+    width: usize,
+) -> String {
     assert!(width > 0, "gantt width must be positive");
     let Some(period) = instance.packing_period() else {
         return String::from("(empty instance)\n");
@@ -22,7 +28,7 @@ pub fn render_gantt(instance: &Instance, trace: &PackingTrace, width: usize) -> 
     let start = period.start.raw();
     let end = period.end.raw().max(start + 1);
     let span = end - start;
-    let capacity = trace.capacity.raw().max(1);
+    let capacity = trace.capacity.component(0).max(1);
 
     let col_of = |t: u64| -> usize {
         (((t.saturating_sub(start)) as u128 * width as u128) / span as u128) as usize
@@ -42,8 +48,8 @@ pub fn render_gantt(instance: &Instance, trace: &PackingTrace, width: usize) -> 
         let mut events: Vec<(u64, i64)> = Vec::new();
         for &id in &bin.items {
             let it = instance.item(id);
-            events.push((it.arrival.raw(), it.size.raw() as i64));
-            events.push((it.departure.raw(), -(it.size.raw() as i64)));
+            events.push((it.arrival.raw(), it.size.component(0) as i64));
+            events.push((it.departure.raw(), -(it.size.component(0) as i64)));
         }
         events.sort_unstable();
         let mut level: i64 = 0;
@@ -84,7 +90,7 @@ pub fn render_gantt(instance: &Instance, trace: &PackingTrace, width: usize) -> 
 }
 
 /// The open-bin count over time as a sparkline (one char per step change).
-pub fn sparkline(trace: &PackingTrace) -> String {
+pub fn sparkline<Sz: Demand>(trace: &GPackingTrace<Sz>) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let max = trace.max_open_bins().max(1);
     trace
@@ -98,7 +104,7 @@ pub fn sparkline(trace: &PackingTrace) -> String {
 }
 
 /// Number of open bins at evenly spaced sample ticks — a plottable series.
-pub fn open_bins_series(trace: &PackingTrace, samples: usize) -> Vec<(Tick, u32)> {
+pub fn open_bins_series<Sz: Demand>(trace: &GPackingTrace<Sz>, samples: usize) -> Vec<(Tick, u32)> {
     let Some(&(first, _)) = trace.open_bins_steps.first() else {
         return Vec::new();
     };
@@ -117,7 +123,8 @@ mod tests {
     use super::*;
     use crate::algorithms::FirstFit;
     use crate::engine::simulate_validated;
-    use crate::instance::InstanceBuilder;
+    use crate::instance::{Instance, InstanceBuilder};
+    use crate::trace::PackingTrace;
 
     fn demo() -> (Instance, PackingTrace) {
         let mut b = InstanceBuilder::new(10);

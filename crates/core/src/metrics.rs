@@ -1,9 +1,10 @@
 //! Derived metrics for comparing packings in experiments.
 
 use crate::bounds::combined_lower_bound;
-use crate::instance::Instance;
+use crate::demand::Demand;
+use crate::instance::GInstance;
 use crate::ratio::Ratio;
-use crate::trace::PackingTrace;
+use crate::trace::GPackingTrace;
 use serde::{Deserialize, Serialize};
 
 /// Summary of one algorithm's run on one instance, ready for tabulation.
@@ -19,32 +20,25 @@ pub struct RunSummary {
     pub bins_used: usize,
     /// Maximum simultaneously open bins (classical DBP objective).
     pub max_open_bins: u32,
-    /// `max{u(R)/W, span(R)}` — a lower bound on `OPT_total`.
+    /// `max{max_d u_d(R)/W_d, span(R)}` — a lower bound on `OPT_total`.
     pub opt_lower_bound: Ratio,
     /// `total_cost / opt_lower_bound`: an *upper* bound estimate of the
     /// achieved competitive ratio (the true ratio vs `OPT_total` is at most
     /// this).
     pub ratio_vs_lower_bound: Ratio,
-    /// Mean bin utilization: `u(R) / (W · total_cost_ticks)`, in `[0, 1]`.
+    /// Mean bin utilization: `u(R) / (W · total_cost_ticks)`, in `[0, 1]`;
+    /// of the first (GPU) dimension when demands are vectors.
     pub mean_utilization: Ratio,
 }
 
 /// Summarize a trace against its instance.
-pub fn summarize(instance: &Instance, trace: &PackingTrace) -> RunSummary {
+pub fn summarize<Sz: Demand>(instance: &GInstance<Sz>, trace: &GPackingTrace<Sz>) -> RunSummary {
     let cost = trace.total_cost_ticks();
     let lb = combined_lower_bound(instance);
     let ratio = if lb.is_zero() {
         Ratio::ONE
     } else {
         Ratio::from_int(cost) / lb
-    };
-    let util = if cost == 0 {
-        Ratio::ZERO
-    } else {
-        Ratio::new(
-            instance.total_demand(),
-            instance.capacity().raw() as u128 * cost,
-        )
     };
     RunSummary {
         algorithm: trace.algorithm.clone(),
@@ -54,8 +48,21 @@ pub fn summarize(instance: &Instance, trace: &PackingTrace) -> RunSummary {
         max_open_bins: trace.max_open_bins(),
         opt_lower_bound: lb,
         ratio_vs_lower_bound: ratio,
-        mean_utilization: util,
+        mean_utilization: utilization(instance, cost),
     }
+}
+
+/// Mean utilization of `busy_ticks` of rented time serving `instance`:
+/// its demand over `W · busy_ticks` (of the first, GPU, dimension when
+/// demands are vectors), zero when nothing was rented.
+pub fn utilization<Sz: Demand>(instance: &GInstance<Sz>, busy_ticks: u128) -> Ratio {
+    if busy_ticks == 0 {
+        return Ratio::ZERO;
+    }
+    Ratio::new(
+        instance.total_demand_per_dim()[0],
+        instance.capacity().component(0) as u128 * busy_ticks,
+    )
 }
 
 /// Time-weighted distribution statistics of the open-bin count, plus bin
@@ -79,7 +86,7 @@ pub struct FleetStats {
 }
 
 /// Compute fleet statistics from a trace. Returns `None` for empty traces.
-pub fn fleet_stats(trace: &PackingTrace) -> Option<FleetStats> {
+pub fn fleet_stats<Sz: Demand>(trace: &GPackingTrace<Sz>) -> Option<FleetStats> {
     if trace.bins.is_empty() {
         return None;
     }

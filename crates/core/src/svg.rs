@@ -1,10 +1,12 @@
 //! SVG rendering of packing traces: one lane per bin, one rectangle per
 //! item, opacity by size — a publication-quality companion to the text
 //! Gantt in [`gantt`](crate::gantt). No dependencies; the output is plain
-//! hand-assembled SVG.
+//! hand-assembled SVG. Vector demands are drawn, and titled, by their
+//! first (GPU) dimension.
 
-use crate::instance::Instance;
-use crate::trace::PackingTrace;
+use crate::demand::Demand;
+use crate::instance::GInstance;
+use crate::trace::GPackingTrace;
 use std::fmt::Write as _;
 
 /// Layout constants for the rendering.
@@ -43,7 +45,11 @@ fn xml_escape(s: &str) -> String {
 /// light outline over its usage period; each item is a rectangle spanning
 /// its interval, colored by bin tag and sized (vertically) by its share of
 /// the capacity. Returns the SVG text.
-pub fn render_svg(instance: &Instance, trace: &PackingTrace, opts: SvgOptions) -> String {
+pub fn render_svg<Sz: Demand>(
+    instance: &GInstance<Sz>,
+    trace: &GPackingTrace<Sz>,
+    opts: SvgOptions,
+) -> String {
     let Some(period) = instance.packing_period() else {
         return String::from("<svg xmlns=\"http://www.w3.org/2000/svg\"/>");
     };
@@ -56,7 +62,7 @@ pub fn render_svg(instance: &Instance, trace: &PackingTrace, opts: SvgOptions) -
 
     let lane_pitch = (opts.lane_height + opts.lane_gap) as f64;
     let height = (trace.bins.len() as f64 * lane_pitch + opts.lane_gap as f64).ceil() as u32;
-    let capacity = trace.capacity.raw().max(1) as f64;
+    let capacity = trace.capacity.component(0).max(1) as f64;
 
     let mut svg = String::new();
     let _ = writeln!(
@@ -98,7 +104,7 @@ pub fn render_svg(instance: &Instance, trace: &PackingTrace, opts: SvgOptions) -
         for &id in &bin.items {
             let it = instance.item(id);
             let (ix0, ix1) = (x_of(it.arrival.raw()), x_of(it.departure.raw()));
-            let h = (it.size.raw() as f64 / capacity * opts.lane_height as f64).max(1.5);
+            let h = (it.size.component(0) as f64 / capacity * opts.lane_height as f64).max(1.5);
             let _ = writeln!(
                 svg,
                 "<rect x=\"{ix0:.1}\" y=\"{:.1}\" width=\"{:.1}\" height=\"{h:.1}\" \
@@ -107,7 +113,7 @@ pub fn render_svg(instance: &Instance, trace: &PackingTrace, opts: SvgOptions) -
                 y + 1.0,
                 (ix1 - ix0).max(1.0),
                 it.id,
-                it.size,
+                it.size.component(0),
                 it.arrival.raw(),
                 it.departure.raw()
             );
@@ -122,7 +128,8 @@ mod tests {
     use super::*;
     use crate::algorithms::FirstFit;
     use crate::engine::simulate_validated;
-    use crate::instance::InstanceBuilder;
+    use crate::instance::{Instance, InstanceBuilder};
+    use crate::trace::PackingTrace;
 
     fn demo() -> (Instance, PackingTrace) {
         let mut b = InstanceBuilder::new(10);

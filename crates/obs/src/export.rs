@@ -45,17 +45,13 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// Render events as JSONL: one externally-tagged JSON object per line,
-/// e.g. `{"ItemPlaced":{"at":5,"item":1,"bin":0,"level":12}}`.
-pub fn events_to_jsonl(events: &[ProbeEvent]) -> String {
-    events_to_jsonl_dims(events)
-}
-
-/// [`events_to_jsonl`] at any demand dimensionality. One-dimensional
-/// vector demands serialize as bare integers, so a `VSize<1>` stream is
-/// byte-identical to the scalar stream — the D=1 equivalence suite
-/// asserts exactly that. Each line is the event's canonical encoding
-/// ([`encode_event`]), the same bytes a journal frame carries.
-pub fn events_to_jsonl_dims<Sz: dbp_core::demand::Demand>(
+/// e.g. `{"ItemPlaced":{"at":5,"item":1,"bin":0,"level":12}}`, at any
+/// demand dimensionality. One-dimensional vector demands serialize as bare
+/// integers, so a `VSize<1>` stream is byte-identical to the scalar
+/// stream — the D=1 equivalence suite asserts exactly that. Each line is
+/// the event's canonical encoding ([`encode_event`]), the same bytes a
+/// journal frame carries.
+pub fn events_to_jsonl<Sz: dbp_core::demand::Demand>(
     events: &[dbp_core::probe::GProbeEvent<Sz>],
 ) -> String {
     let mut out = Vec::new();
@@ -87,7 +83,7 @@ pub fn write_jsonl<Sz: dbp_core::demand::Demand>(
     path: &Path,
     events: &[dbp_core::probe::GProbeEvent<Sz>],
 ) -> std::io::Result<()> {
-    atomic_write(path, events_to_jsonl_dims(events).as_bytes())
+    atomic_write(path, events_to_jsonl(events).as_bytes())
 }
 
 /// Read and parse a JSONL event log from disk.

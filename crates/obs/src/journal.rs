@@ -211,6 +211,15 @@ impl FsyncPolicy {
     }
 }
 
+/// `create_dir_all(dir)` says "File exists" when a component of `dir` is
+/// a regular file; name the nearest existing ancestor that is not a
+/// directory instead.
+fn not_a_directory(dir: &Path) -> Option<std::io::Error> {
+    let file = dir.ancestors().find(|a| a.exists())?;
+    let msg = format!("{} is not a directory", file.display());
+    (!file.is_dir()).then(|| std::io::Error::new(std::io::ErrorKind::NotADirectory, msg))
+}
+
 /// Appends length-prefixed, CRC-framed [`ProbeEvent`] records to a journal
 /// file. See the module docs for the format and the durability policy.
 #[derive(Debug)]
@@ -255,10 +264,8 @@ impl JournalWriter {
             (1..=255).contains(&dims),
             "journal dims must be in 1..=255, got {dims}"
         );
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            fs::create_dir_all(parent).map_err(|e| not_a_directory(parent).unwrap_or(e))?;
         }
         let mut file = fs::File::create(path)?;
         if dims == 1 {
@@ -629,7 +636,7 @@ struct GenericContents<T> {
 /// `demand_arity` error, never a truncation. Mid-file corruption is an
 /// `Err`; a damaged final frame is tolerated and reported via
 /// [`GJournalContents::torn`]. Never panics on any input.
-pub fn parse_journal_dims<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<Sz>, String> {
+pub fn parse_journal<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<Sz>, String> {
     let Some((dims, header_len)) = parse_header(bytes)? else {
         // Even the header is incomplete: a crash before the header sync.
         return Ok(GJournalContents {
@@ -658,19 +665,14 @@ pub fn parse_journal_dims<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<S
     })
 }
 
-/// Decode a scalar (v1) journal byte image. See [`parse_journal_dims`].
-pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents, String> {
-    parse_journal_dims::<Size>(bytes)
-}
-
 /// Read and decode a journal file with `Sz`-demand events. See
-/// [`parse_journal_dims`] for the torn-tail / corruption / arity contract.
+/// [`parse_journal`] for the torn-tail / corruption / arity contract.
 pub fn read_journal_dims<Sz: Demand>(path: &Path) -> Result<GJournalContents<Sz>, String> {
     let mut bytes = Vec::new();
     fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    parse_journal_dims(&bytes)
+    parse_journal(&bytes)
 }
 
 /// Read and decode a scalar journal file. See [`parse_journal`] for the
@@ -740,6 +742,19 @@ mod tests {
         let dir = std::env::temp_dir().join("dbp_obs_journal_tests");
         fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn a_file_in_the_journal_path_is_named() {
+        let blocker = tmpfile("not_a_dir");
+        fs::write(&blocker, b"").unwrap();
+        let err = JournalWriter::create_dims(&blocker.join("sub/x.wal"), FsyncPolicy::Never, 1)
+            .expect_err("a journal under a regular file cannot be created");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotADirectory);
+        assert_eq!(
+            err.to_string(),
+            format!("{} is not a directory", blocker.display())
+        );
     }
 
     #[test]
@@ -973,7 +988,7 @@ mod tests {
         // Chop the file at every possible byte boundary: the reader must
         // never error, never panic, and must return a prefix of the events.
         for cut in 0..clean.len() {
-            let contents = parse_journal(&clean[..cut]).unwrap_or_else(|e| {
+            let contents = parse_journal::<Size>(&clean[..cut]).unwrap_or_else(|e| {
                 panic!("cut at {cut}: torn tail misdiagnosed as corruption: {e}")
             });
             assert!(
@@ -993,7 +1008,7 @@ mod tests {
         let mut flipped = clean.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0xFF;
-        let contents = parse_journal(&flipped).unwrap();
+        let contents = parse_journal::<Size>(&flipped).unwrap();
         assert_eq!(contents.events.len(), events.len() - 1);
         let torn = contents.torn.unwrap();
         assert!(torn.reason.contains("CRC"), "{}", torn.reason);
@@ -1022,15 +1037,15 @@ mod tests {
         // magic + first header, well before the final frame).
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        let err = parse_journal(&bytes).unwrap_err();
+        let err = parse_journal::<Size>(&bytes).unwrap_err();
         assert!(err.contains("corruption"), "{err}");
     }
 
     #[test]
     fn bad_magic_is_rejected_and_short_file_is_torn() {
-        let err = parse_journal(b"NOTAWAL0rest").unwrap_err();
+        let err = parse_journal::<Size>(b"NOTAWAL0rest").unwrap_err();
         assert!(err.contains("magic"), "{err}");
-        let short = parse_journal(b"DBP").unwrap();
+        let short = parse_journal::<Size>(b"DBP").unwrap();
         assert!(short.events.is_empty());
         assert!(short.torn.is_some());
     }

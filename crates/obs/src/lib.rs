@@ -71,7 +71,7 @@ pub use journal::{
     JournalProbe, JournalWriter,
 };
 pub use manifest::{
-    instance_digest_dims, ExperimentManifest, ExperimentRecord, ExperimentStatus, RunManifest,
+    instance_digest, ExperimentManifest, ExperimentRecord, ExperimentStatus, RunManifest,
     SweepCheckpoint,
 };
 pub use metrics::{Histogram, MetricsRegistry};

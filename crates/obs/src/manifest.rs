@@ -3,7 +3,7 @@
 //! table in `results/` can be traced back to an exact, reproducible run.
 
 use dbp_core::demand::Demand;
-use dbp_core::instance::{GInstance, Instance};
+use dbp_core::instance::GInstance;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -42,7 +42,7 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Build a manifest for a finished run over `instance`, at any demand
-    /// dimensionality (the digest is [`instance_digest_dims`]).
+    /// dimensionality (the digest is [`instance_digest`]).
     pub fn capture<Sz: Demand>(
         algorithm: &str,
         seed: Option<u64>,
@@ -52,7 +52,7 @@ impl RunManifest {
         RunManifest {
             algorithm: algorithm.to_string(),
             seed,
-            instance_digest: instance_digest_dims(instance),
+            instance_digest: instance_digest(instance),
             n_items: instance.len() as u64,
             capacity: instance.capacity().component(0),
             wall_time_ns: wall_time.as_nanos() as u64,
@@ -84,18 +84,11 @@ impl RunManifest {
 
 /// Stable FNV-1a (64-bit) digest of an instance: capacity followed by every
 /// item's `(arrival, departure, size)` in id order, rendered as 16 hex
-/// digits. Two runs with equal digests packed the same input.
-pub fn instance_digest(instance: &Instance) -> String {
-    instance_digest_dims(instance)
-}
-
-/// [`instance_digest`] at any demand dimensionality: every component of
-/// the capacity and each item's size is hashed in dimension order. A
-/// one-dimensional vector instance digests to the scalar digest exactly
-/// (one component each — the same byte stream).
-pub fn instance_digest_dims<Sz: dbp_core::demand::Demand>(
-    instance: &dbp_core::instance::GInstance<Sz>,
-) -> String {
+/// digits. Two runs with equal digests packed the same input. Every
+/// component of the capacity and each item's size is hashed in dimension
+/// order, so a one-dimensional vector instance digests to the scalar
+/// digest exactly (one component each — the same byte stream).
+pub fn instance_digest<Sz: Demand>(instance: &GInstance<Sz>) -> String {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut eat = |v: u64| {
         for b in v.to_le_bytes() {

@@ -19,7 +19,7 @@ use dbp_core::probe::{DropReason, GProbeEvent};
 use dbp_core::time::Tick;
 use dbp_obs::codec::{decode_event, encode_event};
 use dbp_obs::journal::{
-    crc32, parse_journal_dims, FsyncPolicy, JournalWriter, JOURNAL_MAGIC, JOURNAL_MAGIC_V2,
+    crc32, parse_journal, FsyncPolicy, JournalWriter, JOURNAL_MAGIC, JOURNAL_MAGIC_V2,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -439,7 +439,7 @@ fn hostile_payloads_are_refused<Sz: Demand>(
         [&bytes[..], &ws[..], &bytes[..]].as_slice(),
         [&bytes[..], reordered.as_bytes()].as_slice(),
     ] {
-        let err = parse_journal_dims::<Sz>(&journal_of(Sz::DIMS, payloads)).unwrap_err();
+        let err = parse_journal::<Sz>(&journal_of(Sz::DIMS, payloads)).unwrap_err();
         prop_assert!(err.contains("undecodable event despite valid CRC"), "{err}");
     }
     Ok(())
@@ -500,17 +500,17 @@ proptest! {
         w.finish().unwrap();
         let clean = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        prop_assert_eq!(parse_journal_dims::<VSize<3>>(&clean).unwrap().events, events.clone());
+        prop_assert_eq!(parse_journal::<VSize<3>>(&clean).unwrap().events, events.clone());
 
         for i in 0..clean.len() {
-            let cut = parse_journal_dims::<VSize<3>>(&clean[..i]);
+            let cut = parse_journal::<VSize<3>>(&clean[..i]);
             prop_assert!(
                 matches!(&cut, Ok(c) if events.starts_with(&c.events)),
                 "cut at {i}: {:?}", cut.err()
             );
             let mut flipped = clean.clone();
             flipped[i] ^= 1 << (i % 8);
-            if let Ok(c) = parse_journal_dims::<VSize<3>>(&flipped) {
+            if let Ok(c) = parse_journal::<VSize<3>>(&flipped) {
                 prop_assert!(
                     c.events.len() < events.len() && events.starts_with(&c.events),
                     "flip at {i} read {} events", c.events.len()

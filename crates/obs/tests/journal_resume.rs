@@ -99,7 +99,7 @@ proptest! {
         let full_jsonl = events_to_jsonl(log.events());
         for cut in (0..=bytes.len()).step_by(stride) {
             // Torn tails must decode (never error, never panic)...
-            let contents = parse_journal(&bytes[..cut])
+            let contents = parse_journal::<Size>(&bytes[..cut])
                 .map_err(|e| TestCaseError::Fail(format!("byte cut {cut}: {e}")))?;
             // ...and the decoded prefix must recover and resume exactly.
             let rec = recovery_point(&contents.events)

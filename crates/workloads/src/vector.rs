@@ -181,22 +181,22 @@ pub fn widen(scalar: &Instance) -> GInstance<VSize<HETERO_DIMS>> {
 /// intervals of [`GItem::is_active_at`](dbp_core::item::GItem::is_active_at).
 /// Departures sort before arrivals within a tick, so no partial sum
 /// exceeds a sampled one.
-pub fn peak_pressure<const D: usize>(inst: &GInstance<VSize<D>>) -> Vec<(u64, u64)> {
+pub fn peak_pressure<Sz: Demand>(inst: &GInstance<Sz>) -> Vec<(u64, u64)> {
     let mut events = Vec::with_capacity(2 * inst.len());
     for it in inst.items() {
-        events.push((it.arrival, true, it.size.0));
-        events.push((it.departure, false, it.size.0));
+        events.push((it.arrival, true, it.size));
+        events.push((it.departure, false, it.size));
     }
     events.sort_unstable_by_key(|&(t, arrives, _)| (t, arrives));
-    let mut level = [0u64; D];
-    let mut peak = [0u64; D];
+    let mut level = vec![0u64; Sz::DIMS];
+    let mut peak = vec![0u64; Sz::DIMS];
     for tick in events.chunk_by(|a, b| a.0 == b.0) {
         for (_, arrives, size) in tick {
-            for (l, &s) in level.iter_mut().zip(size) {
+            for (d, l) in level.iter_mut().enumerate() {
                 if *arrives {
-                    *l += s;
+                    *l += size.component(d);
                 } else {
-                    *l -= s;
+                    *l -= size.component(d);
                 }
             }
         }
@@ -205,7 +205,10 @@ pub fn peak_pressure<const D: usize>(inst: &GInstance<VSize<D>>) -> Vec<(u64, u6
         }
     }
     let cap = inst.capacity();
-    (0..D).map(|d| (peak[d], cap.component(d))).collect()
+    peak.into_iter()
+        .enumerate()
+        .map(|(d, p)| (p, cap.component(d)))
+        .collect()
 }
 
 #[cfg(test)]

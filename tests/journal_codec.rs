@@ -12,7 +12,7 @@ use dbp_core::engine::simulate_probed;
 use dbp_core::instance::GInstance;
 use dbp_core::packer::SelectorFactory;
 use dbp_obs::codec::{decode_event, encode_event};
-use dbp_obs::export::events_to_jsonl_dims;
+use dbp_obs::export::events_to_jsonl;
 use dbp_obs::journal::{read_journal, FsyncPolicy, JournalProbe};
 use dbp_obs::replay::replay_events;
 use dbp_obs::{EventLog, GEventLog};
@@ -95,7 +95,7 @@ fn assert_codec_matches_serde<Sz: Demand>(inst: &GInstance<Sz>, name: &str, seed
         serde_jsonl.push_str(&serde);
         serde_jsonl.push('\n');
     }
-    assert_eq!(events_to_jsonl_dims(&events), serde_jsonl);
+    assert_eq!(events_to_jsonl(&events), serde_jsonl);
 }
 
 #[test]

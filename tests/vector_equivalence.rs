@@ -24,16 +24,21 @@ use dbp_cluster::{
     ClusterConfig, ClusterEngine, ClusterReport, ClusterRun, KillPoint, RestartPolicy, Router,
     ShardFaultPlan, ShardKill,
 };
+use dbp_core::bounds::combined_lower_bound;
 use dbp_core::demand::{Demand, VSize};
 use dbp_core::engine::{simulate_probed, simulate_validated as sim_validated};
 use dbp_core::events::EventKind;
+use dbp_core::gantt::{render_gantt, sparkline};
 use dbp_core::instance::GInstance;
+use dbp_core::metrics::fleet_stats;
 use dbp_core::packer::{BinSelector, GSelectorFactory};
 use dbp_core::span::NoSpans;
+use dbp_core::svg::{render_svg, SvgOptions};
 use dbp_core::trace::PackingTrace;
 use dbp_core::StreamingEngine;
-use dbp_obs::export::{events_to_jsonl, events_to_jsonl_dims};
-use dbp_obs::manifest::{instance_digest, instance_digest_dims};
+use dbp_obs::export::events_to_jsonl;
+use dbp_obs::journal::{FsyncPolicy, JournalProbe};
+use dbp_obs::manifest::instance_digest;
 use dbp_obs::{EventLog, GEventLog};
 use dbp_workloads::{lift_uniform, widen};
 use proptest::prelude::*;
@@ -151,6 +156,21 @@ fn demand_ticks<Sz: Demand>(inst: &GInstance<Sz>) -> Vec<u128> {
     ticks
 }
 
+/// The bytes of the journal a `name` run of `inst` writes.
+fn wal_bytes<Sz: Demand>(inst: &GInstance<Sz>, name: &str) -> Vec<u8> {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!("dbp-vector-wal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = dir.join(format!("{n}.wal"));
+    let mut probe = JournalProbe::create_dims(&path, FsyncPolicy::Never, Sz::DIMS).unwrap();
+    simulate_probed(inst, &mut *selector::<Sz>(name), &mut probe);
+    probe.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
+
 /// The full D=1 byte-identity check for one selector on one instance.
 fn assert_d1_byte_identical(inst: &Instance, name: &str) {
     let vinst = lift_uniform::<1>(inst);
@@ -166,13 +186,51 @@ fn assert_d1_byte_identical(inst: &Instance, name: &str) {
     assert_eq!(sjson, vjson, "{name}: D=1 trace JSON diverged");
     assert_eq!(
         events_to_jsonl(slog.events()),
-        events_to_jsonl_dims(vlog.events()),
+        events_to_jsonl(vlog.events()),
         "{name}: D=1 probe JSONL diverged"
     );
     assert_eq!(
         instance_digest(inst),
-        instance_digest_dims(&vinst),
+        instance_digest(&vinst),
         "D=1 instance digest diverged"
+    );
+    assert_eq!(
+        wal_bytes(inst, name),
+        wal_bytes(&vinst, name),
+        "{name}: D=1 journal bytes diverged"
+    );
+
+    // The report, its bound and the pictures of `dbp run`, as strings.
+    let summary = |s: &RunSummary| serde_json::to_string(s).unwrap();
+    assert_eq!(
+        summary(&summarize(inst, &strace)),
+        summary(&summarize(&vinst, &vtrace)),
+        "{name}: D=1 summary diverged"
+    );
+    assert_eq!(
+        serde_json::to_string(&fleet_stats(&strace)).unwrap(),
+        serde_json::to_string(&fleet_stats(&vtrace)).unwrap(),
+        "{name}: D=1 fleet stats diverged"
+    );
+    assert_eq!(
+        render_gantt(inst, &strace, 40),
+        render_gantt(&vinst, &vtrace, 40),
+        "{name}: D=1 gantt diverged"
+    );
+    assert_eq!(
+        sparkline(&strace),
+        sparkline(&vtrace),
+        "{name}: D=1 sparkline diverged"
+    );
+    assert_eq!(
+        render_svg(inst, &strace, SvgOptions::default()),
+        render_svg(&vinst, &vtrace, SvgOptions::default()),
+        "{name}: D=1 svg diverged"
+    );
+    assert_eq!(
+        combined_lower_bound(inst),
+        combined_lower_bound(&vinst),
+        "D=1 lower bound diverged"
     );
 
     // The bill: the vector trace *is* a scalar trace (its bytes parse as
@@ -210,6 +268,18 @@ fn assert_lifted_invariants<const D: usize>(inst: &Instance, name: &'static str)
     assert_eq!(
         strace.assignment, vtrace.assignment,
         "{name}: a uniform lift to D={D} changed an assignment"
+    );
+    // Every u_d/W_d of a uniform lift is u/W: the bound does not move, and
+    // the packing still pays at least it.
+    let lb = combined_lower_bound(inst);
+    assert_eq!(
+        combined_lower_bound(&vinst),
+        lb,
+        "{name}: a uniform lift to D={D} moved the lower bound"
+    );
+    assert!(
+        Ratio::from_int(vtrace.total_cost_ticks()) >= lb,
+        "{name}: D={D} cost below the lower bound"
     );
 
     let expected = demand_ticks(&vinst);
@@ -293,8 +363,8 @@ proptest! {
                 "{}: D=3 streaming trace diverged from batch", name
             );
             prop_assert_eq!(
-                events_to_jsonl_dims(blog.events()),
-                events_to_jsonl_dims(slog.events()),
+                events_to_jsonl(blog.events()),
+                events_to_jsonl(slog.events()),
                 "{}: D=3 streaming JSONL diverged from batch", name
             );
         }
@@ -392,7 +462,7 @@ fn d1_fault_runs_are_byte_identical() {
             );
             assert_eq!(
                 events_to_jsonl(slog.events()),
-                events_to_jsonl_dims(vlog.events()),
+                events_to_jsonl(vlog.events()),
                 "{name}: D=1 fault event stream diverged"
             );
         }
@@ -490,7 +560,7 @@ fn assert_d1_cluster_byte_identical(
     for (s, (log, vlog)) in logs.iter().zip(&vlogs).enumerate() {
         assert_eq!(
             events_to_jsonl(log.events()),
-            events_to_jsonl_dims(vlog.events()),
+            events_to_jsonl(vlog.events()),
             "{ctx}: run_probed shard {s} events"
         );
     }
@@ -513,7 +583,7 @@ fn assert_d1_cluster_byte_identical(
     for (s, (log, vlog)) in logs.iter().zip(&vlogs).enumerate() {
         assert_eq!(
             events_to_jsonl(log.events()),
-            events_to_jsonl_dims(vlog.events()),
+            events_to_jsonl(vlog.events()),
             "{ctx}: run_resilient shard {s} events"
         );
     }
@@ -543,7 +613,7 @@ fn assert_d1_cluster_byte_identical(
     );
     assert_eq!(
         events_to_jsonl(log.events()),
-        events_to_jsonl_dims(vlog.events()),
+        events_to_jsonl(vlog.events()),
         "{ctx}: run_self_healing events"
     );
 }
