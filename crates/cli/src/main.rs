@@ -1697,6 +1697,14 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     let inst = load_instance(args, 1)?;
+    if inst.is_empty() {
+        // ∆ and µ∆ are undefined without an item; `analyze_first_fit`
+        // requires at least one.
+        return Err(format!(
+            "{}: analyze needs at least one item",
+            args.positional[1]
+        ));
+    }
     let trace = simulate(&inst, &mut *selector_factory("ff", None)?.build());
     let a = analyze_first_fit(&inst, &trace);
     println!(

@@ -205,6 +205,20 @@ fn missing_file_is_a_clean_error() {
     assert!(!out.status.success());
 }
 
+#[test]
+fn analyze_refuses_an_empty_instance_without_panicking() {
+    let (_, path) = tmpfile("empty.json");
+    std::fs::write(&path, r#"{"capacity":10,"items":[]}"#).unwrap();
+    let out = dbp(&["analyze", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {path}: analyze needs at least one item")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Run `dbp BASE.. --FLAG [VALUE]` for each `(flag, value)`; each must
 /// fail before doing any work, with an error naming the flag and `mode`,
 /// and leave no file behind at a path-valued flag's target.

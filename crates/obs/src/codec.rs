@@ -128,11 +128,14 @@ const DROP_REASONS: [(DropReason, &str); 4] = [
     (DropReason::CrashLost, "\"CrashLost\""),
 ];
 
-/// Field writers, one per field kind of the codec table.
-mod put {
+/// Field writers, one per field kind of the codec table. [`put::u64`] and
+/// [`put::text`] are public: `dbp-serve` writes its reply lines with them,
+/// so the wire and the journal share one number and one string spelling.
+pub mod put {
     use super::*;
 
-    pub(super) fn u64(out: &mut Vec<u8>, v: &u64) {
+    /// Append `v` as a plain unsigned decimal: no sign, no leading zeros.
+    pub fn u64(out: &mut Vec<u8>, v: &u64) {
         let mut buf = [0u8; 20];
         let mut i = buf.len();
         let mut v = *v;
@@ -181,7 +184,10 @@ mod put {
         out.push(b']');
     }
 
-    pub(super) fn text(out: &mut Vec<u8>, v: &str) {
+    /// Append `v` as a JSON string, escaped exactly as `serde_json`
+    /// escapes it: `\"`, `\\`, `\n`, `\r`, `\t`, lowercase `\u00xx` for
+    /// the other characters below U+0020, every other character raw.
+    pub fn text(out: &mut Vec<u8>, v: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         out.push(b'"');
         for &b in v.as_bytes() {

@@ -706,7 +706,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut chunk = [0u8; 4096];
     let mut send = |reply: &Reply| {
         out.clear();
-        serde_json::to_writer(&mut out, reply).expect("reply serializes");
+        reply.write_to(&mut out);
         out.push(b'\n');
         (&stream).write_all(&out).is_ok()
     };
