@@ -70,7 +70,7 @@ struct BenchResult {
 /// (indexed FF — the engine the repo ships — at the smaller grid size).
 /// This is the exact answer to "why does BENCH_CLUSTER's 1-shard row sit
 /// below BENCH_ENGINE's items/sec": the cluster path pays partition +
-/// conservation checking + report/manifest construction that the bare
+/// trace validation + report/manifest construction that the bare
 /// engine loop never runs. The two bills are asserted identical, so the
 /// ratio is pure bookkeeping tax.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

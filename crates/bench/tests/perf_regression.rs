@@ -44,9 +44,9 @@ fn churn_100k_packs_quickly() {
 
 /// The cluster path must stay within a small constant factor of the bare
 /// engine on the same stream: dispatch is partition + shard loop +
-/// conservation check + fan-in, all O(n log n)-ish. The bound is loose for
-/// debug builds, but a return of per-batch quadratic validation (the old
-/// 7-second `validate` stage) blows straight through it.
+/// linear trace validation + fan-in, all O(n log n)-ish. The bound is
+/// loose for debug builds, but a return of quadratic validation (the old
+/// 7-second per-tick `validate` audit) blows straight through it.
 #[test]
 fn cluster_dispatch_stays_near_the_engine() {
     let inst = churn_workload(50_000, 42);

@@ -44,9 +44,7 @@ use dbp_core::algorithms::{standard_factories, Rule};
 use dbp_core::analysis::analyze_first_fit;
 use dbp_core::bounds;
 use dbp_core::demand::{Demand, VSize};
-use dbp_core::engine::{
-    simulate, simulate_probed, simulate_validated, simulate_validated_probed, EngineRun,
-};
+use dbp_core::engine::{simulate, simulate_probed, validate_probed, EngineRun};
 use dbp_core::instance::{GInstance, Instance};
 use dbp_core::item::Size;
 use dbp_core::metrics::summarize;
@@ -493,10 +491,8 @@ fn run_at<Sz: Demand>(
     }
     // Journaled runs honor SIGINT/SIGTERM: the step loop polls the
     // shutdown latch between bursts and exits early, so the journal seals
-    // a clean prefix that `dbp recover --trace` can resume. Validated
-    // runs keep the one-shot path — validation needs the complete trace.
-    let interruptible = probe.journal.is_some() && !args.has("validate");
-    let trace = if interruptible {
+    // a clean prefix that `dbp recover --trace` can resume.
+    let trace = if probe.journal.is_some() {
         dbp_serve::install_signal_handlers();
         let mut run = EngineRun::new(inst, &mut *sel, &mut probe);
         while !run.is_done() && !dbp_serve::shutdown_requested() {
@@ -507,14 +503,16 @@ fn run_at<Sz: Demand>(
             }
         }
         run.is_done().then(|| run.finish())
+    } else if observing {
+        Some(simulate_probed(inst, &mut *sel, &mut probe))
     } else {
-        Some(match (observing, args.has("validate")) {
-            (true, true) => simulate_validated_probed(inst, &mut *sel, &mut probe),
-            (true, false) => simulate_probed(inst, &mut *sel, &mut probe),
-            (false, true) => simulate_validated(inst, &mut *sel),
-            (false, false) => simulate(inst, &mut *sel),
-        })
+        Some(simulate(inst, &mut *sel))
     };
+    // `--validate` audits the finished trace; each violation reaches the
+    // probe (event log, journal) before the run fails.
+    if let Some(trace) = trace.as_ref().filter(|_| args.has("validate")) {
+        validate_probed(inst, trace, &mut probe)?;
+    }
     let wall = started.elapsed();
     let Some(trace) = trace else {
         probe.seal_journal(args)?;

@@ -18,7 +18,7 @@ use dbp_cloudsim::{
     DispatchError, FaultPlan, GamingSystem, ResilientReport, ResilientSystem, SystemReport,
 };
 use dbp_core::demand::Demand;
-use dbp_core::engine::EngineRun;
+use dbp_core::engine::{validate_probed, EngineRun};
 use dbp_core::instance::GInstance;
 use dbp_core::item::{ItemId, Size};
 use dbp_core::packer::{BinSelector, GSelectorFactory};
@@ -1193,7 +1193,7 @@ where
 /// `probe`; re-executing the prefix's `cursor` schedule events is timed
 /// as a `shard_replay` span and the rest runs span-free (byte-identity is
 /// about events, not spans). Either way the engine steps to completion in
-/// `batch` bursts, the O(n + B) conservation check runs under a
+/// `batch` bursts, the linear [`GPackingTrace::validate`] audit runs under a
 /// `validate` span, and [`GamingSystem::report`] builds the report under
 /// a `report_build` span.
 ///
@@ -1262,29 +1262,15 @@ where
     if R::ENABLED {
         spans.enter(stage::VALIDATE);
     }
-    // O(n + B) conservation check, not the full quadratic
-    // `PackingTrace::validate`: the engine already asserts fit on every
-    // placement, so the per-tick level audit is redundant defense that used
-    // to dominate shard wall time. Full validation stays available through
-    // `simulate_validated` and the test suites.
-    let errs = trace.check_conservation(requests);
+    // The full linear audit (membership, per-dimension levels, usage
+    // periods, cost), independent of the engine's own fit asserts.
+    let checked = validate_probed(requests, &trace, probe);
     if R::ENABLED {
         spans.exit();
     }
-    if P::ENABLED {
-        for err in &errs {
-            probe.record(GProbeEvent::Violation {
-                at: Tick(0),
-                message: err.clone(),
-            });
-        }
+    if let Err(e) = checked {
+        panic!("{e}");
     }
-    assert!(
-        errs.is_empty(),
-        "trace conservation check failed for {}:\n{}",
-        trace.algorithm,
-        errs.join("\n")
-    );
     if R::ENABLED {
         spans.enter(stage::REPORT_BUILD);
     }

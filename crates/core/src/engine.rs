@@ -507,16 +507,32 @@ pub fn simulate_validated<Sz: Demand, S: BinSelector<Sz> + ?Sized>(
     simulate_validated_probed(instance, selector, &mut NoProbe)
 }
 
-/// [`simulate_validated`] with a probe attached. Validation failures are
-/// reported to the probe as [`GProbeEvent::Violation`] events (so event logs
-/// capture *why* a run died) before the panic fires.
+/// [`simulate_validated`] with a probe attached: the run, then
+/// [`validate_probed`].
 pub fn simulate_validated_probed<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>>(
     instance: &GInstance<Sz>,
     selector: &mut S,
     probe: &mut P,
 ) -> GPackingTrace<Sz> {
     let trace = simulate_probed(instance, selector, probe);
+    if let Err(e) = validate_probed(instance, &trace, probe) {
+        panic!("{e}");
+    }
+    trace
+}
+
+/// [`GPackingTrace::validate`], with each violation reported to `probe` as
+/// a [`GProbeEvent::Violation`] event (so event logs and journals capture
+/// *why* a run died). The `Err` renders the whole list.
+pub fn validate_probed<Sz: Demand, P: Probe<Sz>>(
+    instance: &GInstance<Sz>,
+    trace: &GPackingTrace<Sz>,
+    probe: &mut P,
+) -> Result<(), String> {
     let errs = trace.validate(instance);
+    if errs.is_empty() {
+        return Ok(());
+    }
     if P::ENABLED {
         for err in &errs {
             probe.record(GProbeEvent::Violation {
@@ -525,70 +541,37 @@ pub fn simulate_validated_probed<Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Pro
             });
         }
     }
-    assert!(
-        errs.is_empty(),
+    Err(format!(
         "trace validation failed for {}:\n{}",
         trace.algorithm,
         errs.join("\n")
-    );
-    trace
+    ))
 }
 
 /// Check the Any Fit property on a trace: no bin was opened while an already
 /// open bin could have accommodated the item. Returns offending item ids.
 ///
-/// This replays the trace against the instance, so it is independent of the
-/// selector implementation — used by property tests to certify that FF, BF,
-/// WF etc. really are Any Fit algorithms.
+/// This replays the trace against the instance (the
+/// [`validate`](GPackingTrace::validate) sweep, at O(open bins) per bin
+/// opening), so it is independent of the selector implementation — used
+/// by property tests to certify that FF, BF, WF etc. really are Any Fit
+/// algorithms. A corrupt trace never panics it.
 pub fn any_fit_violations<Sz: Demand>(
     instance: &GInstance<Sz>,
     trace: &GPackingTrace<Sz>,
 ) -> Vec<ItemId> {
     let capacity = instance.capacity();
-    let events = schedule(instance);
-    // level[b] for currently open bins; None = closed or unopened.
-    let mut level: Vec<Option<Sz>> = vec![None; trace.bins.len()];
-    let mut members: Vec<u32> = vec![0; trace.bins.len()];
     let mut violations = Vec::new();
-    for ev in events {
-        let item = instance.item(ev.item);
-        let bin = trace.bin_of(ev.item);
-        match ev.kind {
-            EventKind::Departure => {
-                let l = level[bin.index()].as_mut().expect("closed bin in replay");
-                *l = l.sub(item.size);
-                members[bin.index()] -= 1;
-                if members[bin.index()] == 0 {
-                    level[bin.index()] = None;
-                }
-            }
-            EventKind::Arrival => {
-                let opened_new = level[bin.index()].is_none() && members[bin.index()] == 0
-                    // A bin is "newly opened" by this item iff the item is
-                    // the first in the bin's record.
-                    && trace.bins[bin.index()].items.first() == Some(&ev.item);
-                if opened_new {
-                    let fits_somewhere = level.iter().any(|l| {
-                        l.is_some_and(|l| {
-                            l.checked_add(item.size)
-                                .is_some_and(|x| x.fits_within(capacity))
-                        })
-                    });
-                    if fits_somewhere {
-                        violations.push(ev.item);
-                    }
-                    level[bin.index()] = Some(item.size);
-                    members[bin.index()] = 1;
-                } else {
-                    let l = level[bin.index()]
-                        .as_mut()
-                        .expect("arrival into closed bin in replay");
-                    *l = l.checked_add(item.size).expect("level overflow in replay");
-                    members[bin.index()] += 1;
-                }
-            }
+    trace.sweep(instance, |item, open| {
+        let fits = |&(_, level): &(BinId, Sz)| {
+            level
+                .checked_add(item.size)
+                .is_some_and(|x| x.fits_within(capacity))
+        };
+        if open.iter().any(fits) {
+            violations.push(item.id);
         }
-    }
+    });
     violations
 }
 

@@ -7,8 +7,9 @@
 
 use crate::bin::{BinId, BinTag};
 use crate::demand::Demand;
+use crate::events::{schedule, EventKind};
 use crate::instance::GInstance;
-use crate::item::{ItemId, Size};
+use crate::item::{GItem, ItemId, Size};
 use crate::ratio::Ratio;
 use crate::time::{Dur, Interval, Tick};
 use serde::{Deserialize, Serialize};
@@ -40,6 +41,19 @@ impl BinRecord {
     pub fn usage_len(&self) -> Dur {
         self.closed_at - self.opened_at
     }
+}
+
+/// One bin's state in [`GPackingTrace::sweep`].
+#[derive(Debug, Clone, Copy, Default)]
+struct BinReplay {
+    /// Members present now.
+    members: u32,
+    /// The bin's index in the open list while it is open.
+    slot: u32,
+    /// First arrival; `None` until the bin opens.
+    opened_at: Option<Tick>,
+    /// Last departure that emptied the bin.
+    closed_at: Tick,
 }
 
 /// The result of simulating one algorithm on one instance, generic over
@@ -151,106 +165,37 @@ impl<Sz: Demand> GPackingTrace<Sz> {
         Ratio::new(self.total_cost_ticks(), baseline_ticks)
     }
 
-    /// Validate internal consistency against the instance that produced the
-    /// trace. Returns a list of human-readable violations (empty = valid).
-    /// Checked invariants:
+    /// Validate the trace against the instance that produced it. Returns a
+    /// list of human-readable violations (empty = valid). Checked
+    /// invariants:
     ///
-    /// 1. Every item is assigned to a bin that lists it.
-    /// 2. Bin levels never exceed capacity at any event tick.
-    /// 3. Bin usage periods exactly cover their items' activity
-    ///    (`I_i = ∪_{r ∈ R_i} I(r)`).
-    /// 4. The two independent cost computations agree.
+    /// 1. Bin ids are dense (`bins[i].id == i`).
+    /// 2. Every item is listed exactly once, by the bin it is assigned to;
+    ///    unknown item and bin ids are violations, never a panic.
+    /// 3. After every arrival the bin's level is within capacity in every
+    ///    dimension (a level that overflows counts as over capacity).
+    /// 4. A bin never takes an arrival after it has emptied, and its usage
+    ///    period runs from its first arrival to its last departure, so
+    ///    `I_i = ∪_{r ∈ R_i} I(r)`.
+    /// 5. The two independent cost computations agree.
+    ///
+    /// One replay of the event schedule: O(n·D + B) for `n` items and `B`
+    /// bins.
     pub fn validate(&self, instance: &GInstance<Sz>) -> Vec<String> {
-        let mut errs = Vec::new();
-        if self.assignment.len() != instance.len() {
-            errs.push(format!(
-                "assignment covers {} items, instance has {}",
-                self.assignment.len(),
-                instance.len()
-            ));
-            return errs;
-        }
-        for (i, bin) in self.bins.iter().enumerate() {
-            if bin.id.index() != i {
-                errs.push(format!("bin at index {i} has id {}", bin.id));
-            }
-        }
-        for it in instance.items() {
-            let b = self.assignment[it.id.index()];
-            match self.bins.get(b.index()) {
-                None => errs.push(format!("item {} assigned to unknown bin {b}", it.id)),
-                Some(rec) => {
-                    if !rec.items.contains(&it.id) {
-                        errs.push(format!("bin {b} does not list its item {}", it.id));
-                    }
-                }
-            }
-        }
-        // Level check at every event tick, per bin.
-        for bin in &self.bins {
-            let iv = bin.usage_period();
-            // Usage period must be the union of member intervals.
-            let member_ivs: Vec<Interval> = bin
-                .items
-                .iter()
-                .map(|&id| instance.item(id).interval())
-                .collect();
-            let union = crate::time::union_intervals(&member_ivs);
-            if union.len() != 1 || union[0] != iv {
-                errs.push(format!(
-                    "bin {} usage {iv} does not equal the union of its items' intervals",
-                    bin.id
-                ));
-            }
-            let mut ticks: Vec<Tick> = member_ivs.iter().map(|i| i.start).collect();
-            ticks.sort_unstable();
-            ticks.dedup();
-            for t in ticks {
-                // Exact per-dimension level audit: u128 accumulators per
-                // dimension, so the sum cannot overflow and feasibility is
-                // checked as the intersection over dimensions.
-                for d in 0..Sz::DIMS {
-                    let level: u128 = bin
-                        .items
-                        .iter()
-                        .map(|&id| instance.item(id))
-                        .filter(|r| r.is_active_at(t))
-                        .map(|r| r.size.component(d) as u128)
-                        .sum();
-                    if level > self.capacity.component(d) as u128 {
-                        errs.push(format!(
-                            "bin {} over capacity at {t} in dim {d}: level {level} > {}",
-                            bin.id,
-                            self.capacity.component(d)
-                        ));
-                    }
-                }
-            }
-        }
-        let a = self.total_cost_ticks();
-        let b = self.cost_from_step_function();
-        if a != b {
-            errs.push(format!(
-                "cost mismatch: usage periods give {a}, step function gives {b}"
-            ));
-        }
-        errs
+        self.sweep(instance, |_, _| {})
     }
 
-    /// Cheap O(n + B) conservation check for hot paths. A strict subset of
-    /// [`validate`](Self::validate): it drops the quadratic per-tick level
-    /// audit (the engine already asserts fit on every placement) and the
-    /// interval-union reconstruction, keeping the structural invariants
-    /// that catch routing or fan-in corruption in cluster runs:
-    ///
-    /// 1. The assignment covers exactly the instance's items.
-    /// 2. Bin ids are dense and indexed (`bins[i].id == i`).
-    /// 3. Items and bin member lists agree in both directions — every item
-    ///    is listed exactly once, by the bin it is assigned to.
-    /// 4. Each bin's usage period spans exactly its members' activity
-    ///    (earliest arrival to latest departure).
-    /// 5. The two independent cost computations agree.
-    pub fn check_conservation(&self, instance: &GInstance<Sz>) -> Vec<String> {
+    /// The one replay behind [`validate`](Self::validate) and
+    /// [`any_fit_violations`](crate::engine::any_fit_violations): walks
+    /// [`schedule`] against `assignment`, keeping each bin's member count
+    /// and, while it is open, its level. `on_open(item, open)` runs just
+    /// before `item` opens its bin, with `open` holding every other open
+    /// bin and its level. Reads only the instance and the trace.
+    pub(crate) fn sweep(
+        &self,
+        instance: &GInstance<Sz>,
+        mut on_open: impl FnMut(&GItem<Sz>, &[(BinId, Sz)]),
+    ) -> Vec<String> {
         let mut errs = Vec::new();
         if self.assignment.len() != instance.len() {
             errs.push(format!(
@@ -262,59 +207,115 @@ impl<Sz: Demand> GPackingTrace<Sz> {
         }
         let mut listed = vec![false; instance.len()];
         for (i, bin) in self.bins.iter().enumerate() {
-            if bin.id.index() != i {
+            let b = BinId(i as u32);
+            if bin.id != b {
                 errs.push(format!("bin at index {i} has id {}", bin.id));
-                continue;
             }
-            if bin.items.is_empty() {
-                errs.push(format!("bin {} has no items", bin.id));
-                continue;
-            }
-            let mut first_arrival = Tick(u64::MAX);
-            let mut last_departure = Tick(0);
             for &id in &bin.items {
                 match listed.get_mut(id.index()) {
-                    None => {
-                        errs.push(format!("bin {} lists unknown item {id}", bin.id));
-                        continue;
+                    None => errs.push(format!("bin {b} lists unknown item {id}")),
+                    Some(seen @ false) => {
+                        *seen = true;
+                        let to = self.assignment[id.index()];
+                        if to != b {
+                            errs.push(format!("item {id} listed by bin {b} but assigned to {to}"));
+                        }
                     }
-                    Some(seen @ false) => *seen = true,
-                    Some(_) => {
-                        errs.push(format!("item {id} listed more than once"));
-                        continue;
-                    }
+                    Some(_) => errs.push(format!("item {id} listed more than once")),
                 }
-                if self.assignment[id.index()] != bin.id {
-                    errs.push(format!(
-                        "item {id} listed by bin {} but assigned to {}",
-                        bin.id,
-                        self.assignment[id.index()]
-                    ));
-                }
-                let iv = instance.item(id).interval();
-                first_arrival = first_arrival.min(iv.start);
-                last_departure = last_departure.max(iv.end);
             }
-            if bin.opened_at != first_arrival || bin.closed_at != last_departure {
+        }
+        for (i, (&to, &seen)) in self.assignment.iter().zip(&listed).enumerate() {
+            let id = ItemId(i as u32);
+            if to.index() >= self.bins.len() {
+                errs.push(format!("item {id} assigned to unknown bin {to}"));
+            } else if !seen {
+                errs.push(format!("item {id} is assigned but listed by no bin"));
+            }
+        }
+
+        let cap = self.capacity;
+        let mut state = vec![BinReplay::default(); self.bins.len()];
+        // The open bins and their levels; `state[b].slot` indexes it.
+        let mut open: Vec<(BinId, Sz)> = Vec::new();
+        for ev in schedule(instance) {
+            let item = instance.item(ev.item);
+            let b = self.assignment[ev.item.index()];
+            let Some(st) = state.get_mut(b.index()) else {
+                continue;
+            };
+            match ev.kind {
+                EventKind::Departure => {
+                    // The item's arrival counted it in, so `members > 0`.
+                    st.members -= 1;
+                    let slot = st.slot as usize;
+                    if st.members > 0 {
+                        open[slot].1 = open[slot].1.saturating_sub(item.size);
+                        continue;
+                    }
+                    st.closed_at = ev.at;
+                    open.swap_remove(slot);
+                    if let Some(&(moved, _)) = open.get(slot) {
+                        state[moved.index()].slot = slot as u32;
+                    }
+                }
+                EventKind::Arrival => {
+                    if st.members == 0 {
+                        if st.opened_at.is_some() {
+                            errs.push(format!(
+                                "bin {b} takes {} at {} after emptying: a gap in its usage period",
+                                ev.item, ev.at
+                            ));
+                        } else {
+                            st.opened_at = Some(ev.at);
+                        }
+                        on_open(item, &open);
+                        st.slot = open.len() as u32;
+                        open.push((b, Sz::ZERO));
+                    }
+                    st.members += 1;
+                    let level = &mut open[st.slot as usize].1;
+                    let Some(sum) = level.checked_add(item.size) else {
+                        errs.push(format!(
+                            "bin {b} over capacity at {}: level {level} + {} overflows",
+                            ev.at, item.size
+                        ));
+                        continue;
+                    };
+                    *level = sum;
+                    for d in (0..Sz::DIMS).filter(|&d| sum.component(d) > cap.component(d)) {
+                        errs.push(format!(
+                            "bin {b} over capacity at {} in dim {d}: level {} > {}",
+                            ev.at,
+                            sum.component(d),
+                            cap.component(d)
+                        ));
+                    }
+                }
+            }
+        }
+        for (bin, st) in self.bins.iter().zip(&state) {
+            match st.opened_at {
+                None => errs.push(format!("bin {} has no items", bin.id)),
+                Some(first) if (first, st.closed_at) != (bin.opened_at, bin.closed_at) => errs
+                    .push(format!(
+                        "bin {} usage [{}, {}) does not span its items' activity [{first}, {})",
+                        bin.id, bin.opened_at, bin.closed_at, st.closed_at
+                    )),
+                Some(_) => {}
+            }
+        }
+        // Both cost computations subtract ticks: skip them on a backwards
+        // step or usage period (the latter reported above).
+        if self.open_bins_steps.windows(2).any(|w| w[1].0 < w[0].0) {
+            errs.push("open-bin steps run backwards".to_string());
+        } else if self.bins.iter().all(|b| b.opened_at <= b.closed_at) {
+            let (a, b) = (self.total_cost_ticks(), self.cost_from_step_function());
+            if a != b {
                 errs.push(format!(
-                    "bin {} usage {} does not span its items' activity [{first_arrival}, {last_departure})",
-                    bin.id,
-                    bin.usage_period()
+                    "cost mismatch: usage periods give {a}, step function gives {b}"
                 ));
             }
-        }
-        if let Some(i) = listed.iter().position(|&seen| !seen) {
-            errs.push(format!(
-                "item {} is assigned but listed by no bin",
-                ItemId(i as u32)
-            ));
-        }
-        let a = self.total_cost_ticks();
-        let b = self.cost_from_step_function();
-        if a != b {
-            errs.push(format!(
-                "cost mismatch: usage periods give {a}, step function gives {b}"
-            ));
         }
         errs
     }
@@ -377,7 +378,14 @@ mod tests {
     }
 
     #[test]
-    fn validate_detects_corruptions() {
+    fn cost_ratio_is_exact() {
+        let t = tiny_trace();
+        assert_eq!(t.cost_ratio_to(7), Ratio::from_int(2));
+    }
+
+    /// Three items under First Fit: `r0` and `r1` share `b0`, and `r2`
+    /// opens `b1` at tick 6 (`b0` still holds `r0`).
+    fn ff_three() -> (crate::instance::Instance, PackingTrace) {
         use crate::algorithms::FirstFit;
         use crate::engine::simulate;
         use crate::instance::InstanceBuilder;
@@ -387,39 +395,109 @@ mod tests {
         b.add(0, 5, 4);
         b.add(6, 12, 6);
         let inst = b.build().unwrap();
-        let good = simulate(&inst, &mut FirstFit::new());
-        assert!(good.validate(&inst).is_empty());
+        let trace = simulate(&inst, &mut FirstFit::new());
+        assert!(trace.validate(&inst).is_empty());
+        assert_eq!(trace.bins_used(), 2);
+        (inst, trace)
+    }
 
-        // Corrupt the assignment: point an item at the wrong bin.
+    /// `errs` has a line containing `needle`.
+    #[track_caller]
+    fn assert_reports(errs: &[String], needle: &str) {
+        assert!(
+            errs.iter().any(|e| e.contains(needle)),
+            "no {needle:?} in {errs:?}"
+        );
+    }
+
+    #[test]
+    fn validate_catches_membership_corruption() {
+        let (inst, good) = ff_three();
+
+        // Wrong bin: listed by one bin, assigned to another.
         let mut bad = good.clone();
         bad.assignment[2] = BinId(0);
-        assert!(bad
-            .validate(&inst)
-            .iter()
-            .any(|e| e.contains("does not list")));
+        assert_reports(
+            &bad.validate(&inst),
+            "r2 listed by bin b1 but assigned to b0",
+        );
 
-        // Corrupt a usage period: extend a bin past its items.
+        // Duplicated membership.
         let mut bad = good.clone();
-        bad.bins[0].closed_at = Tick(999);
-        assert!(bad
-            .validate(&inst)
-            .iter()
-            .any(|e| e.contains("union of its items")));
+        let dup = bad.bins[0].items[0];
+        bad.bins[0].items.push(dup);
+        assert_reports(&bad.validate(&inst), "r0 listed more than once");
 
-        // Corrupt the step function: break the cost cross-check.
+        // One item listed by two bins.
         let mut bad = good.clone();
-        if let Some(last) = bad.open_bins_steps.last_mut() {
-            last.0 = Tick(last.0.raw() + 50);
-        }
-        assert!(bad
-            .validate(&inst)
-            .iter()
-            .any(|e| e.contains("cost mismatch")));
+        bad.bins[1].items.push(ItemId(0));
+        assert_reports(&bad.validate(&inst), "r0 listed more than once");
+
+        // Dropped membership: assigned but listed nowhere.
+        let mut bad = good.clone();
+        let lost = bad.bins[0].items.pop().unwrap();
+        assert_reports(
+            &bad.validate(&inst),
+            &format!("{lost} is assigned but listed by no bin"),
+        );
+
+        // A bin listing an item the instance does not have.
+        let mut bad = good.clone();
+        bad.bins[0].items.push(ItemId(99));
+        assert_reports(&bad.validate(&inst), "bin b0 lists unknown item r99");
+
+        // An item assigned to a bin the trace does not have.
+        let mut bad = good.clone();
+        bad.assignment[2] = BinId(7);
+        assert_reports(&bad.validate(&inst), "r2 assigned to unknown bin b7");
+
+        // Sparse bin ids.
+        let mut bad = good.clone();
+        bad.bins[1].id = BinId(5);
+        assert_reports(&bad.validate(&inst), "bin at index 1 has id b5");
 
         // Truncated assignment vector.
         let mut bad = good.clone();
         bad.assignment.pop();
-        assert!(!bad.validate(&inst).is_empty());
+        assert_reports(&bad.validate(&inst), "assignment covers 2 items");
+    }
+
+    #[test]
+    fn validate_catches_period_and_cost_drift() {
+        let (inst, good) = ff_three();
+
+        // Usage period drift.
+        let mut bad = good.clone();
+        bad.bins[0].closed_at = Tick(999);
+        assert_reports(&bad.validate(&inst), "b0 usage");
+        assert_reports(
+            &bad.validate(&inst),
+            "does not span its items' activity [t0, t10)",
+        );
+        let mut bad = good.clone();
+        bad.bins[1].opened_at = Tick(5);
+        assert_reports(
+            &bad.validate(&inst),
+            "does not span its items' activity [t6, t12)",
+        );
+
+        // Step-function drift breaks the cost cross-check.
+        let mut bad = good.clone();
+        if let Some(last) = bad.open_bins_steps.last_mut() {
+            last.0 = Tick(last.0.raw() + 50);
+        }
+        assert_reports(&bad.validate(&inst), "cost mismatch");
+
+        // An empty bin record.
+        let mut bad = good.clone();
+        bad.bins.push(BinRecord {
+            id: BinId(2),
+            tag: BinTag::DEFAULT,
+            opened_at: Tick(0),
+            closed_at: Tick(0),
+            items: Vec::new(),
+        });
+        assert_reports(&bad.validate(&inst), "bin b2 has no items");
     }
 
     #[test]
@@ -439,76 +517,273 @@ mod tests {
         let moved = bad.bins[1].items[0];
         bad.bins[0].items.push(moved);
         bad.assignment[moved.index()] = BinId(0);
+        assert_reports(
+            &bad.validate(&inst),
+            "bin b0 over capacity at t0 in dim 0: level 12 > 10",
+        );
+    }
+
+    #[test]
+    fn a_level_that_overflows_is_over_capacity() {
+        use crate::algorithms::FirstFit;
+        use crate::engine::{any_fit_violations, simulate};
+        use crate::instance::InstanceBuilder;
+
+        let half = 1u64 << 63;
+        let mut b = InstanceBuilder::new(u64::MAX);
+        b.add(0, 10, half);
+        b.add(2, 8, half);
+        let inst = b.build().unwrap();
+        let good = simulate(&inst, &mut FirstFit::new());
+        assert_eq!(good.bins_used(), 2);
+        let mut bad = good.clone();
+        bad.bins[0].items.push(ItemId(1));
+        bad.bins[1].items.clear();
+        bad.assignment[1] = BinId(0);
         let errs = bad.validate(&inst);
-        assert!(errs.iter().any(|e| e.contains("over capacity")), "{errs:?}");
+        assert_reports(&errs, "bin b0 over capacity at t2");
+        assert_reports(&errs, "overflows");
+        assert!(any_fit_violations(&inst, &bad).is_empty());
     }
 
     #[test]
-    fn cost_ratio_is_exact() {
-        let t = tiny_trace();
-        assert_eq!(t.cost_ratio_to(7), Ratio::from_int(2));
+    fn validate_audits_every_dimension() {
+        use crate::algorithms::FirstFit;
+        use crate::demand::VSize;
+        use crate::engine::simulate;
+        use crate::instance::GInstanceBuilder;
+
+        let mut b = GInstanceBuilder::new(VSize([10, 10, 10]));
+        b.add(0, 10, VSize([4, 4, 6]));
+        b.add(3, 10, VSize([4, 4, 6]));
+        let inst = b.build().unwrap();
+        let good = simulate(&inst, &mut FirstFit::new());
+        assert!(good.validate(&inst).is_empty());
+        assert_eq!(good.bins_used(), 2);
+        // Both items in one bin fit dimensions 0 and 1 (8 ≤ 10) but not 2.
+        let mut bad = good.clone();
+        bad.bins[0].items.push(ItemId(1));
+        bad.bins.pop();
+        bad.assignment[1] = BinId(0);
+        bad.open_bins_steps = vec![(Tick(0), 1), (Tick(10), 0)];
+        let errs = bad.validate(&inst);
+        assert_eq!(
+            errs,
+            vec!["bin b0 over capacity at t3 in dim 2: level 12 > 10".to_string()]
+        );
     }
 
     #[test]
-    fn conservation_check_accepts_engine_traces_and_catches_corruption() {
+    fn a_bin_that_empties_and_refills_has_a_gap() {
         use crate::algorithms::FirstFit;
         use crate::engine::simulate;
         use crate::instance::InstanceBuilder;
 
         let mut b = InstanceBuilder::new(10);
-        b.add(0, 10, 6);
-        b.add(0, 5, 4);
-        b.add(6, 12, 6);
+        b.add(0, 5, 6);
+        b.add(7, 10, 6);
         let inst = b.build().unwrap();
         let good = simulate(&inst, &mut FirstFit::new());
-        assert!(good.check_conservation(&inst).is_empty());
-
-        // Wrong-bin assignment: listed by one bin, assigned to another.
+        assert_eq!(good.bins_used(), 2);
+        // Fold `b1` into `b0`, spanning both items, with a step function
+        // that bills the gap too: only the gap is wrong.
         let mut bad = good.clone();
-        bad.assignment[2] = BinId(0);
-        assert!(bad
-            .check_conservation(&inst)
-            .iter()
-            .any(|e| e.contains("but assigned to")));
+        bad.bins[0].items.push(ItemId(1));
+        bad.bins[0].closed_at = Tick(10);
+        bad.bins.pop();
+        bad.assignment[1] = BinId(0);
+        bad.open_bins_steps = vec![(Tick(0), 1), (Tick(10), 0)];
+        let errs = bad.validate(&inst);
+        assert_eq!(
+            errs,
+            vec!["bin b0 takes r1 at t7 after emptying: a gap in its usage period".to_string()]
+        );
+    }
 
-        // Duplicated membership.
-        let mut bad = good.clone();
-        let dup = bad.bins[0].items[0];
-        bad.bins[0].items.push(dup);
-        assert!(bad
-            .check_conservation(&inst)
-            .iter()
-            .any(|e| e.contains("more than once")));
+    /// The level audit by brute force: every member's start tick, every
+    /// dimension, re-summed over the bin's members. Quadratic in a bin's
+    /// member count; the oracle the sweep is checked against.
+    fn overfull_by_brute_force<Sz: Demand>(
+        inst: &GInstance<Sz>,
+        trace: &GPackingTrace<Sz>,
+    ) -> bool {
+        trace.bins.iter().any(|bin| {
+            bin.items.iter().any(|&starter| {
+                let t = inst.item(starter).arrival;
+                (0..Sz::DIMS).any(|d| {
+                    let level: u128 = bin
+                        .items
+                        .iter()
+                        .map(|&id| inst.item(id))
+                        .filter(|r| r.is_active_at(t))
+                        .map(|r| r.size.component(d) as u128)
+                        .sum();
+                    level > trace.capacity.component(d) as u128
+                })
+            })
+        })
+    }
 
-        // Dropped membership: assigned but listed nowhere.
-        let mut bad = good.clone();
-        let lost = bad.bins[0].items.pop().unwrap();
-        assert!(bad.check_conservation(&inst).iter().any(|e| {
-            e.contains(&format!("item {lost} is assigned but listed by no bin"))
-                || e.contains("does not span")
-        }));
-
-        // Usage period drift.
-        let mut bad = good.clone();
-        bad.bins[0].closed_at = Tick(999);
-        assert!(bad
-            .check_conservation(&inst)
-            .iter()
-            .any(|e| e.contains("does not span")));
-
-        // Step-function drift breaks the cost cross-check.
-        let mut bad = good.clone();
-        if let Some(last) = bad.open_bins_steps.last_mut() {
-            last.0 = Tick(last.0.raw() + 50);
+    /// A trace putting item `i` in bin `groups[i]`, consistent in every
+    /// respect but (possibly) the levels; bins are numbered by first use.
+    fn grouped_trace<Sz: Demand>(inst: &GInstance<Sz>, groups: &[usize]) -> GPackingTrace<Sz> {
+        let mut bin_of_group = std::collections::HashMap::new();
+        let mut bins: Vec<BinRecord> = Vec::new();
+        let mut assignment = Vec::new();
+        for (r, &g) in inst.items().iter().zip(groups) {
+            let b = *bin_of_group.entry(g).or_insert_with(|| {
+                bins.push(BinRecord {
+                    id: BinId(bins.len() as u32),
+                    tag: BinTag::DEFAULT,
+                    opened_at: r.arrival,
+                    closed_at: r.departure,
+                    items: Vec::new(),
+                });
+                bins.len() - 1
+            });
+            let bin = &mut bins[b];
+            bin.opened_at = bin.opened_at.min(r.arrival);
+            bin.closed_at = bin.closed_at.max(r.departure);
+            bin.items.push(r.id);
+            assignment.push(BinId(b as u32));
         }
-        assert!(bad
-            .check_conservation(&inst)
-            .iter()
-            .any(|e| e.contains("cost mismatch")));
+        GPackingTrace {
+            algorithm: "GROUPED".into(),
+            capacity: inst.capacity(),
+            bins,
+            assignment,
+            open_bins_steps: Vec::new(),
+        }
+    }
 
-        // Truncated assignment vector.
-        let mut bad = good.clone();
-        bad.assignment.pop();
-        assert!(!bad.check_conservation(&inst).is_empty());
+    /// One field of a valid trace, overwritten with a drawn value.
+    #[derive(Debug, Clone)]
+    enum Mutation {
+        Assign(usize, u32),
+        Member(usize, usize, u32),
+        Push(usize, u32),
+        Pop(usize),
+        Id(usize, u32),
+        Opened(usize, u64),
+        Closed(usize, u64),
+        Step(usize, u64, u32),
+        DropBin(usize),
+        DropAssignment,
+        Capacity(u64),
+    }
+
+    impl Mutation {
+        /// Apply to `trace`; indices wrap into range.
+        fn apply(&self, t: &mut PackingTrace) {
+            let nb = t.bins.len();
+            match *self {
+                Mutation::Assign(i, b) => {
+                    let n = t.assignment.len();
+                    t.assignment[i % n] = BinId(b);
+                }
+                Mutation::Member(j, k, id) => {
+                    let items = &mut t.bins[j % nb].items;
+                    let n = items.len();
+                    items[k % n] = ItemId(id);
+                }
+                Mutation::Push(j, id) => t.bins[j % nb].items.push(ItemId(id)),
+                Mutation::Pop(j) => drop(t.bins[j % nb].items.pop()),
+                Mutation::Id(j, id) => t.bins[j % nb].id = BinId(id),
+                Mutation::Opened(j, at) => t.bins[j % nb].opened_at = Tick(at),
+                Mutation::Closed(j, at) => t.bins[j % nb].closed_at = Tick(at),
+                Mutation::Step(k, at, n) => {
+                    let len = t.open_bins_steps.len();
+                    t.open_bins_steps[k % len] = (Tick(at), n);
+                }
+                Mutation::DropBin(j) => drop(t.bins.remove(j % nb)),
+                Mutation::DropAssignment => drop(t.assignment.pop()),
+                Mutation::Capacity(w) => t.capacity = Size(w),
+            }
+        }
+    }
+
+    /// A drawn [`Mutation`]: a variant, two indices and a value.
+    fn mutations() -> impl proptest::Strategy<Value = Mutation> {
+        use proptest::Strategy;
+        (0u8..11, 0usize..64, 0usize..64, 0u64..70).prop_map(|(kind, j, k, v)| {
+            let id = v as u32 % 40;
+            match kind {
+                0 => Mutation::Assign(j, id),
+                1 => Mutation::Member(j, k, id),
+                2 => Mutation::Push(j, id),
+                3 => Mutation::Pop(j),
+                4 => Mutation::Id(j, id),
+                5 => Mutation::Opened(j, v),
+                6 => Mutation::Closed(j, v),
+                7 => Mutation::Step(k, v, id % 8),
+                8 => Mutation::DropBin(j),
+                9 => Mutation::DropAssignment,
+                _ => Mutation::Capacity(v % 12),
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any single-field corruption of a valid First Fit trace is
+        /// reported, never a panic, by both replays; mutations that change
+        /// membership, periods or ids are always caught.
+        #[test]
+        fn corrupt_traces_never_panic_the_replay(
+            raw in proptest::collection::vec((0u64..50, 1u64..20, 1u64..=10), 1..30),
+            mutation in mutations(),
+        ) {
+            use crate::algorithms::FirstFit;
+            use crate::engine::{any_fit_violations, simulate};
+            use crate::instance::InstanceBuilder;
+
+            let mut b = InstanceBuilder::new(10);
+            for &(a, len, size) in &raw {
+                b.add(a, a + len, size);
+            }
+            let inst = b.build().unwrap();
+            let good = simulate(&inst, &mut FirstFit::new());
+            proptest::prop_assert!(good.validate(&inst).is_empty());
+            proptest::prop_assert!(any_fit_violations(&inst, &good).is_empty());
+            let mut bad = good.clone();
+            mutation.apply(&mut bad);
+            let errs = bad.validate(&inst);
+            let _ = any_fit_violations(&inst, &bad);
+            let structural = !matches!(mutation, Mutation::Step(..) | Mutation::Capacity(_));
+            if structural && bad != good {
+                proptest::prop_assert!(!errs.is_empty(), "{:?} slipped through", mutation);
+            }
+            if let Mutation::Capacity(w) = mutation {
+                let over = inst.items().iter().any(|r| r.size.0 > w);
+                proptest::prop_assert!(!over || !errs.is_empty());
+            }
+        }
+
+        /// On arbitrary groupings of a `VSize<2>` instance, the sweep finds
+        /// an over-capacity level exactly when the brute-force audit does.
+        #[test]
+        fn level_audit_matches_brute_force(
+            raw in proptest::collection::vec(
+                (0u64..40, 1u64..20, 1u64..=10, 1u64..=10, 0usize..6),
+                1..40,
+            ),
+        ) {
+            use crate::demand::VSize;
+            use crate::instance::GInstanceBuilder;
+
+            let mut b = GInstanceBuilder::new(VSize([12, 12]));
+            for &(a, len, x, y, _) in &raw {
+                b.add(a, a + len, VSize([x, y]));
+            }
+            let inst = b.build().unwrap();
+            let groups: Vec<usize> = raw.iter().map(|r| r.4).collect();
+            let trace = grouped_trace(&inst, &groups);
+            let swept = trace
+                .validate(&inst)
+                .iter()
+                .any(|e| e.contains("over capacity"));
+            proptest::prop_assert_eq!(swept, overfull_by_brute_force(&inst, &trace));
+        }
     }
 }

@@ -42,7 +42,9 @@
 //! final [`ServeSummary`] whose ledger conserves `served + dropped + lost
 //! == total`. Every shard, journal included, is built before the daemon
 //! reports ready, so an unopenable journal fails [`run_server`] before it
-//! listens.
+//! listens. So does a shard journal that already holds records: opening it
+//! would truncate acknowledged history, so a restart on the same journal
+//! base is refused and leaves every WAL byte-identical.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_cluster::router::Router;
@@ -54,7 +56,7 @@ use dbp_core::demand::{Demand, VSize};
 use dbp_core::item::Size;
 use dbp_core::packer::SelectorFactory;
 use dbp_core::probe::DropReason;
-use dbp_obs::journal::{FsyncPolicy, JournalProbe};
+use dbp_obs::journal::{FsyncPolicy, JournalProbe, JOURNAL_MAGIC_V2};
 use dbp_obs::metrics::MetricsRegistry;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -426,6 +428,23 @@ pub fn run_server(
 ) -> Result<ServeSummary, String> {
     cfg.validate()?;
     assert!(cfg.shards > 0, "a daemon needs at least one shard");
+    // A shard WAL longer than the longest header (v2: magic + dims byte)
+    // holds frames; creating the shard would truncate acknowledged history.
+    let header = JOURNAL_MAGIC_V2.len() as u64 + 1;
+    for path in cfg
+        .journal_base
+        .iter()
+        .flat_map(|base| (0..cfg.shards).map(move |k| journal_shard_path(base, k)))
+    {
+        let len = std::fs::metadata(&path).map_or(0, |m| m.len());
+        if len > header {
+            return Err(format!(
+                "open journal {}: holds {len} bytes of acknowledged history; \
+                 refusing to truncate it (audit it with `dbp recover`, or move it away)",
+                path.display()
+            ));
+        }
+    }
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     listener
         .set_nonblocking(true)

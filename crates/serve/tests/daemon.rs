@@ -386,6 +386,61 @@ fn a_journal_that_cannot_open_fails_before_listening() {
 }
 
 #[test]
+fn a_restart_on_a_journal_with_history_is_refused_and_leaves_it_intact() {
+    let base = temp_base("restart");
+    let config = || {
+        let mut cfg = ServeConfig::local(2, 100);
+        cfg.metrics_addr = None;
+        cfg.read_timeout_ms = 5;
+        cfg.journal_base = Some(base.clone());
+        cfg
+    };
+    let factory = || SelectorFactory::new("FF", || Box::new(FirstFit::new()));
+
+    // First life: arrivals on both shards, then a graceful drain.
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let (addr_tx, addr_rx) = mpsc::channel::<SocketAddr>();
+    let first = config();
+    let server = std::thread::spawn(move || {
+        run_server(first, &factory(), stop, |h| addr_tx.send(h.addr).unwrap())
+    });
+    let stream = TcpStream::connect(addr_rx.recv().unwrap()).unwrap();
+    let mut r = BufReader::new(stream.try_clone().unwrap());
+    let mut w = stream;
+    for id in 1..=8 {
+        let line = format!(r#"{{"op":"arrive","id":{id},"at":{id},"size":30}}"#);
+        let a = send(&mut w, &mut r, &line);
+        assert_eq!(get(&a, "ok"), serde_json::Value::Bool(true), "{a:?}");
+    }
+    drop(w);
+    drop(r);
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    let summary = server.join().unwrap().expect("first life ran");
+    assert_eq!(summary.served, 8);
+    let paths: Vec<PathBuf> = (0..2).map(|k| journal_shard_path(&base, k)).collect();
+    let before: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    assert!(before.iter().all(|b| b.len() > 8), "both shards journaled");
+
+    // Second life on the same base: refused before listening. A daemon
+    // that does come up drains at once, so the test fails, never hangs.
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let mut ready = false;
+    let got = run_server(config(), &factory(), stop, |_| {
+        ready = true;
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    });
+    let after: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    for p in &paths {
+        std::fs::remove_file(p).ok();
+    }
+    let err = got.expect_err("a restart over acknowledged history is an error");
+    assert!(err.starts_with("open journal "), "{err}");
+    assert!(err.contains("acknowledged history"), "{err}");
+    assert!(!ready, "on_ready must not fire");
+    assert!(before == after, "the refused restart changed a WAL");
+}
+
+#[test]
 fn an_overlong_line_is_refused_and_the_connection_keeps_serving() {
     let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
     let mut cfg = ServeConfig::local(1, 100);
