@@ -85,14 +85,13 @@ USAGE:
           [--run-manifest FILE.json]  # provenance + exact cost, for `recover`
   dbp cluster FILE --algo NAME --shards N [--router hash|affinity|least-loaded]
           [--hetero]                  # D=3 vector dispatch: per-dimension ledger, v2 journals
-          [--batch event|whole|N] [--jobs N]
-          [--trace-events FILE.jsonl] [--metrics FILE.prom]
+          [--jobs N] [--trace-events FILE.jsonl] [--metrics FILE.prom]
           [--faults SEED|PLAN.json]   # per-shard fault plans (seed+shard / shared plan)
           [--shard-faults SEED|PLAN.json]  # kill shards mid-run; self-heal from journals
           [--journal FILE.wal] [--fsync always|never|N]   # one journal per shard: FILE.wal.shardK
           [--run-manifest FILE.json]  # merged provenance + exact aggregate cost
   dbp profile [FILE] [--algo NAME] [--shards N] [--router hash|affinity|least-loaded]
-          [--batch event|whole|N] [--jobs N] [--items N] [--seed N]
+          [--jobs N] [--items N] [--seed N]
           [--shard-faults SEED|PLAN.json]  # profile the self-healing engine instead
           [--trace-out FILE.json]     # Chrome-trace JSON (chrome://tracing, Perfetto)
           [--metrics FILE.prom]       # per-stage latency histograms
@@ -768,7 +767,7 @@ fn shard_fault_plan<Sz: Demand>(
     })
 }
 
-/// The cluster shape from `--shards`, `--router`, `--batch` and `--jobs`.
+/// The cluster shape from `--shards`, `--router` and `--jobs`.
 fn cluster_config(args: &Args, default_shards: u64) -> Result<dbp_cluster::ClusterConfig, String> {
     let shards = args.u64_flag_or("shards", default_shards)? as usize;
     if shards == 0 {
@@ -776,14 +775,6 @@ fn cluster_config(args: &Args, default_shards: u64) -> Result<dbp_cluster::Clust
     }
     let mut config =
         dbp_cluster::ClusterConfig::new(shards, parse_router(args)?).map_err(|e| e.to_string())?;
-    config.batch = match args.str_flag("batch") {
-        None | Some("whole") => dbp_cluster::BatchPolicy::WholeStream,
-        Some("event") => dbp_cluster::BatchPolicy::PerEvent,
-        Some(n) => dbp_cluster::BatchPolicy::Chunks(
-            n.parse()
-                .map_err(|_| format!("--batch expects event|whole|N, got '{n}'"))?,
-        ),
-    };
     config.jobs = args.u64_flag_or("jobs", 0)? as usize;
     Ok(config)
 }
@@ -1014,8 +1005,8 @@ fn parse_router(args: &Args) -> Result<dbp_cluster::Router, String> {
 }
 
 /// `dbp serve --shards N`: the live dispatcher daemon. NDJSON arrivals and
-/// departures over TCP, online routing across N shard pipelines (each a
-/// bounded-memory streaming engine), bounded shard queues with
+/// departures over TCP, online routing across N shard pipelines (each an
+/// open-mode driver of the event core), bounded shard queues with
 /// block/shed backpressure, event-time admission control, optional
 /// per-shard write-ahead journals (`BASE.shardK`, each auditable with
 /// `dbp recover`), and a Prometheus `/metrics` endpoint. SIGINT/SIGTERM

@@ -440,10 +440,8 @@ fn cluster_hetero_honours_every_flag() {
         dbp_obs::manifest::instance_digest(&dbp_workloads::widen(&scalar))
     );
 
-    // Ingestion batching and the worker pool never change the report.
-    for extra in [&["--batch", "event"][..], &["--jobs", "1"][..]] {
-        assert_eq!(with(extra), plain, "{extra:?}");
-    }
+    // The worker pool never changes the report.
+    assert_eq!(with(&["--jobs", "1"]), plain);
 }
 
 #[test]

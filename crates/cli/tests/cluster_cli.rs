@@ -177,21 +177,6 @@ fn faulted_cluster_reports_a_conserved_ledger() {
 }
 
 #[test]
-fn batch_policies_do_not_change_the_bill() {
-    let dir = tmpdir();
-    let tr = generate(&dir, "batch");
-    let mut bills = Vec::new();
-    for batch in ["event", "7", "whole"] {
-        let out = stdout(&dbp(&[
-            "cluster", &tr, "--algo", "mff", "--shards", "2", "--router", "hash", "--batch", batch,
-        ]));
-        bills.push((field(&out, "busy ticks"), field(&out, "bill")));
-    }
-    assert_eq!(bills[0], bills[1]);
-    assert_eq!(bills[1], bills[2]);
-}
-
-#[test]
 fn shard_faulted_cluster_heals_and_conserves_the_extended_ledger() {
     let dir = tmpdir();
     let tr = generate(&dir, "shardfaults");

@@ -293,20 +293,27 @@ fn journal_flag_validation() {
 /// Returns the journal path and the exact per-dimension demand-ticks of
 /// the departed items.
 fn vector_journal_killed_midstream(dir: &std::path::Path, stem: &str) -> (String, [u128; 3]) {
+    use dbp_cloudsim::faults::AdmissionPolicy;
     use dbp_core::demand::VSize;
-    use dbp_core::item::{ItemId, RegionId};
-    use dbp_core::time::Tick;
-    use dbp_core::StreamingEngine;
     use dbp_obs::journal::{FsyncPolicy, JournalProbe};
+    use dbp_serve::{GShardPipeline, Outcome, Request, ServeProbe};
 
     let wal = path(dir, &format!("{stem}.wal"));
-    let probe = JournalProbe::create_dims(std::path::Path::new(&wal), FsyncPolicy::Never, 3)
+    let journal = JournalProbe::create_dims(std::path::Path::new(&wal), FsyncPolicy::Never, 3)
         .expect("journal opens");
-    let mut eng = StreamingEngine::new(
+    let mut pipe = GShardPipeline::with_probe(
         VSize::<3>([1000, 800, 1000]),
         dbp_core::algorithms::selector_for::<VSize<3>>("FF").unwrap(),
-        probe,
+        AdmissionPolicy::unbounded(),
+        ServeProbe {
+            journal: Some(journal),
+        },
     );
+    let arrive = |id, at, [g, c, m]: [u64; 3]| Request::Arrive {
+        id,
+        at,
+        demand: [g, c, m, 0],
+    };
     // Three sessions with heterogeneous footprints; the first two depart
     // inside the journaled window, the third is still resident at the
     // kill. Demand-ticks below count the departed only.
@@ -315,24 +322,31 @@ fn vector_journal_killed_midstream(dir: &std::path::Path, stem: &str) -> (String
         (5, 25, [240, 170, 680]),
         (10, 900, [65, 45, 120]),
     ];
-    let mut ticks = [0u128; 3];
-    for (i, &(a, _, size)) in items.iter().enumerate() {
-        eng.push_open_arrival(ItemId(i as u32), VSize(size), RegionId::GLOBAL, Tick(a))
-            .unwrap();
-    }
+    let arrivals = (0..)
+        .zip(&items)
+        .map(|(id, &(a, _, size))| arrive(id, a, size));
     // Depart the first two in schedule order (1 at 25, then 0 at 40) so
     // they hit the journal, then admit one more session at tick 50.
-    eng.push_departure(ItemId(1), Tick(items[1].1)).unwrap();
-    eng.push_departure(ItemId(0), Tick(items[0].1)).unwrap();
-    eng.push_open_arrival(ItemId(3), VSize([1, 1, 1]), RegionId::GLOBAL, Tick(50))
-        .unwrap();
+    let later = [
+        Request::Depart { id: 1, at: 25 },
+        Request::Depart { id: 0, at: 40 },
+        arrive(3, 50, [1, 1, 1]),
+    ];
+    for req in arrivals.chain(later) {
+        let outcome = pipe.handle(&req);
+        assert!(matches!(
+            outcome,
+            Outcome::Placed { .. } | Outcome::Departed
+        ));
+    }
+    let mut ticks = [0u128; 3];
     for &(a, dep, size) in &items[..2] {
         let span = (dep - a) as u128;
         for d in 0..3 {
             ticks[d] += size[d] as u128 * span;
         }
     }
-    drop(eng); // SIGKILL: no finish, no drain
+    drop(pipe); // SIGKILL: no seal, no drain
     (wal, ticks)
 }
 

@@ -246,8 +246,7 @@ fn cluster_transcripts() {
     s.check(
         "cluster_affinity",
         &[
-            "cluster", &steady, "--algo", "bf", "--shards", "4", "--router", "affinity", "--batch",
-            "event",
+            "cluster", &steady, "--algo", "bf", "--shards", "4", "--router", "affinity",
         ],
     );
     s.check(
@@ -324,32 +323,44 @@ fn cluster_transcripts() {
 }
 
 /// Write a 3-dimensional journal the way a daemon shard does and drop the
-/// writer mid-stream, unsealed: two sessions departed, two still resident.
+/// pipeline mid-stream, unsealed: two sessions departed, two still resident.
 fn vector_journal(path: &str) {
+    use dbp_cloudsim::faults::AdmissionPolicy;
     use dbp_core::demand::VSize;
-    use dbp_core::item::{ItemId, RegionId};
-    use dbp_core::time::Tick;
     use dbp_obs::journal::{FsyncPolicy, JournalProbe};
+    use dbp_serve::{GShardPipeline, Outcome, Request, ServeProbe};
 
-    let probe = JournalProbe::create_dims(Path::new(path), FsyncPolicy::Never, 3).unwrap();
-    let mut eng = dbp_core::StreamingEngine::new(
+    let journal = JournalProbe::create_dims(Path::new(path), FsyncPolicy::Never, 3).unwrap();
+    let mut pipe = GShardPipeline::with_probe(
         VSize::<3>([1000, 800, 1000]),
         dbp_core::algorithms::selector_for::<VSize<3>>("FF").unwrap(),
-        probe,
+        AdmissionPolicy::unbounded(),
+        ServeProbe {
+            journal: Some(journal),
+        },
     );
-    let arrive = |eng: &mut dbp_core::StreamingEngine<_, _, VSize<3>>, id, at, size| {
-        eng.push_open_arrival(ItemId(id), VSize(size), RegionId::GLOBAL, Tick(at))
-            .unwrap();
+    let arrive = |id, at, [g, c, m]: [u64; 3]| Request::Arrive {
+        id,
+        at,
+        demand: [g, c, m, 0],
     };
     // Schedule order up to tick 50: sessions 1 and 0 depart (at 25 and
     // 40) before session 3 arrives; 2 and 3 are still resident.
-    arrive(&mut eng, 0, 0, [125, 90, 220]);
-    arrive(&mut eng, 1, 5, [240, 170, 680]);
-    arrive(&mut eng, 2, 10, [65, 45, 120]);
-    eng.push_departure(ItemId(1), Tick(25)).unwrap();
-    eng.push_departure(ItemId(0), Tick(40)).unwrap();
-    arrive(&mut eng, 3, 50, [1, 1, 1]);
-    drop(eng);
+    for req in [
+        arrive(0, 0, [125, 90, 220]),
+        arrive(1, 5, [240, 170, 680]),
+        arrive(2, 10, [65, 45, 120]),
+        Request::Depart { id: 1, at: 25 },
+        Request::Depart { id: 0, at: 40 },
+        arrive(3, 50, [1, 1, 1]),
+    ] {
+        let outcome = pipe.handle(&req);
+        assert!(matches!(
+            outcome,
+            Outcome::Placed { .. } | Outcome::Departed
+        ));
+    }
+    drop(pipe);
 }
 
 #[test]

@@ -61,8 +61,8 @@ use dbp_core::packer::{BinSelector, Decision};
 use dbp_core::probe::{DropReason, GProbeEvent, NoProbe, Probe};
 use dbp_core::ratio::Ratio;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
-use dbp_core::streaming::EventCore;
 use dbp_core::time::Tick;
+use dbp_core::EventCore;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};

@@ -35,33 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// How the ingestion loop drains each shard's schedule.
-///
-/// Batching is *transparent by construction*: the engine's schedule is
-/// already time-ordered and a batch boundary only decides how many events
-/// one `step()` burst processes before the worker yields, so the decision
-/// sequence, trace and cost are identical for every policy (property-tested
-/// in `tests/cluster_props.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// One schedule event per burst — the unbatched reference feeding.
-    PerEvent,
-    /// Time-ordered chunks of up to `n` schedule events.
-    Chunks(usize),
-    /// Drain the whole shard schedule in one burst.
-    WholeStream,
-}
-
-impl BatchPolicy {
-    pub(crate) fn burst(self) -> usize {
-        match self {
-            BatchPolicy::PerEvent => 1,
-            BatchPolicy::Chunks(n) => n.max(1),
-            BatchPolicy::WholeStream => usize::MAX,
-        }
-    }
-}
-
 /// Typed failure of a cluster run: bad shape, workload mismatch, a
 /// malformed fault plan, or a shard worker panic the pool contained. One
 /// shard dying yields this value — never a process abort.
@@ -69,8 +42,6 @@ impl BatchPolicy {
 pub enum ClusterError {
     /// The cluster was configured with zero shards.
     ZeroShards,
-    /// The ingestion batch size was zero ([`BatchPolicy::Chunks`]`(0)`).
-    ZeroBatch,
     /// The per-shard system rejected the workload.
     Dispatch(DispatchError),
     /// A shard worker panicked; the pool contained the unwind and the
@@ -104,7 +75,6 @@ impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterError::ZeroShards => write!(f, "a cluster needs at least one shard"),
-            ClusterError::ZeroBatch => write!(f, "ingestion batch size must be at least 1"),
             ClusterError::Dispatch(e) => write!(f, "{e}"),
             ClusterError::ShardPanicked { shard, message } => {
                 write!(f, "shard {shard} panicked: {message}")
@@ -138,24 +108,20 @@ impl From<DispatchError> for ClusterError {
     }
 }
 
-/// Cluster shape: shard count, routing policy, ingestion batching and the
-/// worker pool bound.
+/// Cluster shape: shard count, routing policy and the worker pool bound.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// Number of engine shards (≥ 1).
     pub shards: usize,
     /// Routing policy.
     pub router: Router,
-    /// Ingestion batching policy.
-    pub batch: BatchPolicy,
     /// Worker threads running shards; `0` means available parallelism.
     /// Always clamped to the shard count, like `run_all`'s pool.
     pub jobs: usize,
 }
 
 impl ClusterConfig {
-    /// A cluster of `shards` shards under `router`, whole-stream batching,
-    /// default worker pool.
+    /// A cluster of `shards` shards under `router`, default worker pool.
     ///
     /// # Errors
     /// [`ClusterError::ZeroShards`] when `shards == 0`.
@@ -163,7 +129,6 @@ impl ClusterConfig {
         let config = ClusterConfig {
             shards,
             router,
-            batch: BatchPolicy::WholeStream,
             jobs: 0,
         };
         config.validate()?;
@@ -174,13 +139,10 @@ impl ClusterConfig {
     /// boundary re-validates rather than trusting construction.
     ///
     /// # Errors
-    /// [`ClusterError::ZeroShards`] / [`ClusterError::ZeroBatch`].
+    /// [`ClusterError::ZeroShards`].
     pub fn validate(&self) -> Result<(), ClusterError> {
         if self.shards == 0 {
             return Err(ClusterError::ZeroShards);
-        }
-        if matches!(self.batch, BatchPolicy::Chunks(0)) {
-            return Err(ClusterError::ZeroBatch);
         }
         Ok(())
     }
@@ -564,8 +526,7 @@ impl ClusterEngine {
     /// # Errors
     /// [`ClusterError::Dispatch`] when the workload was generated against
     /// a different `W` than the shard server flavor provides;
-    /// [`ClusterError::ZeroShards`] / [`ClusterError::ZeroBatch`] for a
-    /// malformed shape; [`ClusterError::ShardPanicked`] when a shard
+    /// [`ClusterError::ZeroShards`] for a malformed shape; [`ClusterError::ShardPanicked`] when a shard
     /// worker dies (the pool contains the unwind).
     pub fn run_probed<Sz, P, F>(
         &self,
@@ -621,14 +582,7 @@ impl ClusterEngine {
             make_spans,
             |shard, inst, back, mut probe, spans| {
                 let mut sel = factory.build();
-                let (report, trace) = run_shard(
-                    &self.system,
-                    &inst,
-                    &mut *sel,
-                    &mut probe,
-                    spans,
-                    self.config.batch,
-                );
+                let (report, trace) = run_shard(&self.system, &inst, &mut *sel, &mut probe, spans);
                 let run = ShardRun {
                     shard,
                     report,
@@ -804,7 +758,6 @@ impl ClusterEngine {
                     factory,
                     kills,
                     plan.restart,
-                    self.config.batch,
                     shard as u32,
                     spans,
                 );
@@ -924,14 +877,8 @@ impl ClusterEngine {
                     continue;
                 }
                 let mut sel = factory.build();
-                let (rep, _trace) = run_shard(
-                    &self.system,
-                    &hinst,
-                    &mut *sel,
-                    &mut NoProbe,
-                    &mut NoSpans,
-                    self.config.batch,
-                );
+                let (rep, _trace) =
+                    run_shard(&self.system, &hinst, &mut *sel, &mut NoProbe, &mut NoSpans);
                 let hr = &mut health_reports[host];
                 hr.sessions_rerouted_in += hinst.len() as u64;
                 hr.servers_rented += rep.servers_rented as u64;
@@ -1158,9 +1105,9 @@ fn elapsed_ns(epoch: Instant) -> u64 {
 }
 
 /// One shard's dispatch: the [`GamingSystem::run`] accounting, driven
-/// through [`EngineRun::traced`] in time-ordered `batch` bursts so
-/// ingestion can batch (per-event `arrival`/`decide`/`place`/`departure`
-/// spans, plus the shard's own `validate` / `report_build` spans).
+/// through [`EngineRun::traced`] (per-event `arrival`/`decide`/`place`/
+/// `departure` spans, plus the shard's own `validate` / `report_build`
+/// spans).
 /// Validation and report construction mirror the plain system run
 /// exactly — a 1-shard cluster must be byte-identical to it. With
 /// [`NoProbe`] and [`NoSpans`] this compiles down to the bare engine loop.
@@ -1174,7 +1121,6 @@ pub fn run_shard<Sz, S, P, R>(
     dispatcher: &mut S,
     probe: &mut P,
     spans: &mut R,
-    batch: BatchPolicy,
 ) -> (SystemReport, GPackingTrace<Sz>)
 where
     Sz: Demand,
@@ -1182,7 +1128,7 @@ where
     P: Probe<Sz>,
     R: SpanRecorder,
 {
-    run_shard_from(system, requests, dispatcher, probe, spans, None, batch)
+    run_shard_from(system, requests, dispatcher, probe, spans, None)
         .expect("a fresh run has no journal to diverge from")
 }
 
@@ -1192,8 +1138,8 @@ where
 /// against the WAL `prefix` and forwards only the continuation to
 /// `probe`; re-executing the prefix's `cursor` schedule events is timed
 /// as a `shard_replay` span and the rest runs span-free (byte-identity is
-/// about events, not spans). Either way the engine steps to completion in
-/// `batch` bursts, the linear [`GPackingTrace::validate`] audit runs under a
+/// about events, not spans). Either way the engine steps to completion,
+/// the linear [`GPackingTrace::validate`] audit runs under a
 /// `validate` span, and [`GamingSystem::report`] builds the report under
 /// a `report_build` span.
 ///
@@ -1206,7 +1152,6 @@ pub(crate) fn run_shard_from<Sz, S, P, R>(
     probe: &mut P,
     spans: &mut R,
     resume: Option<(&[GProbeEvent<Sz>], usize)>,
-    batch: BatchPolicy,
 ) -> Result<(SystemReport, GPackingTrace<Sz>), String>
 where
     Sz: Demand,
@@ -1219,10 +1164,12 @@ where
         .expect("capacity is checked at the cluster boundary");
     let started = Instant::now();
     let finished = match resume {
-        None => drive(
-            EngineRun::traced(requests, &mut *dispatcher, &mut *probe, &mut *spans),
-            batch,
-        ),
+        None => drive(EngineRun::traced(
+            requests,
+            &mut *dispatcher,
+            &mut *probe,
+            &mut *spans,
+        )),
         Some((prefix, cursor)) => {
             let mut verify = VerifyProbe::new(prefix, &mut *probe);
             let mut run = EngineRun::new(requests, &mut *dispatcher, &mut verify);
@@ -1235,7 +1182,7 @@ where
             if R::ENABLED {
                 spans.exit();
             }
-            let finished = drive(run, batch);
+            let finished = drive(run);
             if finished.is_some() {
                 verify.finish()?;
             }
@@ -1281,14 +1228,9 @@ where
     Ok((report, trace))
 }
 
-/// Step `run` to completion in bursts of `batch`, polling the
-/// [`cancel`](crate::cancel) latch at least every 4096 steps even under
-/// whole-stream batching; the clamp is semantically invisible (the outer
-/// loop re-enters until `is_done`). `None` when cancelled mid-run.
-fn drive<Sz, S, P, R>(
-    mut run: EngineRun<'_, S, P, R, Sz>,
-    batch: BatchPolicy,
-) -> Option<GPackingTrace<Sz>>
+/// Step `run` to completion, polling the [`cancel`](crate::cancel) latch
+/// every 4096 steps. `None` when cancelled mid-run.
+fn drive<Sz, S, P, R>(mut run: EngineRun<'_, S, P, R, Sz>) -> Option<GPackingTrace<Sz>>
 where
     Sz: Demand,
     S: BinSelector<Sz> + ?Sized,
@@ -1296,12 +1238,11 @@ where
     R: SpanRecorder,
 {
     const CANCEL_CHECK: usize = 4096;
-    let burst = batch.burst().min(CANCEL_CHECK);
     while !run.is_done() {
         if crate::cancel::requested() {
             return None;
         }
-        for _ in 0..burst {
+        for _ in 0..CANCEL_CHECK {
             if !run.step() {
                 break;
             }
@@ -1470,20 +1411,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_and_zero_batch_are_typed_errors() {
+    fn zero_shards_is_a_typed_error() {
         assert_eq!(
             ClusterConfig::new(0, Router::HashByItem).unwrap_err(),
             ClusterError::ZeroShards
         );
         // The fields are public, so the run boundary re-validates.
         let mut config = ClusterConfig::new(2, Router::HashByItem).unwrap();
-        config.batch = BatchPolicy::Chunks(0);
+        config.shards = 0;
         let engine = ClusterEngine::new(GamingSystem::paper_model(), config);
         assert_eq!(
             engine
                 .run_probed(&workload(31), &ff_factory(), |_| NoProbe)
                 .unwrap_err(),
-            ClusterError::ZeroBatch
+            ClusterError::ZeroShards
         );
     }
 

@@ -23,7 +23,7 @@
 //! kill markers aside, which are fault-vocabulary events interleaved at
 //! their stream position and filtered by `is_fault_event()`.
 
-use crate::engine::{run_shard_from, BatchPolicy};
+use crate::engine::run_shard_from;
 use dbp_cloudsim::{GamingSystem, RetryPolicy, SystemReport};
 use dbp_core::demand::Demand;
 use dbp_core::instance::GInstance;
@@ -364,7 +364,6 @@ pub(crate) fn supervise_shard<Sz: Demand, R: SpanRecorder>(
     factory: &GSelectorFactory<Sz>,
     kills: Vec<KillPoint>,
     restart: RestartPolicy,
-    batch: BatchPolicy,
     shard: u32,
     spans: &mut R,
 ) -> ShardSupervision<Sz> {
@@ -404,7 +403,6 @@ pub(crate) fn supervise_shard<Sz: Demand, R: SpanRecorder>(
                 resume
                     .as_ref()
                     .map(|(prefix, cursor)| (&prefix[..], *cursor)),
-                batch,
             )
         }));
         match attempt {
@@ -664,20 +662,13 @@ mod tests {
             &ff_factory(),
             Vec::new(),
             RestartPolicy::default(),
-            BatchPolicy::WholeStream,
             0,
             &mut NoSpans,
         );
         let mut log = dbp_obs::EventLog::new();
         let mut sel = ff_factory().build();
-        let (report, _) = crate::engine::run_shard(
-            &system,
-            &inst,
-            &mut *sel,
-            &mut log,
-            &mut NoSpans,
-            BatchPolicy::WholeStream,
-        );
+        let (report, _) =
+            crate::engine::run_shard(&system, &inst, &mut *sel, &mut log, &mut NoSpans);
         assert_eq!(sup.events, log.events());
         // Decision *timings* are wall-clock and differ run to run; only the
         // count is deterministic.
@@ -699,14 +690,7 @@ mod tests {
         let system = GamingSystem::paper_model();
         let mut unkilled = dbp_obs::EventLog::new();
         let mut sel = ff_factory().build();
-        crate::engine::run_shard(
-            &system,
-            &inst,
-            &mut *sel,
-            &mut unkilled,
-            &mut NoSpans,
-            BatchPolicy::WholeStream,
-        );
+        crate::engine::run_shard(&system, &inst, &mut *sel, &mut unkilled, &mut NoSpans);
         let total = unkilled.len() as u64;
         assert!(total > 20, "fixture too small");
         // Kill early, mid and late along the same shard's stream.
@@ -717,7 +701,6 @@ mod tests {
                 &ff_factory(),
                 vec![KillPoint::Event(offset)],
                 RestartPolicy::default(),
-                BatchPolicy::WholeStream,
                 0,
                 &mut NoSpans,
             );
@@ -770,7 +753,6 @@ mod tests {
                 max_restarts: 2,
                 backoff: RetryPolicy::default(),
             },
-            BatchPolicy::WholeStream,
             3,
             &mut NoSpans,
         );
@@ -797,14 +779,7 @@ mod tests {
         let system = GamingSystem::paper_model();
         let mut unkilled = dbp_obs::EventLog::new();
         let mut sel = ff_factory().build();
-        crate::engine::run_shard(
-            &system,
-            &inst,
-            &mut *sel,
-            &mut unkilled,
-            &mut NoSpans,
-            BatchPolicy::WholeStream,
-        );
+        crate::engine::run_shard(&system, &inst, &mut *sel, &mut unkilled, &mut NoSpans);
         let mid_tick = unkilled.events()[unkilled.len() / 2].at().0;
         let sup = supervise_shard(
             &system,
@@ -812,7 +787,6 @@ mod tests {
             &ff_factory(),
             vec![KillPoint::Tick(mid_tick)],
             RestartPolicy::default(),
-            BatchPolicy::PerEvent,
             0,
             &mut NoSpans,
         );

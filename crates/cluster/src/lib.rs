@@ -13,8 +13,7 @@
 //!   scalar and vector instances alike;
 //! * [`ClusterEngine`] — runs every shard as an independent
 //!   [`GamingSystem`](dbp_cloudsim::GamingSystem)-equivalent dispatch on a
-//!   bounded thread pool, with batched time-ordered ingestion
-//!   ([`BatchPolicy`]). Every run shares one fan-out (validate, partition,
+//!   bounded thread pool. Every run shares one fan-out (validate, partition,
 //!   enqueue, pool, panic containment, timing) and differs only in its
 //!   per-shard work and its fan-in. There is one entry point per fault
 //!   model, and each is generic over the demand type
@@ -67,9 +66,9 @@ pub mod router;
 pub mod vector;
 
 pub use engine::{
-    run_shard, BatchPolicy, ClusterConfig, ClusterEngine, ClusterError, ClusterHealedRun,
-    ClusterReport, ClusterResilientReport, ClusterResilientRun, ClusterRun, ClusterTiming,
-    ClusterTrace, ShardHealthReport, ShardRun, TracedRun,
+    run_shard, ClusterConfig, ClusterEngine, ClusterError, ClusterHealedRun, ClusterReport,
+    ClusterResilientReport, ClusterResilientRun, ClusterRun, ClusterTiming, ClusterTrace,
+    ShardHealthReport, ShardRun, TracedRun,
 };
 pub use faults::{KillPoint, RestartPolicy, ShardFaultPlan, ShardHealth, ShardKill};
 pub use router::Router;

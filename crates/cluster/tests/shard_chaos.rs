@@ -12,13 +12,12 @@ use dbp_cluster::{
 use dbp_core::algorithms::FirstFit;
 use dbp_core::bin::OpenBinView;
 use dbp_core::demand::Demand;
-use dbp_core::events::{Event, EventKind};
-use dbp_core::instance::{GInstance, Instance};
+use dbp_core::engine::{simulate, simulate_probed, EngineRun};
+use dbp_core::instance::Instance;
 use dbp_core::item::{ArrivingItem, Size};
 use dbp_core::packer::{BinSelector, Decision, SelectorFactory};
-use dbp_core::probe::{NoProbe, Probe, ProbeEvent};
+use dbp_core::probe::{NoProbe, ProbeEvent};
 use dbp_core::span::NoSpans;
-use dbp_core::StreamingEngine;
 use dbp_obs::export::events_to_jsonl;
 use dbp_obs::prelude::instance_digest;
 use dbp_obs::EventLog;
@@ -41,25 +40,6 @@ fn temp_journal(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("dbp-chaos-{tag}-{}", std::process::id()));
     p
-}
-
-/// Feed `events` (a prefix of `inst`'s schedule) to an open-mode engine,
-/// the way a live shard sees them: each arrival, and later its departure.
-fn feed<Sz: Demand, S: BinSelector<Sz>, P: Probe<Sz>>(
-    eng: &mut StreamingEngine<S, P, Sz>,
-    inst: &GInstance<Sz>,
-    events: &[Event],
-) {
-    for ev in events {
-        let it = inst.item(ev.item);
-        match ev.kind {
-            EventKind::Arrival => {
-                eng.push_open_arrival(it.id, it.size, it.region, ev.at)
-                    .unwrap();
-            }
-            EventKind::Departure => eng.push_departure(it.id, ev.at).unwrap(),
-        }
-    }
 }
 
 fn engine(shards: usize, router: Router) -> ClusterEngine {
@@ -480,36 +460,30 @@ proptest! {
             if sub.len() < 2 {
                 continue; // nothing to kill mid-stream
             }
-            let events = dbp_core::events::schedule(&sub);
-
             let tag = format!("vchaos-{seed}-{shards}-{}", router.name());
             let full_path = temp_journal(&format!("{tag}-full"));
             let killed_path = temp_journal(&format!("{tag}-killed"));
+            let ff = || selector_for::<VSize<3>>("FF").unwrap();
 
             // The unkilled run, journaled.
-            let probe = JournalProbe::create_dims(&full_path, FsyncPolicy::Never, 3)
+            let mut probe = JournalProbe::create_dims(&full_path, FsyncPolicy::Never, 3)
                 .expect("journal opens");
-            let mut eng = StreamingEngine::new(
-                sub.capacity(),
-                selector_for::<VSize<3>>("FF").unwrap(),
-                probe,
-            );
-            feed(&mut eng, &sub, &events);
-            let full_trace = eng.finish().unwrap();
+            let full_trace = simulate_probed(&sub, &mut *ff(), &mut probe);
+            probe.finish().expect("journal seals");
 
-            // The killed run: stop after a prefix and drop the engine —
-            // the shard dies with its journal mid-stream.
-            let kill_after = ((events.len() as u32 * kill_frac / 100).max(1) as usize)
-                .min(events.len() - 1);
-            let probe = JournalProbe::create_dims(&killed_path, FsyncPolicy::Never, 3)
+            // The killed run: stop after a prefix of the schedule and drop
+            // the run — the shard dies with its journal mid-stream.
+            let mut probe = JournalProbe::create_dims(&killed_path, FsyncPolicy::Never, 3)
                 .expect("journal opens");
-            let mut eng = StreamingEngine::new(
-                sub.capacity(),
-                selector_for::<VSize<3>>("FF").unwrap(),
-                probe,
-            );
-            feed(&mut eng, &sub, &events[..kill_after]);
-            drop(eng); // kill: no finish(), no drain — drop-path seal only
+            let mut sel = ff();
+            let mut run = EngineRun::new(&sub, &mut *sel, &mut probe);
+            let kill_after = ((run.events_total() as u32 * kill_frac / 100).max(1) as usize)
+                .min(run.events_total() - 1);
+            for _ in 0..kill_after {
+                run.step();
+            }
+            drop(run);
+            drop(probe); // kill: no finish(), no drain — drop-path seal only
 
             let full = read_journal_dims::<VSize<3>>(&full_path).expect("full journal readable");
             let killed =
@@ -525,13 +499,7 @@ proptest! {
 
             // Resurrection: the engine is deterministic, so a replayed
             // shard converges to the identical final trace …
-            let mut eng = StreamingEngine::new(
-                sub.capacity(),
-                selector_for::<VSize<3>>("FF").unwrap(),
-                dbp_core::probe::NoProbe,
-            );
-            feed(&mut eng, &sub, &events);
-            let healed_trace = eng.finish().unwrap();
+            let healed_trace = simulate(&sub, &mut *ff());
             prop_assert_eq!(
                 serde_json::to_string(&healed_trace).unwrap(),
                 serde_json::to_string(&full_trace).unwrap(),

@@ -3,10 +3,9 @@
 //!
 //! [`EngineRun`] sorts an instance's events once ([`schedule`]: tick,
 //! then departures before arrivals, each in item-id order) and feeds them,
-//! one [`step`](EngineRun::step) at a time, to the same arrival and
-//! departure bodies the open-mode
-//! [`StreamingEngine`](crate::streaming::StreamingEngine) uses
-//! ([`crate::streaming`]). The selector is consulted on every arrival, and
+//! one [`step`](EngineRun::step) at a time, to the arrival and departure
+//! bodies every driver shares ([`crate::event_core`]). The selector is
+//! consulted on every arrival, and
 //! the run records a [`PackingTrace`]. All accounting is exact integer
 //! arithmetic.
 //!
@@ -21,13 +20,13 @@
 
 use crate::bin::{BinId, BinTag, GOpenBinView};
 use crate::demand::Demand;
+use crate::event_core::EventCore;
 use crate::events::{schedule, Event, EventKind};
 use crate::instance::GInstance;
 use crate::item::{GArrivingItem, ItemId, Size};
 use crate::packer::BinSelector;
 use crate::probe::{GProbeEvent, NoProbe, Probe};
 use crate::span::{NoSpans, SpanRecorder};
-use crate::streaming::EventCore;
 use crate::time::Tick;
 use crate::trace::{BinRecord, GPackingTrace};
 
@@ -74,7 +73,7 @@ pub(crate) const NO_ITEM: u32 = u32::MAX;
 /// column, which is amortized O(1) with no per-bin `Vec` to allocate).
 ///
 /// A bin id is [`reserve`](State::reserve)d before the bin
-/// [`open`](State::open)s. The batch and streaming drivers do both at the
+/// [`open`](State::open)s. The batch and serve drivers do both at the
 /// same arrival; the fault layer may leave a reserved bin *pending* while
 /// it boots (not open, not in the view mirror, not counted in
 /// `open_count`), or never open it at all.
@@ -83,9 +82,8 @@ pub(crate) const NO_ITEM: u32 = u32::MAX;
 /// materialized on demand from this arena — `finish()` is a cold path.
 ///
 /// Owned by the shared [`EventCore`], which wraps these primitives in the
-/// probe events and selector hooks. The open-mode
-/// [`StreamingEngine`](crate::streaming::StreamingEngine) starts it empty
-/// and grows the per-item columns on demand via [`State::ensure_item`].
+/// probe events and selector hooks. A live driver starts it empty and
+/// grows the per-item columns on demand via [`State::ensure_item`].
 pub(crate) struct State<Sz> {
     // ---- per-bin columns, indexed by bin id ----
     pub(crate) levels: Vec<Sz>,
@@ -320,7 +318,7 @@ impl<Sz: Demand> State<Sz> {
 
     /// Record the open-bin count at the end of `tick`'s batch, deduplicating
     /// consecutive equal counts. [`EngineRun`] calls this after a tick's
-    /// last schedule event; the streaming engine once a later tick arrives.
+    /// last schedule event.
     #[inline]
     pub(crate) fn record_step(&mut self, tick: Tick) {
         let n = self.open_count as u32;
@@ -491,9 +489,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
             "engine invariant: all bins must close by the last departure"
         );
         debug_assert!(self.core.st.views.is_empty(), "view mirror leaked entries");
-        self.core
-            .into_trace()
-            .unwrap_or_else(|item| panic!("unpacked item {item} at end of simulation"))
+        self.core.into_trace()
     }
 }
 

@@ -68,6 +68,7 @@ pub mod bounds;
 pub mod clairvoyant;
 pub mod demand;
 pub mod engine;
+pub mod event_core;
 pub mod events;
 pub mod gantt;
 pub mod instance;
@@ -79,7 +80,6 @@ pub mod probe;
 mod proptests;
 pub mod ratio;
 pub mod span;
-pub mod streaming;
 pub mod svg;
 pub mod time;
 pub mod trace;
@@ -90,6 +90,7 @@ pub use engine::{
     any_fit_violations, simulate, simulate_probed, simulate_validated, simulate_validated_probed,
     EngineRun,
 };
+pub use event_core::EventCore;
 pub use instance::{
     GInstance, GInstanceBuilder, GInstanceError, GInstanceStats, Instance, InstanceBuilder,
     InstanceError, InstanceStats,
@@ -99,7 +100,6 @@ pub use packer::{BinSelector, Decision, GSelectorFactory, SelectorFactory};
 pub use probe::{DropReason, GProbeEvent, NoProbe, Probe, ProbeEvent, VerifyProbe};
 pub use ratio::Ratio;
 pub use span::{NoSpans, SpanEvent, SpanRecorder};
-pub use streaming::{EventCore, GStreamError, StreamError, StreamingEngine};
 pub use time::{Dur, Interval, Tick};
 pub use trace::{BinRecord, GPackingTrace, PackingTrace};
 
@@ -123,7 +123,6 @@ pub mod prelude {
     pub use crate::probe::{DropReason, NoProbe, Probe, ProbeEvent};
     pub use crate::ratio::Ratio;
     pub use crate::span::{NoSpans, SpanEvent, SpanRecorder};
-    pub use crate::streaming::{StreamError, StreamingEngine};
     pub use crate::time::{Dur, Interval, Tick};
     pub use crate::trace::PackingTrace;
 }

@@ -48,7 +48,7 @@ impl Decision {
 /// engine skip open-bin view maintenance entirely on the hot path.
 ///
 /// Every hook is invoked by the one event core
-/// ([`EventCore`](crate::streaming::EventCore)), whichever driver feeds
+/// ([`EventCore`](crate::event_core::EventCore)), whichever driver feeds
 /// it; a hook referring to a bin id the selector has never seen opened
 /// must be tolerated (the fault layer burns ids on failed boots).
 ///
@@ -152,8 +152,8 @@ impl<Sz: Demand, S: BinSelector<Sz> + ?Sized> BinSelector<Sz> for &mut S {
 }
 
 /// Forwarding impl so `Box<dyn BinSelector>` is itself a selector — the
-/// streaming engine owns its selector, and long-running daemons pick the
-/// algorithm at run time.
+/// serve shard's event core owns its selector, and long-running daemons
+/// pick the algorithm at run time.
 impl<Sz: Demand, S: BinSelector<Sz> + ?Sized> BinSelector<Sz> for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()

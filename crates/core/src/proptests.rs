@@ -4,17 +4,9 @@
 
 #![cfg(test)]
 
-use crate::algorithms::indexed::{IndexedBestFit, IndexedFirstFit, IndexedMff};
-use crate::algorithms::{BestFit, FirstFit, ModifiedFirstFit, RandomFit};
-use crate::events::EventKind;
-use crate::instance::{Instance, InstanceBuilder};
-use crate::packer::SelectorFactory;
-use crate::probe::FnProbe;
 use crate::ratio::Ratio;
-use crate::streaming::StreamingEngine;
 use crate::time::{union_intervals, union_length, Interval, Tick};
 use proptest::prelude::*;
-use proptest::TestCaseError;
 
 fn ratios() -> impl Strategy<Value = Ratio> {
     (0u128..2_000, 1u128..2_000).prop_map(|(n, d)| Ratio::new(n, d))
@@ -69,66 +61,6 @@ proptest! {
         prop_assert!(a.ceil() - a.floor() <= 1);
         if a.is_integer() {
             prop_assert_eq!(a.floor(), a.ceil());
-        }
-    }
-
-    #[test]
-    fn streaming_engine_is_byte_identical_to_batch(
-        raw in proptest::collection::vec((0u64..40, 1u64..25, 1u64..10), 1..14),
-        seed in 0u64..1_000,
-    ) {
-        let mut b = InstanceBuilder::new(10);
-        for &(a, len, size) in &raw {
-            b.add(a, a + len, size);
-        }
-        let inst: Instance = b.build().unwrap();
-        // The valid interleaving a streaming caller can feed: the batch
-        // schedule itself, arrivals and departures alike.
-        let stream = crate::events::schedule(&inst);
-        let selectors = [
-            SelectorFactory::new("FF", || Box::new(FirstFit::new())),
-            SelectorFactory::new("BF", || Box::new(BestFit::new())),
-            SelectorFactory::new("MFF", || Box::new(ModifiedFirstFit::new(4))),
-            SelectorFactory::new("IFF", || Box::new(IndexedFirstFit::new())),
-            SelectorFactory::new("IBF", || Box::new(IndexedBestFit::new())),
-            SelectorFactory::new("IMFF", || Box::new(IndexedMff::new(4))),
-            SelectorFactory::new("RF", move || Box::new(RandomFit::seeded(seed))),
-        ];
-        for factory in &selectors {
-            let mut batch_events = Vec::new();
-            let mut batch_sel = factory.build();
-            let batch = crate::engine::simulate_probed(
-                &inst,
-                &mut *batch_sel,
-                &mut FnProbe::new(|ev| batch_events.push(ev)),
-            );
-
-            let mut stream_events = Vec::new();
-            let mut eng = StreamingEngine::new(
-                inst.capacity(),
-                factory.build(),
-                FnProbe::new(|ev| stream_events.push(ev)),
-            );
-            for ev in &stream {
-                let it = inst.item(ev.item);
-                let pushed = match ev.kind {
-                    EventKind::Arrival => eng
-                        .push_open_arrival(it.id, it.size, it.region, ev.at)
-                        .map(drop),
-                    EventKind::Departure => eng.push_departure(it.id, ev.at),
-                };
-                pushed.map_err(|e| {
-                    TestCaseError::Fail(format!("{}: push {}: {e}", factory.name(), it.id))
-                })?;
-            }
-            let trace = eng.finish().map_err(|e| {
-                TestCaseError::Fail(format!("{}: finish: {e}", factory.name()))
-            })?;
-            prop_assert_eq!(&trace, &batch, "{} trace diverged", factory.name());
-            prop_assert_eq!(
-                &stream_events, &batch_events,
-                "{} probe stream diverged", factory.name()
-            );
         }
     }
 

@@ -56,6 +56,50 @@ struct BinReplay {
     closed_at: Tick,
 }
 
+/// [`GPackingTrace::sweep`]'s walk over `open_bins_steps`: each batch end
+/// the replay reaches must be the next recorded step, unless its count
+/// repeats the last one. Stops at the first mismatch.
+#[derive(Debug, Default)]
+struct StepCursor {
+    /// Index of the next step to match; every step before it matched.
+    next: usize,
+    /// The first mismatch.
+    bad: Option<String>,
+}
+
+impl StepCursor {
+    /// The replay ended the batch at `at` with `open` bins open.
+    fn batch_end(&mut self, steps: &[(Tick, u32)], at: Tick, open: usize) {
+        let open = open as u32;
+        let repeat = self.next > 0 && steps[self.next - 1].1 == open;
+        if self.bad.is_some() || repeat {
+            return;
+        }
+        match steps.get(self.next) {
+            Some(&step) if step == (at, open) => self.next += 1,
+            got => {
+                let got = got.map_or("missing".to_string(), |(t, n)| format!("({t}, {n})"));
+                self.bad = Some(format!(
+                    "open-bin step {} is {got}, the replay gives ({at}, {open})",
+                    self.next
+                ));
+            }
+        }
+    }
+
+    /// The first mismatch, or the steps left over past the replay's end.
+    fn finish(self, steps: &[(Tick, u32)]) -> Option<String> {
+        self.bad.or_else(|| {
+            (self.next < steps.len()).then(|| {
+                format!(
+                    "open-bin steps run on past the replay's last: {} extra",
+                    steps.len() - self.next
+                )
+            })
+        })
+    }
+}
+
 /// The result of simulating one algorithm on one instance, generic over
 /// the demand type (scalar via the [`PackingTrace`] alias).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -177,7 +221,10 @@ impl<Sz: Demand> GPackingTrace<Sz> {
     /// 4. A bin never takes an arrival after it has emptied, and its usage
     ///    period runs from its first arrival to its last departure, so
     ///    `I_i = ∪_{r ∈ R_i} I(r)`.
-    /// 5. The two independent cost computations agree.
+    /// 5. The open-bin step function is the replay's: after each tick's
+    ///    last event, the count of open bins, repeats dropped, ending in
+    ///    `(t, 0)`. With 4, this makes the two independent cost
+    ///    computations agree.
     ///
     /// One replay of the event schedule: O(n·D + B) for `n` items and `B`
     /// bins.
@@ -238,7 +285,14 @@ impl<Sz: Demand> GPackingTrace<Sz> {
         let mut state = vec![BinReplay::default(); self.bins.len()];
         // The open bins and their levels; `state[b].slot` indexes it.
         let mut open: Vec<(BinId, Sz)> = Vec::new();
+        // The tick being replayed, and a cursor into the step function.
+        let mut batch: Option<Tick> = None;
+        let mut steps = StepCursor::default();
         for ev in schedule(instance) {
+            if let Some(at) = batch.filter(|&at| at != ev.at) {
+                steps.batch_end(&self.open_bins_steps, at, open.len());
+            }
+            batch = Some(ev.at);
             let item = instance.item(ev.item);
             let b = self.assignment[ev.item.index()];
             let Some(st) = state.get_mut(b.index()) else {
@@ -294,6 +348,10 @@ impl<Sz: Demand> GPackingTrace<Sz> {
                 }
             }
         }
+        if let Some(at) = batch {
+            steps.batch_end(&self.open_bins_steps, at, open.len());
+        }
+        errs.extend(steps.finish(&self.open_bins_steps));
         for (bin, st) in self.bins.iter().zip(&state) {
             match st.opened_at {
                 None => errs.push(format!("bin {} has no items", bin.id)),
@@ -303,18 +361,6 @@ impl<Sz: Demand> GPackingTrace<Sz> {
                         bin.id, bin.opened_at, bin.closed_at, st.closed_at
                     )),
                 Some(_) => {}
-            }
-        }
-        // Both cost computations subtract ticks: skip them on a backwards
-        // step or usage period (the latter reported above).
-        if self.open_bins_steps.windows(2).any(|w| w[1].0 < w[0].0) {
-            errs.push("open-bin steps run backwards".to_string());
-        } else if self.bins.iter().all(|b| b.opened_at <= b.closed_at) {
-            let (a, b) = (self.total_cost_ticks(), self.cost_from_step_function());
-            if a != b {
-                errs.push(format!(
-                    "cost mismatch: usage periods give {a}, step function gives {b}"
-                ));
             }
         }
         errs
@@ -481,12 +527,16 @@ mod tests {
             "does not span its items' activity [t6, t12)",
         );
 
-        // Step-function drift breaks the cost cross-check.
+        // Step-function drift, which also breaks the cost identity.
         let mut bad = good.clone();
         if let Some(last) = bad.open_bins_steps.last_mut() {
             last.0 = Tick(last.0.raw() + 50);
         }
-        assert_reports(&bad.validate(&inst), "cost mismatch");
+        assert_ne!(bad.cost_from_step_function(), bad.total_cost_ticks());
+        assert_reports(
+            &bad.validate(&inst),
+            "open-bin step 3 is (t62, 0), the replay gives (t12, 0)",
+        );
 
         // An empty bin record.
         let mut bad = good.clone();
@@ -498,6 +548,58 @@ mod tests {
             items: Vec::new(),
         });
         assert_reports(&bad.validate(&inst), "bin b2 has no items");
+    }
+
+    #[test]
+    fn validate_checks_the_step_function_itself() {
+        use crate::algorithms::FirstFit;
+        use crate::engine::simulate;
+        use crate::instance::InstanceBuilder;
+
+        // Each corruption keeps the integral, so the cost cross-check
+        // alone passes it.
+        let (inst, good) = ff_three();
+        assert_eq!(
+            good.open_bins_steps,
+            [(Tick(0), 1), (Tick(6), 2), (Tick(10), 1), (Tick(12), 0)]
+        );
+        let mut bad = good.clone();
+        bad.open_bins_steps[3].1 = 1;
+        assert_eq!(
+            bad.validate(&inst),
+            ["open-bin step 3 is (t12, 1), the replay gives (t12, 0)"]
+        );
+        let mut bad = good.clone();
+        bad.open_bins_steps.insert(2, (Tick(8), 2));
+        assert_eq!(
+            bad.validate(&inst),
+            ["open-bin step 2 is (t8, 2), the replay gives (t10, 1)"]
+        );
+        let mut bad = good.clone();
+        bad.open_bins_steps.push((Tick(20), 0));
+        assert_eq!(
+            bad.validate(&inst),
+            ["open-bin steps run on past the replay's last: 1 extra"]
+        );
+
+        // Counts swapped between two windows of equal length.
+        let mut b = InstanceBuilder::new(10);
+        b.add(0, 4, 6);
+        b.add(4, 8, 6);
+        b.add(4, 8, 6);
+        let inst = b.build().unwrap();
+        let good = simulate(&inst, &mut FirstFit::new());
+        assert_eq!(
+            good.open_bins_steps,
+            [(Tick(0), 1), (Tick(4), 2), (Tick(8), 0)]
+        );
+        let mut bad = good.clone();
+        bad.open_bins_steps = vec![(Tick(0), 2), (Tick(4), 1), (Tick(8), 0)];
+        assert_eq!(bad.cost_from_step_function(), good.total_cost_ticks());
+        assert_eq!(
+            bad.validate(&inst),
+            ["open-bin step 0 is (t0, 2), the replay gives (t0, 1)"]
+        );
     }
 
     #[test]
@@ -586,7 +688,8 @@ mod tests {
         let good = simulate(&inst, &mut FirstFit::new());
         assert_eq!(good.bins_used(), 2);
         // Fold `b1` into `b0`, spanning both items, with a step function
-        // that bills the gap too: only the gap is wrong.
+        // that bills the gap too: the gap is wrong, and so is the step
+        // function, which the replay sees close at t5.
         let mut bad = good.clone();
         bad.bins[0].items.push(ItemId(1));
         bad.bins[0].closed_at = Tick(10);
@@ -596,7 +699,10 @@ mod tests {
         let errs = bad.validate(&inst);
         assert_eq!(
             errs,
-            vec!["bin b0 takes r1 at t7 after emptying: a gap in its usage period".to_string()]
+            vec![
+                "bin b0 takes r1 at t7 after emptying: a gap in its usage period".to_string(),
+                "open-bin step 1 is (t10, 0), the replay gives (t5, 0)".to_string()
+            ]
         );
     }
 
@@ -728,7 +834,7 @@ mod tests {
 
         /// Any single-field corruption of a valid First Fit trace is
         /// reported, never a panic, by both replays; mutations that change
-        /// membership, periods or ids are always caught.
+        /// membership, periods, ids or the step function are always caught.
         #[test]
         fn corrupt_traces_never_panic_the_replay(
             raw in proptest::collection::vec((0u64..50, 1u64..20, 1u64..=10), 1..30),
@@ -750,7 +856,7 @@ mod tests {
             mutation.apply(&mut bad);
             let errs = bad.validate(&inst);
             let _ = any_fit_violations(&inst, &bad);
-            let structural = !matches!(mutation, Mutation::Step(..) | Mutation::Capacity(_));
+            let structural = !matches!(mutation, Mutation::Capacity(_));
             if structural && bad != good {
                 proptest::prop_assert!(!errs.is_empty(), "{:?} slipped through", mutation);
             }

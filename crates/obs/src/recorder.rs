@@ -378,29 +378,6 @@ mod tests {
         assert!(replayed > 0);
         assert_eq!(counting.decisions_timed, n - replayed);
 
-        // The streaming engine times the same arrivals.
-        let mut engine = dbp_core::streaming::StreamingEngine::new(
-            inst.capacity(),
-            IndexedFirstFit::new(),
-            (MetricsProbe::new(), CountingProbe::new()),
-        );
-        for ev in dbp_core::events::schedule(&inst) {
-            let it = inst.item(ev.item);
-            match ev.kind {
-                dbp_core::events::EventKind::Arrival => {
-                    engine
-                        .push_open_arrival(it.id, it.size, it.region, ev.at)
-                        .unwrap();
-                }
-                dbp_core::events::EventKind::Departure => {
-                    engine.push_departure(it.id, ev.at).unwrap()
-                }
-            }
-        }
-        let (probes, ..) = engine.into_probe();
-        assert_eq!(decisions(probes.0.registry()), n);
-        assert_eq!(probes.1.decisions_timed, n);
-
         // Event-only probes take no clock readings.
         let untimed = [
             <JournalProbe as Probe>::TIMED,

@@ -18,10 +18,11 @@
 //!
 //! Everything is bounded: a request line holds at most 64 KiB, a shard
 //! admits at most `admission.queue_capacity` connections waiting on or
-//! holding it (under [`BackpressurePolicy::Shed`]), the session table at
-//! most `max_sessions` live sessions, and each shard engine's memory is
-//! O(live sessions + open bins) — nothing in the hot path grows with total
-//! stream length except the append-only journal on disk.
+//! holding it (under [`BackpressurePolicy::Shed`]) and the session table
+//! at most `max_sessions` live sessions. Two things do grow with the whole
+//! stream: the append-only journal on disk, and each shard's arena, which
+//! keeps 20 bytes per arrival and `37 + 8·D` bytes per bin it ever opened
+//! (see [`crate::shard`]).
 //!
 //! ## Backpressure
 //!
@@ -38,7 +39,7 @@
 //! On SIGINT/SIGTERM (or [`crate::shutdown::request_shutdown`]): stop
 //! accepting connections → connections finish the request in hand and
 //! exit at their next read-timeout poll → the shards, in index order, seal
-//! their journals (flush + fsync + length frame) → the daemon emits one
+//! their journals (flush + fsync) → the daemon emits one
 //! final [`ServeSummary`] whose ledger conserves `served + dropped + lost
 //! == total`. Every shard, journal included, is built before the daemon
 //! reports ready, so an unopenable journal fails [`run_server`] before it

@@ -1,14 +1,20 @@
 //! One shard of the live dispatcher: a deterministic, single-threaded
-//! pipeline over the streaming core.
+//! driver of the event core.
 //!
-//! The pipeline owns a [`StreamingEngine`] in *open mode* (arrivals carry no
-//! departure — the online model), an external→internal session map, the
-//! event-time admission check reused from
+//! The pipeline owns an [`EventCore`] fed in *open mode* (arrivals carry no
+//! departure — the online model), an external→internal session map, its
+//! event-time horizon, the event-time admission check reused from
 //! [`dbp_cloudsim::faults::AdmissionPolicy`], and an optional write-ahead
 //! journal. Everything here is synchronous and deterministic: the daemon
 //! keeps one pipeline per shard behind a lock and serves it from whichever
 //! connection thread holds that lock; tests and the shed-determinism
 //! proptest drive it directly.
+//!
+//! Internal ids are dense and handed out in arrival order, one per placed
+//! or shed arrival; a refused arrival takes none. Fed an instance's
+//! schedule with external ids in arrival order, the pipeline journals the
+//! bytes `simulate_probed` journals for that instance
+//! (`tests/pipeline_equivalence.rs`).
 //!
 //! ## Admission semantics
 //!
@@ -20,14 +26,27 @@
 //! Queue-*capacity* sheds happen at the daemon's front door (each shard's
 //! bound on the connections waiting for it) before a request reaches the
 //! pipeline, so they are ledgered by the server, not here.
+//!
+//! ## Memory
+//!
+//! The session map holds live sessions only, but the core's arena is
+//! indexed by internal id and bin id, and neither is ever reused. Every
+//! internal id ever handed out keeps 16 bytes of per-item columns (two
+//! membership links and its assignment), every placement 4 more in the
+//! placement log, and every bin ever opened keeps `37 + 8·D` bytes of
+//! per-bin columns (level, tag, open and close ticks, open flag,
+//! member-list ends and count, scan-rank counter), plus whatever the
+//! selector keeps per bin. So a shard's memory grows with its whole
+//! stream, by those amounts.
 
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_core::bin::BinId;
 use dbp_core::demand::Demand;
-use dbp_core::item::{ItemId, RegionId, Size};
+use dbp_core::event_core::EventCore;
+use dbp_core::item::{GArrivingItem, ItemId, RegionId, Size};
 use dbp_core::packer::BinSelector;
 use dbp_core::probe::{DropReason, GProbeEvent, Probe};
-use dbp_core::streaming::StreamingEngine;
+use dbp_core::span::NoSpans;
 use dbp_core::time::Tick;
 use dbp_obs::journal::JournalProbe;
 use std::collections::HashMap;
@@ -106,11 +125,15 @@ pub enum Outcome {
 /// demands. See the module docs. The scalar daemon uses the
 /// [`ShardPipeline`] alias; vector daemons monomorphize per `--dims`.
 pub struct GShardPipeline<Sz: Demand = Size> {
-    engine: StreamingEngine<Box<dyn BinSelector<Sz>>, ServeProbe, Sz>,
+    core: EventCore<Box<dyn BinSelector<Sz>>, ServeProbe, Sz>,
+    capacity: Sz,
     admission: AdmissionPolicy,
-    /// Live external id → dense internal engine id.
-    sessions: HashMap<u64, ItemId>,
+    /// Live external id → dense internal id and demand (read back at
+    /// departure).
+    sessions: HashMap<u64, (ItemId, Sz)>,
     next_internal: u32,
+    /// Event-time horizon: the tick of the latest placement or departure.
+    horizon: Tick,
     /// Running accounting, updated on every request.
     pub ledger: ShardLedger,
 }
@@ -129,39 +152,48 @@ impl<Sz: Demand> GShardPipeline<Sz> {
     }
 
     /// Build a pipeline writing every engine event to `probe.journal`.
+    ///
+    /// # Panics
+    /// Panics if any capacity component is zero.
     pub fn with_probe(
         capacity: Sz,
         selector: Box<dyn BinSelector<Sz>>,
         admission: AdmissionPolicy,
         probe: ServeProbe,
     ) -> GShardPipeline<Sz> {
+        assert!(
+            !capacity.has_zero_component(),
+            "bin capacity must be positive in every dimension"
+        );
         GShardPipeline {
-            engine: StreamingEngine::new(capacity, selector, probe),
+            core: EventCore::new(capacity, selector, probe, 0),
+            capacity,
             admission,
             sessions: HashMap::new(),
             next_internal: 0,
+            horizon: Tick(0),
             ledger: ShardLedger::default(),
         }
     }
 
     /// The shard's event-time horizon.
     pub fn horizon(&self) -> Tick {
-        self.engine.horizon()
+        self.horizon
     }
 
     /// Currently open bins.
     pub fn open_bins(&self) -> usize {
-        self.engine.open_bins()
+        self.core.open_bins()
     }
 
     /// Bins opened over the shard's lifetime.
     pub fn bins_opened(&self) -> usize {
-        self.engine.bins_opened()
+        self.core.bins_opened()
     }
 
     /// Live (placed, not yet departed) sessions.
     pub fn in_flight(&self) -> usize {
-        self.engine.in_flight()
+        self.sessions.len()
     }
 
     /// Handle one request; never panics on client input. Arrival demands
@@ -179,38 +211,29 @@ impl<Sz: Demand> GShardPipeline<Sz> {
     fn handle_arrive(&mut self, external: u64, at: u64, demand: &[u64]) -> Outcome {
         self.ledger.offered += 1;
         if self.sessions.contains_key(&external) {
-            self.ledger.rejected += 1;
-            return Outcome::Rejected {
-                reason: format!("duplicate session id {external}"),
-            };
+            return self.reject(format!("duplicate session id {external}"));
         }
         if self.next_internal == u32::MAX {
-            self.ledger.rejected += 1;
-            return Outcome::Rejected {
-                reason: "shard id space exhausted".to_string(),
-            };
+            return self.reject("shard id space exhausted".to_string());
         }
         let Some(size) = Sz::from_components(&demand[..Sz::DIMS]) else {
-            self.ledger.rejected += 1;
-            return Outcome::Rejected {
-                reason: format!(
-                    "demand_arity: demand has {} components, shard expects {}",
-                    demand.len().min(Sz::DIMS),
-                    Sz::DIMS
-                ),
-            };
+            return self.reject(format!(
+                "demand_arity: demand has {} components, shard expects {}",
+                demand.len().min(Sz::DIMS),
+                Sz::DIMS
+            ));
         };
         // Event-time admission: the arrival is processed at the shard's
         // horizon if it queued behind earlier work; waiting `queue_timeout`
         // ticks or more (boundary inclusive) is a shed.
         let at = Tick(at);
-        let now = self.engine.horizon().max(at);
+        let now = self.horizon.max(at);
         let wait = now.raw() - at.raw();
         let internal = ItemId(self.next_internal);
         if wait >= self.admission.queue_timeout {
             self.next_internal += 1;
             Probe::<Sz>::record(
-                self.engine.probe_mut(),
+                self.core.probe_mut(),
                 GProbeEvent::ItemDropped {
                     at: now,
                     item: internal,
@@ -222,61 +245,60 @@ impl<Sz: Demand> GShardPipeline<Sz> {
                 reason: DropReason::QueueTimeout,
             };
         }
-        match self
-            .engine
-            .push_open_arrival(internal, size, RegionId::GLOBAL, now)
-        {
-            Ok(bin) => {
-                self.next_internal += 1;
-                self.sessions.insert(external, internal);
-                self.ledger.placed += 1;
-                Outcome::Placed { bin }
-            }
-            Err(e) => {
-                // ZeroSize / Oversized — the internal id was never used.
-                self.ledger.rejected += 1;
-                Outcome::Rejected {
-                    reason: e.to_string(),
-                }
-            }
+        if size.is_zero() {
+            return self.reject(format!("item {internal} has size 0"));
         }
+        if !size.fits_within(self.capacity) {
+            return self.reject(format!(
+                "item {internal} (size {size}) exceeds capacity {}",
+                self.capacity
+            ));
+        }
+        self.next_internal += 1;
+        self.horizon = now;
+        self.core.ensure_item(internal);
+        let bin = self.core.arrive(
+            &mut NoSpans,
+            &GArrivingItem {
+                id: internal,
+                arrival: now,
+                size,
+                region: RegionId::GLOBAL,
+            },
+        );
+        self.sessions.insert(external, (internal, size));
+        self.ledger.placed += 1;
+        Outcome::Placed { bin }
+    }
+
+    /// Refuse an arrival: it takes no internal id and leaves the horizon.
+    fn reject(&mut self, reason: String) -> Outcome {
+        self.ledger.rejected += 1;
+        Outcome::Rejected { reason }
     }
 
     fn handle_depart(&mut self, external: u64, at: u64) -> Outcome {
-        let Some(&internal) = self.sessions.get(&external) else {
+        let Some((internal, size)) = self.sessions.remove(&external) else {
             self.ledger.bad_departs += 1;
             return Outcome::Rejected {
                 reason: format!("unknown session id {external}"),
             };
         };
-        let now = self.engine.horizon().max(Tick(at));
-        match self.engine.push_departure(internal, now) {
-            Ok(()) => {
-                self.sessions.remove(&external);
-                self.ledger.departed += 1;
-                Outcome::Departed
-            }
-            Err(e) => {
-                // Unreachable with a consistent session map; stay graceful.
-                self.ledger.bad_departs += 1;
-                Outcome::Rejected {
-                    reason: e.to_string(),
-                }
-            }
-        }
+        self.horizon = self.horizon.max(Tick(at));
+        self.core.depart(&mut NoSpans, internal, size, self.horizon);
+        self.ledger.departed += 1;
+        Outcome::Departed
     }
 
-    /// Tear the pipeline down: seal the journal (flush + fsync + length
-    /// frame) and return the final ledger plus `(in_flight, open_bins)` at
-    /// teardown. In-flight sessions were *served*; they are not losses.
-    pub fn seal(self) -> Result<(ShardLedger, usize, usize), String> {
-        let ledger = self.ledger;
-        let (probe, _arrived, in_flight, open_bins) = self.engine.into_probe();
-        if let Some(j) = probe.journal {
+    /// Tear the pipeline down: seal the journal (flush + fsync) and return
+    /// the final ledger plus `(in_flight, open_bins)` at teardown.
+    /// In-flight sessions were *served*; they are not losses.
+    pub fn seal(mut self) -> Result<(ShardLedger, usize, usize), String> {
+        if let Some(j) = self.core.probe_mut().journal.take() {
             j.finish()
                 .map_err(|e| format!("journal seal failed: {e}"))?;
         }
-        Ok((ledger, in_flight, open_bins))
+        Ok((self.ledger, self.sessions.len(), self.core.open_bins()))
     }
 }
 
@@ -347,19 +369,93 @@ mod tests {
         assert_eq!(p.ledger.dropped_timeout, 1);
     }
 
+    fn rejected(reason: &str) -> Outcome {
+        Outcome::Rejected {
+            reason: reason.to_string(),
+        }
+    }
+
     #[test]
     fn invalid_requests_are_refused_not_fatal() {
         let mut p = pipeline(100);
         p.handle(&arrive(1, 0, 4));
-        let dup = p.handle(&arrive(1, 1, 4));
-        assert!(matches!(dup, Outcome::Rejected { .. }), "{dup:?}");
-        let big = p.handle(&arrive(2, 1, 11));
-        assert!(matches!(big, Outcome::Rejected { .. }), "{big:?}");
-        let ghost = p.handle(&Request::Depart { id: 99, at: 2 });
-        assert!(matches!(ghost, Outcome::Rejected { .. }), "{ghost:?}");
+        // Refusals name the next internal id (1): none of them takes it.
+        assert_eq!(
+            p.handle(&arrive(1, 1, 4)),
+            rejected("duplicate session id 1")
+        );
+        assert_eq!(
+            p.handle(&arrive(2, 1, 11)),
+            rejected("item r1 (size 11) exceeds capacity 10")
+        );
+        // The wire parser refuses a zero demand; a request built in code
+        // reaches the pipeline's own check.
+        assert_eq!(p.handle(&arrive(3, 1, 0)), rejected("item r1 has size 0"));
+        assert_eq!(
+            p.handle(&Request::Depart { id: 99, at: 2 }),
+            rejected("unknown session id 99")
+        );
         assert!(p.ledger.conserved());
-        assert_eq!(p.ledger.rejected, 2);
+        assert_eq!(p.ledger.rejected, 3);
         assert_eq!(p.ledger.bad_departs, 1);
+    }
+
+    #[test]
+    fn refusals_take_no_internal_id_and_leave_the_horizon() {
+        use dbp_obs::journal::{read_journal, FsyncPolicy, JournalProbe};
+        let path =
+            std::env::temp_dir().join(format!("dbp-serve-refusal-{}.wal", std::process::id()));
+        let journal = JournalProbe::create(&path, FsyncPolicy::Never).unwrap();
+        let mut p = ShardPipeline::with_probe(
+            Size(10),
+            Box::new(FirstFit::new()),
+            AdmissionPolicy {
+                queue_capacity: 64,
+                queue_timeout: 3,
+            },
+            ServeProbe {
+                journal: Some(journal),
+            },
+        );
+        assert!(matches!(p.handle(&arrive(1, 5, 4)), Outcome::Placed { .. }));
+        // Refused at tick 9 and at 1: had either moved the horizon, the
+        // arrival stamped 7 would be placed later (or shed).
+        assert!(matches!(
+            p.handle(&arrive(2, 9, 11)),
+            Outcome::Rejected { .. }
+        ));
+        assert!(matches!(
+            p.handle(&arrive(3, 9, 0)),
+            Outcome::Rejected { .. }
+        ));
+        assert!(matches!(p.handle(&arrive(4, 7, 3)), Outcome::Placed { .. }));
+        // Stamped 2 against horizon 7: shed at 7 under the next id.
+        assert!(matches!(
+            p.handle(&arrive(5, 2, 3)),
+            Outcome::Dropped { .. }
+        ));
+        assert!(matches!(p.handle(&arrive(6, 8, 3)), Outcome::Placed { .. }));
+        p.seal().unwrap();
+        let wal = read_journal(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let fates: Vec<(&str, u32, u64)> = wal
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                GProbeEvent::ItemPlaced { at, item, .. } => Some(("placed", item.0, at.0)),
+                GProbeEvent::ItemDropped { at, item, .. } => Some(("dropped", item.0, at.0)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fates,
+            [
+                ("placed", 0, 5),
+                ("placed", 1, 7),
+                ("dropped", 2, 7),
+                ("placed", 3, 8)
+            ]
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! demand must serialize as a bare integer, not a one-element array).
 
 use dbp::prelude::*;
+use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_cloudsim::{
     billed_ticks, rental_cost_cents, FaultConfig, FaultPlan, GamingSystem, Granularity,
     ResilientSystem, ServerType,
@@ -35,11 +36,11 @@ use dbp_core::packer::{BinSelector, GSelectorFactory};
 use dbp_core::span::NoSpans;
 use dbp_core::svg::{render_svg, SvgOptions};
 use dbp_core::trace::PackingTrace;
-use dbp_core::StreamingEngine;
 use dbp_obs::export::events_to_jsonl;
 use dbp_obs::journal::{FsyncPolicy, JournalProbe};
 use dbp_obs::manifest::instance_digest;
 use dbp_obs::{EventLog, GEventLog};
+use dbp_serve::{GShardPipeline, Outcome, Request, ServeProbe, MAX_DIMS};
 use dbp_workloads::{lift_uniform, widen};
 use proptest::prelude::*;
 
@@ -156,19 +157,84 @@ fn demand_ticks<Sz: Demand>(inst: &GInstance<Sz>) -> Vec<u128> {
     ticks
 }
 
-/// The bytes of the journal a `name` run of `inst` writes.
-fn wal_bytes<Sz: Demand>(inst: &GInstance<Sz>, name: &str) -> Vec<u8> {
+/// A fresh journal path in the temp dir, unique within this test binary.
+fn fresh_wal_path() -> std::path::PathBuf {
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("dbp-vector-wal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let path = dir.join(format!("{n}.wal"));
+    dir.join(format!("{n}.wal"))
+}
+
+/// Read and delete the journal at `path`.
+fn take_wal(path: &std::path::Path) -> Vec<u8> {
+    let bytes = std::fs::read(path).unwrap();
+    std::fs::remove_file(path).unwrap();
+    bytes
+}
+
+/// The bytes of the journal a `name` run of `inst` writes.
+fn wal_bytes<Sz: Demand>(inst: &GInstance<Sz>, name: &str) -> Vec<u8> {
+    let path = fresh_wal_path();
     let mut probe = JournalProbe::create_dims(&path, FsyncPolicy::Never, Sz::DIMS).unwrap();
     simulate_probed(inst, &mut *selector::<Sz>(name), &mut probe);
     probe.finish().unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    bytes
+    take_wal(&path)
+}
+
+/// The bytes of the journal a one-shard serve pipeline running `name`
+/// writes when fed `inst`'s schedule as requests (external id = item id).
+fn pipeline_wal_bytes<Sz: Demand>(inst: &GInstance<Sz>, name: &str) -> Vec<u8> {
+    let path = fresh_wal_path();
+    let probe = ServeProbe {
+        journal: Some(JournalProbe::create_dims(&path, FsyncPolicy::Never, Sz::DIMS).unwrap()),
+    };
+    let mut pipe = GShardPipeline::with_probe(
+        inst.capacity(),
+        selector::<Sz>(name),
+        AdmissionPolicy::unbounded(),
+        probe,
+    );
+    for ev in dbp_core::events::schedule(inst) {
+        let id = u64::from(ev.item.0);
+        let req = match ev.kind {
+            EventKind::Arrival => {
+                let size = inst.item(ev.item).size;
+                let mut demand = [0; MAX_DIMS];
+                for (d, c) in demand.iter_mut().enumerate().take(Sz::DIMS) {
+                    *c = size.component(d);
+                }
+                Request::Arrive {
+                    id,
+                    at: ev.at.raw(),
+                    demand,
+                }
+            }
+            EventKind::Departure => Request::Depart {
+                id,
+                at: ev.at.raw(),
+            },
+        };
+        let outcome = pipe.handle(&req);
+        assert!(
+            matches!(outcome, Outcome::Placed { .. } | Outcome::Departed),
+            "{name}: {req:?} got {outcome:?}"
+        );
+    }
+    pipe.seal().unwrap();
+    take_wal(&path)
+}
+
+/// `inst` with its items renumbered in arrival order (ties keep id order),
+/// the order the serve pipeline numbers its sessions in.
+fn arrival_ordered(inst: &Instance) -> Instance {
+    let mut items = inst.items().to_vec();
+    items.sort_by_key(|it| it.arrival);
+    let mut b = InstanceBuilder::new(inst.capacity().0);
+    for it in items {
+        b.add(it.arrival.raw(), it.departure.raw(), it.size.0);
+    }
+    b.build().unwrap()
 }
 
 /// The full D=1 byte-identity check for one selector on one instance.
@@ -333,39 +399,16 @@ proptest! {
         }
     }
 
-    /// The streaming engine at D=3 (the heterogeneous [gpu, cpu, mem]
-    /// widening — genuinely non-uniform demands) is byte-identical to the
-    /// batch engine fed the same stream: same trace JSON, same JSONL.
+    /// The serve shard pipeline at D=3 (the heterogeneous [gpu, cpu, mem]
+    /// widening — genuinely non-uniform demands), fed the schedule as
+    /// requests, journals the bytes the batch engine journals.
     #[test]
-    fn streaming_engine_at_d3_is_byte_identical_to_batch(inst in instances()) {
-        let vinst = widen(&inst);
-        let events = dbp_core::events::schedule(&vinst);
+    fn serve_pipeline_at_d3_journals_the_batch_wal(inst in instances()) {
+        let vinst = widen(&arrival_ordered(&inst));
         for name in SELECTORS {
-            let mut blog = GEventLog::<VSize<3>>::new();
-            let batch = simulate_probed(&vinst, &mut *selector::<VSize<3>>(name), &mut blog);
-
-            let mut slog = GEventLog::<VSize<3>>::new();
-            let mut eng = StreamingEngine::new(vinst.capacity(), selector::<VSize<3>>(name), &mut slog);
-            for ev in &events {
-                let it = vinst.item(ev.item);
-                match ev.kind {
-                    EventKind::Arrival => {
-                        eng.push_open_arrival(it.id, it.size, it.region, ev.at)
-                            .unwrap();
-                    }
-                    EventKind::Departure => eng.push_departure(it.id, ev.at).unwrap(),
-                }
-            }
-            let streamed = eng.finish().unwrap();
-            prop_assert_eq!(
-                serde_json::to_string(&batch).unwrap(),
-                serde_json::to_string(&streamed).unwrap(),
-                "{}: D=3 streaming trace diverged from batch", name
-            );
-            prop_assert_eq!(
-                events_to_jsonl(blog.events()),
-                events_to_jsonl(slog.events()),
-                "{}: D=3 streaming JSONL diverged from batch", name
+            prop_assert!(
+                pipeline_wal_bytes(&vinst, name) == wal_bytes(&vinst, name),
+                "{}: the D=3 pipeline's WAL diverged from the batch run's", name
             );
         }
     }
