@@ -76,6 +76,16 @@ impl Args {
         flags.split(' ').find(|flag| self.has(flag))
     }
 
+    /// Refuse every flag outside the space-separated `known` list — the
+    /// flags command `cmd` reads — naming the first one.
+    pub fn only(&self, cmd: &str, known: &str) -> Result<(), String> {
+        let unknown = |flag: &&String| !known.split_whitespace().any(|k| k == flag.as_str());
+        match self.flags.keys().find(unknown) {
+            Some(flag) => Err(format!("--{flag} is not a flag of `dbp {cmd}`")),
+            None => Ok(()),
+        }
+    }
+
     /// Refuse the space-separated `flags`, which `mode` would silently drop.
     pub fn refuse(&self, mode: &str, flags: &str) -> Result<(), String> {
         self.first_of(flags).map_or(Ok(()), |flag| {
@@ -130,6 +140,17 @@ mod tests {
             a.refuse("--faults", "gantt svg fleet"),
             Err("--svg is not supported with --faults".to_string())
         );
+    }
+
+    #[test]
+    fn only_names_the_first_unknown_flag() {
+        let a = parse(&["run", "--algo", "ff", "--jounral", "x.wal"]);
+        assert_eq!(
+            a.only("run", "algo journal"),
+            Err("--jounral is not a flag of `dbp run`".to_string())
+        );
+        assert!(a.only("run", "algo jounral").is_ok());
+        assert!(parse(&["compare", "f.json"]).only("compare", "").is_ok());
     }
 
     #[test]

@@ -99,7 +99,7 @@ USAGE:
           [--dims D] [--capacities A,B,..]  # D-dimensional demands (demand:[..] on the wire)
           [--addr HOST:PORT] [--metrics-addr HOST:PORT]   # NDJSON ingest + Prometheus
           [--queue-capacity N] [--queue-timeout TICKS]    # bounded shard queue + event-time shed
-          [--backpressure block|shed] [--max-sessions N]
+          [--backpressure block|shed] [--max-sessions N] [--read-timeout-ms MS]
           [--journal BASE] [--fsync always|never|N]       # per-shard WAL: BASE.shardK
   dbp recover FILE.wal [--repair] [--manifest FILE.json]
           [--trace FILE] [--algo NAME] [--faults SEED|PLAN.json]
@@ -111,6 +111,8 @@ USAGE:
   dbp opt FILE [--bounds-only] [--timeline]
   dbp stats FILE
   dbp scenarios [--seed N]
+
+A flag a command does not list above is an error, never ignored.
 
 MODE RESTRICTIONS (a flag a mode cannot honour is an error, never ignored):
   run --hetero            --algo ff|bf|mff|mff-mu|dom
@@ -161,26 +163,62 @@ fn main() -> ExitCode {
 fn run(argv: Vec<String>) -> Result<(), String> {
     let args = Args::parse(argv)?;
     let cmd = args.positional.first().map(|s| s.as_str()).unwrap_or("");
-    match cmd {
-        "generate" => cmd_generate(&args),
-        "adversary" => cmd_adversary(&args),
-        "run" => cmd_run(&args),
-        "cluster" => cmd_cluster(&args),
-        "serve" => cmd_serve(&args),
-        "profile" => cmd_profile(&args),
-        "recover" => cmd_recover(&args),
-        "trace" => cmd_trace(&args),
-        "compare" => cmd_compare(&args),
-        "analyze" => cmd_analyze(&args),
-        "opt" => cmd_opt(&args),
-        "stats" => cmd_stats(&args),
-        "scenarios" => cmd_scenarios(&args),
-        "" | "help" => {
+    let kind = args.positional.get(1).map_or("", |s| s.as_str());
+    // Each command (and generator or construction kind) with every flag it
+    // reads; any other flag is refused before any work, so a misspelt or
+    // removed flag is never dropped.
+    type Command = fn(&Args) -> Result<(), String>;
+    let (command, flags): (Command, &str) = match (cmd, kind) {
+        ("generate", "gaming") => (cmd_generate, "out seed horizon rate regions"),
+        ("generate", "mu") => (cmd_generate, "out seed mu n"),
+        ("generate", "scenario") => (cmd_generate, "out seed name"),
+        ("adversary", "thm1") => (cmd_adversary, "out k mu"),
+        ("adversary", "thm2") => (cmd_adversary, "out k mu n"),
+        ("adversary", "adaptive") => (cmd_adversary, "out k mu algo"),
+        // An unknown kind is the command's own error, before any work.
+        ("generate", _) => return cmd_generate(&args),
+        ("adversary", _) => return cmd_adversary(&args),
+        ("run", _) => (
+            cmd_run,
+            "algo hetero validate gantt fleet save-trace svg trace-events metrics \
+             timeseries faults journal fsync run-manifest",
+        ),
+        ("cluster", _) => (
+            cmd_cluster,
+            "algo shards router hetero jobs trace-events metrics faults shard-faults \
+             journal fsync run-manifest",
+        ),
+        ("serve", _) => (
+            cmd_serve,
+            "shards algo capacity router dims capacities addr metrics-addr queue-capacity \
+             queue-timeout backpressure max-sessions read-timeout-ms journal fsync",
+        ),
+        ("profile", _) => (
+            cmd_profile,
+            "algo shards router jobs items seed shard-faults trace-out metrics",
+        ),
+        ("recover", _) => (
+            cmd_recover,
+            "repair manifest trace algo faults resume-jsonl serve-shards",
+        ),
+        ("trace", _) => (cmd_trace, "summary"),
+        ("compare", _) => (cmd_compare, ""),
+        ("analyze", _) => (cmd_analyze, ""),
+        ("opt", _) => (cmd_opt, "bounds-only timeline"),
+        ("stats", _) => (cmd_stats, ""),
+        ("scenarios", _) => (cmd_scenarios, "seed"),
+        ("" | "help", _) => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command '{other}'")),
-    }
+        (other, _) => return Err(format!("unknown command '{other}'")),
+    };
+    let label = match cmd {
+        "generate" | "adversary" => format!("{cmd} {kind}"),
+        _ => cmd.to_string(),
+    };
+    args.only(&label, flags)?;
+    command(&args)
 }
 
 fn load_instance(args: &Args, pos: usize) -> Result<Instance, String> {
@@ -1142,8 +1180,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let engine = dbp_cluster::ClusterEngine::new(paper_gaming_system(&inst), config);
 
     // With `--shard-faults` the profile runs the self-healing engine
-    // instead, so `shard_restart` / `shard_replay` spans (and the driver's
-    // `reroute` span) show up in the stage table and the Chrome trace.
+    // instead, so `shard_replay` spans (and the driver's `reroute` span)
+    // show up in the stage table and the Chrome trace.
     let (algorithm, router_name, shard_sessions, trace) =
         if let Some(spec) = args.str_flag("shard-faults") {
             let plan = shard_fault_plan(spec, shards, &inst)?;
@@ -1263,12 +1301,11 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 /// With `--trace FILE` (the instance the run packed; a 3-dimensional
 /// journal widens it as `run --hetero` did): re-execute the interrupted
 /// run from scratch, verifying every
-/// event against the journal up to its last complete-operation boundary,
-/// and finish it — `--resume-jsonl OUT` writes the journaled prefix plus
-/// the continuation, byte-identical to an uninterrupted run's stream. A
-/// journal carrying fault-injection events recovers the same way but
-/// needs `--faults` (the original plan) and takes the whole journal as
-/// its prefix.
+/// event of the whole sound journal, and finish it — `--resume-jsonl OUT`
+/// writes the journal plus the continuation, byte-identical to an
+/// uninterrupted run's stream. A journal carrying fault-injection events
+/// recovers the same way under the resilient dispatcher and needs
+/// `--faults` (the original plan).
 ///
 /// With `--manifest FILE` (from `run --run-manifest`): refuse a selector
 /// other than the recorded algorithm before re-executing, then diff the
@@ -1332,7 +1369,7 @@ fn recover_at<Sz: Demand>(
                 torn.reason, torn.sound_len
             );
             if args.has("repair") {
-                dbp_obs::journal::repair_journal(Path::new(path))?;
+                dbp_obs::journal::repair_journal(Path::new(path), torn)?;
                 println!("repaired       : truncated to {} bytes", torn.sound_len);
             }
         }
@@ -1426,56 +1463,45 @@ fn recover_at<Sz: Demand>(
                 ));
             }
         }
+        // Run again from scratch, checking every event against the whole
+        // sound journal; only the continuation reaches `log`. A fault
+        // journal is re-executed by the resilient dispatcher under its
+        // original plan, a fault-free one by the engine alone.
         let mut log = dbp_obs::GEventLog::<Sz>::new();
-        let prefix = if audit.fault_events > 0 {
+        let mut verify = VerifyProbe::new(&events, &mut log);
+        let report = if audit.fault_events > 0 {
             let spec = args.str_flag("faults").ok_or(
                 "journal carries fault-injection events; pass --faults SEED|PLAN.json \
                  matching the original run",
             )?;
             let plan = fault_plans(spec, &inst, 1)?.remove(0);
-            let resilient = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan);
-            let out = resilient
-                .recover_probed(&inst, &mut *sel, &mut log, &events)
+            let system = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan);
+            let report = system
+                .run_probed(&inst, &mut *sel, &mut verify)
                 .map_err(|e| format!("recovery failed: {e}"))?;
-            println!(
-                "recovery       : {} journaled events verified, {} re-derived",
-                out.events_replayed, out.events_appended
-            );
-            println!(
-                "report         : {}/{} sessions served, {} crashes, {} re-dispatched",
-                out.report.sessions_served,
-                out.report.sessions_total,
-                out.report.crashes,
-                out.report.redispatches
-            );
-            &events[..]
+            Some(report)
+        } else if args.has("faults") {
+            return Err("--faults given but the journal carries no fault events".into());
         } else {
-            if args.has("faults") {
-                return Err("--faults given but the journal carries no fault events".into());
-            }
-            let rec = dbp_obs::replay::recovery_point(&events)
-                .map_err(|e| format!("recovery failed: {e}"))?;
-            println!(
-                "snapshot       : at event {} ({} trailing partial events dropped)",
-                rec.events_used, rec.events_dropped
-            );
-            // Run again from scratch, checking every event against the
-            // complete prefix; only the continuation reaches `log`.
-            let mut verify = VerifyProbe::new(&events[..rec.events_used], &mut log);
-            let trace = simulate_probed(&inst, &mut *sel, &mut verify);
-            verify
-                .finish()
-                .map_err(|e| format!("recovery failed: {e}"))?;
-            println!(
-                "resumed cost   : {} bin-ticks ({} continuation events)",
-                trace.total_cost_ticks(),
-                log.len()
-            );
-            final_cost = Some(trace.total_cost_ticks());
-            &events[..rec.events_used]
+            final_cost = Some(simulate_probed(&inst, &mut *sel, &mut verify).total_cost_ticks());
+            None
         };
+        let (verified, rederived) = verify
+            .finish()
+            .map_err(|e| format!("recovery failed: {e}"))?;
+        println!("recovery       : {verified} journaled events verified, {rederived} re-derived");
+        match report {
+            Some(r) => println!(
+                "report         : {}/{} sessions served, {} crashes, {} re-dispatched",
+                r.sessions_served, r.sessions_total, r.crashes, r.redispatches
+            ),
+            None => println!(
+                "resumed cost   : {} bin-ticks ({rederived} continuation events)",
+                final_cost.unwrap_or_default()
+            ),
+        }
         save(args, "resume-jsonl", "", "combined stream", |path| {
-            let mut combined = dbp_obs::export::events_to_jsonl(prefix);
+            let mut combined = dbp_obs::export::events_to_jsonl(&events);
             combined.push_str(&dbp_obs::export::events_to_jsonl(log.events()));
             dbp_obs::export::atomic_write(path, combined.as_bytes()).map(|()| String::new())
         })?;

@@ -245,6 +245,53 @@ fn assert_refused(base: &[&str], mode: &str, flags: &[(&str, Option<&str>)]) {
     }
 }
 
+/// A flag the command does not read — a typo or a removed flag — fails
+/// before any work, naming the flag, instead of being silently dropped.
+#[test]
+fn flags_a_command_does_not_read_are_refused() {
+    let (_, tr) = tmpfile("unknown_flag.json");
+    stdout(&dbp(&[
+        "generate", "mu", "--mu", "4", "--n", "30", "--out", &tr,
+    ]));
+    let (wal_path, wal) = tmpfile("unknown_flag.wal");
+    let (out_path, out) = tmpfile("unknown_flag.out.json");
+    let cases: [(&[&str], &str, &str); 5] = [
+        (
+            &["run", &tr, "--algo", "ff", "--jounral", &wal],
+            "run",
+            "jounral",
+        ),
+        (
+            &["cluster", &tr, "--shards", "2", "--bacth", "3"],
+            "cluster",
+            "bacth",
+        ),
+        (
+            &["generate", "mu", "--mu", "4", "--out", &out, "--seeed", "3"],
+            "generate mu",
+            "seeed",
+        ),
+        // A flag of another generator kind is not this kind's flag.
+        (
+            &["generate", "gaming", "--out", &out, "--mu", "4"],
+            "generate gaming",
+            "mu",
+        ),
+        (&["compare", &tr, "--algo", "ff"], "compare", "algo"),
+    ];
+    for (args, cmd, flag) in cases {
+        let o = dbp(args);
+        assert!(!o.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.contains(&format!("--{flag} is not a flag of `dbp {cmd}`")),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!wal_path.exists(), "a refused run wrote {wal}");
+    assert!(!out_path.exists(), "a refused generate wrote {out}");
+}
+
 /// Every flag `run` takes works with `--hetero`: the vector run goes
 /// through the one generic run path, so none is refused, and `--faults`
 /// keeps only the refusals it has at every D.

@@ -1035,7 +1035,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
 mod tests {
     use super::*;
     use dbp_core::prelude::*;
-    use dbp_core::probe::FnProbe;
+    use dbp_core::probe::{FnProbe, ProbeEvent, VerifyProbe};
     use dbp_obs::export::events_to_jsonl;
     use dbp_obs::EventLog;
     use dbp_workloads::{generate, CloudGamingConfig};
@@ -1381,5 +1381,103 @@ mod tests {
             .run(&inst, &mut FirstFit::new())
             .unwrap_err();
         assert!(err.to_string().contains("retry delay"), "{err}");
+    }
+
+    fn recovery_setup() -> (Instance, ResilientSystem) {
+        let inst = workload(21, 2400);
+        let plan = FaultPlan::generate(77, 2400, 8, &FaultConfig::moderate());
+        (
+            inst,
+            ResilientSystem::new(GamingSystem::paper_model(), plan),
+        )
+    }
+
+    /// Recover a crashed run from its journal the way every journal
+    /// recovers: re-run under a `VerifyProbe` over the whole journal, then
+    /// `finish()`. Returns the report and the (verified, appended) counts.
+    fn recover(
+        sys: &ResilientSystem,
+        inst: &Instance,
+        dispatcher: &mut dyn BinSelector,
+        cont: &mut EventLog,
+        journal: &[ProbeEvent],
+    ) -> Result<(ResilientReport, usize, u64), String> {
+        let mut verify = VerifyProbe::new(journal, cont);
+        let report = sys
+            .run_probed(inst, dispatcher, &mut verify)
+            .map_err(|e| e.to_string())?;
+        let (replayed, appended) = verify.finish()?;
+        Ok((report, replayed, appended))
+    }
+
+    #[test]
+    fn recovery_from_any_prefix_reproduces_report_and_stream() {
+        let (inst, sys) = recovery_setup();
+        let mut full_log = EventLog::new();
+        let full = sys
+            .run_probed(&inst, &mut FirstFit::new(), &mut full_log)
+            .unwrap();
+        let events = full_log.into_events();
+        assert!(full.crashes > 0, "fault plan must exercise recovery");
+        for cut in [0, 1, events.len() / 3, events.len() / 2, events.len()] {
+            let mut cont = EventLog::new();
+            let (report, replayed, appended) =
+                recover(&sys, &inst, &mut FirstFit::new(), &mut cont, &events[..cut])
+                    .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!(report, full, "cut {cut}");
+            assert_eq!(replayed, cut);
+            assert_eq!(appended as usize, events.len() - cut);
+            let mut combined = events[..cut].to_vec();
+            combined.extend(cont.into_events());
+            assert_eq!(combined, events, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn recovery_rejects_foreign_journals() {
+        let (inst, sys) = recovery_setup();
+        let mut log = EventLog::new();
+        sys.run_probed(&inst, &mut FirstFit::new(), &mut log)
+            .unwrap();
+        let events = log.into_events();
+
+        // A journal from a different dispatcher diverges, never panics.
+        let err = recover(
+            &sys,
+            &inst,
+            &mut BestFit::new(),
+            &mut EventLog::new(),
+            &events,
+        )
+        .unwrap_err();
+        assert!(err.contains("diverges"), "{err}");
+
+        // A journal from a different fault plan diverges too.
+        let other = ResilientSystem::new(
+            GamingSystem::paper_model(),
+            FaultPlan::generate(78, 2400, 8, &FaultConfig::moderate()),
+        );
+        let err = recover(
+            &other,
+            &inst,
+            &mut FirstFit::new(),
+            &mut EventLog::new(),
+            &events,
+        )
+        .unwrap_err();
+        assert!(err.contains("diverges"), "{err}");
+
+        // A journal longer than the run is caught by finish().
+        let mut long = events.clone();
+        long.extend(events.iter().cloned());
+        let err = recover(
+            &sys,
+            &inst,
+            &mut FirstFit::new(),
+            &mut EventLog::new(),
+            &long,
+        )
+        .unwrap_err();
+        assert!(err.contains("different plan"), "{err}");
     }
 }

@@ -14,10 +14,11 @@
 //! * [`faults`] — seeded, fully deterministic fault injection:
 //!   [`FaultPlan`] (crashes, flaky provisioning, dispatch rejections) and
 //!   [`ResilientSystem`], which retries, re-dispatches orphans, and
-//!   accounts every dropped or interrupted session;
-//! * [`recover`] — dispatcher crash recovery: verified deterministic
-//!   re-execution from a journaled event prefix
-//!   ([`ResilientSystem::recover_probed`](faults::ResilientSystem::recover_probed)).
+//!   accounts every dropped or interrupted session. A run is fully
+//!   deterministic, so a crashed dispatcher recovers the way every journal
+//!   does: [`ResilientSystem::run_probed`] under a
+//!   [`VerifyProbe`](dbp_core::probe::VerifyProbe) over the whole journal,
+//!   then `finish()`.
 //!
 //! [`BinSelector`]: dbp_core::packer::BinSelector
 
@@ -39,7 +40,6 @@
 
 pub mod billing;
 pub mod faults;
-pub mod recover;
 pub mod system;
 
 pub use billing::{billed_ticks, rental_cost_cents, Granularity, ServerType, TICKS_PER_HOUR};
@@ -47,5 +47,4 @@ pub use faults::{
     AdmissionPolicy, CrashEvent, FaultConfig, FaultPlan, ResilientReport, ResilientSystem,
     RetryPolicy,
 };
-pub use recover::RecoveryOutcome;
 pub use system::{DispatchError, GamingSystem, SystemReport};

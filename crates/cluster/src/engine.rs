@@ -707,11 +707,10 @@ impl ClusterEngine {
     ///
     /// Spans mirror [`run_traced`](Self::run_traced): one recorder per
     /// shard and a driver lane sharing one epoch (`|_, _| NoSpans` for
-    /// none). Shard lanes additionally carry `shard_restart` (finding the
-    /// WAL's recovery point) and `shard_replay` (verified re-execution of
-    /// the WAL prefix) spans for
-    /// every resurrection; the driver lane carries a `reroute` span
-    /// nested in `fan_in` when degraded-mode routing ran.
+    /// none). Shard lanes additionally carry a `shard_replay` span
+    /// (verified re-execution of the WAL) for every resurrection; the
+    /// driver lane carries a `reroute` span nested in `fan_in` when
+    /// degraded-mode routing ran.
     ///
     /// # Errors
     /// As for [`run_probed`](Self::run_probed), plus
@@ -1133,25 +1132,25 @@ where
 }
 
 /// The one shard drive: start fresh, or resume a journaled shard by
-/// verified re-execution. With `resume = Some((prefix, cursor))` the run
-/// starts from scratch under a [`VerifyProbe`] that checks every event
-/// against the WAL `prefix` and forwards only the continuation to
-/// `probe`; re-executing the prefix's `cursor` schedule events is timed
-/// as a `shard_replay` span and the rest runs span-free (byte-identity is
+/// verified re-execution. With `resume = Some(journal)` the run starts
+/// from scratch under a [`VerifyProbe`] that checks every event against
+/// the whole WAL `journal` and forwards only the continuation to `probe`;
+/// the steps taken while journal events remain unverified are timed as a
+/// `shard_replay` span and the rest runs span-free (byte-identity is
 /// about events, not spans). Either way the engine steps to completion,
 /// the linear [`GPackingTrace::validate`] audit runs under a
 /// `validate` span, and [`GamingSystem::report`] builds the report under
 /// a `report_build` span.
 ///
 /// # Errors
-/// The first divergence between the re-execution and `prefix`, rendered.
+/// The first divergence between the re-execution and `journal`, rendered.
 pub(crate) fn run_shard_from<Sz, S, P, R>(
     system: &GamingSystem,
     requests: &GInstance<Sz>,
     dispatcher: &mut S,
     probe: &mut P,
     spans: &mut R,
-    resume: Option<(&[GProbeEvent<Sz>], usize)>,
+    resume: Option<&[GProbeEvent<Sz>]>,
 ) -> Result<(SystemReport, GPackingTrace<Sz>), String>
 where
     Sz: Demand,
@@ -1170,15 +1169,13 @@ where
             &mut *probe,
             &mut *spans,
         )),
-        Some((prefix, cursor)) => {
-            let mut verify = VerifyProbe::new(prefix, &mut *probe);
+        Some(journal) => {
+            let mut verify = VerifyProbe::new(journal, &mut *probe);
             let mut run = EngineRun::new(requests, &mut *dispatcher, &mut verify);
             if R::ENABLED {
                 spans.enter(stage::SHARD_REPLAY);
             }
-            for _ in 0..cursor {
-                run.step();
-            }
+            while run.probe().replaying() && run.step() {}
             if R::ENABLED {
                 spans.exit();
             }

@@ -7,17 +7,16 @@
 //! `catch_unwind`, walks the shard through the
 //! Up → Failed → Recovering → Up health machine ([`ShardHealth`]), and
 //! resurrects it from its own write-ahead event stream by verified
-//! re-execution ([`recovery_point`] +
-//! [`VerifyProbe`](dbp_core::probe::VerifyProbe)) — the same mechanism
-//! `dbp recover` uses for process crashes.
+//! re-execution under a [`VerifyProbe`](dbp_core::probe::VerifyProbe) —
+//! the same recipe `dbp recover` uses for process crashes.
 //!
 //! ## The resurrection invariant
 //!
 //! Every event a shard emits is journaled *before* a kill can land after
-//! it, so the WAL prefix at death is exact. Recovery truncates the WAL to
-//! the last complete engine operation and re-runs the shard from scratch
-//! with a fresh selector, checking every re-emitted event against that
-//! prefix; past it, the run re-emits exactly the dropped suffix first.
+//! it, so the WAL at death is exact. Recovery keeps the whole WAL, even
+//! when the kill cut an engine operation in half, and re-runs the shard
+//! from scratch with a fresh selector, checking every re-emitted event
+//! against it; past its end, the run appends only what the WAL lacks.
 //! The continued stream is therefore **byte-identical** to an unkilled
 //! run of the same shard —
 //! kill markers aside, which are fault-vocabulary events interleaved at
@@ -30,9 +29,8 @@ use dbp_core::instance::GInstance;
 use dbp_core::packer::GSelectorFactory;
 use dbp_core::probe::{GProbeEvent, Probe};
 use dbp_core::ratio::Ratio;
-use dbp_core::span::{stage, SpanRecorder};
+use dbp_core::span::SpanRecorder;
 use dbp_core::time::Tick;
-use dbp_obs::prelude::recovery_point;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -379,8 +377,8 @@ pub(crate) fn supervise_shard<Sz: Demand, R: SpanRecorder>(
     let mut replayed_events = 0u64;
     let mut backoff_ticks = 0u64;
     let mut transitions = vec![ShardHealth::Up];
-    // The verified WAL prefix and its schedule cursor, once resurrected.
-    let mut resume: Option<(Vec<GProbeEvent<Sz>>, usize)> = None;
+    // The WAL at the last death, once resurrected.
+    let mut resume: Option<Vec<GProbeEvent<Sz>>> = None;
 
     let outcome = loop {
         let mut sel = factory.build();
@@ -400,14 +398,12 @@ pub(crate) fn supervise_shard<Sz: Demand, R: SpanRecorder>(
                 &mut *sel,
                 &mut probe,
                 &mut tracked,
-                resume
-                    .as_ref()
-                    .map(|(prefix, cursor)| (&prefix[..], *cursor)),
+                resume.as_deref(),
             )
         }));
         match attempt {
             Ok(Ok((report, _trace))) => break Ok(report),
-            // The re-execution diverged from the WAL prefix —
+            // The re-execution diverged from the WAL —
             // deterministic, so retrying cannot help.
             Ok(Err(message)) => break Err(format!("shard resume rejected: {message}")),
             Err(payload) => {
@@ -440,31 +436,18 @@ pub(crate) fn supervise_shard<Sz: Demand, R: SpanRecorder>(
                 backoff_ticks =
                     backoff_ticks.saturating_add(restart.backoff.backoff_ticks(restarts));
                 transitions.push(ShardHealth::Recovering);
-                if R::ENABLED {
-                    spans.enter(stage::SHARD_RESTART);
-                }
-                let recovered = recovery_point(&wal);
-                if R::ENABLED {
-                    spans.exit();
-                }
-                match recovered {
-                    Ok(rec) => {
-                        wal.truncate(rec.events_used);
-                        replayed_events += rec.events_used as u64;
-                        markers.push((
-                            k,
-                            GProbeEvent::ShardRestarted {
-                                at,
-                                shard,
-                                attempt: restarts,
-                                replayed: rec.events_used as u64,
-                            },
-                        ));
-                        transitions.push(ShardHealth::Up);
-                        resume = Some((wal.clone(), rec.cursor));
-                    }
-                    Err(e) => break Err(format!("WAL recovery failed: {e}")),
-                }
+                replayed_events += k as u64;
+                markers.push((
+                    k,
+                    GProbeEvent::ShardRestarted {
+                        at,
+                        shard,
+                        attempt: restarts,
+                        replayed: k as u64,
+                    },
+                ));
+                transitions.push(ShardHealth::Up);
+                resume = Some(wal.clone());
             }
         }
     };

@@ -34,9 +34,8 @@
 //!   * [`ClusterEngine::run_self_healing`] — shard-level fault
 //!     containment: a deterministic [`ShardFaultPlan`] kills shards
 //!     mid-run, a per-shard supervisor catches the unwind, re-runs the
-//!     shard verified against its own event journal
-//!     ([`recovery_point`](dbp_obs::prelude::recovery_point) +
-//!     [`VerifyProbe`](dbp_core::probe::VerifyProbe)) under a bounded
+//!     shard verified against its whole event journal under a
+//!     [`VerifyProbe`](dbp_core::probe::VerifyProbe) within a bounded
 //!     restart budget, and reroutes only *future* arrivals off
 //!     shards that stay dead — returning a [`ClusterHealedRun`] whose
 //!     extended ledger conserves

@@ -176,6 +176,71 @@ fn healed_run_stream_is_byte_identical_to_the_unkilled_run() {
         .all(|h| h.health == ShardHealth::Up && h.restarts == 1));
 }
 
+/// A kill that cuts an arrival in half — after its `ItemArrived` is
+/// journaled, before its `ItemPlaced` — heals from the whole WAL: the
+/// resurrection verifies all `k` journaled events, half an operation
+/// included, and appends only the rest of the stream.
+#[test]
+fn a_kill_inside_an_arrival_heals_from_the_whole_wal() {
+    let inst = workload(16);
+    let eng = engine(2, Router::HashByItem);
+    let factory = ff_factory();
+    let (_, probes) = eng
+        .run_probed(&inst, &factory, |_| EventLog::new())
+        .unwrap();
+    let stream = probes[1].events();
+    // The WAL holds k events at death and its last one is an arrival
+    // whose placement never made it.
+    let k = (stream.len() / 2..stream.len())
+        .find(|&i| matches!(stream[i], ProbeEvent::ItemArrived { .. }))
+        .expect("fixture has a late arrival")
+        + 1;
+    assert!(matches!(stream[k], ProbeEvent::FitAttempt { .. }));
+
+    let mut clean_log = EventLog::new();
+    eng.run_self_healing(
+        &inst,
+        &factory,
+        &ShardFaultPlan::none(),
+        &mut clean_log,
+        |_, _| NoSpans,
+    )
+    .unwrap();
+    let plan = ShardFaultPlan {
+        seed: 0,
+        kills: vec![ShardKill {
+            shard: 1,
+            at: KillPoint::Event(k as u64),
+        }],
+        restart: RestartPolicy::default(),
+    };
+    let mut killed_log = EventLog::new();
+    let healed = eng
+        .run_self_healing(&inst, &factory, &plan, &mut killed_log, |_, _| NoSpans)
+        .unwrap()
+        .0;
+
+    let survivors: Vec<&ProbeEvent> = killed_log
+        .events()
+        .iter()
+        .filter(|e| !e.is_fault_event())
+        .collect();
+    let originals: Vec<&ProbeEvent> = clean_log.events().iter().collect();
+    assert_eq!(survivors, originals, "healed stream must be byte-identical");
+    assert_eq!(healed.report.shard_restarts, 1);
+    assert_eq!(healed.shards[1].replayed_events, k as u64);
+    assert_eq!(healed.report.shard_replayed_events, k as u64);
+    let replayed: Vec<u64> = killed_log
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            ProbeEvent::ShardRestarted { replayed, .. } => Some(*replayed),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replayed, vec![k as u64]);
+}
+
 /// A shard whose kills exhaust the restart budget goes Down; sessions
 /// that had not arrived yet are rerouted to the healthy shards, in-flight
 /// ones are billed lost, and the ledger still conserves.

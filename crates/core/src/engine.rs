@@ -478,6 +478,11 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         self.cursor == self.events.len()
     }
 
+    /// The probe the run reports to.
+    pub fn probe(&self) -> &P {
+        self.core.probe
+    }
+
     /// Run the schedule to completion and produce the trace.
     ///
     /// # Panics

@@ -593,6 +593,12 @@ impl<'a, Sz: Demand, P: Probe<Sz>> VerifyProbe<'a, P, Sz> {
         }
     }
 
+    /// Whether journal events are still waiting to be matched: `false`
+    /// once the re-execution has verified the whole journal, or diverged.
+    pub fn replaying(&self) -> bool {
+        self.error.is_none() && self.pos < self.prefix.len()
+    }
+
     /// Finish verification: `(replayed, appended)` counts on success, the
     /// first divergence otherwise. Errors if the journal is *longer* than
     /// the re-execution — a journal from a different configuration.

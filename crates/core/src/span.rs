@@ -94,9 +94,7 @@ pub mod stage {
     pub const RETRY: &str = "retry";
     /// Cloudsim: re-dispatching the orphans of one crash.
     pub const REDISPATCH: &str = "redispatch";
-    /// Per shard: finding a killed shard's recovery point in its WAL.
-    pub const SHARD_RESTART: &str = "shard_restart";
-    /// Per shard: re-executing the WAL prefix under verification.
+    /// Per shard: re-executing a killed shard's WAL under verification.
     pub const SHARD_REPLAY: &str = "shard_replay";
     /// Cluster driver: re-routing a dead shard's unarrived sessions onto
     /// the healthy shards.

@@ -40,9 +40,8 @@
 //! only if encoding `e` gives back the same bytes. A CRC-valid payload in
 //! any other spelling — valid JSON or not — is an "undecodable event
 //! despite valid CRC" error wherever it sits in the file, since no honest
-//! append writes it. [`repair_journal`], which works at any
-//! dimensionality, checks payloads with the tolerant `serde_json` reader
-//! instead, and so do user-supplied JSONL files (`dbp trace`).
+//! append writes it. User-supplied JSONL files (`dbp trace`) are read
+//! with the tolerant `serde_json` reader instead.
 //!
 //! ## Format v2 — vector demands
 //!
@@ -565,7 +564,7 @@ pub fn peek_journal_dims(path: &Path) -> Result<usize, String> {
     journal_dims(&bytes[..n])
 }
 
-/// Frame-level walk shared by every decoder: checks framing and CRCs,
+/// Frame-level walk of the journal reader: checks framing and CRCs,
 /// hands each sound payload to `decode`, and applies the torn-tail versus
 /// mid-file-corruption distinction of the module docs. Never panics.
 fn parse_journal_with<T>(
@@ -681,45 +680,18 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, String> {
     read_journal_dims::<Size>(path)
 }
 
-/// Truncate a journal with a torn tail down to its sound prefix, so that
-/// subsequent appends produce a clean file. No-op on a clean journal.
-/// Returns the dropped tail description, if any. Works on any
-/// dimensionality: repair is a frame-level operation, so payloads are only
-/// checked to be well-formed JSON, not arity-matched.
-pub fn repair_journal(path: &Path) -> Result<Option<TornTail>, String> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
+/// Truncate a journal to the sound prefix its reader found, so that
+/// subsequent appends produce a clean file. `torn` is the tail
+/// [`parse_journal`] reported for this file; the cut is a frame-level
+/// operation, so it works at any dimensionality.
+pub fn repair_journal(path: &Path, torn: &TornTail) -> Result<(), String> {
+    let file = fs::OpenOptions::new()
+        .write(true)
+        .open(path)
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let torn = match parse_header(&bytes)? {
-        None => Some(TornTail {
-            sound_len: 0,
-            reason: "file shorter than the journal header".to_string(),
-        }),
-        Some((_, header_len)) => {
-            parse_journal_with(&bytes, header_len, |payload, frame_start| {
-                let text = std::str::from_utf8(payload).map_err(|_| {
-                    format!("frame at byte {frame_start}: payload is not UTF-8 despite valid CRC")
-                })?;
-                serde_json::from_str::<serde::Value>(text).map_err(|e| {
-                    format!(
-                        "frame at byte {frame_start}: undecodable event despite valid CRC: {e:?}"
-                    )
-                })
-            })?
-            .torn
-        }
-    };
-    if let Some(torn) = &torn {
-        let file = fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        file.set_len(torn.sound_len)
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("{}: truncate failed: {e}", path.display()))?;
-    }
-    Ok(torn)
+    file.set_len(torn.sound_len)
+        .and_then(|()| file.sync_all())
+        .map_err(|e| format!("{}: truncate failed: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -1015,12 +987,11 @@ mod tests {
 
         // ...and repair_journal truncates to the sound prefix.
         fs::write(&path, &flipped).unwrap();
-        let dropped = repair_journal(&path).unwrap().unwrap();
-        assert_eq!(dropped.sound_len, torn.sound_len);
+        repair_journal(&path, &torn).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), torn.sound_len);
         let repaired = read_journal(&path).unwrap();
         assert!(repaired.is_clean());
         assert_eq!(repaired.events.len(), events.len() - 1);
-        assert!(repair_journal(&path).unwrap().is_none());
     }
 
     #[test]
@@ -1136,8 +1107,9 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        let dropped = repair_journal(&path).unwrap().unwrap();
+        let dropped = read_journal_dims::<VSize<2>>(&path).unwrap().torn.unwrap();
         assert!(dropped.reason.contains("CRC"), "{}", dropped.reason);
+        repair_journal(&path, &dropped).unwrap();
         let repaired = read_journal_dims::<VSize<2>>(&path).unwrap();
         assert!(repaired.is_clean());
     }

@@ -17,8 +17,8 @@
 //! * [`journal`] — the crash-safe write-ahead event journal
 //!   (length-prefixed + CRC32-framed records, torn-tail-tolerant reader);
 //! * [`replay`] — journal audit ([`replay_events`](replay::replay_events))
-//!   and the boundary a recovery re-executes to
-//!   ([`recovery_point`](replay::recovery_point));
+//!   from the events alone (a resume re-executes the run under a
+//!   `VerifyProbe` over the whole sound journal instead);
 //! * [`manifest`] — [`RunManifest`] provenance
 //!   records, the `run_all` sweep manifest, and the sweep resume
 //!   checkpoint;
@@ -76,7 +76,7 @@ pub use manifest::{
 };
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{CountingProbe, EventLog, GEventLog, MetricsProbe};
-pub use replay::{per_dim_demand_ticks, replay_events_dims, RecoveryPoint, ReplaySummary};
+pub use replay::{per_dim_demand_ticks, replay_events_dims, ReplaySummary};
 pub use sampler::{Sample, TimeSeriesSampler};
 pub use span::{
     chrome_trace_json, SpanCollector, StageAggregator, StageBreakdown, StageRow, StageStats,
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::manifest::{instance_digest, ExperimentManifest, RunManifest, SweepCheckpoint};
     pub use crate::metrics::{Histogram, MetricsRegistry};
     pub use crate::recorder::{CountingProbe, EventLog, MetricsProbe};
-    pub use crate::replay::{recovery_point, replay_events};
+    pub use crate::replay::replay_events;
     pub use crate::sampler::{Sample, TimeSeriesSampler};
     pub use crate::span::{
         chrome_trace_json, SpanCollector, StageAggregator, StageBreakdown, StageRow,

@@ -1,25 +1,19 @@
-//! Journal replay: audit an event stream and find where recovery resumes.
+//! Journal replay: audit an event stream from its events alone.
 //!
-//! Two consumers sit on top of a decoded journal
-//! ([`JournalContents`](crate::journal::JournalContents)):
+//! [`replay_events`] walks a decoded journal
+//! ([`JournalContents`](crate::journal::JournalContents)) checking
+//! structural invariants (placements go to open bins, closes match opens,
+//! levels are consistent) and recomputes the exact integer total cost from
+//! the `BinClosed` events, independently of any recorded manifest;
+//! [`per_dim_demand_ticks`] recomputes the served demand per dimension.
+//! It returns `Err` (never panics) on streams that no fault-free engine run
+//! could have produced.
 //!
-//! * [`replay_events`] — an *audit*: walks the stream checking structural
-//!   invariants (placements go to open bins, closes match opens, levels
-//!   are consistent) and recomputes the exact integer total cost from the
-//!   `BinClosed` events, independently of any recorded manifest;
-//! * [`recovery_point`] — the *boundary* of a recovery: the longest prefix
-//!   of the stream that corresponds to complete engine operations, and how
-//!   many trailing partial events a crash left behind. Recovery re-executes
-//!   the run from scratch under a
-//!   [`VerifyProbe`](dbp_core::probe::VerifyProbe) over that prefix; the
-//!   re-execution re-emits exactly the dropped events first, so
-//!   `journal prefix + continuation` is byte-identical to an uninterrupted
-//!   run.
-//!
-//! Both functions return `Err` (never panic) on streams that no fault-free
-//! engine run could have produced.
+//! Resuming a journal is not an audit: the run is re-executed from scratch
+//! under a [`VerifyProbe`](dbp_core::probe::VerifyProbe) over the whole
+//! sound journal, which re-emits nothing it has already verified, so
+//! `journal + continuation` is byte-identical to an uninterrupted run.
 
-use dbp_core::bin::BinId;
 use dbp_core::demand::Demand;
 use dbp_core::probe::{GProbeEvent, ProbeEvent};
 use dbp_core::time::Tick;
@@ -208,117 +202,6 @@ pub fn per_dim_demand_ticks<Sz: Demand>(events: &[GProbeEvent<Sz>]) -> (Vec<u128
     (ticks, placed_at.len() as u64)
 }
 
-/// Where a journaled run resumes: the end of its last complete engine
-/// operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPoint {
-    /// Number of leading journal events that form complete operations —
-    /// the prefix a re-execution is verified against.
-    pub events_used: usize,
-    /// Trailing events dropped because they belong to an engine operation
-    /// the crash cut in half. The re-execution re-emits exactly these
-    /// first.
-    pub events_dropped: usize,
-    /// Schedule events (arrivals and departures) the complete prefix
-    /// accounts for.
-    pub cursor: usize,
-}
-
-/// Find the recovery point of a journaled event stream.
-///
-/// The journal is a flat event stream, but the engine advances in
-/// *operations* — an arrival emits `ItemArrived`, `FitAttempt`,
-/// (`BinOpened`,) `ItemPlaced`; a departure emits `ItemDeparted` and, when
-/// it empties the bin, `BinClosed`. A crash can leave the final operation
-/// half-journaled, so this scans for the last operation boundary and
-/// counts the completed operations before it.
-///
-/// Errors on fault-injection events (crash-recovery journals describe a
-/// different state machine) and on streams no engine run could emit.
-pub fn recovery_point<Sz: Demand>(events: &[GProbeEvent<Sz>]) -> Result<RecoveryPoint, String> {
-    // Find the boundary — the end of the last complete operation — and
-    // count completed operations (the engine-event cursor).
-    let mut boundary = 0usize;
-    let mut cursor = 0usize;
-    // Member count per opened bin; a departure that empties its bin is only
-    // complete once the matching BinClosed lands.
-    let mut members: Vec<u32> = Vec::new();
-    let mut pending_close: Option<BinId> = None;
-    for (i, ev) in events.iter().enumerate() {
-        if ev.is_fault_event() {
-            return Err(format!(
-                "event {i} is a fault-injection event ({}); the recovery point \
-                 covers fault-free engine journals only",
-                ev.kind()
-            ));
-        }
-        if let Some(bin) = pending_close {
-            match ev {
-                GProbeEvent::BinClosed { bin: b, .. } if *b == bin => {
-                    pending_close = None;
-                    boundary = i + 1;
-                    cursor += 1;
-                    continue;
-                }
-                _ => {
-                    return Err(format!(
-                        "event {i}: expected BinClosed for emptied bin {bin}, found {}",
-                        ev.kind()
-                    ))
-                }
-            }
-        }
-        match ev {
-            GProbeEvent::ItemArrived { .. } | GProbeEvent::FitAttempt { .. } => {}
-            GProbeEvent::BinOpened { bin, .. } => {
-                if bin.index() != members.len() {
-                    return Err(format!(
-                        "event {i}: bin {bin} opened out of order (expected b{})",
-                        members.len()
-                    ));
-                }
-                members.push(0);
-            }
-            GProbeEvent::ItemPlaced { bin, .. } => {
-                match members.get_mut(bin.index()) {
-                    Some(count) => *count += 1,
-                    None => {
-                        return Err(format!("event {i}: placement into never-opened bin {bin}"))
-                    }
-                }
-                boundary = i + 1;
-                cursor += 1;
-            }
-            GProbeEvent::ItemDeparted { bin, .. } => match members.get_mut(bin.index()) {
-                Some(count @ 1..) => {
-                    *count -= 1;
-                    if *count == 0 {
-                        pending_close = Some(*bin);
-                    } else {
-                        boundary = i + 1;
-                        cursor += 1;
-                    }
-                }
-                Some(0) => return Err(format!("event {i}: departure from empty bin {bin}")),
-                None => return Err(format!("event {i}: departure from never-opened bin {bin}")),
-            },
-            GProbeEvent::BinClosed { bin, .. } => {
-                return Err(format!("event {i}: unexpected BinClosed for bin {bin}"))
-            }
-            GProbeEvent::Violation { message, .. } => {
-                return Err(format!("event {i}: journal records a violation: {message}"))
-            }
-            _ => unreachable!("fault events rejected above"),
-        }
-    }
-
-    Ok(RecoveryPoint {
-        events_used: boundary,
-        events_dropped: events.len() - boundary,
-        cursor,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,26 +266,22 @@ mod tests {
         assert!(replay_events(&bad).unwrap_err().contains("span"));
     }
 
-    /// Re-execute `inst` under FF, verified against `prefix`;
+    /// Re-execute `inst` under FF, verified against `journal`;
     /// returns the forwarded continuation and the final trace.
     fn reexecute(
         inst: &Instance,
-        prefix: &[ProbeEvent],
+        journal: &[ProbeEvent],
     ) -> Result<(Vec<ProbeEvent>, PackingTrace), String> {
         let mut log = EventLog::new();
-        let mut verify = VerifyProbe::new(prefix, &mut log);
+        let mut verify = VerifyProbe::new(journal, &mut log);
         let trace = simulate_probed(inst, &mut FirstFit::new(), &mut verify);
         verify.finish()?;
         Ok((log.into_events(), trace))
     }
 
     #[test]
-    fn recovery_point_of_full_stream_is_the_whole_schedule() {
+    fn reexecution_against_the_full_stream_appends_nothing() {
         let (inst, events) = sample();
-        let rec = recovery_point(&events).unwrap();
-        assert_eq!(rec.events_used, events.len());
-        assert_eq!(rec.events_dropped, 0);
-        assert_eq!(rec.cursor, 2 * inst.len());
         let (tail, trace) = reexecute(&inst, &events).unwrap();
         assert!(tail.is_empty());
         assert_eq!(
@@ -412,34 +291,18 @@ mod tests {
     }
 
     #[test]
-    fn reexecution_from_every_recovery_point_is_identical_stream() {
+    fn reexecution_from_every_cut_is_identical_stream() {
         let (inst, events) = sample();
         for cut in 0..=events.len() {
-            let rec = recovery_point(&events[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-            assert!(rec.events_used <= cut);
-            assert_eq!(rec.events_used + rec.events_dropped, cut);
-            let (tail, trace) = reexecute(&inst, &events[..rec.events_used])
-                .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            // Cuts inside an operation included: the re-execution verifies
+            // the partial operation and forwards only what follows it.
+            let (tail, trace) =
+                reexecute(&inst, &events[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
             assert_eq!(trace, simulate(&inst, &mut FirstFit::new()));
-            // Journal prefix (complete ops only) + continuation == full
-            // uninterrupted stream.
-            let mut combined = events[..rec.events_used].to_vec();
+            assert_eq!(tail.len(), events.len() - cut);
+            let mut combined = events[..cut].to_vec();
             combined.extend(tail);
             assert_eq!(combined, events, "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn recovery_point_rejects_fault_journals() {
-        use dbp_core::bin::BinId;
-        use dbp_core::time::Tick;
-        let (_, mut events) = sample();
-        events.push(ProbeEvent::BinCrashed {
-            at: Tick(99),
-            bin: BinId(0),
-            orphans: 1,
-        });
-        let err = recovery_point(&events).unwrap_err();
-        assert!(err.contains("fault"), "{err}");
     }
 }
