@@ -750,7 +750,7 @@ fn load_plan<T>(
     flag: &str,
     spec: &str,
     parse: impl FnOnce(&str) -> Result<T, serde_json::Error>,
-    from_seed: impl FnOnce(u64) -> T,
+    from_seed: impl FnOnce(u64) -> Result<T, String>,
 ) -> Result<T, String> {
     if spec.ends_with(".json") || Path::new(spec).exists() {
         let body = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
@@ -759,7 +759,7 @@ fn load_plan<T>(
         let seed = spec
             .parse()
             .map_err(|_| format!("--{flag} expects a seed or a plan .json, got '{spec}'"))?;
-        Ok(from_seed(seed))
+        from_seed(seed).map_err(|e| format!("--{flag} {spec}: {e}"))
     }
 }
 
@@ -782,7 +782,8 @@ fn fault_plans<Sz: Demand>(
         |seed| {
             (0..dispatchers as u64)
                 .map(|k| FaultPlan::from_seed(seed.wrapping_add(k), horizon))
-                .collect()
+                .collect::<Result<_, _>>()
+                .map_err(|e| e.to_string())
         },
     )?;
     for plan in &plans {
@@ -801,7 +802,7 @@ fn shard_fault_plan<Sz: Demand>(
     // inside the live part of the stream.
     let events_hint = (2 * inst.len() as u64 / shards.max(1) as u64).max(4);
     load_plan("shard-faults", spec, serde_json::from_str, |seed| {
-        ShardFaultPlan::from_seed(seed, shards, events_hint)
+        Ok(ShardFaultPlan::from_seed(seed, shards, events_hint))
     })
 }
 
@@ -1383,11 +1384,13 @@ fn recover_at<Sz: Demand>(
     // by design (crashed bins vanish, their sessions reopen elsewhere), so
     // its audit is the verified re-execution below, not the replay walk.
     let summary = if audit.fault_events > 0 {
-        println!(
-            "audit          : {} fault events — a resilient-dispatch journal; \
-             pass --trace and --faults to audit by verified re-execution",
-            audit.fault_events
-        );
+        if !(args.has("trace") && args.has("faults")) {
+            println!(
+                "audit          : {} fault events — a resilient-dispatch journal; \
+                 pass --trace and --faults to audit by verified re-execution",
+                audit.fault_events
+            );
+        }
         None
     } else {
         let s = audit.summary?;
@@ -1720,6 +1723,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             args.positional[1]
         ));
     }
+    dbp_core::analysis::check_tick_range(&inst)
+        .map_err(|e| format!("{}: {e}", args.positional[1]))?;
     let trace = simulate(&inst, &mut *selector_factory("ff", None)?.build());
     let a = analyze_first_fit(&inst, &trace);
     println!(

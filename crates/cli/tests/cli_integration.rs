@@ -219,6 +219,58 @@ fn analyze_refuses_an_empty_instance_without_panicking() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// Three items departing at the last `u64` tick: every horizon-scaled
+/// quantity sits at the top of the tick range.
+fn write_huge_horizon_instance(name: &str) -> String {
+    let (_, path) = tmpfile(name);
+    let items: Vec<String> = (0..3)
+        .map(|k| {
+            format!(
+                r#"{{"id":{k},"arrival":{k},"departure":{},"size":{},"region":0}}"#,
+                u64::MAX,
+                3 + k
+            )
+        })
+        .collect();
+    std::fs::write(
+        &path,
+        format!(r#"{{"capacity":10,"items":[{}]}}"#, items.join(",")),
+    )
+    .unwrap();
+    path
+}
+
+/// `dbp ARGS` exits 1 with an `error:` line starting `want` and without a
+/// panic or an allocation abort.
+fn assert_error_line(args: &[&str], want: &str) {
+    let out = dbp(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {want}")),
+        "{args:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("memory allocation"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn seeded_fault_plan_over_a_huge_horizon_is_refused() {
+    let path = write_huge_horizon_instance("huge_faults.json");
+    let want = "--faults 3: bad fault plan: a seeded plan over a 18446744073709551615-tick horizon";
+    assert_error_line(&["run", &path, "--algo", "ff", "--faults", "3"], want);
+    assert_error_line(&["cluster", &path, "--shards", "2", "--faults", "3"], want);
+}
+
+#[test]
+fn analyze_refuses_a_horizon_beyond_the_tick_range() {
+    let path = write_huge_horizon_instance("huge_analyze.json");
+    assert_error_line(
+        &["analyze", &path],
+        &format!("{path}: the §4.3 analysis needs µ∆ + 4∆"),
+    );
+}
+
 /// Run `dbp BASE.. --FLAG [VALUE]` for each `(flag, value)`; each must
 /// fail before doing any work, with an error naming the flag and `mode`,
 /// and leave no file behind at a path-valued flag's target.

@@ -69,6 +69,10 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Most crashes [`FaultPlan::generate`] draws for one seeded plan (16 MiB
+/// of crash events).
+pub const MAX_SEEDED_CRASHES: u64 = 1 << 20;
+
 /// One scheduled server crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashEvent {
@@ -285,9 +289,29 @@ impl FaultPlan {
     /// `crash_rate_per_hour · horizon / 3600` (fractional part resolved by
     /// one Bernoulli draw), crash ticks uniform over `[1, horizon)`, fleet
     /// slots uniform over `[0, fleet_hint)`.
-    pub fn generate(seed: u64, horizon: u64, fleet_hint: u32, cfg: &FaultConfig) -> FaultPlan {
+    ///
+    /// # Errors
+    /// [`DispatchError::BadFaultPlan`] when the expected crash count passes
+    /// [`MAX_SEEDED_CRASHES`] (a huge horizon or rate): such a plan would
+    /// not fit in memory, and a hand-written plan file is the way to ask
+    /// for that many crashes.
+    pub fn generate(
+        seed: u64,
+        horizon: u64,
+        fleet_hint: u32,
+        cfg: &FaultConfig,
+    ) -> Result<FaultPlan, DispatchError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let expected = cfg.crash_rate_per_hour.max(0.0) * horizon as f64 / TICKS_PER_HOUR as f64;
+        // An infinite rate over an empty horizon expects NaN crashes.
+        if expected.is_nan() || expected > MAX_SEEDED_CRASHES as f64 {
+            return Err(DispatchError::BadFaultPlan {
+                message: format!(
+                    "a seeded plan over a {horizon}-tick horizon expects {expected:.3e} crashes, \
+                     over the cap of {MAX_SEEDED_CRASHES}; pass a plan file instead"
+                ),
+            });
+        }
         let mut n = expected.floor() as u64;
         if rng.random_bool(expected - expected.floor()) {
             n += 1;
@@ -302,7 +326,7 @@ impl FaultPlan {
             }
         }
         crashes.sort_by_key(|c| (c.at, c.server));
-        FaultPlan {
+        Ok(FaultPlan {
             seed,
             crashes,
             boot_fail_prob: cfg.boot_fail_prob.clamp(0.0, 1.0),
@@ -310,12 +334,13 @@ impl FaultPlan {
             reject_prob: cfg.reject_prob.clamp(0.0, 1.0),
             retry: RetryPolicy::default(),
             admission: AdmissionPolicy::default(),
-        }
+        })
     }
 
     /// Shorthand for the CLI: a [`FaultConfig::moderate`] plan over a
-    /// horizon, from a bare seed.
-    pub fn from_seed(seed: u64, horizon: u64) -> FaultPlan {
+    /// horizon, from a bare seed. Refused as [`FaultPlan::generate`]
+    /// refuses.
+    pub fn from_seed(seed: u64, horizon: u64) -> Result<FaultPlan, DispatchError> {
         FaultPlan::generate(seed, horizon, 16, &FaultConfig::moderate())
     }
 }
@@ -1099,7 +1124,7 @@ mod tests {
     #[test]
     fn identical_seeds_give_identical_reports_and_event_logs() {
         let inst = workload(13, 3600);
-        let plan = FaultPlan::generate(99, 3600, 8, &FaultConfig::moderate());
+        let plan = FaultPlan::generate(99, 3600, 8, &FaultConfig::moderate()).unwrap();
         let sys = ResilientSystem::new(GamingSystem::paper_model(), plan);
         let mut log_a = EventLog::new();
         let mut log_b = EventLog::new();
@@ -1125,7 +1150,7 @@ mod tests {
             boot_delay_max: 60,
             reject_prob: 0.3,
         };
-        let plan = FaultPlan::generate(7, 3600, 8, &cfg);
+        let plan = FaultPlan::generate(7, 3600, 8, &cfg).unwrap();
         let report = ResilientSystem::new(GamingSystem::paper_model(), plan)
             .run(&inst, &mut FirstFit::new())
             .unwrap();
@@ -1195,7 +1220,7 @@ mod tests {
             boot_delay_max: 0,
             reject_prob: 0.0,
         };
-        let plan = FaultPlan::generate(21, 2400, 8, &cfg);
+        let plan = FaultPlan::generate(21, 2400, 8, &cfg).unwrap();
         let mut spans = SpanCollector::new(0);
         let report = ResilientSystem::new(GamingSystem::paper_model(), plan)
             .run_traced(&inst, &mut FirstFit::new(), &mut NoProbe, &mut spans)
@@ -1281,7 +1306,7 @@ mod tests {
 
     #[test]
     fn fault_plan_json_round_trips() {
-        let plan = FaultPlan::generate(42, 7200, 8, &FaultConfig::moderate());
+        let plan = FaultPlan::generate(42, 7200, 8, &FaultConfig::moderate()).unwrap();
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
@@ -1293,13 +1318,35 @@ mod tests {
             crash_rate_per_hour: 6.0,
             ..FaultConfig::none()
         };
-        let a = FaultPlan::generate(5, 7200, 8, &cfg);
-        let b = FaultPlan::generate(5, 7200, 8, &cfg);
+        let a = FaultPlan::generate(5, 7200, 8, &cfg).unwrap();
+        let b = FaultPlan::generate(5, 7200, 8, &cfg).unwrap();
         assert_eq!(a, b);
         assert!(a.crashes.len() >= 11 && a.crashes.len() <= 13);
         assert!(a.crashes.windows(2).all(|w| w[0].at <= w[1].at));
-        let zero = FaultPlan::generate(5, 7200, 8, &FaultConfig::none());
+        let zero = FaultPlan::generate(5, 7200, 8, &FaultConfig::none()).unwrap();
         assert!(zero.is_fault_free());
+    }
+
+    #[test]
+    fn generate_refuses_more_crashes_than_the_cap() {
+        let refused = |horizon: u64, rate: f64| {
+            let cfg = FaultConfig {
+                crash_rate_per_hour: rate,
+                ..FaultConfig::none()
+            };
+            matches!(
+                FaultPlan::generate(3, horizon, 8, &cfg),
+                Err(DispatchError::BadFaultPlan { .. })
+            )
+        };
+        assert!(refused(u64::MAX, 2.0));
+        assert!(refused(3600, f64::INFINITY));
+        assert!(refused(0, f64::INFINITY));
+        // Exactly the cap is still drawn; one hour more is not.
+        let at_cap = MAX_SEEDED_CRASHES * TICKS_PER_HOUR;
+        assert!(!refused(at_cap, 1.0));
+        assert!(refused(at_cap + TICKS_PER_HOUR, 1.0));
+        assert!(FaultPlan::from_seed(3, u64::MAX).is_err());
     }
 
     #[test]
@@ -1385,7 +1432,7 @@ mod tests {
 
     fn recovery_setup() -> (Instance, ResilientSystem) {
         let inst = workload(21, 2400);
-        let plan = FaultPlan::generate(77, 2400, 8, &FaultConfig::moderate());
+        let plan = FaultPlan::generate(77, 2400, 8, &FaultConfig::moderate()).unwrap();
         (
             inst,
             ResilientSystem::new(GamingSystem::paper_model(), plan),
@@ -1455,7 +1502,7 @@ mod tests {
         // A journal from a different fault plan diverges too.
         let other = ResilientSystem::new(
             GamingSystem::paper_model(),
-            FaultPlan::generate(78, 2400, 8, &FaultConfig::moderate()),
+            FaultPlan::generate(78, 2400, 8, &FaultConfig::moderate()).unwrap(),
         );
         let err = recover(
             &other,

@@ -1735,7 +1735,7 @@ mod tests {
             ClusterConfig::new(3, Router::LeastLoaded).unwrap(),
         );
         let plans: Vec<FaultPlan> = (0..3)
-            .map(|s| FaultPlan::from_seed(100 + s, 1800))
+            .map(|s| FaultPlan::from_seed(100 + s, 1800).unwrap())
             .collect();
         let run = engine
             .run_resilient(&inst, &ff_factory(), &plans, |_| NoProbe)

@@ -72,6 +72,37 @@ impl FirstFitAnalysis {
     }
 }
 
+/// Whether the §4.3 interval arithmetic fits in `u64` ticks for
+/// `instance`: sub-periods are cut in units of `(µ+2)∆`, checked against
+/// `(µ+4)∆`, and reference points reach `µ∆` past a sub-period's start,
+/// so `(µ+4)∆` past the last departure must be a tick. An empty instance
+/// passes (it has no ∆ to scale).
+///
+/// # Errors
+/// A message naming the overflowing sum, for instances whose ticks reach
+/// the top of the `u64` range.
+pub fn check_tick_range(instance: &Instance) -> Result<(), String> {
+    let (Some(delta), Some(max_len)) = (instance.min_interval_len(), instance.max_interval_len())
+    else {
+        return Ok(());
+    };
+    let last = instance.last_departure().map_or(0, |t| t.raw());
+    delta
+        .raw()
+        .checked_mul(4)
+        .and_then(|d4| d4.checked_add(max_len.raw()))
+        .and_then(|span| span.checked_add(last))
+        .map(|_| ())
+        .ok_or_else(|| {
+            format!(
+                "the §4.3 analysis needs µ∆ + 4∆ = {} + 4·{} ticks past the last departure \
+                 (tick {last}), beyond the u64 tick range",
+                max_len.raw(),
+                delta.raw()
+            )
+        })
+}
+
 /// Run the complete §4.3 analysis on a First Fit trace.
 ///
 /// ```
@@ -92,7 +123,8 @@ impl FirstFitAnalysis {
 /// the same machinery can probe how non-FF algorithms break the analysis.
 ///
 /// # Panics
-/// Panics if the instance is empty (∆ and µ∆ are undefined).
+/// Panics if the instance is empty (∆ and µ∆ are undefined) or if
+/// [`check_tick_range`] refuses it.
 ///
 /// [`FirstFit`]: crate::algorithms::FirstFit
 pub fn analyze_first_fit(instance: &Instance, trace: &PackingTrace) -> FirstFitAnalysis {

@@ -107,7 +107,8 @@ pub fn run(quick: bool) -> (Table, Vec<FaultRow>) {
                     0.0
                 },
             };
-            let plan = FaultPlan::generate(PLAN_SEED, cfg.horizon, 16, &fault_cfg);
+            let plan = FaultPlan::generate(PLAN_SEED, cfg.horizon, 16, &fault_cfg)
+                .expect("the sweep's horizon is within the crash cap");
             let sys = GamingSystem::paper_model();
             roster()
                 .iter()

@@ -97,6 +97,26 @@ macro_rules! event_codec {
             cur.end()?;
             Ok(event)
         }
+
+        /// A lower bound on the length of every canonical payload: each
+        /// kind's fixed spelling plus one byte per field (no field
+        /// encodes to fewer). The journal reader sizes its event buffer
+        /// from it.
+        pub(crate) const MIN_PAYLOAD_LEN: usize = {
+            let lens = [$(
+                concat!("{\"", stringify!($variant), "\":{\"at\":0}}").len()
+                    $(+ concat!(",\"", stringify!($field), "\":").len() + 1)*
+            ),*];
+            let mut min = usize::MAX;
+            let mut i = 0;
+            while i < lens.len() {
+                if lens[i] < min {
+                    min = lens[i];
+                }
+                i += 1;
+            }
+            min
+        };
     };
 }
 
@@ -221,23 +241,36 @@ pub mod put {
 mod take {
     use super::*;
 
+    /// Up to this many decimal digits cannot overflow a `u64`
+    /// (`10^19 - 1 < 2^64`), so they fold without an overflow check.
+    const SAFE_DIGITS: usize = 19;
+
+    #[inline(always)]
     pub(super) fn u64(cur: &mut Cursor<'_>) -> Result<u64, DecodeError> {
         let start = cur.pos;
-        let digit = |b: Option<&u8>| match b {
+        let rest = &cur.bytes[start..];
+        let digit = |i: usize| match rest.get(i) {
             Some(&b @ b'0'..=b'9') => Some((b - b'0') as u64),
             _ => None,
         };
-        let Some(mut v) = digit(cur.bytes.get(start)) else {
+        let Some(mut v) = digit(0) else {
             return Err(cur.err("an unsigned decimal integer"));
         };
-        cur.pos += 1;
         if v == 0 {
-            return match digit(cur.bytes.get(cur.pos)) {
+            cur.pos += 1;
+            return match digit(1) {
                 Some(_) => Err(cur.err("no leading zero")),
                 None => Ok(0),
             };
         }
-        while let Some(d) = digit(cur.bytes.get(cur.pos)) {
+        let mut i = 1;
+        while i < SAFE_DIGITS {
+            let Some(d) = digit(i) else { break };
+            v = v * 10 + d;
+            i += 1;
+        }
+        // A 20th digit and beyond take the checked path.
+        while let Some(d) = digit(i) {
             v = v
                 .checked_mul(10)
                 .and_then(|v| v.checked_add(d))
@@ -245,11 +278,13 @@ mod take {
                     offset: start,
                     expected: "an integer within u64",
                 })?;
-            cur.pos += 1;
+            i += 1;
         }
+        cur.pos += i;
         Ok(v)
     }
 
+    #[inline(always)]
     pub(super) fn u32(cur: &mut Cursor<'_>) -> Result<u32, DecodeError> {
         let start = cur.pos;
         u32::try_from(u64(cur)?).map_err(|_| DecodeError {
@@ -258,22 +293,27 @@ mod take {
         })
     }
 
+    #[inline(always)]
     pub(super) fn tick(cur: &mut Cursor<'_>) -> Result<Tick, DecodeError> {
         u64(cur).map(Tick)
     }
 
+    #[inline(always)]
     pub(super) fn item_id(cur: &mut Cursor<'_>) -> Result<ItemId, DecodeError> {
         u32(cur).map(ItemId)
     }
 
+    #[inline(always)]
     pub(super) fn bin_id(cur: &mut Cursor<'_>) -> Result<BinId, DecodeError> {
         u32(cur).map(BinId)
     }
 
+    #[inline(always)]
     pub(super) fn bin_tag(cur: &mut Cursor<'_>) -> Result<BinTag, DecodeError> {
         u32(cur).map(BinTag)
     }
 
+    #[inline(always)]
     pub(super) fn demand<Sz: Demand>(cur: &mut Cursor<'_>) -> Result<Sz, DecodeError> {
         /// Dimensionalities up to this decode without a heap allocation.
         const INLINE: usize = 8;
@@ -394,6 +434,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consume exactly `lit`.
+    #[inline(always)]
     fn lit(&mut self, lit: &'static str) -> Result<(), DecodeError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -423,5 +464,62 @@ impl<'a> Cursor<'a> {
         } else {
             Err(self.err("the end of the payload"))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every digit count from 0 to 21, with and without a leading zero,
+    /// at the edge of `u64` and followed by short and long tails: the
+    /// unchecked first 19 digits and the checked rest agree with
+    /// `str::parse` and the canonical-form errors.
+    #[test]
+    fn numbers_decode_at_every_length() {
+        let mut numbers: Vec<String> = vec![
+            String::new(),
+            u64::MAX.to_string(),
+            "18446744073709551616".to_string(),
+            "99999999999999999999".to_string(),
+        ];
+        for len in 1..=21 {
+            numbers.push("9876543210".chars().cycle().take(len).collect());
+            numbers.push(format!("1{}", "0".repeat(len - 1)));
+            numbers.push(format!("0{}", "5".repeat(len - 1)));
+        }
+        for number in &numbers {
+            for tail in ["", "}", "}}", ",\"item\":12}}", "]", "a1234567", "/:"] {
+                let bytes = format!("{number}{tail}");
+                let mut cur = Cursor {
+                    bytes: bytes.as_bytes(),
+                    pos: 0,
+                };
+                let got = take::u64(&mut cur).map(|v| (v, cur.pos));
+                let want = if number.is_empty() {
+                    Err((0, "an unsigned decimal integer"))
+                } else if number.len() > 1 && number.starts_with('0') {
+                    Err((1, "no leading zero"))
+                } else {
+                    match number.parse::<u64>() {
+                        Ok(v) => Ok((v, number.len())),
+                        Err(_) => Err((0, "an integer within u64")),
+                    }
+                };
+                assert_eq!(got.map_err(|e| (e.offset, e.expected)), want, "{bytes:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn min_payload_len_bounds_the_shortest_payload() {
+        let mut out = Vec::new();
+        let empty = GProbeEvent::<dbp_core::item::Size>::Violation {
+            at: Tick(0),
+            message: String::new(),
+        };
+        encode_event(&empty, &mut out);
+        // The empty message is two quotes where the bound counts one byte.
+        assert_eq!(MIN_PAYLOAD_LEN, out.len() - 1);
     }
 }

@@ -70,6 +70,18 @@
 //!   honest appends cannot produce → a hard error. So is a CRC-valid
 //!   payload that does not decode, even in the final frame.
 //!
+//! ## Reading
+//!
+//! [`read_journal`] and [`parse_journal`] run one frame walk. It reads
+//! the stream in fixed 256 KiB chunks and checks and decodes each frame
+//! while the chunk holding it is still in cache. A frame that straddles a
+//! chunk boundary moves to the front of the buffer before the next read;
+//! a frame longer than a chunk grows the buffer for that frame only. The
+//! reader's memory is one chunk plus the decoded events, whose vector is
+//! reserved once from the file length over a lower bound on the frame
+//! length. Whether a CRC-failing frame is the final one is learned by
+//! reading past it.
+//!
 //! ## Durability policy
 //!
 //! The writer encodes each frame in place into one 64 KiB buffer and
@@ -92,7 +104,7 @@
 //! writer (a panic unwinding through a shard, an interrupted run) write the
 //! buffer out first.
 
-use crate::codec::{decode_event, encode_event};
+use crate::codec::{decode_event, encode_event, MIN_PAYLOAD_LEN};
 use crate::span::StageAggregator;
 use dbp_core::demand::Demand;
 use dbp_core::item::Size;
@@ -117,6 +129,14 @@ pub const JOURNAL_MAGIC_V2: &[u8; 8] = b"DBPWAL02";
 /// Upper bound on a sane frame payload; a length field beyond this is
 /// corruption, not a real record.
 const MAX_FRAME_LEN: u32 = 1 << 24;
+
+/// Bytes the reader asks the file for at a time (see "Reading" in the
+/// module docs).
+const READ_CHUNK_LEN: usize = 256 * 1024;
+
+/// A lower bound on every frame's length: its header and
+/// [`MIN_PAYLOAD_LEN`].
+const MIN_FRAME_LEN: usize = 8 + MIN_PAYLOAD_LEN;
 
 /// Bytes of encoded frames [`JournalWriter`] gathers before one `write`
 /// hands them to the file (see "Durability policy" in the module docs).
@@ -564,79 +584,103 @@ pub fn peek_journal_dims(path: &Path) -> Result<usize, String> {
     journal_dims(&bytes[..n])
 }
 
-/// Frame-level walk of the journal reader: checks framing and CRCs,
-/// hands each sound payload to `decode`, and applies the torn-tail versus
-/// mid-file-corruption distinction of the module docs. Never panics.
-fn parse_journal_with<T>(
-    bytes: &[u8],
-    header_len: usize,
-    mut decode: impl FnMut(&[u8], usize) -> Result<T, String>,
-) -> Result<GenericContents<T>, String> {
-    let mut events = Vec::new();
-    let mut pos = header_len;
-    loop {
-        if pos == bytes.len() {
-            return Ok(GenericContents { events, torn: None });
+/// A window onto a journal byte stream: `buf[pos..filled]` holds the
+/// stream's bytes from offset `base + pos` on that the walk has not
+/// consumed yet.
+struct Window<R> {
+    src: R,
+    buf: Vec<u8>,
+    pos: usize,
+    filled: usize,
+    /// Stream offset of `buf[0]`.
+    base: u64,
+    /// Buffer length between frames; see [`READ_CHUNK_LEN`].
+    chunk_len: usize,
+}
+
+impl<R: Read> Window<R> {
+    fn new(src: R, chunk_len: usize) -> Window<R> {
+        Window {
+            src,
+            buf: Vec::new(),
+            pos: 0,
+            filled: 0,
+            base: 0,
+            chunk_len,
         }
-        let frame_start = pos;
-        macro_rules! torn {
-            ($($arg:tt)*) => {
-                return Ok(GenericContents {
-                    events,
-                    torn: Some(TornTail {
-                        sound_len: frame_start as u64,
-                        reason: format!($($arg)*),
-                    }),
-                })
-            };
+    }
+
+    /// The unconsumed bytes in the buffer.
+    fn buffered(&self) -> &[u8] {
+        &self.buf[self.pos..self.filled]
+    }
+
+    /// Stream offset of the next unconsumed byte.
+    fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    /// Buffer at least `n` unconsumed bytes, or every byte the stream has
+    /// left if that is fewer; returns how many are buffered.
+    #[inline(always)]
+    fn fill(&mut self, n: usize) -> std::io::Result<usize> {
+        let have = self.filled - self.pos;
+        if have >= n {
+            return Ok(have);
         }
-        if bytes.len() - pos < 8 {
-            torn!("incomplete frame header ({} of 8 bytes)", bytes.len() - pos);
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        pos += 8;
-        if len > MAX_FRAME_LEN {
-            // A garbage length field. If real frames followed we could not
-            // find them anyway (framing is sequential), so this is only
-            // recoverable as a tail condition.
-            torn!("frame length {len} exceeds the {MAX_FRAME_LEN} cap");
-        }
-        if bytes.len() - pos < len as usize {
-            torn!(
-                "incomplete frame payload ({} of {len} bytes)",
-                bytes.len() - pos
-            );
-        }
-        let payload = &bytes[pos..pos + len as usize];
-        pos += len as usize;
-        let at_tail = pos == bytes.len();
-        if crc32(payload) != crc {
-            if at_tail {
-                torn!("CRC mismatch in final frame");
+        self.refill(n)
+    }
+
+    /// Move the unconsumed bytes to the front, size the buffer to one
+    /// chunk (or to `n`, for a frame longer than a chunk; a later refill
+    /// shrinks it back), and read until `n` bytes are buffered or the
+    /// stream ends.
+    #[inline(never)]
+    fn refill(&mut self, n: usize) -> std::io::Result<usize> {
+        self.buf.copy_within(self.pos..self.filled, 0);
+        self.base += self.pos as u64;
+        self.filled -= self.pos;
+        self.pos = 0;
+        let len = n.max(self.chunk_len);
+        self.buf.resize(len, 0);
+        self.buf.shrink_to(len);
+        while self.filled < n {
+            match self.src.read(&mut self.buf[self.filled..]) {
+                Ok(0) => break,
+                Ok(got) => self.filled += got,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            return Err(format!(
-                "CRC mismatch in frame at byte {frame_start} with {} bytes following: \
-                 mid-file corruption, refusing to replay",
-                bytes.len() - pos
-            ));
         }
-        events.push(decode(payload, frame_start)?);
+        Ok(self.filled)
+    }
+
+    /// Consume everything the stream has left; returns how many bytes
+    /// that was.
+    fn drain(&mut self) -> std::io::Result<u64> {
+        let buffered = (self.filled - self.pos) as u64;
+        self.pos = self.filled;
+        Ok(buffered + std::io::copy(&mut self.src, &mut std::io::sink())?)
     }
 }
 
-struct GenericContents<T> {
-    events: Vec<T>,
-    torn: Option<TornTail>,
-}
-
-/// Decode a journal byte image into `Sz`-demand events. The file's
-/// declared dimensionality must equal `Sz::DIMS` — a mismatch is a typed
-/// `demand_arity` error, never a truncation. Mid-file corruption is an
-/// `Err`; a damaged final frame is tolerated and reported via
-/// [`GJournalContents::torn`]. Never panics on any input.
-pub fn parse_journal<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<Sz>, String> {
-    let Some((dims, header_len)) = parse_header(bytes)? else {
+/// The journal reader: one pass over `src` in [`READ_CHUNK_LEN`] pieces
+/// that checks each frame's framing and CRC and decodes its payload while
+/// the chunk holding it is still in cache, applying the torn-tail versus
+/// mid-file-corruption distinction of the module docs. `len_hint` (the
+/// stream's length, if known) sizes the event buffer; `io_err` spells a
+/// read error. Never panics.
+fn walk<Sz: Demand>(
+    src: impl Read,
+    len_hint: u64,
+    chunk_len: usize,
+    io_err: impl Fn(std::io::Error) -> String,
+) -> Result<GJournalContents<Sz>, String> {
+    // A chunk never needs to outgrow the stream it reads.
+    let hint = usize::try_from(len_hint).unwrap_or(usize::MAX);
+    let mut w = Window::new(src, chunk_len.min(hint.max(MIN_FRAME_LEN)));
+    w.fill(JOURNAL_MAGIC_V2.len() + 1).map_err(&io_err)?;
+    let Some((dims, header_len)) = parse_header(w.buffered())? else {
         // Even the header is incomplete: a crash before the header sync.
         return Ok(GJournalContents {
             events: Vec::new(),
@@ -653,25 +697,84 @@ pub fn parse_journal<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<Sz>, S
             Sz::DIMS
         ));
     }
-    let parsed = parse_journal_with(bytes, header_len, |payload, frame_start| {
-        decode_event::<Sz>(payload).map_err(|e| {
+    w.pos += header_len;
+    // At most one event per `MIN_FRAME_LEN` bytes: the buffer never
+    // regrows. A length the allocator refuses (a sparse file) just skips
+    // the hint.
+    let mut events = Vec::new();
+    let _ = events.try_reserve_exact(hint / MIN_FRAME_LEN);
+    loop {
+        let frame_start = w.offset();
+        macro_rules! torn {
+            ($($arg:tt)*) => {
+                return Ok(GJournalContents {
+                    events,
+                    torn: Some(TornTail {
+                        sound_len: frame_start,
+                        reason: format!($($arg)*),
+                    }),
+                })
+            };
+        }
+        let have = w.fill(8).map_err(&io_err)?;
+        if have == 0 {
+            return Ok(GJournalContents { events, torn: None });
+        }
+        if have < 8 {
+            torn!("incomplete frame header ({have} of 8 bytes)");
+        }
+        let field = |at: usize| {
+            let bytes = w.buffered()[at..at + 4].try_into();
+            u32::from_le_bytes(bytes.expect("the frame header is buffered"))
+        };
+        let (len, crc) = (field(0), field(4));
+        if len > MAX_FRAME_LEN {
+            // A garbage length field. If real frames followed we could not
+            // find them anyway (framing is sequential), so this is only
+            // recoverable as a tail condition.
+            torn!("frame length {len} exceeds the {MAX_FRAME_LEN} cap");
+        }
+        let frame_len = 8 + len as usize;
+        let have = w.fill(frame_len).map_err(&io_err)?;
+        if have < frame_len {
+            torn!("incomplete frame payload ({} of {len} bytes)", have - 8);
+        }
+        let payload = &w.buffered()[8..frame_len];
+        if crc32(payload) != crc {
+            w.pos += frame_len;
+            let following = w.drain().map_err(&io_err)?;
+            if following == 0 {
+                torn!("CRC mismatch in final frame");
+            }
+            return Err(format!(
+                "CRC mismatch in frame at byte {frame_start} with {following} bytes following: \
+                 mid-file corruption, refusing to replay"
+            ));
+        }
+        events.push(decode_event::<Sz>(payload).map_err(|e| {
             format!("frame at byte {frame_start}: undecodable event despite valid CRC: {e}")
-        })
-    })?;
-    Ok(GJournalContents {
-        events: parsed.events,
-        torn: parsed.torn,
-    })
+        })?);
+        w.pos += frame_len;
+    }
 }
 
-/// Read and decode a journal file with `Sz`-demand events. See
-/// [`parse_journal`] for the torn-tail / corruption / arity contract.
+/// Decode a journal byte image into `Sz`-demand events. The file's
+/// declared dimensionality must equal `Sz::DIMS` — a mismatch is a typed
+/// `demand_arity` error, never a truncation. Mid-file corruption is an
+/// `Err`; a damaged final frame is tolerated and reported via
+/// [`GJournalContents::torn`]. Never panics on any input.
+pub fn parse_journal<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<Sz>, String> {
+    walk(bytes, bytes.len() as u64, READ_CHUNK_LEN, |e| e.to_string())
+}
+
+/// Read and decode a journal file with `Sz`-demand events, one chunk at a
+/// time. See [`parse_journal`] for the torn-tail / corruption / arity
+/// contract.
 pub fn read_journal_dims<Sz: Demand>(path: &Path) -> Result<GJournalContents<Sz>, String> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    parse_journal(&bytes)
+    let io_err = |e: std::io::Error| format!("{}: {e}", path.display());
+    let file = fs::File::open(path).map_err(io_err)?;
+    let len_hint = file.metadata().map_or(0, |m| m.len());
+    walk(file, len_hint, READ_CHUNK_LEN, io_err)
 }
 
 /// Read and decode a scalar journal file. See [`parse_journal`] for the
@@ -1112,6 +1215,219 @@ mod tests {
         repair_journal(&path, &dropped).unwrap();
         let repaired = read_journal_dims::<VSize<2>>(&path).unwrap();
         assert!(repaired.is_clean());
+    }
+
+    /// The whole-image reader the chunked walk replaced, kept as its
+    /// oracle: framing, CRC and decode checked over one in-memory image.
+    fn whole_image_parse<Sz: Demand>(bytes: &[u8]) -> Result<GJournalContents<Sz>, String> {
+        let Some((dims, header_len)) = parse_header(bytes)? else {
+            return Ok(GJournalContents {
+                events: Vec::new(),
+                torn: Some(TornTail {
+                    sound_len: 0,
+                    reason: "file shorter than the journal header".to_string(),
+                }),
+            });
+        };
+        if dims != Sz::DIMS {
+            return Err(format!(
+                "demand_arity: journal holds {dims}-dimensional demands, \
+                 reader expected {}",
+                Sz::DIMS
+            ));
+        }
+        let mut events = Vec::new();
+        let mut pos = header_len;
+        loop {
+            if pos == bytes.len() {
+                return Ok(GJournalContents { events, torn: None });
+            }
+            let frame_start = pos;
+            macro_rules! torn {
+                ($($arg:tt)*) => {
+                    return Ok(GJournalContents {
+                        events,
+                        torn: Some(TornTail {
+                            sound_len: frame_start as u64,
+                            reason: format!($($arg)*),
+                        }),
+                    })
+                };
+            }
+            if bytes.len() - pos < 8 {
+                torn!("incomplete frame header ({} of 8 bytes)", bytes.len() - pos);
+            }
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+            pos += 8;
+            if len > MAX_FRAME_LEN {
+                torn!("frame length {len} exceeds the {MAX_FRAME_LEN} cap");
+            }
+            if bytes.len() - pos < len as usize {
+                torn!(
+                    "incomplete frame payload ({} of {len} bytes)",
+                    bytes.len() - pos
+                );
+            }
+            let payload = &bytes[pos..pos + len as usize];
+            pos += len as usize;
+            if crc32(payload) != crc {
+                if pos == bytes.len() {
+                    torn!("CRC mismatch in final frame");
+                }
+                return Err(format!(
+                    "CRC mismatch in frame at byte {frame_start} with {} bytes following: \
+                     mid-file corruption, refusing to replay",
+                    bytes.len() - pos
+                ));
+            }
+            events.push(decode_event::<Sz>(payload).map_err(|e| {
+                format!("frame at byte {frame_start}: undecodable event despite valid CRC: {e}")
+            })?);
+        }
+    }
+
+    /// A reader that hands out at most three bytes per `read`, as a pipe
+    /// or a slow device may.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(3);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    type Outcome<Sz> = Result<(Vec<GProbeEvent<Sz>>, Option<TornTail>), String>;
+
+    fn outcome<Sz>(read: Result<GJournalContents<Sz>, String>) -> Outcome<Sz> {
+        read.map(|c| (c.events, c.torn))
+    }
+
+    /// One event of a few frame shapes: short and medium frames, and a
+    /// `Violation` whose message outgrows the smaller test chunks.
+    fn mixed_event<Sz: Demand>(kind: u8, n: u64, text: &str) -> GProbeEvent<Sz> {
+        let at = Tick(n);
+        let id = (n % 1000) as u32;
+        let size = Sz::from_components(&vec![n % 97 + 1; Sz::DIMS]).unwrap();
+        match kind % 5 {
+            0 => GProbeEvent::ItemArrived {
+                at,
+                item: ItemId(id),
+                size,
+            },
+            1 => GProbeEvent::ItemPlaced {
+                at,
+                item: ItemId(id),
+                bin: BinId(id / 3),
+                level: size,
+            },
+            2 => GProbeEvent::BinClosed {
+                at,
+                bin: BinId(id),
+                open_ticks: n,
+            },
+            3 => GProbeEvent::ItemDropped {
+                at,
+                item: ItemId(id),
+                reason: dbp_core::probe::DropReason::QueueTimeout,
+            },
+            _ => GProbeEvent::Violation {
+                at,
+                message: text.to_string(),
+            },
+        }
+    }
+
+    /// The journal image of `events`, framed as the writer frames them;
+    /// also the byte offset each frame starts at.
+    fn image<Sz: Demand>(events: &[GProbeEvent<Sz>]) -> (Vec<u8>, Vec<usize>) {
+        let mut bytes = if Sz::DIMS == 1 {
+            JOURNAL_MAGIC.to_vec()
+        } else {
+            [&JOURNAL_MAGIC_V2[..], &[Sz::DIMS as u8]].concat()
+        };
+        let mut starts = Vec::new();
+        for e in events {
+            starts.push(bytes.len());
+            let mut payload = Vec::new();
+            encode_event(e, &mut payload);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        (bytes, starts)
+    }
+
+    /// Every damage the property applies to a clean image: none, a cut at
+    /// `cut`, a bit flipped at `flip` anywhere, and one in the final frame.
+    fn damaged(bytes: &[u8], starts: &[usize], cut: usize, flip: usize) -> Vec<Vec<u8>> {
+        let mut out = vec![bytes.to_vec(), bytes[..cut % (bytes.len() + 1)].to_vec()];
+        let mut flipped = bytes.to_vec();
+        flipped[flip % bytes.len()] ^= 1 << (flip % 8);
+        out.push(flipped);
+        if let Some(&last) = starts.last() {
+            let mut flipped = bytes.to_vec();
+            flipped[last + flip % (bytes.len() - last)] ^= 1 << (flip % 8);
+            out.push(flipped);
+        }
+        out
+    }
+
+    /// The chunked walk reads every damaged image exactly as the
+    /// whole-image oracle does — events, torn-tail offset and reason, and
+    /// error text — at every chunk length and whatever sizes `read` hands
+    /// back.
+    fn walk_matches_the_oracle<Sz: Demand>(
+        draws: &[(u8, u64, usize)],
+        cut: usize,
+        flip: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let events: Vec<GProbeEvent<Sz>> = draws
+            .iter()
+            .map(|&(k, n, len)| {
+                let text: String = "ab\"\n\u{1}é".chars().cycle().take(len).collect();
+                mixed_event(k, n, &text)
+            })
+            .collect();
+        let (bytes, starts) = image(&events);
+        // Chunks shorter than any frame, a boundary a few bytes into the
+        // second frame, and the production length.
+        let mut chunks = vec![1, 7, 8, 9, 64, READ_CHUNK_LEN];
+        if let Some(&second) = starts.get(1) {
+            chunks.push(second + 3);
+        }
+        for bytes in damaged(&bytes, &starts, cut, flip) {
+            let oracle = outcome(whole_image_parse::<Sz>(&bytes));
+            proptest::prop_assert_eq!(&outcome(parse_journal::<Sz>(&bytes)), &oracle);
+            for &chunk in &chunks {
+                let hint = bytes.len() as u64;
+                let got = outcome(walk::<Sz>(&bytes[..], hint, chunk, |e| e.to_string()));
+                proptest::prop_assert_eq!(&got, &oracle, "chunk {}", chunk);
+                let got = outcome(walk::<Sz>(Trickle(&bytes), hint, chunk, |e| e.to_string()));
+                proptest::prop_assert_eq!(&got, &oracle, "trickled, chunk {}", chunk);
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn chunked_walk_matches_the_whole_image_oracle(
+            draws in proptest::collection::vec(
+                (0u8..5, 0u64..u64::MAX, 0usize..150),
+                0..12,
+            ),
+            cut in 0usize..4096,
+            flip in 0usize..4096,
+        ) {
+            walk_matches_the_oracle::<Size>(&draws, cut, flip)?;
+            walk_matches_the_oracle::<dbp_core::demand::VSize<2>>(&draws, cut, flip)?;
+        }
     }
 
     #[test]

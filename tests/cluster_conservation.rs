@@ -225,7 +225,7 @@ proptest! {
             let engine = ClusterEngine::new(small_system(), ClusterConfig::new(shards, router).unwrap());
             let factory = SelectorFactory::new("FF", || Box::new(FirstFit::new()));
             let plans: Vec<FaultPlan> = (0..shards as u64)
-                .map(|s| FaultPlan::from_seed(fault_seed + s, 600))
+                .map(|s| FaultPlan::from_seed(fault_seed + s, 600).unwrap())
                 .collect();
             let run = engine.run_resilient(&inst, &factory, &plans, |_| NoProbe).unwrap().0;
             prop_assert!(run.report.conserved(), "{}", router.name());

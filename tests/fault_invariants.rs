@@ -77,6 +77,7 @@ fn hostile_plan(seed: u64, inst: &Instance) -> FaultPlan {
             reject_prob: 0.25,
         },
     )
+    .expect("a generated instance's horizon is within the crash cap")
 }
 
 /// Strategy: a `u64` plan field, biased to the edges of its range.
@@ -217,7 +218,8 @@ proptest! {
                 boot_delay_max: 20,
                 reject_prob: 0.25,
             },
-        );
+        )
+        .expect("a generated instance's horizon is within the crash cap");
         for name in ["FF", "BF", "MFF(8)", "FF-idx", "BF-idx", "MFF-idx", "DOM"] {
             let build = || dbp_core::algorithms::selector_for::<VSize<3>>(name).expect("vector roster");
             let report = ResilientSystem::new(system(), hostile.clone())

@@ -153,7 +153,8 @@ fn pending_bins_do_not_count_under_boot_delays() {
             boot_delay_max: 40,
             reject_prob: 0.1,
         },
-    );
+    )
+    .expect("a small horizon is within the crash cap");
     let system = ResilientSystem::new(GamingSystem::paper_model(), plan);
     for name in ["FF", "FF-idx", "BF-idx", "MFF-idx"] {
         let mut selector = selector_for(name).unwrap();

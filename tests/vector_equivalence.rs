@@ -479,8 +479,8 @@ fn d1_fault_runs_are_byte_identical() {
     )
     .unwrap();
     let plans = [
-        FaultPlan::generate(42, 2400, 8, &FaultConfig::moderate()),
-        FaultPlan::generate(7, 2400, 8, &heavy),
+        FaultPlan::generate(42, 2400, 8, &FaultConfig::moderate()).unwrap(),
+        FaultPlan::generate(7, 2400, 8, &heavy).unwrap(),
         written,
     ];
     for plan in plans {
@@ -610,7 +610,7 @@ fn assert_d1_cluster_byte_identical(
 
     let horizon = inst.last_departure().map_or(1, |t| t.raw());
     let plans: Vec<FaultPlan> = (0..shards as u64)
-        .map(|k| FaultPlan::generate(seed + k, horizon, 4, &FaultConfig::moderate()))
+        .map(|k| FaultPlan::generate(seed + k, horizon, 4, &FaultConfig::moderate()).unwrap())
         .collect();
     let (rrun, logs) = engine
         .run_resilient(inst, &sf, &plans, |_| EventLog::new())
