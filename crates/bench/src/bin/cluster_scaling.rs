@@ -161,7 +161,7 @@ fn measure(inst: &Instance, shards: usize, plain_ns: u128) -> (u64, ScalingResul
             wall_ms: ns_to_ms_rounded(wall_ns),
             items_per_sec,
             busy_ticks: run.report.busy_ticks,
-            servers_rented: run.report.servers_rented as u64,
+            servers_rented: run.report.bill.servers_rented,
             peak_servers: run.report.peak_servers as u64,
             speedup_millis: 0, // filled in once the 1-shard row exists
             // Ratio from raw nanoseconds (both clamped ≥ 1 at the source),

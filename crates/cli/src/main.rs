@@ -38,7 +38,7 @@ macro_rules! print {
 
 use args::Args;
 use dbp_adversary::{AdaptiveMuAdversary, Theorem1, Theorem2};
-use dbp_cloudsim::{FaultPlan, ResilientReport};
+use dbp_cloudsim::{Bill, FaultPlan, ResilientReport};
 use dbp_cluster::{vector::DimReport, ShardFaultPlan};
 use dbp_core::algorithms::{standard_factories, Rule};
 use dbp_core::analysis::analyze_first_fit;
@@ -384,6 +384,15 @@ fn save_manifest(args: &Args, manifest: &RunManifest) -> Result<(), String> {
     })
 }
 
+/// Whether `dbp recover` can recompute a fault run's bill from its journal:
+/// re-execution can when the journal carries fault events; replay cannot
+/// see boot waits, so otherwise the journal must replay to the bill.
+fn bill_recoverable<Sz: Demand>(events: &[GProbeEvent<Sz>], busy_ticks: u128) -> bool {
+    events.iter().any(GProbeEvent::is_fault_event)
+        || dbp_obs::replay::replay_events_dims(events)
+            .is_ok_and(|s| s.is_complete() && s.cost_ticks == busy_ticks)
+}
+
 /// `--journal` and its `--fsync` policy (default `always`: a crash loses
 /// at most the frame being written).
 fn journal_flags<'a>(args: &'a Args, what: &str) -> Result<Option<(&'a str, FsyncPolicy)>, String> {
@@ -512,9 +521,12 @@ fn run_at<Sz: Demand>(
         .map_err(|e| format!("{spec}: {e}"))?;
         let wall = started.elapsed();
         probe.seal_journal(args)?;
-        // No packing trace here, so no exact cost: `recover --faults`
-        // re-derives the report by verified re-execution instead.
-        save_manifest(args, &RunManifest::capture(sel.name(), None, inst, wall))?;
+        let busy = report.bill.busy_ticks;
+        let manifest = RunManifest {
+            total_cost_ticks: bill_recoverable(probe.events.events(), busy).then_some(busy),
+            ..RunManifest::capture(sel.name(), None, inst, wall)
+        };
+        save_manifest(args, &manifest)?;
         probe.seal(args)?;
         save_metrics(args, probe.metrics.registry())?;
         // A scalar report echoes `--algo`; a vector one names the selector
@@ -664,14 +676,15 @@ fn print_fault_report(algorithm: &str, plan: &FaultPlan, report: &ResilientRepor
         plan.boot_delay_max,
         plan.reject_prob
     );
-    println!("sessions       : {}", report.sessions_total);
+    let ledger = &report.ledger;
+    println!("sessions       : {}", ledger.total);
     println!(
         "served         : {} ({:.1}%)",
-        report.sessions_served,
-        100.0 * report.service_rate()
+        ledger.served,
+        100.0 * ledger.service_rate()
     );
-    println!("dropped        : {}", report.sessions_dropped);
-    println!("lost to crash  : {}", report.sessions_lost);
+    println!("dropped        : {}", ledger.dropped);
+    println!("lost to crash  : {}", ledger.lost);
     println!("re-dispatched  : {}", report.redispatches);
     println!(
         "faults         : {} crashes, {} boot failures, {} retries, {} rejections",
@@ -683,9 +696,9 @@ fn print_fault_report(algorithm: &str, plan: &FaultPlan, report: &ResilientRepor
     println!("queue peak     : {}", report.queue_peak);
     println!(
         "servers        : {} rented, peak {}",
-        report.servers_rented, report.peak_servers
+        report.bill.servers_rented, report.peak_servers
     );
-    print_bill(report.busy_ticks, report.billed_ticks, report.cost_cents);
+    print_bill(&report.bill);
 }
 
 /// A report's algorithm line: a vector run names its dimensionality.
@@ -837,10 +850,11 @@ fn print_ledger(conserved: bool) {
 }
 
 /// The bill every fault and cluster report closes its totals with.
-fn print_bill(busy: u128, billed: u128, cents: Ratio) {
-    println!("busy ticks     : {busy}");
-    println!("billed ticks   : {billed}");
-    println!("bill           : {:.2} USD", cents.to_f64() / 100.0);
+fn print_bill(bill: &Bill) {
+    let usd = bill.cost_cents.to_f64() / 100.0;
+    println!("busy ticks     : {}", bill.busy_ticks);
+    println!("billed ticks   : {}", bill.billed_ticks);
+    println!("bill           : {usd:.2} USD");
 }
 
 /// `dbp cluster FILE --algo A --shards N --router R`: partition the request
@@ -899,23 +913,23 @@ fn cluster_at<Sz: Demand>(
         save_metrics(args, &merged)?;
         save_manifest(args, &run.manifest)?;
         let r = &run.report;
-        print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.sessions_total);
-        println!("served         : {}", r.sessions_served);
-        println!("dropped        : {}", r.sessions_dropped);
-        println!("lost to kills  : {}", r.sessions_lost);
-        println!("rerouted       : {}", r.sessions_rerouted);
-        print_ledger(r.conserved());
-        print_bill(r.busy_ticks, r.billed_ticks, r.cost_cents);
+        print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.ledger.total);
+        println!("served         : {}", r.ledger.served);
+        println!("dropped        : {}", r.ledger.dropped);
+        println!("lost to kills  : {}", r.ledger.lost);
+        println!("rerouted       : {}", r.ledger.rerouted);
+        print_ledger(r.ledger.conserved());
+        print_bill(&r.bill);
         for h in &run.shards {
             println!(
                 "  shard {:>2}     : {:<10} {}/{} served, {} lost, {} rerouted out, \
                  {} hosted, {} kills, {} restarts",
                 h.shard,
                 h.health.name(),
-                h.sessions_served,
-                h.sessions_total,
-                h.sessions_lost,
-                h.sessions_rerouted_out,
+                h.ledger.served,
+                h.ledger.total,
+                h.ledger.lost,
+                h.ledger.rerouted,
                 h.sessions_rerouted_in,
                 h.kills,
                 h.restarts,
@@ -957,21 +971,21 @@ fn cluster_at<Sz: Demand>(
             merged.absorb_labeled(probe.metrics.registry(), "shard", &s.to_string());
         }
         save_metrics(args, &merged)?;
-        // No single packing trace under faults, so no exact cost —
-        // mirrors `run --faults`.
-        let manifest = RunManifest::capture(factory.name(), None, inst, wall);
-        save_manifest(args, &manifest)?;
         let r = &run.report;
-        print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.sessions_total);
-        println!("served         : {}", r.sessions_served);
-        println!("dropped        : {}", r.sessions_dropped);
-        println!("lost to crash  : {}", r.sessions_lost);
-        print_ledger(r.conserved());
-        print_bill(r.busy_ticks, r.billed_ticks, r.cost_cents);
+        let manifest =
+            RunManifest::capture(factory.name(), None, inst, wall).with_cost(r.bill.busy_ticks);
+        save_manifest(args, &manifest)?;
+        print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.ledger.total);
+        println!("served         : {}", r.ledger.served);
+        println!("dropped        : {}", r.ledger.dropped);
+        println!("lost to crash  : {}", r.ledger.lost);
+        print_ledger(r.ledger.conserved());
+        print_bill(&r.bill);
         for (s, shard) in run.shards.iter().enumerate() {
+            let ledger = &shard.ledger;
             println!(
                 "  shard {s:>2}     : {} sessions, {}/{} served, {} busy ticks",
-                shard.sessions_total, shard.sessions_served, shard.sessions_total, shard.busy_ticks
+                ledger.total, ledger.served, ledger.total, shard.bill.busy_ticks
             );
         }
         return Ok(());
@@ -1004,15 +1018,15 @@ fn cluster_at<Sz: Demand>(
         registries.push(probe.metrics.registry().clone());
     }
     let r = &run.report;
-    let dims = dim_ledger(inst, r.busy_ticks);
+    let dims = dim_ledger(inst, r.bill.busy_ticks);
     save_metrics(args, &with_dim_metrics(run.metrics(&registries), &dims))?;
     save_manifest(args, &r.manifest)?;
     print_cluster_header(&label(&r.algorithm), &r.router, r.shards, r.sessions_served);
     println!(
         "servers        : {} rented, peak {} (sum of shard peaks)",
-        r.servers_rented, r.peak_servers
+        r.bill.servers_rented, r.peak_servers
     );
-    print_bill(r.busy_ticks, r.billed_ticks, r.cost_cents);
+    print_bill(&r.bill);
     println!("utilization    : {:.4}", r.utilization.to_f64());
     println!("instance digest: {}", r.manifest.instance_digest);
     for d in &dims {
@@ -1030,8 +1044,8 @@ fn cluster_at<Sz: Demand>(
             "  shard {:>2}     : {} sessions, {} busy ticks, {} servers",
             shard.shard,
             shard.report.sessions_served,
-            shard.report.busy_ticks,
-            shard.report.servers_rented
+            shard.report.bill.busy_ticks,
+            shard.report.bill.servers_rented
         );
     }
     Ok(())
@@ -1195,7 +1209,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
                     |s, epoch| dbp_obs::SpanCollector::with_epoch(epoch, s as u32),
                 )
                 .map_err(|e| e.to_string())?;
-            let sessions: Vec<u64> = run.shards.iter().map(|h| h.sessions_served).collect();
+            let sessions: Vec<u64> = run.shards.iter().map(|h| h.ledger.served).collect();
             (run.report.algorithm, run.report.router, sessions, trace)
         } else {
             let (run, _probes, trace) = engine
@@ -1381,9 +1395,11 @@ fn recover_at<Sz: Demand>(
     }
     println!("events         : {}", audit.events);
     // A fault-injection stream breaks the engine's structural invariants
-    // by design (crashed bins vanish, their sessions reopen elsewhere), so
-    // its audit is the verified re-execution below, not the replay walk.
-    let summary = if audit.fault_events > 0 {
+    // by design (crashed bins vanish, delayed boots open late), so its
+    // audit is the verified re-execution below, not the replay walk; a
+    // `--faults` journal is one even if its plan injected no fault event.
+    let faulted = audit.fault_events > 0 || args.has("faults");
+    let summary = if faulted {
         if !(args.has("trace") && args.has("faults")) {
             println!(
                 "audit          : {} fault events — a resilient-dispatch journal; \
@@ -1467,24 +1483,25 @@ fn recover_at<Sz: Demand>(
             }
         }
         // Run again from scratch, checking every event against the whole
-        // sound journal; only the continuation reaches `log`. A fault
+        // sound journal; only the continuation reaches `log`. A `--faults`
         // journal is re-executed by the resilient dispatcher under its
-        // original plan, a fault-free one by the engine alone.
+        // original plan, any other by the engine alone.
         let mut log = dbp_obs::GEventLog::<Sz>::new();
         let mut verify = VerifyProbe::new(&events, &mut log);
-        let report = if audit.fault_events > 0 {
-            let spec = args.str_flag("faults").ok_or(
-                "journal carries fault-injection events; pass --faults SEED|PLAN.json \
-                 matching the original run",
-            )?;
+        let report = if let Some(spec) = args.str_flag("faults") {
             let plan = fault_plans(spec, &inst, 1)?.remove(0);
             let system = dbp_cloudsim::ResilientSystem::new(paper_gaming_system(&inst), plan);
             let report = system
                 .run_probed(&inst, &mut *sel, &mut verify)
                 .map_err(|e| format!("recovery failed: {e}"))?;
+            final_cost = Some(report.bill.busy_ticks);
             Some(report)
-        } else if args.has("faults") {
-            return Err("--faults given but the journal carries no fault events".into());
+        } else if audit.fault_events > 0 {
+            return Err(
+                "journal carries fault-injection events; pass --faults SEED|PLAN.json \
+                 matching the original run"
+                    .into(),
+            );
         } else {
             final_cost = Some(simulate_probed(&inst, &mut *sel, &mut verify).total_cost_ticks());
             None
@@ -1496,7 +1513,7 @@ fn recover_at<Sz: Demand>(
         match report {
             Some(r) => println!(
                 "report         : {}/{} sessions served, {} crashes, {} re-dispatched",
-                r.sessions_served, r.sessions_total, r.crashes, r.redispatches
+                r.ledger.served, r.ledger.total, r.crashes, r.redispatches
             ),
             None => println!(
                 "resumed cost   : {} bin-ticks ({rederived} continuation events)",
@@ -1522,6 +1539,9 @@ fn recover_at<Sz: Demand>(
             )),
             (Some(want), Some(_)) => {
                 println!("cost check     : OK ({want} bin-ticks, recomputed exactly)");
+            }
+            (Some(_), None) if faulted => {
+                println!("cost check     : a fault run's bill needs --trace and --faults (skipped)")
             }
             (Some(_), None) => mismatches.push(
                 "total cost: journal is an incomplete prefix; pass --trace FILE to \

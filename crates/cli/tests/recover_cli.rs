@@ -244,6 +244,147 @@ fn recover_reexecutes_fault_journals_and_rejects_foreign_plans() {
     assert!(err.contains("diverges"), "{err}");
 }
 
+/// A fault run's manifest records its bill, and recovery re-derives it:
+/// the re-executed report must bill exactly the recorded busy ticks, and
+/// a tampered figure fails the check.
+#[test]
+fn recover_checks_a_fault_run_bill_against_its_manifest() {
+    let dir = tmpdir();
+    let tr = path(&dir, "billed.json");
+    stdout(&dbp(&[
+        "generate", "mu", "--mu", "10", "--n", "60", "--seed", "7", "--out", &tr,
+    ]));
+    let (wal, man) = (path(&dir, "billed.wal"), path(&dir, "billed.manifest.json"));
+    let run = stdout(&dbp(&[
+        "run",
+        &tr,
+        "--algo",
+        "ff",
+        "--faults",
+        "42",
+        "--journal",
+        &wal,
+        "--fsync",
+        "never",
+        "--run-manifest",
+        &man,
+    ]));
+    let busy = run
+        .lines()
+        .find_map(|l| l.strip_prefix("busy ticks     : "))
+        .expect("a fault report prints its busy ticks");
+    let recover = [
+        "recover",
+        &wal,
+        "--trace",
+        &tr,
+        "--faults",
+        "42",
+        "--manifest",
+    ];
+    let out = stdout(&dbp(&[&recover[..], &[&man]].concat()));
+    assert!(
+        out.contains(&format!("cost check     : OK ({busy} bin-ticks")),
+        "{out}"
+    );
+    // Without the instance and plan the bill cannot be re-derived: the
+    // check says so instead of calling the journal an incomplete prefix.
+    let out = stdout(&dbp(&["recover", &wal, "--manifest", &man]));
+    assert!(
+        out.contains("cost check     : a fault run's bill needs --trace and --faults"),
+        "{out}"
+    );
+
+    let body = std::fs::read_to_string(&man).unwrap();
+    let recorded = format!("\"total_cost_ticks\": {busy}");
+    assert!(body.contains(&recorded), "{body}");
+    let bad = path(&dir, "billed-bad.manifest.json");
+    let tampered = format!(
+        "\"total_cost_ticks\": {}",
+        busy.parse::<u128>().unwrap() + 1
+    );
+    std::fs::write(&bad, body.replace(&recorded, &tampered)).unwrap();
+    let err = stderr_of_failure(&dbp(&[&recover[..], &[&bad]].concat()));
+    assert!(err.contains("total cost: manifest records"), "{err}");
+}
+
+/// A plan that only delays boots journals no fault event, yet its bill
+/// counts boot waits the journal cannot show (a delayed bin opens late).
+/// Its manifest records no cost, and recovery under `--faults` accepts it
+/// with or without the instance. A plan that cannot delay keeps its cost,
+/// which the replay and the re-execution both recompute exactly.
+#[test]
+fn recover_accepts_a_fault_run_whose_only_faults_are_boot_delays() {
+    let dir = tmpdir();
+    let tr = path(&dir, "delayed.json");
+    stdout(&dbp(&[
+        "generate", "mu", "--mu", "10", "--n", "60", "--seed", "7", "--out", &tr,
+    ]));
+    let none = dbp_cloudsim::FaultPlan::none();
+    let delays = dbp_cloudsim::FaultPlan {
+        boot_delay_max: 30,
+        ..none.clone()
+    };
+    for (stem, plan) in [("delayed", delays), ("undelayed", none)] {
+        let spec = path(&dir, &format!("{stem}.plan.json"));
+        std::fs::write(&spec, serde_json::to_string(&plan).unwrap()).unwrap();
+        let (wal, man) = (
+            path(&dir, &format!("{stem}.wal")),
+            path(&dir, &format!("{stem}.manifest.json")),
+        );
+        let run = stdout(&dbp(&[
+            "run",
+            &tr,
+            "--algo",
+            "ff",
+            "--faults",
+            &spec,
+            "--journal",
+            &wal,
+            "--fsync",
+            "never",
+            "--run-manifest",
+            &man,
+        ]));
+        let busy = run
+            .lines()
+            .find_map(|l| l.strip_prefix("busy ticks     : "))
+            .expect("a fault report prints its busy ticks");
+        let recover = |extra: &[&str]| {
+            let out = stdout(&dbp(&[
+                &["recover", &wal][..],
+                extra,
+                &["--manifest", &man],
+            ]
+            .concat()));
+            assert!(out.contains("manifest check : OK"), "{stem}: {out}");
+            out
+        };
+        let full = recover(&["--trace", &tr, "--faults", &spec]);
+        assert!(full.contains("events verified"), "{stem}: {full}");
+        if stem == "delayed" {
+            let plain = stdout(&dbp(&["run", &tr, "--algo", "ff"]));
+            assert!(
+                !plain.contains(&format!("total cost     : {busy} ")),
+                "the plan must delay some boot:\n{run}\n{plain}"
+            );
+            for out in [full, recover(&["--faults", &spec])] {
+                assert!(
+                    out.contains("cost check     : manifest records no cost (skipped)"),
+                    "{stem}: {out}"
+                );
+            }
+        } else {
+            for out in [full, recover(&[])] {
+                assert!(
+                    out.contains(&format!("cost check     : OK ({busy} bin-ticks")),
+                    "{stem}: {out}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn journal_flag_validation() {
     let dir = tmpdir();

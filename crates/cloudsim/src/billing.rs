@@ -6,10 +6,10 @@
 //! the `billing_granularity` experiment test whether the algorithm ranking
 //! is stable under realistic rounding.
 
-use dbp_core::demand::Demand;
 use dbp_core::ratio::Ratio;
-use dbp_core::trace::GPackingTrace;
 use serde::{Deserialize, Serialize};
+use std::iter::Sum;
+use std::ops::{Add, AddAssign};
 
 /// Ticks are seconds in the cloudsim layer.
 pub const TICKS_PER_HOUR: u64 = 3600;
@@ -93,29 +93,51 @@ impl ServerType {
     }
 }
 
-/// Total billed ticks of a trace under a granularity: each bin's usage
-/// period is rounded up independently (servers are rented per-instance).
-pub fn billed_ticks<Sz: Demand>(trace: &GPackingTrace<Sz>, granularity: Granularity) -> u128 {
-    trace
-        .bins
-        .iter()
-        .map(|b| granularity.billed_ticks(b.usage_len().raw()))
-        .sum()
+/// The rental bill of a set of servers: how many were rented, their raw
+/// and rounded rented time, and the exact price. Built only by
+/// [`GamingSystem::bill`](crate::GamingSystem::bill); bills of disjoint
+/// server sets add field by field, so a cluster's bill is the exact sum
+/// of its shards'.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Bill {
+    /// Servers rented (failed provisions excluded).
+    pub servers_rented: u64,
+    /// Raw rented time in server-ticks (the paper's `A_total` with C = 1).
+    pub busy_ticks: u128,
+    /// Rented time after per-server granularity rounding.
+    pub billed_ticks: u128,
+    /// Exact rental bill in cents (duration + per-server setup fees).
+    pub cost_cents: Ratio,
 }
 
-/// Exact rental cost in cents:
-/// `billed_ticks · cents_per_hour / 3600 + servers · setup_cents`.
-pub fn rental_cost_cents<Sz: Demand>(
-    trace: &GPackingTrace<Sz>,
-    server: ServerType,
-    granularity: Granularity,
-) -> Ratio {
-    server.cost_cents(billed_ticks(trace, granularity), trace.bins_used() as u128)
+impl Add for Bill {
+    type Output = Bill;
+    fn add(self, rhs: Bill) -> Bill {
+        Bill {
+            servers_rented: self.servers_rented + rhs.servers_rented,
+            busy_ticks: self.busy_ticks + rhs.busy_ticks,
+            billed_ticks: self.billed_ticks + rhs.billed_ticks,
+            cost_cents: self.cost_cents + rhs.cost_cents,
+        }
+    }
+}
+
+impl AddAssign for Bill {
+    fn add_assign(&mut self, rhs: Bill) {
+        *self = *self + rhs;
+    }
+}
+
+impl Sum for Bill {
+    fn sum<I: Iterator<Item = Bill>>(iter: I) -> Bill {
+        iter.fold(Bill::default(), Add::add)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GamingSystem;
     use dbp_core::prelude::*;
 
     fn one_bin_trace(len: u64) -> PackingTrace {
@@ -123,6 +145,19 @@ mod tests {
         b.add(0, len, 5);
         let inst = b.build().unwrap();
         simulate_validated(&inst, &mut FirstFit::new())
+    }
+
+    /// The bill of every bin of `trace` on `server` under `granularity`.
+    fn bill(trace: &PackingTrace, server: ServerType, granularity: Granularity) -> Bill {
+        GamingSystem {
+            server,
+            granularity,
+        }
+        .bill_trace(trace)
+    }
+
+    fn billed_ticks(trace: &PackingTrace, granularity: Granularity) -> u128 {
+        bill(trace, ServerType::default_gpu_vm(), granularity).billed_ticks
     }
 
     #[test]
@@ -175,11 +210,11 @@ mod tests {
             setup_cents: 0,
         };
         assert_eq!(
-            rental_cost_cents(&t, server, Granularity::PerTick),
+            bill(&t, server, Granularity::PerTick).cost_cents,
             Ratio::new(65, 2)
         );
         assert_eq!(
-            rental_cost_cents(&t, server, Granularity::PerHour),
+            bill(&t, server, Granularity::PerHour).cost_cents,
             Ratio::from_int(65)
         );
     }
@@ -197,10 +232,10 @@ mod tests {
             setup_cents: 30,
         };
         // 2 server-hours + 2 setups.
-        assert_eq!(
-            rental_cost_cents(&t, server, Granularity::PerHour),
-            Ratio::from_int(2 * 65 + 2 * 30)
-        );
+        let hourly = bill(&t, server, Granularity::PerHour);
+        assert_eq!(hourly.servers_rented, 2);
+        assert_eq!(hourly.busy_ticks, 2 * 3600);
+        assert_eq!(hourly.cost_cents, Ratio::from_int(2 * 65 + 2 * 30));
     }
 
     #[test]
@@ -234,6 +269,48 @@ mod proptests {
                     prop_assert_eq!(billed % unit, 0);
                     prop_assert!(billed - busy < unit, "{g:?} {busy}");
                 }
+            }
+        }
+
+        /// Bills of disjoint server sets add up to the bill of their
+        /// union, under every granularity and with a setup fee: the law
+        /// that makes a cluster's aggregate bill the exact sum of its
+        /// shards'.
+        #[test]
+        fn bills_of_a_split_sum_to_the_whole(
+            spans in proptest::collection::vec(0u64..20_000, 0..40),
+            shard_of in proptest::collection::vec(0usize..4, 40),
+            unit in 1u64..5_000,
+            setup_cents in 1u64..500,
+        ) {
+            for granularity in [
+                Granularity::PerTick,
+                Granularity::PerMinute,
+                Granularity::PerHour,
+                Granularity::PerUnit(unit),
+            ] {
+                let system = crate::GamingSystem {
+                    server: ServerType::with_setup_fee(setup_cents),
+                    granularity,
+                };
+                let parts: Vec<Bill> = (0..4)
+                    .map(|shard| {
+                        let part: Vec<u64> = spans
+                            .iter()
+                            .zip(&shard_of)
+                            .filter(|&(_, &s)| s == shard)
+                            .map(|(&span, _)| span)
+                            .collect();
+                        system.bill(part.len() as u64, part)
+                    })
+                    .collect();
+                let whole = system.bill(spans.len() as u64, spans.iter().copied());
+                prop_assert_eq!(parts.iter().copied().sum::<Bill>(), whole);
+                let mut folded = Bill::default();
+                for part in parts {
+                    folded += part;
+                }
+                prop_assert_eq!(folded, whole);
             }
         }
 

@@ -51,7 +51,7 @@
 //!   crash's orphans are re-dispatched at once, in the order they were
 //!   placed on the crashed server.
 
-use crate::billing::TICKS_PER_HOUR;
+use crate::billing::{Bill, TICKS_PER_HOUR};
 use crate::system::{DispatchError, GamingSystem};
 use dbp_core::bin::BinId;
 use dbp_core::demand::Demand;
@@ -59,7 +59,6 @@ use dbp_core::instance::GInstance;
 use dbp_core::item::{GArrivingItem, ItemId};
 use dbp_core::packer::{BinSelector, Decision};
 use dbp_core::probe::{DropReason, GProbeEvent, NoProbe, Probe};
-use dbp_core::ratio::Ratio;
 use dbp_core::span::{stage, NoSpans, SpanRecorder};
 use dbp_core::time::Tick;
 use dbp_core::EventCore;
@@ -68,6 +67,7 @@ use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::Sum;
 
 /// Most crashes [`FaultPlan::generate`] draws for one seeded plan (16 MiB
 /// of crash events).
@@ -345,21 +345,64 @@ impl FaultPlan {
     }
 }
 
+/// Where every session of a fault-injected run ended up. One ledger type
+/// serves a single dispatcher, a cluster shard and a whole cluster; the
+/// conservation law `served + dropped + lost + rerouted == total` is the
+/// same for all three, and ledgers of disjoint session sets add field by
+/// field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SessionLedger {
+    /// Sessions in the workload (for a shard: the ones routed to it).
+    pub total: u64,
+    /// Sessions that completed their full duration.
+    pub served: u64,
+    /// Sessions that never received service (queue full / timeout /
+    /// retries exhausted before first placement, or a dead shard with no
+    /// healthy peer left).
+    pub dropped: u64,
+    /// Sessions interrupted by a crash or shard kill and never completed.
+    pub lost: u64,
+    /// Not-yet-arrived sessions moved off a dead shard onto healthy ones;
+    /// always 0 for a single dispatcher.
+    pub rerouted: u64,
+}
+
+impl SessionLedger {
+    /// The conservation invariant every run must satisfy.
+    pub fn conserved(&self) -> bool {
+        self.served + self.dropped + self.lost + self.rerouted == self.total
+    }
+
+    /// Fraction of sessions that completed, in `[0, 1]` (1 on empty input).
+    pub fn service_rate(&self) -> f64 {
+        if self.total == 0 {
+            1.0
+        } else {
+            self.served as f64 / self.total as f64
+        }
+    }
+}
+
+impl Sum for SessionLedger {
+    fn sum<I: Iterator<Item = SessionLedger>>(iter: I) -> SessionLedger {
+        iter.fold(SessionLedger::default(), |a, b| SessionLedger {
+            total: a.total + b.total,
+            served: a.served + b.served,
+            dropped: a.dropped + b.dropped,
+            lost: a.lost + b.lost,
+            rerouted: a.rerouted + b.rerouted,
+        })
+    }
+}
+
 /// Outcome report of one [`ResilientSystem`] run. All counts are exact;
-/// `sessions_served + sessions_dropped + sessions_lost == sessions_total`.
+/// `ledger.conserved()` always holds.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResilientReport {
     /// Dispatcher name.
     pub algorithm: String,
-    /// Total play sessions in the workload.
-    pub sessions_total: u64,
-    /// Sessions that completed their full duration.
-    pub sessions_served: u64,
-    /// Sessions that never received service (queue full / timeout /
-    /// retries exhausted before first placement).
-    pub sessions_dropped: u64,
-    /// Sessions interrupted by a crash and never completed.
-    pub sessions_lost: u64,
+    /// Where every session ended up.
+    pub ledger: SessionLedger,
     /// Successful re-placements of crash orphans (no-migration broken).
     pub redispatches: u64,
     /// Crashes that actually hit an open server.
@@ -374,32 +417,11 @@ pub struct ResilientReport {
     pub recovery_ticks: u64,
     /// Peak sessions simultaneously waiting in the admission queue.
     pub queue_peak: u64,
-    /// Servers actually booted (failed provisions excluded).
-    pub servers_rented: u64,
     /// Peak simultaneously-open servers.
     pub peak_servers: u64,
-    /// Total rented ticks (boot start to close/crash, per server).
-    pub busy_ticks: u128,
-    /// Busy ticks after per-server granularity rounding.
-    pub billed_ticks: u128,
-    /// Exact rental bill in cents (duration + per-server setup fees).
-    pub cost_cents: Ratio,
-}
-
-impl ResilientReport {
-    /// The conservation invariant every run must satisfy.
-    pub fn conserved(&self) -> bool {
-        self.sessions_served + self.sessions_dropped + self.sessions_lost == self.sessions_total
-    }
-
-    /// Fraction of sessions that completed, in `[0, 1]` (1 on empty input).
-    pub fn service_rate(&self) -> f64 {
-        if self.sessions_total == 0 {
-            1.0
-        } else {
-            self.sessions_served as f64 / self.sessions_total as f64
-        }
-    }
+    /// The rental bill: servers actually booted (failed provisions
+    /// excluded), each billed from boot start to close or crash.
+    pub bill: Bill,
 }
 
 /// [`GamingSystem`] plus a [`FaultPlan`]: dispatch under injected faults
@@ -580,6 +602,8 @@ struct Sim<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRec
     /// Ticks each booted server spent booting: billed on top of its open
     /// span, since rental runs from the boot decision.
     boot_ticks: Vec<(BinId, u64)>,
+    /// Servers booted so far.
+    servers_rented: u64,
     // Hash-stream counters.
     boot_ctr: u64,
     delay_ctr: u64,
@@ -619,7 +643,10 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         });
         let report = ResilientReport {
             algorithm: selector.name().to_string(),
-            sessions_total: n as u64,
+            ledger: SessionLedger {
+                total: n as u64,
+                ..SessionLedger::default()
+            },
             ..ResilientReport::default()
         };
         Sim {
@@ -636,6 +663,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
             recovery_of: vec![None; n],
             recoveries: Vec::new(),
             boot_ticks: Vec::new(),
+            servers_rented: 0,
             boot_ctr: 0,
             delay_ctr: 0,
             reject_ctr: 0,
@@ -685,7 +713,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
             return;
         }
         self.state[item.index()] = ItemState::Served;
-        self.report.sessions_served += 1;
+        self.report.ledger.served += 1;
         let size = self.requests.item(item).size;
         self.core.depart(&mut NoSpans, item, size, Tick(t));
     }
@@ -736,7 +764,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
 
     fn boot(&mut self, t: u64, item: ItemId, bin: BinId) {
         let i = item.index();
-        self.report.servers_rented += 1;
+        self.servers_rented += 1;
         if self.end[i] > 0 && self.end[i] <= t {
             // An orphan committed to this boot, but its session ended
             // before the server came up: the server opens empty and
@@ -879,7 +907,7 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
                     }
                     return true;
                 }
-                self.report.servers_rented += 1;
+                self.servers_rented += 1;
             }
         }
         self.core
@@ -931,10 +959,10 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
         let i = item.index();
         self.leave_queue(item);
         self.state[i] = if self.orphaned_from[i].take().is_some() {
-            self.report.sessions_lost += 1;
+            self.report.ledger.lost += 1;
             ItemState::Lost
         } else {
-            self.report.sessions_dropped += 1;
+            self.report.ledger.dropped += 1;
             ItemState::Dropped
         };
         if P::ENABLED {
@@ -1034,23 +1062,16 @@ impl<'a, Sz: Demand, S: BinSelector<Sz> + ?Sized, P: Probe<Sz>, R: SpanRecorder>
     }
 
     /// The finished report: each server is billed from its boot decision
-    /// to its close or crash, rounded per server.
+    /// to its close or crash, rounded per server. The run counted the
+    /// booted servers; the core's spans also cover ids that failed
+    /// provisions burned, at zero ticks.
     fn into_report(self, system: GamingSystem) -> ResilientReport {
         let mut rented: Vec<u64> = self.core.bin_spans().collect();
         for (bin, booted) in self.boot_ticks {
             rented[bin.index()] += booted;
         }
-        let busy_ticks = rented.iter().map(|&b| b as u128).sum();
-        let billed_ticks = rented
-            .iter()
-            .map(|&b| system.granularity.billed_ticks(b))
-            .sum();
         ResilientReport {
-            busy_ticks,
-            billed_ticks,
-            cost_cents: system
-                .server
-                .cost_cents(billed_ticks, self.report.servers_rented as u128),
+            bill: system.bill(self.servers_rented, rented),
             ..self.report
         }
     }
@@ -1081,12 +1102,12 @@ mod tests {
             let resilient = ResilientSystem::new(sys, FaultPlan::none())
                 .run(&inst, &mut FirstFit::new())
                 .unwrap();
-            assert_eq!(resilient.sessions_served, inst.len() as u64);
-            assert_eq!(resilient.sessions_dropped + resilient.sessions_lost, 0);
-            assert_eq!(resilient.busy_ticks, baseline.busy_ticks);
-            assert_eq!(resilient.billed_ticks, baseline.billed_ticks);
-            assert_eq!(resilient.cost_cents, baseline.cost_cents);
-            assert_eq!(resilient.servers_rented as usize, baseline.servers_rented);
+            assert_eq!(resilient.ledger.served, inst.len() as u64);
+            assert_eq!(resilient.ledger.dropped + resilient.ledger.lost, 0);
+            assert_eq!(resilient.bill.busy_ticks, baseline.bill.busy_ticks);
+            assert_eq!(resilient.bill.billed_ticks, baseline.bill.billed_ticks);
+            assert_eq!(resilient.bill.cost_cents, baseline.bill.cost_cents);
+            assert_eq!(resilient.bill.servers_rented, baseline.bill.servers_rented);
             assert_eq!(resilient.peak_servers as u32, baseline.peak_servers);
         }
     }
@@ -1106,8 +1127,14 @@ mod tests {
             let resilient = ResilientSystem::new(sys, FaultPlan::none())
                 .run(&inst, &mut *sel)
                 .unwrap();
-            assert_eq!(resilient.cost_cents, baseline.cost_cents, "{name}");
-            assert_eq!(resilient.busy_ticks, baseline.busy_ticks, "{name}");
+            assert_eq!(
+                resilient.bill.cost_cents, baseline.bill.cost_cents,
+                "{name}"
+            );
+            assert_eq!(
+                resilient.bill.busy_ticks, baseline.bill.busy_ticks,
+                "{name}"
+            );
         }
     }
 
@@ -1154,7 +1181,7 @@ mod tests {
         let report = ResilientSystem::new(GamingSystem::paper_model(), plan)
             .run(&inst, &mut FirstFit::new())
             .unwrap();
-        assert!(report.conserved(), "{report:?}");
+        assert!(report.ledger.conserved(), "{report:?}");
         assert!(report.crashes > 0);
         assert!(report.provision_failures > 0);
         assert!(report.dispatch_rejections > 0);
@@ -1175,16 +1202,16 @@ mod tests {
             .unwrap();
         assert_eq!(report.crashes, 1);
         assert_eq!(report.redispatches, 2);
-        assert_eq!(report.sessions_served, 2);
-        assert_eq!(report.sessions_lost, 0);
-        assert_eq!(report.servers_rented, 2); // original + replacement
+        assert_eq!(report.ledger.served, 2);
+        assert_eq!(report.ledger.lost, 0);
+        assert_eq!(report.bill.servers_rented, 2); // original + replacement
         let kinds: Vec<&str> = log.events().iter().map(|e| e.kind()).collect();
         assert!(kinds.contains(&"BinCrashed"));
         assert!(kinds.contains(&"ItemRedispatched"));
         assert!(kinds.contains(&"RecoveryEnded"));
         // Redispatched sessions keep their original end: still 1000 ticks
         // of service each, but the replacement server is billed from 500.
-        assert_eq!(report.busy_ticks, 500 + 500);
+        assert_eq!(report.bill.busy_ticks, 500 + 500);
     }
 
     #[test]
@@ -1251,12 +1278,12 @@ mod tests {
         let report = ResilientSystem::new(GamingSystem::paper_model(), plan)
             .run(&inst, &mut FirstFit::new())
             .unwrap();
-        assert!(report.conserved());
-        assert_eq!(report.sessions_served, 0);
-        assert_eq!(report.sessions_dropped, 4);
+        assert!(report.ledger.conserved());
+        assert_eq!(report.ledger.served, 0);
+        assert_eq!(report.ledger.dropped, 4);
         assert!(report.provision_failures > 0);
-        assert_eq!(report.servers_rented, 0);
-        assert_eq!(report.cost_cents, Ratio::ZERO);
+        assert_eq!(report.bill.servers_rented, 0);
+        assert_eq!(report.bill.cost_cents, Ratio::ZERO);
         assert_eq!(report.queue_peak, 2);
     }
 
@@ -1291,9 +1318,9 @@ mod tests {
                 &mut FnProbe::new(|ev| events.push(ev)),
             )
             .unwrap();
-        assert!(report.conserved());
-        assert_eq!(report.sessions_served, 0);
-        assert_eq!(report.sessions_dropped, 1);
+        assert!(report.ledger.conserved());
+        assert_eq!(report.ledger.served, 0);
+        assert_eq!(report.ledger.dropped, 1);
         let drops: Vec<_> = events
             .iter()
             .filter_map(|ev| match ev {

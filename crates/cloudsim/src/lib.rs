@@ -7,14 +7,17 @@
 //! system:
 //!
 //! * [`billing`] — EC2-style rental billing with per-tick / per-minute /
-//!   per-hour granularity (the paper's cost model is the per-tick limit);
+//!   per-hour granularity (the paper's cost model is the per-tick limit),
+//!   and [`Bill`], the one bill every report carries, built only by
+//!   [`GamingSystem::bill`] from per-server rented spans;
 //! * [`system`] — [`GamingSystem`]: dispatch a request trace with any
 //!   [`BinSelector`] policy and get the exact rental bill, peak fleet size,
 //!   and utilization;
 //! * [`faults`] — seeded, fully deterministic fault injection:
 //!   [`FaultPlan`] (crashes, flaky provisioning, dispatch rejections) and
 //!   [`ResilientSystem`], which retries, re-dispatches orphans, and
-//!   accounts every dropped or interrupted session. A run is fully
+//!   accounts every dropped or interrupted session in a
+//!   [`SessionLedger`]. A run is fully
 //!   deterministic, so a crashed dispatcher recovers the way every journal
 //!   does: [`ResilientSystem::run_probed`] under a
 //!   [`VerifyProbe`](dbp_core::probe::VerifyProbe) over the whole journal,
@@ -32,7 +35,7 @@
 //!     .run(&requests, &mut FirstFit::new())
 //!     .unwrap();
 //! assert_eq!(report.sessions_served, requests.len());
-//! assert!(report.billed_ticks % 3600 == 0); // whole server-hours
+//! assert!(report.bill.billed_ticks % 3600 == 0); // whole server-hours
 //! ```
 
 #![warn(missing_docs)]
@@ -42,9 +45,9 @@ pub mod billing;
 pub mod faults;
 pub mod system;
 
-pub use billing::{billed_ticks, rental_cost_cents, Granularity, ServerType, TICKS_PER_HOUR};
+pub use billing::{Bill, Granularity, ServerType, TICKS_PER_HOUR};
 pub use faults::{
     AdmissionPolicy, CrashEvent, FaultConfig, FaultPlan, ResilientReport, ResilientSystem,
-    RetryPolicy,
+    RetryPolicy, SessionLedger,
 };
 pub use system::{DispatchError, GamingSystem, SystemReport};

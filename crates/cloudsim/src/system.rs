@@ -6,7 +6,7 @@
 //! dispatcher is a [`BinSelector`], and the bill is the MinTotal objective
 //! under a [`Granularity`].
 
-use crate::billing::{billed_ticks, rental_cost_cents, Granularity, ServerType};
+use crate::billing::{Bill, Granularity, ServerType};
 use dbp_core::demand::Demand;
 use dbp_core::engine::simulate_validated;
 use dbp_core::instance::{GInstance, Instance};
@@ -57,16 +57,10 @@ pub struct SystemReport {
     pub algorithm: String,
     /// Play sessions served (always all of them — capacity is on demand).
     pub sessions_served: usize,
-    /// Distinct servers ever rented.
-    pub servers_rented: usize,
     /// Peak simultaneously-running servers.
     pub peak_servers: u32,
-    /// Raw busy time in server-seconds (the paper's `A_total` with C = 1).
-    pub busy_ticks: u128,
-    /// Billed time after granularity rounding, in server-seconds.
-    pub billed_ticks: u128,
-    /// Rental bill in cents, exactly.
-    pub cost_cents: Ratio,
+    /// The rental bill: one server per bin, rented for its usage period.
+    pub bill: Bill,
     /// Mean GPU utilization of rented (busy) time, in `[0, 1]`.
     pub utilization: Ratio,
     /// Provenance of the run: instance digest, wall time, peak RSS.
@@ -76,7 +70,7 @@ pub struct SystemReport {
 impl SystemReport {
     /// Bill in dollars (lossy, for display).
     pub fn cost_dollars(&self) -> f64 {
-        self.cost_cents.to_f64() / 100.0
+        self.bill.cost_cents.to_f64() / 100.0
     }
 }
 
@@ -153,18 +147,44 @@ impl GamingSystem {
         trace: &GPackingTrace<Sz>,
         wall: std::time::Duration,
     ) -> SystemReport {
-        let busy = trace.total_cost_ticks();
+        let bill = self.bill_trace(trace);
         SystemReport {
             algorithm: trace.algorithm.clone(),
             sessions_served: requests.len(),
-            servers_rented: trace.bins_used(),
             peak_servers: trace.max_open_bins(),
-            busy_ticks: busy,
-            billed_ticks: billed_ticks(trace, self.granularity),
-            cost_cents: rental_cost_cents(trace, self.server, self.granularity),
-            utilization: dbp_core::metrics::utilization(requests, busy),
+            bill,
+            utilization: dbp_core::metrics::utilization(requests, bill.busy_ticks),
             manifest: Some(RunManifest::capture(&trace.algorithm, None, requests, wall)),
         }
+    }
+
+    /// The bill of `servers_rented` servers rented for `spans` ticks each:
+    /// every span is rounded up to the granularity on its own (servers are
+    /// rented per instance), and each server pays the setup fee once. The
+    /// one place rented time turns into billed ticks and cents.
+    ///
+    /// `servers_rented` is passed apart from the spans because a fault
+    /// run's ledger holds spans for ids it never booted: a failed
+    /// provision spends a bin id with a zero span but rents nothing.
+    pub fn bill(&self, servers_rented: u64, spans: impl IntoIterator<Item = u64>) -> Bill {
+        let (mut busy_ticks, mut billed_ticks) = (0u128, 0u128);
+        for span in spans {
+            busy_ticks += span as u128;
+            billed_ticks += self.granularity.billed_ticks(span);
+        }
+        Bill {
+            servers_rented,
+            busy_ticks,
+            billed_ticks,
+            cost_cents: self.server.cost_cents(billed_ticks, servers_rented as u128),
+        }
+    }
+
+    /// The bill of a packing trace: one server per bin, rented for the
+    /// bin's usage period.
+    pub fn bill_trace<Sz: Demand>(&self, trace: &GPackingTrace<Sz>) -> Bill {
+        let spans = trace.bins.iter().map(|b| b.usage_len().raw());
+        self.bill(trace.bins_used() as u64, spans)
     }
 
     /// [`run`](GamingSystem::run), panicking on [`DispatchError`] — for
@@ -195,8 +215,8 @@ mod tests {
         let inst = generate(&cfg);
         let sys = GamingSystem::paper_model();
         let (report, trace) = sys.run_or_panic(&inst, &mut FirstFit::new());
-        assert_eq!(report.busy_ticks, trace.total_cost_ticks());
-        assert_eq!(report.billed_ticks, report.busy_ticks);
+        assert_eq!(report.bill.busy_ticks, trace.total_cost_ticks());
+        assert_eq!(report.bill.billed_ticks, report.bill.busy_ticks);
         assert_eq!(report.sessions_served, inst.len());
         assert!(report.utilization > Ratio::ZERO);
         assert!(report.utilization <= Ratio::ONE);
@@ -221,10 +241,10 @@ mod tests {
             GamingSystem::paper_model().run_or_panic(&inst, &mut FirstFit::new());
         let (hour_report, _) =
             GamingSystem::hourly_model().run_or_panic(&inst, &mut FirstFit::new());
-        assert!(hour_report.billed_ticks >= tick_report.billed_ticks);
-        assert!(hour_report.cost_cents >= tick_report.cost_cents);
+        assert!(hour_report.bill.billed_ticks >= tick_report.bill.billed_ticks);
+        assert!(hour_report.bill.cost_cents >= tick_report.bill.cost_cents);
         // Hourly bill is a whole number of server-hours.
-        assert_eq!(hour_report.billed_ticks % 3600, 0);
+        assert_eq!(hour_report.bill.billed_ticks % 3600, 0);
     }
 
     #[test]
@@ -267,6 +287,6 @@ mod tests {
         let (nf, _) = sys.run_or_panic(&inst, &mut NextFit::new());
         // Next Fit opens servers eagerly; it should never beat FF here and
         // typically loses clearly.
-        assert!(nf.cost_cents >= ff.cost_cents);
+        assert!(nf.bill.cost_cents >= ff.bill.cost_cents);
     }
 }

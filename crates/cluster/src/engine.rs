@@ -4,10 +4,11 @@
 //!
 //! Every shard is a full [`GamingSystem`]-equivalent dispatch run over the
 //! restricted instance its router slice produced; costs are additive
-//! because shards share no servers, so the aggregate `busy_ticks`,
-//! `billed_ticks` and `cost_cents` are plain sums in `u128`/[`Ratio`] —
-//! no floats anywhere in the ledger. A 1-shard cluster is *the* plain
-//! system run: same trace, same event stream, same report.
+//! because shards share no servers, so the aggregate [`Bill`] is the plain
+//! sum of the shard bills (`u128` ticks, [`Ratio`] cents — no floats
+//! anywhere), and a fault run's [`SessionLedger`] the sum of the shard
+//! ledgers. A 1-shard cluster is *the* plain system run: same trace, same
+//! event stream, same report.
 
 use crate::faults::{
     panic_message, supervise_shard, KillPoint, ShardFate, ShardFaultPlan, ShardHealth,
@@ -15,7 +16,8 @@ use crate::faults::{
 };
 use crate::router::{Router, ShardSlice};
 use dbp_cloudsim::{
-    DispatchError, FaultPlan, GamingSystem, ResilientReport, ResilientSystem, SystemReport,
+    Bill, DispatchError, FaultPlan, GamingSystem, ResilientReport, ResilientSystem, SessionLedger,
+    SystemReport,
 };
 use dbp_core::demand::Demand;
 use dbp_core::engine::{validate_probed, EngineRun};
@@ -186,17 +188,14 @@ pub struct ClusterReport {
     pub shards: usize,
     /// Sessions served across all shards (= the instance size).
     pub sessions_served: usize,
-    /// Distinct servers rented across all shards (ids are per-shard).
-    pub servers_rented: usize,
     /// Sum of per-shard peak fleets — what the cluster must be able to
     /// provision if every pool peaks at once.
     pub peak_servers: u32,
-    /// Exact sum of shard busy times, in server-ticks.
+    /// Exact sum of the shard bills (server ids are per-shard).
+    pub bill: Bill,
+    /// `bill.busy_ticks`, kept as its own field for readers that take the
+    /// cluster's server-ticks from here.
     pub busy_ticks: u128,
-    /// Exact sum of shard billed times.
-    pub billed_ticks: u128,
-    /// Exact sum of shard bills, in cents.
-    pub cost_cents: Ratio,
     /// Cluster-wide utilization: total demand over `W ·` total busy time.
     pub utilization: Ratio,
     /// Merged provenance: the *combined* digest is taken over the full
@@ -231,16 +230,9 @@ impl<Sz> ClusterRun<Sz> {
         );
         merged.counter_add(
             "dbp_cluster_servers_rented_total",
-            self.report.servers_rented as u64,
+            self.report.bill.servers_rented,
         );
-        merged.counter_add(
-            "dbp_cluster_busy_ticks_total",
-            u64::try_from(self.report.busy_ticks).unwrap_or(u64::MAX),
-        );
-        merged.counter_add(
-            "dbp_cluster_billed_ticks_total",
-            u64::try_from(self.report.billed_ticks).unwrap_or(u64::MAX),
-        );
+        add_bill_metrics(&mut merged, &self.report.bill);
         for (shard, reg) in per_shard.iter().enumerate() {
             merged.absorb_labeled(reg, "shard", &shard.to_string());
         }
@@ -308,24 +300,14 @@ pub struct ClusterResilientReport {
     pub router: String,
     /// Shard count.
     pub shards: usize,
-    /// Sum of shard session totals (= the instance size).
-    pub sessions_total: u64,
-    /// Sessions served to completion, across shards.
-    pub sessions_served: u64,
-    /// Sessions dropped at admission, across shards.
-    pub sessions_dropped: u64,
-    /// Sessions lost to crashes, across shards.
-    pub sessions_lost: u64,
-    /// Exact sum of shard busy times.
-    pub busy_ticks: u128,
-    /// Exact sum of shard billed times.
-    pub billed_ticks: u128,
-    /// Exact sum of shard bills, in cents.
-    pub cost_cents: Ratio,
-    /// Sessions rerouted off dead shards onto healthy ones by the
-    /// self-healing runs; always 0 for [`ClusterEngine::run_resilient`].
-    #[serde(default)]
-    pub sessions_rerouted: u64,
+    /// Sum of the shard ledgers: `total` is the instance size, and
+    /// `rerouted` counts sessions moved off dead shards onto healthy ones
+    /// by the self-healing runs (always 0 for
+    /// [`ClusterEngine::run_resilient`]). A rerouted session is counted
+    /// under `rerouted` alone, even though a healthy shard served it.
+    pub ledger: SessionLedger,
+    /// Exact sum of the shard bills.
+    pub bill: Bill,
     /// Shard kills that landed (self-healing runs; injected or genuine).
     #[serde(default)]
     pub shard_kills: u64,
@@ -338,17 +320,6 @@ pub struct ClusterResilientReport {
     /// Shards that ended the run abandoned ([`ShardHealth::Down`]).
     #[serde(default)]
     pub shards_lost: u64,
-}
-
-impl ClusterResilientReport {
-    /// The conservation law, cluster-wide: every session is served,
-    /// dropped, lost, or rerouted — nothing double-counted, nothing
-    /// vanishes. (Rerouted sessions are billed under `sessions_rerouted`
-    /// alone, even though a healthy shard ultimately served them.)
-    pub fn conserved(&self) -> bool {
-        self.sessions_served + self.sessions_dropped + self.sessions_lost + self.sessions_rerouted
-            == self.sessions_total
-    }
 }
 
 /// A finished fault-injected cluster run.
@@ -371,19 +342,13 @@ pub struct ShardHealthReport {
     pub shard: usize,
     /// Final health ([`ShardHealth::Up`] possibly after resurrections).
     pub health: ShardHealth,
-    /// Sessions the router originally assigned to this shard.
-    pub sessions_total: u64,
-    /// Of those, sessions served to completion here.
-    pub sessions_served: u64,
-    /// Of those, sessions dropped (shard died with no healthy peer left).
-    pub sessions_dropped: u64,
-    /// Of those, sessions in flight when the shard was abandoned.
-    pub sessions_lost: u64,
-    /// Of those, not-yet-arrived sessions moved to healthy shards.
-    pub sessions_rerouted_out: u64,
+    /// The sessions the router originally assigned to this shard: served
+    /// here, dropped (shard died with no healthy peer left), lost (in
+    /// flight when the shard was abandoned), or rerouted out (not yet
+    /// arrived, moved to healthy shards).
+    pub ledger: SessionLedger,
     /// Sessions this shard hosted *for* dead peers (not part of its own
-    /// conservation ledger — they stay billed under the cluster's
-    /// `sessions_rerouted`).
+    /// ledger — they stay counted under the cluster's `ledger.rerouted`).
     pub sessions_rerouted_in: u64,
     /// Kills that landed on this shard.
     pub kills: u64,
@@ -393,29 +358,11 @@ pub struct ShardHealthReport {
     pub replayed_events: u64,
     /// Restart backoff charged, in ticks.
     pub backoff_ticks: u64,
-    /// Distinct servers this shard rented (host work included).
-    pub servers_rented: u64,
-    /// Server-ticks used (host work for rerouted sessions included).
-    pub busy_ticks: u128,
-    /// Billed ticks under the system granularity.
-    pub billed_ticks: u128,
-    /// Exact bill in cents.
-    pub cost_cents: Ratio,
+    /// Exact bill (host work for rerouted sessions included).
+    pub bill: Bill,
     /// Why the shard went [`ShardHealth::Down`], when it did.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub down_reason: Option<String>,
-}
-
-impl ShardHealthReport {
-    /// Per-shard conservation over the original assignment:
-    /// `served + dropped + lost + rerouted_out == total`.
-    pub fn conserved(&self) -> bool {
-        self.sessions_served
-            + self.sessions_dropped
-            + self.sessions_lost
-            + self.sessions_rerouted_out
-            == self.sessions_total
-    }
 }
 
 /// A finished self-healing cluster run: the extended SLA ledger, per-shard
@@ -423,8 +370,8 @@ impl ShardHealthReport {
 /// conservation verdict stamped in).
 #[derive(Debug, Clone)]
 pub struct ClusterHealedRun {
-    /// Extended aggregate ledger; `report.conserved()` is the cluster's
-    /// conservation law.
+    /// Extended aggregate ledger; `report.ledger.conserved()` is the
+    /// cluster's conservation law.
     pub report: ClusterResilientReport,
     /// Per-shard health reports, indexed by shard.
     pub shards: Vec<ShardHealthReport>,
@@ -441,19 +388,11 @@ impl ClusterHealedRun {
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.counter_add("dbp_cluster_shards", self.report.shards as u64);
-        reg.counter_add(
-            "dbp_cluster_sessions_served_total",
-            self.report.sessions_served,
-        );
-        reg.counter_add(
-            "dbp_cluster_sessions_dropped_total",
-            self.report.sessions_dropped,
-        );
-        reg.counter_add("dbp_cluster_sessions_lost_total", self.report.sessions_lost);
-        reg.counter_add(
-            "dbp_cluster_sessions_rerouted_total",
-            self.report.sessions_rerouted,
-        );
+        let ledger = &self.report.ledger;
+        reg.counter_add("dbp_cluster_sessions_served_total", ledger.served);
+        reg.counter_add("dbp_cluster_sessions_dropped_total", ledger.dropped);
+        reg.counter_add("dbp_cluster_sessions_lost_total", ledger.lost);
+        reg.counter_add("dbp_cluster_sessions_rerouted_total", ledger.rerouted);
         reg.counter_add("dbp_cluster_shard_kills_total", self.report.shard_kills);
         reg.counter_add(
             "dbp_cluster_shard_restarts_total",
@@ -463,14 +402,7 @@ impl ClusterHealedRun {
             "dbp_cluster_shard_replayed_events_total",
             self.report.shard_replayed_events,
         );
-        reg.counter_add(
-            "dbp_cluster_busy_ticks_total",
-            u64::try_from(self.report.busy_ticks).unwrap_or(u64::MAX),
-        );
-        reg.counter_add(
-            "dbp_cluster_billed_ticks_total",
-            u64::try_from(self.report.billed_ticks).unwrap_or(u64::MAX),
-        );
+        add_bill_metrics(&mut reg, &self.report.bill);
         for h in &self.shards {
             let up = matches!(h.health, ShardHealth::Up);
             reg.gauge_set(
@@ -488,6 +420,18 @@ impl ClusterHealedRun {
         }
         reg
     }
+}
+
+/// Export a cluster bill's rented time as the
+/// `dbp_cluster_busy_ticks_total` and `dbp_cluster_billed_ticks_total`
+/// counters (saturated at `u64::MAX`).
+fn add_bill_metrics(reg: &mut MetricsRegistry, bill: &Bill) {
+    let saturate = |ticks: u128| u64::try_from(ticks).unwrap_or(u64::MAX);
+    reg.counter_add("dbp_cluster_busy_ticks_total", saturate(bill.busy_ticks));
+    reg.counter_add(
+        "dbp_cluster_billed_ticks_total",
+        saturate(bill.billed_ticks),
+    );
 }
 
 /// The scale-out dispatch layer: a [`GamingSystem`] per shard behind a
@@ -670,13 +614,8 @@ impl ClusterEngine {
             algorithm,
             router: self.config.router.name().to_string(),
             shards: self.config.shards,
-            sessions_total: shards.iter().map(|r| r.sessions_total).sum(),
-            sessions_served: shards.iter().map(|r| r.sessions_served).sum(),
-            sessions_dropped: shards.iter().map(|r| r.sessions_dropped).sum(),
-            sessions_lost: shards.iter().map(|r| r.sessions_lost).sum(),
-            busy_ticks: shards.iter().map(|r| r.busy_ticks).sum(),
-            billed_ticks: shards.iter().map(|r| r.billed_ticks).sum(),
-            cost_cents: shards.iter().fold(Ratio::ZERO, |acc, r| acc + r.cost_cents),
+            ledger: shards.iter().map(|r| r.ledger).sum(),
+            bill: shards.iter().map(|r| r.bill).sum(),
             ..ClusterResilientReport::default()
         };
         let run = ClusterResilientRun {
@@ -795,7 +734,10 @@ impl ClusterEngine {
             let base = ShardHealthReport {
                 shard: s,
                 health: sup.health(),
-                sessions_total: back.len() as u64,
+                ledger: SessionLedger {
+                    total: back.len() as u64,
+                    ..SessionLedger::default()
+                },
                 kills: sup.kills as u64,
                 restarts: sup.restarts as u64,
                 replayed_events: sup.replayed_events,
@@ -807,11 +749,11 @@ impl ClusterEngine {
                 ShardFate::Completed { report } => {
                     algorithm.get_or_insert_with(|| report.algorithm.clone());
                     health_reports.push(ShardHealthReport {
-                        sessions_served: report.sessions_served as u64,
-                        servers_rented: report.servers_rented as u64,
-                        busy_ticks: report.busy_ticks,
-                        billed_ticks: report.billed_ticks,
-                        cost_cents: report.cost_cents,
+                        ledger: SessionLedger {
+                            served: report.sessions_served as u64,
+                            ..base.ledger
+                        },
+                        bill: report.bill,
                         ..base
                     });
                 }
@@ -834,14 +776,14 @@ impl ClusterEngine {
                         rerouted: moved as u32,
                     });
                     health_reports.push(ShardHealthReport {
-                        sessions_served: dead.served,
-                        sessions_dropped: dropped,
-                        sessions_lost: dead.lost,
-                        sessions_rerouted_out: moved,
-                        servers_rented: dead.servers_rented,
-                        busy_ticks: dead.busy_ticks,
-                        billed_ticks: dead.billed_ticks,
-                        cost_cents: dead.cost_cents,
+                        ledger: SessionLedger {
+                            served: dead.served,
+                            dropped,
+                            lost: dead.lost,
+                            rerouted: moved,
+                            ..base.ledger
+                        },
+                        bill: dead.bill,
                         down_reason: Some(dead.reason),
                         ..base
                     });
@@ -858,7 +800,7 @@ impl ClusterEngine {
         // (rerouted sessions arrive in the future; no migration happens).
         // Host-side reroute events are deliberately NOT journaled into any
         // shard stream: healthy journals stay single-engine-replayable.
-        let rerouted_total: u64 = health_reports.iter().map(|h| h.sessions_rerouted_out).sum();
+        let rerouted_total: u64 = health_reports.iter().map(|h| h.ledger.rerouted).sum();
         if rerouted_total > 0 {
             driver.enter(stage::REROUTE);
             let (sub, _sub_back) = requests.restrict(|it| reroute[it.id.index()]);
@@ -880,10 +822,7 @@ impl ClusterEngine {
                     run_shard(&self.system, &hinst, &mut *sel, &mut NoProbe, &mut NoSpans);
                 let hr = &mut health_reports[host];
                 hr.sessions_rerouted_in += hinst.len() as u64;
-                hr.servers_rented += rep.servers_rented as u64;
-                hr.busy_ticks += rep.busy_ticks;
-                hr.billed_ticks += rep.billed_ticks;
-                hr.cost_cents = hr.cost_cents + rep.cost_cents;
+                hr.bill += rep.bill;
             }
             driver.exit();
         }
@@ -907,22 +846,13 @@ impl ClusterEngine {
         }
 
         let algorithm = algorithm.unwrap_or_else(|| factory.name().to_string());
-        let busy: u128 = health_reports.iter().map(|h| h.busy_ticks).sum();
         let total_restarts: u64 = health_reports.iter().map(|h| h.restarts).sum();
         let report = ClusterResilientReport {
             algorithm: algorithm.clone(),
             router: self.config.router.name().to_string(),
             shards: shards_n,
-            sessions_total: health_reports.iter().map(|h| h.sessions_total).sum(),
-            sessions_served: health_reports.iter().map(|h| h.sessions_served).sum(),
-            sessions_dropped: health_reports.iter().map(|h| h.sessions_dropped).sum(),
-            sessions_lost: health_reports.iter().map(|h| h.sessions_lost).sum(),
-            busy_ticks: busy,
-            billed_ticks: health_reports.iter().map(|h| h.billed_ticks).sum(),
-            cost_cents: health_reports
-                .iter()
-                .fold(Ratio::ZERO, |acc, h| acc + h.cost_cents),
-            sessions_rerouted: rerouted_total,
+            ledger: health_reports.iter().map(|h| h.ledger).sum(),
+            bill: health_reports.iter().map(|h| h.bill).sum(),
             shard_kills: health_reports.iter().map(|h| h.kills).sum(),
             shard_restarts: total_restarts,
             shard_replayed_events: health_reports.iter().map(|h| h.replayed_events).sum(),
@@ -933,9 +863,9 @@ impl ClusterEngine {
         };
         driver.enter(stage::MANIFEST_MERGE);
         let manifest = RunManifest::capture(&algorithm, None, requests, driver.epoch().elapsed())
-            .with_cost(busy)
+            .with_cost(report.bill.busy_ticks)
             .with_shard_restarts(total_restarts)
-            .with_ledger_conserved(report.conserved());
+            .with_ledger_conserved(report.ledger.conserved());
         driver.exit();
         ClusterHealedRun {
             report,
@@ -1072,28 +1002,25 @@ impl ClusterEngine {
         fallback_algorithm: &str,
         driver: &mut SpanCollector,
     ) -> ClusterReport {
-        let busy: u128 = shards.iter().map(|s| s.report.busy_ticks).sum();
+        let bill: Bill = shards.iter().map(|s| s.report.bill).sum();
         let algorithm = shards
             .first()
             .map(|s| s.report.algorithm.clone())
             .unwrap_or_else(|| fallback_algorithm.to_string());
         driver.enter(stage::MANIFEST_MERGE);
         let wall = driver.epoch().elapsed();
-        let manifest = RunManifest::capture(&algorithm, None, requests, wall).with_cost(busy);
+        let manifest =
+            RunManifest::capture(&algorithm, None, requests, wall).with_cost(bill.busy_ticks);
         driver.exit();
         ClusterReport {
             algorithm: algorithm.clone(),
             router: self.config.router.name().to_string(),
             shards: self.config.shards,
             sessions_served: shards.iter().map(|s| s.report.sessions_served).sum(),
-            servers_rented: shards.iter().map(|s| s.report.servers_rented).sum(),
             peak_servers: shards.iter().map(|s| s.report.peak_servers).sum(),
-            busy_ticks: busy,
-            billed_ticks: shards.iter().map(|s| s.report.billed_ticks).sum(),
-            cost_cents: shards
-                .iter()
-                .fold(Ratio::ZERO, |acc, s| acc + s.report.cost_cents),
-            utilization: dbp_core::metrics::utilization(requests, busy),
+            bill,
+            busy_ticks: bill.busy_ticks,
+            utilization: dbp_core::metrics::utilization(requests, bill.busy_ticks),
             manifest,
         }
     }
@@ -1357,13 +1284,15 @@ mod tests {
                 .run_probed(&inst, &ff_factory(), |_| NoProbe)
                 .unwrap()
                 .0;
-            let busy: u128 = run.shards.iter().map(|s| s.report.busy_ticks).sum();
+            let busy: u128 = run.shards.iter().map(|s| s.report.bill.busy_ticks).sum();
             assert_eq!(run.report.busy_ticks, busy, "{}", router.name());
+            // The `busy_ticks` field is the bill's, never a second count.
+            assert_eq!(run.report.bill.busy_ticks, busy, "{}", router.name());
             let cents = run
                 .shards
                 .iter()
-                .fold(Ratio::ZERO, |acc, s| acc + s.report.cost_cents);
-            assert_eq!(run.report.cost_cents, cents, "{}", router.name());
+                .fold(Ratio::ZERO, |acc, s| acc + s.report.bill.cost_cents);
+            assert_eq!(run.report.bill.cost_cents, cents, "{}", router.name());
             assert_eq!(run.report.sessions_served, inst.len(), "{}", router.name());
         }
     }
@@ -1500,7 +1429,7 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(healed.report, resilient.report);
-        assert!(healed.report.conserved());
+        assert!(healed.report.ledger.conserved());
         assert_eq!(healed.report.shard_restarts, 0);
         assert_eq!(healed.manifest.ledger_conserved, Some(true));
         // ...and the delivered stream is the plain per-shard streams,
@@ -1514,7 +1443,7 @@ mod tests {
             .collect();
         assert_eq!(healed_log.events(), &plain[..]);
         for shard in &healed.shards {
-            assert!(shard.conserved());
+            assert!(shard.ledger.conserved());
             assert_eq!(shard.health, ShardHealth::Up);
         }
     }
@@ -1544,20 +1473,23 @@ mod tests {
             .run_self_healing(&inst, &ff_factory(), &plan, &mut log, |_, _| NoSpans)
             .unwrap()
             .0;
-        assert!(healed.report.conserved(), "extended ledger must conserve");
+        assert!(
+            healed.report.ledger.conserved(),
+            "extended ledger must conserve"
+        );
         let dead = &healed.shards[2];
         assert_eq!(dead.health, ShardHealth::Down);
         assert!(dead.down_reason.is_some());
         assert_eq!(dead.kills, 4);
         assert_eq!(dead.restarts, 3);
-        assert!(dead.conserved());
+        assert!(dead.ledger.conserved());
         assert!(
-            dead.sessions_rerouted_out > 0,
+            dead.ledger.rerouted > 0,
             "a shard killed early must strand future arrivals"
         );
-        assert_eq!(healed.report.sessions_rerouted, dead.sessions_rerouted_out);
+        assert_eq!(healed.report.ledger.rerouted, dead.ledger.rerouted);
         let hosted: u64 = healed.shards.iter().map(|h| h.sessions_rerouted_in).sum();
-        assert_eq!(hosted, dead.sessions_rerouted_out);
+        assert_eq!(hosted, dead.ledger.rerouted);
         // The abandonment is stamped into the delivered stream.
         assert!(log
             .events()
@@ -1640,7 +1572,7 @@ mod tests {
 
         // Spans never touch the ledger.
         assert_eq!(traced.report.busy_ticks, plain.report.busy_ticks);
-        assert_eq!(traced.report.cost_cents, plain.report.cost_cents);
+        assert_eq!(traced.report.bill.cost_cents, plain.report.bill.cost_cents);
         assert_eq!(traced.report.sessions_served, plain.report.sessions_served);
         for (a, b) in traced.shards.iter().zip(plain.shards.iter()) {
             assert_eq!(a.trace, b.trace);
@@ -1741,10 +1673,10 @@ mod tests {
             .run_resilient(&inst, &ff_factory(), &plans, |_| NoProbe)
             .unwrap()
             .0;
-        assert!(run.report.conserved());
-        assert_eq!(run.report.sessions_total, inst.len() as u64);
+        assert!(run.report.ledger.conserved());
+        assert_eq!(run.report.ledger.total, inst.len() as u64);
         for shard in &run.shards {
-            assert!(shard.conserved());
+            assert!(shard.ledger.conserved());
         }
     }
 
@@ -1764,8 +1696,8 @@ mod tests {
             .run_resilient(&inst, &ff_factory(), &plans, |_| NoProbe)
             .unwrap()
             .0;
-        assert_eq!(faulted.report.busy_ticks, plain.report.busy_ticks);
-        assert_eq!(faulted.report.cost_cents, plain.report.cost_cents);
-        assert_eq!(faulted.report.sessions_served, inst.len() as u64);
+        assert_eq!(faulted.report.bill.busy_ticks, plain.report.busy_ticks);
+        assert_eq!(faulted.report.bill.cost_cents, plain.report.bill.cost_cents);
+        assert_eq!(faulted.report.ledger.served, inst.len() as u64);
     }
 }

@@ -23,12 +23,11 @@
 //! their stream position and filtered by `is_fault_event()`.
 
 use crate::engine::run_shard_from;
-use dbp_cloudsim::{GamingSystem, RetryPolicy, SystemReport};
+use dbp_cloudsim::{Bill, GamingSystem, RetryPolicy, SystemReport};
 use dbp_core::demand::Demand;
 use dbp_core::instance::GInstance;
 use dbp_core::packer::GSelectorFactory;
 use dbp_core::probe::{GProbeEvent, Probe};
-use dbp_core::ratio::Ratio;
 use dbp_core::span::SpanRecorder;
 use dbp_core::time::Tick;
 use serde::{Deserialize, Serialize};
@@ -310,14 +309,9 @@ pub(crate) struct DeadShard {
     /// Shard-local indices of sessions that had not arrived yet — the
     /// reroute set.
     pub unarrived: Vec<usize>,
-    /// Server-ticks actually used, open servers billed to `died_at`.
-    pub busy_ticks: u128,
-    /// Billed ticks under the system granularity.
-    pub billed_ticks: u128,
-    /// Servers the shard booted before dying.
-    pub servers_rented: u64,
-    /// Exact bill for the shard's partial run.
-    pub cost_cents: Ratio,
+    /// Exact bill for the shard's partial run: every server it booted,
+    /// the ones still open billed to `died_at`.
+    pub bill: Bill,
     /// Why the shard was abandoned.
     pub reason: String,
 }
@@ -509,11 +503,9 @@ fn account_dead_shard<Sz: Demand>(
     let n = requests.len();
     let mut arrived = vec![false; n];
     let mut departed = vec![false; n];
-    // Bin ids are dense in opening order, so `opened_at[b]` is bin b's boot.
-    let mut opened_at: Vec<u64> = Vec::new();
-    let mut open: Vec<bool> = Vec::new();
-    let mut busy: u128 = 0;
-    let mut billed: u128 = 0;
+    // Bin ids are dense in opening order, so `bins[b]` is bin b's boot
+    // tick and, once it closed, its journaled span.
+    let mut bins: Vec<(u64, Option<u64>)> = Vec::new();
     for ev in wal {
         match ev {
             GProbeEvent::ItemArrived { item, .. } => {
@@ -526,31 +518,21 @@ fn account_dead_shard<Sz: Demand>(
                     *slot = true;
                 }
             }
-            GProbeEvent::BinOpened { at, .. } => {
-                opened_at.push(at.0);
-                open.push(true);
-            }
+            GProbeEvent::BinOpened { at, .. } => bins.push((at.0, None)),
             GProbeEvent::BinClosed {
                 bin, open_ticks, ..
             } => {
-                if let Some(slot) = open.get_mut(bin.index()) {
-                    *slot = false;
+                if let Some(slot) = bins.get_mut(bin.index()) {
+                    slot.1 = Some(*open_ticks);
                 }
-                busy += *open_ticks as u128;
-                billed += system.granularity.billed_ticks(*open_ticks);
             }
             _ => {}
         }
     }
-    for b in 0..open.len() {
-        if open[b] {
-            let span = died_at.saturating_sub(opened_at[b]);
-            busy += span as u128;
-            billed += system.granularity.billed_ticks(span);
-        }
-    }
-    let servers_rented = opened_at.len() as u64;
-    let cost_cents = system.server.cost_cents(billed, servers_rented as u128);
+    let spans = bins
+        .iter()
+        .map(|&(at, span)| span.unwrap_or_else(|| died_at.saturating_sub(at)));
+    let bill = system.bill(bins.len() as u64, spans);
     let mut served = 0u64;
     let mut lost = 0u64;
     let mut unarrived = Vec::new();
@@ -568,10 +550,7 @@ fn account_dead_shard<Sz: Demand>(
         served,
         lost,
         unarrived,
-        busy_ticks: busy,
-        billed_ticks: billed,
-        servers_rented,
-        cost_cents,
+        bill,
         reason,
     }
 }
@@ -660,8 +639,8 @@ mod tests {
         assert_eq!((sup.kills, sup.restarts), (0, 0));
         match sup.fate {
             ShardFate::Completed { report: r, .. } => {
-                assert_eq!(r.busy_ticks, report.busy_ticks);
-                assert_eq!(r.cost_cents, report.cost_cents);
+                assert_eq!(r.bill.busy_ticks, report.bill.busy_ticks);
+                assert_eq!(r.bill.cost_cents, report.bill.cost_cents);
             }
             ShardFate::Dead(_) => panic!("unkilled shard must complete"),
         }

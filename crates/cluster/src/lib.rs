@@ -30,7 +30,8 @@
 //!     [`ClusterEngine::run_probed`] is it without spans;
 //!   * [`ClusterEngine::run_resilient`] — per-shard
 //!     [`FaultPlan`](dbp_cloudsim::FaultPlan)s through the resilient
-//!     dispatcher, with a cluster-wide conserved SLA ledger;
+//!     dispatcher, with a cluster-wide conserved
+//!     [`SessionLedger`](dbp_cloudsim::SessionLedger);
 //!   * [`ClusterEngine::run_self_healing`] — shard-level fault
 //!     containment: a deterministic [`ShardFaultPlan`] kills shards
 //!     mid-run, a per-shard supervisor catches the unwind, re-runs the
@@ -43,8 +44,8 @@
 //!
 //!   Pass `|_| NoProbe` / `|_, _| NoSpans` (zero-sized) for "none";
 //!   [`run_shard`] drives one shard on its own;
-//! * [`ClusterReport`] — the exact aggregate: `busy_ticks`, `billed_ticks`
-//!   and `cost_cents` are plain `u128`/`Ratio` sums over the shards
+//! * [`ClusterReport`] — the exact aggregate: its
+//!   [`Bill`](dbp_cloudsim::Bill) is the plain sum of the shard bills
 //!   (shards share no servers, so costs are additive), plus a merged
 //!   [`RunManifest`](dbp_obs::RunManifest) whose digest covers the full
 //!   pre-partition stream. At `D > 1`, [`vector::dim_reports`] adds the

@@ -95,11 +95,11 @@ fn shard_death_at_every_phase_is_healed_and_conserved() {
         .unwrap()
         .0;
     let r = &healed.report;
-    assert!(r.conserved(), "extended ledger must conserve: {r:?}");
-    assert_eq!(r.sessions_total, inst.len() as u64);
-    assert_eq!(r.sessions_served, inst.len() as u64);
+    assert!(r.ledger.conserved(), "extended ledger must conserve: {r:?}");
+    assert_eq!(r.ledger.total, inst.len() as u64);
+    assert_eq!(r.ledger.served, inst.len() as u64);
     assert_eq!(
-        (r.sessions_lost, r.sessions_dropped, r.sessions_rerouted),
+        (r.ledger.lost, r.ledger.dropped, r.ledger.rerouted),
         (0, 0, 0)
     );
     assert_eq!(r.shard_kills, 3);
@@ -107,7 +107,7 @@ fn shard_death_at_every_phase_is_healed_and_conserved() {
     assert!(r.shard_replayed_events > 0);
     assert_eq!(r.shards_lost, 0);
     for h in &healed.shards {
-        assert!(h.conserved(), "shard {} ledger: {h:?}", h.shard);
+        assert!(h.ledger.conserved(), "shard {} ledger: {h:?}", h.shard);
         assert_eq!(h.health, ShardHealth::Up);
     }
     assert_eq!(healed.manifest.shard_restarts, Some(3));
@@ -166,9 +166,9 @@ fn healed_run_stream_is_byte_identical_to_the_unkilled_run() {
         survivors, originals,
         "resurrected stream must be byte-identical"
     );
-    assert_eq!(killed.report.sessions_served, clean.report.sessions_served);
-    assert_eq!(killed.report.busy_ticks, clean.report.busy_ticks);
-    assert_eq!(killed.report.cost_cents, clean.report.cost_cents);
+    assert_eq!(killed.report.ledger.served, clean.report.ledger.served);
+    assert_eq!(killed.report.bill.busy_ticks, clean.report.bill.busy_ticks);
+    assert_eq!(killed.report.bill.cost_cents, clean.report.bill.cost_cents);
     assert_eq!(killed.report.shard_restarts, 4);
     assert!(killed
         .shards
@@ -268,17 +268,17 @@ fn budget_exhaustion_reroutes_future_arrivals_and_conserves() {
         .unwrap()
         .0;
     let r = &healed.report;
-    assert!(r.conserved(), "{r:?}");
+    assert!(r.ledger.conserved(), "{r:?}");
     assert_eq!(r.shards_lost, 1);
     assert_eq!(r.shard_kills, 3);
     assert_eq!(r.shard_restarts, 2);
-    assert!(r.sessions_rerouted > 0, "future arrivals must move: {r:?}");
+    assert!(r.ledger.rerouted > 0, "future arrivals must move: {r:?}");
     let dead = &healed.shards[1];
     assert_eq!(dead.health, ShardHealth::Down);
     assert!(dead.down_reason.is_some());
-    assert!(dead.conserved());
+    assert!(dead.ledger.conserved());
     let hosted: u64 = healed.shards.iter().map(|h| h.sessions_rerouted_in).sum();
-    assert_eq!(hosted, r.sessions_rerouted);
+    assert_eq!(hosted, r.ledger.rerouted);
     assert!(log
         .events()
         .iter()
@@ -315,14 +315,14 @@ fn total_cluster_death_drops_the_remainder_conserved() {
         .unwrap()
         .0;
     let r = &healed.report;
-    assert!(r.conserved(), "{r:?}");
+    assert!(r.ledger.conserved(), "{r:?}");
     assert_eq!(r.shards_lost, 2);
-    assert_eq!(r.sessions_rerouted, 0, "no healthy host remains");
-    assert!(r.sessions_dropped > 0);
+    assert_eq!(r.ledger.rerouted, 0, "no healthy host remains");
+    assert!(r.ledger.dropped > 0);
     assert!(healed
         .shards
         .iter()
-        .all(|h| h.health == ShardHealth::Down && h.conserved()));
+        .all(|h| h.health == ShardHealth::Down && h.ledger.conserved()));
     assert_eq!(healed.manifest.ledger_conserved, Some(true));
 }
 
@@ -361,11 +361,11 @@ fn tick_kills_are_healed_too() {
         .run_self_healing(&inst, &factory, &plan, &mut NoProbe, |_, _| NoSpans)
         .unwrap()
         .0;
-    assert!(healed.report.conserved());
+    assert!(healed.report.ledger.conserved());
     assert_eq!(healed.report.shard_kills, 2);
     assert_eq!(healed.report.shard_restarts, 2);
-    assert_eq!(healed.report.sessions_served, clean.report.sessions_served);
-    assert_eq!(healed.report.busy_ticks, clean.report.busy_ticks);
+    assert_eq!(healed.report.ledger.served, clean.report.ledger.served);
+    assert_eq!(healed.report.bill.busy_ticks, clean.report.bill.busy_ticks);
 }
 
 /// Restart backoff saturates: two kills on one shard under a
@@ -393,7 +393,7 @@ fn restart_backoff_saturates_instead_of_overflowing() {
     let (healed, _) = eng
         .run_self_healing(&inst, &ff_factory(), &plan, &mut NoProbe, |_, _| NoSpans)
         .unwrap();
-    assert!(healed.report.conserved());
+    assert!(healed.report.ledger.conserved());
     assert_eq!(healed.shards[0].restarts, 2);
     assert_eq!(healed.shards[0].backoff_ticks, u64::MAX);
 }
@@ -446,7 +446,7 @@ fn organic_panics_end_supervision_without_restarts() {
         .run_self_healing(&inst, &factory, &plan, &mut log, |_, _| NoSpans)
         .unwrap();
     let r = &healed.report;
-    assert!(r.conserved(), "{r:?}");
+    assert!(r.ledger.conserved(), "{r:?}");
     assert_eq!(r.shard_restarts, 0, "{r:?}");
     assert_eq!(r.shards_lost, 2, "{r:?}");
     for h in &healed.shards {
@@ -458,7 +458,7 @@ fn organic_panics_end_supervision_without_restarts() {
             "shard {}: {reason}",
             h.shard
         );
-        assert!(h.conserved(), "shard {}", h.shard);
+        assert!(h.ledger.conserved(), "shard {}", h.shard);
     }
     let killed = log
         .events()
@@ -487,13 +487,13 @@ proptest! {
             let (healed, _) = eng
                 .run_self_healing(&inst, &factory, &plan, &mut NoProbe, |_, _| NoSpans)
                 .unwrap();
-            prop_assert!(healed.report.conserved(), "{}: {:?}", router.name(), healed.report);
-            prop_assert_eq!(healed.report.sessions_total, inst.len() as u64);
+            prop_assert!(healed.report.ledger.conserved(), "{}: {:?}", router.name(), healed.report);
+            prop_assert_eq!(healed.report.ledger.total, inst.len() as u64);
             for h in &healed.shards {
-                prop_assert!(h.conserved(), "{} shard {}", router.name(), h.shard);
+                prop_assert!(h.ledger.conserved(), "{} shard {}", router.name(), h.shard);
             }
             let rerouted_in: u64 = healed.shards.iter().map(|h| h.sessions_rerouted_in).sum();
-            prop_assert_eq!(rerouted_in, healed.report.sessions_rerouted);
+            prop_assert_eq!(rerouted_in, healed.report.ledger.rerouted);
             prop_assert_eq!(
                 healed.manifest.ledger_conserved, Some(true)
             );
@@ -695,9 +695,9 @@ proptest! {
         ) {
             Ok((healed, _)) => {
                 prop_assert!(!out_of_range, "accepted {:?}", plan);
-                prop_assert!(healed.report.conserved(), "{:?}", healed.report);
+                prop_assert!(healed.report.ledger.conserved(), "{:?}", healed.report);
                 for h in &healed.shards {
-                    prop_assert!(h.conserved(), "shard {}", h.shard);
+                    prop_assert!(h.ledger.conserved(), "shard {}", h.shard);
                 }
             }
             Err(ClusterError::BadFaultPlan { .. }) => prop_assert!(out_of_range),

@@ -23,7 +23,7 @@ pub struct BillingRow {
     /// Bill under per-hour billing, in dollars.
     pub per_hour: f64,
     /// Servers rented.
-    pub servers: usize,
+    pub servers: u64,
 }
 
 /// Run the comparison.
@@ -43,7 +43,7 @@ pub fn run(quick: bool) -> (Table, Vec<BillingRow>) {
     let mut rows = Vec::new();
     for f in standard_factories(3) {
         let mut bills = [0.0f64; 3];
-        let mut servers = 0usize;
+        let mut servers = 0u64;
         for (i, g) in [
             Granularity::PerTick,
             Granularity::PerMinute,
@@ -59,7 +59,7 @@ pub fn run(quick: bool) -> (Table, Vec<BillingRow>) {
             let mut sel = f.build();
             let (report, _) = sys.run_or_panic(&inst, &mut *sel);
             bills[i] = report.cost_dollars();
-            servers = report.servers_rented;
+            servers = report.bill.servers_rented;
         }
         rows.push(BillingRow {
             algorithm: f.name().to_string(),

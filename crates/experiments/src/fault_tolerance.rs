@@ -117,22 +117,22 @@ pub fn run(quick: bool) -> (Table, Vec<FaultRow>) {
                     let report = ResilientSystem::new(sys, plan.clone())
                         .run(&inst, &mut *f.build())
                         .expect("capacity-matched workload");
-                    assert!(report.conserved(), "SLA ledger must conserve");
-                    let base_cost = baseline.cost_cents.to_f64();
+                    assert!(report.ledger.conserved(), "SLA ledger must conserve");
+                    let base_cost = baseline.bill.cost_cents.to_f64();
                     let cost_overhead = if base_cost == 0.0 {
                         1.0
                     } else {
-                        report.cost_cents.to_f64() / base_cost
+                        report.bill.cost_cents.to_f64() / base_cost
                     };
                     FaultRow {
                         scenario: scenario.name(),
                         crash_rate,
                         boot_flaky,
                         algorithm: f.name().to_string(),
-                        sessions: report.sessions_total,
-                        served: report.sessions_served,
-                        dropped: report.sessions_dropped,
-                        lost: report.sessions_lost,
+                        sessions: report.ledger.total,
+                        served: report.ledger.served,
+                        dropped: report.ledger.dropped,
+                        lost: report.ledger.lost,
                         redispatches: report.redispatches,
                         retries: report.retries_scheduled,
                         crashes: report.crashes,

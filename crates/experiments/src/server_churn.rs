@@ -18,7 +18,7 @@ pub struct ChurnRow {
     /// Algorithm name.
     pub algorithm: String,
     /// Servers rented (churn).
-    pub servers: usize,
+    pub servers: u64,
     /// Bill with no setup fee, dollars.
     pub fee0: f64,
     /// Bill at $0.50 per server, dollars.
@@ -48,7 +48,7 @@ pub fn run(quick: bool) -> (Table, Vec<ChurnRow>) {
             let mut sel = f.build();
             let (report, _) = sys.run_or_panic(&inst, &mut *sel);
             bills[i] = report.cost_dollars();
-            servers = report.servers_rented;
+            servers = report.bill.servers_rented;
         }
         rows.push(ChurnRow {
             algorithm: f.name().to_string(),

@@ -91,7 +91,7 @@ pub fn run(quick: bool) -> (Table, Vec<ResilienceRow>) {
                 let healed = heal(&ShardFaultPlan::from_seed(17, shards, events_hint));
                 let r = &healed.report;
                 assert!(
-                    r.conserved(),
+                    r.ledger.conserved(),
                     "{}/{}: {r:?}",
                     scenario.name(),
                     router.name()
@@ -103,13 +103,13 @@ pub fn run(quick: bool) -> (Table, Vec<ResilienceRow>) {
                     kills: r.shard_kills,
                     restarts: r.shard_restarts,
                     shards_lost: r.shards_lost,
-                    served: r.sessions_served,
-                    lost: r.sessions_lost,
-                    rerouted: r.sessions_rerouted,
-                    busy_ticks: r.busy_ticks,
-                    baseline_ticks: baseline.report.busy_ticks,
-                    overhead: r.busy_ticks as f64 / baseline.report.busy_ticks as f64,
-                    conserved: r.conserved(),
+                    served: r.ledger.served,
+                    lost: r.ledger.lost,
+                    rerouted: r.ledger.rerouted,
+                    busy_ticks: r.bill.busy_ticks,
+                    baseline_ticks: baseline.report.bill.busy_ticks,
+                    overhead: r.bill.busy_ticks as f64 / baseline.report.bill.busy_ticks as f64,
+                    conserved: r.ledger.conserved(),
                 });
             }
         }

@@ -51,7 +51,7 @@ fn main() {
         println!(
             "{:>8}  {:>9}  {:>12.2}  {:>12.2}  {:>7}  {:>6.3}",
             factory.name(),
-            hour_report.servers_rented,
+            hour_report.bill.servers_rented,
             tick_report.cost_dollars(),
             hour_report.cost_dollars(),
             hour_report.peak_servers,

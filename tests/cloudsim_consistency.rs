@@ -2,7 +2,6 @@
 //! the abstract MinTotal objective.
 
 use dbp::prelude::*;
-use dbp_cloudsim::billed_ticks;
 use dbp_core::algorithms::standard_factories;
 use dbp_workloads::ArrivalKind;
 
@@ -15,6 +14,16 @@ fn day_trace(seed: u64) -> Instance {
     })
 }
 
+/// Billed ticks of `trace` under `granularity`: one server per bin,
+/// rented for the bin's usage period.
+fn billed_ticks(trace: &PackingTrace, granularity: Granularity) -> u128 {
+    let system = GamingSystem {
+        granularity,
+        ..GamingSystem::paper_model()
+    };
+    system.bill_trace(trace).billed_ticks
+}
+
 /// Under per-tick billing the system's bill is exactly the paper's
 /// objective (`A_total · C`), for every dispatcher.
 #[test]
@@ -24,10 +33,13 @@ fn per_tick_bill_is_the_paper_objective() {
     for f in standard_factories(2) {
         let mut sel = f.build();
         let (report, trace) = sys.run_or_panic(&inst, &mut *sel);
-        assert_eq!(report.busy_ticks, trace.total_cost_ticks());
-        assert_eq!(report.billed_ticks, trace.total_cost_ticks());
+        assert_eq!(report.bill.busy_ticks, trace.total_cost_ticks());
+        assert_eq!(report.bill.billed_ticks, trace.total_cost_ticks());
         // cents = busy_ticks * 65 / 3600, exactly.
-        assert_eq!(report.cost_cents, Ratio::new(report.busy_ticks * 65, 3600));
+        assert_eq!(
+            report.bill.cost_cents,
+            Ratio::new(report.bill.busy_ticks * 65, 3600)
+        );
     }
 }
 
@@ -61,7 +73,7 @@ fn rankings_agree_under_per_tick_billing() {
         let mut sel = f.build();
         let (report, trace) = sys.run_or_panic(&inst, &mut *sel);
         by_cost.push((f.name().into(), trace.total_cost_ticks()));
-        by_bill.push((f.name().into(), report.cost_cents));
+        by_bill.push((f.name().into(), report.bill.cost_cents));
     }
     by_cost.sort_by_key(|(_, c)| *c);
     by_bill.sort_by_key(|(_, bill)| *bill);

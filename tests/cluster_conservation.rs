@@ -118,12 +118,15 @@ fn one_shard_cluster_is_byte_identical_to_the_plain_run() {
             );
 
             // The aggregate mirrors the single shard exactly.
-            assert_eq!(run.report.busy_ticks, plain_report.busy_ticks);
-            assert_eq!(run.report.billed_ticks, plain_report.billed_ticks);
-            assert_eq!(run.report.cost_cents, plain_report.cost_cents);
+            assert_eq!(run.report.busy_ticks, plain_report.bill.busy_ticks);
+            assert_eq!(run.report.bill.billed_ticks, plain_report.bill.billed_ticks);
+            assert_eq!(run.report.bill.cost_cents, plain_report.bill.cost_cents);
             assert_eq!(run.report.utilization, plain_report.utilization);
             assert_eq!(run.report.peak_servers, plain_report.peak_servers);
-            assert_eq!(run.report.servers_rented, plain_report.servers_rented);
+            assert_eq!(
+                run.report.bill.servers_rented,
+                plain_report.bill.servers_rented
+            );
             assert_eq!(run.report.sessions_served, plain_report.sessions_served);
         }
     }
@@ -144,7 +147,7 @@ fn every_standard_policy_conserves_items_and_cost_on_the_gaming_workload() {
                 factory.name(),
                 router.name()
             );
-            let busy: u128 = run.shards.iter().map(|s| s.report.busy_ticks).sum();
+            let busy: u128 = run.shards.iter().map(|s| s.report.bill.busy_ticks).sum();
             assert_eq!(run.report.busy_ticks, busy);
         }
     }
@@ -170,15 +173,15 @@ proptest! {
                     "{}x{} served counts {:?}", router.name(), shards, seen
                 );
 
-                let busy: u128 = run.shards.iter().map(|s| s.report.busy_ticks).sum();
-                let billed: u128 = run.shards.iter().map(|s| s.report.billed_ticks).sum();
+                let busy: u128 = run.shards.iter().map(|s| s.report.bill.busy_ticks).sum();
+                let billed: u128 = run.shards.iter().map(|s| s.report.bill.billed_ticks).sum();
                 let cents = run
                     .shards
                     .iter()
-                    .fold(Ratio::ZERO, |acc, s| acc + s.report.cost_cents);
+                    .fold(Ratio::ZERO, |acc, s| acc + s.report.bill.cost_cents);
                 prop_assert_eq!(run.report.busy_ticks, busy);
-                prop_assert_eq!(run.report.billed_ticks, billed);
-                prop_assert_eq!(&run.report.cost_cents, &cents);
+                prop_assert_eq!(run.report.bill.billed_ticks, billed);
+                prop_assert_eq!(&run.report.bill.cost_cents, &cents);
                 prop_assert_eq!(run.report.sessions_served, inst.len());
 
                 // Every driver shares one fan-out, so its zero-fault and
@@ -187,17 +190,17 @@ proptest! {
                 let (healed, _) = engine
                     .run_self_healing(&inst, &factory, &none, &mut NoProbe, |_, _| NoSpans)
                     .unwrap();
-                prop_assert_eq!(healed.report.busy_ticks, run.report.busy_ticks);
-                prop_assert_eq!(healed.report.billed_ticks, run.report.billed_ticks);
-                prop_assert_eq!(&healed.report.cost_cents, &run.report.cost_cents);
-                prop_assert_eq!(healed.report.sessions_served, run.report.sessions_served as u64);
+                prop_assert_eq!(healed.report.bill.busy_ticks, run.report.busy_ticks);
+                prop_assert_eq!(healed.report.bill.billed_ticks, run.report.bill.billed_ticks);
+                prop_assert_eq!(&healed.report.bill.cost_cents, &run.report.bill.cost_cents);
+                prop_assert_eq!(healed.report.ledger.served, run.report.sessions_served as u64);
 
                 let resilient = engine
                     .run_resilient(&inst, &factory, &vec![FaultPlan::none(); shards], |_| NoProbe)
                     .unwrap().0;
-                prop_assert_eq!(resilient.report.busy_ticks, run.report.busy_ticks);
-                prop_assert_eq!(resilient.report.billed_ticks, run.report.billed_ticks);
-                prop_assert_eq!(&resilient.report.cost_cents, &run.report.cost_cents);
+                prop_assert_eq!(resilient.report.bill.busy_ticks, run.report.busy_ticks);
+                prop_assert_eq!(resilient.report.bill.billed_ticks, run.report.bill.billed_ticks);
+                prop_assert_eq!(&resilient.report.bill.cost_cents, &run.report.bill.cost_cents);
 
                 let (_, probed) = engine
                     .run_probed(&inst, &factory, |_| EventLog::new())
@@ -228,18 +231,18 @@ proptest! {
                 .map(|s| FaultPlan::from_seed(fault_seed + s, 600).unwrap())
                 .collect();
             let run = engine.run_resilient(&inst, &factory, &plans, |_| NoProbe).unwrap().0;
-            prop_assert!(run.report.conserved(), "{}", router.name());
-            prop_assert_eq!(run.report.sessions_total, inst.len() as u64);
+            prop_assert!(run.report.ledger.conserved(), "{}", router.name());
+            prop_assert_eq!(run.report.ledger.total, inst.len() as u64);
             for shard in &run.shards {
-                prop_assert!(shard.conserved());
+                prop_assert!(shard.ledger.conserved());
             }
-            let served: u64 = run.shards.iter().map(|r| r.sessions_served).sum();
-            prop_assert_eq!(run.report.sessions_served, served);
+            let served: u64 = run.shards.iter().map(|r| r.ledger.served).sum();
+            prop_assert_eq!(run.report.ledger.served, served);
             let cents = run
                 .shards
                 .iter()
-                .fold(Ratio::ZERO, |acc, r| acc + r.cost_cents);
-            prop_assert_eq!(&run.report.cost_cents, &cents);
+                .fold(Ratio::ZERO, |acc, r| acc + r.bill.cost_cents);
+            prop_assert_eq!(&run.report.bill.cost_cents, &cents);
         }
     }
 }

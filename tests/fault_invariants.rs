@@ -168,7 +168,7 @@ proptest! {
             match ResilientSystem::new(system(), plan.clone()).run(&inst, &mut *sel) {
                 Ok(report) => {
                     prop_assert!(!statically_bad, "{}: invalid plan ran: {:?}", f.name(), plan);
-                    prop_assert!(report.conserved(), "{}: {:?}", f.name(), report);
+                    prop_assert!(report.ledger.conserved(), "{}: {:?}", f.name(), report);
                 }
                 Err(DispatchError::BadFaultPlan { .. }) => {}
                 Err(e) => prop_assert!(false, "{}: unexpected error {e}", f.name()),
@@ -225,9 +225,9 @@ proptest! {
             let report = ResilientSystem::new(system(), hostile.clone())
                 .run(&inst, &mut *build())
                 .expect("a generated plan is valid");
-            prop_assert!(report.conserved(), "{name}: {report:?}");
+            prop_assert!(report.ledger.conserved(), "{name}: {report:?}");
             match ResilientSystem::new(system(), extreme.clone()).run(&inst, &mut *build()) {
-                Ok(report) => prop_assert!(report.conserved(), "{name}: {report:?}"),
+                Ok(report) => prop_assert!(report.ledger.conserved(), "{name}: {report:?}"),
                 Err(DispatchError::BadFaultPlan { .. }) => {}
                 Err(e) => prop_assert!(false, "{name}: unexpected error {e}"),
             }
@@ -249,13 +249,13 @@ proptest! {
                 .run(&inst, &mut *sel)
                 .expect("capacity-matched");
             prop_assert!(
-                report.conserved(),
+                report.ledger.conserved(),
                 "{}: {} served + {} dropped + {} lost != {} total",
                 f.name(),
-                report.sessions_served,
-                report.sessions_dropped,
-                report.sessions_lost,
-                report.sessions_total
+                report.ledger.served,
+                report.ledger.dropped,
+                report.ledger.lost,
+                report.ledger.total
             );
         }
     }
@@ -333,19 +333,19 @@ proptest! {
             let (baseline, _) = sys
                 .run(&inst, &mut *f.build())
                 .expect("capacity-matched");
-            prop_assert_eq!(trace.total_cost_ticks() as u128, baseline.busy_ticks);
+            prop_assert_eq!(trace.total_cost_ticks() as u128, baseline.bill.busy_ticks);
 
             let mut fault_log = EventLog::new();
             let report = ResilientSystem::new(sys, FaultPlan::none())
                 .run_probed(&inst, &mut *f.build(), &mut fault_log)
                 .expect("capacity-matched");
 
-            prop_assert_eq!(report.sessions_served, inst.len() as u64, "{}", f.name());
-            prop_assert_eq!(report.sessions_dropped + report.sessions_lost, 0);
-            prop_assert_eq!(report.busy_ticks, baseline.busy_ticks);
-            prop_assert_eq!(report.billed_ticks, baseline.billed_ticks);
-            prop_assert_eq!(report.cost_cents, baseline.cost_cents);
-            prop_assert_eq!(report.servers_rented as usize, baseline.servers_rented);
+            prop_assert_eq!(report.ledger.served, inst.len() as u64, "{}", f.name());
+            prop_assert_eq!(report.ledger.dropped + report.ledger.lost, 0);
+            prop_assert_eq!(report.bill.busy_ticks, baseline.bill.busy_ticks);
+            prop_assert_eq!(report.bill.billed_ticks, baseline.bill.billed_ticks);
+            prop_assert_eq!(report.bill.cost_cents, baseline.bill.cost_cents);
+            prop_assert_eq!(report.bill.servers_rented, baseline.bill.servers_rented);
             prop_assert_eq!(report.peak_servers as u32, baseline.peak_servers);
             prop_assert_eq!(
                 events_to_jsonl(fault_log.events()),

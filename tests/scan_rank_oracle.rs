@@ -160,7 +160,7 @@ fn pending_bins_do_not_count_under_boot_delays() {
         let mut selector = selector_for(name).unwrap();
         let mut log = GEventLog::new();
         let report = system.run_probed(&inst, &mut *selector, &mut log).unwrap();
-        assert!(report.conserved(), "{name}");
+        assert!(report.ledger.conserved(), "{name}");
         let checked = check_scan_ranks(log.events());
         let crashes = log
             .events()

@@ -17,8 +17,7 @@
 use dbp::prelude::*;
 use dbp_cloudsim::faults::AdmissionPolicy;
 use dbp_cloudsim::{
-    billed_ticks, rental_cost_cents, FaultConfig, FaultPlan, GamingSystem, Granularity,
-    ResilientSystem, ServerType,
+    FaultConfig, FaultPlan, GamingSystem, Granularity, ResilientSystem, ServerType,
 };
 use dbp_cluster::vector::dim_reports;
 use dbp_cluster::{
@@ -304,14 +303,17 @@ fn assert_d1_byte_identical(inst: &Instance, name: &str) {
     let as_scalar: PackingTrace = serde_json::from_str(&vjson).unwrap();
     let server = ServerType::default_gpu_vm();
     for g in [Granularity::PerTick, Granularity::PerHour] {
+        let system = GamingSystem {
+            server,
+            granularity: g,
+        };
+        let (bill, bill_as_scalar) = (system.bill_trace(&strace), system.bill_trace(&as_scalar));
         assert_eq!(
-            billed_ticks(&strace, g),
-            billed_ticks(&as_scalar, g),
+            bill.billed_ticks, bill_as_scalar.billed_ticks,
             "{name}: billed ticks diverged under {g:?}"
         );
         assert_eq!(
-            rental_cost_cents(&strace, server, g),
-            rental_cost_cents(&as_scalar, server, g),
+            bill.cost_cents, bill_as_scalar.cost_cents,
             "{name}: bill diverged under {g:?}"
         );
     }
@@ -724,10 +726,10 @@ proptest! {
                     |_, _| NoSpans,
                 )
                 .unwrap();
-            prop_assert!(run.report.conserved(), "{}: {:?}", name, run.report);
-            prop_assert_eq!(run.report.sessions_total, inst.len() as u64);
+            prop_assert!(run.report.ledger.conserved(), "{}: {:?}", name, run.report);
+            prop_assert_eq!(run.report.ledger.total, inst.len() as u64);
             for h in &run.shards {
-                prop_assert!(h.conserved(), "{}: shard {:?}", name, h);
+                prop_assert!(h.ledger.conserved(), "{}: shard {:?}", name, h);
             }
         }
     }
